@@ -95,16 +95,19 @@ let with_jobs jobs f =
       prerr_endline "repro: -j must be >= 0";
       exit 1
 
-let timed cmd_name f scale csv_dir trace jobs =
-  validate_csv_dir csv_dir;
-  validate_trace trace;
+let timed cmd_name f ~scale ~csv_dir ~trace ~jobs =
   let t0 = Unix.gettimeofday () in
   with_jobs jobs (fun pool -> f ~scale ~csv_dir ~trace ~pool ());
   Printf.printf "[%s done in %.1fs]\n\n%!" cmd_name (Unix.gettimeofday () -. t0)
 
 let cmd cmd_name ~doc f =
+  let run scale csv_dir trace jobs =
+    validate_csv_dir csv_dir;
+    validate_trace trace;
+    timed cmd_name f ~scale ~csv_dir ~trace ~jobs
+  in
   Cmd.v (Cmd.info cmd_name ~doc)
-    Term.(const (timed cmd_name f) $ scale_arg $ csv_arg $ trace_arg $ jobs_arg)
+    Term.(const run $ scale_arg $ csv_arg $ trace_arg $ jobs_arg)
 
 (* Adapter for the targets that do not support tracing: warn, drop the
    flag, and keep the original signature. *)
@@ -151,13 +154,27 @@ let sybil ~scale ~csv_dir ~pool () =
 let robustness ~scale ~csv_dir ~pool () =
   Robustness.print ~scale ?csv:(csv_path csv_dir "robustness") ?pool ()
 
-let robustness_net ~scale ~csv_dir ~trace ~pool () =
-  Robustness_net.print ~scale
-    ?csv:(csv_path csv_dir "robustness_net")
-    ?trace ?pool ()
+(* Every scenario-matrix target (DESIGN.md §12) runs through here; the
+   CSV is named after the spec (robustness-net -> robustness_net.csv). *)
+let run_spec spec ~scale ~csv_dir ~trace ~pool () =
+  Basalt_scenario.Matrix.print ~scale
+    ?csv:(csv_path csv_dir (Basalt_scenario.Spec.slug spec))
+    ?trace ?pool spec
 
-let broadcast ~scale ~csv_dir ~trace ~pool () =
-  Broadcast.print ~scale ?csv:(csv_path csv_dir "broadcast") ?trace ?pool ()
+(* A scenario file embedded at build time (bin/dune).  test_scenario
+   validates the same files, so the error branch only fires on a broken
+   build; it exits like `repro matrix` on an invalid file. *)
+let committed file contents ~scale ~csv_dir ~trace ~pool () =
+  match Basalt_scenario.Spec.of_string ~file contents with
+  | Ok spec -> run_spec spec ~scale ~csv_dir ~trace ~pool ()
+  | Error msg ->
+      Printf.eprintf "%s\n%!" msg;
+      exit 4
+
+let robustness_net =
+  committed "scenarios/robustness_net.scn" Scenario_files.robustness_net
+
+let broadcast = committed "scenarios/broadcast.scn" Scenario_files.broadcast
 
 let uniformity ~scale ~csv_dir ~pool () =
   Uniformity.print ~scale ?csv:(csv_path csv_dir "uniformity") ?pool ()
@@ -295,14 +312,7 @@ let matrix_cmd =
     | Error (`Invalid msg) ->
         Printf.eprintf "%s\n%!" msg;
         exit 4
-    | Ok spec ->
-        let t0 = Unix.gettimeofday () in
-        with_jobs jobs (fun pool ->
-            Basalt_scenario.Matrix.print ~scale
-              ?csv:(csv_path csv_dir (Basalt_scenario.Spec.slug spec))
-              ?trace ?pool spec);
-        Printf.printf "[matrix done in %.1fs]\n\n%!"
-          (Unix.gettimeofday () -. t0)
+    | Ok spec -> timed "matrix" (run_spec spec) ~scale ~csv_dir ~trace ~jobs
   in
   Cmd.v
     (Cmd.info "matrix"

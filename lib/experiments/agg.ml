@@ -1,6 +1,6 @@
-(* Shared aggregation helpers for multi-seed experiment sweeps.  The
-   matrix driver (lib/scenario) reuses these, so a scenario file that
-   mirrors a hand-written experiment reproduces its numbers exactly. *)
+(* Shared aggregation helpers for multi-seed experiment sweeps: the
+   matrix driver (lib/scenario) and the experiment modules compute every
+   mean, total and majority median through these. *)
 
 let mean f xs =
   List.fold_left (fun acc x -> acc +. f x) 0.0 xs /. float_of_int (List.length xs)
@@ -16,19 +16,3 @@ let median_opt times =
     let sorted = List.sort Float.compare converged in
     Some (List.nth sorted (List.length sorted / 2))
   end
-
-let chunks k xs =
-  let rec take k acc rest =
-    if k = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | x :: tl -> take (k - 1) (x :: acc) tl
-      | [] -> invalid_arg "Agg.chunks: list length not a multiple of k"
-  in
-  let rec go = function
-    | [] -> []
-    | xs ->
-        let group, rest = take k [] xs in
-        group :: go rest
-  in
-  if k <= 0 then invalid_arg "Agg.chunks: k must be positive" else go xs

@@ -1,9 +1,7 @@
 (** Aggregation helpers shared by the multi-seed experiment sweeps and
-    the declarative matrix driver (lib/scenario, DESIGN.md §12).
-
-    The hand-written experiments and the scenario files that reproduce
-    them must agree byte-for-byte, so both routes go through these
-    functions rather than re-deriving the statistics. *)
+    the declarative matrix driver (lib/scenario, DESIGN.md §12), so
+    every route computes its statistics the same way.  The regrouping
+    step that precedes them is {!Basalt_sim.Sweep.chunks}. *)
 
 val mean : ('a -> float) -> 'a list -> float
 (** [mean f xs] is the arithmetic mean of [f] over [xs] ([nan] on the
@@ -16,10 +14,3 @@ val median_opt : float option list -> float option
 (** [median_opt times] applies the sweeps' majority rule: [None] unless
     more than half of the entries are [Some], otherwise the median of
     the present values (upper median for even counts). *)
-
-val chunks : int -> 'a list -> 'a list list
-(** [chunks k xs] splits [xs] into consecutive groups of exactly [k],
-    preserving order — the regrouping step after a flat
-    {!Basalt_parallel.Pool.map} over a condition × seed batch.
-    @raise Invalid_argument if [k <= 0] or [k] does not divide the
-    length of [xs]. *)

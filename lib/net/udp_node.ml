@@ -61,7 +61,6 @@ type t = {
 
 let bind_socket listen =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.setsockopt socket Unix.SO_REUSEADDR true;
   Unix.bind socket (Endpoint.to_sockaddr listen);
   Unix.set_nonblock socket;
   (* Resolve the actually-bound endpoint (meaningful when port 0 was

@@ -3,17 +3,18 @@
    scale presets into a Basalt_sim.Scenario, fans the flat cell × seed
    task list over an optional Pool (order-preserving, so tables and
    traces are bit-identical at any -j N), and renders the pivot axis as
-   metric columns.  All aggregation goes through
-   Basalt_experiments.Agg and the gossip workload through
-   Basalt_experiments.Gossip_app — the same code the hand-written
-   experiments run — which is what makes a scenario file mirroring
-   robustness-net or broadcast reproduce its table byte-for-byte. *)
+   metric columns.  Aggregation goes through Basalt_experiments.Agg and
+   the gossip workload through Basalt_experiments.Gossip_app.  The
+   robustness-net and broadcast experiments exist only as scenario
+   files run by this driver; their quick-scale tables are pinned by
+   golden files under test/golden/. *)
 
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner
 module Measurements = Basalt_sim.Measurements
 module Report = Basalt_sim.Report
 module Churn = Basalt_sim.Churn
+module Sweep = Basalt_sim.Sweep
 module Fault = Basalt_engine.Fault
 module Engine = Basalt_engine.Engine
 module Pool = Basalt_parallel.Pool
@@ -45,7 +46,7 @@ let link_of (l : Spec.link_fault) =
     ?reorder:l.lf_reorder ?reorder_window:l.lf_reorder_window ()
 
 (* Window fractions scale with the run; 1/4- and 1/2-of-run windows
-   resolve to the exact floats the hand-written experiments pass. *)
+   resolve to the exact floats steps /. 4.0 and steps /. 2.0. *)
 let fault_of ~n ~steps (forms : Spec.fault_form list) =
   let base = ref None and partitions = ref [] and outages = ref [] in
   List.iter
@@ -174,11 +175,11 @@ let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
   let per_seed = List.length (seeds_of spec scale) in
   let pivot_n = List.length (Spec.pivot spec).Spec.entries in
   let paired = List.combine ts runs in
-  Agg.chunks per_seed paired
+  Sweep.chunks per_seed paired
   |> List.map (fun pairs ->
          let t = fst (List.hd pairs) in
          (t.labels, { g_scenario = t.scenario; g_runs = List.map snd pairs }))
-  |> Agg.chunks pivot_n
+  |> Sweep.chunks pivot_n
   |> List.map (fun cell_groups ->
          let row_labels, _ = split_last (fst (List.hd cell_groups)) in
          let groups =

@@ -10,10 +10,10 @@
     [Pool.map] preserves task order, so tables, CSVs and merged traces
     are bit-identical at any [-j N].
 
-    Aggregation goes through {!Basalt_experiments.Agg}; a matrix file
-    that mirrors a hand-written experiment (committed under
-    [scenarios/]) therefore reproduces its table byte-for-byte — the
-    CLI equivalence test in [test/test_cli.ml] enforces this. *)
+    Aggregation goes through {!Basalt_experiments.Agg}.  The committed
+    [scenarios/robustness_net.scn] and [scenarios/broadcast.scn] are the
+    definitions of [repro robustness-net] and [repro broadcast]; their
+    quick-scale tables are pinned by golden files under [test/golden/]. *)
 
 type run = {
   result : Basalt_sim.Runner.result;

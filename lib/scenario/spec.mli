@@ -103,7 +103,7 @@ val pivot : t -> axis
 
 val slug : t -> string
 (** [name] with every non-alphanumeric byte replaced by ['_'] — the CSV
-    file base name, matching the hand-written experiments'. *)
+    file base name ([robustness-net] writes [robustness_net.csv]). *)
 
 val of_string : ?file:string -> string -> (t, string) result
 (** [of_string src] parses and validates a matrix; errors render as

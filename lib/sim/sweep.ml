@@ -36,6 +36,22 @@ let aggregate results =
 let require_seeds fname seeds =
   if seeds = [] then invalid_arg (fname ^ ": no seeds")
 
+let chunks k xs =
+  let rec take k acc rest =
+    if k = 0 then (List.rev acc, rest)
+    else
+      match rest with
+      | x :: tl -> take (k - 1) (x :: acc) tl
+      | [] -> invalid_arg "Sweep.chunks: list length not a multiple of k"
+  in
+  let rec go = function
+    | [] -> []
+    | xs ->
+        let group, rest = take k [] xs in
+        group :: go rest
+  in
+  if k <= 0 then invalid_arg "Sweep.chunks: k must be positive" else go xs
+
 (* Fan out over the flat scenario × seed product, then regroup runs per
    scenario in order.  Flattening matters: the scale presets use a single
    seed, so parallelism has to come from the scenario axis as much as
@@ -47,40 +63,15 @@ let run_grouped ?pool scenarios ~seeds =
       (fun s -> List.map (fun seed -> Scenario.with_seed s seed) seeds)
       scenarios
   in
-  let runs = Pool.map ?pool Runner.run tasks in
-  let per_group = List.length seeds in
-  let rec take n acc rest =
-    if n = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | r :: tl -> take (n - 1) (r :: acc) tl
-      | [] -> assert false
-  in
-  let rec regroup = function
-    | [] -> []
-    | runs ->
-        let group, rest = take per_group [] runs in
-        group :: regroup rest
-  in
-  regroup runs
-
-let aggregate_nonempty group =
-  (* Groups produced by [run_grouped] carry one run per seed and the
-     seed list was checked non-empty, so [aggregate] cannot fail. *)
-  match aggregate group with Some a -> a | None -> assert false
+  chunks (List.length seeds) (Pool.map ?pool Runner.run tasks)
 
 let run_aggregates ?pool scenarios ~seeds =
   require_seeds "Sweep.run_aggregates" seeds;
-  List.map aggregate_nonempty (run_grouped ?pool scenarios ~seeds)
-
-let run_aggregate ?pool s ~seeds =
-  require_seeds "Sweep.run_aggregate" seeds;
-  aggregate_nonempty (run_seeds ?pool s ~seeds)
-
-let sweep ?pool ~make ~seeds xs =
-  require_seeds "Sweep.sweep" seeds;
-  let groups = run_grouped ?pool (List.map make xs) ~seeds in
-  List.map2 (fun x group -> (x, aggregate_nonempty group)) xs groups
+  (* Every group carries one run per seed and the seed list was checked
+     non-empty, so [aggregate] cannot fail. *)
+  List.map
+    (fun group -> Option.get (aggregate group))
+    (run_grouped ?pool scenarios ~seeds)
 
 let max_rho ?pool ~make ~seeds rhos =
   let sorted = List.sort_uniq Float.compare rhos in

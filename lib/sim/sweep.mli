@@ -34,6 +34,14 @@ val aggregate : Runner.result list -> aggregate option
     survived"), not a programming error, now that fan-out can lose tasks
     to failure. *)
 
+val chunks : int -> 'a list -> 'a list list
+(** [chunks k xs] splits [xs] into consecutive groups of exactly [k],
+    preserving order — the regrouping step after a flat
+    {!Basalt_parallel.Pool.map} over a condition × seed batch, shared
+    by {!run_grouped} and the scenario-matrix driver.
+    @raise Invalid_argument if [k <= 0] or [k] does not divide the
+    length of [xs]. *)
+
 val run_grouped :
   ?pool:Basalt_parallel.Pool.t ->
   Scenario.t list ->
@@ -52,22 +60,6 @@ val run_aggregates :
   aggregate list
 (** [run_aggregates scenarios ~seeds] is {!run_grouped} with each group
     aggregated.
-    @raise Invalid_argument if [seeds] is empty. *)
-
-val run_aggregate :
-  ?pool:Basalt_parallel.Pool.t -> Scenario.t -> seeds:int list -> aggregate
-(** [run_aggregate s ~seeds] aggregates {!run_seeds}.
-    @raise Invalid_argument if [seeds] is empty. *)
-
-val sweep :
-  ?pool:Basalt_parallel.Pool.t ->
-  make:('a -> Scenario.t) ->
-  seeds:int list ->
-  'a list ->
-  ('a * aggregate) list
-(** [sweep ~make ~seeds xs] evaluates [make x] for each parameter value
-    [x], averaged over [seeds].  With a pool, the [x] × seed product is
-    one flat task batch.
     @raise Invalid_argument if [seeds] is empty. *)
 
 val max_rho :

@@ -73,7 +73,7 @@ let matrix_invalid_file_exits_4 () =
     (contains ~needle:"corpus/bad_number.scn:2:12: bad number '0.x'" err)
 
 (* The output-path probe must fail fast — before any simulation runs —
-   for both the matrix driver and the hand-written timed targets. *)
+   for both `repro matrix FILE` and the named targets. *)
 let unwritable_trace_exits_5 () =
   List.iter
     (fun target ->
@@ -94,7 +94,7 @@ let unwritable_csv_exits_5 () =
   Alcotest.(check bool) "names the directory" true
     (contains ~needle:"repro: cannot write csv directory /proc/nope" err)
 
-(* --- repro matrix: determinism and hand-written equivalence --- *)
+(* --- repro matrix: determinism and golden tables --- *)
 
 (* Strips the banner/footer lines that mention wall-clock or file
    paths, leaving the table body the assertions compare. *)
@@ -114,18 +114,17 @@ let matrix_j_determinism () =
   Alcotest.(check string) "tables bit-identical" (table_body out1)
     (table_body out2)
 
-(* The committed robustness_net.scn reproduces the hand-written
-   experiment's table byte-for-byte (ISSUE acceptance; ~25 s, so
-   `Slow — skipped under -q). *)
-let matrix_reproduces_hand_written () =
-  let code_h, out_h, _ = run_repro "robustness-net -s quick" in
-  let code_m, out_m, _ =
-    run_repro ("matrix " ^ scenarios ^ "robustness_net.scn -s quick")
-  in
-  Alcotest.(check int) "hand-written exit 0" 0 code_h;
-  Alcotest.(check int) "matrix exit 0" 0 code_m;
-  Alcotest.(check string) "tables byte-identical" (table_body out_h)
-    (table_body out_m)
+(* `repro robustness-net` runs the committed robustness_net.scn through
+   the matrix driver; its quick-scale table body must match the golden
+   file, captured from the OCaml module the scenario file replaced
+   (~25 s, so `Slow — skipped under -q). *)
+let robustness_net_matches_golden () =
+  let code, out, _ = run_repro "robustness-net -s quick" in
+  let ic = open_in_bin "golden/robustness_net.quick.txt" in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check string) "table body matches golden" golden (table_body out)
 
 (* --- bench_gate subcommands --- *)
 
@@ -365,8 +364,8 @@ let () =
           Alcotest.test_case "unwritable csv exits 5" `Quick
             unwritable_csv_exits_5;
           Alcotest.test_case "-j determinism" `Quick matrix_j_determinism;
-          Alcotest.test_case "reproduces hand-written table" `Slow
-            matrix_reproduces_hand_written;
+          Alcotest.test_case "robustness-net matches golden table" `Slow
+            robustness_net_matches_golden;
         ] );
       ( "bench_gate",
         [

@@ -151,24 +151,39 @@ let uniformity_of_histogram () =
 
 (* --- Robustness under fault plans (DESIGN.md §10) --- *)
 
+(* robustness-net is the committed scenario file run by the matrix
+   driver; the assertions read its rendered table cells. *)
 let robustness_net_rows () =
-  let rows = Robustness_net.run ~scale:Scale.Quick () in
-  check_int "four conditions" 4 (List.length rows);
-  let find c = List.find (fun r -> r.Robustness_net.condition = c) rows in
-  List.iter
-    (fun r ->
-      (* Basalt must ride out every fault plan at quick scale. *)
-      check_bool (r.Robustness_net.condition ^ ": basalt converges") true
-        (r.Robustness_net.basalt.Robustness_net.time <> None);
-      check_bool
-        (r.Robustness_net.condition ^ ": basalt near optimal")
-        true
-        (r.Robustness_net.basalt.Robustness_net.sample_byz < 0.2))
-    rows;
-  (* The delivery column reflects the injected transport faults. *)
-  let delivered c =
-    (find c).Robustness_net.basalt.Robustness_net.delivered_frac
+  let module Spec = Basalt_scenario.Spec in
+  let module Matrix = Basalt_scenario.Matrix in
+  let dir =
+    if Sys.file_exists "../scenarios" then "../scenarios/" else "scenarios/"
   in
+  let spec =
+    match Spec.load (dir ^ "robustness_net.scn") with
+    | Ok spec -> spec
+    | Error (`Unreadable msg | `Invalid msg) -> Alcotest.fail msg
+  in
+  let rows, cols = Matrix.columns spec (Matrix.run ~scale:Scale.Quick spec) in
+  check_int "four conditions" 4 rows;
+  let cell header i =
+    (List.find (fun c -> c.Basalt_sim.Report.header = header) cols)
+      .Basalt_sim.Report.cell i
+  in
+  for i = 0 to rows - 1 do
+    let condition = cell "condition" i in
+    (* Basalt must ride out every fault plan at quick scale. *)
+    check_bool (condition ^ ": basalt converges") true
+      (cell "basalt_time" i <> "no-convergence");
+    check_bool (condition ^ ": basalt near optimal") true
+      (float_of_string (cell "basalt_samples_byz" i) < 0.2)
+  done;
+  (* The delivery column reflects the injected transport faults. *)
+  let delivered =
+    List.init rows (fun i ->
+        (cell "condition" i, float_of_string (cell "basalt_delivered/sent" i)))
+  in
+  let delivered c = List.assoc c delivered in
   check_bool "burst loss drops messages" true (delivered "burst-loss" < 1.0);
   check_bool "duplication delivers extras" true (delivered "dup-reorder" > 1.0);
   check_bool "partition drops below clean" true

@@ -253,6 +253,24 @@ let udp_garbage_counted () =
   check_int "view untouched" 0 (List.length (Udp_node.view node));
   Udp_node.close node
 
+(* Port-0 binds must never share an ephemeral port: with SO_REUSEADDR
+   set, Linux handed the same port to two of 512 sockets in nearly
+   every trial, so nodes that probe for free ports collided. *)
+let udp_port_zero_binds_distinct () =
+  let loop = Event_loop.create ~clock:Unix.gettimeofday () in
+  let config = Basalt_core.Config.make ~v:4 ~k:1 ~tau:1.0 () in
+  let nodes =
+    List.init 512 (fun i ->
+        Udp_node.create ~config ~loop ~listen:(localhost 0) ~bootstrap:[]
+          ~seed:i ())
+  in
+  let ports =
+    List.map (fun node -> (Udp_node.endpoint node).Endpoint.port) nodes
+  in
+  List.iter Udp_node.close nodes;
+  check_int "512 distinct endpoints" 512
+    (List.length (List.sort_uniq Int.compare ports))
+
 (* --- Pull retry & self-injection --- *)
 
 (* An endpoint that once existed but has nothing listening behind it. *)
@@ -564,6 +582,8 @@ let () =
         ] );
       ( "udp",
         [
+          Alcotest.test_case "port-0 binds are distinct" `Quick
+            udp_port_zero_binds_distinct;
           Alcotest.test_case "garbage datagrams counted" `Quick
             udp_garbage_counted;
           Alcotest.test_case "retry backoff is capped and deterministic"

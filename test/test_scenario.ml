@@ -2,8 +2,8 @@
    round-trip, the malformed-input corpus with its pinned positioned
    diagnostics, the committed scenario files, and the static shape of
    the matrix expansion.  The subprocess-level contract (exit codes,
-   byte-for-byte table equivalence against the hand-written
-   experiments) lives in test_cli.ml. *)
+   the robustness-net table against its golden file) lives in
+   test_cli.ml. *)
 
 module Check = Basalt_check.Check
 module Sexp = Basalt_scenario.Sexp

@@ -440,25 +440,40 @@ let sweep_aggregate () =
   check_int "runs counted" 2 agg.Sweep.runs;
   check_bool "mean in range" true
     (agg.Sweep.mean_view_byz >= 0.0 && agg.Sweep.mean_view_byz <= 1.0);
-  check_bool "empty is None" true (Sweep.aggregate [] = None);
-  check_float "run_aggregate matches" agg.Sweep.mean_view_byz
-    (Sweep.run_aggregate (tiny_scenario ()) ~seeds:[ 1; 2 ]).Sweep.mean_view_byz;
-  Alcotest.check_raises "run_aggregate rejects no seeds"
-    (Invalid_argument "Sweep.run_aggregate: no seeds") (fun () ->
-      ignore (Sweep.run_aggregate (tiny_scenario ()) ~seeds:[]))
+  check_bool "empty is None" true (Sweep.aggregate [] = None)
 
 let sweep_sweep () =
   let results =
-    Sweep.sweep
-      ~make:(fun f -> tiny_scenario ~f ())
-      ~seeds:[ 1 ] [ 0.0; 0.1 ]
+    Sweep.run_aggregates
+      (List.map (fun f -> tiny_scenario ~f ()) [ 0.0; 0.1 ])
+      ~seeds:[ 1 ]
   in
   check_int "two points" 2 (List.length results);
-  let (x0, a0), (x1, a1) = (List.nth results 0, List.nth results 1) in
-  check_float "x order kept" 0.0 x0;
-  check_float "x order kept 2" 0.1 x1;
+  let a0, a1 = (List.nth results 0, List.nth results 1) in
+  (* Order kept: each group is its own scenario's aggregate. *)
+  let single f =
+    (List.hd (Sweep.run_aggregates [ tiny_scenario ~f () ] ~seeds:[ 1 ]))
+      .Sweep.mean_view_byz
+  in
+  check_float "x order kept" (single 0.0) a0.Sweep.mean_view_byz;
+  check_float "x order kept 2" (single 0.1) a1.Sweep.mean_view_byz;
   check_bool "clean run cleaner" true
-    (a0.Sweep.mean_view_byz <= a1.Sweep.mean_view_byz)
+    (a0.Sweep.mean_view_byz <= a1.Sweep.mean_view_byz);
+  Alcotest.check_raises "rejects no seeds"
+    (Invalid_argument "Sweep.run_aggregates: no seeds") (fun () ->
+      ignore (Sweep.run_aggregates [ tiny_scenario () ] ~seeds:[]))
+
+let sweep_chunks () =
+  Alcotest.(check (list (list int)))
+    "order kept" [ [ 1; 2 ]; [ 3; 4 ]; [ 5; 6 ] ]
+    (Sweep.chunks 2 [ 1; 2; 3; 4; 5; 6 ]);
+  Alcotest.(check (list (list int))) "empty" [] (Sweep.chunks 3 []);
+  Alcotest.check_raises "ragged"
+    (Invalid_argument "Sweep.chunks: list length not a multiple of k")
+    (fun () -> ignore (Sweep.chunks 2 [ 1; 2; 3 ]));
+  Alcotest.check_raises "non-positive"
+    (Invalid_argument "Sweep.chunks: k must be positive") (fun () ->
+      ignore (Sweep.chunks 0 [ 1 ]))
 
 let sweep_max_rho () =
   (* With a protocol that never isolates at these scales, the largest
@@ -481,14 +496,14 @@ let sweep_parallel_determinism () =
   let make f = tiny_scenario ~f () in
   let xs = [ 0.0; 0.1; 0.2 ] in
   let seeds = [ 1; 2 ] in
-  let sequential = Sweep.sweep ~make ~seeds xs in
+  let scenarios = List.map make xs in
+  let sequential = Sweep.run_aggregates scenarios ~seeds in
   Basalt_parallel.Pool.with_pool ~domains:4 (fun pool ->
-      let parallel = Sweep.sweep ~pool ~make ~seeds xs in
+      let parallel = Sweep.run_aggregates ~pool scenarios ~seeds in
       check_int "same row count" (List.length sequential)
         (List.length parallel);
       List.iter2
-        (fun (x_seq, (a : Sweep.aggregate)) (x_par, (b : Sweep.aggregate)) ->
-          check_float "same x" x_seq x_par;
+        (fun (a : Sweep.aggregate) (b : Sweep.aggregate) ->
           let bits = Int64.bits_of_float in
           Alcotest.(check int64)
             "view_byz bits" (bits a.Sweep.mean_view_byz)
@@ -610,6 +625,7 @@ let () =
         [
           Alcotest.test_case "aggregate" `Quick sweep_aggregate;
           Alcotest.test_case "sweep" `Quick sweep_sweep;
+          Alcotest.test_case "chunks" `Quick sweep_chunks;
           Alcotest.test_case "max_rho" `Quick sweep_max_rho;
           Alcotest.test_case "parallel determinism j=1 vs j=4" `Quick
             sweep_parallel_determinism;
