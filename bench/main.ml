@@ -244,6 +244,32 @@ let core_ops () =
       ~send:(fun ~dst:_ _ -> ())
       ()
   in
+  (* Miss path: every call offers 161 ids the node has never seen, so each
+     one is ranked against all 160 seeds.  A sample_tick every v/k calls
+     resets slots as the protocol would, which lets the seen-cache prune
+     and keeps its memory bounded across Bechamel's iterations. *)
+  let miss_config = Basalt_core.Config.make ~v:160 () in
+  let miss_node =
+    Basalt_core.Basalt.create ~config:miss_config
+      ~id:(Basalt_proto.Node_id.of_int 9999)
+      ~bootstrap:ids ~rng
+      ~send:(fun ~dst:_ _ -> ())
+      ()
+  in
+  let tick_every = Basalt_core.Config.(miss_config.v / miss_config.k) in
+  let fresh = Array.copy ids in
+  let next_fresh = ref 1_000_000 in
+  let miss_calls = ref 0 in
+  let update_sample_miss () =
+    for j = 0 to Array.length fresh - 1 do
+      fresh.(j) <- Basalt_proto.Node_id.of_int (!next_fresh + j)
+    done;
+    next_fresh := !next_fresh + Array.length fresh;
+    Basalt_core.Basalt.update_sample miss_node fresh;
+    incr miss_calls;
+    if !miss_calls mod tick_every = 0 then
+      ignore (Basalt_core.Basalt.sample_tick miss_node)
+  in
   let siphash_key = Basalt_hashing.Siphash.key_of_rng rng in
   let cheap_seed = Rank.of_int Rank.Cheap 42 in
   let keyed_seed = Rank.of_int (Rank.Keyed_cheap 0x2545F4914F6CDD1D) 42 in
@@ -255,6 +281,8 @@ let core_ops () =
          a node re-digesting pull replies between slot resets. *)
       Test.make ~name:"update_sample (v=160, 161 ids)"
         (Staged.stage (fun () -> Basalt_core.Basalt.update_sample basalt ids));
+      Test.make ~name:"update_sample miss (v=160, 161 fresh ids)"
+        (Staged.stage update_sample_miss);
       Test.make ~name:"sample_tick (v=160, k=80)"
         (Staged.stage (fun () -> ignore (Basalt_core.Basalt.sample_tick basalt)));
       Test.make ~name:"rank (cheap mixer)"

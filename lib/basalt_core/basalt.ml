@@ -31,7 +31,11 @@ type t = {
   uses : int array;  (* exchanges served since last reset (Least_used) *)
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
   mutable clock : int;  (* total slot resets so far *)
-  seen : (int, int) Hashtbl.t;  (* candidate id -> clock at last offer *)
+  (* Seen-cache: candidate id -> clock at last offer, as a flat
+     open-addressing table (see [seen_cell] below). *)
+  mutable seen : int array;
+  mutable seen_count : int;
+  mutable seen_shift : int;  (* 63 - log2 (cells) *)
   (* Reusable batch scratch for update_sample (grown on demand). *)
   mutable batch_raw : int array;
   mutable batch_digest : int array;
@@ -71,14 +75,114 @@ let id t = t.id
    lifetime). *)
 let seen_prune_threshold t = (16 * Array.length t.holders) + 64
 
+(* The seen-cache is an open-addressing table in one flat [int array]:
+   cell [p] (even) holds a candidate id, cell [p + 1] the clock of its
+   last offer, and an id of -1 marks an empty cell.  Ids are hashed
+   multiplicatively (the top bits of [id * seen_mul], so dense simulator
+   ids and sparse endpoint-shaped ids both spread), collisions probe
+   linearly, and the table doubles past 3/4 load.  Lookup and insert are
+   one probe ([seen_exchange]), and nothing is allocated per candidate.
+   Table size and prune timing never change an output: an absent or
+   pruned entry reads as -1, which costs the same evaluations as an entry
+   older than every seed. *)
+let seen_mul = 0x4F1BBCDCBFA53E0B
+let seen_initial_bits = 6  (* 64 cells *)
+
+let seen_home shift key = ((key * seen_mul) lsr shift) lsl 1
+
+(* The cell holding [key], or the empty cell ending its probe run. *)
+let seen_cell (table : int array) shift key =
+  let mask = Array.length table - 1 in
+  let p = ref (seen_home shift key) in
+  while
+    let k = Array.unsafe_get table !p in
+    k >= 0 && not (Int.equal k key)
+  do
+    p := (!p + 2) land mask
+  done;
+  !p
+
+let seen_grow t =
+  let old = t.seen in
+  let table = Array.make (2 * Array.length old) (-1) in
+  let shift = t.seen_shift - 1 in
+  for c = 0 to (Array.length old / 2) - 1 do
+    let key = Array.unsafe_get old (2 * c) in
+    if key >= 0 then begin
+      let p = seen_cell table shift key in
+      Array.unsafe_set table p key;
+      Array.unsafe_set table (p + 1) (Array.unsafe_get old ((2 * c) + 1))
+    end
+  done;
+  t.seen <- table;
+  t.seen_shift <- shift
+
+(* Records [key] as offered at [clock] and returns the clock of its
+   previous offer, -1 when absent. *)
+let seen_exchange t key clock =
+  let table = t.seen in
+  let p = seen_cell table t.seen_shift key in
+  if Array.unsafe_get table p < 0 then begin
+    Array.unsafe_set table p key;
+    Array.unsafe_set table (p + 1) clock;
+    t.seen_count <- t.seen_count + 1;
+    if 4 * t.seen_count > 3 * (Array.length table / 2) then seen_grow t;
+    -1
+  end
+  else begin
+    let last = Array.unsafe_get table (p + 1) in
+    Array.unsafe_set table (p + 1) clock;
+    last
+  end
+
+(* Deletes the entry in cell [p] by shifting later members of its probe
+   run back into the hole (Knuth's Algorithm R), so no tombstones are
+   needed: an entry moves back to the hole unless its home lies
+   cyclically in (hole, its cell]. *)
+let seen_delete (table : int array) shift p =
+  let mask = Array.length table - 1 in
+  let hole = ref p and j = ref p and scanning = ref true in
+  while !scanning do
+    j := (!j + 2) land mask;
+    let key = Array.unsafe_get table !j in
+    if key < 0 then scanning := false
+    else begin
+      let h = seen_home shift key and i = !hole and j = !j in
+      let stays =
+        if Int.compare i j <= 0 then Int.compare i h < 0 && Int.compare h j <= 0
+        else Int.compare i h < 0 || Int.compare h j <= 0
+      in
+      if not stays then begin
+        Array.unsafe_set table i key;
+        Array.unsafe_set table (i + 1) (Array.unsafe_get table (j + 1));
+        hole := j
+      end
+    end
+  done;
+  Array.unsafe_set table !hole (-1)
+
+(* Sweeps, in place, the entries older than every slot's seed.  A
+   deletion shifts later members of the run back: into the cell just
+   examined, which is examined again, into cells not yet reached, or —
+   across the array's end — entries already kept from the front.  So
+   every entry is judged once it settles. *)
 let prune_seen t =
-  if Hashtbl.length t.seen > seen_prune_threshold t then begin
+  if Int.compare t.seen_count (seen_prune_threshold t) > 0 then begin
     let min_stamp =
       Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
     in
-    Hashtbl.filter_map_inplace
-      (fun _ s -> if Int.compare s min_stamp < 0 then None else Some s)
-      t.seen
+    let table = t.seen in
+    let p = ref 0 in
+    while !p < Array.length table do
+      if
+        Array.unsafe_get table !p >= 0
+        && Int.compare (Array.unsafe_get table (!p + 1)) min_stamp < 0
+      then begin
+        seen_delete table t.seen_shift !p;
+        t.seen_count <- t.seen_count - 1
+      end
+      else p := !p + 2
+    done
   end
 
 let ensure_batch_capacity t n =
@@ -94,6 +198,7 @@ let update_sample t ids =
   if n > 0 then begin
     ensure_batch_capacity t n;
     let skip_self = t.config.Config.exclude_self in
+    let clock = t.clock in
     let raw = t.batch_raw
     and dig = t.batch_digest
     and since = t.batch_since in
@@ -106,15 +211,12 @@ let update_sample t ids =
     for idx = 0 to n - 1 do
       let cand = Node_id.to_int (Array.unsafe_get ids idx) in
       if not (skip_self && Int.equal cand t.self) then begin
-        let last =
-          match Hashtbl.find_opt t.seen cand with Some s -> s | None -> -1
-        in
-        if Int.compare last t.clock < 0 then begin
+        let last = seen_exchange t cand clock in
+        if Int.compare last clock < 0 then begin
           let j = !len in
           Array.unsafe_set raw j cand;
           Array.unsafe_set dig j (Rank.digest cand);
           Array.unsafe_set since j last;
-          Hashtbl.replace t.seen cand t.clock;
           incr len
         end
       end
@@ -123,31 +225,18 @@ let update_sample t ids =
     if len > 0 then begin
       let seeds = t.seeds
       and holders = t.holders
-      and best = t.best_ranks
+      and best_ranks = t.best_ranks
       and stamps = t.stamps in
       let evals = ref 0 in
-      (* Slot-major pass: per slot, one seed load, then a tight scan of
-         the prepared candidates.  A candidate last offered at clock [s]
-         is evaluated only against seeds drawn after [s]. *)
+      (* Slot-major pass: per slot, one kernel call that scans the
+         prepared candidates.  A candidate last offered at clock [s] is
+         evaluated only against seeds drawn after [s]. *)
       for i = 0 to Array.length seeds - 1 do
-        let seed = Array.unsafe_get seeds i in
-        let stamp_i = Array.unsafe_get stamps i in
-        for j = 0 to len - 1 do
-          (* lint: allow D4 — int stamps; a compare call would slow the hot path *)
-          if stamp_i > Array.unsafe_get since j then begin
-            incr evals;
-            let r =
-              Rank.rank_digested seed ~id:(Array.unsafe_get raw j)
-                ~digest:(Array.unsafe_get dig j)
-            in
-            (* lint: allow D4 — int ranks; a compare call would slow the hot path *)
-            if r < Array.unsafe_get best i || Array.unsafe_get holders i < 0
-            then begin
-              Array.unsafe_set best i r;
-              Array.unsafe_set holders i (Array.unsafe_get raw j)
-            end
-          end
-        done
+        evals :=
+          !evals
+          + Rank.offer_slot (Array.unsafe_get seeds i)
+              ~stamp:(Array.unsafe_get stamps i) ~raw ~dig ~since ~len
+              ~best_ranks ~holders i
       done;
       (* Rank evaluations actually performed after dedup and seen-cache
          elision — not candidates × slots (DESIGN.md §8). *)
@@ -182,7 +271,9 @@ let create ?(config = Config.default) ?(obs = Obs.disabled) ~id ~bootstrap
       uses = Array.make v 0;
       stamps = Array.make v 0;
       clock = 0;
-      seen = Hashtbl.create 64;
+      seen = Array.make (2 lsl seen_initial_bits) (-1);
+      seen_count = 0;
+      seen_shift = 63 - seen_initial_bits;
       batch_raw = [||];
       batch_digest = [||];
       batch_since = [||];
@@ -212,12 +303,21 @@ let slot_peer t i =
   if h < 0 then None else Some (Node_id.of_int h)
 
 let view t =
-  let out = ref [] in
-  for i = Array.length t.holders - 1 downto 0 do
-    let h = t.holders.(i) in
-    if h >= 0 then out := Node_id.of_int h :: !out
+  let holders = t.holders in
+  let filled = ref 0 in
+  for i = 0 to Array.length holders - 1 do
+    if Array.unsafe_get holders i >= 0 then incr filled
   done;
-  Array.of_list !out
+  let out = Array.make !filled (Node_id.of_int 0) in
+  let j = ref 0 in
+  for i = 0 to Array.length holders - 1 do
+    let h = Array.unsafe_get holders i in
+    if h >= 0 then begin
+      Array.unsafe_set out !j (Node_id.of_int h);
+      incr j
+    end
+  done;
+  out
 
 let view_slots t = Array.init (Array.length t.holders) (slot_peer t)
 

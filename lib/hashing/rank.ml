@@ -59,6 +59,68 @@ let rank_digested seed ~id ~digest =
 
 let rank seed id = rank_digested seed ~id ~digest:(Mix.mix63 id)
 
+(* [Mix.mix63], restated so the kernel below keeps its arithmetic in this
+   compilation unit: the dev profile compiles every library [-opaque], so
+   a call into [Mix] is never inlined and would cost a real call per
+   evaluation.  The differential oracle in test_basalt.ml, which ranks
+   with [rank], pins the two as equal. *)
+let[@inline] mix63 x =
+  let x = (x lxor (x lsr 30)) * 0x5851F42D4C957F2D in
+  let x = (x lxor (x lsr 27)) * 0x14057B7EF767814F in
+  (x lxor (x lsr 31)) land max_int
+
+(* One slot against a prepared batch: one backend dispatch per slot, the
+   running best in locals, and for the cheap backends straight-line int
+   arithmetic per candidate.  The [int array] annotations keep the
+   comparisons monomorphic (unannotated, [>] on an array element is the
+   polymorphic compare call). *)
+let offer_slot seed ~stamp ~(raw : int array) ~(dig : int array)
+    ~(since : int array) ~len ~(best_ranks : int array)
+    ~(holders : int array) i =
+  let best = ref (Array.unsafe_get best_ranks i) in
+  let holder = ref (Array.unsafe_get holders i) in
+  let evals = ref 0 in
+  (match seed with
+  | S_cheap value ->
+      for j = 0 to len - 1 do
+        if stamp > Array.unsafe_get since j then begin
+          incr evals;
+          let r = mix63 (value lxor Array.unsafe_get dig j) in
+          if r < !best || !holder < 0 then begin
+            best := r;
+            holder := Array.unsafe_get raw j
+          end
+        end
+      done
+  | S_keyed { key; value } ->
+      for j = 0 to len - 1 do
+        if stamp > Array.unsafe_get since j then begin
+          incr evals;
+          let r = mix63 (key lxor mix63 (value lxor Array.unsafe_get dig j)) in
+          if r < !best || !holder < 0 then begin
+            best := r;
+            holder := Array.unsafe_get raw j
+          end
+        end
+      done
+  | S_sip _ | S_prefix _ ->
+      for j = 0 to len - 1 do
+        if stamp > Array.unsafe_get since j then begin
+          incr evals;
+          let r =
+            rank_digested seed ~id:(Array.unsafe_get raw j)
+              ~digest:(Array.unsafe_get dig j)
+          in
+          if r < !best || !holder < 0 then begin
+            best := r;
+            holder := Array.unsafe_get raw j
+          end
+        end
+      done);
+  Array.unsafe_set best_ranks i !best;
+  Array.unsafe_set holders i !holder;
+  !evals
+
 (* [mixed] caches the identifier-side half of the cheap mixer;
    [raw] keeps the identifier for backends that hash it whole. *)
 type prepared = { raw : int; mixed : int }

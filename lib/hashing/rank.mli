@@ -87,6 +87,29 @@ val rank_digested : seed -> id:int -> digest:int -> int
     [digest = digest id]; the allocation-free hot-path primitive behind
     {!rank} and {!rank_prepared}. *)
 
+val offer_slot :
+  seed ->
+  stamp:int ->
+  raw:int array ->
+  dig:int array ->
+  since:int array ->
+  len:int ->
+  best_ranks:int array ->
+  holders:int array ->
+  int ->
+  int
+(** [offer_slot seed ~stamp ~raw ~dig ~since ~len ~best_ranks ~holders i]
+    offers the prepared candidates [j < len] (identifier [raw.(j)], its
+    {!digest} [dig.(j)]) to slot [i], whose seed is [seed].  A candidate
+    is ranked only when [stamp > since.(j)] (the slot's seed was drawn
+    after the candidate was last offered to it); it replaces the slot's
+    holder when its rank is below [best_ranks.(i)] or the slot is empty
+    ([holders.(i) < 0]).  The final best rank and holder are written back
+    to [best_ranks.(i)] and [holders.(i)].  Returns the number of ranks
+    evaluated.  Rank values equal {!rank_digested}'s; the cheap backends
+    are evaluated inline, without a call per candidate (the miss path of
+    [Basalt.update_sample], DESIGN.md §4). *)
+
 val seed_value : seed -> int
 (** [seed_value s] exposes the raw seed integer (for diagnostics). *)
 

@@ -690,12 +690,18 @@ let prop_eviction_spares_recent_peers =
    usage ([create] splits the master stream and draws one seed per slot;
    each [sample_tick] reset draws one more), so a same-seeded node and
    model hold identical slot seeds at every step and must agree on every
-   holder and every best rank, bit for bit. *)
+   holder and every best rank, bit for bit.  The model also counts the
+   evaluations the node's cache is meant to leave, one per (seed,
+   candidate) pair — a candidate already offered to a slot since its
+   reset is not ranked there again — which must equal the node's
+   [basalt.rank_evals]: a seen-cache that loses an entry shows there,
+   even though re-ranking a candidate never changes a slot. *)
 module Rank_oracle = struct
   type slot = {
     mutable seed : Rank.seed;
     mutable holder : int option;
     mutable best : int;
+    offered : (int, unit) Hashtbl.t;  (* ids offered since the reset *)
   }
 
   type t = {
@@ -704,6 +710,7 @@ module Rank_oracle = struct
     backend : Rank.backend;
     self : int;
     mutable next_reset : int;
+    mutable evals : int;
   }
 
   let create ~backend ~v ~self ~seed =
@@ -711,9 +718,14 @@ module Rank_oracle = struct
     let rng = Basalt_prng.Rng.split master in
     let slots =
       Array.init v (fun _ ->
-          { seed = Rank.fresh backend rng; holder = None; best = max_int })
+          {
+            seed = Rank.fresh backend rng;
+            holder = None;
+            best = max_int;
+            offered = Hashtbl.create 16;
+          })
     in
-    { slots; rng; backend; self; next_reset = 0 }
+    { slots; rng; backend; self; next_reset = 0; evals = 0 }
 
   let offer t ids =
     Array.iter
@@ -722,6 +734,10 @@ module Rank_oracle = struct
         if id <> t.self then
           Array.iter
             (fun s ->
+              if not (Hashtbl.mem s.offered id) then begin
+                Hashtbl.replace s.offered id ();
+                t.evals <- t.evals + 1
+              end;
               let r = Rank.rank s.seed id in
               if s.holder = None || r < s.best then begin
                 s.holder <- Some id;
@@ -742,7 +758,8 @@ module Rank_oracle = struct
       t.next_reset <- (t.next_reset + 1) mod Array.length t.slots;
       s.seed <- Rank.fresh t.backend t.rng;
       s.holder <- None;
-      s.best <- max_int
+      s.best <- max_int;
+      Hashtbl.reset s.offered
     done;
     offer t snapshot
 
@@ -761,9 +778,28 @@ let oracle_backends =
   ]
 
 (* Each op is a candidate batch (possibly empty) optionally followed by a
-   sample_tick: small identifier range forces duplicates within and
-   across batches, id 0 is the node itself, and ticks re-seed slots so
-   the batched path's seen-cache must discriminate stale generations. *)
+   sample_tick, and ticks re-seed slots so the batched path's seen-cache
+   must discriminate stale generations.  Three shapes of input:
+   - a small identifier range (≤ 12, batches ≤ 8) forces duplicates
+     within and across batches, and id 0 is the node itself;
+   - a wide range (< 10⁶, batches ≤ 300) makes the seen-cache double
+     several times from its 64 cells and, at v = 6, pass its prune
+     threshold (16v + 64 = 160 entries) so ticks sweep it;
+   - the same over 48-bit ids shaped like [Endpoint.to_node_id]'s (an
+     IPv4 address above a 16-bit port), the sparse keys of the UDP
+     daemon, against the dense ids of the simulator. *)
+let endpoint_id =
+  Gen.map2
+    (fun (a, b, c) (d, port) ->
+      (a lsl 40) lor (b lsl 32) lor (c lsl 24) lor (d lsl 16) lor port)
+    (Gen.triple (Gen.oneofl [ 10; 127; 192 ]) (Gen.nat ~max:3)
+       (Gen.nat ~max:255))
+    (Gen.pair (Gen.nat ~max:255) (Gen.oneofl [ 4001; 4002; 9000; 65535 ]))
+
+let oracle_ops ~max_ops ~max_batch id =
+  Gen.list ~min_len:1 ~max_len:max_ops
+    (Gen.pair (Gen.list ~min_len:0 ~max_len:max_batch id) Gen.bool)
+
 let prop_update_sample_matches_oracle =
   let print_ops =
     Print.list (Print.pair (Print.list Print.int) Print.bool)
@@ -772,19 +808,23 @@ let prop_update_sample_matches_oracle =
     ~count:150
     ~print:(Print.pair Print.int print_ops)
     (Gen.pair (Gen.nat ~max:10_000)
-       (Gen.list ~min_len:1 ~max_len:10
-          (Gen.pair
-             (Gen.list ~min_len:0 ~max_len:8 (Gen.nat ~max:12))
-             Gen.bool)))
+       (Gen.oneof
+          [
+            oracle_ops ~max_ops:10 ~max_batch:8 (Gen.nat ~max:12);
+            oracle_ops ~max_ops:12 ~max_batch:300 (Gen.nat ~max:999_999);
+            oracle_ops ~max_ops:12 ~max_batch:300 endpoint_id;
+          ]))
     (fun (seed, ops) ->
       let v = 6 and k = 2 in
       List.for_all
         (fun (_name, backend) ->
           let send ~dst:_ _ = () in
+          let obs = Basalt_obs.Obs.create () in
+          let evals = Basalt_obs.Obs.counter obs "basalt.rank_evals" in
           let t =
             Basalt.create
               ~config:(Config.make ~v ~k ~backend ())
-              ~id:(Node_id.of_int 0) ~bootstrap:[||]
+              ~obs ~id:(Node_id.of_int 0) ~bootstrap:[||]
               ~rng:(Basalt_prng.Rng.create ~seed)
               ~send ()
           in
@@ -806,7 +846,8 @@ let prop_update_sample_matches_oracle =
                   (Basalt.view_slots t)
               in
               holders = Rank_oracle.holders m
-              && Basalt.slot_ranks t = Rank_oracle.ranks m)
+              && Basalt.slot_ranks t = Rank_oracle.ranks m
+              && Basalt_obs.Obs.Counter.value evals = m.Rank_oracle.evals)
             ops)
         oracle_backends)
 

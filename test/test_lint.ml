@@ -367,6 +367,22 @@ let cli_clean_repo_exits_zero () =
   let code, output = run_cli ("--root " ^ Filename.quote repo_root) in
   if code <> 0 then Alcotest.failf "expected exit 0, got %d:\n%s" code output
 
+(* A directory where a FILE belongs is a usage error with a plain
+   message (reading it as a file would fail with EOVERFLOW), in both the
+   plain and the --as single-file modes; a missing file stays exit 2. *)
+let cli_rejects_directory_argument () =
+  let dir = Filename.quote (Filename.concat repo_root "tool/lint/fixtures") in
+  List.iter
+    (fun args ->
+      let code, output = run_cli args in
+      check_int ("exit code for " ^ args) 2 code;
+      if not (contains ~sub:"basalt-lint: not a file: " output) then
+        Alcotest.failf "output of %s misses the directory diagnostic:\n%s"
+          args output)
+    [ dir; "--as lib/basalt_core/x.ml " ^ dir ];
+  let code, _ = run_cli (fixture "no_such_fixture.ml") in
+  check_int "missing file exits 2" 2 code
+
 (* --- typed tier: D9/D10 over the compiled fixtures --- *)
 
 (* The .cmt files of tool/lint/fixtures_typed are dune deps of this
@@ -707,5 +723,7 @@ let () =
           Alcotest.test_case "CLI flags fixtures" `Quick cli_flags_fixtures;
           Alcotest.test_case "CLI clean repo exits 0" `Quick
             cli_clean_repo_exits_zero;
+          Alcotest.test_case "CLI rejects a directory" `Quick
+            cli_rejects_directory_argument;
         ] );
     ]

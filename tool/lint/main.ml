@@ -29,6 +29,13 @@ let fail_usage msg =
   prerr_endline ("basalt-lint: " ^ msg);
   exit 2
 
+(* Reading a directory as a source file fails with an obscure EOVERFLOW,
+   so a directory argument is rejected up front; a missing file still
+   reaches the Sys_error handler below. *)
+let require_file ~shown path =
+  if Sys.file_exists path && Sys.is_directory path then
+    fail_usage ("not a file: " ^ shown)
+
 let () =
   let root = ref "." in
   let vpath = ref "" in
@@ -113,6 +120,7 @@ let () =
               ?domains:(if !jobs = 0 then None else Some !jobs)
               (fun pool -> run (Some pool))
       | [ f ] when !vpath <> "" ->
+          require_file ~shown:f f;
           let rel_path = !vpath in
           let parsed, pragmas =
             Lint.parse_source ~rel_path (Lint.read_file f)
@@ -130,6 +138,11 @@ let () =
           fail_usage "--as requires exactly one FILE"
       | fs ->
           if !cmtfile <> "" then fail_usage "--cmt requires --as";
+          List.iter
+            (fun f ->
+              require_file ~shown:f
+                (if Filename.is_relative f then Filename.concat !root f else f))
+            fs;
           List.concat_map
             (fun f ->
               List.filter
