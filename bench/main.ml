@@ -329,21 +329,11 @@ let graph_ops () =
 let codec_ops () =
   let msg = Basalt_proto.Message.Push (Array.init 160 Basalt_proto.Node_id.of_int) in
   let encoded = Basalt_codec.Wire.encode msg in
-  let sender = Basalt_proto.Node_id.of_int 77 in
-  let frame = Basalt_net.Frame.encode ~sender msg in
   run_group ~name:"wire codec (160-id view)"
     [
       Test.make ~name:"encode" (Staged.stage (fun () -> ignore (Basalt_codec.Wire.encode msg)));
       Test.make ~name:"decode"
         (Staged.stage (fun () -> ignore (Basalt_codec.Wire.decode encoded)));
-      Test.make ~name:"frame encode"
-        (Staged.stage (fun () -> ignore (Basalt_net.Frame.encode ~sender msg)));
-      Test.make ~name:"frame decode"
-        (Staged.stage (fun () ->
-             let d = Basalt_net.Frame.Decoder.create () in
-             ignore
-               (Basalt_net.Frame.Decoder.feed d frame ~off:0
-                  ~len:(Bytes.length frame))));
     ]
 
 (* Multi-seed fan-out through the domain pool (DESIGN.md §7).  The

@@ -3,14 +3,16 @@
 
    Run with:  dune exec examples/quickstart.exe
 
-   This example uses the library's lowest-level public API directly —
-   engine, Basalt nodes, timers — rather than the pre-packaged
+   This example uses the library's low-level public API directly —
+   engine, timers, and a [Basalt_assembly.Node] pairing each sampler
+   with its sample stream — rather than the pre-packaged
    [Basalt_sim.Runner], to show what embedding the peer sampler in an
    application looks like. *)
 
 module Engine = Basalt_engine.Engine
 module Node_id = Basalt_proto.Node_id
 module Basalt = Basalt_core.Basalt
+module Node = Basalt_assembly.Node
 module Config = Basalt_core.Config
 module Sample_stream = Basalt_core.Sample_stream
 module Rng = Basalt_prng.Rng
@@ -27,35 +29,36 @@ let () =
     Array.init 10 (fun _ -> Node_id.of_int (Rng.int rng n))
   in
 
-  (* Create one Basalt instance per node and register its message
-     handler with the engine. *)
+  (* Create one Basalt node per identifier, keeping its last 64 samples,
+     and register its message handler with the engine. *)
+  let sampler = Basalt.sampler ~config () in
   let nodes =
     Array.init n (fun i ->
-        let id = Node_id.of_int i in
         let send ~dst msg =
           Engine.send engine ~src:i ~dst:(Node_id.to_int dst) msg
         in
-        Basalt.create ~config ~id ~bootstrap:(bootstrap ()) ~rng ~send ())
+        Node.create
+          ~stream:(Sample_stream.create ~capacity:64)
+          (sampler ~id:(Node_id.of_int i) ~bootstrap:(bootstrap ()) ~rng ~send))
   in
   Array.iteri
     (fun i node ->
       Engine.register engine i (fun ~from msg ->
-          Basalt.on_message node ~from:(Node_id.of_int from) msg))
+          Node.deliver node ~from:(Node_id.of_int from) msg))
     nodes;
 
   (* Drive the protocol: one exchange round per time unit per node, and a
-     sampling tick every k/rho time units.  Node 0's samples are collected
-     in a stream the application reads. *)
-  let stream = Sample_stream.create ~capacity:64 in
-  Array.iteri
-    (fun i node ->
+     sampling tick every k/rho time units.  Node 0's stream is what the
+     application reads. *)
+  Array.iter
+    (fun node ->
       let phase = Rng.float rng 1.0 in
-      Engine.every engine ~phase ~interval:1.0 (fun () -> Basalt.on_round node);
+      Engine.every engine ~phase ~interval:1.0 (fun () -> Node.round node);
       Engine.every engine ~phase:(phase +. 0.5)
         ~interval:(Config.refresh_interval config) (fun () ->
-          let samples = Basalt.sample_tick node in
-          if i = 0 then Sample_stream.push_list stream samples))
+          ignore (Node.tick node)))
     nodes;
+  let stream = Node.stream nodes.(0) in
 
   Engine.run_until engine 50.0;
 
@@ -81,7 +84,7 @@ let () =
     (String.concat ", "
        (Array.to_list
           (Array.map (fun p -> string_of_int (Node_id.to_int p))
-             (Basalt.view nodes.(0)))));
+             (Node.view nodes.(0)))));
   let stats = Engine.stats engine in
   Printf.printf "transport: %d messages sent, %d delivered\n"
     stats.Engine.sent stats.Engine.delivered

@@ -1,11 +1,8 @@
 module Node_id = Basalt_proto.Node_id
 module Message = Basalt_proto.Message
-module Rps = Basalt_proto.Rps
 module Engine = Basalt_engine.Engine
 module Rng = Basalt_prng.Rng
 module Scenario = Basalt_sim.Scenario
-module Sample_stream = Basalt_core.Sample_stream
-module Adversary = Basalt_adversary.Adversary
 
 type config = {
   n : int;
@@ -59,7 +56,6 @@ type msg =
 
 type node_state = {
   dag : Tx_dag.t;
-  stream : Sample_stream.t;
   (* Votes collected for the currently-outstanding query, per subject. *)
   votes : (Tx_dag.Tx.id, int * int) Hashtbl.t;
   (* Avalanche queries each transaction once per node; confidence then
@@ -94,21 +90,17 @@ let virtuous_tx index =
   }
 
 let run c =
-  let master = Rng.create ~seed:c.seed in
-  let engine_rng = Rng.split master in
-  let node_rng = Rng.split master in
-  let adversary_rng = Rng.split master in
-  let bootstrap_rng = Rng.split master in
-  let committee_rng = Rng.split master in
-  let num_byz = int_of_float (Float.round (c.f *. float_of_int c.n)) in
-  let q = c.n - num_byz in
-  let engine : msg Engine.t = Engine.create ~rng:engine_rng ~n:c.n () in
+  let sub =
+    Substrate.create ~n:c.n ~f:c.f ~force:c.force ~adversary_v:40
+      ~steps:c.steps ~seed:c.seed ~wrap:(fun m -> Rps_msg m) c.sampling
+  in
+  let engine = Substrate.engine sub in
+  let q = Substrate.correct sub in
   let is_malicious u = u >= q in
   let states =
     Array.init q (fun _ ->
         {
           dag = Tx_dag.create ();
-          stream = Sample_stream.create ~capacity:256;
           votes = Hashtbl.create 8;
           queried = Hashtbl.create 8;
           accept_times = [];
@@ -117,28 +109,6 @@ let run c =
   in
   let queries = ref 0 in
   let committee_byz_acc = Basalt_analysis.Stats.Online.create () in
-  (* --- RPS substrate (same wiring as Network) --- *)
-  let samplers =
-    match c.sampling with
-    | Network.Full_knowledge -> None
-    | Network.Service protocol ->
-        let scenario =
-          Scenario.make ~n:c.n ~f:c.f ~protocol ~steps:c.steps ~seed:c.seed ()
-        in
-        let maker = Scenario.maker scenario in
-        let arr = Array.make q (Rps.null (Node_id.of_int 0)) in
-        for i = 0 to q - 1 do
-          let send ~dst m =
-            Engine.send engine ~src:i ~dst:(Node_id.to_int dst) (Rps_msg m)
-          in
-          let size = max 10 (c.n / 20) in
-          let bootstrap =
-            Array.init size (fun _ -> Node_id.of_int (Rng.int bootstrap_rng c.n))
-          in
-          arr.(i) <- maker ~id:(Node_id.of_int i) ~bootstrap ~rng:node_rng ~send
-        done;
-        Some arr
-  in
   (* --- Correct node message handling --- *)
   (* A completed query can finalise ancestors, not just its subject, so
      scan the whole (small) DAG for new acceptances. *)
@@ -158,10 +128,7 @@ let run c =
     let state = states.(i) in
     Engine.register engine i (fun ~from msg ->
         match msg with
-        | Rps_msg m -> (
-            match samplers with
-            | Some arr -> arr.(i).Rps.on_message ~from:(Node_id.of_int from) m
-            | None -> ())
+        | Rps_msg m -> Substrate.deliver sub i ~from m
         | Query { closure; subject } ->
             List.iter (fun tx -> ignore (Tx_dag.insert state.dag tx)) closure;
             let positive =
@@ -185,55 +152,15 @@ let run c =
                 end))
   done;
   (* --- Byzantine nodes: vote for B, against everything else --- *)
-  let adversary =
-    if num_byz = 0 then None
-    else begin
-      let malicious = Array.init num_byz (fun i -> Node_id.of_int (q + i)) in
-      let correct = Array.init q Node_id.of_int in
-      let send ~src ~dst m =
-        Engine.send engine ~src:(Node_id.to_int src) ~dst:(Node_id.to_int dst)
-          (Rps_msg m)
-      in
-      let adv =
-        Adversary.create ~rng:adversary_rng ~malicious ~correct ~v:40
-          ~force:c.force ~send ()
-      in
-      for u = q to c.n - 1 do
-        Engine.register engine u (fun ~from msg ->
-            match msg with
-            | Rps_msg m ->
-                Adversary.on_message adv ~victim_reply:true
-                  ~from:(Node_id.of_int from) ~to_:(Node_id.of_int u) m
-            | Query { subject; _ } ->
-                let positive = subject = conflict_b.Tx_dag.Tx.id in
-                Engine.send engine ~src:u ~dst:from (Vote { subject; positive })
-            | Vote _ -> ())
-      done;
-      Some adv
-    end
-  in
-  (* --- Timers --- *)
-  (match (samplers, c.sampling) with
-  | Some arr, Network.Service protocol ->
-      let proto_scenario =
-        Scenario.make ~n:c.n ~f:c.f ~protocol ~steps:c.steps ()
-      in
-      let tau = Scenario.tau proto_scenario in
-      let refresh = Scenario.refresh_interval proto_scenario in
-      for i = 0 to q - 1 do
-        let phase = Rng.float node_rng tau in
-        Engine.every engine ~phase ~interval:tau arr.(i).Rps.on_round;
-        let stream = states.(i).stream in
-        let sampler = arr.(i) in
-        Engine.every engine
-          ~phase:(phase +. Rng.float node_rng refresh)
-          ~interval:refresh
-          (fun () -> Sample_stream.push_list stream (sampler.Rps.sample_tick ()))
-      done
-  | Some _, Network.Full_knowledge | None, _ -> ());
-  (match adversary with
-  | Some adv -> Engine.every engine ~interval:1.0 (fun () -> Adversary.on_round adv)
-  | None -> ());
+  for u = q to c.n - 1 do
+    Engine.register engine u (fun ~from msg ->
+        match msg with
+        | Rps_msg m -> Substrate.deliver sub u ~from m
+        | Query { subject; _ } ->
+            let positive = subject = conflict_b.Tx_dag.Tx.id in
+            Engine.send engine ~src:u ~dst:from (Vote { subject; positive })
+        | Vote _ -> ())
+  done;
   (* Transaction issuance: the conflict appears right after warm-up at
      two distinct correct nodes; virtuous transactions follow. *)
   Engine.schedule engine ~delay:c.warmup (fun () ->
@@ -255,7 +182,7 @@ let run c =
      candidates). *)
   for i = 0 to q - 1 do
     let state = states.(i) in
-    let phase = c.warmup +. Rng.float node_rng 1.0 in
+    let phase = c.warmup +. Rng.float (Substrate.node_rng sub) 1.0 in
     Engine.every engine ~phase ~interval:1.0 (fun () ->
         (* One-shot querying (the Avalanche rule): query the oldest known
            transaction not yet queried by this node. *)
@@ -270,15 +197,7 @@ let run c =
         | [] -> ()
         | subject :: _ ->
             if not (Hashtbl.mem state.votes subject) then begin
-              let committee =
-                match c.sampling with
-                | Network.Full_knowledge ->
-                    Array.init c.committee (fun _ ->
-                        Node_id.of_int (Rng.int committee_rng c.n))
-                | Network.Service _ ->
-                    Sample_stream.draw state.stream committee_rng
-                      ~k:c.committee
-              in
+              let committee = Substrate.committee sub i ~k:c.committee in
               if Array.length committee = c.committee then begin
                 Hashtbl.replace state.queried subject ();
                 Hashtbl.replace state.votes subject (0, 0);

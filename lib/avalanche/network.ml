@@ -1,13 +1,12 @@
 module Node_id = Basalt_proto.Node_id
 module Message = Basalt_proto.Message
-module Rps = Basalt_proto.Rps
 module Engine = Basalt_engine.Engine
 module Rng = Basalt_prng.Rng
 module Scenario = Basalt_sim.Scenario
-module Sample_stream = Basalt_core.Sample_stream
-module Adversary = Basalt_adversary.Adversary
 
-type sampling = Service of Scenario.protocol | Full_knowledge
+type sampling = Substrate.sampling =
+  | Service of Scenario.protocol
+  | Full_knowledge
 
 type config = {
   n : int;
@@ -69,21 +68,23 @@ type result = {
 
 type node_state = {
   snowball : Snowball.t;
-  stream : Sample_stream.t;
   mutable pending_votes : Snowball.color list;
   mutable decision_time : float;
 }
 
 let run c =
-  let master = Rng.create ~seed:c.seed in
-  let engine_rng = Rng.split master in
-  let node_rng = Rng.split master in
-  let adversary_rng = Rng.split master in
-  let bootstrap_rng = Rng.split master in
-  let committee_rng = Rng.split master in
-  let num_byz = int_of_float (Float.round (c.f *. float_of_int c.n)) in
-  let q = c.n - num_byz in
-  let engine : msg Engine.t = Engine.create ~rng:engine_rng ~n:c.n () in
+  let adversary_v =
+    match c.sampling with
+    | Service p ->
+        Scenario.view_size (Scenario.make ~n:c.n ~f:c.f ~protocol:p ())
+    | Full_knowledge -> 60
+  in
+  let sub =
+    Substrate.create ~n:c.n ~f:c.f ~force:c.force ~adversary_v ~steps:c.steps
+      ~seed:c.seed ~wrap:(fun m -> Rps_msg m) c.sampling
+  in
+  let engine = Substrate.engine sub in
+  let q = Substrate.correct sub in
   let is_malicious u = u >= q in
   (* --- Per-node consensus state --- *)
   let states =
@@ -96,112 +97,40 @@ let run c =
         in
         {
           snowball = Snowball.create c.snowball initial;
-          stream = Sample_stream.create ~capacity:256;
           pending_votes = [];
           decision_time = Float.nan;
         })
   in
   let queries_sent = ref 0 in
   let committee_byz_acc = Basalt_analysis.Stats.Online.create () in
-  (* --- Peer samplers (when a service is configured) --- *)
-  let samplers =
-    match c.sampling with
-    | Full_knowledge -> None
-    | Service protocol ->
-        let scenario =
-          Scenario.make ~n:c.n ~f:c.f ~protocol ~steps:c.steps ~seed:c.seed ()
-        in
-        let maker = Scenario.maker scenario in
-        let arr = Array.make q (Rps.null (Node_id.of_int 0)) in
-        for i = 0 to q - 1 do
-          let send ~dst m =
-            Engine.send engine ~src:i ~dst:(Node_id.to_int dst) (Rps_msg m)
-          in
-          (* Bootstrap mirrors the runner: a small random mixed sample. *)
-          let size = max 10 (c.n / 20) in
-          let bootstrap =
-            Array.init size (fun _ -> Node_id.of_int (Rng.int bootstrap_rng c.n))
-          in
-          arr.(i) <- maker ~id:(Node_id.of_int i) ~bootstrap ~rng:node_rng ~send
-        done;
-        Some arr
-  in
   (* --- Message handling --- *)
   for i = 0 to q - 1 do
     let state = states.(i) in
     Engine.register engine i (fun ~from msg ->
         match msg with
-        | Rps_msg m -> (
-            match samplers with
-            | Some arr -> arr.(i).Rps.on_message ~from:(Node_id.of_int from) m
-            | None -> ())
+        | Rps_msg m -> Substrate.deliver sub i ~from m
         | Query _ ->
             Engine.send engine ~src:i ~dst:from
               (Vote { color = Snowball.preference state.snowball })
         | Vote { color } -> state.pending_votes <- color :: state.pending_votes)
   done;
   (* Byzantine nodes: RPS-level adversary plus anti-querier voting. *)
-  let adversary =
-    if num_byz = 0 then None
-    else begin
-      let malicious = Array.init num_byz (fun i -> Node_id.of_int (q + i)) in
-      let correct = Array.init q Node_id.of_int in
-      let v =
-        match c.sampling with
-        | Service p ->
-            Scenario.view_size (Scenario.make ~n:c.n ~f:c.f ~protocol:p ())
-        | Full_knowledge -> 60
-      in
-      let send ~src ~dst m =
-        Engine.send engine ~src:(Node_id.to_int src) ~dst:(Node_id.to_int dst)
-          (Rps_msg m)
-      in
-      let adv =
-        Adversary.create ~rng:adversary_rng ~malicious ~correct ~v
-          ~force:c.force ~send ()
-      in
-      for u = q to c.n - 1 do
-        Engine.register engine u (fun ~from msg ->
-            match msg with
-            | Rps_msg m ->
-                Adversary.on_message adv ~victim_reply:true
-                  ~from:(Node_id.of_int from) ~to_:(Node_id.of_int u) m
-            | Query { preference } ->
-                Engine.send engine ~src:u ~dst:from
-                  (Vote { color = Snowball.opposite preference })
-            | Vote _ -> ())
-      done;
-      Some adv
-    end
-  in
-  (* --- Timers --- *)
-  (match (samplers, c.sampling) with
-  | Some arr, Service protocol ->
-      let proto_scenario =
-        Scenario.make ~n:c.n ~f:c.f ~protocol ~steps:c.steps ()
-      in
-      let tau = Scenario.tau proto_scenario in
-      let refresh = Scenario.refresh_interval proto_scenario in
-      for i = 0 to q - 1 do
-        let phase = Rng.float node_rng tau in
-        Engine.every engine ~phase ~interval:tau arr.(i).Rps.on_round;
-        let stream = states.(i).stream in
-        let sampler = arr.(i) in
-        Engine.every engine
-          ~phase:(phase +. Rng.float node_rng refresh)
-          ~interval:refresh
-          (fun () -> Sample_stream.push_list stream (sampler.Rps.sample_tick ()))
-      done
-  | Some _, Full_knowledge | None, _ -> ());
-  (match adversary with
-  | Some adv ->
-      Engine.every engine ~interval:1.0 (fun () -> Adversary.on_round adv)
-  | None -> ());
+  for u = q to c.n - 1 do
+    Engine.register engine u (fun ~from msg ->
+        match msg with
+        | Rps_msg m -> Substrate.deliver sub u ~from m
+        | Query { preference } ->
+            Engine.send engine ~src:u ~dst:from
+              (Vote { color = Snowball.opposite preference })
+        | Vote _ -> ())
+  done;
   (* Query rounds: close the previous round's votes, then ask a fresh
      committee. *)
   for i = 0 to q - 1 do
     let state = states.(i) in
-    let phase = c.warmup +. Rng.float node_rng c.query_interval in
+    let phase =
+      c.warmup +. Rng.float (Substrate.node_rng sub) c.query_interval
+    in
     Engine.every engine ~phase ~interval:c.query_interval (fun () ->
         if not (Snowball.decided state.snowball) then begin
           Snowball.register_votes state.snowball state.pending_votes;
@@ -211,13 +140,7 @@ let run c =
           then state.decision_time <- Engine.now engine;
           state.pending_votes <- [];
           let committee =
-            match c.sampling with
-            | Full_knowledge ->
-                Array.init c.snowball.Snowball.sample_size (fun _ ->
-                    Node_id.of_int (Rng.int committee_rng c.n))
-            | Service _ ->
-                Sample_stream.draw state.stream committee_rng
-                  ~k:c.snowball.Snowball.sample_size
+            Substrate.committee sub i ~k:c.snowball.Snowball.sample_size
           in
           if Array.length committee > 0 then begin
             let byz =

@@ -13,7 +13,7 @@
     and simultaneously run the usual RPS-level flooding attack, so a weak
     sampler lets them into more committees. *)
 
-type sampling =
+type sampling = Substrate.sampling =
   | Service of Basalt_sim.Scenario.protocol
       (** Draw committees from the given peer sampler's output stream. *)
   | Full_knowledge

@@ -492,14 +492,16 @@ let samples_emitted t = t.emitted
 let rounds_executed t = t.rounds
 let evictions t = t.evicted
 
-let sampler ?config ?obs () : Rps.maker =
- fun ~id ~bootstrap ~rng ~send ->
-  let t = create ?config ?obs ~id ~bootstrap ~rng ~send () in
+let to_rps t =
   {
     Rps.protocol = "basalt";
-    node = id;
+    node = id t;
     on_message = (fun ~from msg -> on_message t ~from msg);
     on_round = (fun () -> on_round t);
     sample_tick = (fun () -> sample_tick t);
     current_view = (fun () -> view t);
   }
+
+let sampler ?config ?obs () : Rps.maker =
+ fun ~id ~bootstrap ~rng ~send ->
+  to_rps (create ?config ?obs ~id ~bootstrap ~rng ~send ())

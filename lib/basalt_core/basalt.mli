@@ -124,6 +124,10 @@ val run_eviction : t -> limit:int -> unit
     do not depend on hash-table iteration order.  Called by {!on_round}
     when [evict_after_rounds] is set. *)
 
+val to_rps : t -> Basalt_proto.Rps.t
+(** [to_rps t] exposes [t] through the protocol-agnostic sampler
+    interface. *)
+
 val sampler :
   ?config:Config.t -> ?obs:Basalt_obs.Obs.t -> unit -> Basalt_proto.Rps.maker
 (** [sampler ?config ()] packages the protocol for the simulation

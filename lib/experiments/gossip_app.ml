@@ -70,11 +70,7 @@ let run ?(params = default_params) ?(trace = false) s =
           ()
       in
       gossips.(i) <- Some g;
-      {
-        Runner.app_deliver = (fun ~from msg -> Gossip.on_message g ~from msg);
-        app_tick = (fun ps -> Gossip.on_samples g ps);
-        app_round = (fun () -> Gossip.heartbeat g);
-      }
+      Basalt_assembly.Node.gossip g
   in
   let result = Runner.run ~app ~obs:trace ~trace s in
   let duplicates = ref 0 in

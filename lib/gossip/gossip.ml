@@ -87,10 +87,6 @@ let create ?(config = Config.default) ?(obs = Obs.disabled) ~node ~view ~rng
     h_hops = Obs.histogram ~edges:hop_edges obs "gossip.hops";
   }
 
-let of_rps ?config ?obs ~rps ~rng ~send ~deliver () =
-  create ?config ?obs ~node:rps.Rps.node ~view:rps.Rps.current_view ~rng ~send
-    ~deliver ()
-
 let node t = t.node
 let eager_peers t = Mesh.peers t.mesh
 let eager_degree t = Mesh.degree t.mesh

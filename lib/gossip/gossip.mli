@@ -65,18 +65,6 @@ val create :
     dissemination curves (hop latency, time-to-delivery) are derivable
     offline with [tool/trace] (DESIGN.md §8). *)
 
-val of_rps :
-  ?config:Config.t ->
-  ?obs:Basalt_obs.Obs.t ->
-  rps:Basalt_proto.Rps.t ->
-  rng:Basalt_prng.Rng.t ->
-  send:Basalt_proto.Rps.send ->
-  deliver:(Basalt_proto.Message.mid -> bytes -> unit) ->
-  unit ->
-  t
-(** [of_rps ~rps …] is {!create} over the sampler's own identifier and
-    view. *)
-
 val node : t -> Basalt_proto.Node_id.t
 (** [node t] is the local identifier (the origin of published
     messages). *)

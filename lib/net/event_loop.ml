@@ -4,31 +4,17 @@ type t = {
   clock : unit -> float;
   timers : (unit -> unit) Event_queue.t;
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
-  mutable write_fds : (Unix.file_descr * (unit -> unit)) list;
   mutable stopped : bool;
 }
 
 let create ~clock () =
-  {
-    clock;
-    timers = Event_queue.create ();
-    fds = [];
-    write_fds = [];
-    stopped = false;
-  }
+  { clock; timers = Event_queue.create (); fds = []; stopped = false }
 
 let now t = t.clock ()
 
 let on_readable t fd f = t.fds <- (fd, f) :: List.remove_assoc fd t.fds
 
-let on_writable t fd f =
-  t.write_fds <- (fd, f) :: List.remove_assoc fd t.write_fds
-
-let remove_writable t fd = t.write_fds <- List.remove_assoc fd t.write_fds
-
-let remove_fd t fd =
-  t.fds <- List.remove_assoc fd t.fds;
-  remove_writable t fd
+let remove_fd t fd = t.fds <- List.remove_assoc fd t.fds
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Event_loop.schedule: negative delay";
@@ -69,21 +55,13 @@ let run_for t duration =
       | None -> horizon
     in
     let timeout = Float.max 0.0 (Float.min 0.05 (next_deadline -. now t)) in
-    let read_fds = List.map fst t.fds in
-    let write_fds = List.map fst t.write_fds in
-    match Unix.select read_fds write_fds [] timeout with
-    | readable, writable, _ ->
+    match Unix.select (List.map fst t.fds) [] [] timeout with
+    | readable, _, _ ->
         List.iter
           (fun fd ->
             match List.assoc_opt fd t.fds with
             | Some callback -> callback ()
             | None -> ())
-          readable;
-        List.iter
-          (fun fd ->
-            match List.assoc_opt fd t.write_fds with
-            | Some callback -> callback ()
-            | None -> ())
-          writable
+          readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done

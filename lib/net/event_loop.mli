@@ -25,16 +25,8 @@ val on_readable : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** [on_readable t fd f] invokes [f] whenever [fd] is readable.  One
     callback per fd; registering again replaces it. *)
 
-val on_writable : t -> Unix.file_descr -> (unit -> unit) -> unit
-(** [on_writable t fd f] invokes [f] when [fd] becomes writable (used for
-    non-blocking connects and backpressured sends).  One callback per fd;
-    remove it with {!remove_writable} once the buffer drains. *)
-
-val remove_writable : t -> Unix.file_descr -> unit
-(** [remove_writable t fd] stops watching [fd] for writability. *)
-
 val remove_fd : t -> Unix.file_descr -> unit
-(** [remove_fd t fd] stops watching [fd] (both directions). *)
+(** [remove_fd t fd] stops watching [fd]. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] once after [delay] seconds. *)

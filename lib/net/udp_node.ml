@@ -7,10 +7,12 @@ module Rng = Basalt_prng.Rng
 module Message = Basalt_proto.Message
 module Node_id = Basalt_proto.Node_id
 module Gossip = Basalt_gossip.Gossip
+module Node = Basalt_assembly.Node
 
 type stats = {
   datagrams_in : int;
   datagrams_out : int;
+  send_errors : int;
   decode_errors : int;
   retries : int;
 }
@@ -49,12 +51,12 @@ type t = {
   loop : Event_loop.t;
   socket : Unix.file_descr;
   endpoint : Endpoint.t;
-  node : Basalt.t;
-  stream : Sample_stream.t;
+  node : Node.t;
   gossip : Gossip.t option;
   buffer : bytes;
   datagrams_in : int ref;
   datagrams_out : int ref;
+  send_errors : int ref;
   decode_errors : int ref;
   retries : int ref;
 }
@@ -80,10 +82,12 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   let socket, endpoint = bind_socket listen in
   let datagrams_in = ref 0 in
   let datagrams_out = ref 0 in
+  let send_errors = ref 0 in
   let decode_errors = ref 0 in
   let retries = ref 0 in
   let c_in = Obs.counter obs "net.datagrams_in" in
   let c_out = Obs.counter obs "net.datagrams_out" in
+  let c_send_errors = Obs.counter obs "net.send_errors" in
   let c_decode_errors = Obs.counter obs "net.decode_errors" in
   let c_retries = Obs.counter obs "net.retries" in
   let c_injected = Obs.counter obs "net.injected_drops" in
@@ -94,18 +98,23 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   let retry_rng = Rng.split root_rng in
   let inject_rng = Rng.split root_rng in
   (* Gossip-less nodes draw exactly the streams they always did. *)
-  let gossip_rng =
-    match gossip with None -> None | Some _ -> Some (Rng.split root_rng)
+  let gossip =
+    match gossip with None -> None | Some c -> Some (c, Rng.split root_rng)
   in
   (* Raw transmission, optionally degraded by the self-injection knobs:
      drop with probability [inject_loss], else postpone by a uniform draw
-     from [0, inject_delay). *)
+     from [0, inject_delay).  A datagram counts as sent only if [sendto]
+     accepts it; a refusal (EAGAIN, ENOBUFS, EACCES, ...) loses it like
+     the network would, and is counted. *)
   let transmit packet target =
     let push () =
-      (try ignore (Unix.sendto socket packet 0 (Bytes.length packet) [] target)
-       with Unix.Unix_error _ -> ());
-      incr datagrams_out;
-      Obs.Counter.incr c_out
+      match Unix.sendto socket packet 0 (Bytes.length packet) [] target with
+      | _ ->
+          incr datagrams_out;
+          Obs.Counter.incr c_out
+      | exception Unix.Unix_error _ ->
+          incr send_errors;
+          Obs.Counter.incr c_send_errors
     in
     if inject_loss > 0.0 && Rng.float inject_rng 1.0 < inject_loss then
       Obs.Counter.incr c_injected
@@ -115,7 +124,7 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   in
   let pending : (int, pending) Hashtbl.t = Hashtbl.create 16 in
   let next_seq = ref 0 in
-  let node_cell = ref None in
+  let basalt_cell = ref None in
   (* Retransmit an unanswered pull with capped exponential backoff:
      attempt [i] waits [min max_timeout (timeout * backoff^i)], stretched
      by a seeded jitter draw so a cluster started in lockstep does not
@@ -139,10 +148,10 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
               Obs.Counter.incr c_retries;
               (* Keep the protocol's dead-peer detection honest: a
                  retransmitted pull is still an unanswered probe. *)
-              (match !node_cell with
-              | Some node
-                when (Basalt.config node).Config.evict_after_rounds <> None ->
-                  Basalt.record_probe node dst
+              (match !basalt_cell with
+              | Some b
+                when (Basalt.config b).Config.evict_after_rounds <> None ->
+                  Basalt.record_probe b dst
               | Some _ | None -> ());
               transmit packet target;
               arm_retry ~dst ~key ~packet ~target p
@@ -169,37 +178,39 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
         arm_retry ~dst ~key ~packet ~target p
     | _ -> ()
   in
-  let node =
+  let basalt =
     Basalt.create ~config ~obs
       ~id:(Endpoint.to_node_id endpoint)
       ~bootstrap:(Array.of_list (List.map Endpoint.to_node_id bootstrap))
       ~rng:root_rng ~send ()
   in
-  node_cell := Some node;
+  basalt_cell := Some basalt;
   (* The broadcast layer shares the sampler's socket and retry-free send
      path; its mesh replenishes from the same sample stream the
      application reads. *)
   let glayer =
-    match (gossip, gossip_rng) with
-    | Some gconfig, Some grng ->
-        Some
-          (Gossip.create ~config:gconfig ~obs
-             ~node:(Endpoint.to_node_id endpoint)
-             ~view:(fun () -> Basalt.view node)
-             ~rng:grng ~send ~deliver ())
-    | _ -> None
+    Option.map
+      (fun (gconfig, rng) ->
+        Gossip.create ~config:gconfig ~obs ~node:(Basalt.id basalt)
+          ~view:(fun () -> Basalt.view basalt)
+          ~rng ~send ~deliver ())
+      gossip
   in
   let t =
     {
       loop;
       socket;
       endpoint;
-      node;
-      stream = Sample_stream.create ~capacity:1024;
+      node =
+        Node.create
+          ?app:(Option.map Node.gossip glayer)
+          ~stream:(Sample_stream.create ~capacity:1024)
+          (Basalt.to_rps basalt);
       gossip = glayer;
       buffer = Bytes.create 65536;
       datagrams_in;
       datagrams_out;
+      send_errors;
       decode_errors;
       retries;
     }
@@ -218,12 +229,7 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
                  pull, mirroring how {!Basalt.on_message} clears the
                  eviction probe. *)
               Hashtbl.remove pending (Node_id.to_int from);
-              let handled =
-                match t.gossip with
-                | Some g -> Gossip.on_message g ~from msg
-                | None -> false
-              in
-              if not handled then Basalt.on_message t.node ~from msg
+              Node.deliver t.node ~from msg
           | Error _ ->
               incr t.decode_errors;
               Obs.Counter.incr c_decode_errors);
@@ -240,26 +246,16 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   Event_loop.on_readable loop t.socket receive;
   let tau = config.Config.tau in
   let phase = 0.01 +. (float_of_int (seed land 0xF) /. 500.0) in
-  Event_loop.every loop ~phase ~interval:tau (fun () ->
-      Basalt.on_round t.node;
-      match t.gossip with
-      | Some g -> Gossip.heartbeat g
-      | None -> ());
+  Event_loop.every loop ~phase ~interval:tau (fun () -> Node.round t.node);
   Event_loop.every loop ~interval:(Config.refresh_interval config) (fun () ->
-      let fresh = Basalt.sample_tick t.node in
-      Sample_stream.push_list t.stream fresh;
-      match t.gossip with
-      | Some g -> Gossip.on_samples g fresh
-      | None -> ());
+      ignore (Node.tick t.node));
   t
 
 let endpoint t = t.endpoint
-let id t = Basalt.id t.node
+let id t = Endpoint.to_node_id t.endpoint
+let view t = Array.to_list (Array.map Endpoint.of_node_id (Node.view t.node))
 
-let view t =
-  Array.to_list (Array.map Endpoint.of_node_id (Basalt.view t.node))
-
-let samples t = t.stream
+let samples t = Node.stream t.node
 
 let publish t payload =
   match t.gossip with
@@ -272,6 +268,7 @@ let stats t =
   {
     datagrams_in = !(t.datagrams_in);
     datagrams_out = !(t.datagrams_out);
+    send_errors = !(t.send_errors);
     decode_errors = !(t.decode_errors);
     retries = !(t.retries);
   }

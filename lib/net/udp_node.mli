@@ -1,7 +1,9 @@
 (** A Basalt node over real UDP datagrams.
 
-    Binds a socket, runs {!Basalt_core.Basalt} with the {!Wire} codec on
-    an {!Event_loop}, and exposes the sampling service.  Identifiers are
+    Binds a socket, runs {!Basalt_core.Basalt} (composed with the
+    optional broadcast layer by {!Basalt_assembly.Node}, as in
+    simulation) with the {!Wire} codec on an {!Event_loop}, and exposes
+    the sampling service.  Identifiers are
     packed endpoints ({!Endpoint.to_node_id}), so discovering an
     identifier is discovering how to reach it — the paper's system model
     made concrete.
@@ -12,7 +14,10 @@
 
 type stats = {
   datagrams_in : int;
-  datagrams_out : int;
+  datagrams_out : int;  (** Datagrams [sendto] accepted. *)
+  send_errors : int;
+      (** Datagrams [sendto] refused (EAGAIN, ENOBUFS, EACCES, ...):
+          lost, and not counted in [datagrams_out]. *)
   decode_errors : int;
   retries : int;  (** Pull retransmissions issued by the retry policy. *)
 }
@@ -74,18 +79,18 @@ val create :
     postponed by a uniform draw from [\[0, inject_delay)] seconds.  Both
     draw from streams split off [seed], so a degraded run is replayable.
 
-    [gossip] enables the {!Basalt_gossip.Gossip} epidemic broadcast
-    layer (DESIGN.md §11) with the given configuration: inbound
-    broadcast frames are routed to it instead of the sampler, its
-    heartbeat rides the exchange-round timer, its mesh replenishes from
-    each sampling tick, and [deliver] (default a no-op) fires exactly
-    once per received or published message.  Without [gossip] the node
-    draws exactly the PRNG streams it always did, and inbound broadcast
-    frames fall through to the sampler, which ignores them.
+    [gossip] mounts the {!Basalt_gossip.Gossip} epidemic broadcast
+    layer (DESIGN.md §11) with the given configuration as the node's
+    app ({!Basalt_assembly.Node.gossip}); [deliver] (default a no-op)
+    fires exactly once per received or published message.  Without
+    [gossip] the node draws exactly the PRNG streams it always did, and
+    inbound broadcast frames fall through to the sampler, which ignores
+    them.
 
     [obs] (default disabled) is threaded into the protocol instance and
     additionally records [net.datagrams_in], [net.datagrams_out],
-    [net.decode_errors], [net.retries] and [net.injected_drops] (plus
+    [net.send_errors], [net.decode_errors], [net.retries] and
+    [net.injected_drops] (plus
     the [gossip.*] instruments when [gossip] is enabled).  This is
     the one allowlisted boundary where the sink's clock may come from the
     event loop's real monotonic time (lint D2/D8, DESIGN.md §8).

@@ -42,5 +42,5 @@ val null : Node_id.t -> t
     node, useful in churn experiments and tests.  Its [current_view] is
     the empty array and [sample_tick] the empty list, permanently;
     layers built on top of a sampler (e.g. the [basalt.gossip]
-    broadcast layer via [Gossip.of_rps]) must tolerate that shape — an empty
-    view mutes dissemination but must not raise. *)
+    broadcast layer) must tolerate that shape — an empty view mutes
+    dissemination but must not raise. *)

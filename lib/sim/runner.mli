@@ -1,31 +1,26 @@
 (** Monte-Carlo run driver.
 
-    Wires a {!Scenario.t} into the discrete-event engine: correct nodes
-    run the scenario's protocol (rounds every τ, sample ticks every k/ρ),
-    Byzantine nodes are impersonated by the collective
-    {!Basalt_adversary.Adversary}, and a measurement task records the
-    statistics of {!Measurements} at the scenario's cadence.
+    Wires a {!Scenario.t} into the discrete-event engine: each correct
+    node is a {!Basalt_assembly.Node} running the scenario's protocol
+    (rounds every τ, sample ticks every k/ρ), Byzantine nodes are
+    impersonated by the collective {!Basalt_adversary.Adversary}, and a
+    measurement task records the statistics of {!Measurements} at the
+    scenario's cadence.
 
     Node identifiers are laid out deterministically: correct nodes occupy
     [\[0, Q)], Byzantine nodes [\[Q, n)].  The ranking hash makes the
     numbering irrelevant to the protocols. *)
 
-type app_node = {
+type app_node = Basalt_assembly.Node.app = {
   app_deliver : from:Basalt_proto.Node_id.t -> Basalt_proto.Message.t -> bool;
-      (** Inbound-frame filter, tried {e before} the sampler: return
-          [true] to consume the frame (broadcast frames), [false] to
-          let it fall through to [Rps.on_message]. *)
   app_tick : Basalt_proto.Node_id.t list -> unit;
-      (** Invoked with the fresh output of every [sample_tick]. *)
   app_round : unit -> unit;
-      (** Invoked right after the node's [on_round] — the app's
-          heartbeat, at the exchange cadence τ. *)
 }
-(** One correct node's application-layer hooks. *)
+(** One correct node's application-layer hooks, composed with its
+    sampler by {!Basalt_assembly.Node} (app-first delivery, heartbeat
+    after each round, samples after each tick). *)
 
 type app_ctx = {
-  app_q : int;  (** Number of correct nodes. *)
-  app_n : int;  (** Total nodes. *)
   app_rng : Basalt_prng.Rng.t;
       (** Stream dedicated to the application, split from the run's
           master only when an app is installed — app-less runs draw

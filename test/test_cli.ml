@@ -118,13 +118,22 @@ let matrix_j_determinism () =
    the matrix driver; its quick-scale table body must match the golden
    file, captured from the OCaml module the scenario file replaced
    (~25 s, so `Slow — skipped under -q). *)
-let robustness_net_matches_golden () =
-  let code, out, _ = run_repro "robustness-net -s quick" in
-  let ic = open_in_bin "golden/robustness_net.quick.txt" in
+let matches_golden ~target ~golden () =
+  let code, out, _ = run_repro (target ^ " -s quick") in
+  let ic = open_in_bin ("golden/" ^ golden) in
   let golden = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Alcotest.(check int) "exit 0" 0 code;
   Alcotest.(check string) "table body matches golden" golden (table_body out)
+
+let robustness_net_matches_golden =
+  matches_golden ~target:"robustness-net" ~golden:"robustness_net.quick.txt"
+
+(* The Avalanche networks and the live-deployment run drive samplers
+   through the shared node assembly; their quick tables (~1 s each) were
+   captured before that wiring was shared and must not move. *)
+let dag_matches_golden = matches_golden ~target:"dag" ~golden:"dag.quick.txt"
+let live_matches_golden = matches_golden ~target:"live" ~golden:"live.quick.txt"
 
 (* --- bench_gate subcommands --- *)
 
@@ -366,6 +375,10 @@ let () =
           Alcotest.test_case "-j determinism" `Quick matrix_j_determinism;
           Alcotest.test_case "robustness-net matches golden table" `Slow
             robustness_net_matches_golden;
+          Alcotest.test_case "dag matches golden table" `Quick
+            dag_matches_golden;
+          Alcotest.test_case "live matches golden table" `Quick
+            live_matches_golden;
         ] );
       ( "bench_gate",
         [

@@ -18,6 +18,7 @@ module Wire = Basalt_codec.Wire
 module Rng = Basalt_prng.Rng
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner
+module Node = Basalt_assembly.Node
 module Pool = Basalt_parallel.Pool
 
 let check_int = Alcotest.(check int)
@@ -120,9 +121,9 @@ let publish_pushes_to_mesh () =
 let null_rps_tolerated () =
   let sent = ref 0 in
   let delivered = ref 0 in
+  let rps = Rps.null (id 7) in
   let g =
-    Gossip.of_rps
-      ~rps:(Rps.null (id 7))
+    Gossip.create ~node:rps.Rps.node ~view:rps.Rps.current_view
       ~rng:(Rng.create ~seed:1)
       ~send:(fun ~dst:_ _ -> incr sent)
       ~deliver:(fun _ _ -> incr delivered)
@@ -379,11 +380,7 @@ let run_sim ?fault ?(n = 80) ~seed () =
           ()
       in
       gossips.(i) <- Some g;
-      {
-        Runner.app_deliver = (fun ~from msg -> Gossip.on_message g ~from msg);
-        app_tick = (fun ps -> Gossip.on_samples g ps);
-        app_round = (fun () -> Gossip.heartbeat g);
-      }
+      Node.gossip g
   in
   ignore (Runner.run ~app s);
   (tracker, gossips)
