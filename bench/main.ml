@@ -1,19 +1,10 @@
-(* Benchmark harness.
-
-   Two parts:
-
-   1. Regeneration of every table/figure of the paper's evaluation at
-      quick scale — the same code paths as [bin/repro.exe], producing the
-      rows/series the paper reports (§4 Figs. 2-5, the §4.3 SPS result,
-      the §5 deployment, Table 1, and the §3 theory numbers).
-
-   2. Bechamel micro-benchmarks of the hot operations behind those
-      experiments (one group per figure plus core-op and ablation
-      groups, per DESIGN.md §4). *)
+(* Benchmark harness: Bechamel micro-benchmarks of the hot operations
+   behind the paper's experiments (one group per figure plus core-op
+   and ablation groups, per DESIGN.md §4).  The paper's tables and
+   figures themselves come from [bin/repro.exe] (`repro all -s quick`). *)
 
 open Bechamel
 open Toolkit
-module Scale = Basalt_experiments.Scale
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner
 module Rank = Basalt_hashing.Rank
@@ -21,14 +12,12 @@ module Rng = Basalt_prng.Rng
 module Pool = Basalt_parallel.Pool
 module Sweep = Basalt_sim.Sweep
 
-let scale = Scale.Quick
-
 (* --- CLI -------------------------------------------------------------- *)
 
 (* [--only G1,G2] runs just the micro-benchmark groups whose names start
-   with one of the given prefixes (and skips the part-1 figure
-   regeneration); [--json FILE] additionally writes the measured ns/run
-   numbers in the machine-readable form `tool/bench_gate` consumes. *)
+   with one of the given prefixes; [--json FILE] additionally writes the
+   measured ns/run numbers in the machine-readable form `tool/bench_gate`
+   consumes. *)
 
 let only : string list option ref = ref None
 let json_path : string option ref = ref None
@@ -95,25 +84,7 @@ let write_json path =
   Printf.fprintf oc "  }\n}\n";
   close_out oc
 
-(* --- Part 1: paper series ------------------------------------------- *)
-
-let regenerate_figures () =
-  print_endline "=== Part 1: paper tables and figures (quick scale) ===";
-  print_endline
-    "(run `basalt-repro all --scale standard` or `--scale full` for larger\n\
-    \ networks; see EXPERIMENTS.md for recorded paper-vs-measured results)\n";
-  Basalt_experiments.Params.print ~scale ();
-  Basalt_experiments.Theory.print ~scale ();
-  List.iter (Basalt_experiments.Fig2.print ~scale) Basalt_experiments.Fig2.all_panels;
-  Basalt_experiments.Fig3.print ~scale ();
-  Basalt_experiments.Fig4.print ~scale ();
-  Basalt_experiments.Fig5.print ~scale ();
-  Basalt_experiments.Sps_failure.print ~scale ();
-  Basalt_experiments.Live.print ~scale ();
-  Basalt_experiments.Cost.print ~scale ();
-  Basalt_experiments.Uniformity.print ~scale ()
-
-(* --- Part 2: micro-benchmarks ---------------------------------------- *)
+(* --- Micro-benchmarks --------------------------------------------------- *)
 
 let ns_of_run = function Some (e :: _) -> e | Some [] | None -> Float.nan
 
@@ -508,10 +479,10 @@ let ablations () =
 
 let () =
   parse_args ();
-  if !only = None then begin
-    regenerate_figures ();
-    print_endline "=== Part 2: micro-benchmarks (Bechamel, OLS ns/run) ==="
-  end;
+  if !only = None then
+    print_endline
+      "(the paper's tables and figures: `basalt-repro all -s quick`; \
+       micro-benchmarks below, Bechamel OLS ns/run)";
   print_endline
     "(micro groups time single operations and small batches; they are not \
      the system benchmark: see bench/e2e/ and BENCHMARK.json for whole runs)";

@@ -26,10 +26,13 @@ let csv_arg =
 let trace_arg =
   let doc =
     "Write a deterministic JSONL event trace (lib/obs, DESIGN.md \xc2\xa78) to \
-     $(docv).  Supported by $(b,cost), $(b,timeline), \
-     $(b,robustness-net) and $(b,broadcast), whose tables then also report \
-     instrument-sourced metrics; other targets warn and ignore the flag \
-     (sweeps would record millions of events)."
+     $(docv).  Supported by $(b,cost), $(b,timeline) and the targets that \
+     run committed scenario files ($(b,fig2a)-$(b,fig2d), $(b,fig2), \
+     $(b,fig3), $(b,churn), $(b,robustness), $(b,robustness-net), \
+     $(b,broadcast)); a target running several files traces the first to \
+     $(docv) and each later one next to it, named after the file \
+     (t.jsonl, then t.robustness_latency.jsonl).  Other targets warn and \
+     ignore the flag."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -79,8 +82,9 @@ let warn_no_trace cmd_name = function
   | None -> ()
   | Some _ ->
       Printf.eprintf
-        "repro %s: --trace is only supported by cost, timeline, \
-         robustness-net and broadcast; ignoring\n\
+        "repro %s: --trace is only supported by cost, timeline and the \
+         scenario-file targets (fig2a-d, fig2, fig3, churn, robustness, \
+         robustness-net, broadcast); ignoring\n\
          %!"
         cmd_name
 
@@ -115,18 +119,6 @@ let untraced cmd_name f ~scale ~csv_dir ~trace ~pool () =
   warn_no_trace cmd_name trace;
   f ~scale ~csv_dir ~pool ()
 
-let fig2_panel tag panel ~scale ~csv_dir ~pool () =
-  Fig2.print ~scale ?csv:(csv_path csv_dir tag) ?pool panel
-
-let fig2_all ~scale ~csv_dir ~pool () =
-  List.iter2
-    (fun tag panel -> fig2_panel tag panel ~scale ~csv_dir ~pool ())
-    [ "fig2a"; "fig2b"; "fig2c"; "fig2d" ]
-    Fig2.all_panels
-
-let fig3 ~scale ~csv_dir ~pool () =
-  Fig3.print ~scale ?csv:(csv_path csv_dir "fig3") ?pool ()
-
 let fig4 ~scale ~csv_dir ~pool () =
   Fig4.print ~scale ?csv:(csv_path csv_dir "fig4") ?pool ()
 
@@ -145,14 +137,8 @@ let params ~scale ~csv_dir:_ ~pool:_ () = Params.print ~scale ()
 let cost ~scale ~csv_dir ~trace ~pool:_ () =
   Cost.print ~scale ?csv:(csv_path csv_dir "cost") ?trace ()
 
-let churn ~scale ~csv_dir ~pool () =
-  Churn_exp.print ~scale ?csv:(csv_path csv_dir "churn") ?pool ()
-
 let sybil ~scale ~csv_dir ~pool () =
   Sybil.print ~scale ?csv:(csv_path csv_dir "sybil") ?pool ()
-
-let robustness ~scale ~csv_dir ~pool () =
-  Robustness.print ~scale ?csv:(csv_path csv_dir "robustness") ?pool ()
 
 (* Every scenario-matrix target (DESIGN.md §12) runs through here; the
    CSV is named after the spec (robustness-net -> robustness_net.csv). *)
@@ -161,20 +147,44 @@ let run_spec spec ~scale ~csv_dir ~trace ~pool () =
     ?csv:(csv_path csv_dir (Basalt_scenario.Spec.slug spec))
     ?trace ?pool spec
 
-(* A scenario file embedded at build time (bin/dune).  test_scenario
-   validates the same files, so the error branch only fires on a broken
-   build; it exits like `repro matrix` on an invalid file. *)
-let committed file contents ~scale ~csv_dir ~trace ~pool () =
-  match Basalt_scenario.Spec.of_string ~file contents with
-  | Ok spec -> run_spec spec ~scale ~csv_dir ~trace ~pool ()
-  | Error msg ->
-      Printf.eprintf "%s\n%!" msg;
-      exit 4
+(* Scenario files embedded at build time (bin/dune), run in order.
+   test_scenario validates the same files, so the error branch only
+   fires on a broken build; it exits like `repro matrix` on an invalid
+   file.  With --trace FILE, the first file traces to FILE and each
+   later one to FILE with its slug before the extension. *)
+let committed files ~scale ~csv_dir ~trace ~pool () =
+  List.iteri
+    (fun i (name, contents) ->
+      match
+        Basalt_scenario.Spec.of_string ~file:("scenarios/" ^ name ^ ".scn")
+          contents
+      with
+      | Ok spec ->
+          let trace =
+            if i = 0 then trace
+            else
+              Option.map
+                (fun path ->
+                  Printf.sprintf "%s.%s%s"
+                    (Filename.remove_extension path)
+                    (Basalt_scenario.Spec.slug spec)
+                    (Filename.extension path))
+                trace
+          in
+          run_spec spec ~scale ~csv_dir ~trace ~pool ()
+      | Error msg ->
+          Printf.eprintf "%s\n%!" msg;
+          exit 4)
+    files
 
-let robustness_net =
-  committed "scenarios/robustness_net.scn" Scenario_files.robustness_net
+let fig2_all = committed Scenario_files.[ fig2a; fig2b; fig2c; fig2d ]
+let fig3 = committed [ Scenario_files.fig3 ]
+let churn = committed [ Scenario_files.churn ]
 
-let broadcast = committed "scenarios/broadcast.scn" Scenario_files.broadcast
+let robustness = committed Scenario_files.[ robustness; robustness_latency ]
+
+let robustness_net = committed [ Scenario_files.robustness_net ]
+let broadcast = committed [ Scenario_files.broadcast ]
 
 let uniformity ~scale ~csv_dir ~pool () =
   Uniformity.print ~scale ?csv:(csv_path csv_dir "uniformity") ?pool ()
@@ -185,8 +195,8 @@ let dag ~scale ~csv_dir ~pool:_ () =
 let all ~scale ~csv_dir ~trace ~pool () =
   params ~scale ~csv_dir ~pool ();
   theory ~scale ~csv_dir ~pool ();
-  fig2_all ~scale ~csv_dir ~pool ();
-  fig3 ~scale ~csv_dir ~pool ();
+  fig2_all ~scale ~csv_dir ~trace:None ~pool ();
+  fig3 ~scale ~csv_dir ~trace:None ~pool ();
   fig4 ~scale ~csv_dir ~pool ();
   fig5 ~scale ~csv_dir ~pool ();
   sps_failure ~scale ~csv_dir ~pool ();
@@ -195,9 +205,9 @@ let all ~scale ~csv_dir ~trace ~pool () =
   cost ~scale ~csv_dir ~trace ~pool ()
 
 let extensions ~scale ~csv_dir ~pool () =
-  churn ~scale ~csv_dir ~pool ();
+  churn ~scale ~csv_dir ~trace:None ~pool ();
   sybil ~scale ~csv_dir ~pool ();
-  robustness ~scale ~csv_dir ~pool ();
+  robustness ~scale ~csv_dir ~trace:None ~pool ();
   robustness_net ~scale ~csv_dir ~trace:None ~pool ();
   uniformity ~scale ~csv_dir ~pool ();
   dag ~scale ~csv_dir ~pool ();
@@ -206,15 +216,15 @@ let extensions ~scale ~csv_dir ~pool () =
 let cmds =
   [
     cmd "fig2a" ~doc:"Byzantine samples vs fraction f (Fig. 2a)"
-      (untraced "fig2a" (fig2_panel "fig2a" Fig2.F_byzantine));
+      (committed [ Scenario_files.fig2a ]);
     cmd "fig2b" ~doc:"Byzantine samples vs attack force F (Fig. 2b)"
-      (untraced "fig2b" (fig2_panel "fig2b" Fig2.Force));
+      (committed [ Scenario_files.fig2b ]);
     cmd "fig2c" ~doc:"Byzantine samples vs sampling rate rho (Fig. 2c)"
-      (untraced "fig2c" (fig2_panel "fig2c" Fig2.Rho));
+      (committed [ Scenario_files.fig2c ]);
     cmd "fig2d" ~doc:"Byzantine samples vs view size v (Fig. 2d)"
-      (untraced "fig2d" (fig2_panel "fig2d" Fig2.View_size));
-    cmd "fig2" ~doc:"All four panels of Fig. 2" (untraced "fig2" fig2_all);
-    cmd "fig3" ~doc:"Convergence time vs f (Fig. 3)" (untraced "fig3" fig3);
+      (committed [ Scenario_files.fig2d ]);
+    cmd "fig2" ~doc:"All four panels of Fig. 2" fig2_all;
+    cmd "fig3" ~doc:"Convergence time vs f (Fig. 3)" fig3;
     cmd "fig4" ~doc:"Graph metric convergence over time (Fig. 4)"
       (untraced "fig4" fig4);
     cmd "fig5" ~doc:"Max sampling rate without isolation vs v (Fig. 5)"
@@ -228,14 +238,13 @@ let cmds =
     cmd "params" ~doc:"Table 1 parameter envelope and stability checks"
       (untraced "params" params);
     cmd "cost" ~doc:"Communication-cost accounting (Section 4.3 budget)" cost;
-    cmd "churn" ~doc:"Extension: sample quality under continuous churn"
-      (untraced "churn" churn);
+    cmd "churn" ~doc:"Extension: sample quality under continuous churn" churn;
     cmd "sybil"
       ~doc:"Extension: institutional Sybil attack vs prefix-diverse ranking"
       (untraced "sybil" sybil);
     cmd "robustness"
       ~doc:"Extension: resilience to message loss and latency jitter"
-      (untraced "robustness" robustness);
+      robustness;
     cmd "robustness-net"
       ~doc:
         "Extension: convergence under fault plans (burst loss, partitions, \

@@ -4,10 +4,10 @@
    task list over an optional Pool (order-preserving, so tables and
    traces are bit-identical at any -j N), and renders the pivot axis as
    metric columns.  Aggregation goes through Basalt_experiments.Agg and
-   the gossip workload through Basalt_experiments.Gossip_app.  The
-   robustness-net and broadcast experiments exist only as scenario
-   files run by this driver; their quick-scale tables are pinned by
-   golden files under test/golden/. *)
+   the gossip workload through Basalt_experiments.Gossip_app.  Fig. 2,
+   Fig. 3 and the churn, robustness, robustness-net and broadcast
+   experiments exist only as scenario files run by this driver; their
+   quick-scale tables are pinned by golden files under test/golden/. *)
 
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner
@@ -35,9 +35,11 @@ type task = {
 (* ------------------------------------------------------------------ *)
 (* Resolution: merged settings -> Scenario.t                           *)
 
-let protocol_of ~v = function
-  | Spec.Basalt -> Scenario.Basalt (Basalt_core.Config.make ~v ())
-  | Spec.Brahms -> Scenario.Brahms (Basalt_brahms.Brahms_config.make ~l:v ())
+(* Spec.load rejects (rho ...) on an sps or classic cell. *)
+let protocol_of ~v ~rho = function
+  | Spec.Basalt -> Scenario.Basalt (Basalt_core.Config.make ~v ?rho ())
+  | Spec.Brahms ->
+      Scenario.Brahms (Basalt_brahms.Brahms_config.make ~l:v ?rho ())
   | Spec.Sps -> Scenario.Sps (Basalt_sps.Sps.config ~l:v ())
   | Spec.Classic -> Scenario.Classic (Basalt_sps.Classic.config ~l:v ())
 
@@ -78,15 +80,20 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
   let steps = Option.value s.Spec.steps ~default:(Scale.steps scale) in
   let protocol =
     match s.Spec.protocol with
-    | Some p -> protocol_of ~v p
+    | Some p -> protocol_of ~v ~rho:s.Spec.rho p
     | None -> invalid_arg "Matrix: unbound protocol (Spec.load admits none)"
   in
   let fault = Option.map (fault_of ~n ~steps) s.Spec.faults in
   let churn =
     Option.map
       (fun (c : Spec.churn) ->
-        Churn.make ?start:c.churn_start ?style:c.churn_style
-          ~rate:c.churn_rate ())
+        let start =
+          Option.map
+            (function
+              | Spec.Start_at t -> t | Spec.Start_frac frac -> frac *. steps)
+            c.churn_start
+        in
+        Churn.make ?start ?style:c.churn_style ~rate:c.churn_rate ())
       s.Spec.churn
   in
   Scenario.make ~name:spec.Spec.name ~n ?f:s.Spec.f ?force:s.Spec.force
@@ -96,21 +103,6 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
 
 (* ------------------------------------------------------------------ *)
 (* Expansion                                                           *)
-
-(* Cross product in file order, rightmost (pivot) axis innermost. *)
-let cells (spec : Spec.t) =
-  let rec go axes labels settings =
-    match axes with
-    | [] -> [ (List.rev labels, settings) ]
-    | (ax : Spec.axis) :: rest ->
-        List.concat_map
-          (fun (e : Spec.entry) ->
-            go rest
-              ((ax.Spec.axis_name, e.Spec.label) :: labels)
-              (Spec.merge settings e.Spec.bindings))
-          ax.Spec.entries
-  in
-  go spec.Spec.axes [] spec.Spec.base
 
 let trace_extra_of (spec : Spec.t) labels =
   List.filter_map
@@ -138,7 +130,7 @@ let tasks ?(scale = Scale.Standard) (spec : Spec.t) =
         (fun seed ->
           { labels; trace_extra; scenario = scenario_of spec scale settings ~seed })
         seeds)
-    (cells spec)
+    (Spec.cells scale spec)
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -173,7 +165,7 @@ let split_last xs =
 
 let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
   let per_seed = List.length (seeds_of spec scale) in
-  let pivot_n = List.length (Spec.pivot spec).Spec.entries in
+  let pivot_n = List.length (Spec.entries scale (Spec.pivot spec)) in
   let paired = List.combine ts runs in
   Sweep.chunks per_seed paired
   |> List.map (fun pairs ->
@@ -242,10 +234,17 @@ let eval_metric (spec : Spec.t) metric (g : group) =
         Agg.sum (fun r -> (gossip_summary r).Gossip_app.deliveries) runs
       in
       Report.float_cell (float_of_int dups /. float_of_int (max 1 dels))
+  | Spec.Isolated ->
+      Report.float_cell
+        (Agg.mean (fun r -> r.result.Runner.final.Measurements.isolated) runs)
+  | Spec.Optimal -> Report.float_cell g.g_scenario.Scenario.f
+  | Spec.Replacements ->
+      (* The first seed's count: a group holds one run per seed. *)
+      string_of_int (List.hd runs).result.Runner.nodes_churned
 
 let columns (spec : Spec.t) rows =
   let arr = Array.of_list rows in
-  let non_pivot, pivot_axis = split_last spec.Spec.axes in
+  let non_pivot, _ = split_last spec.Spec.axes in
   let axis_cols =
     List.map
       (fun (ax : Spec.axis) ->
@@ -261,17 +260,26 @@ let columns (spec : Spec.t) rows =
       non_pivot
   in
   let all_pivot_labels =
-    List.map (fun e -> e.Spec.label) pivot_axis.Spec.entries
+    match rows with r :: _ -> List.map fst r.groups | [] -> []
   in
   let metric_cols =
     List.concat_map
       (fun (metric, labels) ->
-        let labels = match labels with [] -> all_pivot_labels | ls -> ls in
+        (* A cell-level metric is one unprefixed column, read from the
+           first pivot group. *)
+        let cell_level = Spec.cell_level metric in
+        let labels =
+          match (labels, all_pivot_labels) with
+          | _, first :: _ when cell_level -> [ first ]
+          | [], _ -> all_pivot_labels
+          | ls, _ -> ls
+        in
         List.map
           (fun label ->
             {
               Report.header =
-                Printf.sprintf "%s_%s" label (Spec.metric_name metric);
+                (if cell_level then Spec.metric_name metric
+                 else Printf.sprintf "%s_%s" label (Spec.metric_name metric));
               cell =
                 (fun i ->
                   eval_metric spec metric (List.assoc label arr.(i).groups));
@@ -302,13 +310,18 @@ let write_trace path ts runs =
         ts runs)
 
 let print ?(scale = Scale.Standard) ?csv ?trace ?pool (spec : Spec.t) =
-  let cell_count = List.length (cells spec) in
-  let seed_count = List.length (seeds_of spec scale) in
   Output.line
-    (Printf.sprintf "== matrix %s: %d cells x %d seed%s (scale %s)"
-       spec.Spec.name cell_count seed_count
-       (if seed_count = 1 then "" else "s")
-       (Scale.to_string scale));
+    (match spec.Spec.title with
+    | Some title ->
+        Printf.sprintf "== %s  [scale=%s]" title (Scale.to_string scale)
+    | None ->
+        let seed_count = List.length (seeds_of spec scale) in
+        Printf.sprintf "== matrix %s: %d cells x %d seed%s (scale %s)"
+          spec.Spec.name
+          (List.length (Spec.cells scale spec))
+          seed_count
+          (if seed_count = 1 then "" else "s")
+          (Scale.to_string scale));
   let ts, runs = run_tasks ~scale ~trace:(Option.is_some trace) ?pool spec in
   let rows, cols = columns spec (rows_of ~scale spec ts runs) in
   Output.emit ?csv ~rows cols;

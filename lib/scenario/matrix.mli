@@ -11,9 +11,10 @@
     are bit-identical at any [-j N].
 
     Aggregation goes through {!Basalt_experiments.Agg}.  The committed
-    [scenarios/robustness_net.scn] and [scenarios/broadcast.scn] are the
-    definitions of [repro robustness-net] and [repro broadcast]; their
-    quick-scale tables are pinned by golden files under [test/golden/]. *)
+    [scenarios/*.scn] files are the definitions of [repro fig2a]–[fig2d],
+    [fig3], [churn], [robustness], [robustness-net] and [broadcast];
+    their quick-scale tables are pinned by golden files under
+    [test/golden/]. *)
 
 type run = {
   result : Basalt_sim.Runner.result;
@@ -69,7 +70,8 @@ val run :
 val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
 (** [columns spec rows] lays out the table: one column per non-pivot
     axis, then [<pivot-label>_<metric>] columns, metric-major, in the
-    spec's metrics order. *)
+    spec's metrics order; a cell-level metric ({!Spec.cell_level}) is
+    one [<metric>] column instead. *)
 
 val print :
   ?scale:Basalt_experiments.Scale.t ->
@@ -78,7 +80,8 @@ val print :
   ?pool:Basalt_parallel.Pool.t ->
   Spec.t ->
   unit
-(** [print spec] runs the matrix and prints its table; [csv] also
+(** [print spec] runs the matrix and prints its table under a banner
+    ([== TITLE  \[scale=S\]] when the spec has a title); [csv] also
     writes the rows as CSV, [trace] dumps the merged deterministic
     JSONL event trace of every run, tagged with each axis's
     [trace-key], in task order (byte-identical at any [-j N]). *)

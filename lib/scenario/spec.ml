@@ -9,6 +9,7 @@ module Churn = Basalt_sim.Churn
 module Adversary = Basalt_adversary.Adversary
 module Node_id = Basalt_proto.Node_id
 module Gossip_app = Basalt_experiments.Gossip_app
+module Scale = Basalt_experiments.Scale
 
 type protocol = Basalt | Brahms | Sps | Classic
 type side = First_half | First of int
@@ -26,9 +27,11 @@ type fault_form =
   | Partition_fault of { from_frac : float; until_frac : float; side : side }
   | Outage_fault of { node : int; from_frac : float; until_frac : float }
 
+type churn_start = Start_at of float | Start_frac of float
+
 type churn = {
   churn_rate : float;
-  churn_start : float option;
+  churn_start : churn_start option;
   churn_style : Churn.style option;
 }
 
@@ -37,6 +40,7 @@ type settings = {
   v : int option;
   f : float option;
   force : float option;
+  rho : float option;
   steps : float option;
   protocol : protocol option;
   strategy : Adversary.strategy option;
@@ -54,6 +58,7 @@ let empty_settings =
     v = None;
     f = None;
     force = None;
+    rho = None;
     steps = None;
     protocol = None;
     strategy = None;
@@ -74,6 +79,7 @@ let merge base over =
     v = pick over.v base.v;
     f = pick over.f base.f;
     force = pick over.force base.force;
+    rho = pick over.rho base.rho;
     steps = pick over.steps base.steps;
     protocol = pick over.protocol base.protocol;
     strategy = pick over.strategy base.strategy;
@@ -86,13 +92,36 @@ let merge base over =
   }
 
 type entry = { label : string; bindings : settings }
+type sweep = Sweep_f | Sweep_force | Sweep_rho | Sweep_v
 
 type axis = {
   axis_name : string;
   trace_key : string option;
   display_float : bool;
   entries : entry list;
+  sweep : sweep option;
 }
+
+let entries scale ax =
+  let entry label bindings = { label; bindings } in
+  let floats xs bind =
+    List.map (fun x -> entry (Printf.sprintf "%g" x) (bind x)) xs
+  in
+  match ax.sweep with
+  | None -> ax.entries
+  | Some Sweep_f ->
+      floats (Scale.byzantine_fractions scale) (fun f ->
+          { empty_settings with f = Some f })
+  | Some Sweep_force ->
+      floats (Scale.forces scale) (fun force ->
+          { empty_settings with force = Some force })
+  | Some Sweep_rho ->
+      floats (Scale.sampling_rates scale) (fun rho ->
+          { empty_settings with rho = Some rho })
+  | Some Sweep_v ->
+      List.map
+        (fun v -> entry (string_of_int v) { empty_settings with v = Some v })
+        (Scale.view_sizes scale)
 
 type metric =
   | Time
@@ -101,6 +130,9 @@ type metric =
   | Delivered
   | T99
   | Redundancy
+  | Isolated
+  | Optimal
+  | Replacements
 
 let metric_name = function
   | Time -> "time"
@@ -109,6 +141,9 @@ let metric_name = function
   | Delivered -> "delivered"
   | T99 -> "t99"
   | Redundancy -> "redundancy"
+  | Isolated -> "isolated"
+  | Optimal -> "optimal"
+  | Replacements -> "replacements"
 
 let metric_of_name = function
   | "time" -> Some Time
@@ -117,15 +152,27 @@ let metric_of_name = function
   | "delivered" -> Some Delivered
   | "t99" -> Some T99
   | "redundancy" -> Some Redundancy
+  | "isolated" -> Some Isolated
+  | "optimal" -> Some Optimal
+  | "replacements" -> Some Replacements
   | _ -> None
 
 let gossip_metric = function
   | Delivered | T99 | Redundancy -> true
-  | Time | Samples_byz | Delivered_sent -> false
+  | Time | Samples_byz | Delivered_sent | Isolated | Optimal | Replacements ->
+      false
+
+let cell_level = function
+  | Optimal | Replacements -> true
+  | Time | Samples_byz | Delivered_sent | Delivered | T99 | Redundancy
+  | Isolated ->
+      false
 
 type t = {
   name : string;
+  title : string option;
   base : settings;
+  at_scale : (Scale.t * settings) list;
   seeds : int list option;
   axes : axis list;
   within : float;
@@ -137,6 +184,26 @@ let pivot spec =
   match List.rev spec.axes with
   | p :: _ -> p
   | [] -> invalid_arg "Spec.pivot: no axes"
+
+(* Cross product in file order, rightmost (pivot) axis innermost. *)
+let cells scale spec =
+  let start =
+    match List.assoc_opt scale spec.at_scale with
+    | Some over -> merge spec.base over
+    | None -> spec.base
+  in
+  let rec go axes labels settings =
+    match axes with
+    | [] -> [ (List.rev labels, settings) ]
+    | ax :: rest ->
+        List.concat_map
+          (fun e ->
+            go rest
+              ((ax.axis_name, e.label) :: labels)
+              (merge settings e.bindings))
+          (entries scale ax)
+  in
+  go spec.axes [] start
 
 let slug spec =
   String.map
@@ -174,6 +241,14 @@ let prob_of (s : Sexp.t) =
     fail s.pos "probability '%s' out of [0,1]" (atom_of s ~what:"a number");
   x
 
+(* Negative delays would deliver a message before it was sent (the
+   engine clamps the clock), and negative windows or start times make
+   the engine and churn model raise mid-run. *)
+let non_negative (s : Sexp.t) ~what =
+  let x = float_of s in
+  if x < 0.0 then fail s.pos "%s must be >= 0" what;
+  x
+
 (* A form is a list whose head is an atom keyword. *)
 let form_of (s : Sexp.t) =
   match s.desc with
@@ -198,11 +273,16 @@ let latency_of (s : Sexp.t) =
       match head with
       | "constant" ->
           arity pos head 1 args;
-          Link.Latency.Constant (float_of (List.nth args 0))
+          Link.Latency.Constant (non_negative (List.nth args 0) ~what:"latency")
       | "uniform" ->
           arity pos head 2 args;
-          let lo = float_of (List.nth args 0) in
-          let hi = float_of (List.nth args 1) in
+          let lo = non_negative (List.nth args 0) ~what:"latency" in
+          let hi_s = List.nth args 1 in
+          let hi = float_of hi_s in
+          if hi < lo then
+            fail hi_s.pos
+              "uniform latency upper bound %g is below its lower bound %g" hi
+              lo;
           Link.Latency.Uniform { lo; hi }
       | _ -> fail pos "unknown latency model '%s' (zero|constant|uniform)" head)
 
@@ -314,7 +394,8 @@ let fault_form_of (s : Sexp.t) =
               lf_reorder := Some (prob_of (List.nth kargs 0))
           | "reorder-window" ->
               arity kpos key 1 kargs;
-              lf_reorder_window := Some (float_of (List.nth kargs 0))
+              lf_reorder_window :=
+                Some (non_negative (List.nth kargs 0) ~what:"reorder-window")
           | _ ->
               fail kpos
                 "unknown link-fault key '%s' \
@@ -371,6 +452,11 @@ let fault_form_of (s : Sexp.t) =
       Outage_fault { node; from_frac; until_frac }
   | _ -> fail pos "unknown fault form '%s' (link|partition|outage)" head
 
+let set pos what r x =
+  match !r with
+  | Some _ -> fail pos "duplicate setting '%s'" what
+  | None -> r := Some x
+
 let churn_of pos (args : Sexp.t list) =
   let rate = ref None and start = ref None and style = ref None in
   List.iter
@@ -382,14 +468,19 @@ let churn_of pos (args : Sexp.t list) =
           rate := Some (prob_of (List.nth kargs 0))
       | "start" ->
           arity kpos key 1 kargs;
-          start := Some (float_of (List.nth kargs 0))
+          set kpos "start" start
+            (Start_at (non_negative (List.nth kargs 0) ~what:"churn start"))
+      | "start-frac" ->
+          arity kpos key 1 kargs;
+          set kpos "start" start (Start_frac (prob_of (List.nth kargs 0)))
       | "style" -> (
           arity kpos key 1 kargs;
           match atom_of (List.nth kargs 0) ~what:"a churn style" with
           | "replace" -> style := Some Churn.Replace
           | "crash" -> style := Some Churn.Crash
           | a -> fail kpos "unknown churn style '%s' (replace|crash)" a)
-      | _ -> fail kpos "unknown churn key '%s' (rate|start|style)" key)
+      | _ ->
+          fail kpos "unknown churn key '%s' (rate|start|start-frac|style)" key)
     args;
   match !rate with
   | Some churn_rate ->
@@ -398,11 +489,6 @@ let churn_of pos (args : Sexp.t list) =
 
 (* ------------------------------------------------------------------ *)
 (* Bindings                                                            *)
-
-let set pos what r x =
-  match !r with
-  | Some _ -> fail pos "duplicate setting '%s'" what
-  | None -> r := Some x
 
 let positive_int (s : Sexp.t) ~what =
   let x = int_of s in
@@ -421,6 +507,7 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
   and v = ref None
   and f = ref None
   and force = ref None
+  and rho = ref None
   and steps = ref None
   and protocol = ref None
   and strategy = ref None
@@ -452,6 +539,9 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
           let x = float_of (List.nth args 0) in
           if x < 0.0 then fail pos "attack force must be >= 0";
           set pos key force x
+      | "rho" ->
+          arity pos key 1 args;
+          set pos key rho (positive_float (List.nth args 0) ~what:"rho")
       | "steps" ->
           arity pos key 1 args;
           set pos key steps (positive_float (List.nth args 0) ~what:"steps")
@@ -491,6 +581,7 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
       v = !v;
       f = !f;
       force = !force;
+      rho = !rho;
       steps = !steps;
       protocol = !protocol;
       strategy = !strategy;
@@ -511,7 +602,9 @@ let axis_of pos (args : Sexp.t list) =
   | [] -> fail pos "(axis ...) needs a name"
   | name_s :: items ->
       let axis_name = atom_of name_s ~what:"an axis name" in
-      let trace_key = ref None and display_float = ref false in
+      let trace_key = ref None
+      and display_float = ref false
+      and sweep = ref None in
       let entries =
         List.filter_map
           (fun item ->
@@ -529,12 +622,27 @@ let axis_of pos (args : Sexp.t list) =
                     display_float := true;
                     None
                 | a -> fail ipos "unknown display mode '%s' (float)" a)
+            | "sweep" ->
+                arity ipos head 1 iargs;
+                set ipos head sweep
+                  (match atom_of (List.nth iargs 0) ~what:"a preset name" with
+                  | "f" -> Sweep_f
+                  | "force" -> Sweep_force
+                  | "rho" -> Sweep_rho
+                  | "v" -> Sweep_v
+                  | a ->
+                      fail ipos "unknown sweep preset '%s' (f|force|rho|v)" a);
+                None
             | label ->
                 let bindings, _ = settings_of ~allow_seeds:false iargs in
                 Some ({ label; bindings }, ipos))
           items
       in
-      if entries = [] then fail pos "axis '%s' has no entries" axis_name;
+      (match (!sweep, entries) with
+      | None, [] -> fail pos "axis '%s' has no entries" axis_name
+      | Some _, (_, epos) :: _ ->
+          fail epos "sweep axis '%s' takes no written entries" axis_name
+      | None, _ :: _ | Some _, [] -> ());
       let seen = Hashtbl.create 8 in
       List.iter
         (fun ({ label; _ }, epos) ->
@@ -553,8 +661,9 @@ let axis_of pos (args : Sexp.t list) =
       {
         axis_name;
         trace_key = !trace_key;
-        display_float = !display_float;
+        display_float = !display_float || Option.is_some !sweep;
         entries = List.map fst entries;
+        sweep = !sweep;
       }
 
 let app_of pos (args : Sexp.t list) =
@@ -602,11 +711,15 @@ let metrics_of pos (args : Sexp.t list) =
       let head, margs, mpos = form_of item in
       match metric_of_name head with
       | Some m ->
+          if cell_level m && margs <> [] then
+            fail mpos "metric '%s' is cell-level and takes no pivot labels"
+              head;
           (m, List.map (fun l -> atom_of l ~what:"a pivot label") margs, mpos)
       | None ->
           fail mpos
             "unknown metric '%s' \
-             (time|samples_byz|delivered/sent|delivered|t99|redundancy)"
+             (time|samples_byz|delivered/sent|delivered|t99|redundancy|\
+             isolated|optimal|replacements)"
             head)
     args
 
@@ -617,7 +730,9 @@ let of_sexp (s : Sexp.t) =
   let head, body, pos = form_of s in
   if head <> "matrix" then fail s.pos "expected a (matrix ...) form";
   let name = ref None
+  and title = ref None
   and base = ref None
+  and at_scale = ref []
   and seeds = ref None
   and axes = ref []
   and pivot_name = ref None
@@ -631,11 +746,27 @@ let of_sexp (s : Sexp.t) =
       | "name" ->
           arity kpos key 1 args;
           set kpos key name (atom_of (List.nth args 0) ~what:"a matrix name")
+      | "title" ->
+          arity kpos key 1 args;
+          set kpos key title (atom_of (List.nth args 0) ~what:"a title")
       | "base" ->
           if Option.is_some !base then fail kpos "duplicate setting 'base'";
           let bindings, s = settings_of ~allow_seeds:true args in
           base := Some bindings;
           seeds := s
+      | "at-scale" -> (
+          match args with
+          | [] -> fail kpos "(at-scale ...) needs a scale"
+          | scale_s :: forms ->
+              let scale =
+                match Scale.of_string (atom_of scale_s ~what:"a scale") with
+                | Ok scale -> scale
+                | Error msg -> fail scale_s.pos "%s" msg
+              in
+              if List.mem_assoc scale !at_scale then
+                fail kpos "duplicate (at-scale %s ...)" (Scale.to_string scale);
+              let bindings, _ = settings_of ~allow_seeds:false forms in
+              at_scale := (scale, bindings) :: !at_scale)
       | "axis" -> axes := axis_of kpos args :: !axes
       | "pivot" ->
           arity kpos key 1 args;
@@ -691,26 +822,39 @@ let of_sexp (s : Sexp.t) =
               pivot_name)
         labels)
     metrics;
-  let base = Option.value !base ~default:empty_settings in
-  (* Every cell must end up with a protocol: either the base binds one,
-     or some axis binds one on every entry (merge order makes this
-     check exact — see the validation notes in DESIGN.md §12). *)
-  let axis_covers ax =
-    List.for_all (fun e -> Option.is_some e.bindings.protocol) ax.entries
-  in
-  if Option.is_none base.protocol && not (List.exists axis_covers axes) then
-    fail pos
-      "no protocol bound: set (protocol ...) in (base ...) or on every entry \
-       of an axis";
-  {
-    name;
-    base;
-    seeds = !seeds;
+  let spec =
+    {
+      name;
+      title = !title;
+      base = Option.value !base ~default:empty_settings;
+      at_scale = List.rev !at_scale;
+      seeds = !seeds;
     axes;
-    within = Option.value !within ~default:0.25;
-    app = !app;
-    metrics = List.map (fun (m, labels, _) -> (m, labels)) metrics;
-  }
+      within = Option.value !within ~default:0.25;
+      app = !app;
+      metrics = List.map (fun (m, labels, _) -> (m, labels)) metrics;
+    }
+  in
+  (* Every cell at every scale must bind a protocol, and only the
+     protocols with a sampling rate may bind (rho ...). *)
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (labels, s) ->
+          match (s.protocol, s.rho) with
+          | None, _ ->
+              fail pos
+                "no protocol bound: set (protocol ...) in (base ...) or on \
+                 every entry of an axis"
+          | Some (Sps | Classic), Some _ ->
+              fail pos
+                "cell %s binds (rho ...), which only basalt and brahms take"
+                (String.concat ", "
+                   (List.map (fun (a, l) -> a ^ "=" ^ l) labels))
+          | Some (Basalt | Brahms | Sps | Classic), _ -> ())
+        (cells scale spec))
+    [ Scale.Quick; Scale.Standard; Scale.Full ];
+  spec
 
 let of_sexps ~file (sexps : Sexp.t list) =
   try

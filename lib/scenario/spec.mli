@@ -31,9 +31,13 @@ type fault_form =
   | Outage_fault of { node : int; from_frac : float; until_frac : float }
       (** A timed per-node silence. *)
 
+type churn_start =
+  | Start_at of float  (** [(start T)]: an absolute time. *)
+  | Start_frac of float  (** [(start-frac F)]: a fraction of the run. *)
+
 type churn = {
   churn_rate : float;
-  churn_start : float option;
+  churn_start : churn_start option;
   churn_style : Basalt_sim.Churn.style option;
 }
 
@@ -42,6 +46,7 @@ type settings = {
   v : int option;
   f : float option;
   force : float option;
+  rho : float option;  (** Basalt/Brahms sampling rate. *)
   steps : float option;
   protocol : protocol option;
   strategy : Basalt_adversary.Adversary.strategy option;
@@ -65,15 +70,29 @@ val merge : settings -> settings -> settings
 
 type entry = { label : string; bindings : settings }
 
+(** A [(sweep P)] axis: its entries are the scale preset's values of
+    [P] ({!Basalt_experiments.Scale}), so they change with [-s]. *)
+type sweep =
+  | Sweep_f  (** [(sweep f)]: [Scale.byzantine_fractions]. *)
+  | Sweep_force  (** [(sweep force)]: [Scale.forces]. *)
+  | Sweep_rho  (** [(sweep rho)]: [Scale.sampling_rates]. *)
+  | Sweep_v  (** [(sweep v)]: [Scale.view_sizes]. *)
+
 type axis = {
   axis_name : string;  (** Also the report column header. *)
   trace_key : string option;
       (** When set, traces tag each event with [key: label]. *)
   display_float : bool;
       (** Render labels through {!Basalt_sim.Report.float_cell} (and
-          tag traces with a float, not a string). *)
-  entries : entry list;
+          tag traces with a float, not a string).  Always set on a
+          sweep axis. *)
+  entries : entry list;  (** Empty on a sweep axis. *)
+  sweep : sweep option;
 }
+
+val entries : Basalt_experiments.Scale.t -> axis -> entry list
+(** [entries scale ax] is [ax]'s entries at [scale]: the written ones,
+    or a sweep axis's preset values labelled with [%g]. *)
 
 type metric =
   | Time  (** Median convergence time; ["no-convergence"] cell on a
@@ -83,13 +102,24 @@ type metric =
   | Delivered  (** Gossip: mean delivered fraction (needs [(app ...)]). *)
   | T99  (** Gossip: median time-to-99%; ["never"] on a non-majority. *)
   | Redundancy  (** Gossip: duplicate frames per delivery. *)
+  | Isolated  (** Mean fraction of isolated correct nodes at the end. *)
+  | Optimal  (** Cell-level: the cell's Byzantine fraction [f]. *)
+  | Replacements  (** Cell-level: the first run's churned-node count. *)
 
 val metric_name : metric -> string
 (** The metric's grammar keyword, also its column-header suffix. *)
 
+val cell_level : metric -> bool
+(** A cell-level metric takes no pivot labels and renders as one
+    unprefixed column, read from the cell's first pivot group. *)
+
 type t = {
   name : string;  (** {!Basalt_sim.Scenario.t} name and CSV base name. *)
+  title : string option;  (** Banner text; [None] keeps the default. *)
   base : settings;
+  at_scale : (Basalt_experiments.Scale.t * settings) list;
+      (** [(at-scale S ...)]: bindings applied over [base] at scale [S]
+          only (axis entries still override them). *)
   seeds : int list option;  (** [None]: the scale preset's seed list. *)
   axes : axis list;  (** In file order; the last one is the pivot. *)
   within : float;  (** Convergence tolerance for {!Time} (default 0.25). *)
@@ -100,6 +130,13 @@ type t = {
 
 val pivot : t -> axis
 (** The pivot axis (validation guarantees it is last). *)
+
+val cells :
+  Basalt_experiments.Scale.t -> t -> ((string * string) list * settings) list
+(** [cells scale spec] is the condition grid at [scale]: the cross
+    product of the axes in file order, pivot innermost, each cell with
+    its (axis name, label) coordinates and its merged settings (base,
+    then the scale's [at-scale] bindings, then each axis entry). *)
 
 val slug : t -> string
 (** [name] with every non-alphanumeric byte replaced by ['_'] — the CSV

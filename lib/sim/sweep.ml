@@ -55,23 +55,18 @@ let chunks k xs =
 (* Fan out over the flat scenario × seed product, then regroup runs per
    scenario in order.  Flattening matters: the scale presets use a single
    seed, so parallelism has to come from the scenario axis as much as
-   from the seed axis. *)
-let run_grouped ?pool scenarios ~seeds =
-  require_seeds "Sweep.run_grouped" seeds;
+   from the seed axis.  Every group carries one run per seed and the
+   seed list was checked non-empty, so [aggregate] cannot fail. *)
+let run_aggregates ?pool scenarios ~seeds =
+  require_seeds "Sweep.run_aggregates" seeds;
   let tasks =
     List.concat_map
       (fun s -> List.map (fun seed -> Scenario.with_seed s seed) seeds)
       scenarios
   in
-  chunks (List.length seeds) (Pool.map ?pool Runner.run tasks)
-
-let run_aggregates ?pool scenarios ~seeds =
-  require_seeds "Sweep.run_aggregates" seeds;
-  (* Every group carries one run per seed and the seed list was checked
-     non-empty, so [aggregate] cannot fail. *)
-  List.map
-    (fun group -> Option.get (aggregate group))
-    (run_grouped ?pool scenarios ~seeds)
+  Pool.map ?pool Runner.run tasks
+  |> chunks (List.length seeds)
+  |> List.map (fun group -> Option.get (aggregate group))
 
 let max_rho ?pool ~make ~seeds rhos =
   let sorted = List.sort_uniq Float.compare rhos in

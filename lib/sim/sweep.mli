@@ -38,28 +38,19 @@ val chunks : int -> 'a list -> 'a list list
 (** [chunks k xs] splits [xs] into consecutive groups of exactly [k],
     preserving order — the regrouping step after a flat
     {!Basalt_parallel.Pool.map} over a condition × seed batch, shared
-    by {!run_grouped} and the scenario-matrix driver.
+    by {!run_aggregates} and the scenario-matrix driver.
     @raise Invalid_argument if [k <= 0] or [k] does not divide the
     length of [xs]. *)
-
-val run_grouped :
-  ?pool:Basalt_parallel.Pool.t ->
-  Scenario.t list ->
-  seeds:int list ->
-  Runner.result list list
-(** [run_grouped scenarios ~seeds] runs every scenario × seed pair as
-    one flat task batch (maximising pool utilisation even with a single
-    seed) and returns the runs regrouped per scenario, in order: result
-    [i] lists [List.length seeds] runs of scenario [i] in seed order.
-    @raise Invalid_argument if [seeds] is empty. *)
 
 val run_aggregates :
   ?pool:Basalt_parallel.Pool.t ->
   Scenario.t list ->
   seeds:int list ->
   aggregate list
-(** [run_aggregates scenarios ~seeds] is {!run_grouped} with each group
-    aggregated.
+(** [run_aggregates scenarios ~seeds] runs every scenario × seed pair as
+    one flat task batch (maximising pool utilisation even with a single
+    seed) and returns one aggregate per scenario, in order, each over
+    [List.length seeds] runs in seed order.
     @raise Invalid_argument if [seeds] is empty. *)
 
 val max_rho :

@@ -135,6 +135,38 @@ let robustness_net_matches_golden =
 let dag_matches_golden = matches_golden ~target:"dag" ~golden:"dag.quick.txt"
 let live_matches_golden = matches_golden ~target:"live" ~golden:"live.quick.txt"
 
+(* The figure and extension targets run their committed scenario files
+   (a few seconds each at quick scale).  Each golden body was captured
+   from the OCaml module the file replaced; robustness's second table,
+   the latency sweep, was a list of printed values there and holds the
+   same four numbers. *)
+let ported_goldens =
+  List.map
+    (fun target ->
+      Alcotest.test_case (target ^ " matches golden table") `Slow
+        (matches_golden ~target ~golden:(target ^ ".quick.txt")))
+    [ "fig2a"; "fig2b"; "fig2c"; "fig2d"; "fig3"; "churn"; "robustness" ]
+
+(* A target that runs several scenario files traces the first to FILE
+   and each later one next to it, named after the file. *)
+let multi_file_trace () =
+  let dir = Filename.temp_dir "repro" "trace" in
+  let path = Filename.concat dir "t.jsonl" in
+  let code, out, _ =
+    run_repro ("robustness -s quick -j 2 --trace " ^ Filename.quote path)
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  let later = Filename.concat dir "t.robustness_latency.jsonl" in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " announced") true
+        (contains ~needle:("(trace written to " ^ p ^ ")") out);
+      Alcotest.(check bool) (p ^ " non-empty") true
+        (In_channel.with_open_bin p In_channel.length > 0L);
+      Sys.remove p)
+    [ path; later ];
+  Sys.rmdir dir
+
 (* --- bench_gate subcommands --- *)
 
 let bench_gate = "../tool/bench_gate/main.exe"
@@ -379,7 +411,9 @@ let () =
             dag_matches_golden;
           Alcotest.test_case "live matches golden table" `Quick
             live_matches_golden;
-        ] );
+          Alcotest.test_case "multi-file trace paths" `Slow multi_file_trace;
+        ]
+        @ ported_goldens );
       ( "bench_gate",
         [
           Alcotest.test_case "append record pinned" `Quick

@@ -50,47 +50,84 @@ let theory_equilibria_rows () =
       | _ -> ())
     rows
 
-(* --- Fig2 wiring --- *)
+(* --- Fig. 2 (committed scenario files) --- *)
+
+module Spec = Basalt_scenario.Spec
+module Matrix = Basalt_scenario.Matrix
+module Runner = Basalt_sim.Runner
+
+(* Under `dune runtest` the suite runs from the build sandbox, where
+   the (source_tree ../scenarios) dep lands one level up. *)
+let committed_spec name =
+  let dir =
+    if Sys.file_exists "../scenarios" then "../scenarios/" else "scenarios/"
+  in
+  match Spec.load (dir ^ name ^ ".scn") with
+  | Ok spec -> spec
+  | Error (`Unreadable msg | `Invalid msg) -> Alcotest.fail msg
 
 let fig2_panel_names () =
-  check_int "four panels" 4 (List.length Fig2.all_panels);
+  let panels = [ "fig2a"; "fig2b"; "fig2c"; "fig2d" ] in
+  check_int "four panels" 4 (List.length panels);
   List.iter
-    (fun p -> check_bool "named" true (String.length (Fig2.panel_name p) > 0))
-    Fig2.all_panels
+    (fun name ->
+      match (committed_spec name).Spec.title with
+      | Some title -> check_bool "named" true (String.length title > 0)
+      | None -> Alcotest.failf "%s has no title" name)
+    panels
 
 (* The paper's core claims, regression-tested at quick scale.  One shared
    run of fig2a keeps the suite fast. *)
-let fig2a_rows = lazy (Fig2.run ~scale:Scale.Quick Fig2.F_byzantine)
+let fig2a =
+  lazy
+    (let spec = committed_spec "fig2a" in
+     (spec, Matrix.run ~scale:Scale.Quick spec))
+
+(* The mean of one final measurement over a protocol's runs in a row:
+   the unrounded value behind the table cell. *)
+let mean_final field row protocol =
+  Agg.mean
+    (fun r -> field r.Matrix.result.Runner.final)
+    (List.assoc protocol row.Matrix.groups).Matrix.g_runs
+
+let sample_byz = mean_final (fun p -> p.Basalt_sim.Measurements.sample_byz)
+let x_of row = List.assoc "x" row.Matrix.row_labels
 
 let fig2a_shape () =
-  let rows = Lazy.force fig2a_rows in
+  let _, rows = Lazy.force fig2a in
   check_int "row per fraction"
     (List.length (Scale.byzantine_fractions Scale.Quick))
     (List.length rows);
   List.iter
-    (fun r ->
-      let basalt = r.Fig2.basalt.Basalt_sim.Sweep.mean_sample_byz in
-      let brahms = r.Fig2.brahms.Basalt_sim.Sweep.mean_sample_byz in
+    (fun row ->
+      let basalt = sample_byz row "basalt" in
+      let brahms = sample_byz row "brahms" in
+      let optimal =
+        (List.assoc "basalt" row.Matrix.groups).Matrix.g_scenario
+          .Basalt_sim.Scenario.f
+      in
       (* Basalt must stay close to optimal and beat Brahms (§4.4). *)
       check_bool
-        (Printf.sprintf "basalt near optimal at f=%.2f" r.Fig2.x)
+        (Printf.sprintf "basalt near optimal at f=%s" (x_of row))
         true
-        (basalt < r.Fig2.optimal +. 0.1);
+        (basalt < optimal +. 0.1);
       check_bool
-        (Printf.sprintf "basalt beats brahms at f=%.2f" r.Fig2.x)
+        (Printf.sprintf "basalt beats brahms at f=%s" (x_of row))
         true (basalt < brahms))
     rows
 
 let fig2a_basalt_never_isolates () =
   List.iter
-    (fun r ->
+    (fun row ->
       Alcotest.(check (float 1e-9))
-        (Printf.sprintf "no isolation at f=%.2f" r.Fig2.x)
-        0.0 r.Fig2.basalt.Basalt_sim.Sweep.mean_isolated)
-    (Lazy.force fig2a_rows)
+        (Printf.sprintf "no isolation at f=%s" (x_of row))
+        0.0
+        (mean_final (fun p -> p.Basalt_sim.Measurements.isolated) row "basalt"))
+    (snd (Lazy.force fig2a))
 
 let fig2_columns_shape () =
-  let rows, cols = Fig2.columns (Lazy.force fig2a_rows) in
+  let spec, rows = Lazy.force fig2a in
+  let rows, cols = Matrix.columns spec rows in
   check_int "column count" 6 (List.length cols);
   check_bool "row count" true (rows > 0)
 
@@ -154,16 +191,7 @@ let uniformity_of_histogram () =
 (* robustness-net is the committed scenario file run by the matrix
    driver; the assertions read its rendered table cells. *)
 let robustness_net_rows () =
-  let module Spec = Basalt_scenario.Spec in
-  let module Matrix = Basalt_scenario.Matrix in
-  let dir =
-    if Sys.file_exists "../scenarios" then "../scenarios/" else "scenarios/"
-  in
-  let spec =
-    match Spec.load (dir ^ "robustness_net.scn") with
-    | Ok spec -> spec
-    | Error (`Unreadable msg | `Invalid msg) -> Alcotest.fail msg
-  in
+  let spec = committed_spec "robustness_net" in
   let rows, cols = Matrix.columns spec (Matrix.run ~scale:Scale.Quick spec) in
   check_int "four conditions" 4 rows;
   let cell header i =

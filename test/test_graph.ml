@@ -185,70 +185,6 @@ let scc_mixed () =
   check_bool "cycle grouped" true (labels.(0) = labels.(1));
   check_bool "tail separate" true (labels.(2) <> labels.(0))
 
-(* --- Generators --- *)
-
-let gen_rng () = Basalt_prng.Rng.create ~seed:33
-
-let generators_erdos_renyi () =
-  let g = Generators.erdos_renyi (gen_rng ()) ~n:200 ~p:0.1 in
-  check_int "n" 200 (Digraph.n g);
-  (* Expected edges: n(n-1)p = 3980; allow 10%. *)
-  let e = Digraph.edge_count g in
-  check_bool (Printf.sprintf "edge count (%d)" e) true
-    (abs (e - 3980) < 400);
-  (* The clustering metric works on the undirected closure, where a pair
-     is adjacent with probability 1 - (1-p)^2 = 2p - p^2. *)
-  let cc =
-    Metrics.clustering_coefficient ~rng:(gen_rng ()) ~is_malicious:no_malicious g
-  in
-  let expected = (2.0 *. 0.1) -. (0.1 *. 0.1) in
-  check_bool
-    (Printf.sprintf "clustering ~ 2p - p^2 (%.3f)" cc)
-    true
-    (Float.abs (cc -. expected) < 0.03);
-  Alcotest.check_raises "p range"
-    (Invalid_argument "Generators.erdos_renyi: p out of [0,1]") (fun () ->
-      ignore (Generators.erdos_renyi (gen_rng ()) ~n:5 ~p:1.5))
-
-let generators_k_out () =
-  let g = Generators.k_out (gen_rng ()) ~n:100 ~k:8 in
-  for u = 0 to 99 do
-    check_int "out-degree k" 8 (Digraph.out_degree g u)
-  done;
-  (* k-out graphs are (overwhelmingly likely) weakly connected. *)
-  Alcotest.(check (float 1e-9)) "connected" 1.0
-    (Components.largest_component_fraction g);
-  check_int "k clamps at n-1" 4 (Digraph.out_degree (Generators.k_out (gen_rng ()) ~n:5 ~k:10) 0)
-
-let generators_ring () =
-  let g = Generators.ring (gen_rng ()) ~n:10 in
-  check_int "edges" 10 (Digraph.edge_count g);
-  check_bool "is a cycle" true (Digraph.has_edge g 9 0);
-  let mpl = Metrics.mean_path_length ~rng:(gen_rng ()) ~is_malicious:no_malicious g in
-  (* Directed ring of n: mean distance = n/2 = 5. *)
-  check_bool (Printf.sprintf "long paths (%.2f)" mpl) true (Float.abs (mpl -. 5.0) < 0.01);
-  let g2 = Generators.ring ~shortcuts:30 (gen_rng ()) ~n:100 in
-  let mpl_ring =
-    Metrics.mean_path_length ~rng:(gen_rng ()) ~is_malicious:no_malicious
-      (Generators.ring (gen_rng ()) ~n:100)
-  in
-  let mpl_sw = Metrics.mean_path_length ~rng:(gen_rng ()) ~is_malicious:no_malicious g2 in
-  check_bool "shortcuts shrink paths" true (mpl_sw < mpl_ring)
-
-let generators_preferential () =
-  let g = Generators.preferential_attachment (gen_rng ()) ~n:300 ~out_degree:3 in
-  check_int "n" 300 (Digraph.n g);
-  (* Preferential attachment concentrates in-degree far more than k-out:
-     compare the max in-degree. *)
-  let max_in a = Array.fold_left max 0 a in
-  let pa_max = max_in (Digraph.in_degrees g) in
-  let ko_max =
-    max_in (Digraph.in_degrees (Generators.k_out (gen_rng ()) ~n:300 ~k:3))
-  in
-  check_bool
-    (Printf.sprintf "heavy tail (pa=%d vs kout=%d)" pa_max ko_max)
-    true (pa_max > 2 * ko_max)
-
 module Check = Basalt_check.Check
 
 let prop_scc_refines_weak =
@@ -314,13 +250,5 @@ let () =
           Alcotest.test_case "scc dag" `Quick scc_dag;
           Alcotest.test_case "scc mixed" `Quick scc_mixed;
           Check.to_alcotest ~suite:"components" prop_scc_refines_weak;
-        ] );
-      ( "generators",
-        [
-          Alcotest.test_case "erdos-renyi" `Quick generators_erdos_renyi;
-          Alcotest.test_case "k-out" `Quick generators_k_out;
-          Alcotest.test_case "ring" `Quick generators_ring;
-          Alcotest.test_case "preferential attachment" `Quick
-            generators_preferential;
         ] );
     ]

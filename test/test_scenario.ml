@@ -88,13 +88,28 @@ let corpus =
       "1:1: pivot axis 'condition' must be the last axis declared" );
     ( "unknown_metric.scn",
       "5:12: unknown metric 'latency' \
-       (time|samples_byz|delivered/sent|delivered|t99|redundancy)" );
+       (time|samples_byz|delivered/sent|delivered|t99|redundancy|isolated|\
+       optimal|replacements)" );
     ( "gossip_metric_no_app.scn",
       "5:12: metric 'delivered' needs (app (gossip ...))" );
     ( "no_protocol.scn",
       "1:1: no protocol bound: set (protocol ...) in (base ...) or on every \
        entry of an axis" );
     ("seeds_in_axis.scn", "3:26: (seeds ...) is only allowed in (base ...)");
+    ( "rho_on_sps.scn",
+      "1:1: cell protocol=sps binds (rho ...), which only basalt and brahms \
+       take" );
+    ( "cell_metric_labels.scn",
+      "5:12: metric 'optimal' is cell-level and takes no pivot labels" );
+    ("sweep_with_entries.scn", "3:21: sweep axis 'x' takes no written entries");
+    ("bad_scale.scn", "3:13: unknown scale \"huge\" (quick|standard|full)");
+    (* Values that loaded but then raised mid-run, or let a message
+       arrive before it was sent. *)
+    ("negative_churn_start.scn", "2:52: churn start must be >= 0");
+    ("negative_reorder_window.scn", "2:56: reorder-window must be >= 0");
+    ("negative_latency.scn", "2:46: latency must be >= 0");
+    ( "inverted_uniform.scn",
+      "2:49: uniform latency upper bound 0.1 is below its lower bound 0.5" );
   ]
 
 let corpus_diagnostics () =
@@ -156,6 +171,18 @@ let committed_files_load () =
   Alcotest.(check string) "name" "smoke" spec.Spec.name;
   Alcotest.(check (option (list int))) "explicit seeds" (Some [ 1; 2 ])
     spec.Spec.seeds
+
+(* Every file in scenarios/, found by listing the directory, so a new
+   or renamed file cannot skip validation. *)
+let every_committed_file_loads () =
+  let files =
+    Sys.readdir scenarios_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "found the committed files" true
+    (List.length files >= 11);
+  List.iter (fun f -> ignore (load_ok (scenarios_dir ^ f))) files
 
 (* --- static expansion shape (no simulation runs) --- *)
 
@@ -233,6 +260,146 @@ let fraction_windows_resolve () =
       | ps ->
           Alcotest.failf "expected one partition, got %d" (List.length ps))
 
+(* --- ported experiments: what each cell resolves to --- *)
+
+module Scale = Basalt_experiments.Scale
+module Scenario = Basalt_sim.Scenario
+module Link = Basalt_engine.Link
+
+(* One resolved run, rendered so a mismatch names the field. *)
+type run = {
+  proto : string;
+  n : int;
+  v : int;
+  steps : float;
+  f : float;
+  force : float;
+  rho : float;
+  loss : Link.Loss.t;
+  latency : Link.Latency.t;
+  churn : (float * float) option;  (** (rate, start) *)
+  seed : int;
+}
+
+let show r =
+  Format.asprintf
+    "%s n=%d v=%d steps=%.17g f=%.17g F=%.17g rho=%.17g loss=%a latency=%a \
+     churn=%s seed=%d"
+    r.proto r.n r.v r.steps r.f r.force r.rho Link.Loss.pp r.loss
+    Link.Latency.pp r.latency
+    (match r.churn with
+    | None -> "none"
+    | Some (rate, start) -> Printf.sprintf "%.17g@%.17g" rate start)
+    r.seed
+
+let show_task (t : Matrix.task) =
+  let s = t.Matrix.scenario in
+  show
+    {
+      proto = Scenario.protocol_name s;
+      n = s.Scenario.n;
+      v = Scenario.view_size s;
+      steps = s.Scenario.steps;
+      f = s.Scenario.f;
+      force = s.Scenario.force;
+      rho =
+        (match s.Scenario.protocol with
+        | Scenario.Basalt c -> c.Basalt_core.Config.rho
+        | Scenario.Brahms c -> c.Basalt_brahms.Brahms_config.rho
+        | Scenario.Sps _ | Scenario.Classic _ -> Float.nan);
+      loss = s.Scenario.loss;
+      latency = s.Scenario.latency;
+      churn =
+        Option.map
+          (fun c -> (c.Basalt_sim.Churn.rate, c.Basalt_sim.Churn.start))
+          s.Scenario.churn;
+      seed = s.Scenario.seed;
+    }
+
+(* The runs the hand-written fig2, fig3, churn_exp and robustness
+   modules made at [scale], in their order (x, then basalt before
+   brahms, then seeds): the base point f = 0.1, F = 10, rho = 1 at the
+   preset's n, v and steps, with one parameter varied. *)
+let expected scale =
+  let base =
+    {
+      proto = "basalt";
+      n = Scale.n scale;
+      v = Scale.v scale;
+      steps = Scale.steps scale;
+      f = 0.1;
+      force = 10.0;
+      rho = 1.0;
+      loss = Link.Loss.None;
+      latency = Link.Latency.Zero;
+      churn = None;
+      seed = 0;
+    }
+  in
+  let both_protocols r =
+    List.concat_map
+      (fun proto ->
+        List.map (fun seed -> show { r with proto; seed }) (Scale.seeds scale))
+      [ "basalt"; "brahms" ]
+  in
+  let over xs mk = List.concat_map (fun x -> both_protocols (mk x)) xs in
+  let fig3 =
+    match scale with
+    | Scale.Quick -> { base with n = 300; v = 40; steps = 100.0 }
+    | Scale.Standard | Scale.Full ->
+        { base with n = 1000; v = 100; steps = 300.0 }
+  in
+  [
+    ( "fig2a",
+      over (Scale.byzantine_fractions scale) (fun f -> { base with f }) );
+    ("fig2b", over (Scale.forces scale) (fun force -> { base with force }));
+    ("fig2c", over (Scale.sampling_rates scale) (fun rho -> { base with rho }));
+    ("fig2d", over (Scale.view_sizes scale) (fun v -> { base with v }));
+    ("fig3", over (Scale.byzantine_fractions scale) (fun f -> { fig3 with f }));
+    ( "churn",
+      over [ 0.0; 0.005; 0.01; 0.02; 0.05 ] (fun rate ->
+          {
+            base with
+            churn =
+              (if rate = 0.0 then None
+               else Some (rate, Scale.steps scale /. 4.0));
+          }) );
+    ( "robustness",
+      over [ 0.0; 0.1; 0.2; 0.4 ] (fun p ->
+          {
+            base with
+            loss = (if p = 0.0 then Link.Loss.None else Link.Loss.Bernoulli p);
+          }) );
+    ( "robustness_latency",
+      List.concat_map
+        (fun j ->
+          List.map
+            (fun seed ->
+              show
+                {
+                  base with
+                  seed;
+                  latency =
+                    (if j = 0.0 then Link.Latency.Zero
+                     else Link.Latency.Uniform { lo = 0.0; hi = j });
+                })
+            (Scale.seeds scale))
+        [ 0.0; 0.25; 0.5; 1.0 ] );
+  ]
+
+let ported_specs_resolve () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (name, want) ->
+          let spec = load_ok (scenarios_dir ^ name ^ ".scn") in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s at %s" name (Scale.to_string scale))
+            want
+            (List.map show_task (Matrix.tasks ~scale spec)))
+        (expected scale))
+    [ Scale.Quick; Scale.Standard; Scale.Full ]
+
 let () =
   let name, cases = sexp_suite in
   Alcotest.run "scenario"
@@ -245,6 +412,8 @@ let () =
           Alcotest.test_case "missing file is unreadable" `Quick
             missing_file_is_unreadable;
           Alcotest.test_case "committed files load" `Quick committed_files_load;
+          Alcotest.test_case "every committed file loads" `Quick
+            every_committed_file_loads;
         ] );
       ( "matrix",
         [
@@ -252,5 +421,6 @@ let () =
           Alcotest.test_case "broadcast expansion" `Quick broadcast_expansion;
           Alcotest.test_case "fraction windows resolve" `Quick
             fraction_windows_resolve;
+          Alcotest.test_case "ported specs resolve" `Quick ported_specs_resolve;
         ] );
     ]
