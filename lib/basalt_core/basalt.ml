@@ -21,6 +21,22 @@ module Rank = Basalt_hashing.Rank
    [stamps.(i) > s] — each candidate is hashed once per *seed*, not once
    per call.  Rank values themselves are exactly the uncached ones; the
    differential oracle in test_basalt.ml pins the equivalence. *)
+
+(* Batch scratch for [update_sample]: per prepared candidate, its id,
+   its identifier-side digest and the clock of its previous offer,
+   grown on demand to the largest batch seen.  Every node of one
+   [factory] shares one scratch.  That is safe because [update_sample]
+   fills and drains it within one call, calling out to nothing, and a
+   factory's nodes belong to one run, which handles one event at a
+   time. *)
+type scratch = {
+  mutable raw : int array;
+  mutable digest : int array;
+  mutable since : int array;
+}
+
+let fresh_scratch () = { raw = [||]; digest = [||]; since = [||] }
+
 type t = {
   config : Config.t;
   id : Node_id.t;
@@ -36,10 +52,7 @@ type t = {
   mutable seen : int array;
   mutable seen_count : int;
   mutable seen_shift : int;  (* 63 - log2 (cells) *)
-  (* Reusable batch scratch for update_sample (grown on demand). *)
-  mutable batch_raw : int array;
-  mutable batch_digest : int array;
-  mutable batch_since : int array;
+  scratch : scratch;  (* shared with the other nodes of its factory *)
   rng : Rng.t;
   send : Rps.send;
   mutable next_reset : int;  (* round-robin pointer r, 0-based *)
@@ -47,8 +60,9 @@ type t = {
   mutable rounds : int;
   mutable emitted : int;
   (* Dead-peer detection: peers we pulled from and the round of the
-     oldest unanswered pull (only populated when eviction is enabled). *)
-  probes : (int, int) Hashtbl.t;
+     oldest unanswered pull.  Allocated by the first probe, so a node
+     without eviction carries none. *)
+  mutable probes : (int, int) Hashtbl.t option;
   mutable evicted : int;
   (* Run-wide instruments, shared across nodes by name (dummies when the
      sink is disabled — a mutation is then a dead store, DESIGN.md §8). *)
@@ -60,7 +74,8 @@ type t = {
   c_slot_resets : Obs.Counter.t;
   c_evictions : Obs.Counter.t;
   (* Pull-exchange lifecycle: request time and span per outstanding pull,
-     feeding the run-wide "basalt.pull_rtt" sketch (DESIGN.md §8). *)
+     feeding the run-wide "basalt.pull_rtt" sketch (DESIGN.md §8); the
+     one shared inert tracker when the sink is disabled. *)
   rtt : Obs.rtt;
 }
 
@@ -86,7 +101,7 @@ let seen_prune_threshold t = (16 * Array.length t.holders) + 64
    pruned entry reads as -1, which costs the same evaluations as an entry
    older than every seed. *)
 let seen_mul = 0x4F1BBCDCBFA53E0B
-let seen_initial_bits = 6  (* 64 cells *)
+let seen_initial_bits = 6  (* 64 cells, the least [create] allocates *)
 
 let seen_home shift key = ((key * seen_mul) lsr shift) lsl 1
 
@@ -185,23 +200,22 @@ let prune_seen t =
     done
   end
 
-let ensure_batch_capacity t n =
-  if Array.length t.batch_raw < n then begin
-    let cap = Int.max n (2 * Array.length t.batch_raw) in
-    t.batch_raw <- Array.make cap 0;
-    t.batch_digest <- Array.make cap 0;
-    t.batch_since <- Array.make cap (-1)
+let ensure_batch_capacity sc n =
+  if Array.length sc.raw < n then begin
+    let cap = Int.max n (2 * Array.length sc.raw) in
+    sc.raw <- Array.make cap 0;
+    sc.digest <- Array.make cap 0;
+    sc.since <- Array.make cap (-1)
   end
 
 let update_sample t ids =
   let n = Array.length ids in
   if n > 0 then begin
-    ensure_batch_capacity t n;
+    let sc = t.scratch in
+    ensure_batch_capacity sc n;
     let skip_self = t.config.Config.exclude_self in
     let clock = t.clock in
-    let raw = t.batch_raw
-    and dig = t.batch_digest
-    and since = t.batch_since in
+    let raw = sc.raw and dig = sc.digest and since = sc.since in
     (* Intake pass: drop self, dedup within the batch, and skip any
        candidate already offered to every current seed (pull replies
        routinely repeat ids across rounds, and the sender rides along as
@@ -252,51 +266,63 @@ let reset_slot t i =
   t.clock <- t.clock + 1;
   t.stamps.(i) <- t.clock
 
-let create ?(config = Config.default) ?(obs = Obs.disabled) ~id ~bootstrap
-    ~rng ~send () =
-  let rng = Rng.split rng in
-  let v = config.Config.v in
-  let seeds =
-    Array.init v (fun _ -> Rank.fresh config.Config.backend rng)
+(* The smallest seen-cache that holds [n] entries without growing:
+   sized from the bootstrap, the table skips the doublings (and their
+   garbage) that the bootstrap [update_sample] would otherwise cause. *)
+let seen_bits_for n =
+  let rec go bits =
+    if 4 * n > 3 * (1 lsl bits) then go (bits + 1) else bits
   in
-  let send = Basalt_codec.Metered.send obs ~proto:"basalt" send in
-  let t =
-    {
-      config;
-      id;
-      self = Node_id.to_int id;
-      seeds;
-      holders = Array.make v (-1);
-      best_ranks = Array.make v max_int;
-      uses = Array.make v 0;
-      stamps = Array.make v 0;
-      clock = 0;
-      seen = Array.make (2 lsl seen_initial_bits) (-1);
-      seen_count = 0;
-      seen_shift = 63 - seen_initial_bits;
-      batch_raw = [||];
-      batch_digest = [||];
-      batch_since = [||];
-      rng;
-      send;
-      next_reset = 0;
-      next_select = 0;
-      rounds = 0;
-      emitted = 0;
-      probes = Hashtbl.create 16;
-      evicted = 0;
-      c_rank_evals = Obs.counter obs "basalt.rank_evals";
-      c_rounds = Obs.counter obs "basalt.rounds";
-      c_pulls = Obs.counter obs "basalt.pulls_sent";
-      c_pushes = Obs.counter obs "basalt.pushes_sent";
-      c_samples = Obs.counter obs "basalt.samples_emitted";
-      c_slot_resets = Obs.counter obs "basalt.slot_resets";
-      c_evictions = Obs.counter obs "basalt.evictions";
-      rtt = Obs.rtt obs ~name:"basalt.pull";
-    }
-  in
-  update_sample t bootstrap;
-  t
+  go seen_initial_bits
+
+let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
+  let scratch = fresh_scratch () in
+  fun ~id ~bootstrap ~rng ~send ->
+    let rng = Rng.split rng in
+    let v = config.Config.v in
+    let seeds =
+      Array.init v (fun _ -> Rank.fresh config.Config.backend rng)
+    in
+    let send = Basalt_codec.Metered.send obs ~proto:"basalt" send in
+    let seen_bits = seen_bits_for (Array.length bootstrap) in
+    let t =
+      {
+        config;
+        id;
+        self = Node_id.to_int id;
+        seeds;
+        holders = Array.make v (-1);
+        best_ranks = Array.make v max_int;
+        uses = Array.make v 0;
+        stamps = Array.make v 0;
+        clock = 0;
+        seen = Array.make (2 lsl seen_bits) (-1);
+        seen_count = 0;
+        seen_shift = 63 - seen_bits;
+        scratch;
+        rng;
+        send;
+        next_reset = 0;
+        next_select = 0;
+        rounds = 0;
+        emitted = 0;
+        probes = None;
+        evicted = 0;
+        c_rank_evals = Obs.counter obs "basalt.rank_evals";
+        c_rounds = Obs.counter obs "basalt.rounds";
+        c_pulls = Obs.counter obs "basalt.pulls_sent";
+        c_pushes = Obs.counter obs "basalt.pushes_sent";
+        c_samples = Obs.counter obs "basalt.samples_emitted";
+        c_slot_resets = Obs.counter obs "basalt.slot_resets";
+        c_evictions = Obs.counter obs "basalt.evictions";
+        rtt = Obs.rtt obs ~name:"basalt.pull";
+      }
+    in
+    update_sample t bootstrap;
+    t
+
+let create ?config ?obs ~id ~bootstrap ~rng ~send () =
+  factory ?config ?obs () ~id ~bootstrap ~rng ~send
 
 let slot_peer t i =
   let h = t.holders.(i) in
@@ -393,28 +419,46 @@ let evict_peer t peer =
       Obs.Counter.incr t.c_evictions
     end
   done;
+  (* The node has given up on the peer: its unanswered pull will never
+     complete, so it must not stay pending in the RTT tracker. *)
+  Obs.rtt_abandon t.rtt ~peer:peer_int;
   update_sample t snapshot
 
 let run_eviction t ~limit =
-  (* Evicting consumes PRNG draws (slot resets), so the eviction order
-     must not depend on [Hashtbl] iteration order — sort by node id to
-     keep executions a pure function of the protocol history. *)
-  let expired =
-    List.sort Int.compare
-      (Hashtbl.fold
-         (fun peer probed acc ->
-           if t.rounds - probed > limit then peer :: acc else acc)
-         t.probes [])
-  in
-  List.iter
-    (fun peer ->
-      Hashtbl.remove t.probes peer;
-      evict_peer t (Node_id.of_int peer))
-    expired
+  match t.probes with
+  | None -> ()
+  | Some probes ->
+      (* Evicting consumes PRNG draws (slot resets), so the eviction
+         order must not depend on [Hashtbl] iteration order — sort by
+         node id to keep executions a pure function of the protocol
+         history. *)
+      let expired =
+        List.sort Int.compare
+          (Hashtbl.fold
+             (fun peer probed acc ->
+               if t.rounds - probed > limit then peer :: acc else acc)
+             probes [])
+      in
+      List.iter
+        (fun peer ->
+          Hashtbl.remove probes peer;
+          evict_peer t (Node_id.of_int peer))
+        expired
 
 let record_probe t peer =
+  let probes =
+    match t.probes with
+    | Some probes -> probes
+    | None ->
+        let probes = Hashtbl.create 16 in
+        t.probes <- Some probes;
+        probes
+  in
   let key = Node_id.to_int peer in
-  if not (Hashtbl.mem t.probes key) then Hashtbl.replace t.probes key t.rounds
+  if not (Hashtbl.mem probes key) then Hashtbl.replace probes key t.rounds
+
+let abandon_pull t peer = Obs.rtt_abandon t.rtt ~peer:(Node_id.to_int peer)
+let pending_pulls t = Obs.rtt_pending t.rtt
 
 let on_round t =
   t.rounds <- t.rounds + 1;
@@ -446,8 +490,9 @@ let on_round t =
 
 let on_message t ~from msg =
   (* Any traffic from a peer proves it alive. *)
-  if t.config.Config.evict_after_rounds <> None then
-    Hashtbl.remove t.probes (Node_id.to_int from);
+  (match t.probes with
+  | Some probes -> Hashtbl.remove probes (Node_id.to_int from)
+  | None -> ());
   match msg with
   | Message.Pull_request -> t.send ~dst:from (Message.Pull_reply (view t))
   | Message.Pull_reply ids ->
@@ -503,5 +548,5 @@ let to_rps t =
   }
 
 let sampler ?config ?obs () : Rps.maker =
- fun ~id ~bootstrap ~rng ~send ->
-  to_rps (create ?config ?obs ~id ~bootstrap ~rng ~send ())
+  let make = factory ?config ?obs () in
+  fun ~id ~bootstrap ~rng ~send -> to_rps (make ~id ~bootstrap ~rng ~send)

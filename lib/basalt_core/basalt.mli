@@ -122,13 +122,46 @@ val run_eviction : t -> limit:int -> unit
     peers are processed in ascending identifier order so that the PRNG
     draws consumed by slot resets — and therefore the whole execution —
     do not depend on hash-table iteration order.  Called by {!on_round}
-    when [evict_after_rounds] is set. *)
+    when [evict_after_rounds] is set.  An evicted peer's pending pull is
+    abandoned ({!abandon_pull}). *)
+
+val abandon_pull : t -> Basalt_proto.Node_id.t -> unit
+(** [abandon_pull t peer] tells the node that its pull to [peer] will
+    not be answered (a transport's retries are exhausted), so the pull
+    leaves the [basalt.pull] RTT tracker without being observed.
+    Without it, every silent peer a long-lived node ever pulled would
+    stay pending for the node's lifetime. *)
+
+val pending_pulls : t -> int
+(** [pending_pulls t] is the number of pulls the RTT tracker still
+    awaits: sent, neither answered nor abandoned.  Always [0] over a
+    disabled sink, which tracks nothing. *)
 
 val to_rps : t -> Basalt_proto.Rps.t
 (** [to_rps t] exposes [t] through the protocol-agnostic sampler
     interface. *)
 
+val factory :
+  ?config:Config.t ->
+  ?obs:Basalt_obs.Obs.t ->
+  unit ->
+  id:Basalt_proto.Node_id.t ->
+  bootstrap:Basalt_proto.Node_id.t array ->
+  rng:Basalt_prng.Rng.t ->
+  send:Basalt_proto.Rps.send ->
+  t
+(** [factory ?config ?obs ()] is a node constructor equivalent to
+    {!create} with the same [config] and [obs], except that all its
+    nodes share one {!update_sample} scratch (about 3 words per
+    candidate of the largest batch, instead of that much per node).
+    Views, ranks and every output are identical.  A factory belongs to
+    one run: its nodes must not call into the node layer from two
+    domains at once, nor re-enter it from inside a call. *)
+
 val sampler :
   ?config:Config.t -> ?obs:Basalt_obs.Obs.t -> unit -> Basalt_proto.Rps.maker
 (** [sampler ?config ()] packages the protocol for the simulation
-    runner; [obs] is threaded to {!create}. *)
+    runner: each call of the maker builds a node through one shared
+    {!factory}, so a maker belongs to one run (make one per run, as
+    [Runner.run] does, never one shared by runs on several domains);
+    [obs] is threaded to every node. *)

@@ -52,6 +52,7 @@ type t = {
   socket : Unix.file_descr;
   endpoint : Endpoint.t;
   node : Node.t;
+  basalt : Basalt.t;
   gossip : Gossip.t option;
   buffer : bytes;
   datagrams_in : int ref;
@@ -141,7 +142,13 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
     Event_loop.schedule loop ~delay (fun () ->
         match Hashtbl.find_opt pending key with
         | Some q when q == p && q.seq = seq ->
-            if p.attempt >= retry.max_attempts then Hashtbl.remove pending key
+            if p.attempt >= retry.max_attempts then begin
+              Hashtbl.remove pending key;
+              (* Out of retries: the pull is given up, so it leaves the
+                 RTT tracker too, or a churning network would grow it
+                 by one entry per dead peer. *)
+              Option.iter (fun b -> Basalt.abandon_pull b dst) !basalt_cell
+            end
             else begin
               p.attempt <- p.attempt + 1;
               incr retries;
@@ -206,6 +213,7 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
           ?app:(Option.map Node.gossip glayer)
           ~stream:(Sample_stream.create ~capacity:1024)
           (Basalt.to_rps basalt);
+      basalt;
       gossip = glayer;
       buffer = Bytes.create 65536;
       datagrams_in;
@@ -261,6 +269,8 @@ let publish t payload =
   match t.gossip with
   | Some g -> Gossip.publish g payload
   | None -> invalid_arg "Udp_node.publish: gossip layer not enabled"
+
+let pending_pulls t = Basalt.pending_pulls t.basalt
 
 let gossip_stats t = Option.map Gossip.stats t.gossip
 

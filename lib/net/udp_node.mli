@@ -69,7 +69,9 @@ val create :
     [PULL] that stays unanswered is retransmitted with capped exponential
     backoff until any decodable datagram arrives from the peer (which
     also clears the protocol's eviction probe) or the attempt budget is
-    spent.  When the configuration enables [evict_after_rounds], each
+    spent; a pull out of attempts is given up, and leaves the RTT
+    tracker ({!Basalt_core.Basalt.abandon_pull}).  When the
+    configuration enables [evict_after_rounds], each
     retransmission re-records the probe via {!Basalt_core.Basalt.record_probe},
     so transport-level persistence and dead-peer eviction stay coupled.
 
@@ -122,6 +124,14 @@ val gossip_stats : t -> Basalt_gossip.Gossip.stats option
 
 val stats : t -> stats
 (** [stats t] returns the transport counters so far. *)
+
+val pending_pulls : t -> int
+(** [pending_pulls t] is {!Basalt_core.Basalt.pending_pulls} of the
+    node's sampler: pulls its RTT tracker still awaits.  A pull leaves
+    it when answered or when its retries are exhausted, so it stays
+    bounded by the pulls of the last retry window ([0] without a
+    registry).  Under {!no_retry} nothing gives a pull up, and an
+    unanswered one stays until the next pull to the same peer. *)
 
 val close : t -> unit
 (** [close t] unregisters from the loop and closes the socket. *)

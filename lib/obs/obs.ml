@@ -413,13 +413,29 @@ type rtt = {
   r_pending : (int, float * span) Hashtbl.t;
 }
 
-let rtt t ~name =
+(* The one tracker handed out by [disabled], shared by every node of
+   every run and by every [Pool] domain.  Nothing ever writes it: the
+   operations below test [is_enabled] before touching the sketch or the
+   pending table, so there is no state for domains to race on, and a
+   node of a disabled run pays one pointer instead of a 1,412-cell
+   sketch and a hash table. *)
+let disabled_rtt =
   {
-    r_reg = t;
-    r_sketch = sketch t (name ^ "_rtt");
-    r_name = name;
-    r_pending = Hashtbl.create 16;
+    r_reg = disabled;
+    r_sketch = Sketch.make ();
+    r_name = "";
+    r_pending = Hashtbl.create 1;
   }
+
+let rtt t ~name =
+  if not t.is_enabled then disabled_rtt
+  else
+    {
+      r_reg = t;
+      r_sketch = sketch t (name ^ "_rtt");
+      r_name = name;
+      r_pending = Hashtbl.create 16;
+    }
 
 let rtt_start r ~node ~peer =
   if r.r_reg.is_enabled then begin
@@ -439,6 +455,11 @@ let rtt_finish r ~peer =
         Sketch.add r.r_sketch (r.r_reg.clock () -. t0);
         span_end r.r_reg sp
     | None -> ()
+
+let rtt_abandon r ~peer =
+  if r.r_reg.is_enabled then Hashtbl.remove r.r_pending peer
+
+let rtt_pending r = Hashtbl.length r.r_pending
 
 (* Fixed-format floats: the same float always renders the same bytes, so
    traces and snapshots diff clean across -j N.  A rendered float always

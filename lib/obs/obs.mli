@@ -9,7 +9,9 @@
     - {e free when disabled}: instruments requested from {!disabled} are
       fresh unregistered dummies, so a mutation is a single store into a
       record nobody reads — no branch, no allocation on the hot path,
-      and no shared state that domains could race on;
+      and no shared state that domains could race on.  The one
+      exception is {!rtt}: every disabled tracker is the same inert
+      value, which no operation ever writes;
     - {e deterministic when enabled}: time comes from an injected clock
       (the virtual [Engine.now] in simulation; the event-loop clock at
       the allowlisted [lib/net] boundary — never the wall clock
@@ -31,8 +33,9 @@ type t
 
 val disabled : t
 (** [disabled] is the no-op sink: {!enabled} is [false], instruments
-    requested from it are fresh dummies, {!trace} does nothing, and no
-    call ever mutates shared state (safe to use from any domain). *)
+    requested from it are fresh dummies (trackers from {!rtt} are one
+    shared inert value), {!trace} does nothing, and no call ever
+    mutates shared state (safe to use from any domain). *)
 
 val create : ?clock:(unit -> float) -> ?trace:bool -> unit -> t
 (** [create ()] is a fresh enabled registry.  [clock] stamps trace
@@ -303,8 +306,10 @@ type rtt
 val rtt : t -> name:string -> rtt
 (** [rtt t ~name] makes a tracker whose completed round trips feed the
     quantile sketch [name ^ "_rtt"] and, under tracing, emit spans
-    named [name] with [node]/[peer] fields.  On {!disabled}, a dummy
-    whose operations reduce to one branch. *)
+    named [name] with [node]/[peer] fields.  On {!disabled}, one
+    shared inert tracker (the same value for every call, allocated
+    once): its operations reduce to one branch and never write it, so
+    it is safe to share across nodes and domains. *)
 
 val rtt_start : rtt -> node:int -> peer:int -> unit
 (** [rtt_start r ~node ~peer] records that [node] sent [peer] a
@@ -315,6 +320,17 @@ val rtt_finish : rtt -> peer:int -> unit
 (** [rtt_finish r ~peer] completes the pending round trip to [peer],
     if any: observes [now - start] into the sketch and closes the
     span.  No-op when no request to [peer] is pending. *)
+
+val rtt_abandon : rtt -> peer:int -> unit
+(** [rtt_abandon r ~peer] forgets the pending round trip to [peer], if
+    any, without observing it: the caller has given up on the request
+    (retries exhausted, peer evicted).  Like a superseded request, the
+    abandoned span emits nothing.  Without it, a request that is never
+    answered stays pending for the tracker's lifetime. *)
+
+val rtt_pending : rtt -> int
+(** [rtt_pending r] is the number of round trips started and neither
+    finished nor abandoned ([0] on {!disabled}). *)
 
 (** {1 Rendering}
 

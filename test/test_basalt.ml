@@ -493,6 +493,125 @@ let eviction_resets_slots_and_reoffers () =
   check_int "every slot refilled from the snapshot" 8 (Array.length view);
   check_bool "survivor everywhere" true (Array.for_all (Int.equal 1) view)
 
+(* --- Per-node footprint --- *)
+
+module Obs = Basalt_obs.Obs
+
+(* Words one node of a 200-node run retains (v = 160, a distinct
+   200-id bootstrap as [Runner] draws it, disabled telemetry): the
+   seen-cache sized for the bootstrap (512 cells, 1025 words), the four
+   slot int arrays (4 x 161), the boxed seeds (481), its PRNG, record
+   and sampler closures — 2246 words measured.  The batch scratch and
+   the RTT tracker are shared, so they are not per node; a node that
+   owned them would carry another 603 + 1446 words. *)
+let words_per_node_budget = 2400
+
+let basalt_per_node_footprint () =
+  let config = Config.make ~v:160 ~k:80 () in
+  let r = Basalt_prng.Rng.create ~seed:42 in
+  let maker = Basalt.sampler ~config ~obs:Obs.disabled () in
+  let send ~dst:_ _ = () in
+  let nodes =
+    Array.init 200 (fun i ->
+        let bootstrap =
+          Array.map id (Basalt_prng.Rng.sample_indices r ~k:200 ~n:3000)
+        in
+        maker ~id:(id i) ~bootstrap ~rng:r ~send)
+  in
+  let per_node = Obj.reachable_words (Obj.repr nodes) / Array.length nodes in
+  if per_node > words_per_node_budget then
+    Alcotest.failf "%d words per node, over the budget of %d" per_node
+      words_per_node_budget
+
+let disabled_rtt_is_shared () =
+  let a = Obs.rtt Obs.disabled ~name:"basalt.pull" in
+  let b = Obs.rtt Obs.disabled ~name:"brahms.pull" in
+  check_bool "one tracker for every caller" true (a == b);
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Obs.rtt Obs.disabled ~name:"basalt.pull"))
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  (* [Gc.allocated_bytes] boxes its own float result: a few words. *)
+  check_bool
+    (Printf.sprintf "100 trackers allocate nothing (%.0f bytes)" allocated)
+    true (allocated < 256.0);
+  Obs.rtt_start a ~node:0 ~peer:1;
+  check_int "nothing is ever recorded in it" 0 (Obs.rtt_pending b)
+
+(* Nodes of one [factory] share their [update_sample] scratch; nodes
+   made by [create] each own one.  Interleaving the shared nodes' calls,
+   with batches that grow the scratch midway, must leave every view and
+   every slot rank exactly as the private nodes have them. *)
+let shared_scratch_matches_private () =
+  let config = Config.make ~v:32 ~k:8 () in
+  let send ~dst:_ _ = () in
+  let boot i = Array.init (10 + (7 * i)) (fun j -> id (1 + j + (50 * i))) in
+  let seeded i = Basalt_prng.Rng.create ~seed:(100 + i) in
+  let make = Basalt.factory ~config () in
+  let shared =
+    Array.init 4 (fun i ->
+        make ~id:(id (10_000 + i)) ~bootstrap:(boot i) ~rng:(seeded i) ~send)
+  in
+  let own =
+    Array.init 4 (fun i ->
+        Basalt.create ~config ~id:(id (10_000 + i)) ~bootstrap:(boot i)
+          ~rng:(seeded i) ~send ())
+  in
+  let r = Basalt_prng.Rng.create ~seed:7 in
+  for step = 1 to 400 do
+    let i = Basalt_prng.Rng.int r 4 in
+    let len = 1 + Basalt_prng.Rng.int r (if step < 200 then 20 else 300) in
+    let batch = Array.init len (fun _ -> id (Basalt_prng.Rng.int r 5000)) in
+    Basalt.update_sample shared.(i) batch;
+    Basalt.update_sample own.(i) batch;
+    if step mod 50 = 0 then begin
+      ignore (Basalt.sample_tick shared.(i));
+      ignore (Basalt.sample_tick own.(i))
+    end
+  done;
+  Array.iteri
+    (fun i a ->
+      let b = own.(i) in
+      check_bool
+        (Printf.sprintf "node %d views" i)
+        true
+        (Basalt.view_slots a = Basalt.view_slots b);
+      check_bool
+        (Printf.sprintf "node %d slot ranks" i)
+        true
+        (Basalt.slot_ranks a = Basalt.slot_ranks b))
+    shared
+
+(* A node that keeps pulling silent peers must not keep their pulls
+   pending forever: evicting a peer abandons its pull, so over an
+   enabled registry the RTT tracker holds only the pulls of the last
+   few rounds however many peers went silent. *)
+let evicted_pulls_leave_rtt_tracker () =
+  let limit = 2 in
+  let t =
+    Basalt.create
+      ~config:(Config.make ~v:8 ~k:2 ~evict_after_rounds:limit ())
+      ~obs:(Obs.create ()) ~id:(id 0)
+      ~bootstrap:(Array.init 8 (fun i -> id (i + 1)))
+      ~rng:(rng ())
+      ~send:(fun ~dst:_ _ -> ())
+      ()
+  in
+  let most = ref 0 in
+  for round = 1 to 500 do
+    (* A fresh peer announces itself once, then never answers. *)
+    let fresh = id (1000 + round) in
+    Basalt.on_message t ~from:fresh (Message.Push_id fresh);
+    Basalt.on_round t;
+    most := Int.max !most (Basalt.pending_pulls t)
+  done;
+  check_bool "pulls were tracked" true (!most > 0);
+  check_bool
+    (Printf.sprintf "pending pulls bounded (peak %d)" !most)
+    true
+    (!most <= limit + 2)
+
 (* --- Sample_stream --- *)
 
 let stream_basics () =
@@ -924,6 +1043,16 @@ let () =
             probe_recorded_before_send;
           Alcotest.test_case "eviction resets and re-offers" `Quick
             eviction_resets_slots_and_reoffers;
+          Alcotest.test_case "evicted pulls leave rtt tracker" `Quick
+            evicted_pulls_leave_rtt_tracker;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "per-node words" `Quick basalt_per_node_footprint;
+          Alcotest.test_case "disabled rtt is shared" `Quick
+            disabled_rtt_is_shared;
+          Alcotest.test_case "shared scratch matches private" `Quick
+            shared_scratch_matches_private;
         ] );
       ( "sample_stream",
         [

@@ -255,6 +255,32 @@ let prop_samplers_permutation_invariant =
       feed b (List.rev ids);
       Brahms.sampler_outputs a = Brahms.sampler_outputs b)
 
+(* Words one node of a 200-node run retains (l = 160, a distinct
+   64-id bootstrap, disabled telemetry): its 160 min-wise samplers, its
+   view, its PRNG and its record — 1591 words measured.  The RTT
+   tracker of a disabled registry is shared; a node that owned one
+   would carry another 1446 words. *)
+let words_per_node_budget = 2000
+
+let brahms_per_node_footprint () =
+  let r = Basalt_prng.Rng.create ~seed:42 in
+  let maker =
+    Brahms.sampler ~config:(Brahms_config.make ~l:160 ())
+      ~obs:Basalt_obs.Obs.disabled ()
+  in
+  let send ~dst:_ _ = () in
+  let nodes =
+    Array.init 200 (fun i ->
+        let bootstrap =
+          Array.map id (Basalt_prng.Rng.sample_indices r ~k:64 ~n:20_000)
+        in
+        maker ~id:(id i) ~bootstrap ~rng:r ~send)
+  in
+  let per_node = Obj.reachable_words (Obj.repr nodes) / Array.length nodes in
+  if per_node > words_per_node_budget then
+    Alcotest.failf "%d words per node, over the budget of %d" per_node
+      words_per_node_budget
+
 let () =
   Alcotest.run "brahms"
     [
@@ -283,6 +309,8 @@ let () =
           Alcotest.test_case "message budget knobs" `Quick
             brahms_message_budget_knobs;
           Alcotest.test_case "sampler interface" `Quick brahms_sampler_interface;
+          Alcotest.test_case "per-node footprint" `Quick
+            brahms_per_node_footprint;
         ] );
       Check.suite "properties"
         [

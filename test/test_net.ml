@@ -224,6 +224,42 @@ let udp_retry_backoff_capped () =
     (Udp_node.stats node).Udp_node.datagrams_out;
   Udp_node.close node
 
+(* A pull whose retries are exhausted is given up, and must leave the
+   RTT tracker with it: a daemon always runs with a registry, and in a
+   churning network it pulls ever more dead peers.  Over 64 silent
+   peers the tracker holds only the pulls of the last retry window. *)
+let udp_exhausted_pulls_leave_rtt_tracker () =
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let retry =
+    {
+      Udp_node.timeout = 1.0;
+      backoff = 1.0;
+      max_timeout = 1.0;
+      max_attempts = 1;
+      jitter = 0.0;
+    }
+  in
+  let node =
+    Udp_node.create
+      ~config:(Basalt_core.Config.make ~v:64 ~k:1 ~tau:1.0 ())
+      ~obs:(Basalt_obs.Obs.create ~clock:(fun () -> !vtime) ())
+      ~retry ~loop ~listen:(localhost 0)
+      ~bootstrap:(List.init 64 (fun _ -> dead_endpoint ()))
+      ~seed:3 ()
+  in
+  let most = ref 0 in
+  for step = 1 to 600 do
+    vtime := 0.5 *. float_of_int step;
+    Event_loop.run_due_timers loop;
+    most := Int.max !most (Udp_node.pending_pulls node)
+  done;
+  check_bool "pulls were tracked" true (!most > 0);
+  check_bool
+    (Printf.sprintf "pending pulls bounded (peak %d)" !most)
+    true (!most <= 4);
+  Udp_node.close node
+
 let udp_retry_cleared_by_reply () =
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   let config =
@@ -502,6 +538,8 @@ let () =
             `Quick udp_retry_backoff_capped;
           Alcotest.test_case "reply cancels pending retries" `Quick
             udp_retry_cleared_by_reply;
+          Alcotest.test_case "exhausted pulls leave rtt tracker" `Quick
+            udp_exhausted_pulls_leave_rtt_tracker;
           Alcotest.test_case "self-injected loss drops datagrams" `Quick
             udp_inject_loss_drops;
           Alcotest.test_case "self-injected delay postpones datagrams" `Quick

@@ -1,4 +1,4 @@
-(* Tests for basalt.prng: SplitMix64, Xoshiro256++, Rng, Zipf. *)
+(* Tests for basalt.prng: SplitMix64, Xoshiro256++, Rng. *)
 
 open Basalt_prng
 
@@ -262,50 +262,6 @@ let rng_determinism () =
     check_i64 "same seed same stream" (Rng.int64 a) (Rng.int64 b)
   done
 
-(* --- Zipf --- *)
-
-let zipf_validation () =
-  Alcotest.check_raises "n=0" (Invalid_argument "Zipf.create: n must be positive")
-    (fun () -> ignore (Zipf.create ~n:0 ~s:1.0));
-  Alcotest.check_raises "s<0"
-    (Invalid_argument "Zipf.create: s must be non-negative") (fun () ->
-      ignore (Zipf.create ~n:5 ~s:(-1.0)))
-
-let zipf_probabilities_sum () =
-  let z = Zipf.create ~n:50 ~s:1.2 in
-  let total = ref 0.0 in
-  for i = 0 to 49 do
-    total := !total +. Zipf.probability z i
-  done;
-  check_bool "sums to 1" true (Float.abs (!total -. 1.0) < 1e-9)
-
-let zipf_monotone () =
-  let z = Zipf.create ~n:20 ~s:1.0 in
-  for i = 0 to 18 do
-    check_bool "decreasing" true
-      (Zipf.probability z i >= Zipf.probability z (i + 1))
-  done
-
-let zipf_uniform_when_s0 () =
-  let z = Zipf.create ~n:10 ~s:0.0 in
-  for i = 0 to 9 do
-    check_bool "uniform" true (Float.abs (Zipf.probability z i -. 0.1) < 1e-9)
-  done
-
-let zipf_sample_range_and_skew () =
-  let t = rng () in
-  let z = Zipf.create ~n:100 ~s:1.5 in
-  let first = ref 0 in
-  let n = 20_000 in
-  for _ = 1 to n do
-    let x = Zipf.sample z t in
-    check_bool "in range" true (x >= 0 && x < 100);
-    if x = 0 then incr first
-  done;
-  let freq = float_of_int !first /. float_of_int n in
-  let p0 = Zipf.probability z 0 in
-  check_bool "rank-0 frequency matches" true (Float.abs (freq -. p0) < 0.02)
-
 (* --- lib/check properties --- *)
 
 module Check = Basalt_check.Check
@@ -408,15 +364,6 @@ let () =
           Alcotest.test_case "geometric" `Slow rng_geometric;
           Alcotest.test_case "split decorrelates" `Quick rng_split_decorrelates;
           Alcotest.test_case "determinism" `Quick rng_determinism;
-        ] );
-      ( "zipf",
-        [
-          Alcotest.test_case "validation" `Quick zipf_validation;
-          Alcotest.test_case "probabilities sum" `Quick zipf_probabilities_sum;
-          Alcotest.test_case "monotone" `Quick zipf_monotone;
-          Alcotest.test_case "uniform when s=0" `Quick zipf_uniform_when_s0;
-          Alcotest.test_case "sample range and skew" `Slow
-            zipf_sample_range_and_skew;
         ] );
       Check.suite "properties"
         [
