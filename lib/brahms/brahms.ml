@@ -3,8 +3,24 @@ module Message = Basalt_proto.Message
 module Rps = Basalt_proto.Rps
 module View_ops = Basalt_proto.View_ops
 module Rng = Basalt_prng.Rng
-module Slot = Basalt_core.Slot
+module Rank = Basalt_hashing.Rank
 module Obs = Basalt_obs.Obs
+
+(* Batch scratch for [offer_batch]: per candidate, its id and its
+   identifier-side digest, plus a column of zeros that — against the
+   constant slot stamp 1 — makes the shared kernel rank every candidate
+   (Brahms keeps no seen-cache).  Grown on demand to the largest batch
+   seen.  Every node of one [sampler] maker shares one scratch, as with
+   [Basalt.factory]: a batch is filled and drained within one call that
+   calls out to nothing, and a maker's nodes belong to one run, which
+   handles one event at a time. *)
+type scratch = {
+  mutable raw : int array;
+  mutable dig : int array;
+  mutable since : int array;
+}
+
+let fresh_scratch () = { raw = [||]; dig = [||]; since = [||] }
 
 type t = {
   config : Brahms_config.t;
@@ -12,11 +28,18 @@ type t = {
   rng : Rng.t;
   send : Rps.send;
   mutable view : Node_id.t array;
-  samplers : Slot.t array;
+  (* The sampler vector 𝒮 as struct-of-arrays: sampler [i] is
+     [(seeds.(i), holders.(i), best_ranks.(i))], the layout
+     [Rank.offer_slot] works on. *)
+  seeds : Rank.seed array;
+  holders : int array;  (* holders.(i) < 0 means sampler i is empty *)
+  best_ranks : int array;  (* max_int when empty *)
+  scratch : scratch;  (* shared with the other nodes of its maker *)
   mutable pending_push : Node_id.t list;
   mutable pending_push_count : int;  (* push messages, for the limit *)
-  mutable pending_pull : Node_id.t list;
-  mutable got_pull_reply : bool;
+  (* This round's pull replies, newest first.  Message payloads are
+     never mutated once sent, so the arrays are kept as received. *)
+  mutable pending_pull : Node_id.t array list;
   mutable next_reset : int;
   mutable blocked : int;
   mutable emitted : int;
@@ -36,25 +59,63 @@ type t = {
 let config t = t.config
 let id t = t.id
 
-let feed_samplers t ids =
-  let skip_self = t.config.Brahms_config.exclude_self in
-  let backend = t.config.Brahms_config.backend in
-  List.iter
-    (fun id ->
-      if not (skip_self && Node_id.equal id t.id) then begin
-        let prepared = Basalt_hashing.Rank.prepare backend (Node_id.to_int id) in
-        Obs.Counter.add t.c_rank_evals (Array.length t.samplers);
-        Array.iter (fun s -> ignore (Slot.offer_prepared s id prepared)) t.samplers
-      end)
-    ids
+let ensure_batch_capacity sc n =
+  if Array.length sc.raw < n then begin
+    let cap = Int.max n (2 * Array.length sc.raw) in
+    sc.raw <- Array.make cap 0;
+    sc.dig <- Array.make cap 0;
+    sc.since <- Array.make cap 0
+  end
 
-let create ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
+(* Offers the [len] candidates staged in the scratch to every sampler:
+   per sampler, one kernel call over the batch.  Each sampler sees the
+   candidates in arrival order, as an id-major feed would offer them, so
+   holders and ranks are those of offering one id at a time. *)
+let offer_batch t len =
+  let sc = t.scratch in
+  let seeds = t.seeds in
+  let evals = ref 0 in
+  for i = 0 to Array.length seeds - 1 do
+    evals :=
+      !evals
+      + Rank.offer_slot (Array.unsafe_get seeds i) ~stamp:1 ~raw:sc.raw
+          ~dig:sc.dig ~since:sc.since ~len ~best_ranks:t.best_ranks
+          ~holders:t.holders i
+  done;
+  Obs.Counter.add t.c_rank_evals !evals
+
+(* Stages [cand] at index [len] of the scratch, unless it is the node's
+   own id under [exclude_self]; returns the new batch length.  The
+   caller has ensured the capacity. *)
+let stage t len (cand : Node_id.t) =
+  let cand = (cand :> int) in
+  if t.config.Brahms_config.exclude_self && Int.equal cand (t.id :> int)
+  then len
+  else begin
+    Array.unsafe_set t.scratch.raw len cand;
+    Array.unsafe_set t.scratch.dig len (Rank.digest cand);
+    len + 1
+  end
+
+let feed_samplers t ids =
+  ensure_batch_capacity t.scratch (Array.length ids);
+  let len = ref 0 in
+  for j = 0 to Array.length ids - 1 do
+    len := stage t !len (Array.unsafe_get ids j)
+  done;
+  if !len > 0 then offer_batch t !len
+
+let feed_sampler t id =
+  ensure_batch_capacity t.scratch 1;
+  if stage t 0 id > 0 then offer_batch t 1
+
+let make ~scratch ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
     ~bootstrap ~rng ~send () =
   let rng = Rng.split rng in
   let send = Basalt_codec.Metered.send obs ~proto:"brahms" send in
-  let samplers =
-    Array.init config.Brahms_config.l (fun _ ->
-        Slot.create config.Brahms_config.backend rng)
+  let l = config.Brahms_config.l in
+  let seeds =
+    Array.init l (fun _ -> Rank.fresh config.Brahms_config.backend rng)
   in
   let initial_view =
     let candidates =
@@ -66,7 +127,7 @@ let create ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
     (* lint: allow D10 — bootstrap-time entanglement: samplers and the
        initial view consume the one creation stream in a fixed order that
        the pinned Brahms outcomes depend on; a split would change them. *)
-    View_ops.random_subset rng ~k:config.Brahms_config.l candidates
+    View_ops.random_subset rng ~k:l candidates
   in
   let t =
     {
@@ -75,11 +136,13 @@ let create ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
       rng;
       send;
       view = initial_view;
-      samplers;
+      seeds;
+      holders = Array.make l (-1);
+      best_ranks = Array.make l max_int;
+      scratch;
       pending_push = [];
       pending_push_count = 0;
       pending_pull = [];
-      got_pull_reply = false;
       next_reset = 0;
       blocked = 0;
       emitted = 0;
@@ -93,17 +156,42 @@ let create ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
       rtt = Obs.rtt obs ~name:"brahms.pull";
     }
   in
-  feed_samplers t (Array.to_list bootstrap);
+  feed_samplers t bootstrap;
   t
 
+let create ?config ?obs ~id ~bootstrap ~rng ~send () =
+  make ~scratch:(fresh_scratch ()) ?config ?obs ~id ~bootstrap ~rng ~send ()
+
 let sampler_outputs t =
-  let out = ref [] in
-  for i = Array.length t.samplers - 1 downto 0 do
-    match Slot.peer t.samplers.(i) with
-    | Some p -> out := p :: !out
-    | None -> ()
-  done;
-  Array.of_list !out
+  let holders = t.holders in
+  let filled = ref 0 in
+  Array.iter (fun h -> if h >= 0 then incr filled) holders;
+  let out = Array.make !filled t.id in
+  let k = ref 0 in
+  Array.iter
+    (fun h ->
+      if h >= 0 then begin
+        out.(!k) <- Node_id.of_int h;
+        incr k
+      end)
+    holders;
+  out
+
+(* This round's pulled ids, newest reply first and each reply reversed:
+   the order in which prepending every reply's ids to one list would
+   hold them. *)
+let pulled_ids t =
+  let n = List.fold_left (fun acc r -> acc + Array.length r) 0 t.pending_pull in
+  let out = Array.make n t.id in
+  let k = ref 0 in
+  List.iter
+    (fun r ->
+      for j = Array.length r - 1 downto 0 do
+        out.(!k) <- r.(j);
+        incr k
+      done)
+    t.pending_pull;
+  out
 
 (* Rebuild the view per Eq. (2):
    rand(alpha*l, pushed) ∪ rand(beta*l, pulled) ∪ rand(gamma*l, samplers). *)
@@ -119,7 +207,7 @@ let rebuild_view t =
     t.blocked <- t.blocked + 1;
     false
   end
-  else if t.pending_push = [] || not t.got_pull_reply then
+  else if List.is_empty t.pending_push || List.is_empty t.pending_pull then
     (* Original Brahms only rebuilds when the round yielded both pushed
        and pulled identifiers; otherwise the previous view persists.
        This gating is part of Brahms's resilience: the push channel is
@@ -129,7 +217,7 @@ let rebuild_view t =
     false
   else begin
     let pushed = View_ops.distinct (Array.of_list t.pending_push) in
-    let pulled = View_ops.distinct (Array.of_list t.pending_pull) in
+    let pulled = View_ops.distinct (pulled_ids t) in
     let sampled = View_ops.distinct (sampler_outputs t) in
     let take frac arr =
       let k = int_of_float (Float.round (frac *. l)) in
@@ -157,7 +245,6 @@ let on_round t =
   t.pending_push <- [];
   t.pending_push_count <- 0;
   t.pending_pull <- [];
-  t.got_pull_reply <- false;
   for _ = 1 to t.config.Brahms_config.pushes_per_round do
     match View_ops.random_member t.rng t.view with
     | Some p ->
@@ -181,7 +268,7 @@ let on_message t ~from msg =
   | Message.Push_id id ->
       t.pending_push <- id :: t.pending_push;
       t.pending_push_count <- t.pending_push_count + 1;
-      feed_samplers t [ id ]
+      feed_sampler t id
   | Message.Push ids ->
       (* Brahms pushes carry exactly the sender's identifier (§4.3: "limit
          pushed IDs to a peer's own ID").  A multi-identifier push — the
@@ -191,30 +278,31 @@ let on_message t ~from msg =
       ignore ids;
       t.pending_push <- from :: t.pending_push;
       t.pending_push_count <- t.pending_push_count + 1;
-      feed_samplers t [ from ]
+      feed_sampler t from
   | Message.Pull_reply ids ->
       Obs.rtt_finish t.rtt ~peer:(Node_id.to_int from);
-      t.pending_pull <- List.rev_append (Array.to_list ids) t.pending_pull;
-      t.got_pull_reply <- true;
-      feed_samplers t (Array.to_list ids)
+      t.pending_pull <- ids :: t.pending_pull;
+      feed_samplers t ids
   (* Broadcast frames are the lib/gossip layer's; samplers ignore them. *)
   | Message.Gossip _ | Message.Ihave _ | Message.Iwant _ | Message.Graft
   | Message.Prune ->
       ()
 
 let sample_tick t =
-  let l = Array.length t.samplers in
+  let l = Array.length t.seeds in
   let samples = ref [] in
   for _ = 1 to t.config.Brahms_config.k do
     let i = t.next_reset in
     t.next_reset <- (t.next_reset + 1) mod l;
-    (match Slot.peer t.samplers.(i) with
-    | Some p ->
-        samples := p :: !samples;
-        t.emitted <- t.emitted + 1;
-        Obs.Counter.incr t.c_samples
-    | None -> ());
-    Slot.reset t.config.Brahms_config.backend t.rng t.samplers.(i);
+    let h = t.holders.(i) in
+    if h >= 0 then begin
+      samples := Node_id.of_int h :: !samples;
+      t.emitted <- t.emitted + 1;
+      Obs.Counter.incr t.c_samples
+    end;
+    t.seeds.(i) <- Rank.fresh t.config.Brahms_config.backend t.rng;
+    t.holders.(i) <- -1;
+    t.best_ranks.(i) <- max_int;
     Obs.Counter.incr t.c_slot_resets
   done;
   List.rev !samples
@@ -223,13 +311,14 @@ let view t = t.view
 let blocked_rounds t = t.blocked
 
 let sampler ?config ?obs () : Rps.maker =
- fun ~id ~bootstrap ~rng ~send ->
-  let t = create ?config ?obs ~id ~bootstrap ~rng ~send () in
-  {
-    Rps.protocol = "brahms";
-    node = id;
-    on_message = (fun ~from msg -> on_message t ~from msg);
-    on_round = (fun () -> on_round t);
-    sample_tick = (fun () -> sample_tick t);
-    current_view = (fun () -> view t);
-  }
+  let scratch = fresh_scratch () in
+  fun ~id ~bootstrap ~rng ~send ->
+    let t = make ~scratch ?config ?obs ~id ~bootstrap ~rng ~send () in
+    {
+      Rps.protocol = "brahms";
+      node = id;
+      on_message = (fun ~from msg -> on_message t ~from msg);
+      on_round = (fun () -> on_round t);
+      sample_tick = (fun () -> sample_tick t);
+      current_view = (fun () -> view t);
+    }

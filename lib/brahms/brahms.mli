@@ -78,6 +78,10 @@ val sampler :
   unit ->
   Basalt_proto.Rps.maker
 (** [sampler ?config ()] packages the protocol for the simulation runner
-    ([obs] is threaded to {!create}).
+    ([obs] is threaded to every node).  The nodes one maker builds are
+    {!create}'s, except that they share the arrays their sampler feed
+    stages ids in (instead of one set per node); every output is
+    identical.  A maker therefore belongs to one run: make one per run,
+    as [Runner.run] does, never one shared by runs on several domains.
     The service's [current_view] is 𝒱 and its emitted samples come from
     the sampler vector 𝒮, matching the paper's measurement methodology. *)

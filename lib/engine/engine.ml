@@ -242,11 +242,13 @@ let schedule t ~delay f =
 let every t ?phase ~interval f =
   if interval <= 0.0 then invalid_arg "Engine.every: interval must be > 0";
   let phase = Option.value phase ~default:interval in
-  let rec fire () =
+  (* One [Timer] value serves every firing: it re-queues itself. *)
+  let rec timer = Timer fire
+  and fire () =
     f ();
-    Event_queue.push t.queue ~time:(t.clock +. interval) (Timer fire)
+    Event_queue.push t.queue ~time:(t.clock +. interval) timer
   in
-  Event_queue.push t.queue ~time:(t.clock +. phase) (Timer fire)
+  Event_queue.push t.queue ~time:(t.clock +. phase) timer
 
 let execute t event =
   t.events <- t.events + 1;
@@ -273,28 +275,32 @@ let execute t event =
           Obs.span_end ~fields:[ ("outcome", Obs.Str "ignore") ] t.obs span;
           if Obs.tracing t.obs then trace_msg t "engine.ignore" ~src ~dst msg)
 
+(* Executes the earliest event, due at [time] (its [Event_queue.top_time]),
+   advancing the clock to it. *)
+let execute_top t time =
+  let event = Event_queue.take t.queue in
+  if time > t.clock then t.clock <- time;
+  execute t event
+
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, event) ->
-      t.clock <- max t.clock time;
-      execute t event;
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    execute_top t (Event_queue.top_time t.queue);
+    true
+  end
 
 let run_until t horizon =
   let rec loop () =
-    match Event_queue.peek_time t.queue with
-    | Some time when time <= horizon -> (
-        match Event_queue.pop t.queue with
-        | Some (time, event) ->
-            t.clock <- max t.clock time;
-            execute t event;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
+    if not (Event_queue.is_empty t.queue) then begin
+      let time = Event_queue.top_time t.queue in
+      if time <= horizon then begin
+        execute_top t time;
+        loop ()
+      end
+    end
   in
   loop ();
-  t.clock <- max t.clock horizon
+  if horizon > t.clock then t.clock <- horizon
 
 let stats t =
   {

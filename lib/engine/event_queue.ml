@@ -1,72 +1,114 @@
-type 'a entry = { time : float; seq : int; value : 'a }
-
+(* A binary min-heap in struct-of-arrays form: entry [i] is
+   [(times.(i), seqs.(i), values.(i))].  Times live unboxed in a
+   [Float.Array], so a push or a take allocates nothing beyond the
+   occasional doubling; sifts move a hole and write each entry once
+   instead of swapping.  Slots at indices [>= len] are stale. *)
 type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] slots at indices >= [len] are stale; a dummy entry fills slot 0
-     of a fresh queue until the first push. *)
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable values : 'a array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0 }
+let create () =
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    values = [||];
+    len = 0;
+    next_seq = 0;
+  }
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow q entry =
-  let capacity = Array.length q.heap in
+(* [filler] initialises the fresh value slots: a [values] array cannot
+   be made without an element of its type. *)
+let grow q filler =
+  let capacity = Array.length q.seqs in
   if q.len = capacity then begin
-    let new_capacity = max 16 (2 * capacity) in
-    let heap = Array.make new_capacity entry in
-    Array.blit q.heap 0 heap 0 q.len;
-    q.heap <- heap
+    let capacity = Int.max 16 (2 * capacity) in
+    let times = Float.Array.create capacity in
+    Float.Array.blit q.times 0 times 0 q.len;
+    let seqs = Array.make capacity 0 in
+    Array.blit q.seqs 0 seqs 0 q.len;
+    let values = Array.make capacity filler in
+    Array.blit q.values 0 values 0 q.len;
+    q.times <- times;
+    q.seqs <- seqs;
+    q.values <- values
   end
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before q.heap.(i) q.heap.(parent) then begin
-      let tmp = q.heap.(i) in
-      q.heap.(i) <- q.heap.(parent);
-      q.heap.(parent) <- tmp;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let smallest = ref i in
-  if left < q.len && before q.heap.(left) q.heap.(!smallest) then
-    smallest := left;
-  if right < q.len && before q.heap.(right) q.heap.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = q.heap.(i) in
-    q.heap.(i) <- q.heap.(!smallest);
-    q.heap.(!smallest) <- tmp;
-    sift_down q !smallest
-  end
+let[@inline] move q ~src ~dst =
+  Float.Array.unsafe_set q.times dst (Float.Array.unsafe_get q.times src);
+  Array.unsafe_set q.seqs dst (Array.unsafe_get q.seqs src);
+  Array.unsafe_set q.values dst (Array.unsafe_get q.values src)
 
 let push q ~time value =
-  let entry = { time; seq = q.next_seq; value } in
-  q.next_seq <- q.next_seq + 1;
-  grow q entry;
-  q.heap.(q.len) <- entry;
+  grow q value;
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  (* The new entry's sequence number is the largest in the heap, so it
+     rises above a parent only with a strictly earlier time. *)
+  let i = ref q.len in
   q.len <- q.len + 1;
-  sift_up q (q.len - 1)
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if time < Float.Array.unsafe_get q.times parent then begin
+      move q ~src:parent ~dst:!i;
+      i := parent
+    end
+    else rising := false
+  done;
+  Float.Array.unsafe_set q.times !i time;
+  Array.unsafe_set q.seqs !i seq;
+  Array.unsafe_set q.values !i value
 
-let pop q =
-  if q.len = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.len <- q.len - 1;
-    if q.len > 0 then begin
-      q.heap.(0) <- q.heap.(q.len);
-      sift_down q 0
-    end;
-    Some (top.time, top.value)
-  end
+let[@inline] before q i ~time ~seq =
+  let ti = Float.Array.unsafe_get q.times i in
+  ti < time || (ti = time && Array.unsafe_get q.seqs i < seq)
 
-let peek_time q = if q.len = 0 then None else Some q.heap.(0).time
+let top_time q =
+  if q.len = 0 then invalid_arg "Event_queue.top_time: empty queue";
+  Float.Array.unsafe_get q.times 0
+
+let take q =
+  if q.len = 0 then invalid_arg "Event_queue.take: empty queue";
+  let top = Array.unsafe_get q.values 0 in
+  let n = q.len - 1 in
+  q.len <- n;
+  if n > 0 then begin
+    (* Sift the hole at the root down, then fill it with the last entry. *)
+    let time = Float.Array.unsafe_get q.times n in
+    let seq = Array.unsafe_get q.seqs n in
+    let value = Array.unsafe_get q.values n in
+    let i = ref 0 in
+    let sinking = ref true in
+    while !sinking do
+      let left = (2 * !i) + 1 in
+      if left >= n then sinking := false
+      else begin
+        let right = left + 1 in
+        let child =
+          if
+            right < n
+            && before q right
+                 ~time:(Float.Array.unsafe_get q.times left)
+                 ~seq:(Array.unsafe_get q.seqs left)
+          then right
+          else left
+        in
+        if before q child ~time ~seq then begin
+          move q ~src:child ~dst:!i;
+          i := child
+        end
+        else sinking := false
+      end
+    done;
+    Float.Array.unsafe_set q.times !i time;
+    Array.unsafe_set q.seqs !i seq;
+    Array.unsafe_set q.values !i value
+  end;
+  top
+
 let size q = q.len
 let is_empty q = q.len = 0

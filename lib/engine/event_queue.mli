@@ -2,7 +2,11 @@
 
     A binary min-heap ordered by [(time, sequence)]: events scheduled for
     the same instant are delivered in insertion order, which keeps
-    simulation runs fully deterministic. *)
+    simulation runs fully deterministic.  The heap is struct-of-arrays —
+    unboxed times, sequence numbers and payloads in three parallel
+    arrays — so {!push}, {!top_time} and {!take} allocate nothing but the
+    occasional doubling of the arrays (and, across a module boundary, the
+    box of the float {!top_time} returns). *)
 
 type 'a t
 (** A queue of events carrying values of type ['a]. *)
@@ -13,12 +17,14 @@ val create : unit -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 (** [push q ~time v] schedules [v] at [time]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** [pop q] removes and returns the earliest event, or [None] if empty. *)
+val top_time : 'a t -> float
+(** [top_time q] is the timestamp of the earliest event, which stays
+    queued.  @raise Invalid_argument if [q] is empty. *)
 
-val peek_time : 'a t -> float option
-(** [peek_time q] is the timestamp of the earliest event without removing
-    it. *)
+val take : 'a t -> 'a
+(** [take q] removes the earliest event and returns its value; read its
+    time with {!top_time} first.  @raise Invalid_argument if [q] is
+    empty. *)
 
 val size : 'a t -> int
 (** [size q] is the number of pending events. *)

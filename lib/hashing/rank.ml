@@ -121,11 +121,4 @@ let offer_slot seed ~stamp ~(raw : int array) ~(dig : int array)
   Array.unsafe_set holders i !holder;
   !evals
 
-(* [mixed] caches the identifier-side half of the cheap mixer;
-   [raw] keeps the identifier for backends that hash it whole. *)
-type prepared = { raw : int; mixed : int }
-
-let prepare _backend id = { raw = id; mixed = Mix.mix63 id }
-let rank_prepared seed p = rank_digested seed ~id:p.raw ~digest:p.mixed
-
 let pp ppf s = Format.fprintf ppf "seed:%#x" (seed_value s)

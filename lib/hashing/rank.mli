@@ -27,7 +27,7 @@
       share instead of its identifier share.  The trade-off: sampling is
       uniform over prefixes, not over nodes.
 
-    Every cached/prepared evaluation path returns bit-identical rank
+    Every cached evaluation path returns bit-identical rank
     values to the plain formula — the differential suites in
     [test_hashing.ml] and [test_basalt.ml] pin the equality.  The test
     suite also checks that the cheap and SipHash backends produce
@@ -63,29 +63,15 @@ val rank : seed -> int -> int
     [seed]; lower ranks are better matches.  Deterministic in
     [(seed, id)]. *)
 
-type prepared
-(** A candidate identifier pre-digested for repeated ranking.  Offering
-    one identifier to all [v] slots of a view evaluates [v] ranks of the
-    same identifier under different seeds; preparing the identifier once
-    hoists the identifier-side mixing out of that loop. *)
-
-val prepare : backend -> int -> prepared
-(** [prepare backend id] pre-digests [id] for the given backend. *)
-
-val rank_prepared : seed -> prepared -> int
-(** [rank_prepared seed p] equals [rank seed id] for the [id] that [p] was
-    prepared from (under the same backend). *)
-
 val digest : int -> int
 (** [digest id] is the identifier-side half of the cheap mixers
-    ([Mix.mix63 id]), exposed unboxed for batch loops that keep
-    candidate digests in an [int array] instead of a {!prepared} per
-    candidate (the struct-of-arrays pass in [Basalt.update_sample]). *)
+    ([Mix.mix63 id]), for batch loops that keep candidate digests in an
+    [int array] (the batches {!offer_slot} scans). *)
 
 val rank_digested : seed -> id:int -> digest:int -> int
 (** [rank_digested seed ~id ~digest] equals [rank seed id] provided
     [digest = digest id]; the allocation-free hot-path primitive behind
-    {!rank} and {!rank_prepared}. *)
+    {!rank} and {!offer_slot}. *)
 
 val offer_slot :
   seed ->
@@ -107,8 +93,11 @@ val offer_slot :
     ([holders.(i) < 0]).  The final best rank and holder are written back
     to [best_ranks.(i)] and [holders.(i)].  Returns the number of ranks
     evaluated.  Rank values equal {!rank_digested}'s; the cheap backends
-    are evaluated inline, without a call per candidate (the miss path of
-    [Basalt.update_sample], DESIGN.md §4). *)
+    are evaluated inline, without a call per candidate.  The one slot
+    kernel of the repository: Basalt's view slots
+    ([Basalt.update_sample], whose seen-cache supplies [since]) and
+    Brahms's samplers (a [since] of zeros and [stamp] 1, so every
+    candidate is ranked) both run on it (DESIGN.md §4). *)
 
 val seed_value : seed -> int
 (** [seed_value s] exposes the raw seed integer (for diagnostics). *)

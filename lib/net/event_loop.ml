@@ -32,17 +32,12 @@ let every t ?phase ~interval f =
 let stop t = t.stopped <- true
 
 let run_due_timers t =
-  let rec loop () =
-    match Event_queue.peek_time t.timers with
-    | Some deadline when deadline <= now t -> (
-        match Event_queue.pop t.timers with
-        | Some (_, f) ->
-            f ();
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ()
+  while
+    (not (Event_queue.is_empty t.timers))
+    && Event_queue.top_time t.timers <= now t
+  do
+    (Event_queue.take t.timers) ()
+  done
 
 let run_for t duration =
   t.stopped <- false;
@@ -50,9 +45,8 @@ let run_for t duration =
   while (not t.stopped) && now t < horizon do
     run_due_timers t;
     let next_deadline =
-      match Event_queue.peek_time t.timers with
-      | Some d -> Float.min d horizon
-      | None -> horizon
+      if Event_queue.is_empty t.timers then horizon
+      else Float.min (Event_queue.top_time t.timers) horizon
     in
     let timeout = Float.max 0.0 (Float.min 0.05 (next_deadline -. now t)) in
     match Unix.select (List.map fst t.fds) [] [] timeout with

@@ -16,7 +16,7 @@ let split t =
     Xoshiro256.of_state 1L 0L 0L 0L
   else Xoshiro256.of_state (m s0) (m s1) (m s2) (m s3)
 
-let bits t = Int64.to_int (Xoshiro256.next t) land max_int
+let bits t = Xoshiro256.next_int t land max_int
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -33,11 +33,8 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t x =
-  let mantissa = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  mantissa *. 0x1.0p-53 *. x
-
-let bool t = Int64.logand (int64 t) 1L = 1L
+let float t x = float_of_int (Xoshiro256.next_top53 t) *. 0x1.0p-53 *. x
+let bool t = Xoshiro256.next_int t land 1 = 1
 let bernoulli t ~p = float t 1.0 < p
 
 let pick t a =

@@ -2,7 +2,8 @@
 
     The general-purpose generator of Blackman & Vigna (2019), with 256 bits
     of state and period [2^256 - 1].  State is initialised from a
-    {!Splitmix64} stream, as recommended by the authors. *)
+    {!Splitmix64} stream, as recommended by the authors.  The state is
+    kept unboxed, so {!next_int} and {!next_top53} allocate nothing. *)
 
 type t
 (** Mutable generator state. *)
@@ -21,3 +22,11 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
+
+val next_int : t -> int
+(** [next_int t] is [Int64.to_int (next t)] (the low 63 bits of the
+    output), without boxing. *)
+
+val next_top53 : t -> int
+(** [next_top53 t] is the top 53 bits of [next t] as a non-negative
+    [int], without boxing — the mantissa of a uniform float. *)

@@ -46,72 +46,107 @@ let config_equilibrium () =
   check_bool "tiny view has none" false
     (Config.equilibrium_exists tiny ~n:10_000 ~f:0.1)
 
-(* --- Slot --- *)
+(* --- Slot kernel ---
+
+   One slot of the stubborn chaotic search is [Rank.offer_slot] over
+   one-element [best_ranks]/[holders] arrays; a [since] column of zeros
+   against [stamp] 1 ranks every candidate, as Brahms's samplers do. *)
+
+type slot = {
+  seed : Rank.seed;
+  best_ranks : int array;  (* [| max_int |] when empty *)
+  holders : int array;  (* [| -1 |] when empty *)
+}
+
+let slot_create ?(backend = Rank.Cheap) r =
+  { seed = Rank.fresh backend r; best_ranks = [| max_int |]; holders = [| -1 |] }
+
+(* Offers [ids] as one batch; returns the number of ranks evaluated. *)
+let slot_offer_batch s ids =
+  let raw = Array.of_list ids in
+  let len = Array.length raw in
+  Rank.offer_slot s.seed ~stamp:1 ~raw ~dig:(Array.map Rank.digest raw)
+    ~since:(Array.make len 0) ~len ~best_ranks:s.best_ranks
+    ~holders:s.holders 0
+
+(* Offers one id; returns whether the slot changed. *)
+let slot_offer s i =
+  let holder = s.holders.(0) and best = s.best_ranks.(0) in
+  ignore (slot_offer_batch s [ i ]);
+  not (Int.equal holder s.holders.(0) && Int.equal best s.best_ranks.(0))
+
+let slot_peer s = if s.holders.(0) < 0 then None else Some s.holders.(0)
 
 let slot_empty () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  check_bool "starts empty" true (Slot.peer s = None);
-  check_bool "no rank" true (Slot.best_rank s = None)
+  let s = slot_create (rng ()) in
+  check_int "an empty batch evaluates nothing" 0 (slot_offer_batch s []);
+  check_bool "stays empty" true (slot_peer s = None);
+  check_int "no rank" max_int s.best_ranks.(0)
 
 let slot_offer_fills () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  check_bool "first offer accepted" true (Slot.offer s (id 3));
-  check_bool "filled" true (Slot.peer s = Some (id 3))
+  let s = slot_create (rng ()) in
+  check_bool "first offer accepted" true (slot_offer s 3);
+  check_bool "filled" true (slot_peer s = Some 3)
 
 let slot_keeps_minimum () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  (* Offer many candidates; the slot must end up holding the argmin of
-     the rank function over all offered ids. *)
+  (* Offered one at a time or as one batch, the slot ends up holding the
+     argmin of the rank function over all offered ids. *)
+  let one_by_one = slot_create (rng ()) and batched = slot_create (rng ()) in
   for i = 0 to 99 do
-    ignore (Slot.offer s (id i))
+    ignore (slot_offer one_by_one i)
   done;
-  let seed = Slot.seed s in
+  check_int "one rank per candidate" 100
+    (slot_offer_batch batched (List.init 100 Fun.id));
+  let seed = one_by_one.seed in
   let best = ref 0 in
   for i = 1 to 99 do
     if Rank.rank seed i < Rank.rank seed !best then best := i
   done;
-  check_bool "holds global argmin" true (Slot.peer s = Some (id !best))
+  check_bool "holds global argmin" true (slot_peer one_by_one = Some !best);
+  check_bool "batched holds it too" true (slot_peer batched = Some !best)
 
 let slot_rejects_worse () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  for i = 0 to 99 do
-    ignore (Slot.offer s (id i))
-  done;
-  let held = Slot.peer s in
+  let s = slot_create (rng ()) in
+  ignore (slot_offer_batch s (List.init 100 Fun.id));
+  let held = slot_peer s in
   (* Re-offering everything cannot change the held peer. *)
   let changed = ref false in
   for i = 0 to 99 do
-    if Slot.offer s (id i) then changed := true
+    if slot_offer s i then changed := true
   done;
   check_bool "idempotent" false !changed;
-  check_bool "same peer" true (Slot.peer s = held)
+  check_bool "same peer" true (slot_peer s = held)
 
 let slot_reset () =
-  let r = rng () in
-  let s = Slot.create Rank.Cheap r in
-  ignore (Slot.offer s (id 1));
-  Slot.reset Rank.Cheap r s;
-  check_bool "cleared" true (Slot.peer s = None)
+  (* A reset slot has [holders.(0) < 0]: the kernel then installs the
+     next candidate whatever its rank, even against a best rank that was
+     left at 0, below every rank. *)
+  let s = slot_create (rng ()) in
+  ignore (slot_offer_batch s (List.init 50 Fun.id));
+  s.holders.(0) <- -1;
+  s.best_ranks.(0) <- 0;
+  check_bool "cleared slot accepts" true (slot_offer s 77);
+  check_bool "holds it" true (slot_peer s = Some 77)
 
 let slot_offer_prepared_agrees () =
+  (* The best rank the kernel writes back is the holder's true rank, for
+     every backend. *)
   let r = rng () in
-  let s1 = Slot.create Rank.Cheap r in
-  for i = 0 to 49 do
-    let p = Rank.prepare Rank.Cheap i in
-    let direct = Slot.create Rank.Cheap r in
-    ignore direct;
-    ignore (Slot.offer_prepared s1 (id i) p)
-  done;
-  (* replay with plain offer on a slot with the same seed *)
-  let s2 = Slot.create Rank.Cheap r in
-  ignore s2;
-  (* Equivalent check: prepared ranks equal direct ranks for the held
-     peer. *)
-  match (Slot.peer s1, Slot.best_rank s1) with
-  | Some p, Some rank ->
-      check_int "cached rank is the true rank" rank
-        (Rank.rank (Slot.seed s1) (Node_id.to_int p))
-  | _ -> Alcotest.fail "slot should be filled"
+  List.iter
+    (fun backend ->
+      let s = slot_create ~backend r in
+      ignore (slot_offer_batch s (List.init 50 Fun.id));
+      match slot_peer s with
+      | Some p ->
+          check_int "cached rank is the true rank" s.best_ranks.(0)
+            (Rank.rank s.seed p)
+      | None -> Alcotest.fail "slot should be filled")
+    [
+      Rank.Cheap;
+      Rank.Keyed_cheap 0x5DEECE66D;
+      Rank.Siphash (Basalt_hashing.Siphash.key_of_ints 1L 2L);
+      Rank.Prefix_diverse { prefix_of = (fun id -> id / 8) };
+    ]
 
 (* --- Basalt --- *)
 
@@ -722,13 +757,13 @@ let prop_slot_argmin =
   Check.prop ~name:"slot holds the argmin-rank identifier" ~count:300
     ~print:print_seed_ids seed_and_ids
     (fun (seed, ids) ->
-      let s = Slot.create Rank.Cheap (Basalt_prng.Rng.create ~seed) in
-      List.iter (fun i -> ignore (Slot.offer s (id i))) ids;
-      let rank i = Rank.rank (Slot.seed s) i in
+      let s = slot_create (Basalt_prng.Rng.create ~seed) in
+      ignore (slot_offer_batch s ids);
+      let rank i = Rank.rank s.seed i in
       let best = List.fold_left (fun acc i -> min acc (rank i)) max_int ids in
-      match (Slot.peer s, Slot.best_rank s) with
-      | Some p, Some r -> rank (Node_id.to_int p) = best && r = best
-      | _ -> false)
+      match slot_peer s with
+      | Some p -> rank p = best && s.best_ranks.(0) = best
+      | None -> false)
 
 (* Feeding a batch is the same as feeding it in two pieces: update_sample
    draws no randomness, so same-seed instances stay comparable. *)

@@ -255,12 +255,188 @@ let prop_samplers_permutation_invariant =
       feed b (List.rev ids);
       Brahms.sampler_outputs a = Brahms.sampler_outputs b)
 
+(* Differential oracle: a naive model that ranks every (sampler, id)
+   pair with [Rank.rank] and keeps the strict minimum per sampler, fed
+   the ids Brahms's message syntax admits.  Without [on_round], the only
+   draws after [create] are the sample-tick reseeds, so the model follows
+   the node's PRNG stream exactly: [Rng.split], [l] seeds, the initial
+   view's [random_subset], then one seed per reset in round-robin
+   order. *)
+module Rank = Basalt_hashing.Rank
+module Rng = Basalt_prng.Rng
+
+type op =
+  | Reply of int * int list  (* Pull_reply from a peer *)
+  | Push_id of int * int  (* Push_id from a peer, carrying an id *)
+  | Push of int * int list  (* multi-id Push: only the sender counts *)
+  | Tick
+
+let print_op = function
+  | Reply (f, ids) -> Printf.sprintf "Reply(%d,%s)" f (Print.list Print.int ids)
+  | Push_id (f, i) -> Printf.sprintf "Push_id(%d,%d)" f i
+  | Push (f, ids) -> Printf.sprintf "Push(%d,%s)" f (Print.list Print.int ids)
+  | Tick -> "Tick"
+
+let gen_op =
+  let peer = Gen.nat ~max:24 in
+  let ids = Gen.list ~max_len:12 (Gen.nat ~max:24) in
+  Gen.frequency
+    [
+      (4, Gen.map2 (fun f l -> Reply (f, l)) peer ids);
+      (3, Gen.map2 (fun f i -> Push_id (f, i)) peer peer);
+      (1, Gen.map2 (fun f l -> Push (f, l)) peer ids);
+      (2, Gen.return Tick);
+    ]
+
+let oracle_backends =
+  [|
+    Rank.Cheap;
+    Rank.Keyed_cheap 0x5DEECE66D;
+    Rank.Siphash (Basalt_hashing.Siphash.key_of_ints 7L 11L);
+    Rank.Prefix_diverse { prefix_of = (fun id -> id / 4) };
+  |]
+
+type model = {
+  m_rng : Rng.t;
+  m_seeds : Rank.seed array;
+  m_best : (int * int) option array;  (* (rank, id) *)
+  mutable m_next : int;
+  mutable m_evals : int;
+}
+
+let model_feed m ~skip ids =
+  List.iter
+    (fun i ->
+      if not (skip i) then
+        Array.iteri
+          (fun s seed ->
+            m.m_evals <- m.m_evals + 1;
+            let r = Rank.rank seed i in
+            match m.m_best.(s) with
+            | Some (best, _) when best <= r -> ()
+            | Some _ | None -> m.m_best.(s) <- Some (r, i))
+          m.m_seeds)
+    ids
+
+let model_outputs m =
+  Array.of_list
+    (List.filter_map (Option.map snd) (Array.to_list m.m_best))
+
+let model_tick m ~backend ~k =
+  List.init k (fun _ ->
+      let s = m.m_next in
+      m.m_next <- (s + 1) mod Array.length m.m_seeds;
+      let out = Option.map snd m.m_best.(s) in
+      m.m_seeds.(s) <- Rank.fresh backend m.m_rng;
+      m.m_best.(s) <- None;
+      out)
+  |> List.filter_map Fun.id
+
+let prop_samplers_match_naive_model =
+  Check.prop ~name:"samplers match the naive min-rank model" ~count:300
+    ~print:(fun ((seed, b, excl), (l, boot), ops) ->
+      Printf.sprintf "seed=%d backend=%d exclude_self=%b l=%d boot=%s ops=%s"
+        seed b excl l (Print.list Print.int boot) (Print.list print_op ops))
+    (Gen.triple
+       (Gen.triple (Gen.nat ~max:10_000) (Gen.nat ~max:3) Gen.bool)
+       (Gen.pair (Gen.int_range 1 10) (Gen.list ~max_len:10 (Gen.nat ~max:24)))
+       (Gen.list ~max_len:30 gen_op))
+    (fun ((seed, b, exclude_self), (l, boot), ops) ->
+      let backend = oracle_backends.(b) in
+      let k = 1 + (seed mod l) in
+      let self = 0 in
+      let skip i = exclude_self && Int.equal i self in
+      let obs = Basalt_obs.Obs.create () in
+      let t =
+        Brahms.create
+          ~config:(Brahms_config.make ~l ~k ~backend ~exclude_self ())
+          ~obs ~id:(id self) ~bootstrap:(Array.of_list (List.map id boot))
+          ~rng:(Rng.create ~seed) ~send:(fun ~dst:_ _ -> ()) ()
+      in
+      let m =
+        let rng = Rng.split (Rng.create ~seed) in
+        let m_seeds = Array.init l (fun _ -> Rank.fresh backend rng) in
+        let candidates =
+          Array.of_list (List.map id (List.filter (fun i -> i <> self) boot))
+        in
+        ignore (View_ops.random_subset rng ~k:l candidates);
+        { m_rng = rng; m_seeds; m_best = Array.make l None; m_next = 0; m_evals = 0 }
+      in
+      model_feed m ~skip boot;
+      let outputs () =
+        Array.map Node_id.to_int (Brahms.sampler_outputs t) = model_outputs m
+      in
+      let step op =
+        match op with
+        | Reply (f, ids) ->
+            Brahms.on_message t ~from:(id f)
+              (Message.Pull_reply (Array.of_list (List.map id ids)));
+            model_feed m ~skip ids;
+            outputs ()
+        | Push_id (f, i) ->
+            Brahms.on_message t ~from:(id f) (Message.Push_id (id i));
+            model_feed m ~skip [ i ];
+            outputs ()
+        | Push (f, ids) ->
+            Brahms.on_message t ~from:(id f)
+              (Message.Push (Array.of_list (List.map id ids)));
+            model_feed m ~skip [ f ];
+            outputs ()
+        | Tick ->
+            List.map Node_id.to_int (Brahms.sample_tick t)
+            = model_tick m ~backend ~k
+            && outputs ()
+      in
+      outputs ()
+      && List.for_all step ops
+      && Basalt_obs.Obs.Counter.value
+           (Basalt_obs.Obs.counter obs "brahms.rank_evals")
+         = m.m_evals)
+
+(* The nodes of one maker share its batch scratch.  Interleaving rounds,
+   replies of growing size and sample ticks across four such nodes must
+   give exactly what four nodes of four separate makers give. *)
+let brahms_shared_scratch () =
+  let config = Brahms_config.make ~l:12 ~k:4 () in
+  let send ~dst:_ _ = () in
+  let build maker i =
+    maker ~id:(id i)
+      ~bootstrap:(Array.init (3 + (5 * i)) (fun j -> id (1 + ((7 * j) + i) mod 90)))
+      ~rng:(Rng.create ~seed:(100 + i)) ~send
+  in
+  let shared = Brahms.sampler ~config () in
+  let together = Array.init 4 (build shared) in
+  let apart = Array.init 4 (fun i -> build (Brahms.sampler ~config ()) i) in
+  let script = Rng.create ~seed:5 in
+  for step = 0 to 199 do
+    let i = step mod 4 in
+    let reply =
+      Array.init (Rng.int script (1 + step / 4)) (fun _ -> id (Rng.int script 200))
+    in
+    let from = id (Rng.int script 200) in
+    let drive (s : Basalt_proto.Rps.t) =
+      s.Basalt_proto.Rps.on_message ~from (Message.Pull_reply reply);
+      s.Basalt_proto.Rps.on_message ~from (Message.Push_id from);
+      if step mod 3 = 0 then s.Basalt_proto.Rps.on_round ();
+      if step mod 5 = 0 then
+        List.map Node_id.to_int (s.Basalt_proto.Rps.sample_tick ())
+      else []
+    in
+    let a = drive together.(i) and b = drive apart.(i) in
+    Alcotest.(check (list int)) "samples" b a;
+    Alcotest.(check (array int))
+      "view"
+      (Array.map Node_id.to_int (apart.(i).Basalt_proto.Rps.current_view ()))
+      (Array.map Node_id.to_int (together.(i).Basalt_proto.Rps.current_view ()))
+  done
+
 (* Words one node of a 200-node run retains (l = 160, a distinct
-   64-id bootstrap, disabled telemetry): its 160 min-wise samplers, its
-   view, its PRNG and its record — 1591 words measured.  The RTT
-   tracker of a disabled registry is shared; a node that owned one
-   would carry another 1446 words. *)
-let words_per_node_budget = 2000
+   64-id bootstrap, disabled telemetry): its 160 min-wise samplers as
+   three arrays (803 words, 481 of them the seeds array and its boxed
+   [Rank.seed]s), its view, its PRNG and its record — 945 words
+   measured.  The batch scratch is its maker's; the RTT tracker of a
+   disabled registry is shared. *)
+let words_per_node_budget = 1100
 
 let brahms_per_node_footprint () =
   let r = Basalt_prng.Rng.create ~seed:42 in
@@ -311,10 +487,13 @@ let () =
           Alcotest.test_case "sampler interface" `Quick brahms_sampler_interface;
           Alcotest.test_case "per-node footprint" `Quick
             brahms_per_node_footprint;
+          Alcotest.test_case "shared scratch matches private" `Quick
+            brahms_shared_scratch;
         ] );
       Check.suite "properties"
         [
           prop_view_never_contains_self;
           prop_samplers_permutation_invariant;
+          prop_samplers_match_naive_model;
         ];
     ]

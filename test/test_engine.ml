@@ -8,25 +8,35 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* --- Event_queue --- *)
 
+(* [pop] and [peek_time] in option form, over [top_time] and [take]. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.top_time q in
+    Some (time, Event_queue.take q)
+
+let peek_time q =
+  if Event_queue.is_empty q then None else Some (Event_queue.top_time q)
+
 let queue_order () =
   let q = Event_queue.create () in
   Event_queue.push q ~time:3.0 "c";
   Event_queue.push q ~time:1.0 "a";
   Event_queue.push q ~time:2.0 "b";
   Alcotest.(check (option (pair (float 0.0) string)))
-    "first" (Some (1.0, "a")) (Event_queue.pop q);
+    "first" (Some (1.0, "a")) (pop q);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "second" (Some (2.0, "b")) (Event_queue.pop q);
+    "second" (Some (2.0, "b")) (pop q);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "third" (Some (3.0, "c")) (Event_queue.pop q);
-  check_bool "drained" true (Event_queue.pop q = None)
+    "third" (Some (3.0, "c")) (pop q);
+  check_bool "drained" true (pop q = None)
 
 let queue_fifo_ties () =
   let q = Event_queue.create () in
   List.iter (fun s -> Event_queue.push q ~time:1.0 s) [ "x"; "y"; "z" ];
   let order =
     List.init 3 (fun _ ->
-        match Event_queue.pop q with Some (_, s) -> s | None -> "?")
+        match pop q with Some (_, s) -> s | None -> "?")
   in
   Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] order
 
@@ -37,16 +47,22 @@ let queue_size () =
   Event_queue.push q ~time:1.0 0;
   Event_queue.push q ~time:2.0 1;
   check_int "two" 2 (Event_queue.size q);
-  ignore (Event_queue.pop q);
+  ignore (pop q);
   check_int "one" 1 (Event_queue.size q)
 
 let queue_peek () =
   let q = Event_queue.create () in
-  check_bool "peek empty" true (Event_queue.peek_time q = None);
+  check_bool "peek empty" true (peek_time q = None);
+  Alcotest.check_raises "top_time on empty"
+    (Invalid_argument "Event_queue.top_time: empty queue") (fun () ->
+      ignore (Event_queue.top_time q));
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Event_queue.take: empty queue") (fun () ->
+      ignore (Event_queue.take q));
   Event_queue.push q ~time:5.0 ();
   Event_queue.push q ~time:2.0 ();
   Alcotest.(check (option (float 0.0))) "peek min" (Some 2.0)
-    (Event_queue.peek_time q);
+    (peek_time q);
   check_int "peek does not remove" 2 (Event_queue.size q)
 
 let queue_interleaved () =
@@ -56,7 +72,7 @@ let queue_interleaved () =
   done;
   let prev = ref (-1.0) in
   let rec drain () =
-    match Event_queue.pop q with
+    match pop q with
     | None -> ()
     | Some (t, v) ->
         check_bool "non-decreasing" true (t >= !prev);
@@ -79,7 +95,7 @@ let prop_queue_sorted =
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.push q ~time:t ()) times;
       let rec drain prev =
-        match Event_queue.pop q with
+        match pop q with
         | None -> true
         | Some (t, ()) -> t >= prev && drain t
       in
@@ -111,7 +127,7 @@ let prop_queue_model =
             incr seq
           end
           else begin
-            match (Event_queue.pop q, !reference) with
+            match (pop q, !reference) with
             | None, [] -> ()
             | Some (t, v), (rt, _, rv) :: rest ->
                 if t <> rt || v <> rv then ok := false;
@@ -121,7 +137,7 @@ let prop_queue_model =
         ops;
       (* drain both *)
       let rec drain () =
-        match (Event_queue.pop q, !reference) with
+        match (pop q, !reference) with
         | None, [] -> ()
         | Some (t, v), (rt, _, rv) :: rest ->
             if t <> rt || v <> rv then ok := false;
@@ -131,6 +147,55 @@ let prop_queue_model =
       in
       drain ();
       !ok)
+
+(* The same model check with times drawn from a handful of values, so
+   most entries tie, and up to 300 entries live at once, so the arrays
+   double five times; [top_time] and [size] are checked before every
+   take. *)
+let prop_queue_model_ties_growth =
+  Check.prop ~name:"queue matches sorted-list model (ties, growth)"
+    ~count:200
+    ~print:(Print.list (Print.pair Print.bool Print.int))
+    (Gen.list ~max_len:400
+       (Gen.frequency
+          [
+            (3, Gen.map (fun t -> (true, t)) (Gen.nat ~max:4));
+            (1, Gen.return (false, 0));
+          ]))
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* The model: (time, seq) pairs in delivery order. *)
+      let model = ref [] in
+      let seq = ref 0 in
+      let take_one () =
+        match !model with
+        | [] -> Event_queue.is_empty q
+        | (time, s) :: rest ->
+            model := rest;
+            Event_queue.size q = List.length rest + 1
+            && Event_queue.top_time q = time
+            && Event_queue.take q = s
+      in
+      let ok =
+        List.for_all
+          (fun (is_push, t) ->
+            if is_push then begin
+              let time = float_of_int t in
+              Event_queue.push q ~time !seq;
+              model :=
+                List.merge
+                  (fun (t1, s1) (t2, s2) ->
+                    if t1 <> t2 then Float.compare t1 t2 else Int.compare s1 s2)
+                  !model
+                  [ (time, !seq) ];
+              incr seq;
+              true
+            end
+            else take_one ())
+          ops
+      in
+      let rec drain () = Event_queue.is_empty q || (take_one () && drain ()) in
+      ok && drain () && !model = [])
 
 (* --- Link models --- *)
 
@@ -246,6 +311,25 @@ let engine_every_count () =
   (* Events beyond the horizon stay queued: advancing further fires more. *)
   Engine.run_until e 12.5;
   check_int "resumes across horizons" 12 !count
+
+(* A periodic timer re-queues one value and the queue stores times
+   unboxed: 10,000 fires of a no-op [every] allocate a few words each
+   (the boxed float of each re-queue time and of each [top_time]), not a
+   fresh timer, heap entry and option per fire. *)
+let every_fire_words_budget = 60_000
+
+let engine_every_allocation () =
+  let e = fresh_engine 1 in
+  let count = ref 0 in
+  Engine.every e ~interval:1.0 (fun () -> incr count);
+  Engine.run_until e 10.0;
+  let before = Gc.minor_words () in
+  Engine.run_until e 10_010.0;
+  let words = Gc.minor_words () -. before in
+  check_int "fires" 10_010 !count;
+  if words > float_of_int every_fire_words_budget then
+    Alcotest.failf "%.0f minor words for 10,000 fires, over the budget of %d"
+      words every_fire_words_budget
 
 let engine_every_phase () =
   let e = fresh_engine 1 in
@@ -629,6 +713,7 @@ let () =
           Alcotest.test_case "interleaved" `Quick queue_interleaved;
           Check.to_alcotest ~suite:"event_queue" prop_queue_sorted;
           Check.to_alcotest ~suite:"event_queue" prop_queue_model;
+          Check.to_alcotest ~suite:"event_queue" prop_queue_model_ties_growth;
         ] );
       ( "link",
         [
@@ -661,6 +746,7 @@ let () =
           Alcotest.test_case "negative delay" `Quick engine_negative_delay;
           Alcotest.test_case "every count" `Quick engine_every_count;
           Alcotest.test_case "every phase" `Quick engine_every_phase;
+          Alcotest.test_case "every allocation" `Quick engine_every_allocation;
           Alcotest.test_case "every invalid" `Quick engine_every_invalid;
           Alcotest.test_case "clock advances" `Quick engine_clock_advances;
           Alcotest.test_case "message before next round" `Quick

@@ -185,15 +185,23 @@ let rank_non_negative () =
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
+(* [offer_slot] with a one-candidate batch — the candidate prepared as
+   its id and {!Rank.digest} — into an empty slot writes back the
+   candidate's plain rank. *)
+let kernel_rank seed id =
+  let best_ranks = [| max_int |] and holders = [| -1 |] in
+  ignore
+    (Rank.offer_slot seed ~stamp:1 ~raw:[| id |] ~dig:[| Rank.digest id |]
+       ~since:[| 0 |] ~len:1 ~best_ranks ~holders 0);
+  best_ranks.(0)
+
 let rank_prepared_agrees () =
   let rng = Basalt_prng.Rng.create ~seed:13 in
   List.iter
     (fun backend ->
       let seed = Rank.fresh backend rng in
       for id = 0 to 50 do
-        let p = Rank.prepare backend id in
-        check_int "prepared = direct" (Rank.rank seed id)
-          (Rank.rank_prepared seed p)
+        check_int "prepared = direct" (Rank.rank seed id) (kernel_rank seed id)
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
@@ -296,17 +304,16 @@ let prefix_rank_prepared_agrees () =
   let rng = Basalt_prng.Rng.create ~seed:79 in
   let s = Rank.fresh prefix_backend rng in
   for id = 0 to 300 do
-    check_int "prepared = direct" (Rank.rank s id)
-      (Rank.rank_prepared s (Rank.prepare prefix_backend id))
+    check_int "prepared = direct" (Rank.rank s id) (kernel_rank s id)
   done
 
 module Check = Basalt_check.Check
 module Gen = Check.Gen
 module Print = Check.Print
 
-(* Every evaluation path — plain, prepared, digested (and for SipHash
-   the precomputed midstate they all share) — must produce the same
-   rank, for every backend. *)
+(* Every evaluation path — plain, digested, the slot kernel (and for
+   SipHash the precomputed midstate they all share) — must produce the
+   same rank, for every backend. *)
 let all_backends =
   [
     ("cheap", Rank.Cheap);
@@ -316,7 +323,7 @@ let all_backends =
   ]
 
 let prop_rank_paths_equal =
-  Check.prop ~name:"rank = rank_prepared = rank_digested (all backends)"
+  Check.prop ~name:"rank = rank_digested = offer_slot"
     ~count:1000
     ~print:(Print.pair Print.int Print.int)
     Gen.(pair (nat ~max:1_000_000) (nat ~max:1_000_000))
@@ -325,8 +332,8 @@ let prop_rank_paths_equal =
         (fun (_, backend) ->
           let seed = Rank.of_int backend sv in
           let r = Rank.rank seed id in
-          r = Rank.rank_prepared seed (Rank.prepare backend id)
-          && r = Rank.rank_digested seed ~id ~digest:(Rank.digest id))
+          r = Rank.rank_digested seed ~id ~digest:(Rank.digest id)
+          && r = kernel_rank seed id)
         all_backends)
 
 (* The SipHash backend's cached midstate path must equal the uncached

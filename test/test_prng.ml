@@ -41,6 +41,42 @@ let xoshiro_determinism () =
     check_i64 "same stream" (Xoshiro256.next a) (Xoshiro256.next b)
   done
 
+(* The published xoshiro256++ outputs from state (1, 2, 3, 4), printed
+   unsigned; the first is rotl(1 + 4, 23) + 1. *)
+let xoshiro_reference_vectors () =
+  let t = Xoshiro256.of_state 1L 2L 3L 4L in
+  List.iter
+    (fun expected ->
+      Alcotest.(check string)
+        "output" expected
+        (Printf.sprintf "%Lu" (Xoshiro256.next t)))
+    [
+      "41943041";
+      "58720359";
+      "3588806011781223";
+      "3591011842654386";
+      "9228616714210784205";
+      "9973669472204895162";
+      "14011001112246962877";
+      "12406186145184390807";
+      "15849039046786891736";
+      "10450023813501588000";
+    ]
+
+(* [next_int] and [next_top53] are the low 63 and the top 53 bits of the
+   output [next] would have returned. *)
+let xoshiro_int_views () =
+  let a = Xoshiro256.of_state 1L 2L 3L 4L in
+  let b = Xoshiro256.copy a in
+  for _ = 1 to 50 do
+    let x = Xoshiro256.next a in
+    check_int "next_int" (Int64.to_int x) (Xoshiro256.next_int b);
+    let x = Xoshiro256.next a in
+    check_int "next_top53"
+      (Int64.to_int (Int64.shift_right_logical x 11))
+      (Xoshiro256.next_top53 b)
+  done
+
 let xoshiro_seed_sensitivity () =
   let a = Xoshiro256.create 1L and b = Xoshiro256.create 2L in
   let differs = ref false in
@@ -66,6 +102,21 @@ let xoshiro_copy_independent () =
 (* --- Rng --- *)
 
 let rng () = Rng.create ~seed:424242
+
+(* The first draws at one seed, pinned: the simulator's pinned outcomes
+   rest on this exact stream. *)
+let rng_pinned_draws () =
+  let t = rng () in
+  check_int "bits 1" 1323032120472704333 (Rng.bits t);
+  check_int "bits 2" 2964621045533468875 (Rng.bits t);
+  check_int "bits 3" 1197311793873484523 (Rng.bits t);
+  Alcotest.(check (float 0.0)) "float 1" 0x1.1ab94a8a88195p-1 (Rng.float t 2.5);
+  Alcotest.(check (float 0.0)) "float 2" 0x1.90c0dd2bb0e36p-2 (Rng.float t 1.0);
+  Alcotest.(check (list bool))
+    "bools" [ false; true; false; true ]
+    (List.init 4 (fun _ -> Rng.bool t));
+  check_int "int 7" 5 (Rng.int t 7);
+  check_int "int 1000" 894 (Rng.int t 1000)
 
 let rng_int_bounds () =
   let t = rng () in
@@ -334,6 +385,9 @@ let () =
       ( "xoshiro256",
         [
           Alcotest.test_case "determinism" `Quick xoshiro_determinism;
+          Alcotest.test_case "reference vectors" `Quick
+            xoshiro_reference_vectors;
+          Alcotest.test_case "int views" `Quick xoshiro_int_views;
           Alcotest.test_case "seed sensitivity" `Quick xoshiro_seed_sensitivity;
           Alcotest.test_case "zero state rejected" `Quick
             xoshiro_zero_state_rejected;
@@ -341,6 +395,7 @@ let () =
         ] );
       ( "rng",
         [
+          Alcotest.test_case "pinned draws" `Quick rng_pinned_draws;
           Alcotest.test_case "int bounds" `Quick rng_int_bounds;
           Alcotest.test_case "int invalid" `Quick rng_int_invalid;
           Alcotest.test_case "int covers values" `Quick rng_int_covers_values;

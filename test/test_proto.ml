@@ -121,9 +121,13 @@ module Print = Check.Print
 let print_ids = Print.list Print.int
 let small_nats = Gen.list ~max_len:40 (Gen.nat ~max:100)
 
+(* Up to 120 ids: [distinct] scans inputs of up to 48 ids and hashes
+   longer ones, so both paths are covered. *)
+let distinct_inputs = Gen.list ~max_len:120 (Gen.nat ~max:100)
+
 let prop_distinct_is_distinct =
   Check.prop ~name:"distinct removes all duplicates" ~count:300
-    ~print:print_ids small_nats
+    ~print:print_ids distinct_inputs
     (fun l ->
       let view = Array.of_list (List.map Node_id.of_int l) in
       let d = View_ops.distinct view in
@@ -132,7 +136,7 @@ let prop_distinct_is_distinct =
 
 let prop_distinct_preserves_first_occurrence =
   Check.prop ~name:"distinct keeps first occurrences in order" ~count:300
-    ~print:print_ids small_nats
+    ~print:print_ids distinct_inputs
     (fun l ->
       let view = Array.of_list (List.map Node_id.of_int l) in
       let d = Array.to_list (Array.map Node_id.to_int (View_ops.distinct view)) in
