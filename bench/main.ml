@@ -393,8 +393,8 @@ let gossip_ops () =
 
 (* Observability overhead (DESIGN.md §8): the same update_sample unit as
    "core ops", once against the disabled sink (the default — instrument
-   mutations are dead stores into unregistered dummies) and once against
-   an enabled registry (shared per-run counters).  The pre-PR baseline
+   mutations are stores into unregistered dummies) and once against
+   an enabled registry (handles onto shared per-run totals).  The pre-PR baseline
    and the recorded disabled-vs-enabled numbers live in
    BENCH_obs_overhead.json; the acceptance bar is < 2% regression for
    the disabled sink. *)

@@ -58,14 +58,13 @@ type t = {
   mutable next_reset : int;  (* round-robin pointer r, 0-based *)
   mutable next_select : int;  (* used by the Rotating_slot strategy *)
   mutable rounds : int;
-  mutable emitted : int;
   (* Dead-peer detection: peers we pulled from and the round of the
      oldest unanswered pull.  Allocated by the first probe, so a node
      without eviction carries none. *)
   mutable probes : (int, int) Hashtbl.t option;
-  mutable evicted : int;
-  (* Run-wide instruments, shared across nodes by name (dummies when the
-     sink is disabled — a mutation is then a dead store, DESIGN.md §8). *)
+  (* Per-node counter handles, each adding to its name's run-wide total
+     (its own total on a disabled sink, DESIGN.md §8); [samples_emitted]
+     and [evictions] read their own counts. *)
   c_rank_evals : Obs.Counter.t;
   c_rounds : Obs.Counter.t;
   c_pulls : Obs.Counter.t;
@@ -305,9 +304,7 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
         next_reset = 0;
         next_select = 0;
         rounds = 0;
-        emitted = 0;
         probes = None;
-        evicted = 0;
         c_rank_evals = Obs.counter obs "basalt.rank_evals";
         c_rounds = Obs.counter obs "basalt.rounds";
         c_pulls = Obs.counter obs "basalt.pulls_sent";
@@ -415,7 +412,6 @@ let evict_peer t peer =
   for i = 0 to Array.length t.holders - 1 do
     if Int.equal t.holders.(i) peer_int then begin
       reset_slot t i;
-      t.evicted <- t.evicted + 1;
       Obs.Counter.incr t.c_evictions
     end
   done;
@@ -523,7 +519,6 @@ let sample_tick t =
     (match slot_peer t i with
     | Some p ->
         samples := p :: !samples;
-        t.emitted <- t.emitted + 1;
         Obs.Counter.incr t.c_samples
     | None -> ());
     reset_slot t i;
@@ -533,9 +528,9 @@ let sample_tick t =
   update_sample t snapshot;
   List.rev !samples
 
-let samples_emitted t = t.emitted
+let samples_emitted t = Obs.Counter.own t.c_samples
 let rounds_executed t = t.rounds
-let evictions t = t.evicted
+let evictions t = Obs.Counter.own t.c_evictions
 
 let to_rps t =
   {

@@ -42,8 +42,8 @@ type t = {
   mutable pending_pull : Node_id.t array list;
   mutable next_reset : int;
   mutable blocked : int;
-  mutable emitted : int;
-  (* Run-wide instruments, shared across nodes by name (DESIGN.md §8). *)
+  (* Per-node counter handles, each adding to its name's run-wide total
+     (DESIGN.md §8). *)
   c_rank_evals : Obs.Counter.t;
   c_rounds : Obs.Counter.t;
   c_pulls : Obs.Counter.t;
@@ -145,7 +145,6 @@ let make ~scratch ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
       pending_pull = [];
       next_reset = 0;
       blocked = 0;
-      emitted = 0;
       c_rank_evals = Obs.counter obs "brahms.rank_evals";
       c_rounds = Obs.counter obs "brahms.rounds";
       c_pulls = Obs.counter obs "brahms.pulls_sent";
@@ -297,7 +296,6 @@ let sample_tick t =
     let h = t.holders.(i) in
     if h >= 0 then begin
       samples := Node_id.of_int h :: !samples;
-      t.emitted <- t.emitted + 1;
       Obs.Counter.incr t.c_samples
     end;
     t.seeds.(i) <- Rank.fresh t.config.Brahms_config.backend t.rng;

@@ -50,14 +50,6 @@ type 'msg t = {
   c_partition_drops : Obs.Counter.t;
   s_flight : Obs.Sketch.t;
   mutable clock : float;
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable ignored : int;
-  mutable events : int;
-  mutable dup : int;
-  mutable reordered : int;
-  mutable partition_drops : int;
 }
 
 (* A strictly positive delivery delay even for the Zero latency model, so
@@ -99,14 +91,6 @@ let create ?(latency = Link.Latency.Zero) ?(loss = Link.Loss.None) ?fault
     c_partition_drops = Obs.counter obs "engine.partition_drops";
     s_flight = Obs.sketch obs "engine.flight_latency";
     clock = 0.0;
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    ignored = 0;
-    events = 0;
-    dup = 0;
-    reordered = 0;
-    partition_drops = 0;
   }
 
 let n t = Array.length t.handlers
@@ -137,7 +121,6 @@ let flight_span t ~src ~dst msg =
   else Obs.no_span
 
 let drop t ~src ~dst msg =
-  t.dropped <- t.dropped + 1;
   Obs.Counter.incr t.c_dropped;
   if Obs.tracing t.obs then trace_msg t "engine.drop" ~src ~dst msg
 
@@ -167,8 +150,6 @@ let send_faulty t f ~src ~dst msg =
     || Fault.down f ~time ~node:dst
     || Fault.partitioned f ~time ~src ~dst
   then begin
-    t.dropped <- t.dropped + 1;
-    t.partition_drops <- t.partition_drops + 1;
     Obs.Counter.incr t.c_dropped;
     Obs.Counter.incr t.c_partition_drops;
     if Obs.tracing t.obs then
@@ -195,7 +176,6 @@ let send_faulty t f ~src ~dst msg =
       let delay () =
         let d = min_delay +. Link.Latency.sample latency st.link_rng in
         if reorder > 0.0 && Rng.bernoulli st.link_rng ~p:reorder then begin
-          t.reordered <- t.reordered + 1;
           Obs.Counter.incr t.c_reordered;
           d +. Rng.float st.link_rng reorder_window
         end
@@ -204,7 +184,6 @@ let send_faulty t f ~src ~dst msg =
       Event_queue.push t.queue ~time:(time +. delay ())
         (Deliver { src; dst; msg; sent = time; span = flight_span t ~src ~dst msg });
       if dup > 0.0 && Rng.bernoulli st.link_rng ~p:dup then begin
-        t.dup <- t.dup + 1;
         Obs.Counter.incr t.c_dup;
         if Obs.tracing t.obs then trace_msg t "engine.dup" ~src ~dst msg;
         Event_queue.push t.queue ~time:(time +. delay ())
@@ -215,7 +194,6 @@ let send_faulty t f ~src ~dst msg =
   end
 
 let send t ~src ~dst msg =
-  t.sent <- t.sent + 1;
   Obs.Counter.incr t.c_sent;
   if Obs.tracing t.obs then trace_msg t "engine.send" ~src ~dst msg;
   match t.fault with
@@ -251,7 +229,6 @@ let every t ?phase ~interval f =
   Event_queue.push t.queue ~time:(t.clock +. phase) timer
 
 let execute t event =
-  t.events <- t.events + 1;
   match event with
   | Timer f ->
       Obs.Counter.incr t.c_timer_fires;
@@ -263,14 +240,12 @@ let execute t event =
       in
       match handler with
       | Some handler ->
-          t.delivered <- t.delivered + 1;
           Obs.Counter.incr t.c_delivered;
           Obs.Sketch.add t.s_flight (t.clock -. sent);
           Obs.span_end ~fields:[ ("outcome", Obs.Str "deliver") ] t.obs span;
           if Obs.tracing t.obs then trace_msg t "engine.deliver" ~src ~dst msg;
           handler ~from:src msg
       | None ->
-          t.ignored <- t.ignored + 1;
           Obs.Counter.incr t.c_ignored;
           Obs.span_end ~fields:[ ("outcome", Obs.Str "ignore") ] t.obs span;
           if Obs.tracing t.obs then trace_msg t "engine.ignore" ~src ~dst msg)
@@ -303,13 +278,15 @@ let run_until t horizon =
   if horizon > t.clock then t.clock <- horizon
 
 let stats t =
+  let own = Obs.Counter.own in
+  let delivered = own t.c_delivered and ignored = own t.c_ignored in
   {
-    sent = t.sent;
-    delivered = t.delivered;
-    dropped = t.dropped;
-    ignored = t.ignored;
-    events = t.events;
-    dup = t.dup;
-    reordered = t.reordered;
-    partition_drops = t.partition_drops;
+    sent = own t.c_sent;
+    delivered;
+    dropped = own t.c_dropped;
+    ignored;
+    events = own t.c_timer_fires + delivered + ignored;
+    dup = own t.c_dup;
+    reordered = own t.c_reordered;
+    partition_drops = own t.c_partition_drops;
   }

@@ -62,9 +62,11 @@ val create :
     [obs] (default {!Basalt_obs.Obs.disabled}) receives counters
     [engine.sent]/[engine.delivered]/[engine.dropped]/[engine.ignored]/
     [engine.timer_fires]/[engine.dup]/[engine.reordered]/
-    [engine.partition_drops] mirroring {!stats}, and — when the sink is
-    tracing — per-message [engine.send]/[engine.deliver]/[engine.drop]/
-    [engine.ignore]/[engine.dup] events with [src], [dst] and [kind]
+    [engine.partition_drops] ({!stats} reads this engine's own counts
+    from these handles, so it stays per engine on a shared registry),
+    and — when the sink is tracing — per-message
+    [engine.send]/[engine.deliver]/[engine.drop]/[engine.ignore]/
+    [engine.dup] events with [src], [dst] and [kind]
     fields, where [kind] is computed by [kind_of] (default: constantly
     ["msg"]); partition/outage drops carry an extra [cause] field.
     The virtual-time latency of every completed delivery feeds the

@@ -31,14 +31,6 @@ type t = {
   wanted : Wanted.t;
   mutable seqno : int;
   mutable samples : Node_id.t list;  (* newest first, no self, no dups *)
-  (* plain mirrors of the obs counters *)
-  mutable published : int;
-  mutable delivered : int;
-  mutable duplicates : int;
-  mutable ihave_sent : int;
-  mutable iwant_sent : int;
-  mutable grafts_sent : int;
-  mutable prunes_sent : int;
   c_published : Obs.Counter.t;
   c_delivered : Obs.Counter.t;
   c_duplicates : Obs.Counter.t;
@@ -70,13 +62,6 @@ let create ?(config = Config.default) ?(obs = Obs.disabled) ~node ~view ~rng
         ~retries:config.Config.iwant_retries ();
     seqno = 0;
     samples = [];
-    published = 0;
-    delivered = 0;
-    duplicates = 0;
-    ihave_sent = 0;
-    iwant_sent = 0;
-    grafts_sent = 0;
-    prunes_sent = 0;
     c_published = Obs.counter obs "gossip.published";
     c_delivered = Obs.counter obs "gossip.delivered";
     c_duplicates = Obs.counter obs "gossip.duplicates";
@@ -92,28 +77,26 @@ let eager_peers t = Mesh.peers t.mesh
 let eager_degree t = Mesh.degree t.mesh
 
 let stats t =
+  let own = Obs.Counter.own in
   {
-    published = t.published;
-    delivered = t.delivered;
-    duplicates = t.duplicates;
-    ihave_sent = t.ihave_sent;
-    iwant_sent = t.iwant_sent;
-    grafts_sent = t.grafts_sent;
-    prunes_sent = t.prunes_sent;
+    published = own t.c_published;
+    delivered = own t.c_delivered;
+    duplicates = own t.c_duplicates;
+    ihave_sent = own t.c_ihave;
+    iwant_sent = own t.c_iwant;
+    grafts_sent = own t.c_grafts;
+    prunes_sent = own t.c_prunes;
   }
 
 let send_prune t ~dst =
-  t.prunes_sent <- t.prunes_sent + 1;
   Obs.Counter.incr t.c_prunes;
   t.send ~dst Message.Prune
 
 let send_graft t ~dst =
-  t.grafts_sent <- t.grafts_sent + 1;
   Obs.Counter.incr t.c_grafts;
   t.send ~dst Message.Graft
 
 let send_iwant t ~dst mids =
-  t.iwant_sent <- t.iwant_sent + 1;
   Obs.Counter.incr t.c_iwant;
   t.send ~dst (Message.Iwant mids)
 
@@ -127,7 +110,6 @@ let trace_id mid =
     mid.Message.seqno
 
 let deliver t mid ~hops payload =
-  t.delivered <- t.delivered + 1;
   Obs.Counter.incr t.c_delivered;
   Obs.Histogram.observe t.h_hops (float_of_int hops);
   if Obs.tracing t.obs then
@@ -155,7 +137,6 @@ let publish t payload =
     invalid_arg "Gossip.publish: payload too large";
   let mid = { Message.origin = t.node; seqno = t.seqno } in
   t.seqno <- t.seqno + 1;
-  t.published <- t.published + 1;
   Obs.Counter.incr t.c_published;
   if Obs.tracing t.obs then
     Obs.trace t.obs ~name:"gossip.publish"
@@ -173,7 +154,6 @@ let publish t payload =
 
 let on_data t ~from mid hops payload =
   if Mcache.seen t.cache mid then begin
-    t.duplicates <- t.duplicates + 1;
     Obs.Counter.incr t.c_duplicates;
     (* Plumtree: a redundant eager link is demoted to lazy — but never
        below the target degree, so loss cannot collapse the mesh. *)
@@ -338,7 +318,6 @@ let heartbeat t =
         let cands = lazy_candidates t in
         let k = min t.config.Config.lazy_fanout (Array.length cands) in
         for i = 0 to k - 1 do
-          t.ihave_sent <- t.ihave_sent + 1;
           Obs.Counter.incr t.c_ihave;
           t.send ~dst:cands.(i) digest
         done

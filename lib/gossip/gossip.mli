@@ -37,8 +37,9 @@ type stats = {
   grafts_sent : int;  (** [Graft] frames sent. *)
   prunes_sent : int;  (** [Prune] frames sent. *)
 }
-(** Plain counters mirroring the [gossip.*] instruments, readable
-    without an enabled registry. *)
+(** This node's own counts on its [gossip.*] counter handles
+    ({!Basalt_obs.Obs.Counter.own}): per node even when the registry is
+    shared, and readable without an enabled registry. *)
 
 val create :
   ?config:Config.t ->
@@ -105,4 +106,4 @@ val eager_degree : t -> int
 (** [eager_degree t] is [List.length (eager_peers t)]. *)
 
 val stats : t -> stats
-(** [stats t] reads the plain counters. *)
+(** [stats t] reads this node's counter handles. *)

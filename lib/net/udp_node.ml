@@ -55,11 +55,11 @@ type t = {
   basalt : Basalt.t;
   gossip : Gossip.t option;
   buffer : bytes;
-  datagrams_in : int ref;
-  datagrams_out : int ref;
-  send_errors : int ref;
-  decode_errors : int ref;
-  retries : int ref;
+  c_in : Obs.Counter.t;
+  c_out : Obs.Counter.t;
+  c_send_errors : Obs.Counter.t;
+  c_decode_errors : Obs.Counter.t;
+  c_retries : Obs.Counter.t;
 }
 
 let bind_socket listen =
@@ -81,11 +81,6 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   if inject_delay < 0.0 then
     invalid_arg "Udp_node: inject_delay must be >= 0";
   let socket, endpoint = bind_socket listen in
-  let datagrams_in = ref 0 in
-  let datagrams_out = ref 0 in
-  let send_errors = ref 0 in
-  let decode_errors = ref 0 in
-  let retries = ref 0 in
   let c_in = Obs.counter obs "net.datagrams_in" in
   let c_out = Obs.counter obs "net.datagrams_out" in
   let c_send_errors = Obs.counter obs "net.send_errors" in
@@ -110,12 +105,8 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   let transmit packet target =
     let push () =
       match Unix.sendto socket packet 0 (Bytes.length packet) [] target with
-      | _ ->
-          incr datagrams_out;
-          Obs.Counter.incr c_out
-      | exception Unix.Unix_error _ ->
-          incr send_errors;
-          Obs.Counter.incr c_send_errors
+      | _ -> Obs.Counter.incr c_out
+      | exception Unix.Unix_error _ -> Obs.Counter.incr c_send_errors
     in
     if inject_loss > 0.0 && Rng.float inject_rng 1.0 < inject_loss then
       Obs.Counter.incr c_injected
@@ -151,7 +142,6 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
             end
             else begin
               p.attempt <- p.attempt + 1;
-              incr retries;
               Obs.Counter.incr c_retries;
               (* Keep the protocol's dead-peer detection honest: a
                  retransmitted pull is still an unanswered probe. *)
@@ -170,7 +160,7 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
     let target = Endpoint.to_sockaddr (Endpoint.of_node_id dst) in
     transmit packet target;
     match msg with
-    | Message.Pull_request when retry.max_attempts > 0 ->
+    | Message.Pull_request ->
         let key = Node_id.to_int dst in
         let p =
           match Hashtbl.find_opt pending key with
@@ -216,11 +206,11 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
       basalt;
       gossip = glayer;
       buffer = Bytes.create 65536;
-      datagrams_in;
-      datagrams_out;
-      send_errors;
-      decode_errors;
-      retries;
+      c_in;
+      c_out;
+      c_send_errors;
+      c_decode_errors;
+      c_retries;
     }
   in
   let receive () =
@@ -228,7 +218,6 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
     let rec drain () =
       match Unix.recvfrom t.socket t.buffer 0 (Bytes.length t.buffer) [] with
       | len, Unix.ADDR_INET (addr, port) -> (
-          incr t.datagrams_in;
           Obs.Counter.incr c_in;
           let from = Endpoint.to_node_id { Endpoint.addr; port } in
           (match Wire.decode_sub t.buffer ~off:0 ~len with
@@ -238,9 +227,7 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
                  eviction probe. *)
               Hashtbl.remove pending (Node_id.to_int from);
               Node.deliver t.node ~from msg
-          | Error _ ->
-              incr t.decode_errors;
-              Obs.Counter.incr c_decode_errors);
+          | Error _ -> Obs.Counter.incr c_decode_errors);
           drain ())
       | _, Unix.ADDR_UNIX _ -> drain ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -275,12 +262,13 @@ let pending_pulls t = Basalt.pending_pulls t.basalt
 let gossip_stats t = Option.map Gossip.stats t.gossip
 
 let stats t =
+  let own = Obs.Counter.own in
   {
-    datagrams_in = !(t.datagrams_in);
-    datagrams_out = !(t.datagrams_out);
-    send_errors = !(t.send_errors);
-    decode_errors = !(t.decode_errors);
-    retries = !(t.retries);
+    datagrams_in = own t.c_in;
+    datagrams_out = own t.c_out;
+    send_errors = own t.c_send_errors;
+    decode_errors = own t.c_decode_errors;
+    retries = own t.c_retries;
   }
 
 let close t =

@@ -42,7 +42,8 @@ val default_retry : retry
     times, with 10% jitter. *)
 
 val no_retry : retry
-(** [no_retry] never retransmits ([max_attempts = 0]). *)
+(** [no_retry] never retransmits ([max_attempts = 0]): an unanswered
+    pull is given up after one [timeout] of 1 s. *)
 
 type t
 
@@ -130,8 +131,7 @@ val pending_pulls : t -> int
     node's sampler: pulls its RTT tracker still awaits.  A pull leaves
     it when answered or when its retries are exhausted, so it stays
     bounded by the pulls of the last retry window ([0] without a
-    registry).  Under {!no_retry} nothing gives a pull up, and an
-    unanswered one stays until the next pull to the same peer. *)
+    registry); under {!no_retry} that window is the single timeout. *)
 
 val close : t -> unit
 (** [close t] unregisters from the loop and closes the socket. *)

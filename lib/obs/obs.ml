@@ -1,10 +1,27 @@
 module Counter = struct
-  type t = { mutable n : int }
+  (* A handle counts its own increments in [n] and forwards each one to
+     [total], the registry cell for its name.  A registry cell, and a
+     disabled dummy, is its own total, so the forward is skipped. *)
+  type t = { mutable n : int; total : t }
 
-  let make () = { n = 0 }
-  let incr c = c.n <- c.n + 1
-  let add c k = c.n <- c.n + k
-  let value c = c.n
+  let make () =
+    let rec c = { n = 0; total = c } in
+    c
+
+  let handle total = { n = 0; total }
+
+  let incr c =
+    c.n <- c.n + 1;
+    let t = c.total in
+    if t != c then t.n <- t.n + 1
+
+  let add c k =
+    c.n <- c.n + k;
+    let t = c.total in
+    if t != c then t.n <- t.n + k
+
+  let value c = c.total.n
+  let own c = c.n
 end
 
 module Gauge = struct
@@ -320,9 +337,10 @@ let get_or_create t name ~make ~cast =
 let counter t name =
   if not t.is_enabled then Counter.make ()
   else
-    get_or_create t name
-      ~make:(fun () -> I_counter (Counter.make ()))
-      ~cast:(function I_counter c -> Some c | _ -> None)
+    Counter.handle
+      (get_or_create t name
+         ~make:(fun () -> I_counter (Counter.make ()))
+         ~cast:(function I_counter c -> Some c | _ -> None))
 
 let gauge t name =
   if not t.is_enabled then Gauge.make ()

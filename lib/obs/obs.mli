@@ -8,10 +8,11 @@
 
     - {e free when disabled}: instruments requested from {!disabled} are
       fresh unregistered dummies, so a mutation is a single store into a
-      record nobody reads — no branch, no allocation on the hot path,
-      and no shared state that domains could race on.  The one
-      exception is {!rtt}: every disabled tracker is the same inert
-      value, which no operation ever writes;
+      record nobody else reads (for a counter, plus one branch that is
+      never taken) — no allocation on the hot path, and no shared state
+      that domains could race on.  The one exception is {!rtt}: every
+      disabled tracker is the same inert value, which no operation ever
+      writes;
     - {e deterministic when enabled}: time comes from an injected clock
       (the virtual [Engine.now] in simulation; the event-loop clock at
       the allowlisted [lib/net] boundary — never the wall clock
@@ -22,8 +23,11 @@
       [lib/obs] and the allowlisted instrumentation boundaries.
 
     Instrument names are shared across nodes of a simulation: two nodes
-    asking for counter ["basalt.rounds"] get the same counter, so values
-    are per-run aggregates.  A registry must therefore not be shared
+    asking for counter ["basalt.rounds"] get handles onto the same
+    registry total, so values are per-run aggregates, while each handle
+    also keeps its own count ({!Counter.own}) for per-node stats; other
+    instrument kinds are the shared cell itself.  A registry must
+    therefore not be shared
     across concurrently running simulations; [lib/sim/runner.ml] creates
     one registry per run, inside the (possibly pooled) run itself. *)
 
@@ -56,17 +60,24 @@ val set_clock : t -> (unit -> float) -> unit
 (** Monotonically increasing integer counters. *)
 module Counter : sig
   type t
-  (** A counter cell. *)
+  (** A counter handle: its own count plus the registry total for its
+      name, to which every increment is also added.  A registry cell,
+      and a dummy from {!disabled}, is its own total. *)
 
   val incr : t -> unit
-  (** [incr c] adds one: a single store, even on a disabled dummy. *)
+  (** [incr c] adds one to [c] and to its total: one store plus one
+      never-taken branch on a disabled dummy. *)
 
   val add : t -> int -> unit
-  (** [add c k] adds [k] (negative [k] is a programming error; not
-      checked on the hot path). *)
+  (** [add c k] adds [k] to [c] and to its total (negative [k] is a
+      programming error; not checked on the hot path). *)
 
   val value : t -> int
-  (** [value c] is the current count. *)
+  (** [value c] is the registry-wide count for [c]'s name: the sum over
+      every handle of that name ([own c] on a disabled dummy). *)
+
+  val own : t -> int
+  (** [own c] is the count added through this handle alone. *)
 end
 
 (** Last-value (or running-max) float gauges. *)
@@ -213,8 +224,9 @@ module Series : sig
 end
 
 val counter : t -> string -> Counter.t
-(** [counter t name] gets or creates the counter [name].  On
-    {!disabled}, a fresh unregistered dummy.  @raise Invalid_argument
+(** [counter t name] gets or creates the registry total for [name] and
+    returns a fresh handle onto it.  On {!disabled}, a fresh
+    unregistered dummy.  @raise Invalid_argument
     if [name] already names a non-counter instrument. *)
 
 val gauge : t -> string -> Gauge.t

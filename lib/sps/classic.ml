@@ -20,7 +20,7 @@ type t = {
   mutable view : Node_id.t array;
   mutable received : Node_id.t list;
   mutable got_any : bool;
-  (* Run-wide instruments, shared across nodes by name (DESIGN.md §8);
+  (* Counter handles onto run-wide totals shared by name (DESIGN.md §8);
      the label distinguishes the bare shuffler from its {!Sps} wrap. *)
   c_rounds : Obs.Counter.t;
   c_pulls : Obs.Counter.t;

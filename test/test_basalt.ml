@@ -536,7 +536,7 @@ module Obs = Basalt_obs.Obs
    200-id bootstrap as [Runner] draws it, disabled telemetry): the
    seen-cache sized for the bootstrap (512 cells, 1025 words), the four
    slot int arrays (4 x 161), the boxed seeds (481), its PRNG, record
-   and sampler closures — 2246 words measured.  The batch scratch and
+   and sampler closures — 2240 words measured.  The batch scratch and
    the RTT tracker are shared, so they are not per node; a node that
    owned them would carry another 603 + 1446 words. *)
 let words_per_node_budget = 2400

@@ -433,7 +433,7 @@ let brahms_shared_scratch () =
 (* Words one node of a 200-node run retains (l = 160, a distinct
    64-id bootstrap, disabled telemetry): its 160 min-wise samplers as
    three arrays (803 words, 481 of them the seeds array and its boxed
-   [Rank.seed]s), its view, its PRNG and its record — 945 words
+   [Rank.seed]s), its view, its PRNG and its record — 951 words
    measured.  The batch scratch is its maker's; the RTT tracker of a
    disabled registry is shared. *)
 let words_per_node_budget = 1100

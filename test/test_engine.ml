@@ -533,6 +533,68 @@ let fault_reorder () =
   check_bool "at least one overtake" true
     (List.rev !order <> List.init 20 (fun i -> string_of_int (i + 1)))
 
+(* Two engines on one registry, under a plan that loses, duplicates,
+   reorders and partitions: each engine's [stats] are its own counts,
+   with [events = timer_fires + delivered + ignored], and together they
+   make up the registry's [engine.*] totals. *)
+let fault_stats_on_shared_registry () =
+  let obs = Basalt_obs.Obs.create () in
+  let fault =
+    Fault.make
+      ~base:
+        (Fault.link ~loss:(Link.Loss.Bernoulli 0.1) ~dup:0.3 ~reorder:0.5
+           ~reorder_window:1.0 ())
+      ~partitions:
+        [ Fault.partition ~from_time:2.0 ~until_time:4.0 (fun i -> i = 0) ]
+      ()
+  in
+  let start seed =
+    let e : string Engine.t =
+      Engine.create ~fault ~obs ~rng:(Basalt_prng.Rng.create ~seed) ~n:4 ()
+    in
+    (* Node 0 has no handler, so traffic to it is ignored. *)
+    for i = 1 to 3 do
+      Engine.register e i (fun ~from:_ _ -> ())
+    done;
+    let timers = ref 0 in
+    Engine.every e ~interval:0.5 (fun () ->
+        incr timers;
+        for src = 0 to 3 do
+          Engine.send e ~src ~dst:((src + 1) mod 4) "x"
+        done);
+    (e, timers)
+  in
+  let engines = [ start 1; start 2 ] in
+  List.iter (fun (e, _) -> Engine.run_until e 8.0) engines;
+  List.iter
+    (fun (e, timers) ->
+      let s = Engine.stats e in
+      check_int "events = timer fires + delivered + ignored" s.Engine.events
+        (!timers + s.Engine.delivered + s.Engine.ignored))
+    engines;
+  let snapshot = Basalt_obs.Obs.snapshot obs in
+  let total name = int_of_float (List.assoc ("engine." ^ name) snapshot) in
+  let sum f =
+    List.fold_left (fun acc (e, _) -> acc + f (Engine.stats e)) 0 engines
+  in
+  List.iter
+    (fun (name, f) ->
+      check_bool (name ^ " happened") true (total name > 0);
+      check_int (name ^ ": summed stats equal the registry total") (total name)
+        (sum f))
+    [
+      ("sent", fun s -> s.Engine.sent);
+      ("delivered", fun s -> s.Engine.delivered);
+      ("dropped", fun s -> s.Engine.dropped);
+      ("ignored", fun s -> s.Engine.ignored);
+      ("dup", fun s -> s.Engine.dup);
+      ("reordered", fun s -> s.Engine.reordered);
+      ("partition_drops", fun s -> s.Engine.partition_drops);
+    ];
+  check_int "summed events equal timer fires + delivered + ignored"
+    (total "timer_fires" + total "delivered" + total "ignored")
+    (sum (fun s -> s.Engine.events))
+
 let fault_asymmetric () =
   (* A directed override makes 0→1 lossy while 1→0 stays clean. *)
   let fault =
@@ -731,6 +793,8 @@ let () =
           Alcotest.test_case "duplication" `Quick fault_duplication;
           Alcotest.test_case "reorder" `Quick fault_reorder;
           Alcotest.test_case "asymmetric" `Quick fault_asymmetric;
+          Alcotest.test_case "stats on a shared registry" `Quick
+            fault_stats_on_shared_registry;
           Alcotest.test_case "link independence" `Quick
             fault_link_independence;
           Alcotest.test_case "gilbert-elliott bursts" `Quick

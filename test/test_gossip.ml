@@ -344,7 +344,7 @@ let mini_lazy_recovery () =
 
 let publishes = 3
 
-let run_sim ?fault ?(n = 80) ~seed () =
+let run_sim ?fault ?(n = 80) ?obs ~seed () =
   let steps = 40.0 in
   let s =
     Scenario.make ~name:"test-broadcast" ~n ~f:0.0 ~steps ~seed ?fault
@@ -382,11 +382,11 @@ let run_sim ?fault ?(n = 80) ~seed () =
       gossips.(i) <- Some g;
       Node.gossip g
   in
-  ignore (Runner.run ~app s);
-  (tracker, gossips)
+  let result = Runner.run ~app ?obs s in
+  (tracker, gossips, result)
 
 let sim_exact_once_clean () =
-  let tracker, gossips = run_sim ~seed:11 () in
+  let tracker, gossips, _ = run_sim ~seed:11 () in
   check_int "all messages tracked" publishes (Delivery.messages tracker);
   check_bool "full delivery on a fault-free network" true
     (Delivery.fraction tracker = 1.0);
@@ -412,11 +412,52 @@ let sim_exact_once_under_faults () =
            ~loss:(Basalt_engine.Link.Loss.Bernoulli 0.2) ())
       ()
   in
-  let tracker, _ = run_sim ~fault ~seed:12 () in
+  let tracker, _, _ = run_sim ~fault ~seed:12 () in
   check_int "exactly-once survives loss" 0
     (Delivery.duplicate_deliveries tracker);
   check_bool "most deliveries still happen" true
     (Delivery.fraction tracker > 0.9)
+
+(* Every node's layer holds its own handles onto the run's one registry:
+   per-node [stats] are that node's counts, and they sum to the
+   [gossip.*] totals.  Loss drives the digest, recovery and mesh-repair
+   paths, so every counter moves. *)
+let sim_stats_on_shared_registry () =
+  let fault =
+    Basalt_engine.Fault.make
+      ~base:
+        (Basalt_engine.Fault.link
+           ~loss:(Basalt_engine.Link.Loss.Bernoulli 0.2) ())
+      ()
+  in
+  let _, gossips, result = run_sim ~fault ~obs:true ~seed:13 () in
+  let obs =
+    match result.Runner.obs with
+    | Some obs -> obs
+    | None -> Alcotest.fail "run has no registry"
+  in
+  let total name =
+    Basalt_obs.Obs.Counter.value (Basalt_obs.Obs.counter obs ("gossip." ^ name))
+  in
+  let sum f =
+    Array.fold_left
+      (fun acc -> function None -> acc | Some g -> acc + f (Gossip.stats g))
+      0 gossips
+  in
+  List.iter
+    (fun (name, f) ->
+      check_bool (name ^ " counted") true (total name > 0);
+      check_int (name ^ ": summed stats equal the registry total") (total name)
+        (sum f))
+    [
+      ("published", fun s -> s.Gossip.published);
+      ("delivered", fun s -> s.Gossip.delivered);
+      ("duplicates", fun s -> s.Gossip.duplicates);
+      ("ihave", fun s -> s.Gossip.ihave_sent);
+      ("iwant", fun s -> s.Gossip.iwant_sent);
+      ("grafts", fun s -> s.Gossip.grafts_sent);
+      ("prunes", fun s -> s.Gossip.prunes_sent);
+    ]
 
 let summary_of tracker gossips =
   let stats =
@@ -436,7 +477,7 @@ let summary_of tracker gossips =
 let sim_pool_determinism () =
   let seeds = [ 21; 22; 23; 24 ] in
   let task seed =
-    let tracker, gossips = run_sim ~n:60 ~seed () in
+    let tracker, gossips, _ = run_sim ~n:60 ~seed () in
     summary_of tracker gossips
   in
   let with_domains d =
@@ -584,6 +625,8 @@ let () =
         [
           Alcotest.test_case "exact-once, full delivery, clean" `Quick
             sim_exact_once_clean;
+          Alcotest.test_case "stats on a shared registry" `Quick
+            sim_stats_on_shared_registry;
           Alcotest.test_case "exact-once under loss" `Quick
             sim_exact_once_under_faults;
           Alcotest.test_case "bit-identical at -j1 vs -j4" `Slow

@@ -227,38 +227,43 @@ let udp_retry_backoff_capped () =
 (* A pull whose retries are exhausted is given up, and must leave the
    RTT tracker with it: a daemon always runs with a registry, and in a
    churning network it pulls ever more dead peers.  Over 64 silent
-   peers the tracker holds only the pulls of the last retry window. *)
+   peers the tracker holds only the pulls of the last retry window.
+   With zero retries the window is the pull's one timeout. *)
 let udp_exhausted_pulls_leave_rtt_tracker () =
-  let vtime = ref 0.0 in
-  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
-  let retry =
-    {
-      Udp_node.timeout = 1.0;
-      backoff = 1.0;
-      max_timeout = 1.0;
-      max_attempts = 1;
-      jitter = 0.0;
-    }
-  in
-  let node =
-    Udp_node.create
-      ~config:(Basalt_core.Config.make ~v:64 ~k:1 ~tau:1.0 ())
-      ~obs:(Basalt_obs.Obs.create ~clock:(fun () -> !vtime) ())
-      ~retry ~loop ~listen:(localhost 0)
-      ~bootstrap:(List.init 64 (fun _ -> dead_endpoint ()))
-      ~seed:3 ()
-  in
-  let most = ref 0 in
-  for step = 1 to 600 do
-    vtime := 0.5 *. float_of_int step;
-    Event_loop.run_due_timers loop;
-    most := Int.max !most (Udp_node.pending_pulls node)
-  done;
-  check_bool "pulls were tracked" true (!most > 0);
-  check_bool
-    (Printf.sprintf "pending pulls bounded (peak %d)" !most)
-    true (!most <= 4);
-  Udp_node.close node
+  List.iter
+    (fun max_attempts ->
+      let vtime = ref 0.0 in
+      let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+      let retry =
+        {
+          Udp_node.timeout = 1.0;
+          backoff = 1.0;
+          max_timeout = 1.0;
+          max_attempts;
+          jitter = 0.0;
+        }
+      in
+      let node =
+        Udp_node.create
+          ~config:(Basalt_core.Config.make ~v:64 ~k:1 ~tau:1.0 ())
+          ~obs:(Basalt_obs.Obs.create ~clock:(fun () -> !vtime) ())
+          ~retry ~loop ~listen:(localhost 0)
+          ~bootstrap:(List.init 64 (fun _ -> dead_endpoint ()))
+          ~seed:3 ()
+      in
+      let most = ref 0 in
+      for step = 1 to 600 do
+        vtime := 0.5 *. float_of_int step;
+        Event_loop.run_due_timers loop;
+        most := Int.max !most (Udp_node.pending_pulls node)
+      done;
+      let label = Printf.sprintf "max_attempts %d: " max_attempts in
+      check_bool (label ^ "pulls were tracked") true (!most > 0);
+      check_bool
+        (Printf.sprintf "%spending pulls bounded (peak %d)" label !most)
+        true (!most <= 4);
+      Udp_node.close node)
+    [ 1; 0 ]
 
 let udp_retry_cleared_by_reply () =
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
@@ -360,6 +365,64 @@ let udp_send_errors_counted () =
     (Basalt_obs.Obs.Counter.value
        (Basalt_obs.Obs.counter obs "net.send_errors"));
   Udp_node.close node
+
+(* One select pass over the loop's sockets without advancing a virtual
+   clock: a due timer stops the loop after the pass. *)
+let drain_sockets loop =
+  Event_loop.schedule loop ~delay:0.0 (fun () -> Event_loop.stop loop);
+  Event_loop.run_for loop 1e-6
+
+(* Three nodes on one registry, as the daemon benchmark runs them: each
+   node's [stats] are its own counts, and they sum to the [net.*]
+   totals.  A garbage datagram and a limited-broadcast bootstrap entry
+   (refused by [sendto]) give the error counters something to count. *)
+let udp_stats_on_shared_registry () =
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let obs = Basalt_obs.Obs.create ~clock:(fun () -> !vtime) () in
+  let config = Basalt_core.Config.make ~v:4 ~k:1 ~tau:1.0 () in
+  let mk ~bootstrap seed =
+    Udp_node.create ~config ~obs ~loop ~listen:(localhost 0) ~bootstrap ~seed
+      ()
+  in
+  let a =
+    mk ~bootstrap:[ dead_endpoint (); Endpoint.make "255.255.255.255" 9 ] 1
+  in
+  let b = mk ~bootstrap:[ Udp_node.endpoint a ] 2 in
+  let c = mk ~bootstrap:[ Udp_node.endpoint a; Udp_node.endpoint b ] 3 in
+  let nodes = [ a; b; c ] in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let garbage = Bytes.of_string "definitely not a basalt datagram" in
+  ignore
+    (Unix.sendto sock garbage 0 (Bytes.length garbage) []
+       (Endpoint.to_sockaddr (Udp_node.endpoint c)));
+  Unix.close sock;
+  for step = 1 to 40 do
+    vtime := 0.25 *. float_of_int step;
+    Event_loop.run_due_timers loop;
+    drain_sockets loop
+  done;
+  let total name =
+    Basalt_obs.Obs.Counter.value (Basalt_obs.Obs.counter obs ("net." ^ name))
+  in
+  let sum f =
+    List.fold_left (fun acc node -> acc + f (Udp_node.stats node)) 0 nodes
+  in
+  List.iter
+    (fun (name, f) ->
+      check_int (name ^ ": summed stats equal the registry total") (total name)
+        (sum f))
+    [
+      ("datagrams_in", fun s -> s.Udp_node.datagrams_in);
+      ("datagrams_out", fun s -> s.Udp_node.datagrams_out);
+      ("send_errors", fun s -> s.Udp_node.send_errors);
+      ("decode_errors", fun s -> s.Udp_node.decode_errors);
+      ("retries", fun s -> s.Udp_node.retries);
+    ];
+  List.iter
+    (fun name -> check_bool (name ^ " counted") true (total name > 0))
+    [ "datagrams_in"; "datagrams_out"; "decode_errors" ];
+  List.iter Udp_node.close nodes
 
 (* Spin up [n] real UDP nodes in one process, bootstrap them in a ring of
    overlapping neighbor lists, run the protocol for a little while of
@@ -546,6 +609,8 @@ let () =
             udp_inject_delay_postpones;
           Alcotest.test_case "refused sends counted as errors" `Quick
             udp_send_errors_counted;
+          Alcotest.test_case "stats on a shared registry" `Quick
+            udp_stats_on_shared_registry;
           Alcotest.test_case "overlay converges end-to-end" `Slow
             udp_overlay_converges;
         ] );

@@ -17,7 +17,9 @@ let registry_get_or_create () =
   let c2 = Obs.counter t "a" in
   Obs.Counter.incr c1;
   Obs.Counter.add c2 2;
-  check_int "same cell by name" 3 (Obs.Counter.value c1);
+  check_int "handles of one name share a total" 3 (Obs.Counter.value c1);
+  check_int "each handle keeps its own count" 1 (Obs.Counter.own c1);
+  check_int "own of the second handle" 2 (Obs.Counter.own c2);
   let g = Obs.gauge t "g" in
   Obs.Gauge.set g 1.5;
   check_float "gauge set" 1.5 (Obs.Gauge.value (Obs.gauge t "g"))
@@ -535,6 +537,52 @@ let prop_snapshot_matches_model =
         ]
       && Array.fold_left ( + ) 0 buckets = observes)
 
+(* Counter handles: several handles of one name on an enabled registry,
+   plus dummies from [Obs.disabled].  Each handle's [own] is what was
+   added through it; [value] from any enabled handle is the sum, which
+   is also what the snapshot and the Prometheus exposition report; a
+   dummy is its own total and sees nobody else's increments. *)
+let n_disabled = 2
+
+let handle_ops_gen =
+  Gen.bind (Gen.int_range 1 4) (fun k ->
+      Gen.map
+        (fun ops -> (k, ops))
+        (Gen.list ~max_len:40
+           (Gen.pair (Gen.nat ~max:(k + n_disabled - 1)) (Gen.nat ~max:5))))
+
+let prop_counter_handles =
+  Check.prop ~name:"counter handles: own per handle, value is the sum"
+    ~count:200
+    ~print:(Print.pair Print.int (Print.list (Print.pair Print.int Print.int)))
+    handle_ops_gen
+    (fun (k, ops) ->
+      let t = Obs.create () in
+      let handles =
+        Array.init (k + n_disabled) (fun i ->
+            Obs.counter (if i < k then t else Obs.disabled) "net.x")
+      in
+      let expected = Array.make (k + n_disabled) 0 in
+      (* amount 0 stands for [incr] *)
+      List.iter
+        (fun (h, amount) ->
+          if amount = 0 then Obs.Counter.incr handles.(h)
+          else Obs.Counter.add handles.(h) amount;
+          expected.(h) <- expected.(h) + max amount 1)
+        ops;
+      let sum = Array.fold_left ( + ) 0 (Array.sub expected 0 k) in
+      let late = Obs.counter t "net.x" in
+      Array.for_all2 (fun c e -> Obs.Counter.own c = e) handles expected
+      && Obs.Counter.own late = 0
+      && Array.for_all
+           (fun c -> Obs.Counter.value c = sum)
+           (Array.append (Array.sub handles 0 k) [| late |])
+      && Obs.snapshot t = [ ("net.x", float_of_int sum) ]
+      && contains (Obs.render_prometheus t) (Printf.sprintf "\nnet_x %d\n" sum)
+      && Array.for_all
+           (fun i -> Obs.Counter.value handles.(i) = expected.(i))
+           (Array.init n_disabled (fun j -> k + j)))
+
 (* JSON round-trip: any event the generator can produce survives
    [event_to_json] → [event_of_json] structurally intact (issue 8). *)
 let print_event (e : Obs.event) =
@@ -618,6 +666,7 @@ let () =
         [
           prop_snapshot_order_independent;
           prop_snapshot_matches_model;
+          prop_counter_handles;
           prop_event_json_round_trip;
         ];
     ]
