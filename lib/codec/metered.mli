@@ -11,7 +11,7 @@ val send :
   Basalt_proto.Rps.send ->
   Basalt_proto.Rps.send
 (** [send obs ~proto f] is [f] instrumented with counters
-    [<proto>.msgs_sent] and [<proto>.bytes_sent], histogram
+    [<proto>.msgs_sent] and [<proto>.bytes_sent], quantile sketch
     [<proto>.msg_bytes] and gauge [<proto>.max_msg_bytes] (wire-encoded
     datagram bytes).  When [obs] is disabled this is [f] itself — zero
     overhead. *)

@@ -38,10 +38,8 @@ type t = {
   c_iwant : Obs.Counter.t;
   c_grafts : Obs.Counter.t;
   c_prunes : Obs.Counter.t;
-  h_hops : Obs.Histogram.t;
+  s_hops : Obs.Sketch.t;
 }
-
-let hop_edges = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 8.0; 10.0; 12.0; 16.0; 24.0 |]
 
 let create ?(config = Config.default) ?(obs = Obs.disabled) ~node ~view ~rng
     ~send ~deliver () =
@@ -69,7 +67,7 @@ let create ?(config = Config.default) ?(obs = Obs.disabled) ~node ~view ~rng
     c_iwant = Obs.counter obs "gossip.iwant";
     c_grafts = Obs.counter obs "gossip.grafts";
     c_prunes = Obs.counter obs "gossip.prunes";
-    h_hops = Obs.histogram ~edges:hop_edges obs "gossip.hops";
+    s_hops = Obs.sketch obs "gossip.hops";
   }
 
 let node t = t.node
@@ -111,7 +109,7 @@ let trace_id mid =
 
 let deliver t mid ~hops payload =
   Obs.Counter.incr t.c_delivered;
-  Obs.Histogram.observe t.h_hops (float_of_int hops);
+  Obs.Sketch.add t.s_hops (float_of_int hops);
   if Obs.tracing t.obs then
     Obs.trace t.obs ~name:"gossip.deliver"
       [

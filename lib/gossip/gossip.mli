@@ -59,7 +59,7 @@ val create :
     receives (or publishes), in receipt order.  [obs] (default
     disabled, free) registers the [gossip.published / delivered /
     duplicates / ihave / iwant / grafts / prunes] counters and the
-    [gossip.hops] histogram of hop distances at delivery.  Under
+    [gossip.hops] quantile sketch of hop distances at delivery.  Under
     tracing, every publish and delivery additionally emits a
     [gossip.publish] / [gossip.deliver] event whose [trace] field is
     the broadcast's ["origin#seqno"] identity, so per-message

@@ -33,78 +33,11 @@ module Gauge = struct
   let value g = g.v
 end
 
-module Histogram = struct
-  type t = {
-    edges : float array;
-    counts : int array;  (* length edges + 1; last cell = overflow *)
-    mutable total : int;
-    mutable sum : float;
-  }
-
-  let make edges =
-    let n = Array.length edges in
-    if n = 0 then invalid_arg "Obs.histogram: empty edges";
-    for i = 1 to n - 1 do
-      if edges.(i) <= edges.(i - 1) then
-        invalid_arg "Obs.histogram: edges must be strictly increasing"
-    done;
-    { edges = Array.copy edges; counts = Array.make (n + 1) 0; total = 0; sum = 0.0 }
-
-  let observe h x =
-    let n = Array.length h.edges in
-    let i = ref 0 in
-    while !i < n && x > h.edges.(!i) do
-      incr i
-    done;
-    h.counts.(!i) <- h.counts.(!i) + 1;
-    h.total <- h.total + 1;
-    h.sum <- h.sum +. x
-
-  let count h = h.total
-  let sum h = h.sum
-  let edges h = Array.copy h.edges
-  let bucket_counts h = Array.copy h.counts
-
-  (* Interpolated quantile: walk the cumulative counts to the bucket
-     containing rank [q * total], then interpolate linearly between that
-     bucket's lower and upper edges.  The first bucket's lower edge is
-     taken as [min 0 edges.(0)] (these histograms record non-negative
-     sizes and latencies); the overflow bucket cannot be interpolated and
-     clamps to the last edge.  Everything is a pure fold over the counts,
-     so the estimate is deterministic. *)
-  let quantile h q =
-    if q < 0.0 || q > 1.0 then
-      invalid_arg "Obs.Histogram.quantile: q outside [0, 1]";
-    if h.total = 0 then 0.0
-    else begin
-      let n = Array.length h.edges in
-      let target = q *. float_of_int h.total in
-      let rec find i cum =
-        if i > n then h.edges.(n - 1)
-        else
-          let c = h.counts.(i) in
-          if c > 0 && float_of_int (cum + c) >= target then
-            if i = n then h.edges.(n - 1)
-            else
-              let lo =
-                if i = 0 then Float.min 0.0 h.edges.(0) else h.edges.(i - 1)
-              in
-              let hi = h.edges.(i) in
-              let frac = (target -. float_of_int cum) /. float_of_int c in
-              lo +. ((hi -. lo) *. Float.max 0.0 frac)
-          else find (i + 1) (cum + c)
-      in
-      find 0 0
-    end
-end
-
 module Sketch = struct
   (* A DDSketch-style log-bucketed quantile sketch: values map to the
      bucket [ceil (log_gamma x)], so any quantile estimate is within a
-     fixed relative error of the true value.  The bucket mapping is a
-     global constant, which is what makes [merge] a plain bucket-wise
-     addition — exactly associative and commutative, the property the
-     parallel fan-out and the trace analyzer rely on. *)
+     fixed relative error of the true value, at a fixed footprint
+     whatever the number of observations. *)
 
   let gamma = 1.04
   let relative_error = (gamma -. 1.0) /. (gamma +. 1.0)
@@ -139,6 +72,11 @@ module Sketch = struct
       vmax = Float.neg_infinity;
     }
 
+  (* The sketch handed out by [disabled], shared by every caller and
+     every [Pool] domain.  [add] tests for it before writing, so it stays
+     empty forever and needs no cells at all. *)
+  let inert = { (make ()) with cells = [||] }
+
   let cell_of x =
     if x <= min_value then 0
     else
@@ -152,11 +90,14 @@ module Sketch = struct
     else 2.0 *. (gamma ** float_of_int (c - 1 + min_index)) /. (gamma +. 1.0)
 
   let add s x =
-    s.cells.(cell_of x) <- s.cells.(cell_of x) + 1;
-    s.total <- s.total + 1;
-    s.vsum <- s.vsum +. x;
-    if x < s.vmin then s.vmin <- x;
-    if x > s.vmax then s.vmax <- x
+    if s != inert then begin
+      let c = cell_of x in
+      s.cells.(c) <- s.cells.(c) + 1;
+      s.total <- s.total + 1;
+      s.vsum <- s.vsum +. x;
+      if x < s.vmin then s.vmin <- x;
+      if x > s.vmax then s.vmax <- x
+    end
 
   let count s = s.total
   let sum s = s.vsum
@@ -184,87 +125,12 @@ module Sketch = struct
       in
       find 0 0
     end
-
-  let merge a b =
-    let out = make () in
-    Array.iteri (fun i c -> out.cells.(i) <- c + b.cells.(i)) a.cells;
-    out.total <- a.total + b.total;
-    out.vsum <- a.vsum +. b.vsum;
-    out.vmin <- Float.min a.vmin b.vmin;
-    out.vmax <- Float.max a.vmax b.vmax;
-    out
-
-  let buckets s =
-    let out = ref [] in
-    for i = cells_len - 1 downto 0 do
-      if s.cells.(i) > 0 then out := (i, s.cells.(i)) :: !out
-    done;
-    !out
-end
-
-module Series = struct
-  type window = { w_count : int; w_sum : float; w_min : float; w_max : float }
-
-  type t = {
-    mutable cur_count : int;
-    mutable cur_sum : float;
-    mutable cur_min : float;
-    mutable cur_max : float;
-    mutable closed_rev : window list;
-    mutable n_closed : int;
-    mutable total : int;
-  }
-
-  let make () =
-    {
-      cur_count = 0;
-      cur_sum = 0.0;
-      cur_min = Float.infinity;
-      cur_max = Float.neg_infinity;
-      closed_rev = [];
-      n_closed = 0;
-      total = 0;
-    }
-
-  let observe s x =
-    s.cur_count <- s.cur_count + 1;
-    s.cur_sum <- s.cur_sum +. x;
-    if x < s.cur_min then s.cur_min <- x;
-    if x > s.cur_max then s.cur_max <- x;
-    s.total <- s.total + 1
-
-  let roll s =
-    s.closed_rev <-
-      {
-        w_count = s.cur_count;
-        w_sum = s.cur_sum;
-        w_min = s.cur_min;
-        w_max = s.cur_max;
-      }
-      :: s.closed_rev;
-    s.n_closed <- s.n_closed + 1;
-    s.cur_count <- 0;
-    s.cur_sum <- 0.0;
-    s.cur_min <- Float.infinity;
-    s.cur_max <- Float.neg_infinity
-
-  let windows s = List.rev s.closed_rev
-  let window_count s = s.n_closed
-  let total s = s.total
-
-  (* Sum over every observation ever made, open window included.  The
-     fold runs in a fixed (reverse-registration) order, so the float
-     result is bit-stable across runs. *)
-  let grand_sum s =
-    List.fold_left (fun acc w -> acc +. w.w_sum) s.cur_sum s.closed_rev
 end
 
 type instrument =
   | I_counter of Counter.t
   | I_gauge of Gauge.t
-  | I_histogram of Histogram.t
   | I_sketch of Sketch.t
-  | I_series of Series.t
 
 type value = Int of int | Float of float | Str of string
 type event = { time : float; name : string; fields : (string * value) list }
@@ -316,9 +182,7 @@ let set_clock t f = if t.is_enabled then t.clock <- f
 let kind_name = function
   | I_counter _ -> "counter"
   | I_gauge _ -> "gauge"
-  | I_histogram _ -> "histogram"
   | I_sketch _ -> "sketch"
-  | I_series _ -> "series"
 
 let get_or_create t name ~make ~cast =
   match List.assoc_opt name t.instruments with
@@ -349,35 +213,12 @@ let gauge t name =
       ~make:(fun () -> I_gauge (Gauge.make ()))
       ~cast:(function I_gauge g -> Some g | _ -> None)
 
-let default_edges = [| 64.; 128.; 256.; 512.; 1024.; 2048.; 4096.; 8192.; 16384.; 32768.; 65536. |]
-
-let histogram ?(edges = default_edges) t name =
-  if not t.is_enabled then Histogram.make edges
-  else
-    get_or_create t name
-      ~make:(fun () -> I_histogram (Histogram.make edges))
-      ~cast:(function I_histogram h -> Some h | _ -> None)
-
 let sketch t name =
-  if not t.is_enabled then Sketch.make ()
+  if not t.is_enabled then Sketch.inert
   else
     get_or_create t name
       ~make:(fun () -> I_sketch (Sketch.make ()))
       ~cast:(function I_sketch s -> Some s | _ -> None)
-
-let series t name =
-  if not t.is_enabled then Series.make ()
-  else
-    get_or_create t name
-      ~make:(fun () -> I_series (Series.make ()))
-      ~cast:(function I_series s -> Some s | _ -> None)
-
-let roll_series t =
-  List.iter
-    (fun (_, i) -> match i with I_series s -> Series.roll s | _ -> ())
-    t.instruments
-
-let now t = t.clock ()
 
 let trace t ~name fields =
   if t.trace_enabled then begin
@@ -433,14 +274,14 @@ type rtt = {
 
 (* The one tracker handed out by [disabled], shared by every node of
    every run and by every [Pool] domain.  Nothing ever writes it: the
-   operations below test [is_enabled] before touching the sketch or the
-   pending table, so there is no state for domains to race on, and a
-   node of a disabled run pays one pointer instead of a 1,412-cell
-   sketch and a hash table. *)
+   operations below test [is_enabled] before touching the pending
+   table, and its sketch is the inert one, so there is no state for
+   domains to race on, and a node of a disabled run pays one pointer
+   instead of a 1,412-cell sketch and a hash table. *)
 let disabled_rtt =
   {
     r_reg = disabled;
-    r_sketch = Sketch.make ();
+    r_sketch = Sketch.inert;
     r_name = "";
     r_pending = Hashtbl.create 1;
   }
@@ -647,71 +488,6 @@ let event_of_json line =
             Some { time; name; fields }
         | _ -> None)
 
-let value_to_text = function
-  | Int n -> string_of_int n
-  | Float x -> float_string x
-  | Str s -> s
-
-(* CSV escaping happens at two levels.  Inside the packed fields cell a
-   [k=v] token whose text contains one of the pack metacharacters
-   (';' '=' ',' '"' or a newline) is quoted with doubled inner quotes, so
-   ';' still unambiguously separates tokens and '=' the key.  Then any
-   whole cell containing ',' '"' or a newline is RFC4180-quoted. *)
-let pack_meta s =
-  String.exists
-    (fun c -> c = ';' || c = '=' || c = ',' || c = '"' || c = '\n' || c = '\r')
-    s
-
-let quote_token s =
-  if not (pack_meta s) then s
-  else begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let csv_cell s =
-  if
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  then begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-  else s
-
-let events_to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "time,event,fields\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (float_string e.time);
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (csv_cell e.name);
-      Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (csv_cell
-           (String.concat ";"
-              (List.map
-                 (fun (k, v) ->
-                   quote_token k ^ "=" ^ quote_token (value_to_text v))
-                 e.fields)));
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.contents buf
-
 let in_order t = List.rev t.instruments
 
 let snapshot t =
@@ -720,25 +496,7 @@ let snapshot t =
       match i with
       | I_counter c -> Some (name, float_of_int (Counter.value c))
       | I_gauge g -> Some (name, Gauge.value g)
-      | I_histogram _ | I_sketch _ | I_series _ -> None)
-    (in_order t)
-
-let histograms t =
-  List.filter_map
-    (fun (name, i) ->
-      match i with I_histogram h -> Some (name, h) | _ -> None)
-    (in_order t)
-
-let sketches t =
-  List.filter_map
-    (fun (name, i) ->
-      match i with I_sketch s -> Some (name, s) | _ -> None)
-    (in_order t)
-
-let all_series t =
-  List.filter_map
-    (fun (name, i) ->
-      match i with I_series s -> Some (name, s) | _ -> None)
+      | I_sketch _ -> None)
     (in_order t)
 
 let render t =
@@ -753,35 +511,6 @@ let render t =
           Buffer.add_string buf
             (Printf.sprintf "gauge      %-32s %s" name
                (float_string (Gauge.value g)))
-      | I_histogram h ->
-          let cells =
-            let edges = Histogram.edges h and counts = Histogram.bucket_counts h in
-            let parts = ref [] in
-            Array.iteri
-              (fun i c ->
-                if c > 0 then
-                  let label =
-                    if i < Array.length edges then
-                      "<=" ^ float_string edges.(i)
-                    else ">" ^ float_string edges.(Array.length edges - 1)
-                  in
-                  parts := Printf.sprintf "%s:%d" label c :: !parts)
-              counts;
-            String.concat " " (List.rev !parts)
-          in
-          let pcts =
-            if Histogram.count h = 0 then ""
-            else
-              Printf.sprintf " p50=%s p90=%s p99=%s"
-                (float_string (Histogram.quantile h 0.5))
-                (float_string (Histogram.quantile h 0.9))
-                (float_string (Histogram.quantile h 0.99))
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "histogram  %-32s count=%d sum=%s%s %s" name
-               (Histogram.count h)
-               (float_string (Histogram.sum h))
-               pcts cells)
       | I_sketch s ->
           let pcts =
             if Sketch.count s = 0 then ""
@@ -796,12 +525,7 @@ let render t =
             (Printf.sprintf "sketch     %-32s count=%d sum=%s%s" name
                (Sketch.count s)
                (float_string (Sketch.sum s))
-               pcts)
-      | I_series s ->
-          Buffer.add_string buf
-            (Printf.sprintf "series     %-32s windows=%d count=%d sum=%s" name
-               (Series.window_count s) (Series.total s)
-               (float_string (Series.grand_sum s))));
+               pcts));
       Buffer.add_char buf '\n')
     (in_order t);
   if t.trace_enabled then
@@ -831,20 +555,6 @@ let render_prometheus t =
       | I_gauge g ->
           line "# TYPE %s gauge" n;
           line "%s %s" n (float_string (Gauge.value g))
-      | I_histogram h ->
-          line "# TYPE %s histogram" n;
-          let edges = Histogram.edges h
-          and counts = Histogram.bucket_counts h in
-          let cum = ref 0 in
-          Array.iteri
-            (fun i c ->
-              cum := !cum + c;
-              if i < Array.length edges then
-                line "%s_bucket{le=\"%s\"} %d" n (float_string edges.(i)) !cum)
-            counts;
-          line "%s_bucket{le=\"+Inf\"} %d" n (Histogram.count h);
-          line "%s_sum %s" n (float_string (Histogram.sum h));
-          line "%s_count %d" n (Histogram.count h)
       | I_sketch s ->
           line "# TYPE %s summary" n;
           if Sketch.count s > 0 then begin
@@ -853,13 +563,6 @@ let render_prometheus t =
             line "%s{quantile=\"0.99\"} %s" n (float_string (Sketch.quantile s 0.99))
           end;
           line "%s_sum %s" n (float_string (Sketch.sum s));
-          line "%s_count %d" n (Sketch.count s)
-      | I_series s ->
-          (* Prometheus has no native windowed type; expose the running
-             totals as a gauge pair so scrapes can rate() them. *)
-          line "# TYPE %s_total gauge" n;
-          line "%s_total %d" n (Series.total s);
-          line "# TYPE %s_windows gauge" n;
-          line "%s_windows %d" n (Series.window_count s))
+          line "%s_count %d" n (Sketch.count s))
     (in_order t);
   Buffer.contents buf

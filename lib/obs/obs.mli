@@ -1,18 +1,18 @@
 (** Deterministic observability: typed instruments and a structured trace
     sink (DESIGN.md §8).
 
-    A registry holds monotonic counters, gauges and fixed-bucket
-    histograms, found by name (get-or-create), plus an optional trace
-    sink that records timestamped structured events.  Design goals, in
-    order:
+    A registry holds three kinds of instrument — monotonic counters,
+    gauges and quantile sketches — found by name (get-or-create), plus
+    an optional trace sink that records timestamped structured events.
+    Design goals, in order:
 
-    - {e free when disabled}: instruments requested from {!disabled} are
-      fresh unregistered dummies, so a mutation is a single store into a
-      record nobody else reads (for a counter, plus one branch that is
-      never taken) — no allocation on the hot path, and no shared state
-      that domains could race on.  The one exception is {!rtt}: every
-      disabled tracker is the same inert value, which no operation ever
-      writes;
+    - {e free when disabled}: counters and gauges requested from
+      {!disabled} are fresh unregistered dummies, so a mutation is a
+      single store into a record nobody else reads (for a counter, plus
+      one branch that is never taken) — no allocation on the hot path,
+      and no shared state that domains could race on.  Sketches and
+      {!rtt} trackers from {!disabled} are one shared inert value each,
+      which no operation ever writes;
     - {e deterministic when enabled}: time comes from an injected clock
       (the virtual [Engine.now] in simulation; the event-loop clock at
       the allowlisted [lib/net] boundary — never the wall clock
@@ -37,8 +37,8 @@ type t
 
 val disabled : t
 (** [disabled] is the no-op sink: {!enabled} is [false], instruments
-    requested from it are fresh dummies (trackers from {!rtt} are one
-    shared inert value), {!trace} does nothing, and no call ever
+    requested from it are fresh dummies (sketches and {!rtt} trackers
+    are one shared inert value each), {!trace} does nothing, and no call ever
     mutates shared state (safe to use from any domain). *)
 
 val create : ?clock:(unit -> float) -> ?trace:bool -> unit -> t
@@ -95,47 +95,13 @@ module Gauge : sig
   (** [value g] is the current value ([0.] if never set). *)
 end
 
-(** Fixed-bucket histograms (cumulative-free, one count per bucket). *)
-module Histogram : sig
-  type t
-  (** A histogram cell. *)
-
-  val observe : t -> float -> unit
-  (** [observe h x] increments the bucket of the first upper edge
-      [>= x], or the overflow bucket when [x] exceeds every edge. *)
-
-  val count : t -> int
-  (** [count h] is the number of observations. *)
-
-  val sum : t -> float
-  (** [sum h] is the sum of observed values. *)
-
-  val edges : t -> float array
-  (** [edges h] is the (sorted, inclusive) upper-edge array the
-      histogram was created with. *)
-
-  val bucket_counts : t -> int array
-  (** [bucket_counts h] has length [Array.length (edges h) + 1]; the
-      last cell counts overflow observations. *)
-
-  val quantile : t -> float -> float
-  (** [quantile h q] is the interpolated [q]-quantile estimate
-      ([0. <= q <= 1.]): walk the cumulative counts to the bucket
-      holding rank [q * count], then interpolate linearly between that
-      bucket's edges.  The overflow bucket clamps to the last edge;
-      an empty histogram reads [0.].  Pure fold, hence deterministic.
-      @raise Invalid_argument if [q] is outside [[0, 1]]. *)
-end
-
-(** Mergeable log-bucketed quantile sketches (DDSketch-style).
+(** Log-bucketed quantile sketches (DDSketch-style), the one
+    distribution type.
 
     Values map to fixed buckets [ceil (log_gamma x)] with
     [gamma = 1.04], so quantile estimates carry a bounded relative
     error (~2%) at a fixed memory footprint, independent of the number
-    of observations.  Because the bucket mapping is a global constant,
-    {!merge} is plain bucket-wise integer addition — exactly
-    associative and commutative, which lets per-shard sketches from a
-    parallel fan-out combine into the same result in any order. *)
+    of observations.  Count, sum, minimum and maximum are exact. *)
 module Sketch : sig
   type t
   (** A sketch cell. *)
@@ -151,7 +117,9 @@ module Sketch : sig
       values: [(gamma - 1) / (gamma + 1)]. *)
 
   val add : t -> float -> unit
-  (** [add s x] records one observation. *)
+  (** [add s x] records one observation: one logarithm for the bucket
+      index.  On the sketch from {!disabled} it does nothing (one
+      branch). *)
 
   val count : t -> int
   (** [count s] is the number of observations. *)
@@ -171,56 +139,6 @@ module Sketch : sig
       range.  [0.] when empty.
       @raise Invalid_argument if [q] is outside [[0, 1]]. *)
 
-  val merge : t -> t -> t
-  (** [merge a b] is a fresh sketch holding both inputs' observations:
-      bucket-wise addition, exactly associative and commutative.
-      Neither input is mutated. *)
-
-  val buckets : t -> (int * int) list
-  (** [buckets s] is the nonzero [(cell_index, count)] pairs in
-      ascending cell order — the serialization-friendly raw view. *)
-end
-
-(** Windowed per-round accumulators.
-
-    A series accumulates observations into a current window
-    (count/sum/min/max); {!roll} closes the window and starts a fresh
-    one.  The driver calls {!roll_series} once per simulation round, so
-    a series is a per-round trajectory recorded in O(rounds) space no
-    matter how many observations each round makes. *)
-module Series : sig
-  type t
-  (** A series cell. *)
-
-  type window = {
-    w_count : int;  (** observations in the window *)
-    w_sum : float;  (** their sum *)
-    w_min : float;  (** minimum ([infinity] when the window is empty) *)
-    w_max : float;  (** maximum ([neg_infinity] when empty) *)
-  }
-  (** One closed window's summary. *)
-
-  val observe : t -> float -> unit
-  (** [observe s x] records [x] into the current (open) window. *)
-
-  val roll : t -> unit
-  (** [roll s] closes the current window (appending its summary) and
-      opens an empty one.  Usually reached via {!roll_series}. *)
-
-  val windows : t -> window list
-  (** [windows s] is every closed window, oldest first. *)
-
-  val window_count : t -> int
-  (** [window_count s] is the number of closed windows. *)
-
-  val total : t -> int
-  (** [total s] counts every observation ever made, open window
-      included. *)
-
-  val grand_sum : t -> float
-  (** [grand_sum s] sums every observation ever made, open window
-      included, folding in a fixed order so the float is
-      bit-stable. *)
 end
 
 val counter : t -> string -> Counter.t
@@ -234,34 +152,11 @@ val gauge : t -> string -> Gauge.t
     {!disabled}).  @raise Invalid_argument on an instrument-kind
     clash. *)
 
-val histogram : ?edges:float array -> t -> string -> Histogram.t
-(** [histogram t name] gets or creates the histogram [name] with the
-    given upper [edges] (default: powers of two from 64 to 65536,
-    sized for datagram bytes).  [edges] must be sorted strictly
-    increasing and non-empty.  On re-lookup the existing instrument is
-    returned and [edges] is ignored.  @raise Invalid_argument on bad
-    [edges] or an instrument-kind clash. *)
-
 val sketch : t -> string -> Sketch.t
-(** [sketch t name] gets or creates the quantile sketch [name] (dummy
-    on {!disabled}).  @raise Invalid_argument on an instrument-kind
-    clash. *)
-
-val series : t -> string -> Series.t
-(** [series t name] gets or creates the windowed series [name] (dummy
-    on {!disabled}).  @raise Invalid_argument on an instrument-kind
-    clash. *)
-
-val roll_series : t -> unit
-(** [roll_series t] closes the current window of every registered
-    series — the per-round tick, called by the simulation driver at
-    each measurement boundary.  No-op on {!disabled}. *)
-
-val now : t -> float
-(** [now t] reads the registry clock ([0.] on {!disabled}).  Lets
-    instrumented code compute durations (e.g. a pull RTT) in the same
-    virtual timebase that stamps trace events, without holding its own
-    clock. *)
+(** [sketch t name] gets or creates the quantile sketch [name].  On
+    {!disabled}, the one shared inert sketch (the same value for every
+    call, never written).  @raise Invalid_argument on an
+    instrument-kind clash. *)
 
 (** {1 Trace events} *)
 
@@ -366,40 +261,20 @@ val event_of_json : string -> event option
     keys; extra fields (e.g. the [?extra] tags) are returned as
     ordinary event fields. *)
 
-val events_to_csv : t -> string
-(** [events_to_csv t] renders events as CSV with header
-    [time,event,fields]; the fields column packs [k=v] pairs separated
-    by [';'].  A key or value containing a pack metacharacter ([';'],
-    ['='], [','], ['"'] or a newline) is quoted with doubled inner
-    quotes, and any whole cell containing [','], ['"'] or a newline is
-    RFC 4180-quoted, so arbitrary string fields round-trip. *)
-
 val snapshot : t -> (string * float) list
 (** [snapshot t] is every counter (as float) and gauge, in
     registration order — the stable order that makes reports
-    bit-identical across [-j N].  Histograms, sketches and series are
-    excluded; see {!histograms}, {!sketches}, {!all_series}. *)
-
-val histograms : t -> (string * Histogram.t) list
-(** [histograms t] is every histogram, in registration order. *)
-
-val sketches : t -> (string * Sketch.t) list
-(** [sketches t] is every quantile sketch, in registration order. *)
-
-val all_series : t -> (string * Series.t) list
-(** [all_series t] is every windowed series, in registration order. *)
+    bit-identical across [-j N].  Sketches are excluded; {!render} and
+    {!render_prometheus} show them. *)
 
 val render : t -> string
 (** [render t] is a human-readable dump of every instrument (the
-    SIGUSR1 output of [bin/basalt_node]); histograms and sketches
-    include interpolated p50/p90/p99 lines when non-empty. *)
+    SIGUSR1 output of [bin/basalt_node]); sketches carry count and sum,
+    plus p50/p90/p99 and the exact max when non-empty. *)
 
 val render_prometheus : t -> string
 (** [render_prometheus t] renders every instrument in Prometheus text
     exposition format (version 0.0.4): counters and gauges as-is,
-    histograms as cumulative [_bucket{le="..."}] lines plus
-    [_sum]/[_count], sketches as summaries with
-    [quantile="0.5"|"0.9"|"0.99"] lines, series as [_total]/[_windows]
-    gauge pairs (Prometheus has no windowed type; scrapes [rate()]
-    them).  Instrument names are sanitized to [[a-zA-Z0-9_:]].  Served
+    sketches as summaries with [quantile="0.5"|"0.9"|"0.99"] lines
+    plus [_sum]/[_count].  Instrument names are sanitized to [[a-zA-Z0-9_:]].  Served
     by [bin/basalt_node --metrics-addr]. *)

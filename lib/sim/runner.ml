@@ -268,13 +268,8 @@ let run_with_observer ?observer ?app ?(obs = false) ?(trace = false) s =
   let series = Measurements.create () in
   let half = s.Scenario.steps /. 2.0 in
   let ever_isolated_after_half = ref false in
-  (* Per-round trajectory instruments: one window per measurement
-     interval, rolled at the end of each [measure] so any series an app
-     layer registers is windowed on the same cadence.  The [sim.round]
-     span brackets consecutive measurements in virtual time. *)
-  let se_view = Obs.series sink "sim.view_byz" in
-  let se_sample = Obs.series sink "sim.sample_byz" in
-  let se_isolated = Obs.series sink "sim.isolated" in
+  (* The [sim.round] span brackets consecutive measurements in virtual
+     time. *)
   let round_span = ref Obs.no_span in
   let round_idx = ref 0 in
   let measure () =
@@ -332,13 +327,6 @@ let run_with_observer ?observer ?app ?(obs = false) ?(trace = false) s =
         indegree_spread;
         metrics = (if Obs.enabled sink then Some (Obs.snapshot sink) else None);
       };
-    if Obs.enabled sink then begin
-      Obs.Series.observe se_view (Basalt_analysis.Stats.Online.mean view_acc);
-      Obs.Series.observe se_sample
-        (Basalt_analysis.Stats.Online.mean sample_acc);
-      Obs.Series.observe se_isolated isolated_frac;
-      Obs.roll_series sink
-    end;
     match observer with
     | Some f -> f ~time ~views
     | None -> ()

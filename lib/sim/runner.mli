@@ -81,7 +81,7 @@ type result = {
   obs : Basalt_obs.Obs.t option;
       (** The run's instrument registry when observability was requested
           ([None] otherwise): engine and protocol counters, byte
-          histograms, and — with [~trace:true] — the event stream. *)
+          sketches, and — with [~trace:true] — the event stream. *)
 }
 
 val is_malicious : Scenario.t -> Basalt_proto.Node_id.t -> bool

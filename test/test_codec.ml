@@ -166,43 +166,8 @@ let codec_too_many_ids () =
 
 (* --- corpus replay -------------------------------------------------- *)
 
-let parse_hex name s =
-  if s = "-" then Bytes.create 0
-  else begin
-    if String.length s mod 2 <> 0 then
-      Alcotest.failf "corpus %s: odd hex length" name;
-    Bytes.init
-      (String.length s / 2)
-      (fun i ->
-        match int_of_string_opt ("0x" ^ String.sub s (2 * i) 2) with
-        | Some v -> Char.chr v
-        | None -> Alcotest.failf "corpus %s: bad hex" name)
-  end
-
-let load_corpus path =
-  let ic = open_in path in
-  let rec read acc =
-    match input_line ic with
-    | line -> (
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then read acc
-        else
-          match String.index_opt line ' ' with
-          | None -> Alcotest.failf "corpus: malformed line %S" line
-          | Some i ->
-              let name = String.sub line 0 i in
-              let hex =
-                String.trim (String.sub line i (String.length line - i))
-              in
-              read ((name, parse_hex name hex) :: acc))
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  read []
-
 let codec_corpus () =
-  let entries = load_corpus "corpus/wire_corpus.txt" in
+  let entries = Wire_corpus.load () in
   check_bool "corpus is non-empty" true (List.length entries >= 20);
   List.iter
     (fun (name, buf) ->

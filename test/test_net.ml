@@ -124,7 +124,9 @@ let loop_virtual_clock () =
 
 let localhost port = Endpoint.make "127.0.0.1" port
 
-(* A hostile datagram must be counted and ignored, not crash the node. *)
+(* A hostile datagram must be counted and ignored, not crash the node:
+   free text, a truncated-but-magic-correct frame, and every entry of
+   the wire corpus (the empty datagram included). *)
 let udp_garbage_counted () =
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   let node =
@@ -134,16 +136,21 @@ let udp_garbage_counted () =
   in
   let target = Endpoint.to_sockaddr (Udp_node.endpoint node) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  let garbage = Bytes.of_string "definitely not a basalt datagram" in
-  ignore (Unix.sendto sock garbage 0 (Bytes.length garbage) [] target);
-  (* A truncated-but-magic-correct datagram too. *)
-  let half = Bytes.sub (Basalt_codec.Wire.encode (Message.Push [| Node_id.of_int 1 |])) 0 7 in
-  ignore (Unix.sendto sock half 0 (Bytes.length half) [] target);
+  let send b = ignore (Unix.sendto sock b 0 (Bytes.length b) [] target) in
+  send (Bytes.of_string "definitely not a basalt datagram");
+  send
+    (Bytes.sub
+       (Basalt_codec.Wire.encode (Message.Push [| Node_id.of_int 1 |]))
+       0 7);
+  let corpus = Wire_corpus.load () in
+  List.iter (fun (_, b) -> send b) corpus;
   Event_loop.run_for loop 0.2;
   Unix.close sock;
+  let sent = List.length corpus + 2 in
   let stats = Udp_node.stats node in
-  check_int "both datagrams arrived" 2 stats.Udp_node.datagrams_in;
-  check_int "both rejected by the codec" 2 stats.Udp_node.decode_errors;
+  check_int "every datagram arrived" sent stats.Udp_node.datagrams_in;
+  check_int "every one rejected by the codec" sent
+    stats.Udp_node.decode_errors;
   check_int "view untouched" 0 (List.length (Udp_node.view node));
   Udp_node.close node
 

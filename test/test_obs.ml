@@ -1,6 +1,6 @@
 (* Tests for basalt.obs: registry determinism, instrument semantics,
    the disabled sink's zero-interaction guarantee, and the trace
-   JSONL/CSV round-trip. *)
+   JSONL round-trip. *)
 
 module Obs = Basalt_obs.Obs
 
@@ -49,11 +49,11 @@ let registry_snapshot_deterministic () =
   let feed t =
     let c = Obs.counter t "basalt.rounds" in
     let g = Obs.gauge t "basalt.max_msg_bytes" in
-    let h = Obs.histogram t "basalt.msg_bytes" in
+    let s = Obs.sketch t "basalt.msg_bytes" in
     for i = 1 to 10 do
       Obs.Counter.incr c;
       Obs.Gauge.set_max g (float_of_int (i * 100));
-      Obs.Histogram.observe h (float_of_int (i * 100));
+      Obs.Sketch.add s (float_of_int (i * 100));
       (* re-lookup mid-stream must hit the same cells *)
       Obs.Counter.incr (Obs.counter t "basalt.rounds")
     done;
@@ -62,7 +62,7 @@ let registry_snapshot_deterministic () =
   check_string "bit-identical renders" (feed (Obs.create ()))
     (feed (Obs.create ()))
 
-(* --- Counters, gauges, histograms --- *)
+(* --- Counters and gauges --- *)
 
 let counter_semantics () =
   let t = Obs.create () in
@@ -84,38 +84,6 @@ let gauge_semantics () =
   Obs.Gauge.set_max g 7.0;
   check_float "set_max raises" 7.0 (Obs.Gauge.value g)
 
-let histogram_bucket_edges () =
-  let t = Obs.create () in
-  let h = Obs.histogram ~edges:[| 10.0; 20.0 |] t "h" in
-  (* Edges are inclusive upper bounds; beyond the last edge lands in
-     the overflow bucket. *)
-  List.iter (Obs.Histogram.observe h) [ 0.0; 10.0; 10.5; 20.0; 21.0 ];
-  check_int "count" 5 (Obs.Histogram.count h);
-  check_float "sum" 61.5 (Obs.Histogram.sum h);
-  Alcotest.(check (array int))
-    "bucket counts (<=10, <=20, overflow)" [| 2; 2; 1 |]
-    (Obs.Histogram.bucket_counts h);
-  Alcotest.(check (array (float 1e-9)))
-    "edges preserved" [| 10.0; 20.0 |] (Obs.Histogram.edges h)
-
-let histogram_default_edges () =
-  let t = Obs.create () in
-  let h = Obs.histogram t "bytes" in
-  Alcotest.(check (array (float 1e-9)))
-    "powers of two 64..65536"
-    [| 64.0; 128.0; 256.0; 512.0; 1024.0; 2048.0; 4096.0; 8192.0; 16384.0;
-       32768.0; 65536.0 |]
-    (Obs.Histogram.edges h)
-
-let histogram_bad_edges () =
-  let t = Obs.create () in
-  Alcotest.check_raises "unsorted edges"
-    (Invalid_argument "Obs.histogram: edges must be strictly increasing")
-    (fun () -> ignore (Obs.histogram ~edges:[| 2.0; 1.0 |] t "bad"));
-  Alcotest.check_raises "empty edges"
-    (Invalid_argument "Obs.histogram: empty edges") (fun () ->
-      ignore (Obs.histogram ~edges:[||] t "empty"))
-
 (* --- Disabled sink --- *)
 
 let disabled_zero_interaction () =
@@ -128,6 +96,17 @@ let disabled_zero_interaction () =
   check_int "dummy mutated locally" 1 (Obs.Counter.value c);
   check_int "next lookup is fresh" 0
     (Obs.Counter.value (Obs.counter Obs.disabled "x"));
+  (* Sketches are the exception: every lookup hands out the same inert
+     sketch, and adding to it leaves it empty. *)
+  let s = Obs.sketch Obs.disabled "s" in
+  check_bool "one shared sketch" true (s == Obs.sketch Obs.disabled "other");
+  List.iter (Obs.Sketch.add s) [ 3.0; 0.0; 1e6 ];
+  check_int "inert count" 0 (Obs.Sketch.count s);
+  check_float "inert sum" 0.0 (Obs.Sketch.sum s);
+  List.iter
+    (fun q ->
+      check_float (Printf.sprintf "inert q=%g" q) 0.0 (Obs.Sketch.quantile s q))
+    [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
   Obs.trace Obs.disabled ~name:"e" [ ("k", Obs.Int 1) ];
   check_int "no events recorded" 0 (Obs.event_count Obs.disabled);
   check_bool "empty snapshot" true (Obs.snapshot Obs.disabled = []);
@@ -206,58 +185,7 @@ let event_of_json_rejects_garbage () =
   check_bool "missing keys" true (Obs.event_of_json "{\"a\":1}" = None);
   check_bool "empty" true (Obs.event_of_json "" = None)
 
-let csv_rendering () =
-  let t = Obs.create ~clock:(fun () -> 1.0) ~trace:true () in
-  Obs.trace t ~name:"e" [ ("k", Obs.Int 2) ];
-  let csv = Obs.events_to_csv t in
-  check_bool "header present" true
-    (String.length csv >= 17 && String.sub csv 0 17 = "time,event,fields");
-  check_bool "k=v packed" true
-    (String.length csv > 0
-    &&
-    let lines = String.split_on_char '\n' csv in
-    List.exists (fun l -> l = "1.0,e,k=2") lines)
-
-(* Pinned regression: string values carrying the pack metacharacters
-   (';' ',' '"' '=') must not corrupt the k=v packing (issue 8). *)
-let csv_escapes_metacharacters () =
-  let t = Obs.create ~clock:(fun () -> 1.0) ~trace:true () in
-  Obs.trace t ~name:"e"
-    [
-      ("msg", Obs.Str "a;b=c");
-      ("quote", Obs.Str "say \"hi\"");
-      ("comma", Obs.Str "x,y");
-      ("plain", Obs.Int 7);
-    ];
-  let csv = Obs.events_to_csv t in
-  let lines = String.split_on_char '\n' csv in
-  check_bool "escaped line pinned" true
-    (List.exists
-       (fun l ->
-         l
-         = "1.0,e,\"msg=\"\"a;b=c\"\";quote=\"\"say \"\"\"\"hi\"\"\"\"\"\";\
-            comma=\"\"x,y\"\";plain=7\"")
-       lines)
-
-(* --- Quantiles: histogram interpolation and the log-bucket sketch --- *)
-
-let histogram_quantile () =
-  let t = Obs.create () in
-  let h = Obs.histogram ~edges:[| 10.0; 20.0; 40.0 |] t "h" in
-  check_float "empty reads zero" 0.0 (Obs.Histogram.quantile h 0.5);
-  (* 10 observations in (10, 20]: the median interpolates to the bucket
-     midpoint, the extremes to the edges. *)
-  for _ = 1 to 10 do
-    Obs.Histogram.observe h 15.0
-  done;
-  check_float "median interpolates" 15.0 (Obs.Histogram.quantile h 0.5);
-  check_float "q=1 reaches the upper edge" 20.0 (Obs.Histogram.quantile h 1.0);
-  Obs.Histogram.observe h 100.0;
-  check_float "overflow clamps to last edge" 40.0
-    (Obs.Histogram.quantile h 1.0);
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Obs.Histogram.quantile: q outside [0, 1]") (fun () ->
-      ignore (Obs.Histogram.quantile h 1.5))
+(* --- The quantile sketch --- *)
 
 let sketch_semantics () =
   let s = Obs.Sketch.make () in
@@ -288,56 +216,6 @@ let sketch_semantics () =
   Obs.Sketch.add z (-5.0);
   check_float "low cell reads zero" 0.0 (Obs.Sketch.quantile z 1.0);
   check_float "negative min preserved" (-5.0) (Obs.Sketch.vmin z)
-
-let sketch_fingerprint s =
-  (Obs.Sketch.buckets s, Obs.Sketch.count s, Obs.Sketch.sum s,
-   Obs.Sketch.vmin s, Obs.Sketch.vmax s)
-
-(* Merge is bucket-wise integer addition, hence exactly associative and
-   commutative; integer-valued observations keep the float sums exact so
-   the comparison is structural equality, not approximate. *)
-let sketch_merge_associative () =
-  let mk seed n =
-    let s = Obs.Sketch.make () in
-    for i = 1 to n do
-      Obs.Sketch.add s (float_of_int (((seed * 7919) + (i * 104729)) mod 5000))
-    done;
-    s
-  in
-  let a = mk 1 100 and b = mk 2 250 and c = mk 3 50 in
-  let open Obs.Sketch in
-  check_bool "associative" true
-    (sketch_fingerprint (merge (merge a b) c)
-    = sketch_fingerprint (merge a (merge b c)));
-  check_bool "commutative" true
-    (sketch_fingerprint (merge a b) = sketch_fingerprint (merge b a));
-  check_bool "identity" true
-    (sketch_fingerprint (merge a (make ())) = sketch_fingerprint a);
-  check_bool "inputs not mutated" true
-    (count a = 100 && count b = 250 && count c = 50)
-
-let series_windows () =
-  let t = Obs.create () in
-  let s = Obs.series t "sim.view_byz" in
-  Obs.Series.observe s 1.0;
-  Obs.Series.observe s 3.0;
-  Obs.roll_series t;
-  Obs.Series.observe s 5.0;
-  Obs.roll_series t;
-  Obs.roll_series t;
-  check_int "three closed windows" 3 (Obs.Series.window_count s);
-  check_int "total observations" 3 (Obs.Series.total s);
-  check_float "grand sum" 9.0 (Obs.Series.grand_sum s);
-  (match Obs.Series.windows s with
-  | [ w1; w2; w3 ] ->
-      check_int "w1 count" 2 w1.Obs.Series.w_count;
-      check_float "w1 sum" 4.0 w1.Obs.Series.w_sum;
-      check_float "w1 min" 1.0 w1.Obs.Series.w_min;
-      check_float "w1 max" 3.0 w1.Obs.Series.w_max;
-      check_int "w2 count" 1 w2.Obs.Series.w_count;
-      check_int "w3 empty" 0 w3.Obs.Series.w_count
-  | _ -> Alcotest.fail "expected three windows");
-  check_bool "series excluded from snapshot" true (Obs.snapshot t = [])
 
 (* --- Spans --- *)
 
@@ -391,7 +269,7 @@ let render_lists_instruments () =
   let t = Obs.create () in
   Obs.Counter.add (Obs.counter t "basalt.rounds") 30;
   Obs.Gauge.set (Obs.gauge t "basalt.max_msg_bytes") 94.0;
-  Obs.Histogram.observe (Obs.histogram t "basalt.msg_bytes") 94.0;
+  Obs.Sketch.add (Obs.sketch t "basalt.msg_bytes") 94.0;
   let r = Obs.render t in
   List.iter
     (fun needle ->
@@ -410,17 +288,13 @@ let contains hay needle =
 
 let render_shows_percentiles () =
   let t = Obs.create () in
-  let h = Obs.histogram ~edges:[| 10.0; 20.0 |] t "net.rtt" in
-  for _ = 1 to 4 do
-    Obs.Histogram.observe h 15.0
-  done;
   let s = Obs.sketch t "basalt.pull_rtt" in
   for i = 1 to 100 do
     Obs.Sketch.add s (float_of_int i)
   done;
   let r = Obs.render t in
-  check_bool "histogram p50" true (contains r "p50=15.0");
   check_bool "sketch line present" true (contains r "sketch     basalt.pull_rtt");
+  check_bool "sketch p50 present" true (contains r "p50=");
   check_bool "sketch p99 present" true (contains r "p99=");
   check_bool "sketch max exact" true (contains r "max=100.0")
 
@@ -428,13 +302,9 @@ let prometheus_rendering () =
   let t = Obs.create () in
   Obs.Counter.add (Obs.counter t "net.datagrams_out") 12;
   Obs.Gauge.set (Obs.gauge t "basalt.view_size") 160.0;
-  let h = Obs.histogram ~edges:[| 10.0; 20.0 |] t "net.msg_bytes" in
-  Obs.Histogram.observe h 5.0;
-  Obs.Histogram.observe h 15.0;
-  Obs.Histogram.observe h 99.0;
-  let s = Obs.sketch t "gossip.hop_latency" in
-  Obs.Sketch.add s 2.0;
-  Obs.Series.observe (Obs.series t "sim.view_byz") 1.0;
+  let h = Obs.sketch t "net.msg_bytes" in
+  List.iter (Obs.Sketch.add h) [ 5.0; 15.0; 99.0 ];
+  ignore (Obs.sketch t "gossip.hop_latency");
   let p = Obs.render_prometheus t in
   List.iter
     (fun needle ->
@@ -443,14 +313,12 @@ let prometheus_rendering () =
     [
       "# TYPE net_datagrams_out counter\nnet_datagrams_out 12\n";
       "# TYPE basalt_view_size gauge\nbasalt_view_size 160.0\n";
-      "net_msg_bytes_bucket{le=\"10.0\"} 1\n";
-      "net_msg_bytes_bucket{le=\"20.0\"} 2\n";
-      "net_msg_bytes_bucket{le=\"+Inf\"} 3\n";
-      "net_msg_bytes_count 3\n";
-      "# TYPE gossip_hop_latency summary";
-      "gossip_hop_latency{quantile=\"0.5\"}";
-      "gossip_hop_latency_count 1\n";
-      "sim_view_byz_total 1\n";
+      "# TYPE net_msg_bytes summary\nnet_msg_bytes{quantile=\"0.5\"} ";
+      "net_msg_bytes{quantile=\"0.99\"} 99.0\n";
+      "net_msg_bytes_sum 119.0\nnet_msg_bytes_count 3\n";
+      (* An empty sketch has no quantile lines. *)
+      "# TYPE gossip_hop_latency summary\ngossip_hop_latency_sum 0.0\n\
+       gossip_hop_latency_count 0\n";
     ]
 
 (* --- properties: order-independence of commutative instrument ops ---
@@ -484,34 +352,38 @@ let op_gen =
 
 let ops_gen = Gen.list ~max_len:40 op_gen
 
+let quantiles = [ 0.5; 0.9; 0.99 ]
+
 let apply_ops ops =
   let t = Obs.create () in
   let c = Obs.counter t "basalt.rounds" in
   let g = Obs.gauge t "basalt.max_msg_bytes" in
-  let h = Obs.histogram t "basalt.msg_bytes" in
+  let s = Obs.sketch t "basalt.msg_bytes" in
   List.iter
     (function
       | Incr -> Obs.Counter.incr c
       | Add n -> Obs.Counter.add c n
       | Set_max n -> Obs.Gauge.set_max g (float_of_int n)
-      | Observe n -> Obs.Histogram.observe h (float_of_int n))
+      | Observe n -> Obs.Sketch.add s (float_of_int n))
     ops;
   ( Obs.render t,
     Obs.snapshot t,
-    Obs.Histogram.bucket_counts h,
-    Obs.Histogram.sum h )
+    (Obs.Sketch.count s, Obs.Sketch.sum s, Obs.Sketch.vmax s),
+    List.map (Obs.Sketch.quantile s) quantiles )
 
 let prop_snapshot_order_independent =
   Check.prop ~name:"equal op multisets render byte-identically" ~count:150
     ~print:(Print.list print_op) ops_gen
     (fun ops -> apply_ops ops = apply_ops (List.rev ops))
 
-(* Reference model: instrument values are simple folds over the ops. *)
+(* Reference model: instrument values are simple folds over the ops.
+   The sketch's count, sum and max are exact; each quantile is within
+   [relative_error] of the exact nearest-rank order statistic. *)
 let prop_snapshot_matches_model =
   Check.prop ~name:"instrument values match a fold over the ops" ~count:150
     ~print:(Print.list print_op) ops_gen
     (fun ops ->
-      let _, snapshot, buckets, _ = apply_ops ops in
+      let _, snapshot, sketch, estimates = apply_ops ops in
       let counter =
         List.fold_left
           (fun acc -> function Incr -> acc + 1 | Add n -> acc + n | _ -> acc)
@@ -523,19 +395,34 @@ let prop_snapshot_matches_model =
             | Set_max n -> Float.max acc (float_of_int n) | _ -> acc)
           0.0 ops
       in
-      let observes =
-        List.fold_left
-          (fun acc -> function Observe _ -> acc + 1 | _ -> acc)
-          0 ops
+      let observed =
+        Array.of_list
+          (List.filter_map
+             (function Observe n -> Some (float_of_int n) | _ -> None)
+             ops)
       in
-      (* snapshot carries counters and gauges; histograms expose their
-         totals through bucket counts. *)
+      Array.sort Float.compare observed;
+      let n = Array.length observed in
+      let within q est =
+        if n = 0 then est = 0.0
+        else
+          let r = int_of_float (Float.ceil (q *. float_of_int n)) in
+          let exact = observed.(max 1 (min n r) - 1) in
+          Float.abs (est -. exact)
+          <= (Obs.Sketch.relative_error +. 1e-9) *. exact
+      in
+      (* snapshot carries counters and gauges; the sketch is read
+         directly. *)
       snapshot
       = [
           ("basalt.rounds", float_of_int counter);
           ("basalt.max_msg_bytes", gauge);
         ]
-      && Array.fold_left ( + ) 0 buckets = observes)
+      && sketch
+         = ( n,
+             Array.fold_left ( +. ) 0.0 observed,
+             if n = 0 then 0.0 else observed.(n - 1) )
+      && List.for_all2 within quantiles estimates)
 
 (* Counter handles: several handles of one name on an enabled registry,
    plus dummies from [Obs.disabled].  Each handle's [own] is what was
@@ -617,16 +504,7 @@ let () =
         [
           Alcotest.test_case "counter" `Quick counter_semantics;
           Alcotest.test_case "gauge" `Quick gauge_semantics;
-          Alcotest.test_case "histogram bucket edges" `Quick
-            histogram_bucket_edges;
-          Alcotest.test_case "histogram default edges" `Quick
-            histogram_default_edges;
-          Alcotest.test_case "histogram bad edges" `Quick histogram_bad_edges;
-          Alcotest.test_case "histogram quantile" `Quick histogram_quantile;
           Alcotest.test_case "sketch semantics" `Quick sketch_semantics;
-          Alcotest.test_case "sketch merge associative" `Quick
-            sketch_merge_associative;
-          Alcotest.test_case "series windows" `Quick series_windows;
         ] );
       ( "spans",
         [
@@ -649,9 +527,6 @@ let () =
           Alcotest.test_case "jsonl extra fields" `Quick jsonl_extra_fields;
           Alcotest.test_case "rejects garbage" `Quick
             event_of_json_rejects_garbage;
-          Alcotest.test_case "csv rendering" `Quick csv_rendering;
-          Alcotest.test_case "csv escapes metacharacters" `Quick
-            csv_escapes_metacharacters;
         ] );
       ( "render",
         [

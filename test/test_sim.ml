@@ -553,6 +553,34 @@ let obs_absent_by_default () =
        (fun p -> p.Measurements.metrics = None)
        (Measurements.points r.Runner.series))
 
+(* The codec meter's wiring: every message a protocol sends passes
+   through [Metered.send], so its [msg_bytes] sketch counts exactly the
+   [msgs_sent] counter and peaks at the [max_msg_bytes] gauge. *)
+let obs_metered_sends () =
+  let module Obs = Basalt_obs.Obs in
+  List.iter
+    (fun (proto, protocol) ->
+      let r = Runner.run ~obs:true (tiny_scenario ~protocol ()) in
+      match r.Runner.obs with
+      | None -> Alcotest.fail "an obs run should expose its sink"
+      | Some sink ->
+          let sizes = Obs.sketch sink (proto ^ ".msg_bytes") in
+          let sent =
+            Obs.Counter.value (Obs.counter sink (proto ^ ".msgs_sent"))
+          in
+          check_bool (proto ^ " sent messages") true (sent > 0);
+          check_int (proto ^ " one size per message") sent
+            (Obs.Sketch.count sizes);
+          check_float (proto ^ " largest size is the gauge")
+            (Obs.Gauge.value (Obs.gauge sink (proto ^ ".max_msg_bytes")))
+            (Obs.Sketch.vmax sizes))
+    [
+      ("basalt", Scenario.Basalt (Basalt_core.Config.make ~v:10 ~k:2 ()));
+      ("brahms", Scenario.Brahms (Basalt_brahms.Brahms_config.make ~l:10 ()));
+      ("sps", Scenario.Sps (Basalt_sps.Sps.config ~l:10 ()));
+      ("classic", Scenario.Classic (Basalt_sps.Classic.config ~l:10 ()));
+    ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -635,5 +663,6 @@ let () =
           Alcotest.test_case "trace determinism j=1 vs j=4" `Quick
             obs_trace_parallel_determinism;
           Alcotest.test_case "absent by default" `Quick obs_absent_by_default;
+          Alcotest.test_case "metered sends" `Quick obs_metered_sends;
         ] );
     ]
