@@ -26,13 +26,13 @@ let csv_arg =
 let trace_arg =
   let doc =
     "Write a deterministic JSONL event trace (lib/obs, DESIGN.md \xc2\xa78) to \
-     $(docv).  Supported by $(b,cost), $(b,timeline) and the targets that \
-     run committed scenario files ($(b,fig2a)-$(b,fig2d), $(b,fig2), \
-     $(b,fig3), $(b,churn), $(b,robustness), $(b,robustness-net), \
-     $(b,broadcast)); a target running several files traces the first to \
-     $(docv) and each later one next to it, named after the file \
-     (t.jsonl, then t.robustness_latency.jsonl).  Other targets warn and \
-     ignore the flag."
+     $(docv).  Supported by $(b,timeline) and the targets that run \
+     committed scenario files ($(b,fig2a)-$(b,fig2d), $(b,fig2), \
+     $(b,fig3), $(b,sps-failure), $(b,cost), $(b,churn), $(b,robustness), \
+     $(b,robustness-net), $(b,broadcast)); a target running several files \
+     traces the first to $(docv) and each later one next to it, named \
+     after the file (t.jsonl, then t.robustness_latency.jsonl).  Other \
+     targets warn and ignore the flag."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -82,9 +82,9 @@ let warn_no_trace cmd_name = function
   | None -> ()
   | Some _ ->
       Printf.eprintf
-        "repro %s: --trace is only supported by cost, timeline and the \
-         scenario-file targets (fig2a-d, fig2, fig3, churn, robustness, \
-         robustness-net, broadcast); ignoring\n\
+        "repro %s: --trace is only supported by timeline and the \
+         scenario-file targets (fig2a-d, fig2, fig3, sps-failure, cost, \
+         churn, robustness, robustness-net, broadcast); ignoring\n\
          %!"
         cmd_name
 
@@ -125,17 +125,11 @@ let fig4 ~scale ~csv_dir ~pool () =
 let fig5 ~scale ~csv_dir ~pool () =
   Fig5.print ~scale ?csv:(csv_path csv_dir "fig5") ?pool ()
 
-let sps_failure ~scale ~csv_dir ~pool () =
-  Sps_failure.print ~scale ?csv:(csv_path csv_dir "sps_failure") ?pool ()
-
 let live ~scale ~csv_dir ~pool:_ () =
   Live.print ~scale ?csv:(csv_path csv_dir "live") ()
 
 let theory ~scale ~csv_dir:_ ~pool () = Theory.print ~scale ?pool ()
 let params ~scale ~csv_dir:_ ~pool:_ () = Params.print ~scale ()
-
-let cost ~scale ~csv_dir ~trace ~pool:_ () =
-  Cost.print ~scale ?csv:(csv_path csv_dir "cost") ?trace ()
 
 let sybil ~scale ~csv_dir ~pool () =
   Sybil.print ~scale ?csv:(csv_path csv_dir "sybil") ?pool ()
@@ -179,6 +173,8 @@ let committed files ~scale ~csv_dir ~trace ~pool () =
 
 let fig2_all = committed Scenario_files.[ fig2a; fig2b; fig2c; fig2d ]
 let fig3 = committed [ Scenario_files.fig3 ]
+let sps_failure = committed [ Scenario_files.sps_failure ]
+let cost = committed [ Scenario_files.cost ]
 let churn = committed [ Scenario_files.churn ]
 
 let robustness = committed Scenario_files.[ robustness; robustness_latency ]
@@ -199,9 +195,8 @@ let all ~scale ~csv_dir ~trace ~pool () =
   fig3 ~scale ~csv_dir ~trace:None ~pool ();
   fig4 ~scale ~csv_dir ~pool ();
   fig5 ~scale ~csv_dir ~pool ();
-  sps_failure ~scale ~csv_dir ~pool ();
+  sps_failure ~scale ~csv_dir ~trace:None ~pool ();
   live ~scale ~csv_dir ~pool ();
-  (* cost is the one target in the sequence that understands --trace. *)
   cost ~scale ~csv_dir ~trace ~pool ()
 
 let extensions ~scale ~csv_dir ~pool () =
@@ -230,7 +225,7 @@ let cmds =
     cmd "fig5" ~doc:"Max sampling rate without isolation vs v (Fig. 5)"
       (untraced "fig5" fig5);
     cmd "sps-failure" ~doc:"SPS isolation at f=30%, F=0 (Section 4.3)"
-      (untraced "sps-failure" sps_failure);
+      sps_failure;
     cmd "live" ~doc:"Simulated live-deployment measurement (Section 5)"
       (untraced "live" live);
     cmd "theory" ~doc:"Section 3 bounds, equilibria and model validation"
@@ -261,7 +256,9 @@ let cmds =
       (untraced "dag" dag);
     cmd "all" ~doc:"Run every paper experiment in sequence" all;
     cmd "extensions"
-      ~doc:"Run the extension experiments (churn, sybil, robustness, uniformity, dag)"
+      ~doc:
+        "Run the extension experiments (churn, sybil, robustness, \
+         robustness-net, uniformity, dag, broadcast)"
       (untraced "extensions" extensions);
   ]
 

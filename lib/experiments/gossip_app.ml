@@ -42,7 +42,7 @@ let plan ~p ~q ~steps =
       in
       (time, publisher, payload))
 
-let run ?(params = default_params) ?(trace = false) s =
+let run ?(params = default_params) ?(obs = false) ?(trace = false) s =
   let q = Scenario.num_correct s in
   let tracker = Delivery.create ~n:q () in
   let gossips = Array.make q None in
@@ -72,7 +72,7 @@ let run ?(params = default_params) ?(trace = false) s =
       gossips.(i) <- Some g;
       Basalt_assembly.Node.gossip g
   in
-  let result = Runner.run ~app ~obs:trace ~trace s in
+  let result = Runner.run ~app ~obs:(obs || trace) ~trace s in
   let duplicates = ref 0 in
   let deliveries = ref 0 in
   Array.iter

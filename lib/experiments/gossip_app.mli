@@ -36,11 +36,12 @@ type summary = {
 
 val run :
   ?params:params ->
+  ?obs:bool ->
   ?trace:bool ->
   Basalt_sim.Scenario.t ->
   Basalt_sim.Runner.result * summary
 (** [run s] executes the scenario with the gossip layer mounted on
     every correct node and returns the runner result plus the
-    dissemination summary.  [trace] (default [false]) enables the
-    per-run instrument registry and event trace, as in
-    {!Basalt_sim.Runner.run}. *)
+    dissemination summary.  [obs] (default [false]) keeps the per-run
+    instrument registry and [trace] (default [false]) also records the
+    event trace, as in {!Basalt_sim.Runner.run}. *)

@@ -2,12 +2,14 @@
    into the cross product of its axes, resolves every cell against the
    scale presets into a Basalt_sim.Scenario, fans the flat cell × seed
    task list over an optional Pool (order-preserving, so tables and
-   traces are bit-identical at any -j N), and renders the pivot axis as
-   metric columns.  Aggregation goes through Basalt_experiments.Agg and
-   the gossip workload through Basalt_experiments.Gossip_app.  Fig. 2,
-   Fig. 3 and the churn, robustness, robustness-net and broadcast
-   experiments exist only as scenario files run by this driver; their
-   quick-scale tables are pinned by golden files under test/golden/. *)
+   traces are bit-identical at any -j N), and renders the pivot axis, if
+   any, as metric columns.  Aggregation goes through
+   Basalt_experiments.Agg and the gossip workload through
+   Basalt_experiments.Gossip_app.  Fig. 2, Fig. 3, the §4.3 SPS-failure
+   and cost tables and the churn, robustness, robustness-net and
+   broadcast experiments exist only as scenario files run by this
+   driver; their quick-scale tables are pinned by golden files under
+   test/golden/. *)
 
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner
@@ -135,18 +137,27 @@ let tasks ?(scale = Scale.Standard) (spec : Spec.t) =
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
 
+(* A run keeps its instrument registry when a metric reads counters
+   from it, or when the caller wants its trace. *)
 let run_tasks ?(scale = Scale.Standard) ?(trace = false) ?pool (spec : Spec.t)
     =
   let ts = tasks ~scale spec in
+  let obs =
+    trace
+    || List.exists
+         (fun (m, _) -> m = Spec.Msgs_rate || m = Spec.Wire_bytes_rate)
+         spec.Spec.metrics
+  in
   let runs =
     Pool.map ?pool
       (fun t ->
         match spec.Spec.app with
         | Some params ->
-            let result, summary = Gossip_app.run ~params ~trace t.scenario in
+            let result, summary =
+              Gossip_app.run ~params ~obs ~trace t.scenario
+            in
             { result; gossip = Some summary }
-        | None ->
-            { result = Runner.run ~obs:trace ~trace t.scenario; gossip = None })
+        | None -> { result = Runner.run ~obs ~trace t.scenario; gossip = None })
       ts
   in
   (ts, runs)
@@ -163,9 +174,22 @@ let split_last xs =
   | last :: rev_init -> (List.rev rev_init, last)
   | [] -> invalid_arg "Matrix.split_last: empty list"
 
+(* A row's labels and a group's key within it: the pivot coordinate
+   moves from the labels to the key; a pivot-less cell keys its one
+   group by "". *)
+let row_key (spec : Spec.t) labels =
+  if spec.Spec.pivoted then
+    let init, (_, pivot_label) = split_last labels in
+    (init, pivot_label)
+  else (labels, "")
+
 let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
   let per_seed = List.length (seeds_of spec scale) in
-  let pivot_n = List.length (Spec.entries scale (Spec.pivot spec)) in
+  let pivot_n =
+    Option.fold ~none:1
+      ~some:(fun p -> List.length (Spec.entries scale p))
+      (Spec.pivot spec)
+  in
   let paired = List.combine ts runs in
   Sweep.chunks per_seed paired
   |> List.map (fun pairs ->
@@ -173,23 +197,50 @@ let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
          (t.labels, { g_scenario = t.scenario; g_runs = List.map snd pairs }))
   |> Sweep.chunks pivot_n
   |> List.map (fun cell_groups ->
-         let row_labels, _ = split_last (fst (List.hd cell_groups)) in
-         let groups =
-           List.map
-             (fun (labels, g) ->
-               let _, (_, pivot_label) = split_last labels in
-               (pivot_label, g))
-             cell_groups
-         in
-         { row_labels; groups })
+         {
+           row_labels = fst (row_key spec (fst (List.hd cell_groups)));
+           groups =
+             List.map
+               (fun (labels, g) -> (snd (row_key spec labels), g))
+               cell_groups;
+         })
 
 let gossip_summary r =
   match r.gossip with
   | Some s -> s
   | None -> invalid_arg "Matrix: gossip metric without (app ...)"
 
+(* The mean over runs of [x] per correct node and round (τ), as the
+   §4.3 budget counts. *)
+let rate x runs =
+  Report.float_cell
+    (Agg.mean
+       (fun r ->
+         let s = r.result.Runner.scenario in
+         x r
+         /. (float_of_int (Scenario.num_correct s)
+            *. (s.Scenario.steps /. Scenario.tau s)))
+       runs)
+
+(* Every correct-node send passes through Basalt_codec.Metered.send, so
+   <proto>.msgs_sent equals the transport meter's correct messages,
+   while <proto>.bytes_sent costs each datagram with the real codec
+   (8-byte identifiers and header).  run_tasks keeps the registry. *)
+let counter suffix r =
+  let name = Scenario.protocol_name r.result.Runner.scenario ^ "." ^ suffix in
+  let sink = Option.get r.result.Runner.obs in
+  float_of_int (Obs.Counter.value (Obs.counter sink name))
+
+let bandwidth r = r.result.Runner.bandwidth
+
+let max_datagram runs =
+  List.fold_left (fun m r -> max m (bandwidth r).Runner.max_datagram) 0 runs
+
 let eval_metric (spec : Spec.t) metric (g : group) =
   let runs = g.g_runs in
+  let mean_final field =
+    Report.float_cell (Agg.mean (fun r -> field r.result.Runner.final) runs)
+  in
   match (metric : Spec.metric) with
   | Spec.Time -> (
       let optimal = g.g_scenario.Scenario.f in
@@ -203,11 +254,7 @@ let eval_metric (spec : Spec.t) metric (g : group) =
       with
       | Some t -> Report.float_cell t
       | None -> "no-convergence")
-  | Spec.Samples_byz ->
-      Report.float_cell
-        (Agg.mean
-           (fun r -> r.result.Runner.final.Measurements.sample_byz)
-           runs)
+  | Spec.Samples_byz -> mean_final (fun p -> p.Measurements.sample_byz)
   | Spec.Delivered_sent ->
       let sent =
         Agg.sum (fun r -> r.result.Runner.transport.Engine.sent) runs
@@ -234,9 +281,25 @@ let eval_metric (spec : Spec.t) metric (g : group) =
         Agg.sum (fun r -> (gossip_summary r).Gossip_app.deliveries) runs
       in
       Report.float_cell (float_of_int dups /. float_of_int (max 1 dels))
-  | Spec.Isolated ->
+  | Spec.Isolated | Spec.Isolated_frac ->
+      mean_final (fun p -> p.Measurements.isolated)
+  | Spec.View_byz -> mean_final (fun p -> p.Measurements.view_byz)
+  | Spec.Ever_isolated ->
+      string_of_bool
+        (List.exists (fun r -> r.result.Runner.ever_isolated_after_half) runs)
+  | Spec.Msgs_rate -> rate (counter "msgs_sent") runs
+  | Spec.Bytes_rate ->
+      rate (fun r -> float_of_int (bandwidth r).Runner.correct_bytes) runs
+  | Spec.Wire_bytes_rate -> rate (counter "bytes_sent") runs
+  | Spec.Max_datagram -> string_of_int (max_datagram runs)
+  | Spec.Fits_mtu -> string_of_bool (max_datagram runs <= 1500)
+  | Spec.Adv_bytes_ratio ->
+      let bytes field = Agg.sum (fun r -> field (bandwidth r)) runs in
+      let adversary = bytes (fun b -> b.Runner.adversary_bytes) in
+      let correct = bytes (fun b -> b.Runner.correct_bytes) in
       Report.float_cell
-        (Agg.mean (fun r -> r.result.Runner.final.Measurements.isolated) runs)
+        (if correct = 0 then Float.nan
+         else float_of_int adversary /. float_of_int correct)
   | Spec.Optimal -> Report.float_cell g.g_scenario.Scenario.f
   | Spec.Replacements ->
       (* The first seed's count: a group holds one run per seed. *)
@@ -244,7 +307,10 @@ let eval_metric (spec : Spec.t) metric (g : group) =
 
 let columns (spec : Spec.t) rows =
   let arr = Array.of_list rows in
-  let non_pivot, _ = split_last spec.Spec.axes in
+  let row_axes =
+    if spec.Spec.pivoted then fst (split_last spec.Spec.axes)
+    else spec.Spec.axes
+  in
   let axis_cols =
     List.map
       (fun (ax : Spec.axis) ->
@@ -257,7 +323,7 @@ let columns (spec : Spec.t) rows =
                 Report.float_cell (float_of_string label)
               else label);
         })
-      non_pivot
+      row_axes
   in
   let all_pivot_labels =
     match rows with r :: _ -> List.map fst r.groups | [] -> []
@@ -265,12 +331,12 @@ let columns (spec : Spec.t) rows =
   let metric_cols =
     List.concat_map
       (fun (metric, labels) ->
-        (* A cell-level metric is one unprefixed column, read from the
-           first pivot group. *)
-        let cell_level = Spec.cell_level metric in
+        (* A cell-level metric, or any metric without a pivot, is one
+           unprefixed column read from the row's first group. *)
+        let unprefixed = Spec.cell_level metric || not spec.Spec.pivoted in
         let labels =
           match (labels, all_pivot_labels) with
-          | _, first :: _ when cell_level -> [ first ]
+          | _, first :: _ when unprefixed -> [ first ]
           | [], _ -> all_pivot_labels
           | ls, _ -> ls
         in
@@ -278,7 +344,7 @@ let columns (spec : Spec.t) rows =
           (fun label ->
             {
               Report.header =
-                (if cell_level then Spec.metric_name metric
+                (if unprefixed then Spec.metric_name metric
                  else Printf.sprintf "%s_%s" label (Spec.metric_name metric));
               cell =
                 (fun i ->

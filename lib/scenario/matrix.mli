@@ -6,13 +6,16 @@
     {!Basalt_sim.Scenario.t}, runs the flat task list — through
     {!Basalt_experiments.Gossip_app} when the spec mounts an app —
     over an optional {!Basalt_parallel.Pool}, and renders one table
-    row per non-pivot cell with the pivot's entries as metric columns.
+    row per non-pivot cell with the pivot's entries as metric columns
+    (or, without a pivot, one row per cell).  A spec whose metrics read
+    protocol counters runs every cell with its instrument registry.
     [Pool.map] preserves task order, so tables, CSVs and merged traces
     are bit-identical at any [-j N].
 
     Aggregation goes through {!Basalt_experiments.Agg}.  The committed
     [scenarios/*.scn] files are the definitions of [repro fig2a]–[fig2d],
-    [fig3], [churn], [robustness], [robustness-net] and [broadcast];
+    [fig3], [sps-failure], [cost], [churn], [robustness],
+    [robustness-net] and [broadcast];
     their quick-scale tables are pinned by golden files under
     [test/golden/]. *)
 
@@ -52,13 +55,15 @@ type group = {
 
 type row = {
   row_labels : (string * string) list;  (** Non-pivot coordinates. *)
-  groups : (string * group) list;  (** Per pivot label, in axis order. *)
+  groups : (string * group) list;
+      (** Per pivot label, in axis order; without a pivot, the cell's one
+          group under [""]. *)
 }
 
 val rows_of :
   ?scale:Basalt_experiments.Scale.t -> Spec.t -> task list -> run list -> row list
 (** [rows_of spec ts runs] regroups the flat results into one row per
-    non-pivot cell. *)
+    non-pivot cell (per cell, without a pivot). *)
 
 val run :
   ?scale:Basalt_experiments.Scale.t ->
@@ -71,7 +76,8 @@ val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
 (** [columns spec rows] lays out the table: one column per non-pivot
     axis, then [<pivot-label>_<metric>] columns, metric-major, in the
     spec's metrics order; a cell-level metric ({!Spec.cell_level}) is
-    one [<metric>] column instead. *)
+    one [<metric>] column instead, as is every metric of a pivot-less
+    spec. *)
 
 val print :
   ?scale:Basalt_experiments.Scale.t ->

@@ -131,41 +131,58 @@ type metric =
   | T99
   | Redundancy
   | Isolated
+  | Isolated_frac
+  | View_byz
+  | Ever_isolated
+  | Msgs_rate
+  | Bytes_rate
+  | Wire_bytes_rate
+  | Max_datagram
+  | Fits_mtu
+  | Adv_bytes_ratio
   | Optimal
   | Replacements
 
-let metric_name = function
-  | Time -> "time"
-  | Samples_byz -> "samples_byz"
-  | Delivered_sent -> "delivered/sent"
-  | Delivered -> "delivered"
-  | T99 -> "t99"
-  | Redundancy -> "redundancy"
-  | Isolated -> "isolated"
-  | Optimal -> "optimal"
-  | Replacements -> "replacements"
+(* The grammar keywords, in the order the unknown-metric diagnostic
+   lists them. *)
+let metric_names =
+  [
+    ("time", Time);
+    ("samples_byz", Samples_byz);
+    ("delivered/sent", Delivered_sent);
+    ("delivered", Delivered);
+    ("t99", T99);
+    ("redundancy", Redundancy);
+    ("isolated", Isolated);
+    ("isolated_frac", Isolated_frac);
+    ("view_byz", View_byz);
+    ("ever_isolated", Ever_isolated);
+    ("msgs/node/round", Msgs_rate);
+    ("bytes/node/round", Bytes_rate);
+    ("wire_bytes/node/round", Wire_bytes_rate);
+    ("max_datagram", Max_datagram);
+    ("fits_MTU", Fits_mtu);
+    ("adv/correct bytes", Adv_bytes_ratio);
+    ("optimal", Optimal);
+    ("replacements", Replacements);
+  ]
 
-let metric_of_name = function
-  | "time" -> Some Time
-  | "samples_byz" -> Some Samples_byz
-  | "delivered/sent" -> Some Delivered_sent
-  | "delivered" -> Some Delivered
-  | "t99" -> Some T99
-  | "redundancy" -> Some Redundancy
-  | "isolated" -> Some Isolated
-  | "optimal" -> Some Optimal
-  | "replacements" -> Some Replacements
-  | _ -> None
+let metric_name m = fst (List.find (fun (_, m') -> m' = m) metric_names)
+let metric_of_name name = List.assoc_opt name metric_names
 
 let gossip_metric = function
   | Delivered | T99 | Redundancy -> true
-  | Time | Samples_byz | Delivered_sent | Isolated | Optimal | Replacements ->
+  | Time | Samples_byz | Delivered_sent | Isolated | Isolated_frac | View_byz
+  | Ever_isolated | Msgs_rate | Bytes_rate | Wire_bytes_rate | Max_datagram
+  | Fits_mtu | Adv_bytes_ratio | Optimal | Replacements ->
       false
 
 let cell_level = function
   | Optimal | Replacements -> true
   | Time | Samples_byz | Delivered_sent | Delivered | T99 | Redundancy
-  | Isolated ->
+  | Isolated | Isolated_frac | View_byz | Ever_isolated | Msgs_rate
+  | Bytes_rate | Wire_bytes_rate | Max_datagram | Fits_mtu | Adv_bytes_ratio
+    ->
       false
 
 type t = {
@@ -175,15 +192,15 @@ type t = {
   at_scale : (Scale.t * settings) list;
   seeds : int list option;
   axes : axis list;
+  pivoted : bool;
   within : float;
   app : Gossip_app.params option;
   metrics : (metric * string list) list;
 }
 
 let pivot spec =
-  match List.rev spec.axes with
-  | p :: _ -> p
-  | [] -> invalid_arg "Spec.pivot: no axes"
+  if spec.pivoted then Some (List.nth spec.axes (List.length spec.axes - 1))
+  else None
 
 (* Cross product in file order, rightmost (pivot) axis innermost. *)
 let cells scale spec =
@@ -716,11 +733,8 @@ let metrics_of pos (args : Sexp.t list) =
               head;
           (m, List.map (fun l -> atom_of l ~what:"a pivot label") margs, mpos)
       | None ->
-          fail mpos
-            "unknown metric '%s' \
-             (time|samples_byz|delivered/sent|delivered|t99|redundancy|\
-             isolated|optimal|replacements)"
-            head)
+          fail mpos "unknown metric '%s' (%s)" head
+            (String.concat "|" (List.map fst metric_names)))
     args
 
 (* ------------------------------------------------------------------ *)
@@ -795,16 +809,14 @@ let of_sexp (s : Sexp.t) =
         fail pos "duplicate axis '%s'" ax.axis_name;
       Hashtbl.replace seen ax.axis_name ())
     axes;
-  let pivot_name =
-    match !pivot_name with
-    | Some p -> p
-    | None -> fail pos "missing (pivot ...)"
-  in
-  if not (List.exists (fun ax -> ax.axis_name = pivot_name) axes) then
-    fail pos "pivot '%s' does not name an axis" pivot_name;
   let last_axis = List.nth axes (List.length axes - 1) in
-  if last_axis.axis_name <> pivot_name then
-    fail pos "pivot axis '%s' must be the last axis declared" pivot_name;
+  Option.iter
+    (fun p ->
+      if not (List.exists (fun ax -> ax.axis_name = p) axes) then
+        fail pos "pivot '%s' does not name an axis" p;
+      if last_axis.axis_name <> p then
+        fail pos "pivot axis '%s' must be the last axis declared" p)
+    !pivot_name;
   let metrics =
     match !metrics with
     | Some ms -> ms
@@ -815,12 +827,18 @@ let of_sexp (s : Sexp.t) =
     (fun (m, labels, mpos) ->
       if gossip_metric m && Option.is_none !app then
         fail mpos "metric '%s' needs (app (gossip ...))" (metric_name m);
-      List.iter
-        (fun l ->
-          if not (List.mem l pivot_labels) then
-            fail mpos "metric label '%s' is not an entry of pivot axis '%s'" l
-              pivot_name)
-        labels)
+      match !pivot_name with
+      | None ->
+          if labels <> [] then
+            fail mpos "metric '%s' takes no labels without a (pivot ...)"
+              (metric_name m)
+      | Some p ->
+          List.iter
+            (fun l ->
+              if not (List.mem l pivot_labels) then
+                fail mpos
+                  "metric label '%s' is not an entry of pivot axis '%s'" l p)
+            labels)
     metrics;
   let spec =
     {
@@ -829,7 +847,8 @@ let of_sexp (s : Sexp.t) =
       base = Option.value !base ~default:empty_settings;
       at_scale = List.rev !at_scale;
       seeds = !seeds;
-    axes;
+      axes;
+      pivoted = Option.is_some !pivot_name;
       within = Option.value !within ~default:0.25;
       app = !app;
       metrics = List.map (fun (m, labels, _) -> (m, labels)) metrics;

@@ -2,8 +2,9 @@
 
     A spec is the parsed, validated form of a [(matrix ...)] file:
     shared base bindings, one or more named axes whose cross product is
-    the condition grid, a pivot axis rendered as columns, and the
-    metrics to report per pivot entry.  Parsing and validation report
+    the condition grid, an optional pivot axis rendered as columns, and
+    the metrics to report per pivot entry (or per cell, without a
+    pivot).  Parsing and validation report
     every diagnostic as [file:line:col: message]; a spec that survives
     {!load} runs without further error handling in {!Matrix}. *)
 
@@ -103,11 +104,29 @@ type metric =
   | T99  (** Gossip: median time-to-99%; ["never"] on a non-majority. *)
   | Redundancy  (** Gossip: duplicate frames per delivery. *)
   | Isolated  (** Mean fraction of isolated correct nodes at the end. *)
+  | Isolated_frac  (** The same value as {!Isolated}, under its own
+                       header. *)
+  | View_byz  (** Mean Byzantine fraction of correct views at the end. *)
+  | Ever_isolated  (** Whether any run isolated a correct node during
+                       its second half. *)
+  | Msgs_rate  (** Mean messages a correct node sends per round, from
+                   the [<proto>.msgs_sent] counter. *)
+  | Bytes_rate  (** Mean bytes a correct node sends per round, in the
+                    §4.3 4-byte-identifier model (the transport
+                    meter). *)
+  | Wire_bytes_rate  (** Mean codec bytes a correct node sends per
+                         round, from the [<proto>.bytes_sent]
+                         counter. *)
+  | Max_datagram  (** Largest payload over the runs, in bytes. *)
+  | Fits_mtu  (** Whether {!Max_datagram} fits a 1500-byte MTU. *)
+  | Adv_bytes_ratio  (** Adversary bytes over correct bytes, summed over
+                         the runs. *)
   | Optimal  (** Cell-level: the cell's Byzantine fraction [f]. *)
   | Replacements  (** Cell-level: the first run's churned-node count. *)
 
 val metric_name : metric -> string
-(** The metric's grammar keyword, also its column-header suffix. *)
+(** The metric's grammar keyword, also its column-header suffix (its
+    whole header on a cell-level metric or in a pivot-less spec). *)
 
 val cell_level : metric -> bool
 (** A cell-level metric takes no pivot labels and renders as one
@@ -121,20 +140,24 @@ type t = {
       (** [(at-scale S ...)]: bindings applied over [base] at scale [S]
           only (axis entries still override them). *)
   seeds : int list option;  (** [None]: the scale preset's seed list. *)
-  axes : axis list;  (** In file order; the last one is the pivot. *)
+  axes : axis list;  (** In file order. *)
+  pivoted : bool;
+      (** [(pivot ...)] was given: the last axis renders as metric
+          columns.  Without it every axis is a row column and each cell
+          is one row. *)
   within : float;  (** Convergence tolerance for {!Time} (default 0.25). *)
   app : Basalt_experiments.Gossip_app.params option;
   metrics : (metric * string list) list;
       (** Per metric, the pivot labels to report ([[]] = all). *)
 }
 
-val pivot : t -> axis
-(** The pivot axis (validation guarantees it is last). *)
+val pivot : t -> axis option
+(** The pivot axis, if any (validation guarantees it is last). *)
 
 val cells :
   Basalt_experiments.Scale.t -> t -> ((string * string) list * settings) list
 (** [cells scale spec] is the condition grid at [scale]: the cross
-    product of the axes in file order, pivot innermost, each cell with
+    product of the axes in file order, the last innermost, each cell with
     its (axis name, label) coordinates and its merged settings (base,
     then the scale's [at-scale] bindings, then each axis entry). *)
 

@@ -131,32 +131,44 @@ let fig2_columns_shape () =
   check_int "column count" 6 (List.length cols);
   check_bool "row count" true (rows > 0)
 
-(* --- SPS failure (the §4.3 claim) --- *)
+(* --- SPS failure (the §4.3 claim, committed scenario file) --- *)
+
+(* A pivot-less spec renders one row per cell, its one group keyed by
+   "". *)
+let row_of rows protocol =
+  List.find (fun r -> List.assoc "protocol" r.Matrix.row_labels = protocol) rows
 
 let sps_failure_claim () =
-  let rows = Sps_failure.run ~scale:Scale.Quick () in
-  let find name = List.find (fun r -> r.Sps_failure.protocol = name) rows in
+  let rows = Matrix.run ~scale:Scale.Quick (committed_spec "sps_failure") in
+  let isolated name =
+    mean_final
+      (fun p -> p.Basalt_sim.Measurements.isolated)
+      (row_of rows name) ""
+  in
   (* SPS collapses; Basalt and Brahms keep everyone connected. *)
-  check_bool "sps mostly isolated" true
-    ((find "sps").Sps_failure.isolated_fraction > 0.5);
-  check_bool "basalt no isolation" true
-    ((find "basalt").Sps_failure.isolated_fraction = 0.0);
-  check_bool "brahms no isolation" true
-    ((find "brahms").Sps_failure.isolated_fraction = 0.0)
+  check_bool "sps mostly isolated" true (isolated "sps" > 0.5);
+  check_bool "basalt no isolation" true (isolated "basalt" = 0.0);
+  check_bool "brahms no isolation" true (isolated "brahms" = 0.0)
 
-(* --- Cost accounting --- *)
+(* --- Cost accounting (committed scenario file) --- *)
 
 let cost_budget () =
-  let rows = Cost.run ~scale:Scale.Quick () in
-  check_int "four protocols" 4 (List.length rows);
-  List.iter
-    (fun r ->
-      check_bool (r.Cost.protocol ^ " fits MTU") true r.Cost.fits_mtu;
-      check_bool
-        (r.Cost.protocol ^ " ~2 msgs/round (plus replies)")
-        true
-        (r.Cost.msgs_per_node_round >= 1.0 && r.Cost.msgs_per_node_round <= 4.0))
-    rows
+  let spec = committed_spec "cost" in
+  let rows, cols = Matrix.columns spec (Matrix.run ~scale:Scale.Quick spec) in
+  let cell header i =
+    (List.find (fun c -> c.Basalt_sim.Report.header = header) cols)
+      .Basalt_sim.Report.cell i
+  in
+  check_int "four protocols" 4 rows;
+  for i = 0 to rows - 1 do
+    let protocol = cell "protocol" i in
+    check_bool (protocol ^ " fits MTU") true (cell "fits_MTU" i = "true");
+    let msgs = float_of_string (cell "msgs/node/round" i) in
+    check_bool
+      (protocol ^ " ~2 msgs/round (plus replies)")
+      true
+      (msgs >= 1.0 && msgs <= 4.0)
+  done
 
 (* --- Sybil extension --- *)
 

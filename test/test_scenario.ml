@@ -89,7 +89,9 @@ let corpus =
     ( "unknown_metric.scn",
       "5:12: unknown metric 'latency' \
        (time|samples_byz|delivered/sent|delivered|t99|redundancy|isolated|\
-       optimal|replacements)" );
+       isolated_frac|view_byz|ever_isolated|msgs/node/round|bytes/node/round|\
+       wire_bytes/node/round|max_datagram|fits_MTU|adv/correct bytes|optimal|\
+       replacements)" );
     ( "gossip_metric_no_app.scn",
       "5:12: metric 'delivered' needs (app (gossip ...))" );
     ( "no_protocol.scn",
@@ -101,6 +103,8 @@ let corpus =
        take" );
     ( "cell_metric_labels.scn",
       "5:12: metric 'optimal' is cell-level and takes no pivot labels" );
+    ( "pivotless_metric_labels.scn",
+      "4:12: metric 'samples_byz' takes no labels without a (pivot ...)" );
     ("sweep_with_entries.scn", "3:21: sweep axis 'x' takes no written entries");
     ("bad_scale.scn", "3:13: unknown scale \"huge\" (quick|standard|full)");
     (* Values that loaded but then raised mid-run, or let a message
@@ -160,8 +164,8 @@ let committed_files_load () =
   Alcotest.(check string) "name" "robustness-net" spec.Spec.name;
   Alcotest.(check string) "slug" "robustness_net" (Spec.slug spec);
   Alcotest.(check int) "two axes" 2 (List.length spec.Spec.axes);
-  Alcotest.(check string) "pivot is protocol" "protocol"
-    (Spec.pivot spec).Spec.axis_name;
+  Alcotest.(check (option string)) "pivot is protocol" (Some "protocol")
+    (Option.map (fun ax -> ax.Spec.axis_name) (Spec.pivot spec));
   Alcotest.(check bool) "no app" true (spec.Spec.app = None);
   let spec = load_ok (scenarios_dir ^ "broadcast.scn") in
   Alcotest.(check string) "name" "broadcast" spec.Spec.name;
@@ -260,6 +264,34 @@ let fraction_windows_resolve () =
       | ps ->
           Alcotest.failf "expected one partition, got %d" (List.length ps))
 
+(* Without (pivot ...) every axis is a row column and each cell one
+   row, its metrics in unprefixed columns. *)
+let pivotless_layout () =
+  let spec =
+    match
+      Spec.of_string
+        "(matrix (name layout) (base (n 40) (v 8) (steps 4)) \
+         (axis loss (none (loss none)) (lossy (loss (bernoulli 0.1)))) \
+         (axis protocol (basalt (protocol basalt)) (sps (protocol sps))) \
+         (metrics (view_byz) (max_datagram) (\"adv/correct bytes\")))"
+    with
+    | Ok spec -> spec
+    | Error msg -> Alcotest.fail msg
+  in
+  let rows = Matrix.run ~scale:Basalt_experiments.Scale.Quick spec in
+  let nrows, cols = Matrix.columns spec rows in
+  Alcotest.(check int) "one row per cell" 4 nrows;
+  Alcotest.(check (list string))
+    "axis names, then metric keywords"
+    [ "loss"; "protocol"; "view_byz"; "max_datagram"; "adv/correct bytes" ]
+    (List.map (fun c -> c.Basalt_sim.Report.header) cols);
+  Alcotest.(check (list string))
+    "cells in expansion order"
+    [ "none/basalt"; "none/sps"; "lossy/basalt"; "lossy/sps" ]
+    (List.map
+       (fun r -> String.concat "/" (List.map snd r.Matrix.row_labels))
+       rows)
+
 (* --- ported experiments: what each cell resolves to --- *)
 
 module Scale = Basalt_experiments.Scale
@@ -275,6 +307,7 @@ type run = {
   f : float;
   force : float;
   rho : float;
+  strategy : string;
   loss : Link.Loss.t;
   latency : Link.Latency.t;
   churn : (float * float) option;  (** (rate, start) *)
@@ -283,9 +316,9 @@ type run = {
 
 let show r =
   Format.asprintf
-    "%s n=%d v=%d steps=%.17g f=%.17g F=%.17g rho=%.17g loss=%a latency=%a \
-     churn=%s seed=%d"
-    r.proto r.n r.v r.steps r.f r.force r.rho Link.Loss.pp r.loss
+    "%s n=%d v=%d steps=%.17g f=%.17g F=%.17g rho=%.17g strategy=%s \
+     loss=%a latency=%a churn=%s seed=%d"
+    r.proto r.n r.v r.steps r.f r.force r.rho r.strategy Link.Loss.pp r.loss
     Link.Latency.pp r.latency
     (match r.churn with
     | None -> "none"
@@ -307,6 +340,11 @@ let show_task (t : Matrix.task) =
         | Scenario.Basalt c -> c.Basalt_core.Config.rho
         | Scenario.Brahms c -> c.Basalt_brahms.Brahms_config.rho
         | Scenario.Sps _ | Scenario.Classic _ -> Float.nan);
+      strategy =
+        (match s.Scenario.strategy with
+        | Basalt_adversary.Adversary.Flood -> "flood"
+        | Basalt_adversary.Adversary.Silent -> "silent"
+        | Basalt_adversary.Adversary.Eclipse _ -> "eclipse");
       loss = s.Scenario.loss;
       latency = s.Scenario.latency;
       churn =
@@ -319,7 +357,10 @@ let show_task (t : Matrix.task) =
 (* The runs the hand-written fig2, fig3, churn_exp and robustness
    modules made at [scale], in their order (x, then basalt before
    brahms, then seeds): the base point f = 0.1, F = 10, rho = 1 at the
-   preset's n, v and steps, with one parameter varied. *)
+   preset's n, v and steps, with one parameter varied.  Then the runs of
+   the Sps_failure and Cost modules, one per protocol in their order:
+   f = 0.3 against a silent adversary at a fixed size, and the base
+   point at seed 42. *)
 let expected scale =
   let base =
     {
@@ -330,6 +371,7 @@ let expected scale =
       f = 0.1;
       force = 10.0;
       rho = 1.0;
+      strategy = "flood";
       loss = Link.Loss.None;
       latency = Link.Latency.Zero;
       churn = None;
@@ -343,6 +385,13 @@ let expected scale =
       [ "basalt"; "brahms" ]
   in
   let over xs mk = List.concat_map (fun x -> both_protocols (mk x)) xs in
+  let all_protocols order r =
+    List.map
+      (fun proto ->
+        let rho = if proto = "basalt" || proto = "brahms" then 1.0 else nan in
+        { r with proto; rho })
+      order
+  in
   let fig3 =
     match scale with
     | Scale.Quick -> { base with n = 300; v = 40; steps = 100.0 }
@@ -385,6 +434,23 @@ let expected scale =
                 })
             (Scale.seeds scale))
         [ 0.0; 0.25; 0.5; 1.0 ] );
+    ( "sps_failure",
+      let n, v, steps =
+        match scale with
+        | Scale.Quick -> (300, 40, 100.0)
+        | Scale.Standard | Scale.Full -> (1000, 100, 200.0)
+      in
+      List.concat_map
+        (fun r ->
+          List.map (fun seed -> show { r with seed }) (Scale.seeds scale))
+        (all_protocols
+           [ "sps"; "basalt"; "brahms"; "classic" ]
+           { base with n; v; steps; f = 0.3; force = 0.0; strategy = "silent" })
+    );
+    ( "cost",
+      List.map
+        (fun r -> show { r with seed = 42 })
+        (all_protocols [ "basalt"; "brahms"; "sps"; "classic" ] base) );
   ]
 
 let ported_specs_resolve () =
@@ -422,5 +488,6 @@ let () =
           Alcotest.test_case "fraction windows resolve" `Quick
             fraction_windows_resolve;
           Alcotest.test_case "ported specs resolve" `Quick ported_specs_resolve;
+          Alcotest.test_case "pivot-less layout" `Quick pivotless_layout;
         ] );
     ]
