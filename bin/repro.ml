@@ -28,8 +28,9 @@ let trace_arg =
     "Write a deterministic JSONL event trace (lib/obs, DESIGN.md \xc2\xa78) to \
      $(docv).  Supported by $(b,timeline) and the targets that run \
      committed scenario files ($(b,fig2a)-$(b,fig2d), $(b,fig2), \
-     $(b,fig3), $(b,sps-failure), $(b,cost), $(b,churn), $(b,robustness), \
-     $(b,robustness-net), $(b,broadcast)); a target running several files \
+     $(b,fig3), $(b,fig4), $(b,sps-failure), $(b,cost), $(b,churn), \
+     $(b,sybil), $(b,robustness), $(b,robustness-net), $(b,uniformity), \
+     $(b,broadcast)); a target running several files \
      traces the first to $(docv) and each later one next to it, named \
      after the file (t.jsonl, then t.robustness_latency.jsonl).  Other \
      targets warn and ignore the flag."
@@ -83,8 +84,9 @@ let warn_no_trace cmd_name = function
   | Some _ ->
       Printf.eprintf
         "repro %s: --trace is only supported by timeline and the \
-         scenario-file targets (fig2a-d, fig2, fig3, sps-failure, cost, \
-         churn, robustness, robustness-net, broadcast); ignoring\n\
+         scenario-file targets (fig2a-d, fig2, fig3, fig4, sps-failure, \
+         cost, churn, sybil, robustness, robustness-net, uniformity, \
+         broadcast); ignoring\n\
          %!"
         cmd_name
 
@@ -119,9 +121,6 @@ let untraced cmd_name f ~scale ~csv_dir ~trace ~pool () =
   warn_no_trace cmd_name trace;
   f ~scale ~csv_dir ~pool ()
 
-let fig4 ~scale ~csv_dir ~pool () =
-  Fig4.print ~scale ?csv:(csv_path csv_dir "fig4") ?pool ()
-
 let fig5 ~scale ~csv_dir ~pool () =
   Fig5.print ~scale ?csv:(csv_path csv_dir "fig5") ?pool ()
 
@@ -130,9 +129,6 @@ let live ~scale ~csv_dir ~pool:_ () =
 
 let theory ~scale ~csv_dir:_ ~pool () = Theory.print ~scale ?pool ()
 let params ~scale ~csv_dir:_ ~pool:_ () = Params.print ~scale ()
-
-let sybil ~scale ~csv_dir ~pool () =
-  Sybil.print ~scale ?csv:(csv_path csv_dir "sybil") ?pool ()
 
 (* Every scenario-matrix target (DESIGN.md §12) runs through here; the
    CSV is named after the spec (robustness-net -> robustness_net.csv). *)
@@ -173,17 +169,17 @@ let committed files ~scale ~csv_dir ~trace ~pool () =
 
 let fig2_all = committed Scenario_files.[ fig2a; fig2b; fig2c; fig2d ]
 let fig3 = committed [ Scenario_files.fig3 ]
+let fig4 = committed [ Scenario_files.fig4 ]
 let sps_failure = committed [ Scenario_files.sps_failure ]
 let cost = committed [ Scenario_files.cost ]
 let churn = committed [ Scenario_files.churn ]
+let sybil = committed [ Scenario_files.sybil ]
 
 let robustness = committed Scenario_files.[ robustness; robustness_latency ]
 
 let robustness_net = committed [ Scenario_files.robustness_net ]
 let broadcast = committed [ Scenario_files.broadcast ]
-
-let uniformity ~scale ~csv_dir ~pool () =
-  Uniformity.print ~scale ?csv:(csv_path csv_dir "uniformity") ?pool ()
+let uniformity = committed [ Scenario_files.uniformity ]
 
 let dag ~scale ~csv_dir ~pool:_ () =
   Dag_exp.print ~scale ?csv:(csv_path csv_dir "dag") ()
@@ -193,7 +189,7 @@ let all ~scale ~csv_dir ~trace ~pool () =
   theory ~scale ~csv_dir ~pool ();
   fig2_all ~scale ~csv_dir ~trace:None ~pool ();
   fig3 ~scale ~csv_dir ~trace:None ~pool ();
-  fig4 ~scale ~csv_dir ~pool ();
+  fig4 ~scale ~csv_dir ~trace:None ~pool ();
   fig5 ~scale ~csv_dir ~pool ();
   sps_failure ~scale ~csv_dir ~trace:None ~pool ();
   live ~scale ~csv_dir ~pool ();
@@ -201,10 +197,10 @@ let all ~scale ~csv_dir ~trace ~pool () =
 
 let extensions ~scale ~csv_dir ~pool () =
   churn ~scale ~csv_dir ~trace:None ~pool ();
-  sybil ~scale ~csv_dir ~pool ();
+  sybil ~scale ~csv_dir ~trace:None ~pool ();
   robustness ~scale ~csv_dir ~trace:None ~pool ();
   robustness_net ~scale ~csv_dir ~trace:None ~pool ();
-  uniformity ~scale ~csv_dir ~pool ();
+  uniformity ~scale ~csv_dir ~trace:None ~pool ();
   dag ~scale ~csv_dir ~pool ();
   broadcast ~scale ~csv_dir ~trace:None ~pool ()
 
@@ -220,8 +216,7 @@ let cmds =
       (committed [ Scenario_files.fig2d ]);
     cmd "fig2" ~doc:"All four panels of Fig. 2" fig2_all;
     cmd "fig3" ~doc:"Convergence time vs f (Fig. 3)" fig3;
-    cmd "fig4" ~doc:"Graph metric convergence over time (Fig. 4)"
-      (untraced "fig4" fig4);
+    cmd "fig4" ~doc:"Graph metric convergence over time (Fig. 4)" fig4;
     cmd "fig5" ~doc:"Max sampling rate without isolation vs v (Fig. 5)"
       (untraced "fig5" fig5);
     cmd "sps-failure" ~doc:"SPS isolation at f=30%, F=0 (Section 4.3)"
@@ -236,7 +231,7 @@ let cmds =
     cmd "churn" ~doc:"Extension: sample quality under continuous churn" churn;
     cmd "sybil"
       ~doc:"Extension: institutional Sybil attack vs prefix-diverse ranking"
-      (untraced "sybil" sybil);
+      sybil;
     cmd "robustness"
       ~doc:"Extension: resilience to message loss and latency jitter"
       robustness;
@@ -251,7 +246,7 @@ let cmds =
          flooding and network faults"
       broadcast;
     cmd "uniformity" ~doc:"Extension: sample-stream diversity statistics"
-      (untraced "uniformity" uniformity);
+      uniformity;
     cmd "dag" ~doc:"Extension: Avalanche DAG consensus with a double-spend"
       (untraced "dag" dag);
     cmd "all" ~doc:"Run every paper experiment in sequence" all;

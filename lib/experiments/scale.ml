@@ -32,6 +32,14 @@ let forces = function
   | Quick -> [ 1.0; 10.0; 100.0 ]
   | Standard | Full -> [ 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0 ]
 
+let sybil_networks scale =
+  let honest = n scale * 3 / 4 in
+  List.map
+    (fun m ->
+      let sybils = honest * m / 8 in
+      (honest + sybils, float_of_int sybils /. float_of_int (honest + sybils)))
+    [ 1; 3; 8; 16 ]
+
 let sampling_rates = function
   | Quick -> [ 0.5; 1.0; 2.0; 4.0 ]
   | Standard | Full -> [ 0.25; 0.5; 1.0; 2.0; 4.0; 8.0 ]

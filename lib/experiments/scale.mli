@@ -43,5 +43,11 @@ val byzantine_fractions : t -> float list
 val forces : t -> float list
 (** The x-axis of Fig. 2b. *)
 
+val sybil_networks : t -> (int * float) list
+(** The x-axis of the Sybil extension: for m in {1, 3, 8, 16}, honest
+    nodes are 3n/4 of the preset and the attacker holds honest·m/8
+    identifiers; each point is the network size and the attacker's
+    identifier share f. *)
+
 val sampling_rates : t -> float list
 (** The x-axis of Fig. 2c / the ρ candidates of Fig. 5. *)

@@ -8,16 +8,16 @@
     over an optional {!Basalt_parallel.Pool}, and renders one table
     row per non-pivot cell with the pivot's entries as metric columns
     (or, without a pivot, one row per cell).  A spec whose metrics read
-    protocol counters runs every cell with its instrument registry.
+    protocol counters runs every cell with its instrument registry, and
+    one whose metrics read graph metrics runs with them on.
     [Pool.map] preserves task order, so tables, CSVs and merged traces
     are bit-identical at any [-j N].
 
-    Aggregation goes through {!Basalt_experiments.Agg}.  The committed
-    [scenarios/*.scn] files are the definitions of [repro fig2a]–[fig2d],
-    [fig3], [sps-failure], [cost], [churn], [robustness],
-    [robustness-net] and [broadcast];
-    their quick-scale tables are pinned by golden files under
-    [test/golden/]. *)
+    The committed [scenarios/*.scn] files are the definitions of [repro
+    fig2a]–[fig2d], [fig3], [fig4], [sps-failure], [cost], [churn],
+    [sybil], [robustness], [robustness-net], [uniformity] and
+    [broadcast]; their quick-scale tables are pinned by golden files
+    under [test/golden/]. *)
 
 type run = {
   result : Basalt_sim.Runner.result;
@@ -50,6 +50,7 @@ type group = {
   g_scenario : Basalt_sim.Scenario.t;
       (** The cell's resolved scenario (first seed) — the source of
           per-cell parameters such as [f] for convergence targets. *)
+  g_settings : Spec.settings;  (** The cell's merged bindings. *)
   g_runs : run list;  (** One run per seed. *)
 }
 
@@ -74,10 +75,31 @@ val run :
 
 val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
 (** [columns spec rows] lays out the table: one column per non-pivot
-    axis, then [<pivot-label>_<metric>] columns, metric-major, in the
-    spec's metrics order; a cell-level metric ({!Spec.cell_level}) is
-    one [<metric>] column instead, as is every metric of a pivot-less
-    spec. *)
+    axis, then [<pivot-label>_<metric>] columns in the spec's metrics
+    order; a cell-level metric ({!Spec.cell_level}) is one [<metric>]
+    column instead, as is every metric of a pivot-less spec.  [(rows
+    time)] makes one line per row and measurement point, with a [time]
+    column; [(reference L)] appends a line drawing as many samples as
+    the first row (at least one) from [Rng.create ~seed:7]. *)
+
+val prefix_layout :
+  honest:int -> honest_prefixes:int -> attacker_prefixes:int -> int -> int
+(** [prefix_layout ~honest ~honest_prefixes ~attacker_prefixes id] is
+    the address map of [(rank (prefix-diverse H A))]: ids below
+    [honest] spread round-robin over [honest_prefixes]; the others cycle
+    over [attacker_prefixes] prefixes of their own. *)
+
+type histogram_stats = {
+  samples : int;  (** Samples of the counted ids. *)
+  tv_distance : float;  (** Total-variation distance from uniform. *)
+  coeff_var : float;  (** Coefficient of variation of the counts. *)
+  max_over_mean : float;  (** Largest count over the mean count. *)
+}
+
+val histogram_stats : correct:int -> int array -> histogram_stats
+(** [histogram_stats ~correct hist] is the histogram metrics over the
+    first [correct] entries of [hist]; the float fields are [nan] when
+    those entries are all zero. *)
 
 val print :
   ?scale:Basalt_experiments.Scale.t ->
@@ -87,7 +109,8 @@ val print :
   Spec.t ->
   unit
 (** [print spec] runs the matrix and prints its table under a banner
-    ([== TITLE  \[scale=S\]] when the spec has a title); [csv] also
+    ([== TITLE  \[scale=S\]] when the spec has a title), then its
+    [(caption ...)] lines and [(fit ...)] lines; [csv] also
     writes the rows as CSV, [trace] dumps the merged deterministic
     JSONL event trace of every run, tagged with each axis's
     [trace-key], in task order (byte-identical at any [-j N]). *)

@@ -35,6 +35,10 @@ type churn = {
   churn_style : Churn.style option;
 }
 
+type rank =
+  | Cheap
+  | Prefix_diverse of { honest_prefixes : int; attacker_prefixes : int }
+
 type settings = {
   n : int option;
   v : int option;
@@ -50,6 +54,7 @@ type settings = {
   churn : churn option;
   measure_every : float option;
   sample_window : int option;
+  rank : rank option;
 }
 
 let empty_settings =
@@ -68,6 +73,7 @@ let empty_settings =
     churn = None;
     measure_every = None;
     sample_window = None;
+    rank = None;
   }
 
 (* Entry bindings override base bindings field-wise; a fault plan or
@@ -89,10 +95,11 @@ let merge base over =
     churn = pick over.churn base.churn;
     measure_every = pick over.measure_every base.measure_every;
     sample_window = pick over.sample_window base.sample_window;
+    rank = pick over.rank base.rank;
   }
 
 type entry = { label : string; bindings : settings }
-type sweep = Sweep_f | Sweep_force | Sweep_rho | Sweep_v
+type sweep = Sweep_f | Sweep_force | Sweep_rho | Sweep_v | Sweep_sybils
 
 type axis = {
   axis_name : string;
@@ -122,6 +129,12 @@ let entries scale ax =
       List.map
         (fun v -> entry (string_of_int v) { empty_settings with v = Some v })
         (Scale.view_sizes scale)
+  | Some Sweep_sybils ->
+      List.map
+        (fun (n, f) ->
+          entry (Printf.sprintf "%g" f)
+            { empty_settings with n = Some n; f = Some f })
+        (Scale.sybil_networks scale)
 
 type metric =
   | Time
@@ -142,6 +155,14 @@ type metric =
   | Adv_bytes_ratio
   | Optimal
   | Replacements
+  | Samples
+  | Tv_distance
+  | Coeff_var
+  | Max_over_mean
+  | Prefix_share
+  | Clustering
+  | Mean_path
+  | Indeg_spread
 
 (* The grammar keywords, in the order the unknown-metric diagnostic
    lists them. *)
@@ -165,25 +186,29 @@ let metric_names =
     ("adv/correct bytes", Adv_bytes_ratio);
     ("optimal", Optimal);
     ("replacements", Replacements);
+    ("samples", Samples);
+    ("tv_distance", Tv_distance);
+    ("coeff_var", Coeff_var);
+    ("max/mean", Max_over_mean);
+    ("prefix_share", Prefix_share);
+    ("clustering", Clustering);
+    ("mean_path", Mean_path);
+    ("indeg_spread", Indeg_spread);
   ]
 
 let metric_name m = fst (List.find (fun (_, m') -> m' = m) metric_names)
 let metric_of_name name = List.assoc_opt name metric_names
 
-let gossip_metric = function
-  | Delivered | T99 | Redundancy -> true
-  | Time | Samples_byz | Delivered_sent | Isolated | Isolated_frac | View_byz
-  | Ever_isolated | Msgs_rate | Bytes_rate | Wire_bytes_rate | Max_datagram
-  | Fits_mtu | Adv_bytes_ratio | Optimal | Replacements ->
-      false
+let gossip_metric m = List.mem m [ Delivered; T99; Redundancy ]
+let cell_level m = List.mem m [ Optimal; Replacements; Prefix_share ]
 
-let cell_level = function
-  | Optimal | Replacements -> true
-  | Time | Samples_byz | Delivered_sent | Delivered | T99 | Redundancy
-  | Isolated | Isolated_frac | View_byz | Ever_isolated | Msgs_rate
-  | Bytes_rate | Wire_bytes_rate | Max_datagram | Fits_mtu | Adv_bytes_ratio
-    ->
-      false
+let histogram_metric m =
+  List.mem m [ Samples; Tv_distance; Coeff_var; Max_over_mean ]
+
+let graph_metric m = List.mem m [ Clustering; Mean_path; Indeg_spread ]
+
+let per_point m =
+  graph_metric m || List.mem m [ Samples_byz; Isolated; Isolated_frac; View_byz ]
 
 type t = {
   name : string;
@@ -196,6 +221,10 @@ type t = {
   within : float;
   app : Gossip_app.params option;
   metrics : (metric * string list) list;
+  time_rows : bool;
+  reference : string option;
+  fit : metric option;
+  caption : string list;
 }
 
 let pivot spec =
@@ -517,6 +546,19 @@ let positive_float (s : Sexp.t) ~what =
   if x <= 0.0 then fail s.pos "%s must be positive" what;
   x
 
+let rank_of (s : Sexp.t) =
+  match s.desc with
+  | Atom "cheap" -> Cheap
+  | Atom a -> fail s.pos "unknown rank '%s' (cheap|(prefix-diverse H A))" a
+  | List _ -> (
+      let head, args, pos = form_of s in
+      match head with
+      | "prefix-diverse" ->
+          arity pos head 2 args;
+          let count i = positive_int (List.nth args i) ~what:"prefix count" in
+          Prefix_diverse { honest_prefixes = count 0; attacker_prefixes = count 1 }
+      | _ -> fail pos "unknown rank '%s' (cheap|(prefix-diverse H A))" head)
+
 (* [allow_seeds]: (seeds ...) may only appear in (base ...), so every
    pivot group averages over the same seed list. *)
 let settings_of ~allow_seeds (forms : Sexp.t list) =
@@ -534,6 +576,7 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
   and churn = ref None
   and measure_every = ref None
   and sample_window = ref None
+  and rank = ref None
   and seeds = ref None in
   List.iter
     (fun item ->
@@ -586,6 +629,9 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
           arity pos key 1 args;
           set pos key sample_window
             (positive_int (List.nth args 0) ~what:"sample-window")
+      | "rank" ->
+          arity pos key 1 args;
+          set pos key rank (rank_of (List.nth args 0))
       | "seeds" ->
           if not allow_seeds then
             fail pos "(seeds ...) is only allowed in (base ...)";
@@ -608,6 +654,7 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
       churn = !churn;
       measure_every = !measure_every;
       sample_window = !sample_window;
+      rank = !rank;
     },
     !seeds )
 
@@ -647,8 +694,10 @@ let axis_of pos (args : Sexp.t list) =
                   | "force" -> Sweep_force
                   | "rho" -> Sweep_rho
                   | "v" -> Sweep_v
+                  | "sybils" -> Sweep_sybils
                   | a ->
-                      fail ipos "unknown sweep preset '%s' (f|force|rho|v)" a);
+                      fail ipos
+                        "unknown sweep preset '%s' (f|force|rho|v|sybils)" a);
                 None
             | label ->
                 let bindings, _ = settings_of ~allow_seeds:false iargs in
@@ -721,20 +770,22 @@ let app_of pos (args : Sexp.t list) =
       | _ -> fail gpos "unknown app '%s' (gossip)" head)
   | _ -> fail pos "(app ...) takes exactly one (gossip ...) form"
 
+let metric_of pos name =
+  match metric_of_name name with
+  | Some m -> m
+  | None ->
+      fail pos "unknown metric '%s' (%s)" name
+        (String.concat "|" (List.map fst metric_names))
+
 let metrics_of pos (args : Sexp.t list) =
   if args = [] then fail pos "(metrics ...) needs at least one metric";
   List.map
     (fun item ->
       let head, margs, mpos = form_of item in
-      match metric_of_name head with
-      | Some m ->
-          if cell_level m && margs <> [] then
-            fail mpos "metric '%s' is cell-level and takes no pivot labels"
-              head;
-          (m, List.map (fun l -> atom_of l ~what:"a pivot label") margs, mpos)
-      | None ->
-          fail mpos "unknown metric '%s' (%s)" head
-            (String.concat "|" (List.map fst metric_names)))
+      let m = metric_of mpos head in
+      if cell_level m && margs <> [] then
+        fail mpos "metric '%s' is cell-level and takes no pivot labels" head;
+      (m, List.map (fun l -> atom_of l ~what:"a pivot label") margs, mpos))
     args
 
 (* ------------------------------------------------------------------ *)
@@ -752,7 +803,11 @@ let of_sexp (s : Sexp.t) =
   and pivot_name = ref None
   and within = ref None
   and app = ref None
-  and metrics = ref None in
+  and metrics = ref None
+  and time_rows = ref None
+  and reference = ref None
+  and fit = ref None
+  and caption = ref None in
   List.iter
     (fun item ->
       let key, args, kpos = form_of item in
@@ -795,6 +850,24 @@ let of_sexp (s : Sexp.t) =
           if Option.is_some !metrics then
             fail kpos "duplicate setting 'metrics'";
           metrics := Some (metrics_of kpos args)
+      | "rows" -> (
+          arity kpos key 1 args;
+          match atom_of (List.nth args 0) ~what:"a row layout" with
+          | "time" -> set kpos key time_rows kpos
+          | a -> fail kpos "unknown row layout '%s' (time)" a)
+      | "reference" ->
+          arity kpos key 1 args;
+          set kpos key reference
+            (atom_of (List.nth args 0) ~what:"a row label", kpos)
+      | "fit" ->
+          arity kpos key 1 args;
+          let arg = List.nth args 0 in
+          set kpos key fit
+            (metric_of arg.pos (atom_of arg ~what:"a metric"), [], kpos)
+      | "caption" ->
+          if args = [] then fail kpos "(caption ...) needs at least one line";
+          set kpos key caption
+            (List.map (fun l -> atom_of l ~what:"a caption line") args)
       | _ -> fail kpos "unknown matrix key '%s'" key)
     body;
   let name =
@@ -840,6 +913,29 @@ let of_sexp (s : Sexp.t) =
                   "metric label '%s' is not an entry of pivot axis '%s'" l p)
             labels)
     metrics;
+  (match !time_rows with
+  | Some _ ->
+      List.iter
+        (fun (m, _, mpos) ->
+          if not (per_point m) then
+            fail mpos "metric '%s' has no per-point value for (rows time)"
+              (metric_name m))
+        (metrics @ Option.to_list !fit)
+  | None ->
+      Option.iter
+        (fun (_, _, fpos) -> fail fpos "(fit ...) needs (rows time)")
+        !fit);
+  Option.iter
+    (fun (_, rpos) ->
+      if
+        Option.is_some !pivot_name
+        || List.length axes <> 1
+        || not (List.for_all (fun (m, _, _) -> histogram_metric m) metrics)
+      then
+        fail rpos
+          "(reference ...) needs one axis, no (pivot ...) and only histogram \
+           metrics (samples|tv_distance|coeff_var|max/mean)")
+    !reference;
   let spec =
     {
       name;
@@ -852,25 +948,34 @@ let of_sexp (s : Sexp.t) =
       within = Option.value !within ~default:0.25;
       app = !app;
       metrics = List.map (fun (m, labels, _) -> (m, labels)) metrics;
+      time_rows = Option.is_some !time_rows;
+      reference = Option.map fst !reference;
+      fit = Option.map (fun (m, _, _) -> m) !fit;
+      caption = Option.value !caption ~default:[];
     }
   in
-  (* Every cell at every scale must bind a protocol, and only the
-     protocols with a sampling rate may bind (rho ...). *)
+  (* Every cell at every scale must bind a protocol, only the protocols
+     with a sampling rate may bind (rho ...), and only Basalt ranks. *)
   List.iter
     (fun scale ->
       List.iter
         (fun (labels, s) ->
-          match (s.protocol, s.rho) with
-          | None, _ ->
+          let cell () =
+            String.concat ", " (List.map (fun (a, l) -> a ^ "=" ^ l) labels)
+          in
+          match (s.protocol, s.rho, s.rank) with
+          | None, _, _ ->
               fail pos
                 "no protocol bound: set (protocol ...) in (base ...) or on \
                  every entry of an axis"
-          | Some (Sps | Classic), Some _ ->
+          | Some (Sps | Classic), Some _, _ ->
               fail pos
                 "cell %s binds (rho ...), which only basalt and brahms take"
-                (String.concat ", "
-                   (List.map (fun (a, l) -> a ^ "=" ^ l) labels))
-          | Some (Basalt | Brahms | Sps | Classic), _ -> ())
+                (cell ())
+          | Some (Brahms | Sps | Classic), _, Some _ ->
+              fail pos "cell %s binds (rank ...), which only basalt takes"
+                (cell ())
+          | Some (Basalt | Brahms | Sps | Classic), _, _ -> ())
         (cells scale spec))
     [ Scale.Quick; Scale.Standard; Scale.Full ];
   spec

@@ -42,6 +42,12 @@ type churn = {
   churn_style : Basalt_sim.Churn.style option;
 }
 
+(** A Basalt rank backend: [(rank cheap)], the default, or [(rank
+    (prefix-diverse H A))] over {!Matrix.prefix_layout}. *)
+type rank =
+  | Cheap
+  | Prefix_diverse of { honest_prefixes : int; attacker_prefixes : int }
+
 type settings = {
   n : int option;
   v : int option;
@@ -57,6 +63,7 @@ type settings = {
   churn : churn option;
   measure_every : float option;
   sample_window : int option;
+  rank : rank option;  (** Basalt only. *)
 }
 (** One group of bindings; [None] fields fall back to the enclosing
     scope and ultimately to the {!Basalt_experiments.Scale} preset or
@@ -78,6 +85,7 @@ type sweep =
   | Sweep_force  (** [(sweep force)]: [Scale.forces]. *)
   | Sweep_rho  (** [(sweep rho)]: [Scale.sampling_rates]. *)
   | Sweep_v  (** [(sweep v)]: [Scale.view_sizes]. *)
+  | Sweep_sybils  (** [(sweep sybils)]: [Scale.sybil_networks], n and f. *)
 
 type axis = {
   axis_name : string;  (** Also the report column header. *)
@@ -123,6 +131,15 @@ type metric =
                          the runs. *)
   | Optimal  (** Cell-level: the cell's Byzantine fraction [f]. *)
   | Replacements  (** Cell-level: the first run's churned-node count. *)
+  | Samples  (** Histogram metric: samples of the correct ids. *)
+  | Tv_distance  (** Histogram metric. *)
+  | Coeff_var  (** Histogram metric. *)
+  | Max_over_mean  (** Histogram metric. *)
+  | Prefix_share  (** Cell-level: A/(H+A) of the row's
+                      [(rank (prefix-diverse H A))]. *)
+  | Clustering  (** Graph metric: mean local clustering coefficient. *)
+  | Mean_path  (** Graph metric: mean path length over correct nodes. *)
+  | Indeg_spread  (** Graph metric: last minus first in-degree decile. *)
 
 val metric_name : metric -> string
 (** The metric's grammar keyword, also its column-header suffix (its
@@ -131,6 +148,9 @@ val metric_name : metric -> string
 val cell_level : metric -> bool
 (** A cell-level metric takes no pivot labels and renders as one
     unprefixed column, read from the cell's first pivot group. *)
+
+val graph_metric : metric -> bool
+(** A graph metric runs its spec's cells with graph metrics on. *)
 
 type t = {
   name : string;  (** {!Basalt_sim.Scenario.t} name and CSV base name. *)
@@ -149,6 +169,11 @@ type t = {
   app : Basalt_experiments.Gossip_app.params option;
   metrics : (metric * string list) list;
       (** Per metric, the pivot labels to report ([[]] = all). *)
+  time_rows : bool;  (** [(rows time)]: one row per measurement point. *)
+  reference : string option;
+      (** [(reference LABEL)]: an ideal uniform sampler's row. *)
+  fit : metric option;  (** [(fit M)]: a relaxation line per group. *)
+  caption : string list;  (** Lines printed after the table. *)
 }
 
 val pivot : t -> axis option

@@ -136,11 +136,12 @@ let dag_matches_golden = matches_golden ~target:"dag" ~golden:"dag.quick.txt"
 let live_matches_golden = matches_golden ~target:"live" ~golden:"live.quick.txt"
 
 (* The figure and extension targets run their committed scenario files
-   (a few seconds each at quick scale).  Each golden body was captured
-   from the OCaml module the file replaced (the port changed sps-failure's
-   and cost's banners, not their bodies); robustness's second table, the
-   latency sweep, was a list of printed values there and holds the same
-   four numbers.  A golden file is named after the target with '-' as
+   (a few seconds each at quick scale; sybil ~8 s).  Each golden body
+   was captured from the OCaml module the file replaced (the ports
+   changed banners, not bodies; fig4's fit lines and sybil's closing
+   prose are part of the body); robustness's second table, the latency
+   sweep, was a list of printed values there and holds the same four
+   numbers.  A golden file is named after the target with '-' as
    '_'. *)
 let golden_case target =
   let slug = String.map (function '-' -> '_' | c -> c) target in
@@ -155,17 +156,14 @@ let ported_goldens =
       "fig2c";
       "fig2d";
       "fig3";
+      "fig4";
       "sps-failure";
       "cost";
       "churn";
+      "sybil";
       "robustness";
+      "uniformity";
     ]
-
-(* Hand-written targets that are candidates for the next scenario-file
-   ports; their bodies (fig4's fit lines and sybil's closing prose
-   included) were captured before any of them moved.  sybil takes ~8 s
-   at quick scale. *)
-let module_goldens = List.map golden_case [ "uniformity"; "sybil"; "fig4" ]
 
 (* A target that runs several scenario files traces the first to FILE
    and each later one next to it, named after the file. *)
@@ -433,7 +431,7 @@ let () =
             live_matches_golden;
           Alcotest.test_case "multi-file trace paths" `Slow multi_file_trace;
         ]
-        @ ported_goldens @ module_goldens );
+        @ ported_goldens );
       ( "bench_gate",
         [
           Alcotest.test_case "append record pinned" `Quick

@@ -86,9 +86,11 @@ let fig2a =
 (* The mean of one final measurement over a protocol's runs in a row:
    the unrounded value behind the table cell. *)
 let mean_final field row protocol =
-  Agg.mean
-    (fun r -> field r.Matrix.result.Runner.final)
-    (List.assoc protocol row.Matrix.groups).Matrix.g_runs
+  let runs = (List.assoc protocol row.Matrix.groups).Matrix.g_runs in
+  List.fold_left
+    (fun acc r -> acc +. field r.Matrix.result.Runner.final)
+    0.0 runs
+  /. float_of_int (List.length runs)
 
 let sample_byz = mean_final (fun p -> p.Basalt_sim.Measurements.sample_byz)
 let x_of row = List.assoc "x" row.Matrix.row_labels
@@ -170,33 +172,33 @@ let cost_budget () =
       (msgs >= 1.0 && msgs <= 4.0)
   done
 
-(* --- Sybil extension --- *)
+(* --- Sybil extension: the (rank (prefix-diverse H A)) address map --- *)
 
 let sybil_prefix_layout () =
-  let layout = Sybil.prefix_layout ~honest:100 ~honest_prefixes:10 ~attacker_prefixes:2 in
+  let layout = Matrix.prefix_layout ~honest:100 ~honest_prefixes:10 ~attacker_prefixes:2 in
   check_int "honest spread" 3 (layout 3);
   check_int "honest wraps" 3 (layout 13);
   check_int "attacker prefix base" 10 (layout 100);
   check_int "attacker cycles" 11 (layout 101);
   check_int "attacker wraps" 10 (layout 102)
 
-(* --- Uniformity statistics --- *)
+(* --- Uniformity statistics: the matrix's histogram metrics --- *)
 
 let uniformity_of_histogram () =
   (* Perfectly uniform histogram: zero TV distance and CV. *)
-  let r = Uniformity.of_histogram ~sampler:"t" ~correct:4 [| 5; 5; 5; 5; 99 |] in
-  check_int "samples counted over correct only" 20 r.Uniformity.samples;
-  check_bool "tv zero" true (Float.abs r.Uniformity.tv_distance < 1e-9);
-  check_bool "cv zero" true (Float.abs r.Uniformity.coeff_variation < 1e-9);
-  check_bool "max/mean one" true (Float.abs (r.Uniformity.max_over_mean -. 1.0) < 1e-9);
+  let r = Matrix.histogram_stats ~correct:4 [| 5; 5; 5; 5; 99 |] in
+  check_int "samples counted over correct only" 20 r.Matrix.samples;
+  check_bool "tv zero" true (Float.abs r.Matrix.tv_distance < 1e-9);
+  check_bool "cv zero" true (Float.abs r.Matrix.coeff_var < 1e-9);
+  check_bool "max/mean one" true (Float.abs (r.Matrix.max_over_mean -. 1.0) < 1e-9);
   (* Fully concentrated: TV = 1 - 1/n. *)
-  let c = Uniformity.of_histogram ~sampler:"t" ~correct:4 [| 20; 0; 0; 0 |] in
+  let c = Matrix.histogram_stats ~correct:4 [| 20; 0; 0; 0 |] in
   check_bool "tv of point mass" true
-    (Float.abs (c.Uniformity.tv_distance -. 0.75) < 1e-9);
+    (Float.abs (c.Matrix.tv_distance -. 0.75) < 1e-9);
   (* Empty histogram: nan statistics, zero samples. *)
-  let e = Uniformity.of_histogram ~sampler:"t" ~correct:3 [| 0; 0; 0 |] in
-  check_int "no samples" 0 e.Uniformity.samples;
-  check_bool "nan tv" true (Float.is_nan e.Uniformity.tv_distance)
+  let e = Matrix.histogram_stats ~correct:3 [| 0; 0; 0 |] in
+  check_int "no samples" 0 e.Matrix.samples;
+  check_bool "nan tv" true (Float.is_nan e.Matrix.tv_distance)
 
 (* --- Robustness under fault plans (DESIGN.md §10) --- *)
 

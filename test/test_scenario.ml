@@ -70,6 +70,10 @@ let corpus_dir = scenarios_dir ^ "corpus/"
 (* (file, position-and-message after the file-name prefix).  These are
    the parser's user interface; error-message changes must be
    deliberate. *)
+let reference_needs =
+  "(reference ...) needs one axis, no (pivot ...) and only histogram \
+   metrics (samples|tv_distance|coeff_var|max/mean)"
+
 let corpus =
   [
     ("unbalanced.scn", "3:1: unclosed '(' (opened at line 1, column 1)");
@@ -91,7 +95,8 @@ let corpus =
        (time|samples_byz|delivered/sent|delivered|t99|redundancy|isolated|\
        isolated_frac|view_byz|ever_isolated|msgs/node/round|bytes/node/round|\
        wire_bytes/node/round|max_datagram|fits_MTU|adv/correct bytes|optimal|\
-       replacements)" );
+       replacements|samples|tv_distance|coeff_var|max/mean|prefix_share|\
+       clustering|mean_path|indeg_spread)" );
     ( "gossip_metric_no_app.scn",
       "5:12: metric 'delivered' needs (app (gossip ...))" );
     ( "no_protocol.scn",
@@ -114,6 +119,17 @@ let corpus =
     ("negative_latency.scn", "2:46: latency must be >= 0");
     ( "inverted_uniform.scn",
       "2:49: uniform latency upper bound 0.1 is below its lower bound 0.5" );
+    (* The row layouts and bindings the last module ports added. *)
+    ( "rank_on_brahms.scn",
+      "1:1: cell protocol=brahms binds (rank ...), which only basalt takes" );
+    ("reference_pivoted.scn", "4:3: " ^ reference_needs);
+    ("reference_two_axes.scn", "4:3: " ^ reference_needs);
+    ("reference_metric.scn", "3:3: " ^ reference_needs);
+    ("fit_without_rows.scn", "5:3: (fit ...) needs (rows time)");
+    ( "rows_time_metric.scn",
+      "5:23: metric 'delivered/sent' has no per-point value for (rows time)" );
+    ( "rows_time_fits_mtu.scn",
+      "5:12: metric 'fits_MTU' has no per-point value for (rows time)" );
   ]
 
 let corpus_diagnostics () =
@@ -292,6 +308,59 @@ let pivotless_layout () =
        (fun r -> String.concat "/" (List.map snd r.Matrix.row_labels))
        rows)
 
+let layout_of src =
+  let spec =
+    match Spec.of_string src with Ok spec -> spec | Error msg -> Alcotest.fail msg
+  in
+  let nrows, cols =
+    Matrix.columns spec (Matrix.run ~scale:Basalt_experiments.Scale.Quick spec)
+  in
+  ( nrows,
+    List.map (fun c -> c.Basalt_sim.Report.header) cols,
+    fun header ->
+      let c = List.find (fun c -> c.Basalt_sim.Report.header = header) cols in
+      List.init nrows c.Basalt_sim.Report.cell )
+
+(* (rows time): one line per measurement point, a time column after
+   the axes, and metric columns in the order their labels list them. *)
+let time_rows_layout () =
+  let nrows, headers, column =
+    layout_of
+      "(matrix (name layout) (base (n 40) (v 8) (steps 4) (measure-every 2)) \
+       (axis protocol (basalt (protocol basalt)) (brahms (protocol brahms))) \
+       (pivot protocol) (rows time) \
+       (metrics (view_byz brahms) (clustering basalt) (view_byz basalt)))"
+  in
+  Alcotest.(check int) "one line per measurement point" 2 nrows;
+  Alcotest.(check (list string))
+    "time, then label-ordered metric columns"
+    [ "time"; "brahms_view_byz"; "basalt_clustering"; "basalt_view_byz" ]
+    headers;
+  Alcotest.(check (list string))
+    "measurement times" [ "2.0000"; "4.0000" ] (column "time");
+  Alcotest.(check bool) "graph metrics derived on" true
+    (List.for_all (fun c -> c <> "-") (column "basalt_clustering"))
+
+(* (reference LABEL): one extra line under the axis column, drawing as
+   many samples as the first row. *)
+let reference_layout () =
+  let nrows, headers, column =
+    layout_of
+      "(matrix (name layout) (base (n 40) (v 8) (steps 4) (seeds 42)) \
+       (axis sampler (basalt (protocol basalt)) (classic (protocol classic))) \
+       (reference ideal) (metrics (samples) (tv_distance)))"
+  in
+  Alcotest.(check int) "cells plus the reference" 3 nrows;
+  Alcotest.(check (list string))
+    "axis, then histogram metrics"
+    [ "sampler"; "samples"; "tv_distance" ]
+    headers;
+  Alcotest.(check (list string))
+    "reference row last" [ "basalt"; "classic"; "ideal" ] (column "sampler");
+  let samples = column "samples" in
+  Alcotest.(check string) "as many samples as the first row"
+    (List.nth samples 0) (List.nth samples 2)
+
 (* --- ported experiments: what each cell resolves to --- *)
 
 module Scale = Basalt_experiments.Scale
@@ -312,18 +381,21 @@ type run = {
   latency : Link.Latency.t;
   churn : (float * float) option;  (** (rate, start) *)
   seed : int;
+  measure_every : float;
+  graph : bool;  (** Graph metrics on. *)
+  backend : string;  (** Basalt's rank backend; "-" on other protocols. *)
 }
 
 let show r =
   Format.asprintf
     "%s n=%d v=%d steps=%.17g f=%.17g F=%.17g rho=%.17g strategy=%s \
-     loss=%a latency=%a churn=%s seed=%d"
+     loss=%a latency=%a churn=%s seed=%d every=%g graph=%b rank=%s"
     r.proto r.n r.v r.steps r.f r.force r.rho r.strategy Link.Loss.pp r.loss
     Link.Latency.pp r.latency
     (match r.churn with
     | None -> "none"
     | Some (rate, start) -> Printf.sprintf "%.17g@%.17g" rate start)
-    r.seed
+    r.seed r.measure_every r.graph r.backend
 
 let show_task (t : Matrix.task) =
   let s = t.Matrix.scenario in
@@ -352,15 +424,27 @@ let show_task (t : Matrix.task) =
           (fun c -> (c.Basalt_sim.Churn.rate, c.Basalt_sim.Churn.start))
           s.Scenario.churn;
       seed = s.Scenario.seed;
+      measure_every = s.Scenario.measure_every;
+      graph = s.Scenario.graph_metrics;
+      backend =
+        (match s.Scenario.protocol with
+        | Scenario.Basalt c -> (
+            match c.Basalt_core.Config.backend with
+            | Basalt_hashing.Rank.Cheap -> "cheap"
+            | Basalt_hashing.Rank.Prefix_diverse _ -> "prefix-diverse"
+            | _ -> "other")
+        | Scenario.Brahms _ | Scenario.Sps _ | Scenario.Classic _ -> "-");
     }
 
 (* The runs the hand-written fig2, fig3, churn_exp and robustness
    modules made at [scale], in their order (x, then basalt before
    brahms, then seeds): the base point f = 0.1, F = 10, rho = 1 at the
    preset's n, v and steps, with one parameter varied.  Then the runs of
-   the Sps_failure and Cost modules, one per protocol in their order:
-   f = 0.3 against a silent adversary at a fixed size, and the base
-   point at seed 42. *)
+   the Sps_failure, Cost and Uniformity modules, one per protocol in
+   their order: f = 0.3 against a silent adversary at a fixed size, and
+   the base point at seed 42.  Then the Sybil module's vanilla and
+   prefix-diverse Basalt runs over its four (n, f) networks, and the
+   Fig4 module's time series at its own sizes. *)
 let expected scale =
   let base =
     {
@@ -376,12 +460,20 @@ let expected scale =
       latency = Link.Latency.Zero;
       churn = None;
       seed = 0;
+      measure_every = 1.0;
+      graph = false;
+      backend = "cheap";
     }
+  in
+  let with_proto r proto =
+    { r with proto; backend = (if proto = "basalt" then r.backend else "-") }
   in
   let both_protocols r =
     List.concat_map
       (fun proto ->
-        List.map (fun seed -> show { r with proto; seed }) (Scale.seeds scale))
+        List.map
+          (fun seed -> show { (with_proto r proto) with seed })
+          (Scale.seeds scale))
       [ "basalt"; "brahms" ]
   in
   let over xs mk = List.concat_map (fun x -> both_protocols (mk x)) xs in
@@ -389,7 +481,7 @@ let expected scale =
     List.map
       (fun proto ->
         let rho = if proto = "basalt" || proto = "brahms" then 1.0 else nan in
-        { r with proto; rho })
+        { (with_proto r proto) with rho })
       order
   in
   let fig3 =
@@ -451,6 +543,46 @@ let expected scale =
       List.map
         (fun r -> show { r with seed = 42 })
         (all_protocols [ "basalt"; "brahms"; "sps"; "classic" ] base) );
+    ( "uniformity",
+      List.map
+        (fun r -> show { r with seed = 42 })
+        (all_protocols [ "basalt"; "brahms"; "classic" ] base) );
+    ( "sybil",
+      let honest, ns =
+        match scale with
+        | Scale.Quick -> (225, [ 253; 309; 450; 675 ])
+        | Scale.Standard -> (750, [ 843; 1031; 1500; 2250 ])
+        | Scale.Full -> (7500, [ 8437; 10312; 15000; 22500 ])
+      in
+      List.concat_map
+        (fun n ->
+          let f = float_of_int (n - honest) /. float_of_int n in
+          List.map
+            (fun backend -> show { base with n; f; backend; seed = 1 })
+            [ "cheap"; "prefix-diverse" ])
+        ns );
+    ( "fig4",
+      let n, v, steps, measure_every =
+        match scale with
+        | Scale.Quick -> (300, 40, 80.0, 10.0)
+        | Scale.Standard -> (1000, 100, 150.0, 5.0)
+        | Scale.Full -> (10_000, 160, 200.0, 5.0)
+      in
+      List.map
+        (fun proto ->
+          show
+            {
+              (with_proto base proto) with
+              n;
+              v;
+              steps;
+              measure_every;
+              force = 1.0;
+              rho = 0.5;
+              seed = 42;
+              graph = true;
+            })
+        [ "basalt"; "brahms" ] );
   ]
 
 let ported_specs_resolve () =
@@ -489,5 +621,7 @@ let () =
             fraction_windows_resolve;
           Alcotest.test_case "ported specs resolve" `Quick ported_specs_resolve;
           Alcotest.test_case "pivot-less layout" `Quick pivotless_layout;
+          Alcotest.test_case "(rows time) layout" `Quick time_rows_layout;
+          Alcotest.test_case "(reference ...) layout" `Quick reference_layout;
         ] );
     ]
