@@ -7,9 +7,10 @@
     {!Basalt_experiments.Gossip_app} when the spec mounts an app —
     over an optional {!Basalt_parallel.Pool}, and renders one table
     row per non-pivot cell with the pivot's entries as metric columns
-    (or, without a pivot, one row per cell).  A spec whose metrics read
-    protocol counters runs every cell with its instrument registry, and
-    one whose metrics read graph metrics runs with them on.
+    (or, without a pivot, one row per cell).  A spec whose metrics
+    {!Metric.need} counters runs every cell with its instrument
+    registry, and one whose metrics need graph metrics runs with them
+    on.
     [Pool.map] preserves task order, so tables, CSVs and merged traces
     are bit-identical at any [-j N].
 
@@ -18,12 +19,6 @@
     [sybil], [robustness], [robustness-net], [uniformity] and
     [broadcast]; their quick-scale tables are pinned by golden files
     under [test/golden/]. *)
-
-type run = {
-  result : Basalt_sim.Runner.result;
-  gossip : Basalt_experiments.Gossip_app.summary option;
-      (** Present exactly when the spec mounts [(app (gossip ...))]. *)
-}
 
 type task = {
   labels : (string * string) list;
@@ -42,27 +37,20 @@ val run_tasks :
   ?trace:bool ->
   ?pool:Basalt_parallel.Pool.t ->
   Spec.t ->
-  task list * run list
+  task list * Metric.run list
 (** [run_tasks spec] executes every task (in task order, whatever the
     pool's parallelism); [trace] enables per-run event collection. *)
 
-type group = {
-  g_scenario : Basalt_sim.Scenario.t;
-      (** The cell's resolved scenario (first seed) — the source of
-          per-cell parameters such as [f] for convergence targets. *)
-  g_settings : Spec.settings;  (** The cell's merged bindings. *)
-  g_runs : run list;  (** One run per seed. *)
-}
-
 type row = {
   row_labels : (string * string) list;  (** Non-pivot coordinates. *)
-  groups : (string * group) list;
+  groups : (string * Metric.group) list;
       (** Per pivot label, in axis order; without a pivot, the cell's one
           group under [""]. *)
 }
 
 val rows_of :
-  ?scale:Basalt_experiments.Scale.t -> Spec.t -> task list -> run list -> row list
+  ?scale:Basalt_experiments.Scale.t ->
+  Spec.t -> task list -> Metric.run list -> row list
 (** [rows_of spec ts runs] regroups the flat results into one row per
     non-pivot cell (per cell, without a pivot). *)
 
@@ -73,14 +61,17 @@ val run :
   row list
 (** [run spec] is [run_tasks] followed by [rows_of]. *)
 
+val lookup : Spec.t -> row list -> string -> int -> Metric.value
+(** [lookup spec rows header i] is metric column [header]'s value on
+    table line [i], as {!columns} renders it (apply it to [spec] and
+    [rows] once).  Raises [Not_found] if [header] is no metric column. *)
+
 val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
-(** [columns spec rows] lays out the table: one column per non-pivot
-    axis, then [<pivot-label>_<metric>] columns in the spec's metrics
-    order; a cell-level metric ({!Spec.cell_level}) is one [<metric>]
-    column instead, as is every metric of a pivot-less spec.  [(rows
-    time)] makes one line per row and measurement point, with a [time]
-    column; [(reference L)] appends a line drawing as many samples as
-    the first row (at least one) from [Rng.create ~seed:7]. *)
+(** [columns spec rows] is the line count and the rendered table: one
+    column per non-pivot axis, then {!Spec.columns}, each cell rendered
+    from {!lookup}.  [(rows time)] makes a line per row and measurement
+    point, with a [time] column; [(reference L)] appends the line of
+    {!Metric.reference} over the first row's first group. *)
 
 val prefix_layout :
   honest:int -> honest_prefixes:int -> attacker_prefixes:int -> int -> int
@@ -88,18 +79,6 @@ val prefix_layout :
     the address map of [(rank (prefix-diverse H A))]: ids below
     [honest] spread round-robin over [honest_prefixes]; the others cycle
     over [attacker_prefixes] prefixes of their own. *)
-
-type histogram_stats = {
-  samples : int;  (** Samples of the counted ids. *)
-  tv_distance : float;  (** Total-variation distance from uniform. *)
-  coeff_var : float;  (** Coefficient of variation of the counts. *)
-  max_over_mean : float;  (** Largest count over the mean count. *)
-}
-
-val histogram_stats : correct:int -> int array -> histogram_stats
-(** [histogram_stats ~correct hist] is the histogram metrics over the
-    first [correct] entries of [hist]; the float fields are [nan] when
-    those entries are all zero. *)
 
 val print :
   ?scale:Basalt_experiments.Scale.t ->

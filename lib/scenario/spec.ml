@@ -136,80 +136,6 @@ let entries scale ax =
             { empty_settings with n = Some n; f = Some f })
         (Scale.sybil_networks scale)
 
-type metric =
-  | Time
-  | Samples_byz
-  | Delivered_sent
-  | Delivered
-  | T99
-  | Redundancy
-  | Isolated
-  | Isolated_frac
-  | View_byz
-  | Ever_isolated
-  | Msgs_rate
-  | Bytes_rate
-  | Wire_bytes_rate
-  | Max_datagram
-  | Fits_mtu
-  | Adv_bytes_ratio
-  | Optimal
-  | Replacements
-  | Samples
-  | Tv_distance
-  | Coeff_var
-  | Max_over_mean
-  | Prefix_share
-  | Clustering
-  | Mean_path
-  | Indeg_spread
-
-(* The grammar keywords, in the order the unknown-metric diagnostic
-   lists them. *)
-let metric_names =
-  [
-    ("time", Time);
-    ("samples_byz", Samples_byz);
-    ("delivered/sent", Delivered_sent);
-    ("delivered", Delivered);
-    ("t99", T99);
-    ("redundancy", Redundancy);
-    ("isolated", Isolated);
-    ("isolated_frac", Isolated_frac);
-    ("view_byz", View_byz);
-    ("ever_isolated", Ever_isolated);
-    ("msgs/node/round", Msgs_rate);
-    ("bytes/node/round", Bytes_rate);
-    ("wire_bytes/node/round", Wire_bytes_rate);
-    ("max_datagram", Max_datagram);
-    ("fits_MTU", Fits_mtu);
-    ("adv/correct bytes", Adv_bytes_ratio);
-    ("optimal", Optimal);
-    ("replacements", Replacements);
-    ("samples", Samples);
-    ("tv_distance", Tv_distance);
-    ("coeff_var", Coeff_var);
-    ("max/mean", Max_over_mean);
-    ("prefix_share", Prefix_share);
-    ("clustering", Clustering);
-    ("mean_path", Mean_path);
-    ("indeg_spread", Indeg_spread);
-  ]
-
-let metric_name m = fst (List.find (fun (_, m') -> m' = m) metric_names)
-let metric_of_name name = List.assoc_opt name metric_names
-
-let gossip_metric m = List.mem m [ Delivered; T99; Redundancy ]
-let cell_level m = List.mem m [ Optimal; Replacements; Prefix_share ]
-
-let histogram_metric m =
-  List.mem m [ Samples; Tv_distance; Coeff_var; Max_over_mean ]
-
-let graph_metric m = List.mem m [ Clustering; Mean_path; Indeg_spread ]
-
-let per_point m =
-  graph_metric m || List.mem m [ Samples_byz; Isolated; Isolated_frac; View_byz ]
-
 type t = {
   name : string;
   title : string option;
@@ -220,16 +146,36 @@ type t = {
   pivoted : bool;
   within : float;
   app : Gossip_app.params option;
-  metrics : (metric * string list) list;
+  metrics : (Metric.t * string list) list;
   time_rows : bool;
   reference : string option;
-  fit : metric option;
+  fit : Metric.t option;
   caption : string list;
 }
 
 let pivot spec =
   if spec.pivoted then Some (List.nth spec.axes (List.length spec.axes - 1))
   else None
+
+(* The header rule: a metric item's columns as (header, (metric, pivot
+   label)).  A cell- or row-level metric, or any metric without a pivot,
+   is one unprefixed column read from the first pivot label (a
+   pivot-less cell's one group is keyed ""); otherwise each listed
+   label, or every pivot label when none is listed, gives a
+   <label>_<keyword> column. *)
+let item_columns ~pivoted pivot_labels ((m : Metric.t), labels) =
+  match (labels, pivot_labels) with
+  | _, first :: _ when m.level <> Metric.Run || not pivoted ->
+      [ (m.keyword, (m, first)) ]
+  | [], ls | ls, _ -> List.map (fun l -> (l ^ "_" ^ m.keyword, (m, l))) ls
+
+let columns spec pivot_labels =
+  List.concat_map (item_columns ~pivoted:spec.pivoted pivot_labels) spec.metrics
+
+let needs spec need =
+  List.exists
+    (fun (m : Metric.t) -> List.mem need m.needs)
+    (Option.to_list spec.fit @ List.map fst spec.metrics)
 
 (* Cross product in file order, rightmost (pivot) axis innermost. *)
 let cells scale spec =
@@ -307,6 +253,11 @@ let arity pos head want (args : Sexp.t list) =
     fail pos "(%s ...) takes %d argument%s" head want
       (if want = 1 then "" else "s")
 
+(* The argument of a one-argument [(head X)] form. *)
+let single pos head args =
+  arity pos head 1 args;
+  List.hd args
+
 (* ------------------------------------------------------------------ *)
 (* Value parsers                                                       *)
 
@@ -318,8 +269,8 @@ let latency_of (s : Sexp.t) =
       let head, args, pos = form_of s in
       match head with
       | "constant" ->
-          arity pos head 1 args;
-          Link.Latency.Constant (non_negative (List.nth args 0) ~what:"latency")
+          Link.Latency.Constant
+            (non_negative (single pos head args) ~what:"latency")
       | "uniform" ->
           arity pos head 2 args;
           let lo = non_negative (List.nth args 0) ~what:"latency" in
@@ -339,9 +290,7 @@ let loss_of (s : Sexp.t) =
   | List _ -> (
       let head, args, pos = form_of s in
       match head with
-      | "bernoulli" ->
-          arity pos head 1 args;
-          Link.Loss.Bernoulli (prob_of (List.nth args 0))
+      | "bernoulli" -> Link.Loss.Bernoulli (prob_of (single pos head args))
       | "gilbert" ->
           arity pos head 4 args;
           let p = List.map prob_of args in
@@ -371,8 +320,7 @@ let strategy_of (s : Sexp.t) =
       let head, args, pos = form_of s in
       match head with
       | "eclipse" ->
-          arity pos head 1 args;
-          Adversary.Eclipse (Node_id.of_int (int_of (List.nth args 0)))
+          Adversary.Eclipse (Node_id.of_int (int_of (single pos head args)))
       | _ -> fail pos "unknown strategy '%s' (flood|silent|eclipse)" head)
 
 let side_of (s : Sexp.t) =
@@ -382,9 +330,7 @@ let side_of (s : Sexp.t) =
   | List _ -> (
       let head, args, pos = form_of s in
       match head with
-      | "first" ->
-          arity pos head 1 args;
-          First (int_of (List.nth args 0))
+      | "first" -> First (int_of (single pos head args))
       | _ -> fail pos "unknown partition side '%s' (first-half|(first K))" head)
 
 (* Fractions of the run used by partition/outage windows, so scenario
@@ -397,12 +343,10 @@ let window_of pos forms =
         let head, args, hpos = form_of item in
         match head with
         | "from-frac" ->
-            arity hpos head 1 args;
-            from_frac := Some (prob_of (List.nth args 0));
+            from_frac := Some (prob_of (single hpos head args));
             false
         | "until-frac" ->
-            arity hpos head 1 args;
-            until_frac := Some (prob_of (List.nth args 0));
+            until_frac := Some (prob_of (single hpos head args));
             false
         | _ -> true)
       forms
@@ -426,22 +370,14 @@ let fault_form_of (s : Sexp.t) =
         (fun item ->
           let key, kargs, kpos = form_of item in
           match key with
-          | "loss" ->
-              arity kpos key 1 kargs;
-              lf_loss := Some (loss_of (List.nth kargs 0))
-          | "latency" ->
-              arity kpos key 1 kargs;
-              lf_latency := Some (latency_of (List.nth kargs 0))
-          | "dup" ->
-              arity kpos key 1 kargs;
-              lf_dup := Some (prob_of (List.nth kargs 0))
-          | "reorder" ->
-              arity kpos key 1 kargs;
-              lf_reorder := Some (prob_of (List.nth kargs 0))
+          | "loss" -> lf_loss := Some (loss_of (single kpos key kargs))
+          | "latency" -> lf_latency := Some (latency_of (single kpos key kargs))
+          | "dup" -> lf_dup := Some (prob_of (single kpos key kargs))
+          | "reorder" -> lf_reorder := Some (prob_of (single kpos key kargs))
           | "reorder-window" ->
-              arity kpos key 1 kargs;
               lf_reorder_window :=
-                Some (non_negative (List.nth kargs 0) ~what:"reorder-window")
+                Some
+                  (non_negative (single kpos key kargs) ~what:"reorder-window")
           | _ ->
               fail kpos
                 "unknown link-fault key '%s' \
@@ -463,9 +399,7 @@ let fault_form_of (s : Sexp.t) =
         (fun item ->
           let key, kargs, kpos = form_of item in
           match key with
-          | "side" ->
-              arity kpos key 1 kargs;
-              side := Some (side_of (List.nth kargs 0))
+          | "side" -> side := Some (side_of (single kpos key kargs))
           | _ ->
               fail kpos
                 "unknown partition key '%s' (from-frac|until-frac|side)" key)
@@ -483,9 +417,7 @@ let fault_form_of (s : Sexp.t) =
         (fun item ->
           let key, kargs, kpos = form_of item in
           match key with
-          | "node" ->
-              arity kpos key 1 kargs;
-              node := Some (int_of (List.nth kargs 0))
+          | "node" -> node := Some (int_of (single kpos key kargs))
           | _ ->
               fail kpos "unknown outage key '%s' (node|from-frac|until-frac)"
                 key)
@@ -509,19 +441,15 @@ let churn_of pos (args : Sexp.t list) =
     (fun item ->
       let key, kargs, kpos = form_of item in
       match key with
-      | "rate" ->
-          arity kpos key 1 kargs;
-          rate := Some (prob_of (List.nth kargs 0))
+      | "rate" -> rate := Some (prob_of (single kpos key kargs))
       | "start" ->
-          arity kpos key 1 kargs;
           set kpos "start" start
-            (Start_at (non_negative (List.nth kargs 0) ~what:"churn start"))
+            (Start_at
+               (non_negative (single kpos key kargs) ~what:"churn start"))
       | "start-frac" ->
-          arity kpos key 1 kargs;
-          set kpos "start" start (Start_frac (prob_of (List.nth kargs 0)))
+          set kpos "start" start (Start_frac (prob_of (single kpos key kargs)))
       | "style" -> (
-          arity kpos key 1 kargs;
-          match atom_of (List.nth kargs 0) ~what:"a churn style" with
+          match atom_of (single kpos key kargs) ~what:"a churn style" with
           | "replace" -> style := Some Churn.Replace
           | "crash" -> style := Some Churn.Crash
           | a -> fail kpos "unknown churn style '%s' (replace|crash)" a)
@@ -562,101 +490,55 @@ let rank_of (s : Sexp.t) =
 (* [allow_seeds]: (seeds ...) may only appear in (base ...), so every
    pivot group averages over the same seed list. *)
 let settings_of ~allow_seeds (forms : Sexp.t list) =
-  let n = ref None
-  and v = ref None
-  and f = ref None
-  and force = ref None
-  and rho = ref None
-  and steps = ref None
-  and protocol = ref None
-  and strategy = ref None
-  and latency = ref None
-  and loss = ref None
-  and faults = ref None
-  and churn = ref None
-  and measure_every = ref None
-  and sample_window = ref None
-  and rank = ref None
-  and seeds = ref None in
-  List.iter
-    (fun item ->
-      let key, args, pos = form_of item in
-      match key with
-      | "n" ->
-          arity pos key 1 args;
-          set pos key n (positive_int (List.nth args 0) ~what:"network size n")
-      | "v" ->
-          arity pos key 1 args;
-          set pos key v (positive_int (List.nth args 0) ~what:"view size v")
-      | "f" ->
-          arity pos key 1 args;
-          let x = prob_of (List.nth args 0) in
-          if x >= 1.0 then
-            fail pos "byzantine fraction f must be in [0,1)";
-          set pos key f x
-      | "force" ->
-          arity pos key 1 args;
-          let x = float_of (List.nth args 0) in
-          if x < 0.0 then fail pos "attack force must be >= 0";
-          set pos key force x
-      | "rho" ->
-          arity pos key 1 args;
-          set pos key rho (positive_float (List.nth args 0) ~what:"rho")
-      | "steps" ->
-          arity pos key 1 args;
-          set pos key steps (positive_float (List.nth args 0) ~what:"steps")
-      | "protocol" ->
-          arity pos key 1 args;
-          set pos key protocol (protocol_of (List.nth args 0))
-      | "strategy" ->
-          arity pos key 1 args;
-          set pos key strategy (strategy_of (List.nth args 0))
-      | "latency" ->
-          arity pos key 1 args;
-          set pos key latency (latency_of (List.nth args 0))
-      | "loss" ->
-          arity pos key 1 args;
-          set pos key loss (loss_of (List.nth args 0))
-      | "fault" ->
-          if args = [] then fail pos "(fault ...) needs at least one form";
-          set pos key faults (List.map fault_form_of args)
-      | "churn" -> set pos key churn (churn_of pos args)
-      | "measure-every" ->
-          arity pos key 1 args;
-          set pos key measure_every
-            (positive_float (List.nth args 0) ~what:"measure-every")
-      | "sample-window" ->
-          arity pos key 1 args;
-          set pos key sample_window
-            (positive_int (List.nth args 0) ~what:"sample-window")
-      | "rank" ->
-          arity pos key 1 args;
-          set pos key rank (rank_of (List.nth args 0))
-      | "seeds" ->
-          if not allow_seeds then
-            fail pos "(seeds ...) is only allowed in (base ...)";
-          if args = [] then fail pos "(seeds ...) needs at least one seed";
-          set pos key seeds (List.map int_of args)
-      | _ -> fail pos "unknown setting '%s'" key)
-    forms;
-  ( {
-      n = !n;
-      v = !v;
-      f = !f;
-      force = !force;
-      rho = !rho;
-      steps = !steps;
-      protocol = !protocol;
-      strategy = !strategy;
-      latency = !latency;
-      loss = !loss;
-      faults = !faults;
-      churn = !churn;
-      measure_every = !measure_every;
-      sample_window = !sample_window;
-      rank = !rank;
-    },
-    !seeds )
+  let seeds = ref None in
+  let bind s item =
+    let key, args, pos = form_of item in
+    (* [once old x] binds [x], parsed first, unless [old] is bound. *)
+    let once old x =
+      if Option.is_some old then fail pos "duplicate setting '%s'" key;
+      Some x
+    in
+    let arg () = single pos key args in
+    match key with
+    | "n" ->
+        { s with n = once s.n (positive_int (arg ()) ~what:"network size n") }
+    | "v" -> { s with v = once s.v (positive_int (arg ()) ~what:"view size v") }
+    | "f" ->
+        let x = prob_of (arg ()) in
+        if x >= 1.0 then fail pos "byzantine fraction f must be in [0,1)";
+        { s with f = once s.f x }
+    | "force" ->
+        let x = float_of (arg ()) in
+        if x < 0.0 then fail pos "attack force must be >= 0";
+        { s with force = once s.force x }
+    | "rho" -> { s with rho = once s.rho (positive_float (arg ()) ~what:"rho") }
+    | "steps" ->
+        { s with steps = once s.steps (positive_float (arg ()) ~what:"steps") }
+    | "protocol" -> { s with protocol = once s.protocol (protocol_of (arg ())) }
+    | "strategy" -> { s with strategy = once s.strategy (strategy_of (arg ())) }
+    | "latency" -> { s with latency = once s.latency (latency_of (arg ())) }
+    | "loss" -> { s with loss = once s.loss (loss_of (arg ())) }
+    | "fault" ->
+        if args = [] then fail pos "(fault ...) needs at least one form";
+        { s with faults = once s.faults (List.map fault_form_of args) }
+    | "churn" -> { s with churn = once s.churn (churn_of pos args) }
+    | "measure-every" ->
+        let x = positive_float (arg ()) ~what:"measure-every" in
+        { s with measure_every = once s.measure_every x }
+    | "sample-window" ->
+        let x = positive_int (arg ()) ~what:"sample-window" in
+        { s with sample_window = once s.sample_window x }
+    | "rank" -> { s with rank = once s.rank (rank_of (arg ())) }
+    | "seeds" ->
+        if not allow_seeds then
+          fail pos "(seeds ...) is only allowed in (base ...)";
+        if args = [] then fail pos "(seeds ...) needs at least one seed";
+        set pos key seeds (List.map int_of args);
+        s
+    | _ -> fail pos "unknown setting '%s'" key
+  in
+  let settings = List.fold_left bind empty_settings forms in
+  (settings, !seeds)
 
 (* ------------------------------------------------------------------ *)
 (* Axes, app, metrics                                                  *)
@@ -675,21 +557,21 @@ let axis_of pos (args : Sexp.t list) =
             let head, iargs, ipos = form_of item in
             match head with
             | "trace-key" ->
-                arity ipos head 1 iargs;
                 set ipos head trace_key
-                  (atom_of (List.nth iargs 0) ~what:"a trace key");
+                  (atom_of (single ipos head iargs) ~what:"a trace key");
                 None
             | "display" -> (
-                arity ipos head 1 iargs;
-                match atom_of (List.nth iargs 0) ~what:"a display mode" with
+                let mode = single ipos head iargs in
+                match atom_of mode ~what:"a display mode" with
                 | "float" ->
                     display_float := true;
                     None
                 | a -> fail ipos "unknown display mode '%s' (float)" a)
             | "sweep" ->
-                arity ipos head 1 iargs;
                 set ipos head sweep
-                  (match atom_of (List.nth iargs 0) ~what:"a preset name" with
+                  (match
+                     atom_of (single ipos head iargs) ~what:"a preset name"
+                   with
                   | "f" -> Sweep_f
                   | "force" -> Sweep_force
                   | "rho" -> Sweep_rho
@@ -746,17 +628,16 @@ let app_of pos (args : Sexp.t list) =
               let key, kargs, kpos = form_of item in
               match key with
               | "publishes" ->
-                  arity kpos key 1 kargs;
                   publishes :=
-                    Some (positive_int (List.nth kargs 0) ~what:"publishes")
+                    Some
+                      (positive_int (single kpos key kargs) ~what:"publishes")
               | "warmup-frac" ->
-                  arity kpos key 1 kargs;
-                  warmup_frac := Some (prob_of (List.nth kargs 0))
+                  warmup_frac := Some (prob_of (single kpos key kargs))
               | "payload-bytes" ->
-                  arity kpos key 1 kargs;
                   payload_bytes :=
                     Some
-                      (positive_int (List.nth kargs 0) ~what:"payload-bytes")
+                      (positive_int ~what:"payload-bytes"
+                         (single kpos key kargs))
               | _ ->
                   fail kpos
                     "unknown gossip key '%s' \
@@ -771,11 +652,11 @@ let app_of pos (args : Sexp.t list) =
   | _ -> fail pos "(app ...) takes exactly one (gossip ...) form"
 
 let metric_of pos name =
-  match metric_of_name name with
+  match Metric.find name with
   | Some m -> m
   | None ->
       fail pos "unknown metric '%s' (%s)" name
-        (String.concat "|" (List.map fst metric_names))
+        (String.concat "|" (List.map (fun m -> m.Metric.keyword) Metric.all))
 
 let metrics_of pos (args : Sexp.t list) =
   if args = [] then fail pos "(metrics ...) needs at least one metric";
@@ -783,9 +664,10 @@ let metrics_of pos (args : Sexp.t list) =
     (fun item ->
       let head, margs, mpos = form_of item in
       let m = metric_of mpos head in
-      if cell_level m && margs <> [] then
+      if m.level <> Metric.Run && margs <> [] then
         fail mpos "metric '%s' is cell-level and takes no pivot labels" head;
-      (m, List.map (fun l -> atom_of l ~what:"a pivot label") margs, mpos))
+      let label (l : Sexp.t) = (atom_of l ~what:"a pivot label", l.pos) in
+      (m, List.map label margs, mpos))
     args
 
 (* ------------------------------------------------------------------ *)
@@ -813,11 +695,10 @@ let of_sexp (s : Sexp.t) =
       let key, args, kpos = form_of item in
       match key with
       | "name" ->
-          arity kpos key 1 args;
-          set kpos key name (atom_of (List.nth args 0) ~what:"a matrix name")
+          set kpos key name
+            (atom_of (single kpos key args) ~what:"a matrix name")
       | "title" ->
-          arity kpos key 1 args;
-          set kpos key title (atom_of (List.nth args 0) ~what:"a title")
+          set kpos key title (atom_of (single kpos key args) ~what:"a title")
       | "base" ->
           if Option.is_some !base then fail kpos "duplicate setting 'base'";
           let bindings, s = settings_of ~allow_seeds:true args in
@@ -838,30 +719,25 @@ let of_sexp (s : Sexp.t) =
               at_scale := (scale, bindings) :: !at_scale)
       | "axis" -> axes := axis_of kpos args :: !axes
       | "pivot" ->
-          arity kpos key 1 args;
           set kpos key pivot_name
-            (atom_of (List.nth args 0) ~what:"an axis name")
+            (atom_of (single kpos key args) ~what:"an axis name")
       | "within" ->
-          arity kpos key 1 args;
           set kpos key within
-            (positive_float (List.nth args 0) ~what:"within")
+            (positive_float (single kpos key args) ~what:"within")
       | "app" -> set kpos key app (app_of kpos args)
       | "metrics" ->
           if Option.is_some !metrics then
             fail kpos "duplicate setting 'metrics'";
           metrics := Some (metrics_of kpos args)
       | "rows" -> (
-          arity kpos key 1 args;
-          match atom_of (List.nth args 0) ~what:"a row layout" with
+          match atom_of (single kpos key args) ~what:"a row layout" with
           | "time" -> set kpos key time_rows kpos
           | a -> fail kpos "unknown row layout '%s' (time)" a)
       | "reference" ->
-          arity kpos key 1 args;
           set kpos key reference
-            (atom_of (List.nth args 0) ~what:"a row label", kpos)
+            (atom_of (single kpos key args) ~what:"a row label", kpos)
       | "fit" ->
-          arity kpos key 1 args;
-          let arg = List.nth args 0 in
+          let arg = single kpos key args in
           set kpos key fit
             (metric_of arg.pos (atom_of arg ~what:"a metric"), [], kpos)
       | "caption" ->
@@ -895,46 +771,74 @@ let of_sexp (s : Sexp.t) =
     | Some ms -> ms
     | None -> fail pos "missing (metrics ...)"
   in
-  let pivot_labels = List.map (fun e -> e.label) last_axis.entries in
+  let pivoted = Option.is_some !pivot_name in
+  let written = List.map (fun e -> e.label) last_axis.entries in
+  (* A sweep pivot's headers are checked on the quick preset's labels. *)
+  let pivot_labels =
+    if pivoted then List.map (fun e -> e.label) (entries Scale.Quick last_axis)
+    else [ "" ]
+  in
+  let seen = Hashtbl.create 16 in
   List.iter
-    (fun (m, labels, mpos) ->
-      if gossip_metric m && Option.is_none !app then
-        fail mpos "metric '%s' needs (app (gossip ...))" (metric_name m);
-      match !pivot_name with
-      | None ->
-          if labels <> [] then
-            fail mpos "metric '%s' takes no labels without a (pivot ...)"
-              (metric_name m)
-      | Some p ->
+    (fun ((m : Metric.t), labels, mpos) ->
+      if List.mem Metric.Gossip m.needs && Option.is_none !app then
+        fail mpos "metric '%s' needs (app (gossip ...))" m.keyword;
+      if labels <> [] && not pivoted then
+        fail mpos "metric '%s' takes no labels without a (pivot ...)" m.keyword;
+      List.iter
+        (fun (l, _) ->
+          if not (List.mem l written) then
+            fail mpos "metric label '%s' is not an entry of pivot axis '%s'" l
+              last_axis.axis_name)
+        labels;
+      (* Each listed label, or an unlabelled item, must add only new
+         headers, or the table, the CSV and a lookup by header would be
+         ambiguous. *)
+      List.iter
+        (fun (ls, lpos) ->
           List.iter
-            (fun l ->
-              if not (List.mem l pivot_labels) then
-                fail mpos
-                  "metric label '%s' is not an entry of pivot axis '%s'" l p)
-            labels)
+            (fun (header, _) ->
+              if Hashtbl.mem seen header then
+                fail lpos "duplicate metric column '%s'" header;
+              Hashtbl.replace seen header ())
+            (item_columns ~pivoted pivot_labels (m, ls)))
+        (if labels = [] then [ ([], mpos) ]
+         else List.map (fun (l, lpos) -> ([ l ], lpos)) labels))
     metrics;
   (match !time_rows with
   | Some _ ->
       List.iter
-        (fun (m, _, mpos) ->
-          if not (per_point m) then
-            fail mpos "metric '%s' has no per-point value for (rows time)"
-              (metric_name m))
+        (fun ((m : Metric.t), _, mpos) ->
+          match m.source with
+          | Metric.Point _ -> ()
+          | Metric.Histogram _ | Metric.Scope _ ->
+              fail mpos "metric '%s' has no per-point value for (rows time)"
+                m.keyword)
         (metrics @ Option.to_list !fit)
   | None ->
       Option.iter
         (fun (_, _, fpos) -> fail fpos "(fit ...) needs (rows time)")
         !fit);
+  let histogram (m : Metric.t) =
+    match m.source with
+    | Metric.Histogram _ -> true
+    | Metric.Point _ | Metric.Scope _ -> false
+  in
   Option.iter
     (fun (_, rpos) ->
       if
-        Option.is_some !pivot_name
+        pivoted
         || List.length axes <> 1
-        || not (List.for_all (fun (m, _, _) -> histogram_metric m) metrics)
+        || not (List.for_all (fun (m, _, _) -> histogram m) metrics)
       then
         fail rpos
           "(reference ...) needs one axis, no (pivot ...) and only histogram \
-           metrics (samples|tv_distance|coeff_var|max/mean)")
+           metrics (%s)"
+          (String.concat "|"
+             (List.filter_map
+                (fun (m : Metric.t) ->
+                  if histogram m then Some m.keyword else None)
+                Metric.all)))
     !reference;
   let spec =
     {
@@ -944,10 +848,11 @@ let of_sexp (s : Sexp.t) =
       at_scale = List.rev !at_scale;
       seeds = !seeds;
       axes;
-      pivoted = Option.is_some !pivot_name;
+      pivoted;
       within = Option.value !within ~default:0.25;
       app = !app;
-      metrics = List.map (fun (m, labels, _) -> (m, labels)) metrics;
+      metrics =
+        List.map (fun (m, labels, _) -> (m, List.map fst labels)) metrics;
       time_rows = Option.is_some !time_rows;
       reference = Option.map fst !reference;
       fit = Option.map (fun (m, _, _) -> m) !fit;

@@ -103,55 +103,6 @@ val entries : Basalt_experiments.Scale.t -> axis -> entry list
 (** [entries scale ax] is [ax]'s entries at [scale]: the written ones,
     or a sweep axis's preset values labelled with [%g]. *)
 
-type metric =
-  | Time  (** Median convergence time; ["no-convergence"] cell on a
-              non-majority. *)
-  | Samples_byz  (** Mean Byzantine fraction of the sample stream. *)
-  | Delivered_sent  (** Transport deliveries over sends. *)
-  | Delivered  (** Gossip: mean delivered fraction (needs [(app ...)]). *)
-  | T99  (** Gossip: median time-to-99%; ["never"] on a non-majority. *)
-  | Redundancy  (** Gossip: duplicate frames per delivery. *)
-  | Isolated  (** Mean fraction of isolated correct nodes at the end. *)
-  | Isolated_frac  (** The same value as {!Isolated}, under its own
-                       header. *)
-  | View_byz  (** Mean Byzantine fraction of correct views at the end. *)
-  | Ever_isolated  (** Whether any run isolated a correct node during
-                       its second half. *)
-  | Msgs_rate  (** Mean messages a correct node sends per round, from
-                   the [<proto>.msgs_sent] counter. *)
-  | Bytes_rate  (** Mean bytes a correct node sends per round, in the
-                    §4.3 4-byte-identifier model (the transport
-                    meter). *)
-  | Wire_bytes_rate  (** Mean codec bytes a correct node sends per
-                         round, from the [<proto>.bytes_sent]
-                         counter. *)
-  | Max_datagram  (** Largest payload over the runs, in bytes. *)
-  | Fits_mtu  (** Whether {!Max_datagram} fits a 1500-byte MTU. *)
-  | Adv_bytes_ratio  (** Adversary bytes over correct bytes, summed over
-                         the runs. *)
-  | Optimal  (** Cell-level: the cell's Byzantine fraction [f]. *)
-  | Replacements  (** Cell-level: the first run's churned-node count. *)
-  | Samples  (** Histogram metric: samples of the correct ids. *)
-  | Tv_distance  (** Histogram metric. *)
-  | Coeff_var  (** Histogram metric. *)
-  | Max_over_mean  (** Histogram metric. *)
-  | Prefix_share  (** Cell-level: A/(H+A) of the row's
-                      [(rank (prefix-diverse H A))]. *)
-  | Clustering  (** Graph metric: mean local clustering coefficient. *)
-  | Mean_path  (** Graph metric: mean path length over correct nodes. *)
-  | Indeg_spread  (** Graph metric: last minus first in-degree decile. *)
-
-val metric_name : metric -> string
-(** The metric's grammar keyword, also its column-header suffix (its
-    whole header on a cell-level metric or in a pivot-less spec). *)
-
-val cell_level : metric -> bool
-(** A cell-level metric takes no pivot labels and renders as one
-    unprefixed column, read from the cell's first pivot group. *)
-
-val graph_metric : metric -> bool
-(** A graph metric runs its spec's cells with graph metrics on. *)
-
 type t = {
   name : string;  (** {!Basalt_sim.Scenario.t} name and CSV base name. *)
   title : string option;  (** Banner text; [None] keeps the default. *)
@@ -165,19 +116,30 @@ type t = {
       (** [(pivot ...)] was given: the last axis renders as metric
           columns.  Without it every axis is a row column and each cell
           is one row. *)
-  within : float;  (** Convergence tolerance for {!Time} (default 0.25). *)
+  within : float;  (** Convergence band for [time] (default 0.25). *)
   app : Basalt_experiments.Gossip_app.params option;
-  metrics : (metric * string list) list;
+  metrics : (Metric.t * string list) list;
       (** Per metric, the pivot labels to report ([[]] = all). *)
   time_rows : bool;  (** [(rows time)]: one row per measurement point. *)
   reference : string option;
       (** [(reference LABEL)]: an ideal uniform sampler's row. *)
-  fit : metric option;  (** [(fit M)]: a relaxation line per group. *)
+  fit : Metric.t option;  (** [(fit M)]: a relaxation line per group. *)
   caption : string list;  (** Lines printed after the table. *)
 }
 
 val pivot : t -> axis option
 (** The pivot axis, if any (validation guarantees it is last). *)
+
+val columns : t -> string list -> (string * (Metric.t * string)) list
+(** [columns spec pivot_labels] is the header rule: each metric column
+    as its header, metric and pivot label.  A metric is one [<keyword>]
+    column on the first label when it is cell- or row-level or [spec]
+    has no pivot, else one [<label>_<keyword>] column per listed label
+    (all when none is listed).  {!load} rejects duplicate headers. *)
+
+val needs : t -> Metric.need -> bool
+(** [needs spec need] holds when a metric of [spec], or its [(fit ...)]
+    metric, needs [need]. *)
 
 val cells :
   Basalt_experiments.Scale.t -> t -> ((string * string) list * settings) list

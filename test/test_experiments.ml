@@ -54,6 +54,7 @@ let theory_equilibria_rows () =
 
 module Spec = Basalt_scenario.Spec
 module Matrix = Basalt_scenario.Matrix
+module Metric = Basalt_scenario.Metric
 module Runner = Basalt_sim.Runner
 
 (* Under `dune runtest` the suite runs from the build sandbox, where
@@ -86,9 +87,9 @@ let fig2a =
 (* The mean of one final measurement over a protocol's runs in a row:
    the unrounded value behind the table cell. *)
 let mean_final field row protocol =
-  let runs = (List.assoc protocol row.Matrix.groups).Matrix.g_runs in
+  let runs = (List.assoc protocol row.Matrix.groups).Metric.g_runs in
   List.fold_left
-    (fun acc r -> acc +. field r.Matrix.result.Runner.final)
+    (fun acc r -> acc +. field r.Metric.result.Runner.final)
     0.0 runs
   /. float_of_int (List.length runs)
 
@@ -105,7 +106,7 @@ let fig2a_shape () =
       let basalt = sample_byz row "basalt" in
       let brahms = sample_byz row "brahms" in
       let optimal =
-        (List.assoc "basalt" row.Matrix.groups).Matrix.g_scenario
+        (List.assoc "basalt" row.Matrix.groups).Metric.g_scenario
           .Basalt_sim.Scenario.f
       in
       (* Basalt must stay close to optimal and beat Brahms (§4.4). *)
@@ -154,18 +155,27 @@ let sps_failure_claim () =
 
 (* --- Cost accounting (committed scenario file) --- *)
 
+(* A rendered label column's cell. *)
+let label cols header i =
+  (List.find (fun c -> c.Basalt_sim.Report.header = header) cols)
+    .Basalt_sim.Report.cell i
+
+(* A float metric's value; any other value fails the test. *)
+let float_value = function
+  | Metric.Float x -> x
+  | v -> Alcotest.failf "expected a float, got %s" (Metric.render v)
+
 let cost_budget () =
   let spec = committed_spec "cost" in
-  let rows, cols = Matrix.columns spec (Matrix.run ~scale:Scale.Quick spec) in
-  let cell header i =
-    (List.find (fun c -> c.Basalt_sim.Report.header = header) cols)
-      .Basalt_sim.Report.cell i
-  in
+  let matrix_rows = Matrix.run ~scale:Scale.Quick spec in
+  let rows, cols = Matrix.columns spec matrix_rows in
+  let value = Matrix.lookup spec matrix_rows in
   check_int "four protocols" 4 rows;
   for i = 0 to rows - 1 do
-    let protocol = cell "protocol" i in
-    check_bool (protocol ^ " fits MTU") true (cell "fits_MTU" i = "true");
-    let msgs = float_of_string (cell "msgs/node/round" i) in
+    let protocol = label cols "protocol" i in
+    check_bool (protocol ^ " fits MTU") true
+      (value "fits_MTU" i = Metric.Bool true);
+    let msgs = float_value (value "msgs/node/round" i) in
     check_bool
       (protocol ^ " ~2 msgs/round (plus replies)")
       true
@@ -186,44 +196,43 @@ let sybil_prefix_layout () =
 
 let uniformity_of_histogram () =
   (* Perfectly uniform histogram: zero TV distance and CV. *)
-  let r = Matrix.histogram_stats ~correct:4 [| 5; 5; 5; 5; 99 |] in
-  check_int "samples counted over correct only" 20 r.Matrix.samples;
-  check_bool "tv zero" true (Float.abs r.Matrix.tv_distance < 1e-9);
-  check_bool "cv zero" true (Float.abs r.Matrix.coeff_var < 1e-9);
-  check_bool "max/mean one" true (Float.abs (r.Matrix.max_over_mean -. 1.0) < 1e-9);
+  let r = Metric.histogram_stats ~correct:4 [| 5; 5; 5; 5; 99 |] in
+  check_int "samples counted over correct only" 20 r.Metric.samples;
+  check_bool "tv zero" true (Float.abs r.Metric.tv_distance < 1e-9);
+  check_bool "cv zero" true (Float.abs r.Metric.coeff_var < 1e-9);
+  check_bool "max/mean one" true (Float.abs (r.Metric.max_over_mean -. 1.0) < 1e-9);
   (* Fully concentrated: TV = 1 - 1/n. *)
-  let c = Matrix.histogram_stats ~correct:4 [| 20; 0; 0; 0 |] in
+  let c = Metric.histogram_stats ~correct:4 [| 20; 0; 0; 0 |] in
   check_bool "tv of point mass" true
-    (Float.abs (c.Matrix.tv_distance -. 0.75) < 1e-9);
+    (Float.abs (c.Metric.tv_distance -. 0.75) < 1e-9);
   (* Empty histogram: nan statistics, zero samples. *)
-  let e = Matrix.histogram_stats ~correct:3 [| 0; 0; 0 |] in
-  check_int "no samples" 0 e.Matrix.samples;
-  check_bool "nan tv" true (Float.is_nan e.Matrix.tv_distance)
+  let e = Metric.histogram_stats ~correct:3 [| 0; 0; 0 |] in
+  check_int "no samples" 0 e.Metric.samples;
+  check_bool "nan tv" true (Float.is_nan e.Metric.tv_distance)
 
 (* --- Robustness under fault plans (DESIGN.md §10) --- *)
 
 (* robustness-net is the committed scenario file run by the matrix
-   driver; the assertions read its rendered table cells. *)
+   driver; the assertions read its typed metric values. *)
 let robustness_net_rows () =
   let spec = committed_spec "robustness_net" in
-  let rows, cols = Matrix.columns spec (Matrix.run ~scale:Scale.Quick spec) in
+  let matrix_rows = Matrix.run ~scale:Scale.Quick spec in
+  let rows, cols = Matrix.columns spec matrix_rows in
+  let value = Matrix.lookup spec matrix_rows in
   check_int "four conditions" 4 rows;
-  let cell header i =
-    (List.find (fun c -> c.Basalt_sim.Report.header = header) cols)
-      .Basalt_sim.Report.cell i
-  in
   for i = 0 to rows - 1 do
-    let condition = cell "condition" i in
+    let condition = label cols "condition" i in
     (* Basalt must ride out every fault plan at quick scale. *)
     check_bool (condition ^ ": basalt converges") true
-      (cell "basalt_time" i <> "no-convergence");
+      (match value "basalt_time" i with Metric.Float _ -> true | _ -> false);
     check_bool (condition ^ ": basalt near optimal") true
-      (float_of_string (cell "basalt_samples_byz" i) < 0.2)
+      (float_value (value "basalt_samples_byz" i) < 0.2)
   done;
   (* The delivery column reflects the injected transport faults. *)
   let delivered =
     List.init rows (fun i ->
-        (cell "condition" i, float_of_string (cell "basalt_delivered/sent" i)))
+        ( label cols "condition" i,
+          float_value (value "basalt_delivered/sent" i) ))
   in
   let delivered c = List.assoc c delivered in
   check_bool "burst loss drops messages" true (delivered "burst-loss" < 1.0);

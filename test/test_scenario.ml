@@ -9,6 +9,7 @@ module Check = Basalt_check.Check
 module Sexp = Basalt_scenario.Sexp
 module Spec = Basalt_scenario.Spec
 module Matrix = Basalt_scenario.Matrix
+module Metric = Basalt_scenario.Metric
 
 (* --- Sexp round-trip property --- *)
 
@@ -130,6 +131,10 @@ let corpus =
       "5:23: metric 'delivered/sent' has no per-point value for (rows time)" );
     ( "rows_time_fits_mtu.scn",
       "5:12: metric 'fits_MTU' has no per-point value for (rows time)" );
+    (* Two metric columns under one header, from a repeated metric or
+       a repeated label; the second occurrence is the one named. *)
+    ("dup_metric_column.scn", "5:25: duplicate metric column 'x_view_byz'");
+    ("dup_metric_label.scn", "5:26: duplicate metric column 'y_view_byz'");
   ]
 
 let corpus_diagnostics () =
@@ -308,23 +313,26 @@ let pivotless_layout () =
        (fun r -> String.concat "/" (List.map snd r.Matrix.row_labels))
        rows)
 
+(* A spec's line count, headers, rendered column by header and typed
+   metric column by header. *)
 let layout_of src =
   let spec =
     match Spec.of_string src with Ok spec -> spec | Error msg -> Alcotest.fail msg
   in
-  let nrows, cols =
-    Matrix.columns spec (Matrix.run ~scale:Basalt_experiments.Scale.Quick spec)
-  in
+  let rows = Matrix.run ~scale:Basalt_experiments.Scale.Quick spec in
+  let nrows, cols = Matrix.columns spec rows in
+  let value = Matrix.lookup spec rows in
   ( nrows,
     List.map (fun c -> c.Basalt_sim.Report.header) cols,
-    fun header ->
+    (fun header ->
       let c = List.find (fun c -> c.Basalt_sim.Report.header = header) cols in
-      List.init nrows c.Basalt_sim.Report.cell )
+      List.init nrows c.Basalt_sim.Report.cell),
+    fun header -> List.init nrows (value header) )
 
 (* (rows time): one line per measurement point, a time column after
    the axes, and metric columns in the order their labels list them. *)
 let time_rows_layout () =
-  let nrows, headers, column =
+  let nrows, headers, column, values =
     layout_of
       "(matrix (name layout) (base (n 40) (v 8) (steps 4) (measure-every 2)) \
        (axis protocol (basalt (protocol basalt)) (brahms (protocol brahms))) \
@@ -339,12 +347,14 @@ let time_rows_layout () =
   Alcotest.(check (list string))
     "measurement times" [ "2.0000"; "4.0000" ] (column "time");
   Alcotest.(check bool) "graph metrics derived on" true
-    (List.for_all (fun c -> c <> "-") (column "basalt_clustering"))
+    (List.for_all
+       (function Metric.Float _ -> true | _ -> false)
+       (values "basalt_clustering"))
 
 (* (reference LABEL): one extra line under the axis column, drawing as
    many samples as the first row. *)
 let reference_layout () =
-  let nrows, headers, column =
+  let nrows, headers, column, values =
     layout_of
       "(matrix (name layout) (base (n 40) (v 8) (steps 4) (seeds 42)) \
        (axis sampler (basalt (protocol basalt)) (classic (protocol classic))) \
@@ -357,9 +367,50 @@ let reference_layout () =
     headers;
   Alcotest.(check (list string))
     "reference row last" [ "basalt"; "classic"; "ideal" ] (column "sampler");
-  let samples = column "samples" in
-  Alcotest.(check string) "as many samples as the first row"
-    (List.nth samples 0) (List.nth samples 2)
+  let samples = values "samples" in
+  Alcotest.(check bool) "as many samples as the first row" true
+    (List.nth samples 0 = List.nth samples 2)
+
+(* Every entry of the metric table, evaluated once on a toy spec that
+   mounts the gossip app: the value's kind, and its rendering is the
+   table cell. *)
+let metric_table_values () =
+  let metrics =
+    List.map (fun (m : Metric.t) -> Printf.sprintf "(%S)" m.keyword) Metric.all
+  in
+  let nrows, _, column, values =
+    layout_of
+      ("(matrix (name table) (base (n 40) (v 8) (steps 4) (seeds 42)) \
+        (axis protocol (basalt (protocol basalt))) (app (gossip)) (metrics "
+      ^ String.concat " " metrics ^ "))")
+  in
+  Alcotest.(check int) "one line" 1 nrows;
+  List.iter
+    (fun (m : Metric.t) ->
+      let v = List.hd (values m.keyword) in
+      let kind =
+        match v with
+        | Metric.Float _ -> "float"
+        | Metric.Int _ -> "int"
+        | Metric.Bool _ -> "bool"
+        | Metric.Missing reason -> "missing " ^ reason
+      in
+      let kinds =
+        match m.keyword with
+        | "fits_MTU" | "ever_isolated" -> [ "bool" ]
+        | "max_datagram" | "samples" | "replacements" -> [ "int" ]
+        | "time" -> [ "float"; "missing no-convergence" ]
+        | "t99" -> [ "float"; "missing never" ]
+        | _ -> [ "float" ]
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is %s" m.keyword kind)
+        true (List.mem kind kinds);
+      Alcotest.(check string)
+        (m.keyword ^ " renders as its cell")
+        (List.hd (column m.keyword))
+        (Metric.render v))
+    Metric.all
 
 (* --- ported experiments: what each cell resolves to --- *)
 
@@ -623,5 +674,6 @@ let () =
           Alcotest.test_case "pivot-less layout" `Quick pivotless_layout;
           Alcotest.test_case "(rows time) layout" `Quick time_rows_layout;
           Alcotest.test_case "(reference ...) layout" `Quick reference_layout;
+          Alcotest.test_case "metric table values" `Quick metric_table_values;
         ] );
     ]
