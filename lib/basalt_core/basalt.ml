@@ -13,8 +13,10 @@ module Rank = Basalt_hashing.Rank
 
    On top of the layout sits a rank-work cache: [clock] counts slot
    resets, [stamps.(i)] records the clock value at which slot [i]'s seed
-   was drawn, and [seen] maps a candidate identifier to the clock value
-   at which it was last offered to *all* slots.  Offering a candidate to
+   was drawn, and the seen-cache maps a candidate identifier to the
+   clock value at which it was last offered to *all* slots — a 16-bit
+   tag per id for the dense ids of the simulator, a hash table for the
+   rest (see [seen_exchange]).  Offering a candidate to
    an unchanged slot is a no-op (the slot's best rank only decreases
    between resets, so a re-offer can never install), hence a candidate
    seen at clock [s] only needs rank evaluations against slots with
@@ -47,9 +49,12 @@ type t = {
   uses : int array;  (* exchanges served since last reset (Least_used) *)
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
   mutable clock : int;  (* total slot resets so far *)
-  (* Seen-cache: candidate id -> clock at last offer, as a flat
-     open-addressing table (see [seen_cell] below). *)
-  mutable seen : int array;
+  (* Seen-cache: candidate id -> clock at last offer.  Ids below
+     [dense_cap] index 16-bit clock tags (see [dense_exchange]); the
+     others live in a flat open-addressing table (see [seen_cell]). *)
+  mutable tags : Bytes.t;  (* two bytes per id, 0 = absent *)
+  mutable tag_base : int;  (* tag g > 0 stands for clock tag_base + g - 1 *)
+  mutable seen : int array;  (* [||] until the first id >= dense_cap *)
   mutable seen_count : int;
   mutable seen_shift : int;  (* 63 - log2 (cells) *)
   scratch : scratch;  (* shared with the other nodes of its factory *)
@@ -81,26 +86,37 @@ type t = {
 let config t = t.config
 let id t = t.id
 
-(* Past this size the seen-cache is swept of entries older than every
-   slot's seed (they carry no information: such a candidate needs
+(* Past this size the seen-cache's table is swept of entries older than
+   every slot's seed (they carry no information: such a candidate needs
    re-evaluation everywhere, same as an absent entry).  Round-robin
    resets cycle through all v slots every v/k ticks, so entries go stale
    at protocol speed and the cache stays O(candidates per slot
    lifetime). *)
 let seen_prune_threshold t = (16 * Array.length t.holders) + 64
 
-(* The seen-cache is an open-addressing table in one flat [int array]:
-   cell [p] (even) holds a candidate id, cell [p + 1] the clock of its
-   last offer, and an id of -1 marks an empty cell.  Ids are hashed
-   multiplicatively (the top bits of [id * seen_mul], so dense simulator
-   ids and sparse endpoint-shaped ids both spread), collisions probe
-   linearly, and the table doubles past 3/4 load.  Lookup and insert are
-   one probe ([seen_exchange]), and nothing is allocated per candidate.
-   Table size and prune timing never change an output: an absent or
-   pruned entry reads as -1, which costs the same evaluations as an entry
-   older than every seed. *)
+(* The seen-cache has two representations behind one entry point,
+   [seen_exchange].  Neither changes an output: an absent, pruned or
+   rebased-away entry reads as -1, which costs the same evaluations as
+   an entry older than every seed.
+
+   Ids below [dense_cap] — every simulator id (the largest simulated n
+   is 22,500), and no [Endpoint.to_node_id] of a real address — index
+   [tags], two bytes per id.  Tag 0 means absent and tag g means clock
+   [tag_base + g - 1].  [tags] is sized at [create] from the largest
+   bootstrap id below the cap and grows by 1/8 (or to the id, if
+   further) when a larger one is offered, so a forged small id costs a
+   daemon node at most 2 * dense_cap bytes (256 KiB).
+
+   Other ids go to an open-addressing table in one flat [int array],
+   allocated at the first such id: cell [p] (even) holds a candidate
+   id, cell [p + 1] the clock of its last offer, and an id of -1 marks
+   an empty cell.  Ids are hashed multiplicatively (the top bits of
+   [id * seen_mul], so sparse endpoint-shaped ids spread), collisions
+   probe linearly, and the table doubles past 3/4 load.  Lookup and
+   insert are one probe, and nothing is allocated per candidate. *)
+let dense_cap = 1 lsl 17
 let seen_mul = 0x4F1BBCDCBFA53E0B
-let seen_initial_bits = 6  (* 64 cells, the least [create] allocates *)
+let seen_initial_bits = 6  (* 64 cells, allocated at the first table id *)
 
 let seen_home shift key = ((key * seen_mul) lsr shift) lsl 1
 
@@ -131,9 +147,11 @@ let seen_grow t =
   t.seen <- table;
   t.seen_shift <- shift
 
-(* Records [key] as offered at [clock] and returns the clock of its
-   previous offer, -1 when absent. *)
-let seen_exchange t key clock =
+let table_exchange t key clock =
+  if Int.equal (Array.length t.seen) 0 then begin
+    t.seen <- Array.make (2 lsl seen_initial_bits) (-1);
+    t.seen_shift <- 63 - seen_initial_bits
+  end;
   let table = t.seen in
   let p = seen_cell table t.seen_shift key in
   if Array.unsafe_get table p < 0 then begin
@@ -148,6 +166,56 @@ let seen_exchange t key clock =
     Array.unsafe_set table (p + 1) clock;
     last
   end
+
+let tags_grow t key =
+  let old = t.tags in
+  let ids = Bytes.length old / 2 in
+  let ids = Int.min dense_cap (Int.max (key + 1) (ids + (ids / 8))) in
+  let tags = Bytes.make (2 * ids) '\000' in
+  Bytes.blit old 0 tags 0 (Bytes.length old);
+  t.tags <- tags
+
+(* The largest tag is 0xFFFF, i.e. clock [tag_base + 0xFFFE].  Before
+   recording a later clock, the tags are rebased once to the oldest
+   slot stamp: a tag older than the new base becomes 0.  Such an entry
+   is older than every seed, so reading it as absent costs exactly the
+   evaluations it did before, and the rebase changes no holder, no rank
+   and no [basalt.rank_evals] as long as [clock - min_stamp < 0xFFFF].
+   The simulator always keeps that gap small (it has no evictions, and
+   round-robin resets reach every slot within v resets).  On a daemon,
+   evictions could widen it; the base is then clamped to
+   [clock - 0xFFFE], which forgets entries some slots have already
+   seen.  Re-offering those can never install (each such slot's best
+   rank is already at most the candidate's), so the clamp costs extra
+   evaluations and never changes a view. *)
+let tags_rebase t clock =
+  let min_stamp =
+    Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
+  in
+  let base = Int.max min_stamp (clock - 0xFFFE) in
+  let shift = base - t.tag_base in
+  let tags = t.tags in
+  for i = 0 to (Bytes.length tags / 2) - 1 do
+    let g = Bytes.get_uint16_ne tags (2 * i) in
+    if g > 0 then
+      Bytes.set_uint16_ne tags (2 * i)
+        (if Int.compare g shift <= 0 then 0 else g - shift)
+  done;
+  t.tag_base <- base
+
+let dense_exchange t key clock =
+  if Int.compare (2 * key) (Bytes.length t.tags) >= 0 then tags_grow t key;
+  if clock - t.tag_base > 0xFFFE then tags_rebase t clock;
+  let tags = t.tags and p = 2 * key in
+  let g = Bytes.get_uint16_ne tags p in
+  Bytes.set_uint16_ne tags p (clock - t.tag_base + 1);
+  if Int.equal g 0 then -1 else t.tag_base + g - 1
+
+(* Records [key] as offered at [clock] and returns the clock of its
+   previous offer, -1 when absent. *)
+let seen_exchange t key clock =
+  if Int.compare key dense_cap < 0 then dense_exchange t key clock
+  else table_exchange t key clock
 
 (* Deletes the entry in cell [p] by shifting later members of its probe
    run back into the hole (Knuth's Algorithm R), so no tombstones are
@@ -175,7 +243,8 @@ let seen_delete (table : int array) shift p =
   done;
   Array.unsafe_set table !hole (-1)
 
-(* Sweeps, in place, the entries older than every slot's seed.  A
+(* Sweeps, in place, the table entries older than every slot's seed
+   (the tags are fixed-size and need no prune).  A
    deletion shifts later members of the run back: into the cell just
    examined, which is examined again, into cells not yet reached, or —
    across the array's end — entries already kept from the front.  So
@@ -265,15 +334,6 @@ let reset_slot t i =
   t.clock <- t.clock + 1;
   t.stamps.(i) <- t.clock
 
-(* The smallest seen-cache that holds [n] entries without growing:
-   sized from the bootstrap, the table skips the doublings (and their
-   garbage) that the bootstrap [update_sample] would otherwise cause. *)
-let seen_bits_for n =
-  let rec go bits =
-    if 4 * n > 3 * (1 lsl bits) then go (bits + 1) else bits
-  in
-  go seen_initial_bits
-
 let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
   let scratch = fresh_scratch () in
   fun ~id ~bootstrap ~rng ~send ->
@@ -283,7 +343,15 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
       Array.init v (fun _ -> Rank.fresh config.Config.backend rng)
     in
     let send = Basalt_codec.Metered.send obs ~proto:"basalt" send in
-    let seen_bits = seen_bits_for (Array.length bootstrap) in
+    (* Tags for every bootstrap id below the cap, so the bootstrap
+       [update_sample] does not grow them. *)
+    let dense_ids =
+      Array.fold_left
+        (fun acc id ->
+          let id = Node_id.to_int id in
+          if Int.compare id dense_cap < 0 then Int.max acc (id + 1) else acc)
+        0 bootstrap
+    in
     let t =
       {
         config;
@@ -295,9 +363,11 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
         uses = Array.make v 0;
         stamps = Array.make v 0;
         clock = 0;
-        seen = Array.make (2 lsl seen_bits) (-1);
+        tags = Bytes.make (2 * dense_ids) '\000';
+        tag_base = 0;
+        seen = [||];
         seen_count = 0;
-        seen_shift = 63 - seen_bits;
+        seen_shift = 0;
         scratch;
         rng;
         send;

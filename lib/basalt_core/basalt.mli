@@ -62,6 +62,15 @@ val update_sample : t -> Basalt_proto.Node_id.t array -> unit
     number of rank evaluations — and hence [basalt.rank_evals] —
     changes. *)
 
+val dense_cap : int
+(** [dense_cap] is 2{^17}.  The seen-cache behind {!update_sample}
+    keeps an identifier below it as a two-byte clock tag indexed by the
+    identifier, in an array grown on demand up to [2 * dense_cap]
+    bytes; every other identifier (each [Endpoint.to_node_id] of a real
+    address) goes to a hash table allocated at the first such id.
+    Neither representation changes a view, a rank or an evaluation
+    count (DESIGN.md §4). *)
+
 val select_peer : t -> Basalt_proto.Node_id.t option
 (** [select_peer t] picks an exchange partner from the view (Alg. 1
     lines 24–26); [None] while the view is entirely empty. *)

@@ -5,6 +5,7 @@ let line s =
   print_newline ()
 
 let emit ?csv ~rows cols =
+  let cols = Report.freeze ~rows cols in
   Report.print_table ~rows cols;
   match csv with
   | None -> ()

@@ -10,4 +10,5 @@ val line : string -> unit
 val emit :
   ?csv:string -> rows:int -> Basalt_sim.Report.column list -> unit
 (** [emit ?csv ~rows cols] prints the aligned table; when [csv] is given,
-    also writes the data to that path and notes it on stdout. *)
+    also writes the data to that path and notes it on stdout.  Each
+    [cell] is called once per row either way. *)

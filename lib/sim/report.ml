@@ -2,7 +2,15 @@ type column = { header : string; cell : int -> string }
 
 let float_cell x = if Float.is_nan x then "-" else Printf.sprintf "%.4f" x
 
+let freeze ~rows cols =
+  List.map
+    (fun c ->
+      let cells = Array.init rows c.cell in
+      { header = c.header; cell = Array.get cells })
+    cols
+
 let table ~rows cols =
+  let cols = freeze ~rows cols in
   let widths =
     List.map
       (fun c ->

@@ -9,7 +9,12 @@ type column = { header : string; cell : int -> string }
 
 val table : rows:int -> column list -> string
 (** [table ~rows cols] renders an aligned table with a header line and a
-    separator. *)
+    separator, calling each [cell] once per row. *)
+
+val freeze : rows:int -> column list -> column list
+(** [freeze ~rows cols] calls each [cell] once per row and returns the
+    same columns reading the stored strings, so that rendering one set
+    of rows as both a table and a CSV evaluates every cell once. *)
 
 val print_table : rows:int -> column list -> unit
 (** [print_table] writes {!table} to stdout. *)

@@ -533,13 +533,14 @@ let eviction_resets_slots_and_reoffers () =
 module Obs = Basalt_obs.Obs
 
 (* Words one node of a 200-node run retains (v = 160, a distinct
-   200-id bootstrap as [Runner] draws it, disabled telemetry): the
-   seen-cache sized for the bootstrap (512 cells, 1025 words), the four
-   slot int arrays (4 x 161), the boxed seeds (481), its PRNG, record
-   and sampler closures — 2240 words measured.  The batch scratch and
-   the RTT tracker are shared, so they are not per node; a node that
-   owned them would carry another 603 + 1446 words. *)
-let words_per_node_budget = 2400
+   200-id bootstrap from 3,000 ids as [Runner] draws it, disabled
+   telemetry): the seen-cache's clock tags sized for the largest
+   bootstrap id (two bytes per id, ~750 words), the four slot int
+   arrays (4 x 161), the boxed seeds (481), its PRNG, record and sampler
+   closures — 1958 words measured; the budget is that plus 5 %.  The
+   batch scratch and the RTT tracker are shared, so they are not per
+   node; a node that owned them would carry another 603 + 1446 words. *)
+let words_per_node_budget = 2056
 
 let basalt_per_node_footprint () =
   let config = Config.make ~v:160 ~k:80 () in
@@ -933,15 +934,21 @@ let oracle_backends =
 
 (* Each op is a candidate batch (possibly empty) optionally followed by a
    sample_tick, and ticks re-seed slots so the batched path's seen-cache
-   must discriminate stale generations.  Three shapes of input:
+   must discriminate stale generations.  The seen-cache keeps ids below
+   [Basalt.dense_cap] as clock tags and the rest in a table, so the
+   shapes of input cover both sides of the cap:
    - a small identifier range (≤ 12, batches ≤ 8) forces duplicates
-     within and across batches, and id 0 is the node itself;
-   - a wide range (< 10⁶, batches ≤ 300) makes the seen-cache double
-     several times from its 64 cells and, at v = 6, pass its prune
-     threshold (16v + 64 = 160 entries) so ticks sweep it;
-   - the same over 48-bit ids shaped like [Endpoint.to_node_id]'s (an
-     IPv4 address above a 16-bit port), the sparse keys of the UDP
-     daemon, against the dense ids of the simulator. *)
+     within and across batches, and id 0 is the node itself (tags only);
+   - ids below the cap (batches ≤ 300) grow the tags many times from
+     empty (tags only);
+   - a wide range (< 10⁶, batches ≤ 300) mixes tags and table in one
+     node, makes the table double several times from its 64 cells and,
+     at v = 6, pass its prune threshold (16v + 64 = 160 entries) so
+     ticks sweep it;
+   - ids within 200 of the cap put neighbours on both sides of it;
+   - 48-bit ids shaped like [Endpoint.to_node_id]'s (an IPv4 address
+     above a 16-bit port), the sparse keys of the UDP daemon (table
+     only). *)
 let endpoint_id =
   Gen.map2
     (fun (a, b, c) (d, port) ->
@@ -959,13 +966,18 @@ let prop_update_sample_matches_oracle =
     Print.list (Print.pair (Print.list Print.int) Print.bool)
   in
   Check.prop ~name:"batched update_sample matches naive rank oracle"
-    ~count:150
+    ~count:250
     ~print:(Print.pair Print.int print_ops)
     (Gen.pair (Gen.nat ~max:10_000)
        (Gen.oneof
           [
             oracle_ops ~max_ops:10 ~max_batch:8 (Gen.nat ~max:12);
+            oracle_ops ~max_ops:12 ~max_batch:300
+              (Gen.nat ~max:(Basalt.dense_cap - 1));
             oracle_ops ~max_ops:12 ~max_batch:300 (Gen.nat ~max:999_999);
+            oracle_ops ~max_ops:12 ~max_batch:300
+              (Gen.int_range (Basalt.dense_cap - 200)
+                 (Basalt.dense_cap + 200));
             oracle_ops ~max_ops:12 ~max_batch:300 endpoint_id;
           ]))
     (fun (seed, ops) ->
@@ -1004,6 +1016,71 @@ let prop_update_sample_matches_oracle =
               && Basalt_obs.Obs.Counter.value evals = m.Rank_oracle.evals)
             ops)
         oracle_backends)
+
+(* Clock tags are 16 bits, so the tags are rebased whenever the clock
+   outruns its base by 0xFFFF.  70,000 ticks of k = 2 resets take the
+   clock to 140,000, past two rebases (near clocks 65,535 and 131,000).
+   Six ids offered around every tick keep entries live across each
+   rebase: at v = 4 an entry from the previous tick still spares the two
+   slots drawn before it, so a tag read one clock off, or a rebase that
+   forgets entries some slot has already ranked, shows in the holders,
+   the ranks or [basalt.rank_evals]. *)
+let tag_rebases_match_oracle () =
+  let v = 4 and k = 2 and backend = Rank.Cheap in
+  let send ~dst:_ _ = () in
+  let obs = Basalt_obs.Obs.create () in
+  let evals = Basalt_obs.Obs.counter obs "basalt.rank_evals" in
+  let t =
+    Basalt.create
+      ~config:(Config.make ~v ~k ~backend ())
+      ~obs ~id:(id 0) ~bootstrap:[||]
+      ~rng:(Basalt_prng.Rng.create ~seed:7)
+      ~send ()
+  in
+  let m = Rank_oracle.create ~backend ~v ~self:0 ~seed:7 in
+  let r = Basalt_prng.Rng.create ~seed:11 in
+  for _ = 1 to 70_000 do
+    let batch =
+      Array.init
+        (1 + Basalt_prng.Rng.int r 3)
+        (fun _ -> id (1 + Basalt_prng.Rng.int r 6))
+    in
+    Basalt.update_sample t batch;
+    Rank_oracle.offer m batch;
+    ignore (Basalt.sample_tick t);
+    Rank_oracle.tick m ~k
+  done;
+  check_bool "holders" true
+    (Array.map (Option.map Node_id.to_int) (Basalt.view_slots t)
+    = Rank_oracle.holders m);
+  check_bool "ranks" true (Basalt.slot_ranks t = Rank_oracle.ranks m);
+  check_int "rank_evals" m.Rank_oracle.evals
+    (Basalt_obs.Obs.Counter.value evals)
+
+(* A daemon node keys its peers by endpoint ids, all above the cap, so
+   it holds no tags.  A forged small id grows them, but never past
+   2 * dense_cap bytes: offering the largest id below the cap, then
+   smaller ones, costs at most that many bytes of heap. *)
+let forged_dense_id_bounded () =
+  let endpoint i = id ((127 lsl 40) lor (1 lsl 16) lor (4000 + i)) in
+  let t =
+    Basalt.create
+      ~config:(Config.make ~v:16 ~k:8 ())
+      ~id:(endpoint 0)
+      ~bootstrap:(Array.init 8 (fun i -> endpoint (i + 1)))
+      ~rng:(rng ()) ~send:(fun ~dst:_ _ -> ()) ()
+  in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let before = words () in
+  List.iter
+    (fun i -> Basalt.update_sample t [| id i |])
+    [ Basalt.dense_cap - 1; 0; Basalt.dense_cap / 2; Basalt.dense_cap - 1 ];
+  let grown = words () - before in
+  (* A [Bytes.t] of 2 * dense_cap bytes: its payload, the padding word
+     and the header. *)
+  let limit = (2 * Basalt.dense_cap / (Sys.word_size / 8)) + 2 in
+  if grown > limit then
+    Alcotest.failf "forged ids grew the node by %d words, over %d" grown limit
 
 (* exclude_self (the default) keeps the node's own identifier out of
    its view no matter how often it is offered. *)
@@ -1080,6 +1157,8 @@ let () =
             eviction_resets_slots_and_reoffers;
           Alcotest.test_case "evicted pulls leave rtt tracker" `Quick
             evicted_pulls_leave_rtt_tracker;
+          Alcotest.test_case "tag rebases match oracle" `Quick
+            tag_rebases_match_oracle;
         ] );
       ( "footprint",
         [
@@ -1088,6 +1167,8 @@ let () =
             disabled_rtt_is_shared;
           Alcotest.test_case "shared scratch matches private" `Quick
             shared_scratch_matches_private;
+          Alcotest.test_case "forged dense id bounded" `Quick
+            forged_dense_id_bounded;
         ] );
       ( "sample_stream",
         [

@@ -145,6 +145,31 @@ let report_csv () =
   in
   Alcotest.(check string) "csv" "a,b\n0,z\n1,z\n" (Report.csv ~rows:2 cols)
 
+(* A cell may be costly (a matrix metric re-sums a group's histograms),
+   so a table calls each one once per row, and a frozen set of columns
+   serves a table and a CSV without calling any again. *)
+let report_cells_once () =
+  let calls = ref 0 in
+  let cols =
+    [
+      {
+        Report.header = "n";
+        cell =
+          (fun i ->
+            incr calls;
+            string_of_int (i * 100));
+      };
+    ]
+  in
+  ignore (Report.table ~rows:3 cols);
+  check_int "table: one call per cell" 3 !calls;
+  calls := 0;
+  let frozen = Report.freeze ~rows:3 cols in
+  let t = Report.table ~rows:3 frozen and c = Report.csv ~rows:3 frozen in
+  check_int "table and csv of frozen columns: one call per cell" 3 !calls;
+  Alcotest.(check string) "frozen table" (Report.table ~rows:3 cols) t;
+  Alcotest.(check string) "frozen csv" "n\n0\n100\n200\n" c
+
 let report_write_csv () =
   let path = Filename.temp_file "basalt" ".csv" in
   Report.write_csv ~path ~rows:1
@@ -604,6 +629,7 @@ let () =
         [
           Alcotest.test_case "table" `Quick report_table;
           Alcotest.test_case "csv" `Quick report_csv;
+          Alcotest.test_case "cells evaluated once" `Quick report_cells_once;
           Alcotest.test_case "write csv" `Quick report_write_csv;
           Alcotest.test_case "float cell" `Quick report_float_cell;
           Alcotest.test_case "sparkline" `Quick report_sparkline;
