@@ -242,9 +242,8 @@ let core_ops () =
       ignore (Basalt_core.Basalt.sample_tick miss_node)
   in
   let siphash_key = Basalt_hashing.Siphash.key_of_rng rng in
-  let cheap_seed = Rank.of_int Rank.Cheap 42 in
-  let keyed_seed = Rank.of_int (Rank.Keyed_cheap 0x2545F4914F6CDD1D) 42 in
-  let sip_seed = Rank.of_int (Rank.Siphash siphash_key) 42 in
+  let keyed = Rank.Keyed_cheap 0x2545F4914F6CDD1D in
+  let sip_midstate = Basalt_hashing.Siphash.prepare_int64 siphash_key 42L in
   run_group ~name:"core ops"
     [
       (* Steady state: the same candidates re-offered to unchanged seeds,
@@ -257,13 +256,16 @@ let core_ops () =
       Test.make ~name:"sample_tick (v=160, k=80)"
         (Staged.stage (fun () -> ignore (Basalt_core.Basalt.sample_tick basalt)));
       Test.make ~name:"rank (cheap mixer)"
-        (Staged.stage (fun () -> ignore (Rank.rank cheap_seed 123456)));
+        (Staged.stage (fun () -> ignore (Rank.rank Rank.Cheap 42 123456)));
       Test.make ~name:"rank (keyed-cheap mixer)"
-        (Staged.stage (fun () -> ignore (Rank.rank keyed_seed 123456)));
-      (* Midstate-resumed: the key + seed block is absorbed at seed-draw
-         time, each evaluation finishes only the identifier block. *)
+        (Staged.stage (fun () -> ignore (Rank.rank keyed 42 123456)));
+      (* Midstate-resumed: the key + seed block is absorbed once per
+         slot per batch ([Rank.offer_slot]), so each evaluation finishes
+         only the identifier block. *)
       Test.make ~name:"rank (siphash-2-4)"
-        (Staged.stage (fun () -> ignore (Rank.rank sip_seed 123456)));
+        (Staged.stage (fun () ->
+             ignore
+               (Basalt_hashing.Siphash.finish_int64_pair sip_midstate 123456L)));
       Test.make ~name:"rank (siphash-2-4, no midstate)"
         (Staged.stage (fun () ->
              ignore

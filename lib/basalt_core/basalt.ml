@@ -6,8 +6,9 @@ module Obs = Basalt_obs.Obs
 module Rank = Basalt_hashing.Rank
 
 (* Slot state lives in parallel struct-of-arrays form: slot [i] is
-   [(seeds.(i), holders.(i), best_ranks.(i), uses.(i), stamps.(i))].
-   The batched [update_sample] iterates slot-major over these flat int
+   [(seeds.(i), holders.(i), best_ranks.(i), uses.(i), stamps.(i))],
+   where [uses] exists only for the [Least_used_slot] strategy that reads
+   it.  The batched [update_sample] iterates slot-major over these flat int
    arrays — branch-light, cache-friendly, and allocation-free — instead
    of chasing one heap record per slot (DESIGN.md §4).
 
@@ -43,10 +44,11 @@ type t = {
   config : Config.t;
   id : Node_id.t;
   self : int;  (* Node_id.to_int id, for the exclude_self fast path *)
-  seeds : Rank.seed array;
+  seeds : int array;  (* one [Rank.fresh] seed per slot *)
   holders : int array;  (* holders.(i) < 0 means slot i is empty *)
   best_ranks : int array;  (* max_int when empty *)
-  uses : int array;  (* exchanges served since last reset (Least_used) *)
+  uses : int array;  (* exchanges served since last reset; [||] unless
+                        the config selects [Least_used_slot] *)
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
   mutable clock : int;  (* total slot resets so far *)
   (* Seen-cache: candidate id -> clock at last offer.  Ids below
@@ -305,7 +307,8 @@ let update_sample t ids =
     done;
     let len = !len in
     if len > 0 then begin
-      let seeds = t.seeds
+      let backend = t.config.Config.backend
+      and seeds = t.seeds
       and holders = t.holders
       and best_ranks = t.best_ranks
       and stamps = t.stamps in
@@ -316,7 +319,7 @@ let update_sample t ids =
       for i = 0 to Array.length seeds - 1 do
         evals :=
           !evals
-          + Rank.offer_slot (Array.unsafe_get seeds i)
+          + Rank.offer_slot backend (Array.unsafe_get seeds i)
               ~stamp:(Array.unsafe_get stamps i) ~raw ~dig ~since ~len
               ~best_ranks ~holders i
       done;
@@ -327,10 +330,10 @@ let update_sample t ids =
   end
 
 let reset_slot t i =
-  t.seeds.(i) <- Rank.fresh t.config.Config.backend t.rng;
+  t.seeds.(i) <- Rank.fresh t.rng;
   t.holders.(i) <- -1;
   t.best_ranks.(i) <- max_int;
-  t.uses.(i) <- 0;
+  if Array.length t.uses > 0 then t.uses.(i) <- 0;
   t.clock <- t.clock + 1;
   t.stamps.(i) <- t.clock
 
@@ -339,9 +342,7 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
   fun ~id ~bootstrap ~rng ~send ->
     let rng = Rng.split rng in
     let v = config.Config.v in
-    let seeds =
-      Array.init v (fun _ -> Rank.fresh config.Config.backend rng)
-    in
+    let seeds = Array.init v (fun _ -> Rank.fresh rng) in
     let send = Basalt_codec.Metered.send obs ~proto:"basalt" send in
     (* Tags for every bootstrap id below the cap, so the bootstrap
        [update_sample] does not grow them. *)
@@ -360,7 +361,10 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
         seeds;
         holders = Array.make v (-1);
         best_ranks = Array.make v max_int;
-        uses = Array.make v 0;
+        uses =
+          (match config.Config.select with
+          | Config.Least_used_slot -> Array.make v 0
+          | Config.Uniform_slot | Config.Rotating_slot -> [||]);
         stamps = Array.make v 0;
         clock = 0;
         tags = Bytes.make (2 * dense_ids) '\000';

@@ -3,19 +3,28 @@
     The RPS service produces a continuous stream [(p_i)] of identifiers;
     applications typically consume the most recent ones (e.g. an
     Avalanche-style consensus draws each query committee from fresh
-    samples).  This module keeps the last [capacity] samples in a ring
-    buffer and provides the statistics the evaluation section measures
-    (proportion of Byzantine identifiers among recent samples). *)
+    samples).  This module keeps the last [capacity] samples and
+    provides the statistics the evaluation section measures (proportion
+    of Byzantine identifiers among recent samples).
+
+    Memory follows what the stream holds, not its window: a stream
+    allocates no buffer until the first push, then doubles its buffer
+    from 8 entries up to [capacity], and only a buffer of [capacity]
+    entries wraps as a ring.  A simulated node that emits a few samples
+    per run keeps a few words, not the whole window. *)
 
 type t
 (** A bounded sample history. *)
 
 val create : capacity:int -> t
-(** [create ~capacity] retains the last [capacity] samples.
+(** [create ~capacity] retains the last [capacity] samples.  It
+    allocates no buffer: {!push} grows one on demand.
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val push : t -> Basalt_proto.Node_id.t -> unit
-(** [push t id] appends one sample, evicting the oldest if full. *)
+(** [push t id] appends one sample, evicting the oldest once
+    [capacity] samples are retained.  Doubles the buffer (at most to
+    [capacity]) when it is full and smaller than [capacity]. *)
 
 val push_list : t -> Basalt_proto.Node_id.t list -> unit
 (** [push_list t ids] appends samples in order. *)

@@ -31,7 +31,7 @@ type t = {
   (* The sampler vector 𝒮 as struct-of-arrays: sampler [i] is
      [(seeds.(i), holders.(i), best_ranks.(i))], the layout
      [Rank.offer_slot] works on. *)
-  seeds : Rank.seed array;
+  seeds : int array;
   holders : int array;  (* holders.(i) < 0 means sampler i is empty *)
   best_ranks : int array;  (* max_int when empty *)
   scratch : scratch;  (* shared with the other nodes of its maker *)
@@ -73,12 +73,12 @@ let ensure_batch_capacity sc n =
    holders and ranks are those of offering one id at a time. *)
 let offer_batch t len =
   let sc = t.scratch in
-  let seeds = t.seeds in
+  let backend = t.config.Brahms_config.backend and seeds = t.seeds in
   let evals = ref 0 in
   for i = 0 to Array.length seeds - 1 do
     evals :=
       !evals
-      + Rank.offer_slot (Array.unsafe_get seeds i) ~stamp:1 ~raw:sc.raw
+      + Rank.offer_slot backend (Array.unsafe_get seeds i) ~stamp:1 ~raw:sc.raw
           ~dig:sc.dig ~since:sc.since ~len ~best_ranks:t.best_ranks
           ~holders:t.holders i
   done;
@@ -114,9 +114,7 @@ let make ~scratch ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
   let rng = Rng.split rng in
   let send = Basalt_codec.Metered.send obs ~proto:"brahms" send in
   let l = config.Brahms_config.l in
-  let seeds =
-    Array.init l (fun _ -> Rank.fresh config.Brahms_config.backend rng)
-  in
+  let seeds = Array.init l (fun _ -> Rank.fresh rng) in
   let initial_view =
     let candidates =
       Array.of_list
@@ -298,7 +296,7 @@ let sample_tick t =
       samples := Node_id.of_int h :: !samples;
       Obs.Counter.incr t.c_samples
     end;
-    t.seeds.(i) <- Rank.fresh t.config.Brahms_config.backend t.rng;
+    t.seeds.(i) <- Rank.fresh t.rng;
     t.holders.(i) <- -1;
     t.best_ranks.(i) <- max_int;
     Obs.Counter.incr t.c_slot_resets

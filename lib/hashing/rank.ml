@@ -4,35 +4,14 @@ type backend =
   | Siphash of Siphash.key
   | Prefix_diverse of { prefix_of : int -> int }
 
-(* A seed is pre-digested per backend at draw time: the SipHash variant
-   absorbs the key and the seed word into a resumable midstate once, so
-   every rank evaluation only finishes the identifier block.  Rank
+(* A seed is the plain integer drawn for its slot; whatever a backend
+   derives from it is derived where it is used.  The SipHash midstate
+   (key and seed block absorbed) is prepared once per [offer_slot] call,
+   i.e. once per slot per batch, and once per [rank] call.  Rank
    *values* are exactly those of the uncached formulas — the caching
    moves work, never changes results (the test suite pins both the
    reference vectors and the cached = uncached equality). *)
-type seed =
-  | S_cheap of int
-  | S_keyed of { key : int; value : int }
-  | S_sip of { value : int; ms : Siphash.midstate }
-  | S_prefix of { prefix_of : int -> int; value : int }
-
-let make backend value =
-  match backend with
-  | Cheap -> S_cheap value
-  | Keyed_cheap key -> S_keyed { key; value }
-  | Siphash key ->
-      S_sip { value; ms = Siphash.prepare_int64 key (Int64.of_int value) }
-  | Prefix_diverse { prefix_of } -> S_prefix { prefix_of; value }
-
-let fresh backend rng = make backend (Basalt_prng.Rng.bits rng)
-let of_int backend value = make backend value
-
-let seed_value = function
-  | S_cheap value
-  | S_keyed { value; _ }
-  | S_sip { value; _ }
-  | S_prefix { value; _ } ->
-      value
+let fresh rng = Basalt_prng.Rng.bits rng
 
 (* Lexicographic (prefix-rank, id-rank) pair packed into one non-negative
    native integer: 30 bits of prefix rank above 32 bits of id rank. *)
@@ -43,21 +22,26 @@ let composite ~prefix_rank ~id_rank =
    out of the per-slot loop; backends that hash the identifier whole
    (SipHash) ignore it.  [rank_digested] is the hot-path primitive: the
    caller prepares [digest id] once per candidate and the per-(seed,
-   candidate) work is one mixer tail or one resumed SipHash finish. *)
+   candidate) work is one mixer tail or one SipHash finish. *)
 let digest id = Mix.mix63 id
 
-let rank_digested seed ~id ~digest =
-  match seed with
-  | S_cheap value -> Mix.mix63 (value lxor digest)
-  | S_keyed { key; value } -> Mix.mix63 (key lxor Mix.mix63 (value lxor digest))
-  | S_sip { ms; _ } ->
-      Int64.to_int (Siphash.finish_int64_pair ms (Int64.of_int id)) land max_int
-  | S_prefix { prefix_of; value } ->
-      composite
-        ~prefix_rank:(Mix.combine63 value (prefix_of id))
-        ~id_rank:(Mix.mix63 (value lxor digest))
+let sip_finish ms id =
+  Int64.to_int (Siphash.finish_int64_pair ms (Int64.of_int id)) land max_int
 
-let rank seed id = rank_digested seed ~id ~digest:(Mix.mix63 id)
+let sip_midstate key seed = Siphash.prepare_int64 key (Int64.of_int seed)
+
+let rank_digested backend seed ~id ~digest =
+  match backend with
+  | Cheap -> Mix.mix63 (seed lxor digest)
+  | Keyed_cheap key -> Mix.mix63 (key lxor Mix.mix63 (seed lxor digest))
+  | Siphash key -> sip_finish (sip_midstate key seed) id
+  | Prefix_diverse { prefix_of } ->
+      composite
+        ~prefix_rank:(Mix.combine63 seed (prefix_of id))
+        ~id_rank:(Mix.mix63 (seed lxor digest))
+
+let rank backend seed id =
+  rank_digested backend seed ~id ~digest:(Mix.mix63 id)
 
 (* [Mix.mix63], restated so the kernel below keeps its arithmetic in this
    compilation unit: the dev profile compiles every library [-opaque], so
@@ -74,41 +58,53 @@ let[@inline] mix63 x =
    arithmetic per candidate.  The [int array] annotations keep the
    comparisons monomorphic (unannotated, [>] on an array element is the
    polymorphic compare call). *)
-let offer_slot seed ~stamp ~(raw : int array) ~(dig : int array)
+let offer_slot backend seed ~stamp ~(raw : int array) ~(dig : int array)
     ~(since : int array) ~len ~(best_ranks : int array)
     ~(holders : int array) i =
   let best = ref (Array.unsafe_get best_ranks i) in
   let holder = ref (Array.unsafe_get holders i) in
   let evals = ref 0 in
-  (match seed with
-  | S_cheap value ->
+  (match backend with
+  | Cheap ->
       for j = 0 to len - 1 do
         if stamp > Array.unsafe_get since j then begin
           incr evals;
-          let r = mix63 (value lxor Array.unsafe_get dig j) in
+          let r = mix63 (seed lxor Array.unsafe_get dig j) in
           if r < !best || !holder < 0 then begin
             best := r;
             holder := Array.unsafe_get raw j
           end
         end
       done
-  | S_keyed { key; value } ->
+  | Keyed_cheap key ->
       for j = 0 to len - 1 do
         if stamp > Array.unsafe_get since j then begin
           incr evals;
-          let r = mix63 (key lxor mix63 (value lxor Array.unsafe_get dig j)) in
+          let r = mix63 (key lxor mix63 (seed lxor Array.unsafe_get dig j)) in
           if r < !best || !holder < 0 then begin
             best := r;
             holder := Array.unsafe_get raw j
           end
         end
       done
-  | S_sip _ | S_prefix _ ->
+  | Siphash key ->
+      let ms = sip_midstate key seed in
+      for j = 0 to len - 1 do
+        if stamp > Array.unsafe_get since j then begin
+          incr evals;
+          let r = sip_finish ms (Array.unsafe_get raw j) in
+          if r < !best || !holder < 0 then begin
+            best := r;
+            holder := Array.unsafe_get raw j
+          end
+        end
+      done
+  | Prefix_diverse _ ->
       for j = 0 to len - 1 do
         if stamp > Array.unsafe_get since j then begin
           incr evals;
           let r =
-            rank_digested seed ~id:(Array.unsafe_get raw j)
+            rank_digested backend seed ~id:(Array.unsafe_get raw j)
               ~digest:(Array.unsafe_get dig j)
           in
           if r < !best || !holder < 0 then begin
@@ -120,5 +116,3 @@ let offer_slot seed ~stamp ~(raw : int array) ~(dig : int array)
   Array.unsafe_set best_ranks i !best;
   Array.unsafe_set holders i !holder;
   !evals
-
-let pp ppf s = Format.fprintf ppf "seed:%#x" (seed_value s)

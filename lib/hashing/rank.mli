@@ -15,9 +15,10 @@
       adversarial-model simulations at scale, where per-key rank
       unpredictability matters but cryptographic strength does not;
     - {!Siphash}: a keyed PRF — what a real deployment would use so that
-      an adversary cannot precompute low-ranking identifiers.  Seeds
-      precompute a {!Siphash.midstate} at draw time, so each evaluation
-      only finishes the identifier block;
+      an adversary cannot precompute low-ranking identifiers.
+      {!offer_slot} absorbs the key and seed into a {!Siphash.midstate}
+      once per slot per batch, so each evaluation only finishes the
+      identifier block;
     - {!Prefix_diverse}: the §6 "specially crafted rank function":
       identifiers are ranked first by a hash of their {e address prefix}
       and only then by a hash of the identifier itself, so a slot's
@@ -45,36 +46,29 @@ type backend =
       (** [prefix_of id] maps an identifier to its address prefix (e.g.
           an IP /24); prefixes must be non-negative. *)
 
-type seed
-(** One random ranking function, i.e. one slot's seed, pre-digested for
-    its backend: SipHash seeds carry the resumable key+seed midstate
-    absorbed at draw time. *)
+val fresh : Basalt_prng.Rng.t -> int
+(** [fresh rng] draws a new uniformly random seed: one slot's ranking
+    function, a plain integer for every backend.  It makes one
+    [Rng.bits] draw, so swapping backends never perturbs the PRNG stream
+    shape. *)
 
-val fresh : backend -> Basalt_prng.Rng.t -> seed
-(** [fresh backend rng] draws a new uniformly random seed (one
-    [Rng.bits] draw, identically for every backend — swapping backends
-    never perturbs the PRNG stream shape). *)
-
-val of_int : backend -> int -> seed
-(** [of_int backend v] builds a deterministic seed (for tests). *)
-
-val rank : seed -> int -> int
-(** [rank seed id] is a non-negative integer rank of node [id] under
-    [seed]; lower ranks are better matches.  Deterministic in
-    [(seed, id)]. *)
+val rank : backend -> int -> int -> int
+(** [rank backend seed id] is a non-negative integer rank of node [id]
+    under [seed]; lower ranks are better matches.  Deterministic in
+    [(backend, seed, id)]. *)
 
 val digest : int -> int
 (** [digest id] is the identifier-side half of the cheap mixers
     ([Mix.mix63 id]), for batch loops that keep candidate digests in an
     [int array] (the batches {!offer_slot} scans). *)
 
-val rank_digested : seed -> id:int -> digest:int -> int
-(** [rank_digested seed ~id ~digest] equals [rank seed id] provided
-    [digest = digest id]; the allocation-free hot-path primitive behind
-    {!rank} and {!offer_slot}. *)
+val rank_digested : backend -> int -> id:int -> digest:int -> int
+(** [rank_digested backend seed ~id ~digest] equals [rank backend seed id]
+    provided [digest = digest id]. *)
 
 val offer_slot :
-  seed ->
+  backend ->
+  int ->
   stamp:int ->
   raw:int array ->
   dig:int array ->
@@ -84,23 +78,19 @@ val offer_slot :
   holders:int array ->
   int ->
   int
-(** [offer_slot seed ~stamp ~raw ~dig ~since ~len ~best_ranks ~holders i]
-    offers the prepared candidates [j < len] (identifier [raw.(j)], its
-    {!digest} [dig.(j)]) to slot [i], whose seed is [seed].  A candidate
-    is ranked only when [stamp > since.(j)] (the slot's seed was drawn
-    after the candidate was last offered to it); it replaces the slot's
-    holder when its rank is below [best_ranks.(i)] or the slot is empty
-    ([holders.(i) < 0]).  The final best rank and holder are written back
-    to [best_ranks.(i)] and [holders.(i)].  Returns the number of ranks
-    evaluated.  Rank values equal {!rank_digested}'s; the cheap backends
-    are evaluated inline, without a call per candidate.  The one slot
-    kernel of the repository: Basalt's view slots
-    ([Basalt.update_sample], whose seen-cache supplies [since]) and
-    Brahms's samplers (a [since] of zeros and [stamp] 1, so every
-    candidate is ranked) both run on it (DESIGN.md §4). *)
-
-val seed_value : seed -> int
-(** [seed_value s] exposes the raw seed integer (for diagnostics). *)
-
-val pp : Format.formatter -> seed -> unit
-(** Prints the seed value in hex. *)
+(** [offer_slot backend seed ~stamp ~raw ~dig ~since ~len ~best_ranks
+    ~holders i] offers the prepared candidates [j < len] (identifier
+    [raw.(j)], its {!digest} [dig.(j)]) to slot [i], whose seed is
+    [seed].  A candidate is ranked only when [stamp > since.(j)] (the
+    slot's seed was drawn after the candidate was last offered to it);
+    it replaces the slot's holder when its rank is below
+    [best_ranks.(i)] or the slot is empty ([holders.(i) < 0]).  The
+    final best rank and holder are written back to [best_ranks.(i)] and
+    [holders.(i)].  Returns the number of ranks evaluated.  Rank values
+    equal {!rank_digested}'s; the cheap backends are evaluated inline,
+    without a call per candidate, and {!Siphash} derives the seed's
+    midstate once per call.  The one slot kernel of the repository:
+    Basalt's view slots ([Basalt.update_sample], whose seen-cache
+    supplies [since]) and Brahms's samplers (a [since] of zeros and
+    [stamp] 1, so every candidate is ranked) both run on it
+    (DESIGN.md §4). *)

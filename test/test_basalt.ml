@@ -53,19 +53,20 @@ let config_equilibrium () =
    against [stamp] 1 ranks every candidate, as Brahms's samplers do. *)
 
 type slot = {
-  seed : Rank.seed;
+  backend : Rank.backend;
+  seed : int;
   best_ranks : int array;  (* [| max_int |] when empty *)
   holders : int array;  (* [| -1 |] when empty *)
 }
 
 let slot_create ?(backend = Rank.Cheap) r =
-  { seed = Rank.fresh backend r; best_ranks = [| max_int |]; holders = [| -1 |] }
+  { backend; seed = Rank.fresh r; best_ranks = [| max_int |]; holders = [| -1 |] }
 
 (* Offers [ids] as one batch; returns the number of ranks evaluated. *)
 let slot_offer_batch s ids =
   let raw = Array.of_list ids in
   let len = Array.length raw in
-  Rank.offer_slot s.seed ~stamp:1 ~raw ~dig:(Array.map Rank.digest raw)
+  Rank.offer_slot s.backend s.seed ~stamp:1 ~raw ~dig:(Array.map Rank.digest raw)
     ~since:(Array.make len 0) ~len ~best_ranks:s.best_ranks
     ~holders:s.holders 0
 
@@ -100,7 +101,8 @@ let slot_keeps_minimum () =
   let seed = one_by_one.seed in
   let best = ref 0 in
   for i = 1 to 99 do
-    if Rank.rank seed i < Rank.rank seed !best then best := i
+    if Rank.rank Rank.Cheap seed i < Rank.rank Rank.Cheap seed !best then
+      best := i
   done;
   check_bool "holds global argmin" true (slot_peer one_by_one = Some !best);
   check_bool "batched holds it too" true (slot_peer batched = Some !best)
@@ -139,7 +141,7 @@ let slot_offer_prepared_agrees () =
       match slot_peer s with
       | Some p ->
           check_int "cached rank is the true rank" s.best_ranks.(0)
-            (Rank.rank s.seed p)
+            (Rank.rank backend s.seed p)
       | None -> Alcotest.fail "slot should be filled")
     [
       Rank.Cheap;
@@ -535,12 +537,14 @@ module Obs = Basalt_obs.Obs
 (* Words one node of a 200-node run retains (v = 160, a distinct
    200-id bootstrap from 3,000 ids as [Runner] draws it, disabled
    telemetry): the seen-cache's clock tags sized for the largest
-   bootstrap id (two bytes per id, ~750 words), the four slot int
-   arrays (4 x 161), the boxed seeds (481), its PRNG, record and sampler
-   closures — 1958 words measured; the budget is that plus 5 %.  The
-   batch scratch and the RTT tracker are shared, so they are not per
-   node; a node that owned them would carry another 603 + 1446 words. *)
-let words_per_node_budget = 2056
+   bootstrap id (two bytes per id, ~750 words), its four slot int
+   arrays (seeds, holders, best ranks, stamps: 4 x 161; [uses] is
+   empty unless the config selects [Least_used_slot]), its PRNG,
+   record and sampler closures — 1477 words measured; the budget is
+   that plus 5 %.  The batch scratch and the RTT tracker are shared,
+   so they are not per node; a node that owned them would carry
+   another 603 + 1446 words. *)
+let words_per_node_budget = 1551
 
 let basalt_per_node_footprint () =
   let config = Config.make ~v:160 ~k:80 () in
@@ -728,6 +732,82 @@ let prop_stream_model =
       && Sample_stream.total s = List.length pushes
       && Sample_stream.retained s = List.length expected_window)
 
+(* Model check of the growing buffer: after every push, a stream
+   agrees with a list of its last [capacity] pushes, newest first —
+   through each doubling from 8, the last step to [capacity] and past
+   the wrap — on every reader.  [draw] takes the same PRNG seed on both
+   sides.  A case is (capacity, pushes, seed of the pushed ids). *)
+let prop_stream_growth_model =
+  Check.prop ~name:"growing sample stream matches list model" ~count:100
+    ~print:(Print.triple Print.int Print.int Print.int)
+    Gen.(
+      bind (oneofl [ 1; 7; 8; 200; 1024 ]) (fun capacity ->
+          triple (return capacity)
+            (int_range 0 (capacity + (capacity / 2) + 9))
+            (nat ~max:1_000_000)))
+    (fun (capacity, pushes, seed) ->
+      let s = Sample_stream.create ~capacity in
+      let ids = Basalt_prng.Rng.create ~seed in
+      let model = ref [] in
+      let even x = x mod 2 = 0 in
+      let agrees step =
+        let m = !model in
+        let retained = List.length m in
+        let iterated = ref [] in
+        Sample_stream.iter
+          (fun x -> iterated := Node_id.to_int x :: !iterated)
+          s;
+        let proportion =
+          if retained = 0 then 0.0
+          else
+            float_of_int (List.length (List.filter even m))
+            /. float_of_int retained
+        in
+        let drawn =
+          Array.map Node_id.to_int
+            (Sample_stream.draw s (Basalt_prng.Rng.create ~seed:step) ~k:6)
+        in
+        let model_drawn =
+          let r = Basalt_prng.Rng.create ~seed:step in
+          if retained = 0 then [||]
+          else
+            Array.init 6 (fun _ -> List.nth m (Basalt_prng.Rng.int r retained))
+        in
+        Sample_stream.total s = step
+        && Sample_stream.retained s = retained
+        && List.map Node_id.to_int (Sample_stream.recent s (capacity + 1)) = m
+        && List.map Node_id.to_int (Sample_stream.recent s 3)
+           = List.filteri (fun i _ -> i < 3) m
+        && !iterated = m
+        && Float.equal
+             (Sample_stream.proportion (fun x -> even (Node_id.to_int x)) s)
+             proportion
+        && drawn = model_drawn
+      in
+      let ok = ref (agrees 0) and step = ref 0 in
+      while !ok && !step < pushes do
+        let x = Basalt_prng.Rng.int ids 50 in
+        Sample_stream.push s (Node_id.of_int x);
+        model := List.filteri (fun i _ -> i < capacity) (x :: !model);
+        incr step;
+        ok := agrees !step
+      done;
+      !ok)
+
+(* A stream holds no buffer until samples arrive, and a full one holds
+   no more than the ring [create] used to allocate up front: 200
+   entries and a header, plus the six-word record. *)
+let stream_words () =
+  let words s = Obj.reachable_words (Obj.repr s) in
+  let s = Sample_stream.create ~capacity:200 in
+  let fresh = words s in
+  if fresh > 10 then Alcotest.failf "fresh stream keeps %d words" fresh;
+  for i = 1 to 250 do
+    Sample_stream.push s (id i)
+  done;
+  let full = words s in
+  if full > 207 then Alcotest.failf "full stream keeps %d words" full
+
 let seed_and_ids =
   Gen.pair (Gen.nat ~max:10_000)
     (Gen.list ~min_len:1 ~max_len:30 (Gen.nat ~max:100))
@@ -760,7 +840,7 @@ let prop_slot_argmin =
     (fun (seed, ids) ->
       let s = slot_create (Basalt_prng.Rng.create ~seed) in
       ignore (slot_offer_batch s ids);
-      let rank i = Rank.rank s.seed i in
+      let rank i = Rank.rank s.backend s.seed i in
       let best = List.fold_left (fun acc i -> min acc (rank i)) max_int ids in
       match slot_peer s with
       | Some p -> rank p = best && s.best_ranks.(0) = best
@@ -853,7 +933,7 @@ let prop_eviction_spares_recent_peers =
    even though re-ranking a candidate never changes a slot. *)
 module Rank_oracle = struct
   type slot = {
-    mutable seed : Rank.seed;
+    mutable seed : int;
     mutable holder : int option;
     mutable best : int;
     offered : (int, unit) Hashtbl.t;  (* ids offered since the reset *)
@@ -874,7 +954,7 @@ module Rank_oracle = struct
     let slots =
       Array.init v (fun _ ->
           {
-            seed = Rank.fresh backend rng;
+            seed = Rank.fresh rng;
             holder = None;
             best = max_int;
             offered = Hashtbl.create 16;
@@ -893,7 +973,7 @@ module Rank_oracle = struct
                 Hashtbl.replace s.offered id ();
                 t.evals <- t.evals + 1
               end;
-              let r = Rank.rank s.seed id in
+              let r = Rank.rank t.backend s.seed id in
               if s.holder = None || r < s.best then begin
                 s.holder <- Some id;
                 s.best <- r
@@ -911,7 +991,7 @@ module Rank_oracle = struct
     for _ = 1 to k do
       let s = t.slots.(t.next_reset) in
       t.next_reset <- (t.next_reset + 1) mod Array.length t.slots;
-      s.seed <- Rank.fresh t.backend t.rng;
+      s.seed <- Rank.fresh t.rng;
       s.holder <- None;
       s.best <- max_int;
       Hashtbl.reset s.offered
@@ -1169,6 +1249,7 @@ let () =
             shared_scratch_matches_private;
           Alcotest.test_case "forged dense id bounded" `Quick
             forged_dense_id_bounded;
+          Alcotest.test_case "sample stream words" `Quick stream_words;
         ] );
       ( "sample_stream",
         [
@@ -1188,5 +1269,6 @@ let () =
           prop_view_excludes_self;
           prop_eviction_spares_recent_peers;
           prop_stream_model;
+          prop_stream_growth_model;
         ];
     ]

@@ -298,7 +298,8 @@ let oracle_backends =
 
 type model = {
   m_rng : Rng.t;
-  m_seeds : Rank.seed array;
+  m_backend : Rank.backend;
+  m_seeds : int array;
   m_best : (int * int) option array;  (* (rank, id) *)
   mutable m_next : int;
   mutable m_evals : int;
@@ -311,7 +312,7 @@ let model_feed m ~skip ids =
         Array.iteri
           (fun s seed ->
             m.m_evals <- m.m_evals + 1;
-            let r = Rank.rank seed i in
+            let r = Rank.rank m.m_backend seed i in
             match m.m_best.(s) with
             | Some (best, _) when best <= r -> ()
             | Some _ | None -> m.m_best.(s) <- Some (r, i))
@@ -322,12 +323,12 @@ let model_outputs m =
   Array.of_list
     (List.filter_map (Option.map snd) (Array.to_list m.m_best))
 
-let model_tick m ~backend ~k =
+let model_tick m ~k =
   List.init k (fun _ ->
       let s = m.m_next in
       m.m_next <- (s + 1) mod Array.length m.m_seeds;
       let out = Option.map snd m.m_best.(s) in
-      m.m_seeds.(s) <- Rank.fresh backend m.m_rng;
+      m.m_seeds.(s) <- Rank.fresh m.m_rng;
       m.m_best.(s) <- None;
       out)
   |> List.filter_map Fun.id
@@ -355,12 +356,19 @@ let prop_samplers_match_naive_model =
       in
       let m =
         let rng = Rng.split (Rng.create ~seed) in
-        let m_seeds = Array.init l (fun _ -> Rank.fresh backend rng) in
+        let m_seeds = Array.init l (fun _ -> Rank.fresh rng) in
         let candidates =
           Array.of_list (List.map id (List.filter (fun i -> i <> self) boot))
         in
         ignore (View_ops.random_subset rng ~k:l candidates);
-        { m_rng = rng; m_seeds; m_best = Array.make l None; m_next = 0; m_evals = 0 }
+        {
+          m_rng = rng;
+          m_backend = backend;
+          m_seeds;
+          m_best = Array.make l None;
+          m_next = 0;
+          m_evals = 0;
+        }
       in
       model_feed m ~skip boot;
       let outputs () =
@@ -384,7 +392,7 @@ let prop_samplers_match_naive_model =
             outputs ()
         | Tick ->
             List.map Node_id.to_int (Brahms.sample_tick t)
-            = model_tick m ~backend ~k
+            = model_tick m ~k
             && outputs ()
       in
       outputs ()
@@ -432,11 +440,11 @@ let brahms_shared_scratch () =
 
 (* Words one node of a 200-node run retains (l = 160, a distinct
    64-id bootstrap, disabled telemetry): its 160 min-wise samplers as
-   three arrays (803 words, 481 of them the seeds array and its boxed
-   [Rank.seed]s), its view, its PRNG and its record — 951 words
-   measured.  The batch scratch is its maker's; the RTT tracker of a
-   disabled registry is shared. *)
-let words_per_node_budget = 1100
+   three int arrays (seeds, holders, best ranks: 3 x 161 words), its
+   view, its PRNG and its record — 624 words measured; the budget is
+   that plus 5 %.  The batch scratch is its maker's; the RTT tracker
+   of a disabled registry is shared. *)
+let words_per_node_budget = 656
 
 let brahms_per_node_footprint () =
   let r = Basalt_prng.Rng.create ~seed:42 in

@@ -172,26 +172,28 @@ let fnv1a_vectors () =
 
 let rank_deterministic () =
   let rng = Basalt_prng.Rng.create ~seed:11 in
-  let seed = Rank.fresh Rank.Cheap rng in
-  check_int "same input same rank" (Rank.rank seed 7) (Rank.rank seed 7)
+  let seed = Rank.fresh rng in
+  check_int "same input same rank"
+    (Rank.rank Rank.Cheap seed 7)
+    (Rank.rank Rank.Cheap seed 7)
 
 let rank_non_negative () =
   let rng = Basalt_prng.Rng.create ~seed:12 in
   List.iter
     (fun backend ->
-      let seed = Rank.fresh backend rng in
+      let seed = Rank.fresh rng in
       for id = 0 to 100 do
-        check_bool "rank >= 0" true (Rank.rank seed id >= 0)
+        check_bool "rank >= 0" true (Rank.rank backend seed id >= 0)
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
 (* [offer_slot] with a one-candidate batch — the candidate prepared as
    its id and {!Rank.digest} — into an empty slot writes back the
    candidate's plain rank. *)
-let kernel_rank seed id =
+let kernel_rank backend seed id =
   let best_ranks = [| max_int |] and holders = [| -1 |] in
   ignore
-    (Rank.offer_slot seed ~stamp:1 ~raw:[| id |] ~dig:[| Rank.digest id |]
+    (Rank.offer_slot backend seed ~stamp:1 ~raw:[| id |] ~dig:[| Rank.digest id |]
        ~since:[| 0 |] ~len:1 ~best_ranks ~holders 0);
   best_ranks.(0)
 
@@ -199,26 +201,34 @@ let rank_prepared_agrees () =
   let rng = Basalt_prng.Rng.create ~seed:13 in
   List.iter
     (fun backend ->
-      let seed = Rank.fresh backend rng in
+      let seed = Rank.fresh rng in
       for id = 0 to 50 do
-        check_int "prepared = direct" (Rank.rank seed id) (kernel_rank seed id)
+        check_int "prepared = direct"
+          (Rank.rank backend seed id)
+          (kernel_rank backend seed id)
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
-let rank_of_int_deterministic () =
-  let s1 = Rank.of_int Rank.Cheap 99 and s2 = Rank.of_int Rank.Cheap 99 in
-  check_int "same seed value" (Rank.rank s1 5) (Rank.rank s2 5);
-  check_int "seed_value round trip" 99 (Rank.seed_value s1)
+(* A seed is the one [Rng.bits] draw [fresh] makes, whatever the
+   backend, so swapping backends never shifts a PRNG stream. *)
+let rank_fresh_one_draw () =
+  let a = Basalt_prng.Rng.create ~seed:99 in
+  let b = Basalt_prng.Rng.copy a in
+  let seed = Rank.fresh a in
+  check_int "one bits draw" (Basalt_prng.Rng.bits b) seed;
+  check_int "streams stay in step" (Basalt_prng.Rng.bits b)
+    (Basalt_prng.Rng.bits a)
 
 let rank_seed_changes_order () =
   (* Two fresh seeds should order a candidate set differently (with
      overwhelming probability over 64-bit seeds). *)
   let rng = Basalt_prng.Rng.create ~seed:14 in
-  let s1 = Rank.fresh Rank.Cheap rng and s2 = Rank.fresh Rank.Cheap rng in
+  let s1 = Rank.fresh rng and s2 = Rank.fresh rng in
   let argmin s =
     let best = ref 0 in
     for id = 1 to 999 do
-      if Rank.rank s id < Rank.rank s !best then best := id
+      if Rank.rank Rank.Cheap s id < Rank.rank Rank.Cheap s !best then
+        best := id
     done;
     !best
   in
@@ -234,10 +244,11 @@ let rank_minwise_uniformity backend () =
   let trials = 20_000 in
   let wins = Array.make n 0 in
   for _ = 1 to trials do
-    let seed = Rank.fresh backend rng in
+    let seed = Rank.fresh rng in
     let best = ref 0 in
     for id = 1 to n - 1 do
-      if Rank.rank seed id < Rank.rank seed !best then best := id
+      if Rank.rank backend seed id < Rank.rank backend seed !best then
+        best := id
     done;
     wins.(!best) <- wins.(!best) + 1
   done;
@@ -254,26 +265,27 @@ let rank_minwise_uniformity backend () =
 
 let prefix_backend = Rank.Prefix_diverse { prefix_of = (fun id -> id / 100) }
 
+let prefix_rank s id = Rank.rank prefix_backend s id
+
 let prefix_rank_deterministic () =
-  let s = Rank.of_int prefix_backend 5 in
-  check_int "deterministic" (Rank.rank s 42) (Rank.rank s 42);
-  check_bool "non-negative" true (Rank.rank s 42 >= 0)
+  check_int "deterministic" (prefix_rank 5 42) (prefix_rank 5 42);
+  check_bool "non-negative" true (prefix_rank 5 42 >= 0)
 
 let prefix_rank_prefix_dominates () =
   (* All identifiers of the best-ranked prefix must rank below every
      identifier of any other prefix, for any seed. *)
   let rng = Basalt_prng.Rng.create ~seed:77 in
   for _ = 1 to 50 do
-    let s = Rank.fresh prefix_backend rng in
+    let s = Rank.fresh rng in
     (* prefixes 0 and 1 hold ids 0..99 and 100..199 *)
     let best_prefix =
-      let r0 = Rank.rank s 0 and r100 = Rank.rank s 100 in
+      let r0 = prefix_rank s 0 and r100 = prefix_rank s 100 in
       if r0 < r100 then 0 else 1
     in
     let lo = best_prefix * 100 and hi = (1 - best_prefix) * 100 in
     for i = 0 to 99 do
       check_bool "prefix order dominates id order" true
-        (Rank.rank s (lo + i) < Rank.rank s (hi + (99 - i)))
+        (prefix_rank s (lo + i) < prefix_rank s (hi + (99 - i)))
     done
   done
 
@@ -284,10 +296,10 @@ let prefix_rank_uniform_within_prefix () =
   let members = 10 in
   let wins = Array.make members 0 in
   for _ = 1 to trials do
-    let s = Rank.fresh prefix_backend rng in
+    let s = Rank.fresh rng in
     let best = ref 0 in
     for i = 1 to members - 1 do
-      if Rank.rank s i < Rank.rank s !best then best := i
+      if prefix_rank s i < prefix_rank s !best then best := i
     done;
     wins.(!best) <- wins.(!best) + 1
   done;
@@ -302,9 +314,10 @@ let prefix_rank_uniform_within_prefix () =
 
 let prefix_rank_prepared_agrees () =
   let rng = Basalt_prng.Rng.create ~seed:79 in
-  let s = Rank.fresh prefix_backend rng in
+  let s = Rank.fresh rng in
   for id = 0 to 300 do
-    check_int "prepared = direct" (Rank.rank s id) (kernel_rank s id)
+    check_int "prepared = direct" (prefix_rank s id)
+      (kernel_rank prefix_backend s id)
   done
 
 module Check = Basalt_check.Check
@@ -312,7 +325,7 @@ module Gen = Check.Gen
 module Print = Check.Print
 
 (* Every evaluation path — plain, digested, the slot kernel (and for
-   SipHash the precomputed midstate they all share) — must produce the
+   SipHash the midstate of the key and seed) — must produce the
    same rank, for every backend. *)
 let all_backends =
   [
@@ -330,10 +343,9 @@ let prop_rank_paths_equal =
     (fun (sv, id) ->
       List.for_all
         (fun (_, backend) ->
-          let seed = Rank.of_int backend sv in
-          let r = Rank.rank seed id in
-          r = Rank.rank_digested seed ~id ~digest:(Rank.digest id)
-          && r = kernel_rank seed id)
+          let r = Rank.rank backend sv id in
+          r = Rank.rank_digested backend sv ~id ~digest:(Rank.digest id)
+          && r = kernel_rank backend sv id)
         all_backends)
 
 (* The SipHash backend's cached midstate path must equal the uncached
@@ -344,8 +356,7 @@ let prop_sip_rank_matches_reference =
     ~print:(Print.pair Print.int Print.int)
     Gen.(pair (nat ~max:1_000_000) (nat ~max:1_000_000))
     (fun (sv, id) ->
-      let seed = Rank.of_int (Rank.Siphash ref_key) sv in
-      Rank.rank seed id
+      Rank.rank (Rank.Siphash ref_key) sv id
       = Int64.to_int
           (Siphash.hash_int64_pair ref_key (Int64.of_int sv) (Int64.of_int id))
         land max_int)
@@ -353,12 +364,13 @@ let prop_sip_rank_matches_reference =
 (* Keyed_cheap is pinned to its documented formula and actually keyed. *)
 let keyed_cheap_formula () =
   let key = 0x1234_5678_9ABC in
-  let s = Rank.of_int (Rank.Keyed_cheap key) 77 in
   for id = 0 to 200 do
-    check_int "keyed63 formula" (Mix.keyed63 ~key 77 id) (Rank.rank s id)
+    check_int "keyed63 formula" (Mix.keyed63 ~key 77 id)
+      (Rank.rank (Rank.Keyed_cheap key) 77 id)
   done;
-  let s2 = Rank.of_int (Rank.Keyed_cheap (key + 1)) 77 in
-  check_bool "key matters" true (Rank.rank s 42 <> Rank.rank s2 42)
+  check_bool "key matters" true
+    (Rank.rank (Rank.Keyed_cheap key) 77 42
+    <> Rank.rank (Rank.Keyed_cheap (key + 1)) 77 42)
 
 let prop_mix63_nonneg =
   Check.prop ~name:"mix63 non-negative" ~count:1000 ~print:Print.int
@@ -399,7 +411,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick rank_deterministic;
           Alcotest.test_case "non-negative" `Quick rank_non_negative;
           Alcotest.test_case "prepared agrees" `Quick rank_prepared_agrees;
-          Alcotest.test_case "of_int" `Quick rank_of_int_deterministic;
+          Alcotest.test_case "fresh is one bits draw" `Quick
+            rank_fresh_one_draw;
           Alcotest.test_case "seed changes order" `Quick rank_seed_changes_order;
           Alcotest.test_case "min-wise uniformity (cheap)" `Slow
             (rank_minwise_uniformity Rank.Cheap);

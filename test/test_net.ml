@@ -432,9 +432,11 @@ let udp_stats_on_shared_registry () =
   List.iter Udp_node.close nodes
 
 (* Spin up [n] real UDP nodes in one process, bootstrap them in a ring of
-   overlapping neighbor lists, run the protocol for a little while of
-   wall-clock time, and check that views converge to a rich set of
-   overlay-wide peers. *)
+   overlapping neighbor lists, run the protocol until views converge to a
+   rich set of overlay-wide peers, and check them.  The loop runs in
+   0.1 s slices until every node has discovered more than 2 peers and
+   emitted a sample, up to a 10 s deadline, so a loaded host takes
+   longer instead of failing a fixed-length run. *)
 let udp_overlay_converges () =
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   let n = 8 in
@@ -465,7 +467,19 @@ let udp_overlay_converges () =
         Udp_node.create ~config ~loop ~listen:(List.nth endpoints i) ~bootstrap
           ~seed:(2000 + i) ())
   in
-  Event_loop.run_for loop 1.2;
+  let distinct_peers node =
+    List.sort_uniq compare (List.map Endpoint.to_string (Udp_node.view node))
+  in
+  let converged node =
+    List.length (distinct_peers node) > 2
+    && Basalt_core.Sample_stream.total (Udp_node.samples node) > 0
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    (not (Array.for_all converged nodes)) && Unix.gettimeofday () < deadline
+  do
+    Event_loop.run_for loop 0.1
+  done;
   (* Each node must have discovered peers beyond its bootstrap pair and
      exchanged real datagrams. *)
   Array.iteri
@@ -480,9 +494,7 @@ let udp_overlay_converges () =
         true
         (stats.Udp_node.datagrams_in > 0);
       check_int "no decode errors" 0 stats.Udp_node.decode_errors;
-      let distinct_peers =
-        List.sort_uniq compare (List.map Endpoint.to_string (Udp_node.view node))
-      in
+      let distinct_peers = distinct_peers node in
       check_bool
         (Printf.sprintf "node %d discovered > 2 peers (%d)" i
            (List.length distinct_peers))
