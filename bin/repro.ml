@@ -26,14 +26,11 @@ let csv_arg =
 let trace_arg =
   let doc =
     "Write a deterministic JSONL event trace (lib/obs, DESIGN.md \xc2\xa78) to \
-     $(docv).  Supported by $(b,timeline) and the targets that run \
-     committed scenario files ($(b,fig2a)-$(b,fig2d), $(b,fig2), \
-     $(b,fig3), $(b,fig4), $(b,sps-failure), $(b,cost), $(b,churn), \
-     $(b,sybil), $(b,robustness), $(b,robustness-net), $(b,uniformity), \
-     $(b,broadcast)); a target running several files \
-     traces the first to $(docv) and each later one next to it, named \
-     after the file (t.jsonl, then t.robustness_latency.jsonl).  Other \
-     targets warn and ignore the flag."
+     $(docv).  Supported by $(b,timeline) and every target that runs a \
+     scenario file; a target running several files, $(b,all) and \
+     $(b,extensions) included, traces the first to $(docv) and each later \
+     one next to it, named after the file (t.jsonl, then \
+     t.robustness_latency.jsonl).  Other targets warn and ignore the flag."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -79,17 +76,6 @@ let validate_csv_dir = function
         Sys.remove probe
       with Sys_error msg -> fail_unwritable "csv directory" dir msg)
 
-let warn_no_trace cmd_name = function
-  | None -> ()
-  | Some _ ->
-      Printf.eprintf
-        "repro %s: --trace is only supported by timeline and the \
-         scenario-file targets (fig2a-d, fig2, fig3, fig4, sps-failure, \
-         cost, churn, sybil, robustness, robustness-net, uniformity, \
-         broadcast); ignoring\n\
-         %!"
-        cmd_name
-
 (* jobs = 1 avoids the pool entirely (no domains are ever spawned), so
    the default matches the pre-parallelism driver exactly. *)
 let with_jobs jobs f =
@@ -106,30 +92,6 @@ let timed cmd_name f ~scale ~csv_dir ~trace ~jobs =
   with_jobs jobs (fun pool -> f ~scale ~csv_dir ~trace ~pool ());
   Printf.printf "[%s done in %.1fs]\n\n%!" cmd_name (Unix.gettimeofday () -. t0)
 
-let cmd cmd_name ~doc f =
-  let run scale csv_dir trace jobs =
-    validate_csv_dir csv_dir;
-    validate_trace trace;
-    timed cmd_name f ~scale ~csv_dir ~trace ~jobs
-  in
-  Cmd.v (Cmd.info cmd_name ~doc)
-    Term.(const run $ scale_arg $ csv_arg $ trace_arg $ jobs_arg)
-
-(* Adapter for the targets that do not support tracing: warn, drop the
-   flag, and keep the original signature. *)
-let untraced cmd_name f ~scale ~csv_dir ~trace ~pool () =
-  warn_no_trace cmd_name trace;
-  f ~scale ~csv_dir ~pool ()
-
-let fig5 ~scale ~csv_dir ~pool () =
-  Fig5.print ~scale ?csv:(csv_path csv_dir "fig5") ?pool ()
-
-let live ~scale ~csv_dir ~pool:_ () =
-  Live.print ~scale ?csv:(csv_path csv_dir "live") ()
-
-let theory ~scale ~csv_dir:_ ~pool () = Theory.print ~scale ?pool ()
-let params ~scale ~csv_dir:_ ~pool:_ () = Params.print ~scale ()
-
 (* Every scenario-matrix target (DESIGN.md §12) runs through here; the
    CSV is named after the spec (robustness-net -> robustness_net.csv). *)
 let run_spec spec ~scale ~csv_dir ~trace ~pool () =
@@ -137,125 +99,136 @@ let run_spec spec ~scale ~csv_dir ~trace ~pool () =
     ?csv:(csv_path csv_dir (Basalt_scenario.Spec.slug spec))
     ?trace ?pool spec
 
-(* Scenario files embedded at build time (bin/dune), run in order.
+(* The committed scenario files (bin/dune), parsed at start-up.
    test_scenario validates the same files, so the error branch only
    fires on a broken build; it exits like `repro matrix` on an invalid
-   file.  With --trace FILE, the first file traces to FILE and each
-   later one to FILE with its slug before the extension. *)
-let committed files ~scale ~csv_dir ~trace ~pool () =
-  List.iteri
-    (fun i (name, contents) ->
+   file. *)
+let committed =
+  List.map
+    (fun (file, contents) ->
       match
-        Basalt_scenario.Spec.of_string ~file:("scenarios/" ^ name ^ ".scn")
+        Basalt_scenario.Spec.of_string ~file:("scenarios/" ^ file ^ ".scn")
           contents
       with
-      | Ok spec ->
-          let trace =
-            if i = 0 then trace
-            else
-              Option.map
-                (fun path ->
-                  Printf.sprintf "%s.%s%s"
-                    (Filename.remove_extension path)
-                    (Basalt_scenario.Spec.slug spec)
-                    (Filename.extension path))
-                trace
-          in
-          run_spec spec ~scale ~csv_dir ~trace ~pool ()
+      | Ok spec -> spec
       | Error msg ->
           Printf.eprintf "%s\n%!" msg;
           exit 4)
-    files
+    Scenario_files.all
 
-let fig2_all = committed Scenario_files.[ fig2a; fig2b; fig2c; fig2d ]
-let fig3 = committed [ Scenario_files.fig3 ]
-let fig4 = committed [ Scenario_files.fig4 ]
-let sps_failure = committed [ Scenario_files.sps_failure ]
-let cost = committed [ Scenario_files.cost ]
-let churn = committed [ Scenario_files.churn ]
-let sybil = committed [ Scenario_files.sybil ]
-
-let robustness = committed Scenario_files.[ robustness; robustness_latency ]
-
-let robustness_net = committed [ Scenario_files.robustness_net ]
-let broadcast = committed [ Scenario_files.broadcast ]
-let uniformity = committed [ Scenario_files.uniformity ]
-
-let dag ~scale ~csv_dir ~pool:_ () =
-  Dag_exp.print ~scale ?csv:(csv_path csv_dir "dag") ()
-
-let all ~scale ~csv_dir ~trace ~pool () =
-  params ~scale ~csv_dir ~pool ();
-  theory ~scale ~csv_dir ~pool ();
-  fig2_all ~scale ~csv_dir ~trace:None ~pool ();
-  fig3 ~scale ~csv_dir ~trace:None ~pool ();
-  fig4 ~scale ~csv_dir ~trace:None ~pool ();
-  fig5 ~scale ~csv_dir ~pool ();
-  sps_failure ~scale ~csv_dir ~trace:None ~pool ();
-  live ~scale ~csv_dir ~pool ();
-  cost ~scale ~csv_dir ~trace ~pool ()
-
-let extensions ~scale ~csv_dir ~pool () =
-  churn ~scale ~csv_dir ~trace:None ~pool ();
-  sybil ~scale ~csv_dir ~trace:None ~pool ();
-  robustness ~scale ~csv_dir ~trace:None ~pool ();
-  robustness_net ~scale ~csv_dir ~trace:None ~pool ();
-  uniformity ~scale ~csv_dir ~trace:None ~pool ();
-  dag ~scale ~csv_dir ~pool ();
-  broadcast ~scale ~csv_dir ~trace:None ~pool ()
-
-let cmds =
+(* The targets that are OCaml modules rather than scenario files. *)
+let modules =
   [
-    cmd "fig2a" ~doc:"Byzantine samples vs fraction f (Fig. 2a)"
-      (committed [ Scenario_files.fig2a ]);
-    cmd "fig2b" ~doc:"Byzantine samples vs attack force F (Fig. 2b)"
-      (committed [ Scenario_files.fig2b ]);
-    cmd "fig2c" ~doc:"Byzantine samples vs sampling rate rho (Fig. 2c)"
-      (committed [ Scenario_files.fig2c ]);
-    cmd "fig2d" ~doc:"Byzantine samples vs view size v (Fig. 2d)"
-      (committed [ Scenario_files.fig2d ]);
-    cmd "fig2" ~doc:"All four panels of Fig. 2" fig2_all;
-    cmd "fig3" ~doc:"Convergence time vs f (Fig. 3)" fig3;
-    cmd "fig4" ~doc:"Graph metric convergence over time (Fig. 4)" fig4;
-    cmd "fig5" ~doc:"Max sampling rate without isolation vs v (Fig. 5)"
-      (untraced "fig5" fig5);
-    cmd "sps-failure" ~doc:"SPS isolation at f=30%, F=0 (Section 4.3)"
-      sps_failure;
-    cmd "live" ~doc:"Simulated live-deployment measurement (Section 5)"
-      (untraced "live" live);
-    cmd "theory" ~doc:"Section 3 bounds, equilibria and model validation"
-      (untraced "theory" theory);
-    cmd "params" ~doc:"Table 1 parameter envelope and stability checks"
-      (untraced "params" params);
-    cmd "cost" ~doc:"Communication-cost accounting (Section 4.3 budget)" cost;
-    cmd "churn" ~doc:"Extension: sample quality under continuous churn" churn;
-    cmd "sybil"
-      ~doc:"Extension: institutional Sybil attack vs prefix-diverse ranking"
-      sybil;
-    cmd "robustness"
-      ~doc:"Extension: resilience to message loss and latency jitter"
-      robustness;
-    cmd "robustness-net"
-      ~doc:
-        "Extension: convergence under fault plans (burst loss, partitions, \
-         duplication/reordering)"
-      robustness_net;
-    cmd "broadcast"
-      ~doc:
-        "Extension: epidemic broadcast (lib/gossip) over each sampler under \
-         flooding and network faults"
-      broadcast;
-    cmd "uniformity" ~doc:"Extension: sample-stream diversity statistics"
-      uniformity;
-    cmd "dag" ~doc:"Extension: Avalanche DAG consensus with a double-spend"
-      (untraced "dag" dag);
-    cmd "all" ~doc:"Run every paper experiment in sequence" all;
-    cmd "extensions"
-      ~doc:
-        "Run the extension experiments (churn, sybil, robustness, \
-         robustness-net, uniformity, dag, broadcast)"
-      (untraced "extensions" extensions);
+    ( "fig5",
+      "Max sampling rate without isolation vs v (Fig. 5)",
+      fun ~scale ~csv_dir ~pool ->
+        Fig5.print ~scale ?csv:(csv_path csv_dir "fig5") ?pool () );
+    ( "live",
+      "Simulated live-deployment measurement (Section 5)",
+      fun ~scale ~csv_dir ~pool:_ ->
+        Live.print ~scale ?csv:(csv_path csv_dir "live") () );
+    ( "theory",
+      "Section 3 bounds, equilibria and model validation",
+      fun ~scale ~csv_dir:_ ~pool -> Theory.print ~scale ?pool () );
+    ( "params",
+      "Table 1 parameter envelope and stability checks",
+      fun ~scale ~csv_dir:_ ~pool:_ -> Params.print ~scale () );
+    ( "dag",
+      "Extension: Avalanche DAG consensus with a double-spend",
+      fun ~scale ~csv_dir ~pool:_ ->
+        Dag_exp.print ~scale ?csv:(csv_path csv_dir "dag") () );
   ]
+
+(* The composite targets: each member is a module target or a
+   committed spec's name (aliases do not nest). *)
+let aliases =
+  [
+    ( "fig2",
+      "All four panels of Fig. 2",
+      [ "fig2a"; "fig2b"; "fig2c"; "fig2d" ] );
+    ( "robustness",
+      "Extension: resilience to message loss and latency jitter",
+      [ "robustness"; "robustness-latency" ] );
+    ( "all",
+      "Run every paper experiment in sequence",
+      [
+        "params"; "theory"; "fig2a"; "fig2b"; "fig2c"; "fig2d"; "fig3"; "fig4";
+        "fig5"; "sps-failure"; "live"; "cost";
+      ] );
+    ( "extensions",
+      "Run the extension experiments (churn, sybil, robustness, \
+       robustness-net, uniformity, dag, broadcast)",
+      [
+        "churn"; "sybil"; "robustness"; "robustness-latency"; "robustness-net";
+        "uniformity"; "dag"; "broadcast";
+      ] );
+  ]
+
+type member =
+  | Module of
+      (scale:Scale.t -> csv_dir:string option -> pool:Pool.t option -> unit)
+  | File of Basalt_scenario.Spec.t
+
+let member name =
+  match List.find_opt (fun (n, _, _) -> String.equal n name) modules with
+  | Some (_, _, f) -> Module f
+  | None ->
+      File
+        (List.find
+           (fun (s : Basalt_scenario.Spec.t) -> String.equal s.name name)
+           committed)
+
+(* Runs [members] in order.  With --trace FILE, the first scenario file
+   traces to FILE and each later one to FILE with its slug before the
+   extension; a target that runs no file warns and ignores the flag. *)
+let run_members cmd_name members ~scale ~csv_dir ~trace ~pool () =
+  if
+    Option.is_some trace
+    && not (List.exists (function File _ -> true | Module _ -> false) members)
+  then
+    Printf.eprintf
+      "repro %s: --trace is only supported by timeline and the targets that \
+       run scenario files; ignoring\n\
+       %!"
+      cmd_name;
+  ignore
+    (List.fold_left
+       (fun first -> function
+         | Module f ->
+             f ~scale ~csv_dir ~pool;
+             first
+         | File spec ->
+             let next path =
+               Printf.sprintf "%s.%s%s"
+                 (Filename.remove_extension path)
+                 (Basalt_scenario.Spec.slug spec)
+                 (Filename.extension path)
+             in
+             let trace = if first then trace else Option.map next trace in
+             run_spec spec ~scale ~csv_dir ~trace ~pool ();
+             false)
+       true members)
+
+let cmd (cmd_name, doc, members) =
+  let members = List.map member members in
+  let run scale csv_dir trace jobs =
+    validate_csv_dir csv_dir;
+    validate_trace trace;
+    timed cmd_name (run_members cmd_name members) ~scale ~csv_dir ~trace ~jobs
+  in
+  Cmd.v (Cmd.info cmd_name ~doc)
+    Term.(const run $ scale_arg $ csv_arg $ trace_arg $ jobs_arg)
+
+(* Every committed file with a (doc ...) line is a target, named after
+   its (name ...). *)
+let cmds =
+  List.map cmd
+    (List.map (fun (name, doc, _) -> (name, doc, [ name ])) modules
+    @ List.filter_map
+        (fun (s : Basalt_scenario.Spec.t) ->
+          Option.map (fun doc -> (s.name, doc, [ s.name ])) s.doc)
+        committed
+    @ aliases)
 
 (* timeline has its own flag set (free-form scenario parameters). *)
 let timeline_cmd =

@@ -4,11 +4,9 @@
    task list over an optional Pool (order-preserving, so tables and
    traces are bit-identical at any -j N), and renders the pivot axis, if
    any, as metric columns.  The gossip workload goes through
-   Basalt_experiments.Gossip_app.  Fig. 2, Fig. 3, Fig. 4, the §4.3
-   SPS-failure and cost tables and the churn, sybil, robustness,
-   robustness-net, uniformity and broadcast experiments exist only as
-   scenario files run by this driver; their quick-scale tables are
-   pinned by golden files under test/golden/. *)
+   Basalt_experiments.Gossip_app.  Every table-shaped experiment exists
+   only as a committed scenario file run by this driver; their
+   quick-scale tables are pinned by golden files under test/golden/. *)
 
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner

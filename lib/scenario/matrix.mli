@@ -14,11 +14,9 @@
     [Pool.map] preserves task order, so tables, CSVs and merged traces
     are bit-identical at any [-j N].
 
-    The committed [scenarios/*.scn] files are the definitions of [repro
-    fig2a]–[fig2d], [fig3], [fig4], [sps-failure], [cost], [churn],
-    [sybil], [robustness], [robustness-net], [uniformity] and
-    [broadcast]; their quick-scale tables are pinned by golden files
-    under [test/golden/]. *)
+    Every committed [scenarios/*.scn] file with a [(doc ...)] line
+    defines the [repro] target of its name; their quick-scale tables
+    are pinned by golden files under [test/golden/]. *)
 
 type task = {
   labels : (string * string) list;

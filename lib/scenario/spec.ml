@@ -139,6 +139,7 @@ let entries scale ax =
 type t = {
   name : string;
   title : string option;
+  doc : string option;
   base : settings;
   at_scale : (Scale.t * settings) list;
   seeds : int list option;
@@ -678,6 +679,7 @@ let of_sexp (s : Sexp.t) =
   if head <> "matrix" then fail s.pos "expected a (matrix ...) form";
   let name = ref None
   and title = ref None
+  and doc = ref None
   and base = ref None
   and at_scale = ref []
   and seeds = ref None
@@ -699,6 +701,8 @@ let of_sexp (s : Sexp.t) =
             (atom_of (single kpos key args) ~what:"a matrix name")
       | "title" ->
           set kpos key title (atom_of (single kpos key args) ~what:"a title")
+      | "doc" ->
+          set kpos key doc (atom_of (single kpos key args) ~what:"a help line")
       | "base" ->
           if Option.is_some !base then fail kpos "duplicate setting 'base'";
           let bindings, s = settings_of ~allow_seeds:true args in
@@ -844,6 +848,7 @@ let of_sexp (s : Sexp.t) =
     {
       name;
       title = !title;
+      doc = !doc;
       base = Option.value !base ~default:empty_settings;
       at_scale = List.rev !at_scale;
       seeds = !seeds;

@@ -106,6 +106,10 @@ val entries : Basalt_experiments.Scale.t -> axis -> entry list
 type t = {
   name : string;  (** {!Basalt_sim.Scenario.t} name and CSV base name. *)
   title : string option;  (** Banner text; [None] keeps the default. *)
+  doc : string option;
+      (** [(doc "...")]: the [repro --help] line of the target named
+          [name]; a committed file with one is a [repro] target.  Never
+          printed by {!Matrix}. *)
   base : settings;
   at_scale : (Basalt_experiments.Scale.t * settings) list;
       (** [(at-scale S ...)]: bindings applied over [base] at scale [S]

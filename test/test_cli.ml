@@ -114,56 +114,90 @@ let matrix_j_determinism () =
   Alcotest.(check string) "tables bit-identical" (table_body out1)
     (table_body out2)
 
-(* `repro robustness-net` runs the committed robustness_net.scn through
-   the matrix driver; its quick-scale table body must match the golden
-   file, captured from the OCaml module the scenario file replaced
-   (~25 s, so `Slow — skipped under -q). *)
-let matches_golden ~target ~golden () =
-  let code, out, _ = run_repro (target ^ " -s quick") in
-  let ic = open_in_bin ("golden/" ^ golden) in
-  let golden = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check string) "table body matches golden" golden (table_body out)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let robustness_net_matches_golden =
-  matches_golden ~target:"robustness-net" ~golden:"robustness_net.quick.txt"
+(* The COMMANDS section of `repro --help=plain`: each target's name
+   starts a line indented by exactly seven spaces. *)
+let commands () =
+  let code, out, _ = run_repro "--help=plain" in
+  Alcotest.(check int) "--help exit 0" 0 code;
+  let entry l =
+    String.length l > 7 && String.sub l 0 7 = "       " && l.[7] <> ' '
+  in
+  let rec section = function
+    | "COMMANDS" :: rest -> names rest
+    | _ :: rest -> section rest
+    | [] -> []
+  and names = function
+    | l :: _ when l <> "" && l.[0] <> ' ' -> []
+    | l :: rest when entry l ->
+        List.hd (String.split_on_char ' ' (String.trim l)) :: names rest
+    | _ :: rest -> names rest
+    | [] -> []
+  in
+  section (String.split_on_char '\n' out)
 
-(* The Avalanche networks and the live-deployment run drive samplers
-   through the shared node assembly; their quick tables (~1 s each) were
-   captured before that wiring was shared and must not move. *)
-let dag_matches_golden = matches_golden ~target:"dag" ~golden:"dag.quick.txt"
-let live_matches_golden = matches_golden ~target:"live" ~golden:"live.quick.txt"
+(* One case per golden file: `<slug>.quick.txt` pins the quick-scale
+   table body of `repro <slug, '_' as '-'>`.  Each body was captured
+   from the OCaml module its scenario file replaced (the ports changed
+   banners, not bodies; fig4's fit lines and sybil's closing prose are
+   part of the body), or, for dag and live, before their samplers were
+   wired through the shared node assembly; robustness's golden holds
+   both of its files' tables. *)
+let goldens =
+  Sys.readdir "golden" |> Array.to_list
+  |> List.filter_map (fun f -> Filename.chop_suffix_opt ~suffix:".quick.txt" f)
+  |> List.sort compare
 
-(* The figure and extension targets run their committed scenario files
-   (a few seconds each at quick scale; sybil ~8 s).  Each golden body
-   was captured from the OCaml module the file replaced (the ports
-   changed banners, not bodies; fig4's fit lines and sybil's closing
-   prose are part of the body); robustness's second table, the latency
-   sweep, was a list of printed values there and holds the same four
-   numbers.  A golden file is named after the target with '-' as
-   '_'. *)
-let golden_case target =
-  let slug = String.map (function '-' -> '_' | c -> c) target in
-  Alcotest.test_case (target ^ " matches golden table") `Slow
-    (matches_golden ~target ~golden:(slug ^ ".quick.txt"))
+let target_of slug = String.map (function '_' -> '-' | c -> c) slug
 
-let ported_goldens =
-  List.map golden_case
-    [
-      "fig2a";
-      "fig2b";
-      "fig2c";
-      "fig2d";
-      "fig3";
-      "fig4";
-      "sps-failure";
-      "cost";
-      "churn";
-      "sybil";
-      "robustness";
-      "uniformity";
-    ]
+let golden_case slug =
+  let target = target_of slug in
+  Alcotest.test_case (target ^ " matches golden table") `Slow (fun () ->
+      let code, out, _ = run_repro (target ^ " -s quick") in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check string) "table body matches golden"
+        (read_file ("golden/" ^ slug ^ ".quick.txt"))
+        (table_body out))
+
+(* Every committed file with a (doc ...) line is a target and needs a
+   golden; every golden must name a target. *)
+let registry_consistent () =
+  let targets = commands () in
+  Sys.readdir scenarios |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".scn")
+  |> List.iter (fun f ->
+         match Basalt_scenario.Spec.load (scenarios ^ f) with
+         | Error _ -> Alcotest.failf "%s does not load" f
+         | Ok spec ->
+             if Option.is_some spec.doc then
+               let golden = Basalt_scenario.Spec.slug spec ^ ".quick.txt" in
+               Alcotest.(check bool)
+                 (f ^ " has golden/" ^ golden) true
+                 (Sys.file_exists ("golden/" ^ golden)));
+  List.iter
+    (fun slug ->
+      Alcotest.(check bool)
+        (slug ^ ".quick.txt names a target") true
+        (List.mem (target_of slug) targets))
+    goldens
+
+(* README.md spells every target as `name` or after `repro.exe -- `; a
+   range such as fig2a-fig2d does not count. *)
+let readme_lists_targets () =
+  let readme = read_file "../README.md" in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        ("README.md names " ^ name) true
+        (List.exists
+           (fun needle -> contains ~needle readme)
+           [
+             "`" ^ name ^ "`";
+             "repro.exe -- " ^ name ^ " ";
+             "repro.exe -- " ^ name ^ "\n";
+           ]))
+    (commands ())
 
 (* A target that runs several scenario files traces the first to FILE
    and each later one next to it, named after the file. *)
@@ -423,15 +457,12 @@ let () =
           Alcotest.test_case "unwritable csv exits 5" `Quick
             unwritable_csv_exits_5;
           Alcotest.test_case "-j determinism" `Quick matrix_j_determinism;
-          Alcotest.test_case "robustness-net matches golden table" `Slow
-            robustness_net_matches_golden;
-          Alcotest.test_case "dag matches golden table" `Quick
-            dag_matches_golden;
-          Alcotest.test_case "live matches golden table" `Quick
-            live_matches_golden;
           Alcotest.test_case "multi-file trace paths" `Slow multi_file_trace;
+          Alcotest.test_case "registry consistent" `Quick registry_consistent;
+          Alcotest.test_case "README names every target" `Quick
+            readme_lists_targets;
         ]
-        @ ported_goldens );
+        @ List.map golden_case goldens );
       ( "bench_gate",
         [
           Alcotest.test_case "append record pinned" `Quick
