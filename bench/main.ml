@@ -10,7 +10,6 @@ module Runner = Basalt_sim.Runner
 module Rank = Basalt_hashing.Rank
 module Rng = Basalt_prng.Rng
 module Pool = Basalt_parallel.Pool
-module Sweep = Basalt_sim.Sweep
 
 (* --- CLI -------------------------------------------------------------- *)
 
@@ -310,8 +309,8 @@ let codec_ops () =
     ]
 
 (* Multi-seed fan-out through the domain pool (DESIGN.md §7).  The
-   benchmarked unit is an 8-seed batch of the micro scenario — the same
-   shape `Sweep` hands the pool under `repro -j N`.  The pool gets at
+   benchmarked unit is an 8-seed batch of the micro scenario — the
+   shape of one scenario-matrix cell under `repro -j N`.  The pool gets at
    most one domain per core (capped at 4), so the j=N test never
    oversubscribes the host; a single-core host runs only j=1. *)
 let sweep_throughput () =
@@ -319,9 +318,15 @@ let sweep_throughput () =
   if group_selected "sweep throughput (8-seed batch)" then begin
     let scenario = micro_scenario () in
     let seeds = List.init 8 (fun i -> i + 1) in
+    let run_seeds ?pool () =
+      ignore
+        (Pool.map ?pool
+           (fun seed -> Runner.run (Scenario.with_seed scenario seed))
+           seeds)
+    in
     let sequential =
       Test.make ~name:"j=1"
-        (Staged.stage (fun () -> ignore (Sweep.run_seeds scenario ~seeds)))
+        (Staged.stage (fun () -> run_seeds ()))
     in
     match min 4 (Pool.recommended_domains ()) with
     | 1 -> run_group ~name:"sweep throughput (8-seed batch)" [ sequential ]
@@ -332,8 +337,7 @@ let sweep_throughput () =
             sequential;
             Test.make
               ~name:(Printf.sprintf "j=%d" domains)
-              (Staged.stage (fun () ->
-                   ignore (Sweep.run_seeds ~pool scenario ~seeds)));
+              (Staged.stage (fun () -> run_seeds ~pool ()));
           ];
         Pool.shutdown pool
   end

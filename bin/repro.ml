@@ -128,8 +128,8 @@ let modules =
       fun ~scale ~csv_dir ~pool:_ ->
         Live.print ~scale ?csv:(csv_path csv_dir "live") () );
     ( "theory",
-      "Section 3 bounds, equilibria and model validation",
-      fun ~scale ~csv_dir:_ ~pool -> Theory.print ~scale ?pool () );
+      "Section 3 worked bounds and Eq. 16 equilibria",
+      fun ~scale ~csv_dir:_ ~pool:_ -> Theory.print ~scale () );
     ( "params",
       "Table 1 parameter envelope and stability checks",
       fun ~scale ~csv_dir:_ ~pool:_ -> Params.print ~scale () );
@@ -152,8 +152,8 @@ let aliases =
     ( "all",
       "Run every paper experiment in sequence",
       [
-        "params"; "theory"; "fig2a"; "fig2b"; "fig2c"; "fig2d"; "fig3"; "fig4";
-        "fig5"; "sps-failure"; "live"; "cost";
+        "params"; "theory"; "theory-model"; "fig2a"; "fig2b"; "fig2c"; "fig2d";
+        "fig3"; "fig4"; "fig5"; "sps-failure"; "live"; "cost";
       ] );
     ( "extensions",
       "Run the extension experiments (churn, sybil, robustness, \

@@ -70,7 +70,7 @@ let create ?(latency = Link.Latency.Zero) ?(loss = Link.Loss.None) ?fault
     match fault with Some _ -> Basalt_prng.Rng.int64 rng | None -> 0L
   in
   {
-    queue = Event_queue.create ();
+    queue = Event_queue.create ~filler:(Timer ignore);
     handlers = Array.make n None;
     latency;
     loss;

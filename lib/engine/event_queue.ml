@@ -2,27 +2,28 @@
    [(times.(i), seqs.(i), values.(i))].  Times live unboxed in a
    [Float.Array], so a push or a take allocates nothing beyond the
    occasional doubling; sifts move a hole and write each entry once
-   instead of swapping.  Slots at indices [>= len] are stale. *)
+   instead of swapping.  Value slots at indices [>= len] hold [filler],
+   so a taken event is not kept reachable by the slot it left. *)
 type 'a t = {
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable values : 'a array;
   mutable len : int;
   mutable next_seq : int;
+  filler : 'a;
 }
 
-let create () =
+let create ~filler =
   {
     times = Float.Array.create 0;
     seqs = [||];
     values = [||];
     len = 0;
     next_seq = 0;
+    filler;
   }
 
-(* [filler] initialises the fresh value slots: a [values] array cannot
-   be made without an element of its type. *)
-let grow q filler =
+let grow q =
   let capacity = Array.length q.seqs in
   if q.len = capacity then begin
     let capacity = Int.max 16 (2 * capacity) in
@@ -30,7 +31,7 @@ let grow q filler =
     Float.Array.blit q.times 0 times 0 q.len;
     let seqs = Array.make capacity 0 in
     Array.blit q.seqs 0 seqs 0 q.len;
-    let values = Array.make capacity filler in
+    let values = Array.make capacity q.filler in
     Array.blit q.values 0 values 0 q.len;
     q.times <- times;
     q.seqs <- seqs;
@@ -43,7 +44,7 @@ let[@inline] move q ~src ~dst =
   Array.unsafe_set q.values dst (Array.unsafe_get q.values src)
 
 let push q ~time value =
-  grow q value;
+  grow q;
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   (* The new entry's sequence number is the largest in the heap, so it
@@ -108,6 +109,7 @@ let take q =
     Array.unsafe_set q.seqs !i seq;
     Array.unsafe_set q.values !i value
   end;
+  Array.unsafe_set q.values n q.filler;
   top
 
 let size q = q.len

@@ -11,8 +11,10 @@
 type 'a t
 (** A queue of events carrying values of type ['a]. *)
 
-val create : unit -> 'a t
-(** [create ()] is an empty queue. *)
+val create : filler:'a -> 'a t
+(** [create ~filler] is an empty queue.  The queue's unused slots hold
+    [filler] (the queue keeps it reachable), so a taken event is not
+    retained. *)
 
 val push : 'a t -> time:float -> 'a -> unit
 (** [push q ~time v] schedules [v] at [time]. *)

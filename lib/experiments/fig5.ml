@@ -1,5 +1,5 @@
 module Scenario = Basalt_sim.Scenario
-module Sweep = Basalt_sim.Sweep
+module Runner = Basalt_sim.Runner
 module Report = Basalt_sim.Report
 
 type row = {
@@ -7,6 +7,22 @@ type row = {
   basalt_max_rho : float option;
   brahms_max_rho : float option;
 }
+
+(* Try candidates in increasing order and stop at the first failure:
+   isolation risk grows with rho (Fig. 2c), so once a rate fails, all
+   larger ones would too.  No seeds is no evidence of survival, so it
+   fails too. *)
+let max_rho ~make ~seeds rhos =
+  let isolates rho seed =
+    (Runner.run (Scenario.with_seed (make ~rho) seed))
+      .Runner.ever_isolated_after_half
+  in
+  let survives rho = seeds <> [] && not (List.exists (isolates rho) seeds) in
+  let rec scan best = function
+    | rho :: rest when survives rho -> scan (Some rho) rest
+    | _ -> best
+  in
+  scan None (List.sort_uniq Float.compare rhos)
 
 let run ?(scale = Scale.Standard) ?pool () =
   let n = Scale.n scale in
@@ -34,7 +50,7 @@ let run ?(scale = Scale.Standard) ?pool () =
         let make =
           match which with `Basalt -> make_basalt v | `Brahms -> make_brahms v
         in
-        Sweep.max_rho ~make ~seeds rhos)
+        max_rho ~make ~seeds rhos)
       tasks
   in
   let rec rows = function

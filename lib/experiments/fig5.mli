@@ -13,6 +13,18 @@ type row = {
   brahms_max_rho : float option;
 }
 
+val max_rho :
+  make:(rho:float -> Basalt_sim.Scenario.t) ->
+  seeds:int list ->
+  float list ->
+  float option
+(** [max_rho ~make ~seeds rhos] tests the candidate rates in increasing
+    order, one run per seed each, and returns the largest [rho] before
+    the first failure, where a failure is any run observing an isolated
+    correct node during the second half of the simulation.  Isolation
+    risk grows with [rho], so the scan stops at the first failing rate;
+    no seeds counts as a failure.  [None] if even the smallest fails. *)
+
 val run : ?scale:Scale.t -> ?pool:Basalt_parallel.Pool.t -> unit -> row list
 (** [run ()] executes the hit-ratio experiment at the given scale,
     fanning the v × protocol grid out over the pool (each ρ-scan itself

@@ -16,7 +16,8 @@ let v = function Quick -> 40 | Standard -> 100 | Full -> 160
 let steps = function Quick -> 100.0 | Standard -> 200.0 | Full -> 200.0
 (* One seed per run at the larger presets keeps the full suite's wall
    time reasonable on one core; the determinism of the runner means any
-   point can be re-averaged by passing more seeds to the library API. *)
+   point can be re-averaged over more seeds by a scenario file's
+   (base (seeds ...)), run with `repro matrix FILE`. *)
 let seeds = function Quick -> [ 1 ] | Standard -> [ 1 ] | Full -> [ 1 ]
 
 let view_sizes = function

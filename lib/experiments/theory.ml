@@ -1,7 +1,5 @@
 module Model = Basalt_analysis.Model
 module Isolation_bound = Basalt_analysis.Isolation_bound
-module Scenario = Basalt_sim.Scenario
-module Sweep = Basalt_sim.Sweep
 module Report = Basalt_sim.Report
 
 type worked = {
@@ -45,40 +43,9 @@ let equilibria ?(scale = Scale.Standard) ?(f = 0.1) () =
       | None -> { v; b1 = None; b2 = None; predicted_excess = None })
     (Scale.view_sizes scale)
 
-type validation_row = {
-  view : int;
-  model_b1 : float option;
-  simulated : float;
-}
-
-let validate ?(scale = Scale.Standard) ?pool () =
-  let n = Scale.n scale in
-  let f = 0.1 in
-  let seeds = Scale.seeds scale in
-  let vs = Scale.view_sizes scale in
-  let scenarios =
-    List.map
-      (fun v ->
-        (* High force approximates the model's worst-case flooding. *)
-        Scenario.make ~name:"theory-validate" ~n ~f ~force:50.0
-          ~protocol:(Scenario.Basalt (Basalt_core.Config.make ~v ()))
-          ~steps:(Scale.steps scale) ())
-      vs
-  in
-  List.map2
-    (fun v agg ->
-      let env = Model.env ~n ~f ~v () in
-      {
-        view = v;
-        model_b1 = Model.steady_state env;
-        simulated = agg.Sweep.mean_view_byz;
-      })
-    vs
-    (Sweep.run_aggregates ?pool scenarios ~seeds)
-
 let opt_cell = function Some x -> Report.float_cell x | None -> "none"
 
-let print ?(scale = Scale.Standard) ?pool () =
+let print ?(scale = Scale.Standard) () =
   let w = worked_examples () in
   Printf.printf "== theory: worked examples (Section 3.3.1)\n";
   Printf.printf
@@ -104,19 +71,5 @@ let print ?(scale = Scale.Standard) ?pool () =
       {
         Report.header = "B1-f";
         cell = (fun i -> opt_cell arr.(i).predicted_excess);
-      };
-    ];
-  Printf.printf "== theory: model vs Monte-Carlo (Basalt views under flooding)\n";
-  let rows = Array.of_list (validate ~scale ?pool ()) in
-  Report.print_table ~rows:(Array.length rows)
-    [
-      { Report.header = "v"; cell = (fun i -> string_of_int rows.(i).view) };
-      {
-        Report.header = "model_B1";
-        cell = (fun i -> opt_cell rows.(i).model_b1);
-      };
-      {
-        Report.header = "simulated";
-        cell = (fun i -> Report.float_cell rows.(i).simulated);
       };
     ]

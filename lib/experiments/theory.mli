@@ -1,14 +1,16 @@
-(** Section 3 theoretical results: worked numbers and model-vs-simulation.
+(** Section 3 theoretical results: the worked numbers and Eq. 16.
 
-    Three parts:
+    Two parts:
     + the paper's worked examples — the joining-isolation bound of
       Eq. (7) ([B^v < 1e-10] with [v = 200], [I = fn/4], [f0 = 0.5]), the
       coupon-collector growth bound of Eq. (12) ([Δc ≥ 467] hence
       [c ≥ 592] at the next reset for the example system), and the safe
       threshold [c ≥ 585] making Eq. (8) drop below [1e-10];
-    + the equilibria of Eq. (16) across view sizes;
-    + a validation run comparing the model's stable point [B1] with the
-      Byzantine view proportion measured by Monte-Carlo simulation. *)
+    + the equilibria of Eq. (16) across view sizes.
+
+    The model's stable point [B1] against the Byzantine view share that
+    Monte-Carlo simulation measures is [scenarios/theory_model.scn]
+    (its [model_B1] metric), run by [repro theory-model]. *)
 
 type worked = {
   joining_bound : float;  (** Eq. (7) with the paper's example numbers. *)
@@ -30,23 +32,8 @@ type equilibrium_row = {
 }
 
 val equilibria : ?scale:Scale.t -> ?f:float -> unit -> equilibrium_row list
-(** [equilibria ()] tabulates the fixed points of Eq. 16 across the force
-    grid for Byzantine fraction [f]. *)
+(** [equilibria ()] tabulates the fixed points of Eq. 16 across the
+    preset's view sizes for Byzantine fraction [f]. *)
 
-type validation_row = {
-  view : int;
-  model_b1 : float option;
-  simulated : float;  (** Mean Byzantine view proportion at the end. *)
-}
-
-val validate :
-  ?scale:Scale.t ->
-  ?pool:Basalt_parallel.Pool.t ->
-  unit ->
-  validation_row list
-(** [validate ~scale ()] runs Basalt at several view sizes under the
-    worst-case-style flooding attack and compares against [B1]. *)
-
-val print : ?scale:Scale.t -> ?pool:Basalt_parallel.Pool.t -> unit -> unit
-(** [print ()] prints the worked examples, the equilibrium table, and the
-    model-vs-simulation validation. *)
+val print : ?scale:Scale.t -> unit -> unit
+(** [print ()] prints the worked examples and the equilibrium table. *)

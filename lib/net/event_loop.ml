@@ -8,7 +8,7 @@ type t = {
 }
 
 let create ~clock () =
-  { clock; timers = Event_queue.create (); fds = []; stopped = false }
+  { clock; timers = Event_queue.create ~filler:ignore; fds = []; stopped = false }
 
 let now t = t.clock ()
 

@@ -13,7 +13,6 @@ module Runner = Basalt_sim.Runner
 module Measurements = Basalt_sim.Measurements
 module Report = Basalt_sim.Report
 module Churn = Basalt_sim.Churn
-module Sweep = Basalt_sim.Sweep
 module Fault = Basalt_engine.Fault
 module Pool = Basalt_parallel.Pool
 module Obs = Basalt_obs.Obs
@@ -197,6 +196,25 @@ let row_key (spec : Spec.t) labels =
     (init, pivot_label)
   else (labels, "")
 
+(* [chunks k xs] splits [xs] into consecutive groups of exactly [k], in
+   order: the regrouping step after the flat Pool.map over the
+   cell × seed batch. *)
+let chunks k xs =
+  let rec take k acc rest =
+    if k = 0 then (List.rev acc, rest)
+    else
+      match rest with
+      | x :: tl -> take (k - 1) (x :: acc) tl
+      | [] -> invalid_arg "Matrix.chunks: list length not a multiple of k"
+  in
+  let rec go = function
+    | [] -> []
+    | xs ->
+        let group, rest = take k [] xs in
+        group :: go rest
+  in
+  if k <= 0 then invalid_arg "Matrix.chunks: k must be positive" else go xs
+
 let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
   let per_seed = List.length (seeds_of spec scale) in
   let pivot_n =
@@ -205,7 +223,7 @@ let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
       (Spec.pivot spec)
   in
   let paired = List.combine ts runs in
-  Sweep.chunks per_seed paired
+  chunks per_seed paired
   |> List.map2
        (fun (_, (settings : Spec.settings)) pairs ->
          let t = fst (List.hd pairs) in
@@ -218,7 +236,7 @@ let rows_of ?(scale = Scale.Standard) (spec : Spec.t) ts runs =
          let g_runs = List.map snd pairs in
          (t.labels, { Metric.g_scenario = t.scenario; g_prefixes; g_runs }))
        (Spec.cells scale spec)
-  |> Sweep.chunks pivot_n
+  |> chunks pivot_n
   |> List.map (fun cell_groups ->
          {
            row_labels = fst (row_key spec (fst (List.hd cell_groups)));

@@ -9,6 +9,7 @@ module Engine = Basalt_engine.Engine
 module Obs = Basalt_obs.Obs
 module Rng = Basalt_prng.Rng
 module Stats = Basalt_analysis.Stats
+module Model = Basalt_analysis.Model
 module Gossip_app = Basalt_experiments.Gossip_app
 
 type run = { result : Runner.result; gossip : Gossip_app.summary option }
@@ -190,6 +191,19 @@ let all =
               else float_of_int adversary /. float_of_int correct)));
     make "optimal" ~level:Cell
       (Scope (fun s -> Float s.group.g_scenario.Scenario.f));
+    (* Eq. 16's stable root B1 at the cell's n, f and view size (§3);
+       "none" when the attack has no steady state. *)
+    make "model_B1" ~level:Cell
+      (Scope
+         (fun s ->
+           let sc = s.group.g_scenario in
+           let env =
+             Model.env ~n:sc.Scenario.n ~f:sc.Scenario.f
+               ~v:(Scenario.view_size sc) ()
+           in
+           Option.fold ~none:(Missing "none")
+             ~some:(fun b -> Float b)
+             (Model.steady_state env)));
     (* The first seed's count: a group holds one run per seed. *)
     make "replacements" ~level:Cell
       (runs (fun rs -> Int (List.hd rs).result.Runner.nodes_churned));

@@ -24,7 +24,8 @@ type value =
   | Bool of bool
   | Missing of string
       (** No value, and why: ["no-convergence"] ([time]), ["never"]
-          ([t99]) or ["-"] (a per-point value a run did not measure). *)
+          ([t99]), ["none"] ([model_B1]: Eq. 16 has no stable root) or
+          ["-"] (a per-point value a run did not measure). *)
 
 val render : value -> string
 (** [render v] is [v]'s table cell, the last step: floats through

@@ -19,7 +19,7 @@ let peek_time q =
   if Event_queue.is_empty q then None else Some (Event_queue.top_time q)
 
 let queue_order () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:"" in
   Event_queue.push q ~time:3.0 "c";
   Event_queue.push q ~time:1.0 "a";
   Event_queue.push q ~time:2.0 "b";
@@ -32,7 +32,7 @@ let queue_order () =
   check_bool "drained" true (pop q = None)
 
 let queue_fifo_ties () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:"" in
   List.iter (fun s -> Event_queue.push q ~time:1.0 s) [ "x"; "y"; "z" ];
   let order =
     List.init 3 (fun _ ->
@@ -41,7 +41,7 @@ let queue_fifo_ties () =
   Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] order
 
 let queue_size () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:0 in
   check_int "empty" 0 (Event_queue.size q);
   check_bool "is_empty" true (Event_queue.is_empty q);
   Event_queue.push q ~time:1.0 0;
@@ -51,7 +51,7 @@ let queue_size () =
   check_int "one" 1 (Event_queue.size q)
 
 let queue_peek () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:() in
   check_bool "peek empty" true (peek_time q = None);
   Alcotest.check_raises "top_time on empty"
     (Invalid_argument "Event_queue.top_time: empty queue") (fun () ->
@@ -66,7 +66,7 @@ let queue_peek () =
   check_int "peek does not remove" 2 (Event_queue.size q)
 
 let queue_interleaved () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:0 in
   for i = 0 to 99 do
     Event_queue.push q ~time:(float_of_int (99 - i)) (99 - i)
   done;
@@ -82,6 +82,33 @@ let queue_interleaved () =
   in
   drain ()
 
+(* A taken value is unreachable from the queue: the slot its entry (or
+   the last entry, moved into its place) leaves holds the filler, even
+   once the queue is empty. *)
+let queue_releases_taken () =
+  let n = 100 in
+  let q = Event_queue.create ~filler:(ref (-1)) in
+  let weak = Weak.create n in
+  (* Times are a permutation of 0..n-1, so the heap reorders. *)
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Event_queue.push q ~time:(float_of_int (i * 37 mod n)) v
+  done;
+  let take k =
+    for _ = 1 to k do
+      ignore (Event_queue.take q)
+    done
+  in
+  let retained () =
+    Gc.full_major ();
+    List.length (List.filter (Weak.check weak) (List.init n Fun.id))
+  in
+  take (n / 2);
+  check_int "only pending values retained" (n / 2) (retained ());
+  take (n / 2);
+  check_int "none retained once empty" 0 (retained ())
+
 module Check = Basalt_check.Check
 module Gen = Check.Gen
 module Gens = Check.Gens
@@ -92,7 +119,7 @@ let prop_queue_sorted =
     ~print:(Print.list Print.float)
     (Gen.list ~max_len:60 (Gen.float_range 0.0 1000.0))
     (fun times ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~filler:() in
       List.iter (fun t -> Event_queue.push q ~time:t ()) times;
       let rec drain prev =
         match pop q with
@@ -108,7 +135,7 @@ let prop_queue_model =
     ~print:(Print.list (Print.pair Print.bool Print.int))
     (Gen.list ~max_len:60 (Gen.pair Gen.bool (Gen.nat ~max:100)))
     (fun ops ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~filler:0 in
       (* reference: list of (time, seq, value), kept sorted *)
       let reference = ref [] in
       let seq = ref 0 in
@@ -163,7 +190,7 @@ let prop_queue_model_ties_growth =
             (1, Gen.return (false, 0));
           ]))
     (fun ops ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~filler:0 in
       (* The model: (time, seq) pairs in delivery order. *)
       let model = ref [] in
       let seq = ref 0 in
@@ -773,6 +800,8 @@ let () =
           Alcotest.test_case "size" `Quick queue_size;
           Alcotest.test_case "peek" `Quick queue_peek;
           Alcotest.test_case "interleaved" `Quick queue_interleaved;
+          Alcotest.test_case "releases taken values" `Quick
+            queue_releases_taken;
           Check.to_alcotest ~suite:"event_queue" prop_queue_sorted;
           Check.to_alcotest ~suite:"event_queue" prop_queue_model;
           Check.to_alcotest ~suite:"event_queue" prop_queue_model_ties_growth;

@@ -50,6 +50,26 @@ let theory_equilibria_rows () =
       | _ -> ())
     rows
 
+(* --- Fig. 5 --- *)
+
+let fig5_max_rho () =
+  (* With a protocol that never isolates at these scales, the largest
+     tested rho wins. *)
+  let make ~rho =
+    Basalt_sim.Scenario.make ~name:"tiny" ~n:60 ~f:0.1 ~force:2.0
+      ~protocol:
+        (Basalt_sim.Scenario.Basalt
+           (Basalt_core.Config.make ~v:10 ~k:2 ~rho ()))
+      ~steps:30.0 ~seed:3 ()
+  in
+  (match Fig5.max_rho ~make ~seeds:[ 1 ] [ 0.5; 1.0 ] with
+  | Some rho -> check_bool "a tested value" true (rho = 0.5 || rho = 1.0)
+  | None -> Alcotest.fail "basalt should survive some rho here");
+  (* No seeds => no evidence of survival: typed failure, not an
+     exception. *)
+  check_bool "no seeds means None" true
+    (Fig5.max_rho ~make ~seeds:[] [ 0.5; 1.0 ] = None)
+
 (* --- Fig. 2 (committed scenario files) --- *)
 
 module Spec = Basalt_scenario.Spec
@@ -289,6 +309,7 @@ let () =
             fig2a_basalt_never_isolates;
           Alcotest.test_case "columns shape" `Slow fig2_columns_shape;
         ] );
+      ( "fig5", [ Alcotest.test_case "max_rho" `Quick fig5_max_rho ] );
       ( "sps_failure",
         [ Alcotest.test_case "section 4.3 claim" `Slow sps_failure_claim ] );
       ( "cost",

@@ -96,8 +96,8 @@ let corpus =
        (time|samples_byz|delivered/sent|delivered|t99|redundancy|isolated|\
        isolated_frac|view_byz|ever_isolated|msgs/node/round|bytes/node/round|\
        wire_bytes/node/round|max_datagram|fits_MTU|adv/correct bytes|optimal|\
-       replacements|samples|tv_distance|coeff_var|max/mean|prefix_share|\
-       clustering|mean_path|indeg_spread)" );
+       model_B1|replacements|samples|tv_distance|coeff_var|max/mean|\
+       prefix_share|clustering|mean_path|indeg_spread)" );
     ( "gossip_metric_no_app.scn",
       "5:12: metric 'delivered' needs (app (gossip ...))" );
     ( "no_protocol.scn",
@@ -412,6 +412,83 @@ let metric_table_values () =
         (Metric.render v))
     Metric.all
 
+(* A cell × seed batch fanned out over a 4-domain pool is bit-for-bit
+   (Int64 float bits) identical to the sequential run, cell by cell. *)
+let run_tasks_determinism () =
+  let spec =
+    match
+      Spec.of_string
+        "(matrix (name det) \
+         (base (protocol basalt) (n 60) (v 10) (force 2) (steps 30) \
+         (seeds 1 2)) \
+         (axis f (clean (f 0.0)) (base (f 0.1)) (heavy (f 0.2))) \
+         (metrics (view_byz) (samples_byz) (isolated)))"
+    with
+    | Ok spec -> spec
+    | Error msg -> Alcotest.fail msg
+  in
+  let scale = Basalt_experiments.Scale.Quick in
+  let values ?pool () =
+    let ts, runs = Matrix.run_tasks ~scale ?pool spec in
+    let rows = Matrix.rows_of ~scale spec ts runs in
+    let lookup = Matrix.lookup spec rows in
+    List.concat_map
+      (fun header ->
+        List.init (List.length rows) (fun i ->
+            match lookup header i with
+            | Metric.Float x -> Int64.bits_of_float x
+            | v ->
+                Alcotest.failf "%s is %s, not a float" header
+                  (Metric.render v)))
+      [ "view_byz"; "samples_byz"; "isolated" ]
+  in
+  let sequential = values () in
+  Alcotest.(check int) "three metrics of three cells" 9 (List.length sequential);
+  Basalt_parallel.Pool.with_pool ~domains:4 (fun pool ->
+      Alcotest.(check (list int64))
+        "j=1 vs j=4 bits" sequential (values ~pool ()))
+
+(* model_B1 is Eq. 16's stable root at the cell's n, f and view size,
+   read from the resolved scenario alone (no run needed), and
+   "none" when the attack has no steady state. *)
+let model_b1_metric () =
+  let model_b1 = Option.get (Metric.find "model_B1") in
+  let eval (t : Matrix.task) =
+    let group =
+      { Metric.g_scenario = t.Matrix.scenario; g_prefixes = None; g_runs = [] }
+    in
+    Metric.eval model_b1 { Metric.within = 0.0; row = [ group ]; group }
+  in
+  let spec = load_ok (scenarios_dir ^ "theory_model.scn") in
+  let v60 =
+    List.find
+      (fun t -> List.assoc "v" t.Matrix.labels = "60")
+      (Matrix.tasks ~scale:Basalt_experiments.Scale.Quick spec)
+  in
+  let expected =
+    Basalt_analysis.Model.(steady_state (env ~n:300 ~f:0.1 ~v:60 ()))
+  in
+  (match (eval v60, expected) with
+  | Metric.Float b1, Some want ->
+      Alcotest.(check int64)
+        "v = 60 is Model.steady_state" (Int64.bits_of_float want)
+        (Int64.bits_of_float b1)
+  | _ -> Alcotest.fail "v = 60 at quick scale has a stable root");
+  (* (1 - f) < 2 f n / v^2: no real root at n = 300, f = 0.1, v = 8. *)
+  let spec =
+    match
+      Spec.of_string
+        "(matrix (name unstable) (base (protocol basalt) (n 300) (v 8) (f 0.1)) \
+         (axis run (only)) (metrics (model_B1)))"
+    with
+    | Ok spec -> spec
+    | Error msg -> Alcotest.fail msg
+  in
+  let t = List.hd (Matrix.tasks ~scale:Basalt_experiments.Scale.Quick spec) in
+  Alcotest.(check string)
+    "no stable root" "none"
+    (match eval t with Metric.Missing reason -> reason | v -> Metric.render v)
+
 (* --- ported experiments: what each cell resolves to --- *)
 
 module Scale = Basalt_experiments.Scale
@@ -494,8 +571,10 @@ let show_task (t : Matrix.task) =
    the Sps_failure, Cost and Uniformity modules, one per protocol in
    their order: f = 0.3 against a silent adversary at a fixed size, and
    the base point at seed 42.  Then the Sybil module's vanilla and
-   prefix-diverse Basalt runs over its four (n, f) networks, and the
-   Fig4 module's time series at its own sizes. *)
+   prefix-diverse Basalt runs over its four (n, f) networks, the
+   Theory module's model-vs-Monte-Carlo runs (Basalt at F = 50 over the
+   preset's view sizes), and the Fig4 module's time series at its own
+   sizes. *)
 let expected scale =
   let base =
     {
@@ -612,6 +691,13 @@ let expected scale =
             (fun backend -> show { base with n; f; backend; seed = 1 })
             [ "cheap"; "prefix-diverse" ])
         ns );
+    ( "theory_model",
+      List.concat_map
+        (fun v ->
+          List.map
+            (fun seed -> show { base with v; force = 50.0; seed })
+            (Scale.seeds scale))
+        (Scale.view_sizes scale) );
     ( "fig4",
       let n, v, steps, measure_every =
         match scale with
@@ -675,5 +761,8 @@ let () =
           Alcotest.test_case "(rows time) layout" `Quick time_rows_layout;
           Alcotest.test_case "(reference ...) layout" `Quick reference_layout;
           Alcotest.test_case "metric table values" `Quick metric_table_values;
+          Alcotest.test_case "model_B1 metric" `Quick model_b1_metric;
+          Alcotest.test_case "run_tasks determinism j=1 vs j=4" `Quick
+            run_tasks_determinism;
         ] );
     ]

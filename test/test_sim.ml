@@ -1,5 +1,5 @@
-(* Tests for basalt.sim: scenarios, measurements, reports, the runner,
-   sweeps.  Runner tests use deliberately tiny networks so the whole
+(* Tests for basalt.sim: scenarios, measurements, reports, the
+   runner.  Runner tests use deliberately tiny networks so the whole
    suite stays fast. *)
 
 open Basalt_sim
@@ -452,100 +452,8 @@ let runner_sample_histogram () =
   check_int "histogram covers all ids" 60
     (Array.length r.Runner.sample_histogram)
 
-(* --- Sweep --- *)
-
-let sweep_aggregate () =
-  let runs = Sweep.run_seeds (tiny_scenario ()) ~seeds:[ 1; 2 ] in
-  check_int "two runs" 2 (List.length runs);
-  let agg =
-    match Sweep.aggregate runs with
-    | Some a -> a
-    | None -> Alcotest.fail "aggregate of two runs is Some"
-  in
-  check_int "runs counted" 2 agg.Sweep.runs;
-  check_bool "mean in range" true
-    (agg.Sweep.mean_view_byz >= 0.0 && agg.Sweep.mean_view_byz <= 1.0);
-  check_bool "empty is None" true (Sweep.aggregate [] = None)
-
-let sweep_sweep () =
-  let results =
-    Sweep.run_aggregates
-      (List.map (fun f -> tiny_scenario ~f ()) [ 0.0; 0.1 ])
-      ~seeds:[ 1 ]
-  in
-  check_int "two points" 2 (List.length results);
-  let a0, a1 = (List.nth results 0, List.nth results 1) in
-  (* Order kept: each group is its own scenario's aggregate. *)
-  let single f =
-    (List.hd (Sweep.run_aggregates [ tiny_scenario ~f () ] ~seeds:[ 1 ]))
-      .Sweep.mean_view_byz
-  in
-  check_float "x order kept" (single 0.0) a0.Sweep.mean_view_byz;
-  check_float "x order kept 2" (single 0.1) a1.Sweep.mean_view_byz;
-  check_bool "clean run cleaner" true
-    (a0.Sweep.mean_view_byz <= a1.Sweep.mean_view_byz);
-  Alcotest.check_raises "rejects no seeds"
-    (Invalid_argument "Sweep.run_aggregates: no seeds") (fun () ->
-      ignore (Sweep.run_aggregates [ tiny_scenario () ] ~seeds:[]))
-
-let sweep_chunks () =
-  Alcotest.(check (list (list int)))
-    "order kept" [ [ 1; 2 ]; [ 3; 4 ]; [ 5; 6 ] ]
-    (Sweep.chunks 2 [ 1; 2; 3; 4; 5; 6 ]);
-  Alcotest.(check (list (list int))) "empty" [] (Sweep.chunks 3 []);
-  Alcotest.check_raises "ragged"
-    (Invalid_argument "Sweep.chunks: list length not a multiple of k")
-    (fun () -> ignore (Sweep.chunks 2 [ 1; 2; 3 ]));
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Sweep.chunks: k must be positive") (fun () ->
-      ignore (Sweep.chunks 0 [ 1 ]))
-
-let sweep_max_rho () =
-  (* With a protocol that never isolates at these scales, the largest
-     tested rho wins. *)
-  let make ~rho =
-    tiny_scenario ~protocol:(Scenario.Basalt (Basalt_core.Config.make ~v:10 ~k:2 ~rho ())) ()
-  in
-  (match Sweep.max_rho ~make ~seeds:[ 1 ] [ 0.5; 1.0 ] with
-  | Some rho -> check_bool "a tested value" true (rho = 0.5 || rho = 1.0)
-  | None -> Alcotest.fail "basalt should survive some rho here");
-  (* No seeds => no evidence of survival: typed failure, not an
-     exception. *)
-  check_bool "no seeds means None" true
-    (Sweep.max_rho ~make ~seeds:[] [ 0.5; 1.0 ] = None)
-
-(* The tentpole determinism claim: a quick-scale sweep fanned out over a
-   4-domain pool is bit-for-bit (Int64 float bits) identical to the
-   sequential run. *)
-let sweep_parallel_determinism () =
-  let make f = tiny_scenario ~f () in
-  let xs = [ 0.0; 0.1; 0.2 ] in
-  let seeds = [ 1; 2 ] in
-  let scenarios = List.map make xs in
-  let sequential = Sweep.run_aggregates scenarios ~seeds in
-  Basalt_parallel.Pool.with_pool ~domains:4 (fun pool ->
-      let parallel = Sweep.run_aggregates ~pool scenarios ~seeds in
-      check_int "same row count" (List.length sequential)
-        (List.length parallel);
-      List.iter2
-        (fun (a : Sweep.aggregate) (b : Sweep.aggregate) ->
-          let bits = Int64.bits_of_float in
-          Alcotest.(check int64)
-            "view_byz bits" (bits a.Sweep.mean_view_byz)
-            (bits b.Sweep.mean_view_byz);
-          Alcotest.(check int64)
-            "sample_byz bits" (bits a.Sweep.mean_sample_byz)
-            (bits b.Sweep.mean_sample_byz);
-          Alcotest.(check int64)
-            "isolated bits" (bits a.Sweep.mean_isolated)
-            (bits b.Sweep.mean_isolated);
-          check_int "isolation_runs" a.Sweep.isolation_runs
-            b.Sweep.isolation_runs;
-          check_int "runs" a.Sweep.runs b.Sweep.runs)
-        sequential parallel)
-
-(* The observability counterpart: metric snapshots and full JSONL traces
-   from pooled runs are byte-identical to the sequential ones.  Each run
+(* Metric snapshots and full JSONL traces from pooled runs are
+   byte-identical to the sequential ones.  Each run
    creates its registry inside the worker (never shared), so this holds
    at any -j (DESIGN.md §8). *)
 let obs_trace_parallel_determinism () =
@@ -562,10 +470,15 @@ let obs_trace_parallel_determinism () =
                ^ Basalt_obs.Obs.events_to_jsonl sink)
          runs)
   in
-  let sequential = render (Sweep.run_seeds ~trace:true s ~seeds) in
+  let run_seeds ?pool () =
+    Basalt_parallel.Pool.map ?pool
+      (fun seed -> Runner.run ~trace:true (Scenario.with_seed s seed))
+      seeds
+  in
+  let sequential = render (run_seeds ()) in
   check_bool "trace is non-empty" true (String.length sequential > 1000);
   Basalt_parallel.Pool.with_pool ~domains:4 (fun pool ->
-      let parallel = render (Sweep.run_seeds ~pool ~trace:true s ~seeds) in
+      let parallel = render (run_seeds ~pool ()) in
       Alcotest.(check string) "j=1 vs j=4 traces identical" sequential parallel)
 
 (* Runs without tracing carry no sink and record no metrics: the
@@ -674,15 +587,6 @@ let () =
             runner_with_loss_still_works;
           Alcotest.test_case "latency jitter" `Quick runner_with_latency;
           Alcotest.test_case "sample histogram" `Quick runner_sample_histogram;
-        ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "aggregate" `Quick sweep_aggregate;
-          Alcotest.test_case "sweep" `Quick sweep_sweep;
-          Alcotest.test_case "chunks" `Quick sweep_chunks;
-          Alcotest.test_case "max_rho" `Quick sweep_max_rho;
-          Alcotest.test_case "parallel determinism j=1 vs j=4" `Quick
-            sweep_parallel_determinism;
         ] );
       ( "obs",
         [
