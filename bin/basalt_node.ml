@@ -157,8 +157,7 @@ let main listen peers v tau rho duration seed loss delay evict_after
   in
   let node =
     Udp_node.create ~config ~obs ~inject_loss:loss ~inject_delay:delay
-      ~gossip:Basalt_gossip.Config.default ~deliver ~loop ~listen
-      ~bootstrap:peers ~seed ()
+      ~gossip:true ~deliver ~loop ~listen ~bootstrap:peers ~seed ()
   in
   if publish_every > 0.0 then begin
     let published = ref 0 in

@@ -43,7 +43,7 @@ let fresh_scratch () = { raw = [||]; digest = [||]; since = [||] }
 type t = {
   config : Config.t;
   id : Node_id.t;
-  self : int;  (* Node_id.to_int id, for the exclude_self fast path *)
+  self : int;  (* Node_id.to_int id, for the intake's self check *)
   seeds : int array;  (* one [Rank.fresh] seed per slot *)
   holders : int array;  (* holders.(i) < 0 means slot i is empty *)
   best_ranks : int array;  (* max_int when empty *)
@@ -283,7 +283,6 @@ let update_sample t ids =
   if n > 0 then begin
     let sc = t.scratch in
     ensure_batch_capacity sc n;
-    let skip_self = t.config.Config.exclude_self in
     let clock = t.clock in
     let raw = sc.raw and dig = sc.digest and since = sc.since in
     (* Intake pass: drop self, dedup within the batch, and skip any
@@ -294,7 +293,7 @@ let update_sample t ids =
     let len = ref 0 in
     for idx = 0 to n - 1 do
       let cand = Node_id.to_int (Array.unsafe_get ids idx) in
-      if not (skip_self && Int.equal cand t.self) then begin
+      if not (Int.equal cand t.self) then begin
         let last = seen_exchange t cand clock in
         if Int.compare last clock < 0 then begin
           let j = !len in

@@ -48,8 +48,9 @@ val id : t -> Basalt_proto.Node_id.t
 
 val update_sample : t -> Basalt_proto.Node_id.t array -> unit
 (** [update_sample t ids] offers every identifier of [ids] to every slot
-    (Alg. 1 lines 20–23).  The local identifier is skipped when the
-    configuration sets [exclude_self].
+    (Alg. 1 lines 20–23).  The local identifier is always skipped, so
+    the view never holds a self-loop (a deviation from the paper's
+    abstract pseudocode, negligible at the scales simulated).
 
     The batch is processed in one slot-major pass over
     struct-of-arrays slot state: candidates are deduplicated and

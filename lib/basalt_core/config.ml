@@ -7,14 +7,13 @@ type t = {
   k : int;
   backend : Basalt_hashing.Rank.backend;
   select : select_strategy;
-  exclude_self : bool;
   evict_after_rounds : int option;
   push_own_id_only : bool;
 }
 
 let make ?(v = 160) ?(tau = 1.0) ?(rho = 1.0) ?k
     ?(backend = Basalt_hashing.Rank.Cheap) ?(select = Uniform_slot)
-    ?(exclude_self = true) ?evict_after_rounds ?(push_own_id_only = false) () =
+    ?evict_after_rounds ?(push_own_id_only = false) () =
   let k = Option.value k ~default:(max 1 (v / 2)) in
   if v <= 0 then invalid_arg "Config.make: v must be positive";
   if k < 1 || Int.compare k v > 0 then
@@ -32,7 +31,6 @@ let make ?(v = 160) ?(tau = 1.0) ?(rho = 1.0) ?k
     k;
     backend;
     select;
-    exclude_self;
     evict_after_rounds;
     push_own_id_only;
   }
@@ -46,11 +44,3 @@ let equilibrium_exists c ~n ~f =
   let n = float_of_int n in
   ((1.0 -. f) ** 2.0) -. (2.0 *. c.rho *. f *. (1.0 -. f) *. n /. (v *. v))
   > 0.0
-
-let pp ppf c =
-  Format.fprintf ppf "basalt{v=%d; tau=%g; rho=%g; k=%d; select=%s}" c.v c.tau
-    c.rho c.k
-    (match c.select with
-    | Uniform_slot -> "uniform"
-    | Rotating_slot -> "rotating"
-    | Least_used_slot -> "least-used")

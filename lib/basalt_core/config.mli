@@ -37,10 +37,6 @@ type t = private {
           unpredictability, [Prefix_diverse] for the §6 institutional
           hardening. *)
   select : select_strategy;
-  exclude_self : bool;
-      (** Never store the local identifier in the local view (avoids
-          self-loops in the overlay; deviation from the paper's abstract
-          pseudocode, negligible at the scales simulated). *)
   evict_after_rounds : int option;
       (** Dead-peer eviction (an extension the paper's crash-free model
           does not need, but real deployments do): when a pulled peer has
@@ -61,7 +57,6 @@ val make :
   ?k:int ->
   ?backend:Basalt_hashing.Rank.backend ->
   ?select:select_strategy ->
-  ?exclude_self:bool ->
   ?evict_after_rounds:int ->
   ?push_own_id_only:bool ->
   unit ->
@@ -87,6 +82,3 @@ val equilibrium_exists : t -> n:int -> f:float -> bool
     Eq. (16): whether the continuous model predicts a stable operating
     point [B1 < 1] for a network of [n] nodes with Byzantine fraction
     [f]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter for configurations. *)

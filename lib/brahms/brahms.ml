@@ -36,12 +36,10 @@ type t = {
   best_ranks : int array;  (* max_int when empty *)
   scratch : scratch;  (* shared with the other nodes of its maker *)
   mutable pending_push : Node_id.t list;
-  mutable pending_push_count : int;  (* push messages, for the limit *)
   (* This round's pull replies, newest first.  Message payloads are
      never mutated once sent, so the arrays are kept as received. *)
   mutable pending_pull : Node_id.t array list;
   mutable next_reset : int;
-  mutable blocked : int;
   (* Per-node counter handles, each adding to its name's run-wide total
      (DESIGN.md §8). *)
   c_rank_evals : Obs.Counter.t;
@@ -73,24 +71,23 @@ let ensure_batch_capacity sc n =
    holders and ranks are those of offering one id at a time. *)
 let offer_batch t len =
   let sc = t.scratch in
-  let backend = t.config.Brahms_config.backend and seeds = t.seeds in
+  let seeds = t.seeds in
   let evals = ref 0 in
   for i = 0 to Array.length seeds - 1 do
     evals :=
       !evals
-      + Rank.offer_slot backend (Array.unsafe_get seeds i) ~stamp:1 ~raw:sc.raw
-          ~dig:sc.dig ~since:sc.since ~len ~best_ranks:t.best_ranks
-          ~holders:t.holders i
+      + Rank.offer_slot Rank.Cheap (Array.unsafe_get seeds i) ~stamp:1
+          ~raw:sc.raw ~dig:sc.dig ~since:sc.since ~len
+          ~best_ranks:t.best_ranks ~holders:t.holders i
   done;
   Obs.Counter.add t.c_rank_evals !evals
 
 (* Stages [cand] at index [len] of the scratch, unless it is the node's
-   own id under [exclude_self]; returns the new batch length.  The
-   caller has ensured the capacity. *)
+   own id; returns the new batch length.  The caller has ensured the
+   capacity. *)
 let stage t len (cand : Node_id.t) =
   let cand = (cand :> int) in
-  if t.config.Brahms_config.exclude_self && Int.equal cand (t.id :> int)
-  then len
+  if Int.equal cand (t.id :> int) then len
   else begin
     Array.unsafe_set t.scratch.raw len cand;
     Array.unsafe_set t.scratch.dig len (Rank.digest cand);
@@ -139,10 +136,8 @@ let make ~scratch ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
       best_ranks = Array.make l max_int;
       scratch;
       pending_push = [];
-      pending_push_count = 0;
       pending_pull = [];
       next_reset = 0;
-      blocked = 0;
       c_rank_evals = Obs.counter obs "brahms.rank_evals";
       c_rounds = Obs.counter obs "brahms.rounds";
       c_pulls = Obs.counter obs "brahms.pulls_sent";
@@ -190,81 +185,56 @@ let pulled_ids t =
     t.pending_pull;
   out
 
-(* Rebuild the view per Eq. (2):
-   rand(alpha*l, pushed) ∪ rand(beta*l, pulled) ∪ rand(gamma*l, samplers). *)
+(* Rebuild the view per Eq. (2) with alpha = beta = gamma = 1/3:
+   rand(l/3, pushed) ∪ rand(l/3, pulled) ∪ rand(l/3, samplers). *)
 let rebuild_view t =
-  let cfg = t.config in
-  let l = float_of_int cfg.Brahms_config.l in
-  let over_limit =
-    match cfg.Brahms_config.push_limit with
-    | Some limit -> Int.compare t.pending_push_count limit > 0
-    | None -> false
-  in
-  if over_limit then begin
-    t.blocked <- t.blocked + 1;
-    false
-  end
-  else if List.is_empty t.pending_push || List.is_empty t.pending_pull then
+  if List.is_empty t.pending_push || List.is_empty t.pending_pull then
     (* Original Brahms only rebuilds when the round yielded both pushed
        and pulled identifiers; otherwise the previous view persists.
        This gating is part of Brahms's resilience: the push channel is
-       honest-dominated (Byzantine pushes are what the deactivatable
-       limit counts), so a round fed only by pull replies cannot replace
-       the view. *)
-    false
+       honest-dominated, so a round fed only by pull replies cannot
+       replace the view. *)
+    ()
   else begin
-    let pushed = View_ops.distinct (Array.of_list t.pending_push) in
-    let pulled = View_ops.distinct (pulled_ids t) in
-    let sampled = View_ops.distinct (sampler_outputs t) in
-    let take frac arr =
-      let k = int_of_float (Float.round (frac *. l)) in
-      View_ops.random_subset t.rng ~k arr
+    let third =
+      int_of_float
+        (Float.round ((1.0 /. 3.0) *. float_of_int t.config.Brahms_config.l))
     in
-    let candidates =
-      Array.concat
-        [
-          take cfg.Brahms_config.alpha pushed;
-          take cfg.Brahms_config.beta pulled;
-          take cfg.Brahms_config.gamma sampled;
-        ]
-    in
+    let take arr = View_ops.random_subset t.rng ~k:third arr in
+    (* Drawn sampler outputs first, then pulled, then pushed ids: the
+       order the pinned Brahms outcomes depend on. *)
+    let sampled = take (View_ops.distinct (sampler_outputs t)) in
+    let pulled = take (View_ops.distinct (pulled_ids t)) in
+    let pushed = take (View_ops.distinct (Array.of_list t.pending_push)) in
+    let candidates = Array.concat [ pushed; pulled; sampled ] in
     if Array.length candidates > 0 then begin
       t.view <- candidates;
-      Obs.Counter.incr t.c_view_rebuilds;
-      true
+      Obs.Counter.incr t.c_view_rebuilds
     end
-    else false
   end
 
 let on_round t =
   Obs.Counter.incr t.c_rounds;
-  ignore (rebuild_view t);
+  rebuild_view t;
   t.pending_push <- [];
-  t.pending_push_count <- 0;
   t.pending_pull <- [];
-  for _ = 1 to t.config.Brahms_config.pushes_per_round do
-    match View_ops.random_member t.rng t.view with
-    | Some p ->
-        Obs.Counter.incr t.c_pushes;
-        t.send ~dst:p (Message.Push_id t.id)
-    | None -> ()
-  done;
-  for _ = 1 to t.config.Brahms_config.pulls_per_round do
-    match View_ops.random_member t.rng t.view with
-    | Some q ->
-        Obs.Counter.incr t.c_pulls;
-        Obs.rtt_start t.rtt ~node:(Node_id.to_int t.id)
-          ~peer:(Node_id.to_int q);
-        t.send ~dst:q Message.Pull_request
-    | None -> ()
-  done
+  (match View_ops.random_member t.rng t.view with
+  | Some p ->
+      Obs.Counter.incr t.c_pushes;
+      t.send ~dst:p (Message.Push_id t.id)
+  | None -> ());
+  match View_ops.random_member t.rng t.view with
+  | Some q ->
+      Obs.Counter.incr t.c_pulls;
+      Obs.rtt_start t.rtt ~node:(Node_id.to_int t.id) ~peer:(Node_id.to_int q);
+      t.send ~dst:q Message.Pull_request
+  | None -> ()
 
 let on_message t ~from msg =
   match msg with
   | Message.Pull_request -> t.send ~dst:from (Message.Pull_reply t.view)
   | Message.Push_id id ->
       t.pending_push <- id :: t.pending_push;
-      t.pending_push_count <- t.pending_push_count + 1;
       feed_sampler t id
   | Message.Push ids ->
       (* Brahms pushes carry exactly the sender's identifier (§4.3: "limit
@@ -274,7 +244,6 @@ let on_message t ~from msg =
          ignored. *)
       ignore ids;
       t.pending_push <- from :: t.pending_push;
-      t.pending_push_count <- t.pending_push_count + 1;
       feed_sampler t from
   | Message.Pull_reply ids ->
       Obs.rtt_finish t.rtt ~peer:(Node_id.to_int from);
@@ -304,7 +273,6 @@ let sample_tick t =
   List.rev !samples
 
 let view t = t.view
-let blocked_rounds t = t.blocked
 
 let sampler ?config ?obs () : Rps.maker =
   let scratch = fresh_scratch () in

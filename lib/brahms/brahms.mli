@@ -8,15 +8,21 @@
     (the samplers) gives only limited feedback to the gossip view — the
     separation the paper identifies as Brahms's weakness.
 
-    Two modifications from the original algorithm, both prescribed by the
-    Basalt paper's evaluation so the protocols are comparable:
+    The node runs as §4.3 of the Basalt paper configures it, so the
+    protocols are comparable:
+    - the view is rebuilt from pushed ids, pulled ids and sampler outputs
+      in equal thirds (α = β = γ = 1/3 in Eq. (2));
+    - per the communication budget, each round sends one [PUSH-ID]
+      (Brahms pushes only its own identifier) and one [PULL] request;
+    - the blocking mechanism (skipping the view update when too many
+      pushes arrive) is deactivated: varying the attack force would push
+      Brahms past its design envelope and blocking would stall it;
     - {e multi-shot extension}: every [k/rho] time units, [k] samplers are
       emitted and reset in round-robin order (the analogue of Alg. 1
-      lines 14–18, with line 18 replaced by [S_p[i].init()]);
-    - {e blocking deactivated} by default ([push_limit = None]).
+      lines 14–18, with line 18 replaced by [S_p[i].init()]).
 
-    Per the communication budget of §4.3, each round sends one [PUSH-ID]
-    (Brahms pushes only its own identifier) and one [PULL] request. *)
+    The samplers rank with {!Basalt_hashing.Rank.Cheap} and never hold the
+    node's own identifier. *)
 
 type t
 (** One node's Brahms state. *)
@@ -49,9 +55,9 @@ val id : t -> Basalt_proto.Node_id.t
 
 val on_round : t -> unit
 (** [on_round t] closes the previous round — rebuilding 𝒱 from the
-    pushed ids, pulled ids and sampler outputs per Eq. (2), unless the
-    blocking mechanism vetoes it — then sends this round's [PUSH-ID] and
-    [PULL]. *)
+    pushed ids, pulled ids and sampler outputs per Eq. (2) when it
+    received both pushes and pull replies — then sends this round's
+    [PUSH-ID] and [PULL]. *)
 
 val on_message : t -> from:Basalt_proto.Node_id.t -> Basalt_proto.Message.t -> unit
 (** [on_message t ~from msg] accumulates pushed/pulled identifiers for the
@@ -67,10 +73,6 @@ val view : t -> Basalt_proto.Node_id.t array
 val sampler_outputs : t -> Basalt_proto.Node_id.t array
 (** [sampler_outputs t] is the current contents of the sampler vector 𝒮
     (non-empty samplers only) — what the service would return as samples. *)
-
-val blocked_rounds : t -> int
-(** [blocked_rounds t] counts rounds where the push limit vetoed the view
-    update (always 0 when blocking is deactivated). *)
 
 val sampler :
   ?config:Brahms_config.t ->

@@ -1,57 +1,12 @@
-type t = {
-  l : int;
-  alpha : float;
-  beta : float;
-  gamma : float;
-  push_limit : int option;
-  tau : float;
-  rho : float;
-  k : int;
-  backend : Basalt_hashing.Rank.backend;
-  exclude_self : bool;
-  pushes_per_round : int;
-  pulls_per_round : int;
-}
+type t = { l : int; rho : float; k : int }
 
-let third = 1.0 /. 3.0
-
-let make ?(l = 160) ?(alpha = third) ?(beta = third) ?(gamma = third)
-    ?push_limit ?(tau = 1.0) ?(rho = 1.0) ?k
-    ?(backend = Basalt_hashing.Rank.Cheap) ?(exclude_self = true)
-    ?(pushes_per_round = 1) ?(pulls_per_round = 1) () =
+let make ?(l = 160) ?(rho = 1.0) ?k () =
   let k = Option.value k ~default:(max 1 (l / 2)) in
   if l <= 0 then invalid_arg "Brahms_config.make: l must be positive";
-  if alpha < 0.0 || beta < 0.0 || gamma < 0.0 then
-    invalid_arg "Brahms_config.make: negative weight";
-  if Float.abs (alpha +. beta +. gamma -. 1.0) > 1e-9 then
-    invalid_arg "Brahms_config.make: weights must sum to 1";
   if k < 1 || Int.compare k l > 0 then
     invalid_arg "Brahms_config.make: k must be in [1, l]";
-  if tau <= 0.0 then invalid_arg "Brahms_config.make: tau must be positive";
   if rho <= 0.0 then invalid_arg "Brahms_config.make: rho must be positive";
-  if pushes_per_round < 0 || pulls_per_round < 0 then
-    invalid_arg "Brahms_config.make: negative per-round message count";
-  {
-    l;
-    alpha;
-    beta;
-    gamma;
-    push_limit;
-    tau;
-    rho;
-    k;
-    backend;
-    exclude_self;
-    pushes_per_round;
-    pulls_per_round;
-  }
+  { l; rho; k }
 
 let default = make ()
 let refresh_interval c = float_of_int c.k /. c.rho
-
-let pp ppf c =
-  Format.fprintf ppf
-    "brahms{l=%d; alpha=%g; beta=%g; gamma=%g; blocking=%s; rho=%g; k=%d}" c.l
-    c.alpha c.beta c.gamma
-    (match c.push_limit with None -> "off" | Some n -> string_of_int n)
-    c.rho c.k

@@ -2,63 +2,27 @@
 
     - [l]: size of both the gossip view 𝒱 and the sampler vector 𝒮 (the
       evaluation sets [l = v], Basalt's view size);
-    - [alpha], [beta], [gamma]: relative contributions of pushed ids,
-      pulled ids, and sampler outputs when rebuilding the view (Eq. (2));
-      the evaluation uses 1/3 each;
-    - [push_limit]: Brahms's blocking mechanism — if more than this many
-      push messages arrive in one round, the view update is skipped.  The
-      paper's evaluation {e deactivates} it (§4.3) because varying the
-      attack force [F] pushes Brahms beyond its design envelope and the
-      blocking would stall the protocol entirely; [None] (default) means
-      deactivated;
-    - [k], [rho], [tau]: multi-shot extension and round pacing, matching
-      Basalt's parameters so the two are comparable. *)
+    - [k], [rho]: multi-shot extension — every [k/rho] time units, [k]
+      samplers are emitted and reset — matching Basalt's parameters so
+      the two are comparable.
 
-type t = private {
-  l : int;
-  alpha : float;
-  beta : float;
-  gamma : float;
-  push_limit : int option;
-  tau : float;
-  rho : float;
-  k : int;
-  backend : Basalt_hashing.Rank.backend;
-  exclude_self : bool;
-  pushes_per_round : int;
-      (** How many [PUSH-ID] messages a node sends per round.  The Basalt
-          paper's communication budget uses 1; the original Brahms sends
-          [alpha * l]. *)
-  pulls_per_round : int;  (** Pull requests per round (budget: 1). *)
-}
+    Everything else is fixed at the §4.3 evaluation's values: the view
+    is rebuilt from pushed ids, pulled ids and sampler outputs in equal
+    thirds (α = β = γ = 1/3), each round sends one [PUSH-ID] and one
+    [PULL] every time unit (τ = 1), the blocking mechanism is
+    deactivated, the samplers rank with {!Basalt_hashing.Rank.Cheap}
+    and never hold the node's own id. *)
 
-val make :
-  ?l:int ->
-  ?alpha:float ->
-  ?beta:float ->
-  ?gamma:float ->
-  ?push_limit:int ->
-  ?tau:float ->
-  ?rho:float ->
-  ?k:int ->
-  ?backend:Basalt_hashing.Rank.backend ->
-  ?exclude_self:bool ->
-  ?pushes_per_round:int ->
-  ?pulls_per_round:int ->
-  unit ->
-  t
-(** [make ()] is the evaluation's configuration: [l = 160],
-    [alpha = beta = gamma = 1/3], blocking deactivated, [tau = 1],
-    [rho = 1], [k = l/2].
-    @raise Invalid_argument if [l <= 0], the weights are negative or do
-    not sum to 1 (within 1e-9), [k] is not in [\[1, l\]], or [tau]/[rho]
-    are not positive. *)
+type t = private { l : int; rho : float; k : int }
+
+val make : ?l:int -> ?rho:float -> ?k:int -> unit -> t
+(** [make ()] is the evaluation's configuration: [l = 160], [rho = 1],
+    [k = l/2].
+    @raise Invalid_argument if [l <= 0], [k] is not in [\[1, l\]], or
+    [rho] is not positive. *)
 
 val default : t
 (** [default] is [make ()]. *)
 
 val refresh_interval : t -> float
 (** [refresh_interval c] is [k / rho]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter for configurations. *)

@@ -14,31 +14,19 @@ type spec = {
   graph_metrics : bool;
 }
 
-let known_protocols = [ "basalt"; "brahms"; "sps"; "classic" ]
+let protocol_of s = Scenario.protocol_of_name ~v:s.v ~rho:s.rho s.protocol
 
 let spec ?(protocol = "basalt") ?(n = 1000) ?(f = 0.1) ?(force = 10.0)
     ?(v = 100) ?(rho = 1.0) ?(steps = 200.0) ?(seed = 42)
     ?(graph_metrics = false) () =
-  if not (List.mem protocol known_protocols) then
-    Error
-      (Printf.sprintf "unknown protocol %S (expected %s)" protocol
-         (String.concat "|" known_protocols))
-  else Ok { protocol; n; f; force; v; rho; steps; seed; graph_metrics }
-
-let protocol_of s =
-  match s.protocol with
-  | "basalt" -> Scenario.Basalt (Basalt_core.Config.make ~v:s.v ~rho:s.rho ())
-  | "brahms" ->
-      Scenario.Brahms (Basalt_brahms.Brahms_config.make ~l:s.v ~rho:s.rho ())
-  | "sps" -> Scenario.Sps (Basalt_sps.Sps.config ~l:s.v ())
-  | "classic" -> Scenario.Classic (Basalt_sps.Classic.config ~l:s.v ())
-  | p -> invalid_arg ("Timeline: unknown protocol " ^ p)
+  let s = { protocol; n; f; force; v; rho; steps; seed; graph_metrics } in
+  Result.map (fun _ -> s) (protocol_of s)
 
 let run ?obs ?trace s =
   Runner.run ?obs ?trace
     (Scenario.make ~name:"timeline" ~n:s.n ~f:s.f ~force:s.force
-       ~protocol:(protocol_of s) ~steps:s.steps ~seed:s.seed
-       ~graph_metrics:s.graph_metrics ())
+       ~protocol:(Result.get_ok (protocol_of s))
+       ~steps:s.steps ~seed:s.seed ~graph_metrics:s.graph_metrics ())
 
 let print ?csv ?trace s =
   Printf.printf

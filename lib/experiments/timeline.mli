@@ -30,8 +30,8 @@ val spec :
   (spec, string) result
 (** Defaults: basalt, n = 1000, f = 0.1, F = 10, v = 100, rho = 1,
     200 steps, seed 42, no graph metrics.  Errors on an unknown protocol
-    name (construction-parameter errors surface as [Invalid_argument]
-    from {!run}). *)
+    name ({!Basalt_sim.Scenario.protocol_of_name});
+    @raise Invalid_argument on a [v] or [rho] the protocol rejects. *)
 
 val run : ?obs:bool -> ?trace:bool -> spec -> Basalt_sim.Runner.result
 (** [run spec] executes the timeline scenario and returns the runner's

@@ -8,6 +8,34 @@ module Obs = Basalt_obs.Obs
 (* Sampler outputs retained as mesh replenishment candidates. *)
 let sample_buffer_cap = 32
 
+(* Target eager-push degree D. *)
+let degree = 4
+
+(* Lower mesh bound, the churn floor: the heartbeat's mesh rotation
+   never demotes below it, and the top-up grafts back towards [degree]. *)
+let degree_lo = 2
+
+(* Upper mesh bound: incoming grafts beyond it are refused and the
+   heartbeat prunes back down to it. *)
+let degree_hi = 8
+
+(* Non-mesh peers receiving an [IHave] digest each heartbeat. *)
+let lazy_fanout = 6
+
+(* Heartbeats a message identifier stays advertised in digests. *)
+let history = 3
+
+(* Messages retained for deduplication and for serving [IWant]
+   requests; the oldest entry is evicted first. *)
+let cache_capacity = 512
+
+(* Heartbeats to wait for an announced-but-missing message before
+   grafting towards another advertiser and re-requesting. *)
+let iwant_timeout = 1
+
+(* Recovery attempts per missing message before giving up. *)
+let iwant_retries = 3
+
 type stats = {
   published : int;
   delivered : int;
@@ -19,7 +47,6 @@ type stats = {
 }
 
 type t = {
-  config : Config.t;
   node : Node_id.t;
   view : unit -> Node_id.t array;
   rng : Rng.t;
@@ -41,23 +68,17 @@ type t = {
   s_hops : Obs.Sketch.t;
 }
 
-let create ?(config = Config.default) ?(obs = Obs.disabled) ~node ~view ~rng
-    ~send ~deliver () =
+let create ?(obs = Obs.disabled) ~node ~view ~rng ~send ~deliver () =
   {
-    config;
     node;
     view;
     rng;
     send;
     obs;
     deliver;
-    cache =
-      Mcache.create ~capacity:config.Config.cache_capacity
-        ~history:config.Config.history;
+    cache = Mcache.create ~capacity:cache_capacity ~history;
     mesh = Mesh.create ();
-    wanted =
-      Wanted.create ~timeout:config.Config.iwant_timeout
-        ~retries:config.Config.iwant_retries ();
+    wanted = Wanted.create ~timeout:iwant_timeout ~retries:iwant_retries ();
     seqno = 0;
     samples = [];
     c_published = Obs.counter obs "gossip.published";
@@ -155,8 +176,7 @@ let on_data t ~from mid hops payload =
     Obs.Counter.incr t.c_duplicates;
     (* Plumtree: a redundant eager link is demoted to lazy — but never
        below the target degree, so loss cannot collapse the mesh. *)
-    if Mesh.mem t.mesh from && Mesh.degree t.mesh > t.config.Config.degree
-    then begin
+    if Mesh.mem t.mesh from && Mesh.degree t.mesh > degree then begin
       Mesh.remove t.mesh from;
       send_prune t ~dst:from
     end
@@ -167,7 +187,7 @@ let on_data t ~from mid hops payload =
     deliver t mid ~hops payload;
     (* The peer that got a new message to us first is a good eager
        neighbour. *)
-    if Mesh.degree t.mesh < t.config.Config.degree_hi then
+    if Mesh.degree t.mesh < degree_hi then
       ignore (Mesh.add t.mesh from);
     let hops' = min (hops + 1) Wire.max_hops in
     eager_push t ~mid ~hops:hops' ~payload ~skip:[ from ]
@@ -196,7 +216,7 @@ let on_iwant t ~from mids =
 
 let on_graft t ~from =
   if not (Mesh.mem t.mesh from) then begin
-    if Mesh.degree t.mesh < t.config.Config.degree_hi then
+    if Mesh.degree t.mesh < degree_hi then
       ignore (Mesh.add t.mesh from)
     else send_prune t ~dst:from
   end
@@ -273,7 +293,7 @@ let heartbeat t =
   List.iter
     (fun (mid, holder) ->
       if not (Node_id.equal holder t.node) then begin
-        if Mesh.degree t.mesh < t.config.Config.degree_hi then
+        if Mesh.degree t.mesh < degree_hi then
           ignore (Mesh.add t.mesh holder);
         send_graft t ~dst:holder;
         send_iwant t ~dst:holder [| mid |]
@@ -284,24 +304,22 @@ let heartbeat t =
      {e current} sample stream — a poisoned sampler degrades the mesh,
      a secure one keeps replenishing it with correct peers. *)
   (match Mesh.peers t.mesh with
-  | oldest :: _ when Mesh.degree t.mesh > t.config.Config.degree_lo ->
+  | oldest :: _ when Mesh.degree t.mesh > degree_lo ->
       Mesh.remove t.mesh oldest;
       send_prune t ~dst:oldest
   | _ -> ());
   (* 3. Top the mesh back up to the target degree. *)
-  if Mesh.degree t.mesh < t.config.Config.degree then begin
+  if Mesh.degree t.mesh < degree then begin
     let cands = mesh_candidates t in
     let i = ref 0 in
-    while
-      Mesh.degree t.mesh < t.config.Config.degree && !i < Array.length cands
-    do
+    while Mesh.degree t.mesh < degree && !i < Array.length cands do
       let p = cands.(!i) in
       incr i;
       if Mesh.add t.mesh p then send_graft t ~dst:p
     done
   end;
   (* 4. Prune overshoot back down to the upper bound. *)
-  while Mesh.degree t.mesh > t.config.Config.degree_hi do
+  while Mesh.degree t.mesh > degree_hi do
     let arr = Array.of_list (Mesh.peers t.mesh) in
     let p = Rng.pick t.rng arr in
     Mesh.remove t.mesh p;
@@ -311,13 +329,10 @@ let heartbeat t =
   (match Mcache.window t.cache with
   | [] -> ()
   | wnd ->
-      if t.config.Config.lazy_fanout > 0 then begin
-        let digest = Message.Ihave (Array.of_list wnd) in
-        let cands = lazy_candidates t in
-        let k = min t.config.Config.lazy_fanout (Array.length cands) in
-        for i = 0 to k - 1 do
-          Obs.Counter.incr t.c_ihave;
-          t.send ~dst:cands.(i) digest
-        done
-      end);
+      let digest = Message.Ihave (Array.of_list wnd) in
+      let cands = lazy_candidates t in
+      for i = 0 to min lazy_fanout (Array.length cands) - 1 do
+        Obs.Counter.incr t.c_ihave;
+        t.send ~dst:cands.(i) digest
+      done);
   Mcache.shift t.cache

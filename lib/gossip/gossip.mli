@@ -3,13 +3,19 @@
     An eager/lazy-push dissemination layer in the Plumtree / gossipsub
     family, running {e on top of} any random peer sampling service:
     full messages are pushed immediately along a small eager mesh
-    (degree kept within the {!Config.t} bounds by graft/prune repair),
-    while every other known peer receives periodic [IHave] digests and
-    pulls missing messages with [IWant].  The mesh is replenished from
-    the sampler's output, so a sampler that bounds Byzantine
-    over-representation (Basalt) keeps the dissemination tree mostly
-    correct even under attack — the application-level payoff measured
-    by the [broadcast] experiment.
+    (degree kept within [\[2, 8\]] around a target of 4 by graft/prune
+    repair), while every other known peer receives periodic [IHave]
+    digests and pulls missing messages with [IWant].  The mesh is
+    replenished from the sampler's output, so a sampler that bounds
+    Byzantine over-representation (Basalt) keeps the dissemination tree
+    mostly correct even under attack — the application-level payoff
+    measured by the [broadcast] experiment.
+
+    The layer runs with one fixed parameter set: a message id stays
+    advertised for 3 heartbeats, each heartbeat sends its digest to 6
+    non-mesh peers, the 512 most recent messages are cached for
+    deduplication and [IWant] service, and a missing message is
+    re-requested after one heartbeat, at most 3 times.
 
     The layer shares the sampler's transport: its five wire frames
     ([Gossip]/[IHave]/[IWant]/[Graft]/[Prune],
@@ -42,7 +48,6 @@ type stats = {
     shared, and readable without an enabled registry. *)
 
 val create :
-  ?config:Config.t ->
   ?obs:Basalt_obs.Obs.t ->
   node:Basalt_proto.Node_id.t ->
   view:(unit -> Basalt_proto.Node_id.t array) ->
@@ -92,11 +97,11 @@ val on_samples : t -> Basalt_proto.Node_id.t list -> unit
 val heartbeat : t -> unit
 (** [heartbeat t] runs one maintenance round: retries missing
     messages (graft + re-request towards the next advertiser), rotates
-    the oldest eager peer out (never below [degree_lo], so the mesh
-    keeps tracking the {e current} sample stream quality), tops the
-    mesh back up to the target degree, prunes it down to [degree_hi]
-    when grafts overshot, and sends the [IHave] digest of the recent
-    windows to [lazy_fanout] non-mesh peers.  Call it at the sampler's
+    the oldest eager peer out (never below the lower bound 2, so the
+    mesh keeps tracking the {e current} sample stream quality), tops the
+    mesh back up to the target degree 4, prunes it down to the upper
+    bound 8 when grafts overshot, and sends the [IHave] digest of the
+    recent windows to 6 non-mesh peers.  Call it at the sampler's
     round cadence. *)
 
 val eager_peers : t -> Basalt_proto.Node_id.t list

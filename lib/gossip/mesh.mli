@@ -1,7 +1,7 @@
 (** The eager-push peer set.
 
-    A small insertion-ordered set (degree is bounded by
-    [Config.degree_hi], so linear operations are fine) of the peers
+    A small insertion-ordered set (the gossip layer bounds its degree
+    by 8, so linear operations are fine) of the peers
     that receive full messages immediately.  Insertion order is the
     only order the protocol ever observes, keeping mesh behaviour
     independent of identifier values. *)

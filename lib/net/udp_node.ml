@@ -73,8 +73,9 @@ let bind_socket listen =
   | Unix.ADDR_UNIX _ -> assert false
 
 let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
-    ?(retry = default_retry) ?(inject_loss = 0.0) ?(inject_delay = 0.0) ?gossip
-    ?(deliver = fun _ _ -> ()) ~loop ~listen ~bootstrap ~seed () =
+    ?(retry = default_retry) ?(inject_loss = 0.0) ?(inject_delay = 0.0)
+    ?(gossip = false) ?(deliver = fun _ _ -> ()) ~loop ~listen ~bootstrap ~seed
+    () =
   check_retry retry;
   if inject_loss < 0.0 || inject_loss > 1.0 then
     invalid_arg "Udp_node: inject_loss must be in [0, 1]";
@@ -94,9 +95,7 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   let retry_rng = Rng.split root_rng in
   let inject_rng = Rng.split root_rng in
   (* Gossip-less nodes draw exactly the streams they always did. *)
-  let gossip =
-    match gossip with None -> None | Some c -> Some (c, Rng.split root_rng)
-  in
+  let gossip_rng = if gossip then Some (Rng.split root_rng) else None in
   (* Raw transmission, optionally degraded by the self-injection knobs:
      drop with probability [inject_loss], else postpone by a uniform draw
      from [0, inject_delay).  A datagram counts as sent only if [sendto]
@@ -187,11 +186,11 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
      application reads. *)
   let glayer =
     Option.map
-      (fun (gconfig, rng) ->
-        Gossip.create ~config:gconfig ~obs ~node:(Basalt.id basalt)
+      (fun rng ->
+        Gossip.create ~obs ~node:(Basalt.id basalt)
           ~view:(fun () -> Basalt.view basalt)
           ~rng ~send ~deliver ())
-      gossip
+      gossip_rng
   in
   let t =
     {

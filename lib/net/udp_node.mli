@@ -53,7 +53,7 @@ val create :
   ?retry:retry ->
   ?inject_loss:float ->
   ?inject_delay:float ->
-  ?gossip:Basalt_gossip.Config.t ->
+  ?gossip:bool ->
   ?deliver:(Basalt_proto.Message.mid -> bytes -> unit) ->
   loop:Event_loop.t ->
   listen:Endpoint.t ->
@@ -82,13 +82,12 @@ val create :
     postponed by a uniform draw from [\[0, inject_delay)] seconds.  Both
     draw from streams split off [seed], so a degraded run is replayable.
 
-    [gossip] mounts the {!Basalt_gossip.Gossip} epidemic broadcast
-    layer (DESIGN.md §11) with the given configuration as the node's
-    app ({!Basalt_assembly.Node.gossip}); [deliver] (default a no-op)
-    fires exactly once per received or published message.  Without
-    [gossip] the node draws exactly the PRNG streams it always did, and
-    inbound broadcast frames fall through to the sampler, which ignores
-    them.
+    [gossip] (default [false]) mounts the {!Basalt_gossip.Gossip}
+    epidemic broadcast layer (DESIGN.md §11) as the node's app
+    ({!Basalt_assembly.Node.gossip}); [deliver] (default a no-op) fires
+    exactly once per received or published message.  Without [gossip]
+    the node draws exactly the PRNG streams it always did, and inbound
+    broadcast frames fall through to the sampler, which ignores them.
 
     [obs] (default disabled) is threaded into the protocol instance and
     additionally records [net.datagrams_in], [net.datagrams_out],

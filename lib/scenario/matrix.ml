@@ -34,16 +34,6 @@ let prefix_layout ~honest ~honest_prefixes ~attacker_prefixes id =
   if id < honest then id mod honest_prefixes
   else honest_prefixes + ((id - honest) mod attacker_prefixes)
 
-(* Spec.load rejects (rho ...) on an sps or classic cell, and (rank ...)
-   on any but a basalt cell. *)
-let protocol_of ~v ~rho ?backend = function
-  | Spec.Basalt ->
-      Scenario.Basalt (Basalt_core.Config.make ~v ?rho ?backend ())
-  | Spec.Brahms ->
-      Scenario.Brahms (Basalt_brahms.Brahms_config.make ~l:v ?rho ())
-  | Spec.Sps -> Scenario.Sps (Basalt_sps.Sps.config ~l:v ())
-  | Spec.Classic -> Scenario.Classic (Basalt_sps.Classic.config ~l:v ())
-
 let link_of (l : Spec.link_fault) =
   Fault.link ?loss:l.lf_loss ?latency:l.lf_latency ?dup:l.lf_dup
     ?reorder:l.lf_reorder ?reorder_window:l.lf_reorder_window ()
@@ -80,9 +70,9 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
   let n = Option.value s.Spec.n ~default:(Scale.n scale) in
   let v = Option.value s.Spec.v ~default:(Scale.v scale) in
   let steps = Option.value s.Spec.steps ~default:(Scale.steps scale) in
-  let protocol =
+  let name =
     match s.Spec.protocol with
-    | Some p -> p
+    | Some name -> name
     | None -> invalid_arg "Matrix: unbound protocol (Spec.load admits none)"
   in
   let graph_metrics = Spec.needs spec Metric.Graph in
@@ -99,10 +89,14 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
         Churn.make ?start ?style:c.churn_style ~rate:c.churn_rate ())
       s.Spec.churn
   in
+  (* Spec.load admits only known names, and (rank ...) on basalt cells
+     alone. *)
   let make ?backend () =
     Scenario.make ~name:spec.Spec.name ~n ?f:s.Spec.f ?force:s.Spec.force
       ?strategy:s.Spec.strategy
-      ~protocol:(protocol_of ~v ~rho:s.Spec.rho ?backend protocol)
+      ~protocol:
+        (Result.get_ok
+           (Scenario.protocol_of_name ~v ?rho:s.Spec.rho ?backend name))
       ~steps ?measure_every:s.Spec.measure_every ~graph_metrics
       ?sample_window:s.Spec.sample_window ?churn ?latency:s.Spec.latency
       ?loss:s.Spec.loss ?fault ~seed ()

@@ -191,15 +191,16 @@ let all =
               else float_of_int adversary /. float_of_int correct)));
     make "optimal" ~level:Cell
       (Scope (fun s -> Float s.group.g_scenario.Scenario.f));
-    (* Eq. 16's stable root B1 at the cell's n, f and view size (§3);
-       "none" when the attack has no steady state. *)
+    (* Eq. 16's stable root B1 at the cell's n, f, view size, τ and ρ
+       (§3); "none" when the attack has no steady state. *)
     make "model_B1" ~level:Cell
       (Scope
          (fun s ->
            let sc = s.group.g_scenario in
            let env =
              Model.env ~n:sc.Scenario.n ~f:sc.Scenario.f
-               ~v:(Scenario.view_size sc) ()
+               ~v:(Scenario.view_size sc) ~tau:(Scenario.tau sc)
+               ~rho:(Scenario.rho sc) ()
            in
            Option.fold ~none:(Missing "none")
              ~some:(fun b -> Float b)

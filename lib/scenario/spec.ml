@@ -10,8 +10,8 @@ module Adversary = Basalt_adversary.Adversary
 module Node_id = Basalt_proto.Node_id
 module Gossip_app = Basalt_experiments.Gossip_app
 module Scale = Basalt_experiments.Scale
+module Scenario = Basalt_sim.Scenario
 
-type protocol = Basalt | Brahms | Sps | Classic
 type side = First_half | First of int
 
 type link_fault = {
@@ -46,7 +46,7 @@ type settings = {
   force : float option;
   rho : float option;
   steps : float option;
-  protocol : protocol option;
+  protocol : string option;
   strategy : Adversary.strategy option;
   latency : Link.Latency.t option;
   loss : Link.Loss.t option;
@@ -305,12 +305,11 @@ let loss_of (s : Sexp.t) =
       | _ -> fail pos "unknown loss model '%s' (none|bernoulli|gilbert)" head)
 
 let protocol_of (s : Sexp.t) =
-  match atom_of s ~what:"a protocol name" with
-  | "basalt" -> Basalt
-  | "brahms" -> Brahms
-  | "sps" -> Sps
-  | "classic" -> Classic
-  | a -> fail s.pos "unknown protocol '%s' (basalt|brahms|sps|classic)" a
+  let a = atom_of s ~what:"a protocol name" in
+  if List.mem a Scenario.protocol_names then a
+  else
+    fail s.pos "unknown protocol '%s' (%s)" a
+      (String.concat "|" Scenario.protocol_names)
 
 let strategy_of (s : Sexp.t) =
   match s.desc with
@@ -878,14 +877,14 @@ let of_sexp (s : Sexp.t) =
               fail pos
                 "no protocol bound: set (protocol ...) in (base ...) or on \
                  every entry of an axis"
-          | Some (Sps | Classic), Some _, _ ->
+          | Some ("sps" | "classic"), Some _, _ ->
               fail pos
                 "cell %s binds (rho ...), which only basalt and brahms take"
                 (cell ())
-          | Some (Brahms | Sps | Classic), _, Some _ ->
+          | Some p, _, Some _ when not (String.equal p "basalt") ->
               fail pos "cell %s binds (rank ...), which only basalt takes"
                 (cell ())
-          | Some (Basalt | Brahms | Sps | Classic), _, _ -> ())
+          | Some _, _, _ -> ())
         (cells scale spec))
     [ Scale.Quick; Scale.Standard; Scale.Full ];
   spec

@@ -8,8 +8,6 @@
     every diagnostic as [file:line:col: message]; a spec that survives
     {!load} runs without further error handling in {!Matrix}. *)
 
-type protocol = Basalt | Brahms | Sps | Classic
-
 type side =
   | First_half  (** Nodes [i < n / 2] — the classic half-space cut. *)
   | First of int  (** Nodes [i < k]. *)
@@ -55,7 +53,8 @@ type settings = {
   force : float option;
   rho : float option;  (** Basalt/Brahms sampling rate. *)
   steps : float option;
-  protocol : protocol option;
+  protocol : string option;
+      (** One of {!Basalt_sim.Scenario.protocol_names}. *)
   strategy : Basalt_adversary.Adversary.strategy option;
   latency : Basalt_engine.Link.Latency.t option;
   loss : Basalt_engine.Link.Loss.t option;

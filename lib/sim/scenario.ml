@@ -4,6 +4,18 @@ type protocol =
   | Sps of Basalt_sps.Sps.config
   | Classic of Basalt_sps.Classic.config
 
+let protocol_names = [ "basalt"; "brahms"; "sps"; "classic" ]
+
+let protocol_of_name ?backend ?rho ~v = function
+  | "basalt" -> Ok (Basalt (Basalt_core.Config.make ~v ?rho ?backend ()))
+  | "brahms" -> Ok (Brahms (Basalt_brahms.Brahms_config.make ~l:v ?rho ()))
+  | "sps" -> Ok (Sps (Basalt_sps.Sps.config ~l:v ()))
+  | "classic" -> Ok (Classic (Basalt_sps.Classic.config ~l:v ()))
+  | name ->
+      Error
+        (Printf.sprintf "unknown protocol %S (expected %s)" name
+           (String.concat "|" protocol_names))
+
 type t = {
   name : string;
   n : int;
@@ -72,7 +84,12 @@ let num_correct s = s.n - num_byzantine s
 let tau s =
   match s.protocol with
   | Basalt c -> c.Basalt_core.Config.tau
-  | Brahms c -> c.Basalt_brahms.Brahms_config.tau
+  | Brahms _ | Sps _ | Classic _ -> 1.0
+
+let rho s =
+  match s.protocol with
+  | Basalt c -> c.Basalt_core.Config.rho
+  | Brahms c -> c.Basalt_brahms.Brahms_config.rho
   | Sps _ | Classic _ -> 1.0
 
 let refresh_interval s =
@@ -101,8 +118,3 @@ let protocol_name s =
   | Brahms _ -> "brahms"
   | Sps _ -> "sps"
   | Classic _ -> "classic"
-
-let pp ppf s =
-  Format.fprintf ppf
-    "%s{proto=%s; n=%d; f=%g; F=%g; v=%d; steps=%g; seed=%d}" s.name
-    (protocol_name s) s.n s.f s.force (view_size s) s.steps s.seed

@@ -12,6 +12,24 @@ type protocol =
   | Sps of Basalt_sps.Sps.config
   | Classic of Basalt_sps.Classic.config
 
+val protocol_names : string list
+(** [protocol_names] is [["basalt"; "brahms"; "sps"; "classic"]], the
+    names {!protocol_of_name} accepts. *)
+
+val protocol_of_name :
+  ?backend:Basalt_hashing.Rank.backend ->
+  ?rho:float ->
+  v:int ->
+  string ->
+  (protocol, string) result
+(** [protocol_of_name ~v name] is protocol [name] with view size [v] and
+    every other parameter at its default.  [rho] sets the sampling rate
+    of the two protocols that have one, Basalt and Brahms; SPS and
+    classic ignore it.  [backend] sets Basalt's rank function family
+    and is ignored by the others.  An unknown [name] is
+    an [Error] that names it and lists {!protocol_names}.
+    @raise Invalid_argument on a [v] or [rho] the protocol rejects. *)
+
 type t = private {
   name : string;
   n : int;  (** Total nodes (correct + Byzantine). *)
@@ -72,7 +90,12 @@ val num_correct : t -> int
 (** [num_correct s] is [n - num_byzantine s]. *)
 
 val tau : t -> float
-(** [tau s] is the protocol's exchange interval. *)
+(** [tau s] is the protocol's exchange interval (1 for all but Basalt,
+    whose configuration sets it). *)
+
+val rho : t -> float
+(** [rho s] is the protocol's sampling rate: the configured one for
+    Basalt and Brahms, 1 for SPS and classic. *)
 
 val refresh_interval : t -> float
 (** [refresh_interval s] is the protocol's [k / rho] sampling period. *)
@@ -88,6 +111,3 @@ val maker : ?obs:Basalt_obs.Obs.t -> t -> Basalt_proto.Rps.maker
 val protocol_name : t -> string
 (** [protocol_name s] is the short name used in reports (["basalt"],
     ["brahms"], ["sps"], …). *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter for scenarios. *)

@@ -3,25 +3,25 @@ module Message = Basalt_proto.Message
 module Rps = Basalt_proto.Rps
 module Obs = Basalt_obs.Obs
 
-type config = {
-  l : int;
-  z : float;
-  decay : float;
-  blacklist_ttl : int;
-  warmup_rounds : int;
-}
+type config = { l : int }
 
-let config ?(l = 160) ?(z = 3.0) ?(decay = 0.9) ?(blacklist_ttl = 50)
-    ?(warmup_rounds = 30) () =
+let config ?(l = 160) () =
   if l <= 0 then invalid_arg "Sps.config: l must be positive";
-  if z < 0.0 then invalid_arg "Sps.config: z must be non-negative";
-  if decay <= 0.0 || decay > 1.0 then invalid_arg "Sps.config: decay out of (0,1]";
-  if blacklist_ttl <= 0 then invalid_arg "Sps.config: blacklist_ttl <= 0";
-  if warmup_rounds < 0 then invalid_arg "Sps.config: warmup_rounds < 0";
-  { l; z; decay; blacklist_ttl; warmup_rounds }
+  { l }
+
+(* Outlier threshold: blacklist when count > mean + z·std. *)
+let z = 3.0
+
+(* Per-round decay of the frequency statistics. *)
+let decay = 0.9
+
+(* Rounds a blacklisting lasts. *)
+let blacklist_ttl = 50
+
+(* Rounds of statistics gathering before any blacklisting. *)
+let warmup_rounds = 30
 
 type t = {
-  config : config;
   stats : Indegree_stats.t;
   blacklist : (int, int) Hashtbl.t;  (* id -> expiry round *)
   round : int ref;  (* shared with the base protocol's filter closure *)
@@ -43,7 +43,7 @@ let default_config = config ()
 
 let create ?(config = default_config) ?(obs = Obs.disabled) ~id ~bootstrap
     ~rng ~send () =
-  let stats = Indegree_stats.create ~decay:config.decay () in
+  let stats = Indegree_stats.create ~decay () in
   let blacklist = Hashtbl.create 64 in
   let round = ref 0 in
   let accepts node_id =
@@ -57,7 +57,6 @@ let create ?(config = default_config) ?(obs = Obs.disabled) ~id ~bootstrap
       ~filter:accepts ~obs ~label:"sps" ~id ~bootstrap ~rng ~send ()
   in
   {
-    config;
     stats;
     blacklist;
     round;
@@ -69,13 +68,13 @@ let create ?(config = default_config) ?(obs = Obs.disabled) ~id ~bootstrap
    test, and blacklist offenders before the base protocol consumes the
    message. *)
 let inspect t ids =
-  let armed = !(t.round) > t.config.warmup_rounds in
+  let armed = !(t.round) > warmup_rounds in
   Array.iter
     (fun id ->
       Indegree_stats.record t.stats id;
-      if armed && Indegree_stats.is_outlier t.stats ~z:t.config.z id then begin
+      if armed && Indegree_stats.is_outlier t.stats ~z id then begin
         Hashtbl.replace t.blacklist (Node_id.to_int id)
-          (!(t.round) + t.config.blacklist_ttl);
+          (!(t.round) + blacklist_ttl);
         Obs.Counter.incr t.c_blacklist_adds;
         Classic.evict t.base (Node_id.equal id)
       end)

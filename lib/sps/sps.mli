@@ -13,31 +13,18 @@
     even with attack force F = 0).  The [sps-failure] experiment
     reproduces this. *)
 
-type config = private {
-  l : int;  (** View size. *)
-  z : float;  (** Outlier threshold: blacklist when count > mean + z·std. *)
-  decay : float;  (** Per-round decay of the frequency statistics. *)
-  blacklist_ttl : int;  (** Rounds a blacklisting lasts. *)
-  warmup_rounds : int;
-      (** Rounds of statistics gathering before any blacklisting: the
-          detector needs a population baseline before it can call an
-          indegree "extreme".  During warm-up SPS behaves like the
-          classical shuffler — the window the Basalt paper's attack
-          exploits. *)
-}
+type config = private { l : int  (** View size. *) }
 
-val config :
-  ?l:int ->
-  ?z:float ->
-  ?decay:float ->
-  ?blacklist_ttl:int ->
-  ?warmup_rounds:int ->
-  unit ->
-  config
-(** [config ()] defaults to [l = 160], [z = 3.0], [decay = 0.9],
-    [blacklist_ttl = 50], [warmup_rounds = 30]. @raise Invalid_argument on
-    non-positive [l] or [blacklist_ttl], negative [warmup_rounds], or
-    [z < 0]. *)
+val config : ?l:int -> unit -> config
+(** [config ()] defaults to [l = 160].  The detector's parameters are
+    fixed: the frequency statistics decay by 0.9 per round; an
+    identifier is blacklisted for 50 rounds when its count exceeds
+    mean + 3·std; and no identifier is blacklisted during the first 30
+    rounds of warm-up — the detector needs a population baseline before
+    it can call an indegree "extreme", so during warm-up SPS behaves
+    like the classical shuffler, the window the Basalt paper's attack
+    exploits.
+    @raise Invalid_argument on non-positive [l]. *)
 
 type t
 (** One node's SPS state. *)

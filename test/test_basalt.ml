@@ -17,8 +17,7 @@ let config_defaults () =
   check_int "v" 160 c.Config.v;
   check_int "k = v/2" 80 c.Config.k;
   Alcotest.(check (float 1e-9)) "tau" 1.0 c.Config.tau;
-  Alcotest.(check (float 1e-9)) "rho" 1.0 c.Config.rho;
-  check_bool "exclude_self" true c.Config.exclude_self
+  Alcotest.(check (float 1e-9)) "rho" 1.0 c.Config.rho
 
 let config_validation () =
   let expect msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
@@ -1162,8 +1161,8 @@ let forged_dense_id_bounded () =
   if grown > limit then
     Alcotest.failf "forged ids grew the node by %d words, over %d" grown limit
 
-(* exclude_self (the default) keeps the node's own identifier out of
-   its view no matter how often it is offered. *)
+(* The node's own identifier stays out of its view no matter how often
+   it is offered. *)
 let prop_view_excludes_self =
   Check.prop ~name:"view never contains self" ~count:200
     ~print:print_seed_ids seed_and_ids

@@ -1,5 +1,5 @@
 (* Tests for basalt.brahms: config, view reconstruction, samplers,
-   multi-shot extension, blocking. *)
+   multi-shot extension. *)
 
 open Basalt_brahms
 module Node_id = Basalt_proto.Node_id
@@ -16,18 +16,13 @@ let rng () = Basalt_prng.Rng.create ~seed:99
 let config_defaults () =
   let c = Brahms_config.default in
   check_int "l" 160 c.Brahms_config.l;
-  Alcotest.(check (float 1e-9)) "alpha" (1.0 /. 3.0) c.Brahms_config.alpha;
-  check_bool "blocking off" true (c.Brahms_config.push_limit = None);
+  Alcotest.(check (float 1e-9)) "rho" 1.0 c.Brahms_config.rho;
   check_int "k = l/2" 80 c.Brahms_config.k
 
 let config_validation () =
   let expect msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
   expect "Brahms_config.make: l must be positive" (fun () ->
       ignore (Brahms_config.make ~l:0 ()));
-  expect "Brahms_config.make: weights must sum to 1" (fun () ->
-      ignore (Brahms_config.make ~alpha:0.5 ~beta:0.5 ~gamma:0.5 ()));
-  expect "Brahms_config.make: negative weight" (fun () ->
-      ignore (Brahms_config.make ~alpha:(-0.5) ~beta:1.0 ~gamma:0.5 ()));
   expect "Brahms_config.make: k must be in [1, l]" (fun () ->
       ignore (Brahms_config.make ~l:4 ~k:5 ()))
 
@@ -42,12 +37,12 @@ let capture () =
   let send ~dst msg = sent := (dst, msg) :: !sent in
   (sent, send)
 
-let make ?(l = 8) ?(k = 2) ?push_limit ?(bootstrap = Array.init 6 (fun i -> id (i + 1)))
-    () =
+let make ?(l = 8) ?(k = 2) ?(bootstrap = Array.init 6 (fun i -> id (i + 1))) ()
+    =
   let sent, send = capture () in
   let t =
     Brahms.create
-      ~config:(Brahms_config.make ~l ~k ?push_limit ())
+      ~config:(Brahms_config.make ~l ~k ())
       ~id:(id 0) ~bootstrap ~rng:(rng ()) ~send ()
   in
   (t, sent)
@@ -116,20 +111,6 @@ let brahms_push_only_no_update () =
     (Array.map Node_id.to_int before)
     (Array.map Node_id.to_int (Brahms.view t))
 
-let brahms_blocking () =
-  let t, _ = make ~push_limit:1 () in
-  let before = Brahms.view t in
-  (* Two pushes exceed the limit of 1: the round's update is vetoed. *)
-  Brahms.on_message t ~from:(id 30) (Message.Push_id (id 30));
-  Brahms.on_message t ~from:(id 31) (Message.Push_id (id 31));
-  Brahms.on_message t ~from:(id 2) (Message.Pull_reply [| id 32 |]);
-  Brahms.on_round t;
-  check_int "blocked once" 1 (Brahms.blocked_rounds t);
-  Alcotest.(check (array int))
-    "view unchanged when blocked"
-    (Array.map Node_id.to_int before)
-    (Array.map Node_id.to_int (Brahms.view t))
-
 let brahms_samplers_minwise () =
   let t, _ = make ~l:16 () in
   (* Feed a batch of ids through a push: samplers must absorb them. *)
@@ -165,26 +146,6 @@ let brahms_sample_tick () =
   in
   let produced = drain 3 0 in
   check_bool "resets drain without refill" true (produced <= 8)
-
-let brahms_message_budget_knobs () =
-  let sent = ref [] in
-  let send ~dst:_ msg = sent := msg :: !sent in
-  let t =
-    Brahms.create
-      ~config:(Brahms_config.make ~l:8 ~pushes_per_round:3 ~pulls_per_round:2 ())
-      ~id:(id 0)
-      ~bootstrap:(Array.init 6 (fun i -> id (i + 1)))
-      ~rng:(rng ()) ~send ()
-  in
-  Brahms.on_round t;
-  let count kind =
-    List.length (List.filter (fun m -> Message.kind m = kind) !sent)
-  in
-  check_int "three pushes" 3 (count "push-id");
-  check_int "two pulls" 2 (count "pull");
-  Alcotest.check_raises "negative counts"
-    (Invalid_argument "Brahms_config.make: negative per-round message count")
-    (fun () -> ignore (Brahms_config.make ~pushes_per_round:(-1) ()))
 
 let brahms_sampler_interface () =
   let maker = Brahms.sampler ~config:(Brahms_config.make ~l:8 ()) () in
@@ -256,8 +217,9 @@ let prop_samplers_permutation_invariant =
       Brahms.sampler_outputs a = Brahms.sampler_outputs b)
 
 (* Differential oracle: a naive model that ranks every (sampler, id)
-   pair with [Rank.rank] and keeps the strict minimum per sampler, fed
-   the ids Brahms's message syntax admits.  Without [on_round], the only
+   pair with [Rank.rank Cheap] and keeps the strict minimum per sampler,
+   fed the ids Brahms's message syntax admits, less the node's own.
+   Without [on_round], the only
    draws after [create] are the sample-tick reseeds, so the model follows
    the node's PRNG stream exactly: [Rng.split], [l] seeds, the initial
    view's [random_subset], then one seed per reset in round-robin
@@ -288,31 +250,22 @@ let gen_op =
       (2, Gen.return Tick);
     ]
 
-let oracle_backends =
-  [|
-    Rank.Cheap;
-    Rank.Keyed_cheap 0x5DEECE66D;
-    Rank.Siphash (Basalt_hashing.Siphash.key_of_ints 7L 11L);
-    Rank.Prefix_diverse { prefix_of = (fun id -> id / 4) };
-  |]
-
 type model = {
   m_rng : Rng.t;
-  m_backend : Rank.backend;
   m_seeds : int array;
   m_best : (int * int) option array;  (* (rank, id) *)
   mutable m_next : int;
   mutable m_evals : int;
 }
 
-let model_feed m ~skip ids =
+let model_feed m ~self ids =
   List.iter
     (fun i ->
-      if not (skip i) then
+      if i <> self then
         Array.iteri
           (fun s seed ->
             m.m_evals <- m.m_evals + 1;
-            let r = Rank.rank m.m_backend seed i in
+            let r = Rank.rank Rank.Cheap seed i in
             match m.m_best.(s) with
             | Some (best, _) when best <= r -> ()
             | Some _ | None -> m.m_best.(s) <- Some (r, i))
@@ -335,22 +288,19 @@ let model_tick m ~k =
 
 let prop_samplers_match_naive_model =
   Check.prop ~name:"samplers match the naive min-rank model" ~count:300
-    ~print:(fun ((seed, b, excl), (l, boot), ops) ->
-      Printf.sprintf "seed=%d backend=%d exclude_self=%b l=%d boot=%s ops=%s"
-        seed b excl l (Print.list Print.int boot) (Print.list print_op ops))
-    (Gen.triple
-       (Gen.triple (Gen.nat ~max:10_000) (Gen.nat ~max:3) Gen.bool)
+    ~print:(fun (seed, (l, boot), ops) ->
+      Printf.sprintf "seed=%d l=%d boot=%s ops=%s" seed l
+        (Print.list Print.int boot) (Print.list print_op ops))
+    (Gen.triple (Gen.nat ~max:10_000)
        (Gen.pair (Gen.int_range 1 10) (Gen.list ~max_len:10 (Gen.nat ~max:24)))
        (Gen.list ~max_len:30 gen_op))
-    (fun ((seed, b, exclude_self), (l, boot), ops) ->
-      let backend = oracle_backends.(b) in
+    (fun (seed, (l, boot), ops) ->
       let k = 1 + (seed mod l) in
       let self = 0 in
-      let skip i = exclude_self && Int.equal i self in
       let obs = Basalt_obs.Obs.create () in
       let t =
         Brahms.create
-          ~config:(Brahms_config.make ~l ~k ~backend ~exclude_self ())
+          ~config:(Brahms_config.make ~l ~k ())
           ~obs ~id:(id self) ~bootstrap:(Array.of_list (List.map id boot))
           ~rng:(Rng.create ~seed) ~send:(fun ~dst:_ _ -> ()) ()
       in
@@ -363,14 +313,13 @@ let prop_samplers_match_naive_model =
         ignore (View_ops.random_subset rng ~k:l candidates);
         {
           m_rng = rng;
-          m_backend = backend;
           m_seeds;
           m_best = Array.make l None;
           m_next = 0;
           m_evals = 0;
         }
       in
-      model_feed m ~skip boot;
+      model_feed m ~self boot;
       let outputs () =
         Array.map Node_id.to_int (Brahms.sampler_outputs t) = model_outputs m
       in
@@ -379,16 +328,16 @@ let prop_samplers_match_naive_model =
         | Reply (f, ids) ->
             Brahms.on_message t ~from:(id f)
               (Message.Pull_reply (Array.of_list (List.map id ids)));
-            model_feed m ~skip ids;
+            model_feed m ~self ids;
             outputs ()
         | Push_id (f, i) ->
             Brahms.on_message t ~from:(id f) (Message.Push_id (id i));
-            model_feed m ~skip [ i ];
+            model_feed m ~self [ i ];
             outputs ()
         | Push (f, ids) ->
             Brahms.on_message t ~from:(id f)
               (Message.Push (Array.of_list (List.map id ids)));
-            model_feed m ~skip [ f ];
+            model_feed m ~self [ f ];
             outputs ()
         | Tick ->
             List.map Node_id.to_int (Brahms.sample_tick t)
@@ -485,13 +434,10 @@ let () =
             brahms_view_update_requires_both;
           Alcotest.test_case "push alone keeps view" `Quick
             brahms_push_only_no_update;
-          Alcotest.test_case "blocking" `Quick brahms_blocking;
           Alcotest.test_case "samplers min-wise" `Quick brahms_samplers_minwise;
           Alcotest.test_case "multi-id push parsed as one" `Quick
             brahms_multi_id_push_is_single;
           Alcotest.test_case "sample_tick" `Quick brahms_sample_tick;
-          Alcotest.test_case "message budget knobs" `Quick
-            brahms_message_budget_knobs;
           Alcotest.test_case "sampler interface" `Quick brahms_sampler_interface;
           Alcotest.test_case "per-node footprint" `Quick
             brahms_per_node_footprint;

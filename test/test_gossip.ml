@@ -9,7 +9,6 @@
    degree bounds, bit-identical results at any pool width). *)
 
 module Gossip = Basalt_gossip.Gossip
-module Gconfig = Basalt_gossip.Config
 module Delivery = Basalt_gossip.Delivery
 module Message = Basalt_proto.Message
 module Node_id = Basalt_proto.Node_id
@@ -34,11 +33,16 @@ type harness = {
   delivered : (Message.mid * bytes) list ref;
 }
 
-let harness ?config ?(node = 0) ?(view = fun () -> [||]) ?(seed = 42) () =
+(* The layer's fixed mesh bounds: target degree, churn floor, cap. *)
+let degree = 4
+let degree_lo = 2
+let degree_hi = 8
+
+let harness ?(node = 0) ?(view = fun () -> [||]) ?(seed = 42) () =
   let sent = ref [] in
   let delivered = ref [] in
   let g =
-    Gossip.create ?config ~node:(id node) ~view ~rng:(Rng.create ~seed)
+    Gossip.create ~node:(id node) ~view ~rng:(Rng.create ~seed)
       ~send:(fun ~dst msg -> sent := !sent @ [ (Node_id.to_int dst, msg) ])
       ~deliver:(fun m payload -> delivered := !delivered @ [ (m, payload) ])
       ()
@@ -51,32 +55,6 @@ let sent_to h dst =
     !(h.sent)
 
 let count_frames h pred = List.length (List.filter pred !(h.sent))
-
-(* --- config --- *)
-
-let config_validation () =
-  let expect msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
-  expect "Gossip.Config.make: need 0 < degree_lo <= degree <= degree_hi"
-    (fun () -> ignore (Gconfig.make ~degree_lo:0 ()));
-  expect "Gossip.Config.make: need 0 < degree_lo <= degree <= degree_hi"
-    (fun () -> ignore (Gconfig.make ~degree:1 ~degree_lo:2 ()));
-  expect "Gossip.Config.make: need 0 < degree_lo <= degree <= degree_hi"
-    (fun () -> ignore (Gconfig.make ~degree:9 ()));
-  expect "Gossip.Config.make: lazy_fanout < 0" (fun () ->
-      ignore (Gconfig.make ~lazy_fanout:(-1) ()));
-  expect "Gossip.Config.make: history < 1" (fun () ->
-      ignore (Gconfig.make ~history:0 ()));
-  expect "Gossip.Config.make: cache_capacity < 1" (fun () ->
-      ignore (Gconfig.make ~cache_capacity:0 ()));
-  expect "Gossip.Config.make: iwant_timeout < 1" (fun () ->
-      ignore (Gconfig.make ~iwant_timeout:0 ()));
-  expect "Gossip.Config.make: iwant_retries < 0" (fun () ->
-      ignore (Gconfig.make ~iwant_retries:(-1) ()));
-  let c = Gconfig.default in
-  check_int "default degree" 4 c.Gconfig.degree;
-  check_bool "default bounds" true
-    (c.Gconfig.degree_lo <= c.Gconfig.degree
-    && c.Gconfig.degree <= c.Gconfig.degree_hi)
 
 (* --- publish --- *)
 
@@ -102,7 +80,7 @@ let publish_pushes_to_mesh () =
   let h = harness () in
   Gossip.on_samples h.g [ id 1; id 2; id 3; id 4; id 5 ];
   Gossip.heartbeat h.g;
-  check_int "mesh topped up to degree" Gconfig.default.Gconfig.degree
+  check_int "mesh topped up to degree" degree
     (Gossip.eager_degree h.g);
   h.sent := [];
   let payload = Bytes.of_string "data" in
@@ -194,8 +172,7 @@ let ihave_triggers_one_iwant () =
   check_int "recovered delivery" 1 (List.length !(h.delivered))
 
 let iwant_recovery_rotates_holders () =
-  let config = Gconfig.make ~iwant_timeout:1 ~iwant_retries:2 () in
-  let h = harness ~config () in
+  let h = harness () in
   let m = mid ~origin:2 ~seqno:0 in
   ignore (Gossip.on_message h.g ~from:(id 4) (Message.Ihave [| m |]));
   h.sent := [];
@@ -214,30 +191,31 @@ let iwant_recovery_rotates_holders () =
 (* --- mesh management --- *)
 
 let graft_refused_at_capacity () =
-  let config = Gconfig.make ~degree:1 ~degree_lo:1 ~degree_hi:2 () in
-  let h = harness ~config () in
-  ignore (Gossip.on_message h.g ~from:(id 1) Message.Graft);
-  ignore (Gossip.on_message h.g ~from:(id 2) Message.Graft);
-  check_int "grafts accepted up to hi" 2 (Gossip.eager_degree h.g);
+  let h = harness () in
+  for p = 1 to degree_hi do
+    ignore (Gossip.on_message h.g ~from:(id p) Message.Graft)
+  done;
+  check_int "grafts accepted up to hi" degree_hi (Gossip.eager_degree h.g);
   h.sent := [];
-  ignore (Gossip.on_message h.g ~from:(id 3) Message.Graft);
-  check_int "over-capacity graft refused" 2 (Gossip.eager_degree h.g);
-  (match sent_to h 3 with
+  let refused = degree_hi + 1 in
+  ignore (Gossip.on_message h.g ~from:(id refused) Message.Graft);
+  check_int "over-capacity graft refused" degree_hi (Gossip.eager_degree h.g);
+  (match sent_to h refused with
   | [ Message.Prune ] -> ()
   | _ -> Alcotest.fail "expected a Prune back to the refused grafter");
   ignore (Gossip.on_message h.g ~from:(id 1) Message.Prune);
-  check_int "prune removes" 1 (Gossip.eager_degree h.g)
+  check_int "prune removes" (degree_hi - 1) (Gossip.eager_degree h.g)
 
 let heartbeat_rotates_mesh () =
   let h = harness () in
   Gossip.on_samples h.g [ id 1; id 2; id 3; id 4; id 5; id 6 ];
   Gossip.heartbeat h.g;
   let before = Gossip.eager_peers h.g in
-  check_int "at target degree" Gconfig.default.Gconfig.degree
+  check_int "at target degree" degree
     (List.length before);
   h.sent := [];
   Gossip.heartbeat h.g;
-  check_int "still at target degree" Gconfig.default.Gconfig.degree
+  check_int "still at target degree" degree
     (Gossip.eager_degree h.g);
   (* The oldest eager peer is always demoted (degree > degree_lo), even
      if the top-up happens to re-select it from the sample pool. *)
@@ -265,14 +243,14 @@ type net = {
   tracker : Delivery.t;
 }
 
-let mini_network ?config ~n ~seed () =
+let mini_network ~n ~seed () =
   let queue = Queue.create () in
   let tracker = Delivery.create ~n () in
   let master = Rng.create ~seed in
   let all = Array.init n id in
   let nodes =
     Array.init n (fun i ->
-        Gossip.create ?config ~node:(id i)
+        Gossip.create ~node:(id i)
           ~view:(fun () -> Array.of_list (List.filter (fun p -> Node_id.to_int p <> i) (Array.to_list all)))
           ~rng:(Rng.split master)
           ~send:(fun ~dst msg -> Queue.push (i, Node_id.to_int dst, msg) queue)
@@ -281,10 +259,13 @@ let mini_network ?config ~n ~seed () =
   in
   { nodes; queue; tracker }
 
-let drain net =
+(* Delivers every queued frame, and the frames they cause, except those
+   [lost] drops. *)
+let drain ?(lost = fun _ -> false) net =
   while not (Queue.is_empty net.queue) do
     let src, dst, msg = Queue.pop net.queue in
-    ignore (Gossip.on_message net.nodes.(dst) ~from:(id src) msg)
+    if not (lost msg) then
+      ignore (Gossip.on_message net.nodes.(dst) ~from:(id src) msg)
   done
 
 let feed_samples net =
@@ -312,24 +293,20 @@ let mini_eager_flood () =
   Array.iter
     (fun g ->
       check_bool "degree within bounds" true
-        (Gossip.eager_degree g <= Gconfig.default.Gconfig.degree_hi))
+        (Gossip.eager_degree g <= degree_hi))
     net.nodes
 
 let mini_lazy_recovery () =
-  (* Degree-one meshes form a sparse relay graph that cannot cover
-     everyone eagerly; the IHave/IWant rounds must close the gap. *)
-  let config =
-    Gconfig.make ~degree:1 ~degree_lo:1 ~degree_hi:1 ~lazy_fanout:4 ()
-  in
-  let net = mini_network ~config ~n:8 ~seed:3 () in
+  (* Every eager push of the publish is lost, so only the origin holds
+     the message; the IHave/IWant rounds must close the gap. *)
+  let net = mini_network ~n:8 ~seed:3 () in
   feed_samples net;
   Array.iter Gossip.heartbeat net.nodes;
   drain net;
   let m = Gossip.publish net.nodes.(0) (Bytes.of_string "lazy") in
   Delivery.published net.tracker m ~time:0.0;
-  drain net;
-  check_bool "eager reach incomplete at degree 1" true
-    (Delivery.fraction net.tracker < 1.0);
+  drain net ~lost:(function Message.Gossip _ -> true | _ -> false);
+  check_bool "eager pushes lost" true (Delivery.fraction net.tracker < 1.0);
   (* A few digest/recovery rounds: each heartbeat advertises, each drain
      answers the IWants. *)
   for _ = 1 to 4 do
@@ -398,8 +375,8 @@ let sim_exact_once_clean () =
       | Some g ->
           let d = Gossip.eager_degree g in
           check_bool "degree within [lo, hi]" true
-            (d >= Gconfig.default.Gconfig.degree_lo
-            && d <= Gconfig.default.Gconfig.degree_hi))
+            (d >= degree_lo
+            && d <= degree_hi))
     gossips
 
 let sim_exact_once_under_faults () =
@@ -574,7 +551,7 @@ let prop_degree_bounded =
       List.for_all
         (fun (k, op) ->
           apply_op h k op;
-          Gossip.eager_degree h.g <= Gconfig.default.Gconfig.degree_hi)
+          Gossip.eager_degree h.g <= degree_hi)
         (List.mapi (fun k op -> (k, op)) ops))
 
 let prop_self_never_in_mesh =
@@ -591,7 +568,6 @@ let () =
     [
       ( "unit",
         [
-          Alcotest.test_case "config validation" `Quick config_validation;
           Alcotest.test_case "publish delivers locally" `Quick
             publish_delivers_locally;
           Alcotest.test_case "publish rejects oversized" `Quick

@@ -448,8 +448,8 @@ let run_tasks_determinism () =
       Alcotest.(check (list int64))
         "j=1 vs j=4 bits" sequential (values ~pool ()))
 
-(* model_B1 is Eq. 16's stable root at the cell's n, f and view size,
-   read from the resolved scenario alone (no run needed), and
+(* model_B1 is Eq. 16's stable root at the cell's n, f, view size, τ
+   and ρ, read from the resolved scenario alone (no run needed), and
    "none" when the attack has no steady state. *)
 let model_b1_metric () =
   let model_b1 = Option.get (Metric.find "model_B1") in
@@ -487,7 +487,36 @@ let model_b1_metric () =
   let t = List.hd (Matrix.tasks ~scale:Basalt_experiments.Scale.Quick spec) in
   Alcotest.(check string)
     "no stable root" "none"
-    (match eval t with Metric.Missing reason -> reason | v -> Metric.render v)
+    (match eval t with Metric.Missing reason -> reason | v -> Metric.render v);
+  (* A (rho 2) cell is the ρ = 2 root, which differs from the ρ = 1
+     one. *)
+  let root rho =
+    Basalt_analysis.Model.(steady_state (env ~n:300 ~f:0.1 ~v:60 ~rho ()))
+  in
+  Alcotest.(check bool) "rho moves the root" false (root 2.0 = root 1.0);
+  List.iter
+    (fun protocol ->
+      let spec =
+        match
+          Spec.of_string
+            (Printf.sprintf
+               "(matrix (name rho2) (base (protocol %s) (n 300) (v 60) \
+                (f 0.1) (rho 2)) (axis run (only)) (metrics (model_B1)))"
+               protocol)
+        with
+        | Ok spec -> spec
+        | Error msg -> Alcotest.fail msg
+      in
+      let t =
+        List.hd (Matrix.tasks ~scale:Basalt_experiments.Scale.Quick spec)
+      in
+      match (eval t, root 2.0) with
+      | Metric.Float b1, Some want ->
+          Alcotest.(check int64)
+            (protocol ^ " at rho 2 is Model.steady_state ~rho:2")
+            (Int64.bits_of_float want) (Int64.bits_of_float b1)
+      | _ -> Alcotest.fail "v = 60 at rho 2 has a stable root")
+    [ "basalt"; "brahms" ]
 
 (* --- ported experiments: what each cell resolves to --- *)
 

@@ -162,28 +162,35 @@ let classic_sample () =
 (* --- SPS --- *)
 
 let sps_config_invalid () =
-  Alcotest.check_raises "ttl" (Invalid_argument "Sps.config: blacklist_ttl <= 0")
-    (fun () -> ignore (Sps.config ~blacklist_ttl:0 ()));
-  Alcotest.check_raises "warmup"
-    (Invalid_argument "Sps.config: warmup_rounds < 0") (fun () ->
-      ignore (Sps.config ~warmup_rounds:(-1) ()))
+  Alcotest.check_raises "l=0"
+    (Invalid_argument "Sps.config: l must be positive") (fun () ->
+      ignore (Sps.config ~l:0 ()))
 
-let make_sps ?(warmup_rounds = 0) ?(l = 8) () =
+(* SPS blacklists nothing in its first 30 rounds (the warm-up), and a
+   blacklisting lasts 50 rounds. *)
+let warmup_rounds = 30
+let blacklist_ttl = 50
+
+let make_sps () =
   let sent, send = capture () in
   let t =
     Sps.create
-      ~config:(Sps.config ~l ~warmup_rounds ~z:2.0 ())
+      ~config:(Sps.config ~l:8 ())
       ~id:(id 0)
       ~bootstrap:(Array.init 6 (fun i -> id (i + 1)))
       ~rng:(rng ()) ~send ()
   in
   (t, sent)
 
+let quiet_rounds t n =
+  for _ = 1 to n do
+    Sps.on_round t
+  done
+
 (* Drive enough traffic that one identifier becomes a statistical
-   outlier. *)
+   outlier, for five rounds. *)
 let flood_with_heavy_hitter t =
-  for round = 1 to 5 do
-    ignore round;
+  for _ = 1 to 5 do
     Sps.on_round t;
     (* a normal-looking background of ids *)
     Sps.on_message t ~from:(id 1)
@@ -196,6 +203,7 @@ let flood_with_heavy_hitter t =
 
 let sps_blacklists_heavy_hitter () =
   let t, _ = make_sps () in
+  quiet_rounds t warmup_rounds;
   flood_with_heavy_hitter t;
   check_bool "flagged" true (Sps.blacklisted t (id 999));
   check_bool "blacklist non-empty" true (Sps.blacklist_size t > 0);
@@ -203,26 +211,21 @@ let sps_blacklists_heavy_hitter () =
     (View_ops.contains (Sps.view t) (id 999))
 
 let sps_warmup_delays_blacklisting () =
-  let t, _ = make_sps ~warmup_rounds:1000 () in
+  let t, _ = make_sps () in
+  (* Rounds 1 to 5, well inside the warm-up. *)
   flood_with_heavy_hitter t;
   check_bool "not flagged during warmup" false (Sps.blacklisted t (id 999))
 
 let sps_blacklist_expires () =
-  let sent, send = capture () in
-  ignore sent;
-  let t =
-    Sps.create
-      ~config:(Sps.config ~l:8 ~warmup_rounds:0 ~z:2.0 ~blacklist_ttl:2 ())
-      ~id:(id 0)
-      ~bootstrap:(Array.init 6 (fun i -> id (i + 1)))
-      ~rng:(rng ()) ~send ()
-  in
+  let t, _ = make_sps () in
+  quiet_rounds t warmup_rounds;
   flood_with_heavy_hitter t;
   check_bool "flagged" true (Sps.blacklisted t (id 999));
-  (* Advance rounds without traffic: the entry must expire after ttl. *)
-  for _ = 1 to 3 do
-    Sps.on_round t
-  done;
+  (* Advance rounds without traffic: the entry made in the last flood
+     round lasts exactly the TTL. *)
+  quiet_rounds t (blacklist_ttl - 1);
+  check_bool "flagged until the ttl" true (Sps.blacklisted t (id 999));
+  quiet_rounds t 1;
   check_bool "expired" false (Sps.blacklisted t (id 999))
 
 let sps_sampler_interface () =
