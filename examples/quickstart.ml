@@ -31,7 +31,7 @@ let () =
 
   (* Create one Basalt node per identifier, keeping its last 64 samples,
      and register its message handler with the engine. *)
-  let sampler = Basalt.sampler ~config () in
+  let sampler = Basalt.sampler ~config ~id_bound:n () in
   let nodes =
     Array.init n (fun i ->
         let send ~dst msg =

@@ -15,7 +15,7 @@ module Rank = Basalt_hashing.Rank
    On top of the layout sits a rank-work cache: [clock] counts slot
    resets, [stamps.(i)] records the clock value at which slot [i]'s seed
    was drawn, and the seen-cache maps a candidate identifier to the
-   clock value at which it was last offered to *all* slots — a 16-bit
+   clock value at which it was last offered to *all* slots — an 8-bit
    tag per id for the dense ids of the simulator, a hash table for the
    rest (see [seen_exchange]).  Offering a candidate to
    an unchanged slot is a no-op (the slot's best rank only decreases
@@ -52,9 +52,9 @@ type t = {
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
   mutable clock : int;  (* total slot resets so far *)
   (* Seen-cache: candidate id -> clock at last offer.  Ids below
-     [dense_cap] index 16-bit clock tags (see [dense_exchange]); the
+     [dense_cap] index 8-bit clock tags (see [dense_exchange]); the
      others live in a flat open-addressing table (see [seen_cell]). *)
-  mutable tags : Bytes.t;  (* two bytes per id, 0 = absent *)
+  mutable tags : Bytes.t;  (* one byte per id, 0 = absent *)
   mutable tag_base : int;  (* tag g > 0 stands for clock tag_base + g - 1 *)
   mutable seen : int array;  (* [||] until the first id >= dense_cap *)
   mutable seen_count : int;
@@ -103,11 +103,12 @@ let seen_prune_threshold t = (16 * Array.length t.holders) + 64
 
    Ids below [dense_cap] — every simulator id (the largest simulated n
    is 22,500), and no [Endpoint.to_node_id] of a real address — index
-   [tags], two bytes per id.  Tag 0 means absent and tag g means clock
-   [tag_base + g - 1].  [tags] is sized at [create] from the largest
-   bootstrap id below the cap and grows by 1/8 (or to the id, if
-   further) when a larger one is offered, so a forged small id costs a
-   daemon node at most 2 * dense_cap bytes (256 KiB).
+   [tags], one byte per id.  Tag 0 means absent and tag g means clock
+   [tag_base + g - 1].  [tags] is allocated at [create], one byte per
+   id below the factory's [id_bound] (the run's n in the simulator, so
+   a simulated node never grows them).  An id past that grows the tags
+   by 1/8 (or to the id, if further), so a forged small id costs a
+   daemon node at most dense_cap bytes (128 KiB).
 
    Other ids go to an open-addressing table in one flat [int array],
    allocated at the first such id: cell [p] (even) holds a candidate
@@ -171,46 +172,46 @@ let table_exchange t key clock =
 
 let tags_grow t key =
   let old = t.tags in
-  let ids = Bytes.length old / 2 in
+  let ids = Bytes.length old in
   let ids = Int.min dense_cap (Int.max (key + 1) (ids + (ids / 8))) in
-  let tags = Bytes.make (2 * ids) '\000' in
+  let tags = Bytes.make ids '\000' in
   Bytes.blit old 0 tags 0 (Bytes.length old);
   t.tags <- tags
 
-(* The largest tag is 0xFFFF, i.e. clock [tag_base + 0xFFFE].  Before
+(* The largest tag is 0xFF, i.e. clock [tag_base + 0xFE].  Before
    recording a later clock, the tags are rebased once to the oldest
    slot stamp: a tag older than the new base becomes 0.  Such an entry
    is older than every seed, so reading it as absent costs exactly the
    evaluations it did before, and the rebase changes no holder, no rank
-   and no [basalt.rank_evals] as long as [clock - min_stamp < 0xFFFF].
-   The simulator always keeps that gap small (it has no evictions, and
-   round-robin resets reach every slot within v resets).  On a daemon,
-   evictions could widen it; the base is then clamped to
-   [clock - 0xFFFE], which forgets entries some slots have already
-   seen.  Re-offering those can never install (each such slot's best
-   rank is already at most the candidate's), so the clamp costs extra
+   and no [basalt.rank_evals] as long as [clock - min_stamp < 0xFF].
+   Round-robin resets reach every slot within v resets, so without
+   evictions that gap is at most v - 1: exact whenever v <= 255 (the
+   paper's largest view is v = 200).  For a larger v, or on a daemon
+   whose evictions widen the gap, the base is clamped to
+   [clock - 0xFE], which forgets entries some slots have already seen.
+   Re-offering those can never install (each such slot's best rank is
+   already at most the candidate's), so the clamp costs extra
    evaluations and never changes a view. *)
 let tags_rebase t clock =
   let min_stamp =
     Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
   in
-  let base = Int.max min_stamp (clock - 0xFFFE) in
+  let base = Int.max min_stamp (clock - 0xFE) in
   let shift = base - t.tag_base in
   let tags = t.tags in
-  for i = 0 to (Bytes.length tags / 2) - 1 do
-    let g = Bytes.get_uint16_ne tags (2 * i) in
+  for i = 0 to Bytes.length tags - 1 do
+    let g = Bytes.get_uint8 tags i in
     if g > 0 then
-      Bytes.set_uint16_ne tags (2 * i)
-        (if Int.compare g shift <= 0 then 0 else g - shift)
+      Bytes.set_uint8 tags i (if Int.compare g shift <= 0 then 0 else g - shift)
   done;
   t.tag_base <- base
 
 let dense_exchange t key clock =
-  if Int.compare (2 * key) (Bytes.length t.tags) >= 0 then tags_grow t key;
-  if clock - t.tag_base > 0xFFFE then tags_rebase t clock;
-  let tags = t.tags and p = 2 * key in
-  let g = Bytes.get_uint16_ne tags p in
-  Bytes.set_uint16_ne tags p (clock - t.tag_base + 1);
+  if Int.compare key (Bytes.length t.tags) >= 0 then tags_grow t key;
+  if clock - t.tag_base > 0xFE then tags_rebase t clock;
+  let tags = t.tags in
+  let g = Bytes.get_uint8 tags key in
+  Bytes.set_uint8 tags key (clock - t.tag_base + 1);
   if Int.equal g 0 then -1 else t.tag_base + g - 1
 
 (* Records [key] as offered at [clock] and returns the clock of its
@@ -336,22 +337,14 @@ let reset_slot t i =
   t.clock <- t.clock + 1;
   t.stamps.(i) <- t.clock
 
-let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
+let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
+    () =
   let scratch = fresh_scratch () in
   fun ~id ~bootstrap ~rng ~send ->
     let rng = Rng.split rng in
     let v = config.Config.v in
     let seeds = Array.init v (fun _ -> Rank.fresh rng) in
     let send = Basalt_codec.Metered.send obs ~proto:"basalt" send in
-    (* Tags for every bootstrap id below the cap, so the bootstrap
-       [update_sample] does not grow them. *)
-    let dense_ids =
-      Array.fold_left
-        (fun acc id ->
-          let id = Node_id.to_int id in
-          if Int.compare id dense_cap < 0 then Int.max acc (id + 1) else acc)
-        0 bootstrap
-    in
     let t =
       {
         config;
@@ -366,7 +359,7 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) () =
           | Config.Uniform_slot | Config.Rotating_slot -> [||]);
         stamps = Array.make v 0;
         clock = 0;
-        tags = Bytes.make (2 * dense_ids) '\000';
+        tags = Bytes.make (Int.min dense_cap id_bound) '\000';
         tag_base = 0;
         seen = [||];
         seen_count = 0;
@@ -615,6 +608,6 @@ let to_rps t =
     current_view = (fun () -> view t);
   }
 
-let sampler ?config ?obs () : Rps.maker =
-  let make = factory ?config ?obs () in
+let sampler ?config ?obs ?id_bound () : Rps.maker =
+  let make = factory ?config ?obs ?id_bound () in
   fun ~id ~bootstrap ~rng ~send -> to_rps (make ~id ~bootstrap ~rng ~send)

@@ -65,12 +65,14 @@ val update_sample : t -> Basalt_proto.Node_id.t array -> unit
 
 val dense_cap : int
 (** [dense_cap] is 2{^17}.  The seen-cache behind {!update_sample}
-    keeps an identifier below it as a two-byte clock tag indexed by the
-    identifier, in an array grown on demand up to [2 * dense_cap]
-    bytes; every other identifier (each [Endpoint.to_node_id] of a real
+    keeps an identifier below it as a one-byte clock tag indexed by the
+    identifier, in an array allocated at creation (see {!factory}'s
+    [id_bound]) and grown on demand up to [dense_cap] bytes (128 KiB);
+    every other identifier (each [Endpoint.to_node_id] of a real
     address) goes to a hash table allocated at the first such id.
-    Neither representation changes a view, a rank or an evaluation
-    count (DESIGN.md §4). *)
+    Neither representation changes a view or a rank, nor, when
+    [v <= 255] and no peer is evicted, an evaluation count (DESIGN.md
+    §4). *)
 
 val select_peer : t -> Basalt_proto.Node_id.t option
 (** [select_peer t] picks an exchange partner from the view (Alg. 1
@@ -154,6 +156,7 @@ val to_rps : t -> Basalt_proto.Rps.t
 val factory :
   ?config:Config.t ->
   ?obs:Basalt_obs.Obs.t ->
+  ?id_bound:int ->
   unit ->
   id:Basalt_proto.Node_id.t ->
   bootstrap:Basalt_proto.Node_id.t array ->
@@ -166,12 +169,23 @@ val factory :
     candidate of the largest batch, instead of that much per node).
     Views, ranks and every output are identical.  A factory belongs to
     one run: its nodes must not call into the node layer from two
-    domains at once, nor re-enter it from inside a call. *)
+    domains at once, nor re-enter it from inside a call.
+
+    [id_bound] (default 0) is a bound on the run's identifiers, such as
+    the simulator's n: each node allocates its seen-cache tags for
+    every identifier below it (one byte each, up to {!dense_cap}) at
+    creation, instead of growing them as identifiers arrive.  An
+    identifier at or above the bound still works; it grows the tags as
+    it would without a bound. *)
 
 val sampler :
-  ?config:Config.t -> ?obs:Basalt_obs.Obs.t -> unit -> Basalt_proto.Rps.maker
+  ?config:Config.t ->
+  ?obs:Basalt_obs.Obs.t ->
+  ?id_bound:int ->
+  unit ->
+  Basalt_proto.Rps.maker
 (** [sampler ?config ()] packages the protocol for the simulation
     runner: each call of the maker builds a node through one shared
     {!factory}, so a maker belongs to one run (make one per run, as
     [Runner.run] does, never one shared by runs on several domains);
-    [obs] is threaded to every node. *)
+    [obs] and [id_bound] are threaded to every node. *)

@@ -14,19 +14,25 @@ type spec = {
   graph_metrics : bool;
 }
 
-let protocol_of s = Scenario.protocol_of_name ~v:s.v ~rho:s.rho s.protocol
+(* The scenario [s] describes, or the constructors' complaint about an
+   unknown protocol or an out-of-range value. *)
+let scenario s =
+  try
+    Result.map
+      (fun protocol ->
+        Scenario.make ~name:"timeline" ~n:s.n ~f:s.f ~force:s.force
+          ~protocol ~steps:s.steps ~seed:s.seed
+          ~graph_metrics:s.graph_metrics ())
+      (Scenario.protocol_of_name ~v:s.v ~rho:s.rho s.protocol)
+  with Invalid_argument msg -> Error msg
 
 let spec ?(protocol = "basalt") ?(n = 1000) ?(f = 0.1) ?(force = 10.0)
     ?(v = 100) ?(rho = 1.0) ?(steps = 200.0) ?(seed = 42)
     ?(graph_metrics = false) () =
   let s = { protocol; n; f; force; v; rho; steps; seed; graph_metrics } in
-  Result.map (fun _ -> s) (protocol_of s)
+  Result.map (fun _ -> s) (scenario s)
 
-let run ?obs ?trace s =
-  Runner.run ?obs ?trace
-    (Scenario.make ~name:"timeline" ~n:s.n ~f:s.f ~force:s.force
-       ~protocol:(Result.get_ok (protocol_of s))
-       ~steps:s.steps ~seed:s.seed ~graph_metrics:s.graph_metrics ())
+let run ?obs ?trace s = Runner.run ?obs ?trace (Result.get_ok (scenario s))
 
 let print ?csv ?trace s =
   Printf.printf

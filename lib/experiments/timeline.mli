@@ -30,8 +30,9 @@ val spec :
   (spec, string) result
 (** Defaults: basalt, n = 1000, f = 0.1, F = 10, v = 100, rho = 1,
     200 steps, seed 42, no graph metrics.  Errors on an unknown protocol
-    name ({!Basalt_sim.Scenario.protocol_of_name});
-    @raise Invalid_argument on a [v] or [rho] the protocol rejects. *)
+    name ({!Basalt_sim.Scenario.protocol_of_name}) and on any value the
+    protocol's config or {!Basalt_sim.Scenario.make} rejects (such as
+    [v = 0], [n = 0] or [f = 2]), with the constructor's message. *)
 
 val run : ?obs:bool -> ?trace:bool -> spec -> Basalt_sim.Runner.result
 (** [run spec] executes the timeline scenario and returns the runner's

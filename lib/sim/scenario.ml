@@ -107,7 +107,7 @@ let view_size s =
 
 let maker ?obs s =
   match s.protocol with
-  | Basalt c -> Basalt_core.Basalt.sampler ~config:c ?obs ()
+  | Basalt c -> Basalt_core.Basalt.sampler ~config:c ?obs ~id_bound:s.n ()
   | Brahms c -> Basalt_brahms.Brahms.sampler ~config:c ?obs ()
   | Sps c -> Basalt_sps.Sps.sampler ~config:c ?obs ()
   | Classic c -> Basalt_sps.Classic.sampler ~config:c ?obs ()

@@ -106,7 +106,9 @@ val view_size : t -> int
 val maker : ?obs:Basalt_obs.Obs.t -> t -> Basalt_proto.Rps.maker
 (** [maker s] instantiates the scenario's protocol; [obs] (default
     disabled) is handed to every node so protocol instruments aggregate
-    run-wide. *)
+    run-wide.  Basalt nodes get the run's [n] as their identifier bound
+    ({!Basalt_core.Basalt.factory}), so each allocates its seen-cache
+    once, at its final size. *)
 
 val protocol_name : t -> string
 (** [protocol_name s] is the short name used in reports (["basalt"],

@@ -534,21 +534,21 @@ let eviction_resets_slots_and_reoffers () =
 module Obs = Basalt_obs.Obs
 
 (* Words one node of a 200-node run retains (v = 160, a distinct
-   200-id bootstrap from 3,000 ids as [Runner] draws it, disabled
-   telemetry): the seen-cache's clock tags sized for the largest
-   bootstrap id (two bytes per id, ~750 words), its four slot int
-   arrays (seeds, holders, best ranks, stamps: 4 x 161; [uses] is
+   200-id bootstrap from 3,000 ids and the id bound 3,000, as [Runner]
+   makes them, disabled telemetry): the seen-cache's clock tags for
+   every id below the bound (one byte per id, ~375 words), its four slot
+   int arrays (seeds, holders, best ranks, stamps: 4 x 161; [uses] is
    empty unless the config selects [Least_used_slot]), its PRNG,
-   record and sampler closures — 1477 words measured; the budget is
+   record and sampler closures — 1106 words measured; the budget is
    that plus 5 %.  The batch scratch and the RTT tracker are shared,
    so they are not per node; a node that owned them would carry
    another 603 + 1446 words. *)
-let words_per_node_budget = 1551
+let words_per_node_budget = 1161
 
 let basalt_per_node_footprint () =
   let config = Config.make ~v:160 ~k:80 () in
   let r = Basalt_prng.Rng.create ~seed:42 in
-  let maker = Basalt.sampler ~config ~obs:Obs.disabled () in
+  let maker = Basalt.sampler ~config ~obs:Obs.disabled ~id_bound:3000 () in
   let send ~dst:_ _ = () in
   let nodes =
     Array.init 200 (fun i ->
@@ -1096,16 +1096,12 @@ let prop_update_sample_matches_oracle =
             ops)
         oracle_backends)
 
-(* Clock tags are 16 bits, so the tags are rebased whenever the clock
-   outruns its base by 0xFFFF.  70,000 ticks of k = 2 resets take the
-   clock to 140,000, past two rebases (near clocks 65,535 and 131,000).
-   Six ids offered around every tick keep entries live across each
-   rebase: at v = 4 an entry from the previous tick still spares the two
-   slots drawn before it, so a tag read one clock off, or a rebase that
-   forgets entries some slot has already ranked, shows in the holders,
-   the ranks or [basalt.rank_evals]. *)
-let tag_rebases_match_oracle () =
-  let v = 4 and k = 2 and backend = Rank.Cheap in
+(* Drives a node and the oracle (same [v], [k], seed) through [ticks]
+   rounds, each a batch of 1 to [batch] ids drawn from 1 .. [ids]
+   followed by a sample tick, and returns the node's and the oracle's
+   rank evaluations once holders and ranks have been checked equal. *)
+let run_against_oracle ~v ~k ~ticks ~batch ~ids =
+  let backend = Rank.Cheap in
   let send ~dst:_ _ = () in
   let obs = Basalt_obs.Obs.create () in
   let evals = Basalt_obs.Obs.counter obs "basalt.rank_evals" in
@@ -1118,11 +1114,11 @@ let tag_rebases_match_oracle () =
   in
   let m = Rank_oracle.create ~backend ~v ~self:0 ~seed:7 in
   let r = Basalt_prng.Rng.create ~seed:11 in
-  for _ = 1 to 70_000 do
+  for _ = 1 to ticks do
     let batch =
       Array.init
-        (1 + Basalt_prng.Rng.int r 3)
-        (fun _ -> id (1 + Basalt_prng.Rng.int r 6))
+        (1 + Basalt_prng.Rng.int r batch)
+        (fun _ -> id (1 + Basalt_prng.Rng.int r ids))
     in
     Basalt.update_sample t batch;
     Rank_oracle.offer m batch;
@@ -1133,13 +1129,66 @@ let tag_rebases_match_oracle () =
     (Array.map (Option.map Node_id.to_int) (Basalt.view_slots t)
     = Rank_oracle.holders m);
   check_bool "ranks" true (Basalt.slot_ranks t = Rank_oracle.ranks m);
-  check_int "rank_evals" m.Rank_oracle.evals
-    (Basalt_obs.Obs.Counter.value evals)
+  (Basalt_obs.Obs.Counter.value evals, m.Rank_oracle.evals)
+
+(* Clock tags are 8 bits, so the tags are rebased whenever the clock
+   outruns its base by 0xFF.  At v = 4 each rebase moves the base to
+   the oldest stamp, three resets back, so 5,000 ticks of k = 2 resets
+   take the clock to 10,000 past some 40 rebases, one every ~126 ticks.
+   Six ids offered around every tick keep entries live across each
+   rebase: at v = 4 an entry from the previous tick still spares the two
+   slots drawn before it, so a tag read one clock off, or a rebase that
+   forgets entries some slot has already ranked, shows in the holders,
+   the ranks or [basalt.rank_evals]. *)
+let tag_rebases_match_oracle () =
+  let node, oracle =
+    run_against_oracle ~v:4 ~k:2 ~ticks:5_000 ~batch:3 ~ids:6
+  in
+  check_int "rank_evals" oracle node
+
+(* Past v = 255 the oldest live stamp can lie more than a byte behind
+   the clock, so a rebase clamps the base to [clock - 0xFE] and forgets
+   entries some slots have already ranked.  At v = 300 and k = 30 the
+   tick at clock - 270 is in that window: ids offered there and not
+   since are ranked again on their next offer.  Views and ranks must
+   still equal the oracle's; only the evaluation count may exceed it,
+   and here it must, or the clamp went unexercised.  The count itself
+   is pinned (450 over the oracle's 678,090 at these seeds), so a clamp
+   that forgets more, or a tag that overflows at the clamp's edge,
+   shows too. *)
+let wide_view_clamp_matches_oracle () =
+  let node, oracle =
+    run_against_oracle ~v:300 ~k:30 ~ticks:100 ~batch:30 ~ids:500
+  in
+  check_bool
+    (Printf.sprintf "rank_evals %d > oracle's %d" node oracle)
+    true
+    (Int.compare node oracle > 0);
+  check_int "rank_evals" 678_540 node
+
+(* A node made with the run's id bound allocates its tags once: offering
+   every id below the bound, one batch at a time (no larger than its
+   bootstrap, so the shared scratch does not grow either), leaves its
+   reachable words unchanged. *)
+let id_bound_sizes_tags_once () =
+  let n = 3000 in
+  let make = Basalt.factory ~config:(Config.make ~v:16 ~k:8 ()) ~id_bound:n () in
+  let t =
+    make ~id:(id 0)
+      ~bootstrap:(Array.init 8 (fun i -> id (i + 1)))
+      ~rng:(rng ()) ~send:(fun ~dst:_ _ -> ())
+  in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let before = words () in
+  for i = 0 to n - 1 do
+    Basalt.update_sample t [| id i |]
+  done;
+  check_int "reachable words" before (words ())
 
 (* A daemon node keys its peers by endpoint ids, all above the cap, so
    it holds no tags.  A forged small id grows them, but never past
-   2 * dense_cap bytes: offering the largest id below the cap, then
-   smaller ones, costs at most that many bytes of heap. *)
+   dense_cap bytes: offering the largest id below the cap, then smaller
+   ones, costs at most that many bytes of heap. *)
 let forged_dense_id_bounded () =
   let endpoint i = id ((127 lsl 40) lor (1 lsl 16) lor (4000 + i)) in
   let t =
@@ -1155,9 +1204,9 @@ let forged_dense_id_bounded () =
     (fun i -> Basalt.update_sample t [| id i |])
     [ Basalt.dense_cap - 1; 0; Basalt.dense_cap / 2; Basalt.dense_cap - 1 ];
   let grown = words () - before in
-  (* A [Bytes.t] of 2 * dense_cap bytes: its payload, the padding word
-     and the header. *)
-  let limit = (2 * Basalt.dense_cap / (Sys.word_size / 8)) + 2 in
+  (* A [Bytes.t] of dense_cap bytes: its payload, the padding word and
+     the header. *)
+  let limit = (Basalt.dense_cap / (Sys.word_size / 8)) + 2 in
   if grown > limit then
     Alcotest.failf "forged ids grew the node by %d words, over %d" grown limit
 
@@ -1238,6 +1287,8 @@ let () =
             evicted_pulls_leave_rtt_tracker;
           Alcotest.test_case "tag rebases match oracle" `Quick
             tag_rebases_match_oracle;
+          Alcotest.test_case "wide view clamp matches oracle" `Quick
+            wide_view_clamp_matches_oracle;
         ] );
       ( "footprint",
         [
@@ -1248,6 +1299,8 @@ let () =
             shared_scratch_matches_private;
           Alcotest.test_case "forged dense id bounded" `Quick
             forged_dense_id_bounded;
+          Alcotest.test_case "id bound sizes tags once" `Quick
+            id_bound_sizes_tags_once;
           Alcotest.test_case "sample stream words" `Quick stream_words;
         ] );
       ( "sample_stream",

@@ -50,6 +50,18 @@ let subcommand_help_succeeds () =
   let code, _out, _err = run_repro "fig2a --help=plain" in
   Alcotest.(check int) "exit 0" 0 code
 
+(* An out-of-range timeline value is a usage error: one line on stderr
+   naming the rejected value and exit 1, before any run starts — not
+   cmdliner's "internal error" and exit 125. *)
+let timeline_rejects flag ~needle () =
+  let code, out, err = run_repro ("timeline " ^ flag ^ " --steps 1") in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check string) "nothing on stdout" "" out;
+  Alcotest.(check bool) ("stderr names " ^ needle) true
+    (contains ~needle err);
+  Alcotest.(check int) "one line" 1
+    (List.length (String.split_on_char '\n' (String.trim err)))
+
 (* --- repro matrix: scenario-file exit codes (DESIGN.md §12) --- *)
 
 (* Scripts looping over scenario files branch on these: 3 = unreadable
@@ -445,6 +457,12 @@ let () =
           Alcotest.test_case "--help succeeds" `Quick help_succeeds;
           Alcotest.test_case "subcommand --help succeeds" `Quick
             subcommand_help_succeeds;
+          Alcotest.test_case "timeline -v 0 is a usage error" `Quick
+            (timeline_rejects "-v 0" ~needle:"v must be positive");
+          Alcotest.test_case "timeline -n 0 is a usage error" `Quick
+            (timeline_rejects "-n 0" ~needle:"n must be positive");
+          Alcotest.test_case "timeline -f 2 is a usage error" `Quick
+            (timeline_rejects "-f 2" ~needle:"f out of [0,1)");
         ] );
       ( "matrix",
         [
