@@ -293,9 +293,6 @@ let graph_ops () =
       Test.make ~name:"indegree decile spread"
         (Staged.stage (fun () ->
              ignore (Basalt_graph.Metrics.indegree_decile_spread ~is_malicious g)));
-      Test.make ~name:"weak components"
-        (Staged.stage (fun () ->
-             ignore (Basalt_graph.Components.weakly_connected g)));
     ]
 
 let codec_ops () =

@@ -134,6 +134,13 @@ let write_metrics_file path text =
   close_out oc;
   Sys.rename tmp path
 
+(* A rejected argument prints one line and exits 1, before the socket
+   is bound: not cmdliner's "internal error" and exit 125, and not a
+   crash at the first publish. *)
+let usage_error msg =
+  prerr_endline ("basalt-node: " ^ msg);
+  exit 1
+
 let main listen peers v tau rho duration seed loss delay evict_after
     publish_every payload_size report_every metrics_every metrics_addr
     metrics_file =
@@ -142,10 +149,17 @@ let main listen peers v tau rho duration seed loss delay evict_after
     else seed
   in
   let config =
-    Basalt_core.Config.make ~v ~tau ~rho
-      ?evict_after_rounds:(if evict_after > 0 then Some evict_after else None)
-      ()
+    try
+      Basalt_core.Config.make ~v ~tau ~rho
+        ?evict_after_rounds:(if evict_after > 0 then Some evict_after else None)
+        ()
+    with Invalid_argument msg -> usage_error msg
   in
+  if payload_size < 0 || payload_size > Basalt_codec.Wire.max_payload then
+    usage_error
+      (Printf.sprintf "--payload-size must be in [0, %d] (Wire.max_payload)"
+         Basalt_codec.Wire.max_payload);
+  if report_every <= 0.0 then usage_error "--report-every must be > 0";
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   (* The daemon is the allowlisted real-clock boundary (lint D2/D8): the
      registry's trace clock is the event loop's wall clock. *)
@@ -156,8 +170,11 @@ let main listen peers v tau rho duration seed loss delay evict_after
       mid.Basalt_proto.Message.seqno (Bytes.length payload)
   in
   let node =
-    Udp_node.create ~config ~obs ~inject_loss:loss ~inject_delay:delay
-      ~gossip:true ~deliver ~loop ~listen ~bootstrap:peers ~seed ()
+    (* [create] checks the injection knobs before it binds. *)
+    try
+      Udp_node.create ~config ~obs ~inject_loss:loss ~inject_delay:delay
+        ~gossip:true ~deliver ~loop ~listen ~bootstrap:peers ~seed ()
+    with Invalid_argument msg -> usage_error msg
   in
   if publish_every > 0.0 then begin
     let published = ref 0 in

@@ -33,11 +33,11 @@ let r_square_of points ~slope ~intercept =
   in
   if ss_tot < 1e-12 then 1.0 else 1.0 -. (ss_res /. ss_tot)
 
-let exponential_decay ?(tail_fraction = 0.25) series =
+let exponential_decay series =
   let n = List.length series in
   if n < 4 then None
   else begin
-    let tail_count = max 1 (int_of_float (tail_fraction *. float_of_int n)) in
+    let tail_count = max 1 (int_of_float (0.25 *. float_of_int n)) in
     let tail = List.filteri (fun i _ -> i >= n - tail_count) series in
     let y_inf =
       List.fold_left (fun a (_, y) -> a +. y) 0.0 tail

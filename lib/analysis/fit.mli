@@ -21,10 +21,9 @@ val linear : (float * float) list -> (float * float) option
 (** [linear points] is the least-squares [(slope, intercept)] of [y] on
     [x]; [None] with fewer than two distinct [x] values. *)
 
-val exponential_decay :
-  ?tail_fraction:float -> (float * float) list -> exponential option
+val exponential_decay : (float * float) list -> exponential option
 (** [exponential_decay series] fits the relaxation model.  The plateau is
-    the mean of the last [tail_fraction] (default 0.25) of the points.
+    the mean of the last quarter of the points.
     Returns [None] when the series is too short (< 4 points) or the gap
     to the plateau is numerically negligible. *)
 

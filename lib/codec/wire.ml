@@ -119,7 +119,7 @@ let decode_sub buf ~off ~len =
      [off + len > length]: with hostile [off]/[len] near [max_int] the
      addition wraps negative and would let the slice check pass, sending
      out-of-range offsets into the [Bytes] primitives below (found by
-     the lib/check fuzzer; pinned in test_codec). *)
+     the property fuzzer; pinned in test_codec). *)
   if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Wire.decode_sub: slice out of bounds";
   if len < header_size then Error Truncated

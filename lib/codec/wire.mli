@@ -61,7 +61,7 @@ val decode_sub : bytes -> off:int -> len:int -> (Basalt_proto.Message.t, error) 
 (** [decode_sub b ~off ~len] parses a slice (e.g. a [recvfrom] buffer).
     Within a valid slice, decoding is total — the parser never reads past
     [off + len], even for hostile headers (fuzzed by [test_codec]'s
-    lib/check properties and the malformed-input corpus).
+    properties and the malformed-input corpus).
     @raise Invalid_argument if the slice is not within [b] (checked
     overflow-proof, so hostile [off]/[len] near [max_int] cannot smuggle
     an out-of-bounds read past the guard). *)

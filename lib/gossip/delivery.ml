@@ -45,49 +45,35 @@ let duplicate_deliveries t = t.dups
 let fold t f acc =
   Queue.fold (fun acc k -> f acc (Hashtbl.find t.table k)) acc t.order
 
-let fraction ?(only = fun _ -> true) t =
-  let delivered, eligible =
+let fraction t =
+  let delivered =
     fold t
-      (fun (d, e) r ->
-        let d = ref d and e = ref e in
-        for i = 0 to t.n - 1 do
-          if only i then begin
-            incr e;
-            match r.times.(i) with Some _ -> incr d | None -> ()
-          end
-        done;
-        (!d, !e))
-      (0, 0)
+      (fun d r ->
+        Array.fold_left (fun d ti -> if Option.is_some ti then d + 1 else d) d
+          r.times)
+      0
   in
+  let eligible = messages t * t.n in
   if eligible = 0 then 0.0 else float_of_int delivered /. float_of_int eligible
 
-let time_to_fraction ?(only = fun _ -> true) t ~frac r =
+let time_to_fraction t ~frac r =
   match r.publish_time with
   | None -> None
   | Some t0 ->
-      let latencies = ref [] in
-      let eligible = ref 0 in
-      for i = 0 to t.n - 1 do
-        if only i then begin
-          incr eligible;
-          match r.times.(i) with
-          | Some ti -> latencies := (ti -. t0) :: !latencies
-          | None -> ()
-        end
-      done;
-      if !eligible = 0 then None
-      else begin
-        let need =
-          int_of_float (Float.ceil (frac *. float_of_int !eligible))
-        in
-        let sorted = List.sort Float.compare !latencies in
-        if need = 0 then Some 0.0
-        else if List.length sorted < need then None
-        else Some (List.nth sorted (need - 1))
-      end
+      let latencies =
+        Array.fold_left
+          (fun acc ti ->
+            match ti with Some ti -> (ti -. t0) :: acc | None -> acc)
+          [] r.times
+      in
+      let need = int_of_float (Float.ceil (frac *. float_of_int t.n)) in
+      let sorted = List.sort Float.compare latencies in
+      if need = 0 then Some 0.0
+      else if List.length sorted < need then None
+      else Some (List.nth sorted (need - 1))
 
-let median_time_to_fraction ?only t ~frac =
-  let times = fold t (fun acc r -> time_to_fraction ?only t ~frac r :: acc) [] in
+let median_time_to_fraction t ~frac =
+  let times = fold t (fun acc r -> time_to_fraction t ~frac r :: acc) [] in
   let times = List.rev times in
   let reached = List.filter_map Fun.id times in
   if 2 * List.length reached < List.length times + 1 then None

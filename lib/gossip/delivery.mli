@@ -31,15 +31,13 @@ val duplicate_deliveries : t -> int
 (** [duplicate_deliveries t] counts re-deliveries — 0 when the
     broadcast layer honours exactly-once delivery. *)
 
-val fraction : ?only:(int -> bool) -> t -> float
+val fraction : t -> float
 (** [fraction t] is delivered (message, node) pairs over all such
-    pairs — 1.0 means every node got every message.  [only] restricts
-    the node population (e.g. to nodes alive at the end); default:
-    everyone.  0 when nothing was published or the population is
-    empty. *)
+    pairs — 1.0 means every node got every message.  0 when nothing was
+    published. *)
 
-val median_time_to_fraction : ?only:(int -> bool) -> t -> frac:float -> float option
+val median_time_to_fraction : t -> frac:float -> float option
 (** [median_time_to_fraction t ~frac] is, per message, the delay from
-    publish until a [frac] fraction of the ([only]-restricted)
-    population had delivered it, medianed over messages; [None] when a
-    majority of messages never reached the threshold. *)
+    publish until a [frac] fraction of the nodes had delivered it,
+    medianed over messages; [None] when a majority of messages never
+    reached the threshold. *)

@@ -24,10 +24,10 @@ let undirected_sets g =
   done;
   sets
 
-let clustering_coefficient ?(sample = 400) ~rng ~is_malicious g =
+let clustering_coefficient ~rng ~is_malicious g =
   let sets = undirected_sets g in
   let correct = correct_vertices ~is_malicious g in
-  let picked = sample_vertices rng correct sample in
+  let picked = sample_vertices rng correct 400 in
   if Array.length picked = 0 then 0.0
   else begin
     let total = ref 0.0 in
@@ -78,21 +78,21 @@ let bfs_correct ~is_malicious g source =
   done;
   dist
 
-let fold_bfs ?(sources = 64) ~rng ~is_malicious g f init =
+let fold_bfs ~rng ~is_malicious g f init =
   let correct = correct_vertices ~is_malicious g in
   let picked =
     sample_vertices rng
       (Array.of_list
          (List.filter (fun u -> not (is_malicious u)) (Array.to_list correct)))
-      sources
+      64
   in
   Array.fold_left
     (fun acc source -> f acc (bfs_correct ~is_malicious g source) source)
     init picked
 
-let mean_path_length ?sources ~rng ~is_malicious g =
+let mean_path_length ~rng ~is_malicious g =
   let total, count =
-    fold_bfs ?sources ~rng ~is_malicious g
+    fold_bfs ~rng ~is_malicious g
       (fun (total, count) dist source ->
         let t = ref total and c = ref count in
         Array.iteri
@@ -107,14 +107,14 @@ let mean_path_length ?sources ~rng ~is_malicious g =
   in
   if count = 0 then Float.nan else total /. float_of_int count
 
-let reachable_fraction ?sources ~rng ~is_malicious g =
+let reachable_fraction ~rng ~is_malicious g =
   let correct_total =
     Array.length (correct_vertices ~is_malicious g)
   in
   if correct_total <= 1 then 1.0
   else begin
     let sum, runs =
-      fold_bfs ?sources ~rng ~is_malicious g
+      fold_bfs ~rng ~is_malicious g
         (fun (sum, runs) dist _source ->
           let reached = ref 0 in
           Array.iteri

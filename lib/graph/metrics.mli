@@ -11,28 +11,26 @@
       first decile of correct nodes' in-degrees (counting edges from
       correct nodes only).
 
-    Expensive metrics accept sampling knobs so that large snapshots
-    remain affordable; with the default [Rng] sampling the estimators are
-    unbiased. *)
+    The expensive metrics sample their vertices (400 for clustering, 64
+    BFS sources) so that large snapshots remain affordable; with [Rng]
+    sampling the estimators are unbiased. *)
 
 val clustering_coefficient :
-  ?sample:int ->
   rng:Basalt_prng.Rng.t ->
   is_malicious:(int -> bool) ->
   Digraph.t ->
   float
 (** [clustering_coefficient ~rng ~is_malicious g] averages the local
-    clustering coefficient over (a sample of, default 400) correct
+    clustering coefficient over (a sample of 400) correct
     vertices.  Nodes of undirected degree [< 2] contribute 0. *)
 
 val mean_path_length :
-  ?sources:int ->
   rng:Basalt_prng.Rng.t ->
   is_malicious:(int -> bool) ->
   Digraph.t ->
   float
-(** [mean_path_length ~rng ~is_malicious g] runs BFS from (a sample of,
-    default 64) correct sources over the correct-only directed subgraph
+(** [mean_path_length ~rng ~is_malicious g] runs BFS from (a sample of
+    64) correct sources over the correct-only directed subgraph
     and averages the distance to every reached correct vertex.  Returns
     [nan] when nothing is reachable. *)
 
@@ -47,7 +45,6 @@ val indegrees_correct : is_malicious:(int -> bool) -> Digraph.t -> int array
     {!indegree_decile_spread}). *)
 
 val reachable_fraction :
-  ?sources:int ->
   rng:Basalt_prng.Rng.t ->
   is_malicious:(int -> bool) ->
   Digraph.t ->

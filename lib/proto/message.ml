@@ -42,10 +42,11 @@ let payload_ids = function
   | Ihave mids | Iwant mids -> Array.length mids
   | Graft | Prune -> 0
 
-(* The §4.3 budget model: a 4-byte header, [id_size] bytes per
-   identifier, 4 bytes per sequence number, 2 bytes for the hop
-   counter, and the broadcast payload verbatim. *)
-let bytes_on_wire ?(id_size = 4) m =
+(* The §4.3 budget model: a 4-byte header, 4 bytes per identifier, 4
+   bytes per sequence number, 2 bytes for the hop counter, and the
+   broadcast payload verbatim. *)
+let bytes_on_wire m =
+  let id_size = 4 in
   match m with
   | Pull_request | Pull_reply _ | Push _ | Push_id _ ->
       4 + (id_size * payload_ids m)

@@ -59,11 +59,10 @@ val payload_ids : t -> int
 (** [payload_ids m] is the number of identifiers carried by [m]
     (broadcast digests count one per [mid]). *)
 
-val bytes_on_wire : ?id_size:int -> t -> int
-(** [bytes_on_wire ~id_size m] estimates the datagram payload size
-    ([id_size] defaults to 4 bytes per identifier plus a 4-byte header;
-    broadcast frames add 4 bytes per sequence number, 2 per hop counter,
-    and the payload verbatim). *)
+val bytes_on_wire : t -> int
+(** [bytes_on_wire m] estimates the datagram payload size (4 bytes per
+    identifier plus a 4-byte header; broadcast frames add 4 bytes per
+    sequence number, 2 per hop counter, and the payload verbatim). *)
 
 val pp : Format.formatter -> t -> unit
 (** Formatter for messages. *)

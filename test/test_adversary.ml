@@ -131,12 +131,12 @@ let strategy_accessor () =
   let adv, _ = make ~strategy:Adversary.Silent () in
   check_bool "strategy" true (Adversary.strategy adv = Adversary.Silent)
 
-module Check = Basalt_check.Check
 
 let prop_forged_views_malicious =
-  Check.prop ~name:"forged views contain only coalition members" ~count:200
-    ~print:Check.Print.int
-    (Check.Gen.nat ~max:10_000)
+  QCheck2.Test.make ~name:"forged views contain only coalition members"
+    ~count:200
+    ~print:QCheck2.Print.int
+    (QCheck2.Gen.int_bound 10_000)
     (fun seed ->
       let send ~src:_ ~dst:_ _ = () in
       let adv =
@@ -163,6 +163,6 @@ let () =
             eclipse_targets_victim;
           Alcotest.test_case "silent" `Quick silent_sends_nothing;
           Alcotest.test_case "strategy accessor" `Quick strategy_accessor;
-          Check.to_alcotest ~suite:"adversary" prop_forged_views_malicious;
+          Prop.case ~suite:"adversary" prop_forged_views_malicious;
         ] );
     ]

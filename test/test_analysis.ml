@@ -263,14 +263,14 @@ let fit_exponential_rejects_degenerate () =
   check_bool "too short" true
     (Fit.exponential_decay [ (0.0, 1.0); (1.0, 0.5) ] = None)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
-let floats_1_50 = Gen.list ~min_len:1 ~max_len:50 (Gen.float_range 0.0 100.0)
+let floats_1_50 = Gen.list_size (Gen.int_range 1 50) (Gen.float_range 0.0 100.0)
 
 let prop_percentile_bounds =
-  Check.prop ~name:"percentile between min and max" ~count:300
+  Test.make ~name:"percentile between min and max" ~count:300
     ~print:(Print.pair (Print.list Print.float) Print.float)
     (Gen.pair floats_1_50 (Gen.float_range 0.0 1.0))
     (fun (l, p) ->
@@ -280,7 +280,7 @@ let prop_percentile_bounds =
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
 let prop_online_mean =
-  Check.prop ~name:"online mean equals batch mean" ~count:300
+  Test.make ~name:"online mean equals batch mean" ~count:300
     ~print:(Print.list Print.float) floats_1_50
     (fun l ->
       let xs = Array.of_list l in
@@ -349,5 +349,5 @@ let () =
           Alcotest.test_case "rejects degenerate" `Quick
             fit_exponential_rejects_degenerate;
         ] );
-      Check.suite "properties" [ prop_percentile_bounds; prop_online_mean ];
+      Prop.suite "properties" [ prop_percentile_bounds; prop_online_mean ];
     ]

@@ -204,13 +204,12 @@ let dag_frontier () =
 (* Property: for any randomly grown DAG, every transaction's ancestor
    closure replays cleanly into a fresh DAG (parents always precede
    children). *)
-module Check = Basalt_check.Check
 
 let prop_closure_replayable =
-  Check.prop ~name:"ancestor closures always replay" ~count:200
+  QCheck2.Test.make ~name:"ancestor closures always replay" ~count:200
     ~print:
-      Check.Print.(list (pair int int))
-    Check.Gen.(list ~max_len:20 (pair (nat ~max:9) (nat ~max:3)))
+      QCheck2.Print.(list (pair int int))
+    QCheck2.Gen.(list_size (int_bound 20) (pair (int_bound 9) (int_bound 3)))
     (fun spec ->
       let d = Tx_dag.create () in
       (* Grow a DAG: each entry attaches a new tx to an existing one. *)
@@ -362,7 +361,7 @@ let () =
             dag_acceptance_needs_ancestors;
           Alcotest.test_case "ancestor closure" `Quick dag_ancestor_closure;
           Alcotest.test_case "frontier" `Quick dag_frontier;
-          Check.to_alcotest ~suite:"tx_dag" prop_closure_replayable;
+          Prop.case ~suite:"tx_dag" prop_closure_replayable;
         ] );
       ( "dag_network",
         [

@@ -703,16 +703,17 @@ let stream_invalid () =
     (Invalid_argument "Sample_stream.create: capacity <= 0") (fun () ->
       ignore (Sample_stream.create ~capacity:0))
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 (* Model-based test: the ring buffer must behave exactly like an
    unbounded list truncated to the last [capacity] elements. *)
 let prop_stream_model =
-  Check.prop ~name:"sample stream matches list reference" ~count:300
+  Test.make ~name:"sample stream matches list reference" ~count:300
     ~print:(Print.pair Print.int (Print.list Print.int))
-    (Gen.pair (Gen.int_range 1 8) (Gen.list ~max_len:40 (Gen.nat ~max:100)))
+    (Gen.pair (Gen.int_range 1 8)
+       (Gen.list_size (Gen.int_bound 40) (Gen.int_bound 100)))
     (fun (capacity, pushes) ->
       let s = Sample_stream.create ~capacity in
       let reference = ref [] in
@@ -737,13 +738,13 @@ let prop_stream_model =
    the wrap — on every reader.  [draw] takes the same PRNG seed on both
    sides.  A case is (capacity, pushes, seed of the pushed ids). *)
 let prop_stream_growth_model =
-  Check.prop ~name:"growing sample stream matches list model" ~count:100
+  Test.make ~name:"growing sample stream matches list model" ~count:100
     ~print:(Print.triple Print.int Print.int Print.int)
     Gen.(
       bind (oneofl [ 1; 7; 8; 200; 1024 ]) (fun capacity ->
           triple (return capacity)
             (int_range 0 (capacity + (capacity / 2) + 9))
-            (nat ~max:1_000_000)))
+            (int_bound 1_000_000)))
     (fun (capacity, pushes, seed) ->
       let s = Sample_stream.create ~capacity in
       let ids = Basalt_prng.Rng.create ~seed in
@@ -808,8 +809,8 @@ let stream_words () =
   if full > 207 then Alcotest.failf "full stream keeps %d words" full
 
 let seed_and_ids =
-  Gen.pair (Gen.nat ~max:10_000)
-    (Gen.list ~min_len:1 ~max_len:30 (Gen.nat ~max:100))
+  Gen.pair (Gen.int_bound 10_000)
+    (Gen.list_size (Gen.int_range 1 30) (Gen.int_bound 100))
 
 let print_seed_ids = Print.pair Print.int (Print.list Print.int)
 
@@ -822,7 +823,7 @@ let make_node ?(v = 8) seed =
     ~send ()
 
 let prop_view_subset_of_fed =
-  Check.prop ~name:"view is a subset of fed identifiers" ~count:200
+  Test.make ~name:"view is a subset of fed identifiers" ~count:200
     ~print:print_seed_ids seed_and_ids
     (fun (seed, ids) ->
       let t = make_node seed in
@@ -834,7 +835,7 @@ let prop_view_subset_of_fed =
    the argmin of its rank function over all offered identifiers (the
    oblivious reference model of Alg. 1 lines 20-23). *)
 let prop_slot_argmin =
-  Check.prop ~name:"slot holds the argmin-rank identifier" ~count:300
+  Test.make ~name:"slot holds the argmin-rank identifier" ~count:300
     ~print:print_seed_ids seed_and_ids
     (fun (seed, ids) ->
       let s = slot_create (Basalt_prng.Rng.create ~seed) in
@@ -848,11 +849,11 @@ let prop_slot_argmin =
 (* Feeding a batch is the same as feeding it in two pieces: update_sample
    draws no randomness, so same-seed instances stay comparable. *)
 let prop_update_sample_batch_split =
-  Check.prop ~name:"update_sample batches = sequential feeds" ~count:200
+  Test.make ~name:"update_sample batches = sequential feeds" ~count:200
     ~print:(Print.triple Print.int (Print.list Print.int) Print.int)
-    (Gen.triple (Gen.nat ~max:10_000)
-       (Gen.list ~min_len:1 ~max_len:30 (Gen.nat ~max:100))
-       (Gen.nat ~max:30))
+    (Gen.triple (Gen.int_bound 10_000)
+       (Gen.list_size (Gen.int_range 1 30) (Gen.int_bound 100))
+       (Gen.int_bound 30))
     (fun (seed, ids, cut) ->
       let cut = cut mod (List.length ids + 1) in
       let all = Array.of_list (List.map (fun i -> Node_id.of_int (i + 1)) ids) in
@@ -876,11 +877,11 @@ let prop_eviction_spares_recent_peers =
   let print_ops =
     Print.list (fun op -> if op = 0 then "round" else Printf.sprintf "hear(%d)" op)
   in
-  Check.prop ~name:"eviction never evicts a peer heard within the limit"
+  Test.make ~name:"eviction never evicts a peer heard within the limit"
     ~count:200
     ~print:(Print.pair Print.int print_ops)
-    (Gen.pair (Gen.nat ~max:10_000)
-       (Gen.list ~min_len:1 ~max_len:60 (Gen.nat ~max:6)))
+    (Gen.pair (Gen.int_bound 10_000)
+       (Gen.list_size (Gen.int_range 1 60) (Gen.int_bound 6)))
     (fun (seed, ops) ->
       let send ~dst:_ _ = () in
       let t =
@@ -1032,28 +1033,28 @@ let endpoint_id =
   Gen.map2
     (fun (a, b, c) (d, port) ->
       (a lsl 40) lor (b lsl 32) lor (c lsl 24) lor (d lsl 16) lor port)
-    (Gen.triple (Gen.oneofl [ 10; 127; 192 ]) (Gen.nat ~max:3)
-       (Gen.nat ~max:255))
-    (Gen.pair (Gen.nat ~max:255) (Gen.oneofl [ 4001; 4002; 9000; 65535 ]))
+    (Gen.triple (Gen.oneofl [ 10; 127; 192 ]) (Gen.int_bound 3)
+       (Gen.int_bound 255))
+    (Gen.pair (Gen.int_bound 255) (Gen.oneofl [ 4001; 4002; 9000; 65535 ]))
 
 let oracle_ops ~max_ops ~max_batch id =
-  Gen.list ~min_len:1 ~max_len:max_ops
-    (Gen.pair (Gen.list ~min_len:0 ~max_len:max_batch id) Gen.bool)
+  Gen.list_size (Gen.int_range 1 max_ops)
+    (Gen.pair (Gen.list_size (Gen.int_range 0 max_batch) id) Gen.bool)
 
 let prop_update_sample_matches_oracle =
   let print_ops =
     Print.list (Print.pair (Print.list Print.int) Print.bool)
   in
-  Check.prop ~name:"batched update_sample matches naive rank oracle"
+  Test.make ~name:"batched update_sample matches naive rank oracle"
     ~count:250
     ~print:(Print.pair Print.int print_ops)
-    (Gen.pair (Gen.nat ~max:10_000)
+    (Gen.pair (Gen.int_bound 10_000)
        (Gen.oneof
           [
-            oracle_ops ~max_ops:10 ~max_batch:8 (Gen.nat ~max:12);
+            oracle_ops ~max_ops:10 ~max_batch:8 (Gen.int_bound 12);
             oracle_ops ~max_ops:12 ~max_batch:300
-              (Gen.nat ~max:(Basalt.dense_cap - 1));
-            oracle_ops ~max_ops:12 ~max_batch:300 (Gen.nat ~max:999_999);
+              (Gen.int_bound (Basalt.dense_cap - 1));
+            oracle_ops ~max_ops:12 ~max_batch:300 (Gen.int_bound 999_999);
             oracle_ops ~max_ops:12 ~max_batch:300
               (Gen.int_range (Basalt.dense_cap - 200)
                  (Basalt.dense_cap + 200));
@@ -1213,7 +1214,7 @@ let forged_dense_id_bounded () =
 (* The node's own identifier stays out of its view no matter how often
    it is offered. *)
 let prop_view_excludes_self =
-  Check.prop ~name:"view never contains self" ~count:200
+  Test.make ~name:"view never contains self" ~count:200
     ~print:print_seed_ids seed_and_ids
     (fun (seed, ids) ->
       let t = make_node seed in
@@ -1312,7 +1313,7 @@ let () =
           Alcotest.test_case "draw" `Quick stream_draw;
           Alcotest.test_case "invalid" `Quick stream_invalid;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_view_subset_of_fed;
           prop_slot_argmin;

@@ -160,13 +160,13 @@ let brahms_sampler_interface () =
   s.Basalt_proto.Rps.on_round ();
   check_int "sends per round" 2 !count
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 let prop_view_never_contains_self =
-  Check.prop ~name:"brahms view never contains self" ~count:100
-    ~print:Print.int (Gen.nat ~max:10_000)
+  Test.make ~name:"brahms view never contains self" ~count:100
+    ~print:Print.int (Gen.int_bound 10_000)
     (fun seed ->
       let _, send = ((), fun ~dst:_ _ -> ()) in
       let t =
@@ -191,10 +191,10 @@ let prop_view_never_contains_self =
    sampler outputs.  [Push_id] handling draws no randomness, so the
    instances stay stream-aligned. *)
 let prop_samplers_permutation_invariant =
-  Check.prop ~name:"sampler outputs are feed-order invariant" ~count:150
+  Test.make ~name:"sampler outputs are feed-order invariant" ~count:150
     ~print:(Print.pair Print.int (Print.list Print.int))
-    (Gen.pair (Gen.nat ~max:10_000)
-       (Gen.list ~min_len:1 ~max_len:40 (Gen.int_range 1 200)))
+    (Gen.pair (Gen.int_bound 10_000)
+       (Gen.list_size (Gen.int_range 1 40) (Gen.int_range 1 200)))
     (fun (seed, ids) ->
       let make () =
         Brahms.create
@@ -240,8 +240,8 @@ let print_op = function
   | Tick -> "Tick"
 
 let gen_op =
-  let peer = Gen.nat ~max:24 in
-  let ids = Gen.list ~max_len:12 (Gen.nat ~max:24) in
+  let peer = Gen.int_bound 24 in
+  let ids = Gen.list_size (Gen.int_bound 12) (Gen.int_bound 24) in
   Gen.frequency
     [
       (4, Gen.map2 (fun f l -> Reply (f, l)) peer ids);
@@ -287,13 +287,14 @@ let model_tick m ~k =
   |> List.filter_map Fun.id
 
 let prop_samplers_match_naive_model =
-  Check.prop ~name:"samplers match the naive min-rank model" ~count:300
+  Test.make ~name:"samplers match the naive min-rank model" ~count:300
     ~print:(fun (seed, (l, boot), ops) ->
       Printf.sprintf "seed=%d l=%d boot=%s ops=%s" seed l
         (Print.list Print.int boot) (Print.list print_op ops))
-    (Gen.triple (Gen.nat ~max:10_000)
-       (Gen.pair (Gen.int_range 1 10) (Gen.list ~max_len:10 (Gen.nat ~max:24)))
-       (Gen.list ~max_len:30 gen_op))
+    (Gen.triple (Gen.int_bound 10_000)
+       (Gen.pair (Gen.int_range 1 10)
+          (Gen.list_size (Gen.int_bound 10) (Gen.int_bound 24)))
+       (Gen.list_size (Gen.int_bound 30) gen_op))
     (fun (seed, (l, boot), ops) ->
       let k = 1 + (seed mod l) in
       let self = 0 in
@@ -444,7 +445,7 @@ let () =
           Alcotest.test_case "shared scratch matches private" `Quick
             brahms_shared_scratch;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_view_never_contains_self;
           prop_samplers_permutation_invariant;

@@ -1,17 +1,17 @@
-(* Contract tests for the bin/repro command-line driver and the
-   basalt-lint CLI, run as real subprocesses: automation (CI, the bench
-   harness, shell scripts looping over targets) relies on exit codes,
-   usage failures, and the machine-readable output schemas staying
-   exactly as pinned here. *)
+(* Contract tests for the bin/repro command-line driver, the
+   basalt-node daemon's argument checks and the basalt-lint CLI, run as
+   real subprocesses: automation (CI, the bench harness, shell scripts
+   looping over targets) relies on exit codes, usage failures, and the
+   machine-readable output schemas staying exactly as pinned here. *)
 
 let repro = "../bin/repro.exe"
 
-(* Runs [repro args], returning (exit_code, stdout, stderr). *)
-let run_repro args =
-  let out_file = Filename.temp_file "repro" ".out" in
-  let err_file = Filename.temp_file "repro" ".err" in
+(* Runs [exe args], returning (exit_code, stdout, stderr). *)
+let run exe args =
+  let out_file = Filename.temp_file "cli" ".out" in
+  let err_file = Filename.temp_file "cli" ".err" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote repro) args
+    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
       (Filename.quote out_file) (Filename.quote err_file)
   in
   let code = Sys.command cmd in
@@ -24,6 +24,8 @@ let run_repro args =
     s
   in
   (code, read_all out_file, read_all err_file)
+
+let run_repro = run repro
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -55,6 +57,30 @@ let subcommand_help_succeeds () =
    cmdliner's "internal error" and exit 125. *)
 let timeline_rejects flag ~needle () =
   let code, out, err = run_repro ("timeline " ^ flag ^ " --steps 1") in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check string) "nothing on stdout" "" out;
+  Alcotest.(check bool) ("stderr names " ^ needle) true
+    (contains ~needle err);
+  Alcotest.(check int) "one line" 1
+    (List.length (String.split_on_char '\n' (String.trim err)))
+
+(* An out-of-range daemon argument gets the same treatment, before the
+   socket is bound: the test holds the listen port itself, so a daemon
+   that reached its bind would fail there instead, with another
+   message. *)
+let node_rejects flag ~needle () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, port) -> port
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let code, out, err =
+    run "../bin/basalt_node.exe"
+      (Printf.sprintf "--listen 127.0.0.1:%d --duration 1 %s" port flag)
+  in
   Alcotest.(check int) "exit 1" 1 code;
   Alcotest.(check string) "nothing on stdout" "" out;
   Alcotest.(check bool) ("stderr names " ^ needle) true
@@ -463,6 +489,18 @@ let () =
             (timeline_rejects "-n 0" ~needle:"n must be positive");
           Alcotest.test_case "timeline -f 2 is a usage error" `Quick
             (timeline_rejects "-f 2" ~needle:"f out of [0,1)");
+        ] );
+      ( "basalt-node",
+        [
+          Alcotest.test_case "-v 0 is a usage error" `Quick
+            (node_rejects "-v 0" ~needle:"v must be positive");
+          Alcotest.test_case "--tau 0 is a usage error" `Quick
+            (node_rejects "--tau 0" ~needle:"tau must be positive");
+          Alcotest.test_case "--loss 2 is a usage error" `Quick
+            (node_rejects "--loss 2" ~needle:"inject_loss must be in [0, 1]");
+          Alcotest.test_case "--payload-size 100000 is a usage error" `Quick
+            (node_rejects "--payload-size 100000 --publish-every 0.05"
+               ~needle:"--payload-size must be in [0, 65535]");
         ] );
       ( "matrix",
         [

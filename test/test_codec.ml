@@ -1,15 +1,15 @@
 (* Tests for basalt.codec: the binary wire format.
 
-   Example-based cases pin the format; the lib/check properties fuzz the
+   Example-based cases pin the format; the properties fuzz the
    decoder (decode must be total: typed Error, never an exception, never
    a read past the buffer) and check the encode/decode round trip over
    the full message space.  corpus/wire_corpus.txt replays previously
    crashing / near-miss inputs on every run. *)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Gens = Check.Gens
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Gens = Prop.Gens
+module Print = QCheck2.Print
 module Wire = Basalt_codec.Wire
 module Message = Basalt_proto.Message
 module Node_id = Basalt_proto.Node_id
@@ -50,7 +50,7 @@ let codec_round_trips () =
 
 let mid origin seqno = { Message.origin = id origin; seqno }
 
-(* One pinned round trip per broadcast frame constructor (the lib/check
+(* One pinned round trip per broadcast frame constructor (the round-trip
    property below covers the full space). *)
 let codec_broadcast_round_trips () =
   round_trip (Message.Gossip { mid = mid 7 0; hops = 0; payload = Bytes.empty });
@@ -180,14 +180,15 @@ let codec_corpus () =
           Alcotest.failf "corpus %s: raised %s" name (Printexc.to_string e))
     entries
 
-(* --- lib/check properties ------------------------------------------ *)
+(* --- properties ---------------------------------------------------- *)
 
 let print_message m = Format.asprintf "%a" Message.pp m
 
 (* Round trip over the full message space, including 48-bit identifiers
    (the width the UDP transport packs an address+port into). *)
 let prop_round_trip =
-  Check.prop ~name:"encode/decode round trip" ~print:print_message
+  Test.make ~name:"encode/decode round trip" ~count:200
+    ~print:print_message
     (Gens.message ())
     (fun msg ->
       match Wire.decode (Wire.encode msg) with
@@ -195,25 +196,26 @@ let prop_round_trip =
       | Error _ -> false)
 
 let prop_encoded_size =
-  Check.prop ~name:"encoded_size = length of encode" ~print:print_message
+  Test.make ~name:"encoded_size = length of encode" ~count:200
+    ~print:print_message
     (Gens.message ())
     (fun msg -> Wire.encoded_size msg = Bytes.length (Wire.encode msg))
 
 (* Totality on arbitrary byte soup: Ok or Error, never an exception. *)
 let prop_decode_total =
-  Check.prop ~name:"decode never raises" ~count:2000
-    ~print:Print.bytes_hex
-    (Gen.bytes ~max_len:64 ())
+  Test.make ~name:"decode never raises" ~count:2000
+    ~print:Prop.bytes_hex
+    (Gen.bytes_size (Gen.int_bound 64))
     (fun buf -> match Wire.decode buf with Ok _ | Error _ -> true)
 
 (* Flipping any single byte of a valid datagram must either fail to
    decode or decode to a (possibly different) message — never raise. *)
 let prop_bitflip_safe =
-  Check.prop ~name:"bit flips never raise"
+  Test.make ~name:"bit flips never raise" ~count:200
     ~print:(Print.triple print_message Print.int Print.int)
     (Gen.triple
        (Gens.message ~max_ids:20 ())
-       (Gen.nat ~max:10_000) (Gen.nat ~max:255))
+       (Gen.int_bound 10_000) (Gen.int_bound 255))
     (fun (msg, pos, value) ->
       let buf = Wire.encode msg in
       let pos = pos mod Bytes.length buf in
@@ -234,34 +236,34 @@ let malformed_gen =
           (fun msg cut ->
             let b = Wire.encode msg in
             Bytes.sub b 0 (cut mod Bytes.length b))
-          base (Gen.nat ~max:10_000);
+          base (Gen.int_bound 10_000);
         (* append trailing garbage *)
         Gen.map2
           (fun msg extra ->
             let b = Wire.encode msg in
             Bytes.cat b (Bytes.make (1 + extra) '\xee'))
-          base (Gen.nat ~max:16);
+          base (Gen.int_bound 16);
         (* corrupt the magic byte *)
         Gen.map2
           (fun msg m ->
             let b = Wire.encode msg in
             Bytes.set_uint8 b 0 (if m = 0xB5 then 0 else m);
             b)
-          base (Gen.nat ~max:255);
+          base (Gen.int_bound 255);
         (* unsupported version *)
         Gen.map2
           (fun msg v ->
             let b = Wire.encode msg in
             Bytes.set_uint8 b 1 (if v = 1 then 0 else v);
             b)
-          base (Gen.nat ~max:255);
+          base (Gen.int_bound 255);
         (* unknown tag (9..255 — tags 4-8 are the broadcast frames) *)
         Gen.map2
           (fun msg t ->
             let b = Wire.encode msg in
             Bytes.set_uint8 b 2 (9 + (t mod 247));
             b)
-          base (Gen.nat ~max:10_000);
+          base (Gen.int_bound 10_000);
         (* out-of-range identifier: set the sign bit of an id word *)
         Gen.map
           (fun ids ->
@@ -270,8 +272,7 @@ let malformed_gen =
             Bytes.set_int64_be b 6
               (Int64.logor 0x8000000000000000L (Bytes.get_int64_be b 6));
             b)
-          (Gen.list ~min_len:1 ~max_len:20
-             (Gen.map Node_id.of_int (Gen.nat ~max:1000)));
+          (Gen.list_size (Gen.int_range 1 20) (Gens.node_id ~max:1000));
         (* declared count larger than the payload *)
         Gen.map2
           (fun msg bump ->
@@ -279,14 +280,14 @@ let malformed_gen =
             let count = Bytes.get_uint16_be b 4 in
             Bytes.set_uint16_be b 4 (min 0xFFFF (count + 1 + bump));
             b)
-          base (Gen.nat ~max:1000);
+          base (Gen.int_bound 1000);
       ]
   in
   mutate
 
 let prop_malformed_rejected =
-  Check.prop ~name:"malformed buffers are rejected" ~count:10_000
-    ~print:Print.bytes_hex malformed_gen
+  Test.make ~name:"malformed buffers are rejected" ~count:10_000
+    ~print:Prop.bytes_hex malformed_gen
     (fun buf ->
       match Wire.decode buf with
       | Error _ -> true
@@ -296,9 +297,9 @@ let prop_malformed_rejected =
 (* Any strict prefix of a valid datagram is Truncated (the declared
    count pins the exact length, so no prefix can re-parse as valid). *)
 let prop_prefix_truncated =
-  Check.prop ~name:"strict prefixes decode to Truncated"
+  Test.make ~name:"strict prefixes decode to Truncated" ~count:200
     ~print:(Print.pair print_message Print.int)
-    (Gen.pair (Gens.message ~max_ids:20 ()) (Gen.nat ~max:10_000))
+    (Gen.pair (Gens.message ~max_ids:20 ()) (Gen.int_bound 10_000))
     (fun (msg, cut) ->
       let b = Wire.encode msg in
       let prefix = Bytes.sub b 0 (cut mod Bytes.length b) in
@@ -327,7 +328,7 @@ let () =
             codec_broadcast_encode_guards;
           Alcotest.test_case "corpus replay" `Quick codec_corpus;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_round_trip;
           prop_encoded_size;

@@ -109,15 +109,15 @@ let queue_releases_taken () =
   take (n / 2);
   check_int "none retained once empty" 0 (retained ())
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Gens = Check.Gens
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Gens = Prop.Gens
+module Print = QCheck2.Print
 
 let prop_queue_sorted =
-  Check.prop ~name:"pops are sorted by time" ~count:200
+  Test.make ~name:"pops are sorted by time" ~count:200
     ~print:(Print.list Print.float)
-    (Gen.list ~max_len:60 (Gen.float_range 0.0 1000.0))
+    (Gen.list_size (Gen.int_bound 60) (Gen.float_range 0.0 1000.0))
     (fun times ->
       let q = Event_queue.create ~filler:() in
       List.iter (fun t -> Event_queue.push q ~time:t ()) times;
@@ -131,9 +131,9 @@ let prop_queue_sorted =
 (* Model-based test: interleave pushes and pops, comparing against a
    sorted-list reference implementation (stable on ties). *)
 let prop_queue_model =
-  Check.prop ~name:"queue matches sorted-list reference" ~count:300
+  Test.make ~name:"queue matches sorted-list reference" ~count:300
     ~print:(Print.list (Print.pair Print.bool Print.int))
-    (Gen.list ~max_len:60 (Gen.pair Gen.bool (Gen.nat ~max:100)))
+    (Gen.list_size (Gen.int_bound 60) (Gen.pair Gen.bool (Gen.int_bound 100)))
     (fun ops ->
       let q = Event_queue.create ~filler:0 in
       (* reference: list of (time, seq, value), kept sorted *)
@@ -180,13 +180,13 @@ let prop_queue_model =
    double five times; [top_time] and [size] are checked before every
    take. *)
 let prop_queue_model_ties_growth =
-  Check.prop ~name:"queue matches sorted-list model (ties, growth)"
+  Test.make ~name:"queue matches sorted-list model (ties, growth)"
     ~count:200
     ~print:(Print.list (Print.pair Print.bool Print.int))
-    (Gen.list ~max_len:400
+    (Gen.list_size (Gen.int_bound 400)
        (Gen.frequency
           [
-            (3, Gen.map (fun t -> (true, t)) (Gen.nat ~max:4));
+            (3, Gen.map (fun t -> (true, t)) (Gen.int_bound 4));
             (1, Gen.return (false, 0));
           ]))
     (fun ops ->
@@ -754,7 +754,7 @@ let run_workload ?(on_event = fun _e -> ()) (sched, latency, loss) =
 (* Message conservation: loss is decided at send time, an arrival
    without a handler is [ignored], everything else reaches a handler. *)
 let prop_engine_conservation =
-  Check.prop ~name:"sent = delivered + dropped + ignored" ~count:100
+  Test.make ~name:"sent = delivered + dropped + ignored" ~count:100
     ~print:print_workload workload_gen
     (fun ((sched, _, _) as w) ->
       let e = run_workload w in
@@ -766,7 +766,7 @@ let prop_engine_conservation =
    message arrival (delivered or ignored); drops never consume an
    event because lost messages are never enqueued. *)
 let prop_engine_event_accounting =
-  Check.prop ~name:"events = timers + delivered + ignored" ~count:100
+  Test.make ~name:"events = timers + delivered + ignored" ~count:100
     ~print:print_workload workload_gen
     (fun ((sched, _, _) as w) ->
       let e = run_workload w in
@@ -777,7 +777,7 @@ let prop_engine_event_accounting =
 (* The virtual clock never runs backwards across any callback, and
    [run_until h] leaves the clock exactly at [h]. *)
 let prop_engine_monotone_clock =
-  Check.prop ~name:"clock is monotone and lands on the horizon" ~count:100
+  Test.make ~name:"clock is monotone and lands on the horizon" ~count:100
     ~print:print_workload workload_gen
     (fun ((sched, _, _) as w) ->
       let last = ref neg_infinity in
@@ -802,9 +802,9 @@ let () =
           Alcotest.test_case "interleaved" `Quick queue_interleaved;
           Alcotest.test_case "releases taken values" `Quick
             queue_releases_taken;
-          Check.to_alcotest ~suite:"event_queue" prop_queue_sorted;
-          Check.to_alcotest ~suite:"event_queue" prop_queue_model;
-          Check.to_alcotest ~suite:"event_queue" prop_queue_model_ties_growth;
+          Prop.case ~suite:"event_queue" prop_queue_sorted;
+          Prop.case ~suite:"event_queue" prop_queue_model;
+          Prop.case ~suite:"event_queue" prop_queue_model_ties_growth;
         ] );
       ( "link",
         [
@@ -850,7 +850,7 @@ let () =
           Alcotest.test_case "latency" `Quick engine_latency;
           Alcotest.test_case "n" `Quick engine_n;
         ] );
-      Check.suite "schedule properties"
+      Prop.suite "schedule properties"
         [
           prop_engine_conservation;
           prop_engine_event_accounting;

@@ -471,10 +471,10 @@ let sim_pool_determinism () =
 
 (* --- properties --- *)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Gens = Check.Gens
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Gens = Prop.Gens
+module Print = QCheck2.Print
 
 let prop_dedup_exact_once =
   let frame =
@@ -483,13 +483,13 @@ let prop_dedup_exact_once =
       (Gen.pair (Gen.int_range 1 8) (Gens.mid ~max_id:6 ()))
       (Gen.int_range 1 5)
   in
-  Check.prop ~name:"deliver fires exactly once per distinct mid" ~count:200
+  Test.make ~name:"deliver fires exactly once per distinct mid" ~count:200
     ~print:
       (Print.list (fun (s, m, h) ->
            Printf.sprintf "(%d, %d#%d, %d)" s
              (Node_id.to_int m.Message.origin)
              m.Message.seqno h))
-    (Gen.list ~max_len:40 frame)
+    (Gen.list_size (Gen.int_bound 40) frame)
     (fun frames ->
       let h = harness () in
       List.iter
@@ -527,12 +527,15 @@ let apply_op h k = function
 let op_gen =
   Gen.frequency
     [
-      (2, Gen.map (fun l -> Samples l) (Gen.list ~max_len:8 (Gen.int_range 1 20)));
+      ( 2,
+        Gen.map
+          (fun l -> Samples l)
+          (Gen.list_size (Gen.int_bound 8) (Gen.int_range 1 20)) );
       (3, Gen.return Heartbeat);
       (3, Gen.map (fun p -> Graft_from p) (Gen.int_range 1 20));
       (2, Gen.map (fun p -> Prune_from p) (Gen.int_range 1 20));
       (3, Gen.map2 (fun p s -> Data_from (p, s)) (Gen.int_range 1 20)
-          (Gen.nat ~max:50));
+          (Gen.int_bound 50));
     ]
 
 let print_op = function
@@ -543,9 +546,9 @@ let print_op = function
   | Data_from (p, s) -> Printf.sprintf "Data_from (%d, %d)" p s
 
 let prop_degree_bounded =
-  Check.prop ~name:"eager degree never exceeds degree_hi" ~count:200
+  Test.make ~name:"eager degree never exceeds degree_hi" ~count:200
     ~print:(Print.list print_op)
-    (Gen.list ~max_len:60 op_gen)
+    (Gen.list_size (Gen.int_bound 60) op_gen)
     (fun ops ->
       let h = harness () in
       List.for_all
@@ -555,9 +558,9 @@ let prop_degree_bounded =
         (List.mapi (fun k op -> (k, op)) ops))
 
 let prop_self_never_in_mesh =
-  Check.prop ~name:"the mesh never contains the local node" ~count:200
+  Test.make ~name:"the mesh never contains the local node" ~count:200
     ~print:(Print.list print_op)
-    (Gen.list ~max_len:60 op_gen)
+    (Gen.list_size (Gen.int_bound 60) op_gen)
     (fun ops ->
       let h = harness () in
       List.iteri (fun k op -> apply_op h k op) ops;
@@ -608,6 +611,6 @@ let () =
           Alcotest.test_case "bit-identical at -j1 vs -j4" `Slow
             sim_pool_determinism;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [ prop_dedup_exact_once; prop_degree_bounded; prop_self_never_in_mesh ];
     ]

@@ -1,4 +1,4 @@
-(* Tests for basalt.graph: snapshots, metrics, isolation, components. *)
+(* Tests for basalt.graph: snapshots, metrics, isolation. *)
 
 open Basalt_graph
 module Node_id = Basalt_proto.Node_id
@@ -146,67 +146,6 @@ let isolation_count_fraction () =
   check_float "empty correct" 0.0
     (Isolation.fraction ~is_malicious:is_mal ~views ~correct:[])
 
-(* --- Components --- *)
-
-let weak_components () =
-  (* Two weakly connected islands: {0,1} and {2}. *)
-  let g = Digraph.of_adjacency [| [| 1 |]; [||]; [||] |] in
-  let labels = Components.weakly_connected g in
-  check_int "two components" 2 (Components.count_components labels);
-  check_bool "0 and 1 together" true (labels.(0) = labels.(1));
-  check_bool "2 apart" true (labels.(2) <> labels.(0))
-
-let weak_restrict () =
-  (* Restricting away the bridge vertex splits the component. *)
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [||] |] in
-  let labels = Components.weakly_connected ~restrict:(fun u -> u <> 1) g in
-  check_int "bridge removed" 2 (Components.count_components labels);
-  check_int "excluded labelled -1" (-1) labels.(1)
-
-let largest_fraction () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [||]; [||]; [||] |] in
-  check_float "2 of 4" 0.5 (Components.largest_component_fraction g)
-
-let scc_cycle () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [| 0 |] |] in
-  let labels = Components.strongly_connected g in
-  check_int "one scc" 1 (Components.count_components labels)
-
-let scc_dag () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [||] |] in
-  let labels = Components.strongly_connected g in
-  check_int "three sccs" 3 (Components.count_components labels)
-
-let scc_mixed () =
-  (* A 2-cycle {0,1} plus a tail 2 -> 0. *)
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 0 |]; [| 0 |] |] in
-  let labels = Components.strongly_connected g in
-  check_int "two sccs" 2 (Components.count_components labels);
-  check_bool "cycle grouped" true (labels.(0) = labels.(1));
-  check_bool "tail separate" true (labels.(2) <> labels.(0))
-
-module Check = Basalt_check.Check
-
-let prop_scc_refines_weak =
-  Check.prop ~name:"SCCs refine weak components" ~count:100
-    ~print:
-      Check.Print.(list (pair int int))
-    Check.Gen.(list ~max_len:30 (pair (nat ~max:9) (nat ~max:9)))
-    (fun edges ->
-      let adj = Array.make 10 [] in
-      List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) edges;
-      let g = Digraph.of_adjacency (Array.map Array.of_list adj) in
-      let weak = Components.weakly_connected g in
-      let scc = Components.strongly_connected g in
-      (* Same SCC implies same weak component. *)
-      let ok = ref true in
-      for u = 0 to 9 do
-        for v = 0 to 9 do
-          if scc.(u) = scc.(v) && weak.(u) <> weak.(v) then ok := false
-        done
-      done;
-      !ok)
-
 let () =
   Alcotest.run "graph"
     [
@@ -240,15 +179,5 @@ let () =
         [
           Alcotest.test_case "cases" `Quick isolation_cases;
           Alcotest.test_case "count/fraction" `Quick isolation_count_fraction;
-        ] );
-      ( "components",
-        [
-          Alcotest.test_case "weak components" `Quick weak_components;
-          Alcotest.test_case "weak restrict" `Quick weak_restrict;
-          Alcotest.test_case "largest fraction" `Quick largest_fraction;
-          Alcotest.test_case "scc cycle" `Quick scc_cycle;
-          Alcotest.test_case "scc dag" `Quick scc_dag;
-          Alcotest.test_case "scc mixed" `Quick scc_mixed;
-          Check.to_alcotest ~suite:"components" prop_scc_refines_weak;
         ] );
     ]

@@ -320,9 +320,9 @@ let prefix_rank_prepared_agrees () =
       (kernel_rank prefix_backend s id)
   done
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 (* Every evaluation path — plain, digested, the slot kernel (and for
    SipHash the midstate of the key and seed) — must produce the
@@ -336,10 +336,10 @@ let all_backends =
   ]
 
 let prop_rank_paths_equal =
-  Check.prop ~name:"rank = rank_digested = offer_slot"
+  Test.make ~name:"rank = rank_digested = offer_slot"
     ~count:1000
     ~print:(Print.pair Print.int Print.int)
-    Gen.(pair (nat ~max:1_000_000) (nat ~max:1_000_000))
+    Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
     (fun (sv, id) ->
       List.for_all
         (fun (_, backend) ->
@@ -352,9 +352,9 @@ let prop_rank_paths_equal =
    reference formula: hash_int64_pair over (seed, id), masked to a
    non-negative native int. *)
 let prop_sip_rank_matches_reference =
-  Check.prop ~name:"siphash rank = uncached hash_int64_pair" ~count:500
+  Test.make ~name:"siphash rank = uncached hash_int64_pair" ~count:500
     ~print:(Print.pair Print.int Print.int)
-    Gen.(pair (nat ~max:1_000_000) (nat ~max:1_000_000))
+    Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
     (fun (sv, id) ->
       Rank.rank (Rank.Siphash ref_key) sv id
       = Int64.to_int
@@ -373,7 +373,7 @@ let keyed_cheap_formula () =
     <> Rank.rank (Rank.Keyed_cheap (key + 1)) 77 42)
 
 let prop_mix63_nonneg =
-  Check.prop ~name:"mix63 non-negative" ~count:1000 ~print:Print.int
+  Test.make ~name:"mix63 non-negative" ~count:1000 ~print:Print.int
     (Gen.int_range min_int max_int)
     (fun x -> Mix.mix63 x >= 0)
 
@@ -430,7 +430,7 @@ let () =
           Alcotest.test_case "min-wise uniformity (keyed-cheap)" `Slow
             (rank_minwise_uniformity (Rank.Keyed_cheap 0xBEEF));
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_rank_paths_equal;
           prop_sip_rank_matches_reference;

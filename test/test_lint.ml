@@ -8,7 +8,7 @@
    - typed-tier rules D9/D10 over the compiled fixtures in
      tool/lint/fixtures_typed (their .cmt files are dune deps of this
      test), both through the library and through the CLI;
-   - Basalt_check properties: pragma suppression is line-position
+   - QCheck2 properties: pragma suppression is line-position
      sensitive, and verdicts are independent of the order files are
      linted in (no compiler-libs state leaks between units);
    - a whole-repo run over the real sources (materialised into the build
@@ -432,12 +432,9 @@ let d10_flags_closure_capture () =
     (typed_triples ~rel_path:"lib/d10_closure.ml" "d10_closure")
 
 let d10_scope_is_lib () =
-  (* The same aliasing outside lib/ (or inside lib/check, whose
-     generators deliberately chain draws) is not D10's business. *)
+  (* The same aliasing outside lib/ is not D10's business. *)
   check triples "test/ attribution is out of scope" []
-    (typed_triples ~rel_path:"test/d10_alias.ml" "d10_alias");
-  check triples "lib/check attribution is out of scope" []
-    (typed_triples ~rel_path:"lib/check/d10_alias.ml" "d10_alias")
+    (typed_triples ~rel_path:"test/d10_alias.ml" "d10_alias")
 
 (* The typed tier reports raw findings; the pragma variants are only
    clean once the CLI merges source pragmas in — both halves pinned. *)
@@ -575,17 +572,17 @@ let d11_off_when_not_requested () =
        ~body:"(* lint: allow D2 — stale on purpose *)\nlet f x = x + 1\n"
        ())
 
-(* --- Basalt_check properties --- *)
+(* --- properties --- *)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
 
 let prop_pragma_position =
-  Check.prop ~name:"pragma suppression is line-position sensitive"
+  Test.make ~name:"pragma suppression is line-position sensitive"
     ~count:200
     ~print:(fun (gap, same_line) ->
       Printf.sprintf "gap=%d same_line=%b" gap same_line)
-    (Gen.pair (Gen.nat ~max:4) Gen.bool)
+    (Gen.pair (Gen.int_bound 4) Gen.bool)
     (fun (gap, same_line) ->
       (* A pragma covers its own lines and the line directly below —
          nothing further, whatever the gap. *)
@@ -629,7 +626,7 @@ let shuffle_fixtures =
 
 let prop_shuffle_invariance =
   let n = List.length shuffle_fixtures in
-  Check.prop ~name:"verdicts survive fixture shuffling" ~count:100
+  Test.make ~name:"verdicts survive fixture shuffling" ~count:100
     ~print:(fun keys -> String.concat "," (List.map string_of_int keys))
     (Gen.list_repeat n (Gen.int_range 0 1_000_000))
     (fun keys ->
@@ -716,7 +713,7 @@ let () =
           Alcotest.test_case "off when not requested" `Quick
             d11_off_when_not_requested;
         ] );
-      Check.suite "properties" [ prop_pragma_position; prop_shuffle_invariance ];
+      Prop.suite "properties" [ prop_pragma_position; prop_shuffle_invariance ];
       ( "repository",
         [
           Alcotest.test_case "whole repo clean" `Quick whole_repo_is_clean;

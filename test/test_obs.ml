@@ -329,9 +329,9 @@ let prometheus_rendering () =
    bit-identical (DESIGN.md §8).  Operands are integer-valued so float
    accumulation is exact and the comparison can be byte-for-byte. *)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 type op = Incr | Add of int | Set_max of int | Observe of int
 
@@ -345,12 +345,12 @@ let op_gen =
   Gen.oneof
     [
       Gen.return Incr;
-      Gen.map (fun n -> Add n) (Gen.nat ~max:100);
-      Gen.map (fun n -> Set_max n) (Gen.nat ~max:1000);
-      Gen.map (fun n -> Observe n) (Gen.nat ~max:1000);
+      Gen.map (fun n -> Add n) (Gen.int_bound 100);
+      Gen.map (fun n -> Set_max n) (Gen.int_bound 1000);
+      Gen.map (fun n -> Observe n) (Gen.int_bound 1000);
     ]
 
-let ops_gen = Gen.list ~max_len:40 op_gen
+let ops_gen = Gen.list_size (Gen.int_bound 40) op_gen
 
 let quantiles = [ 0.5; 0.9; 0.99 ]
 
@@ -372,7 +372,7 @@ let apply_ops ops =
     List.map (Obs.Sketch.quantile s) quantiles )
 
 let prop_snapshot_order_independent =
-  Check.prop ~name:"equal op multisets render byte-identically" ~count:150
+  Test.make ~name:"equal op multisets render byte-identically" ~count:150
     ~print:(Print.list print_op) ops_gen
     (fun ops -> apply_ops ops = apply_ops (List.rev ops))
 
@@ -380,7 +380,7 @@ let prop_snapshot_order_independent =
    The sketch's count, sum and max are exact; each quantile is within
    [relative_error] of the exact nearest-rank order statistic. *)
 let prop_snapshot_matches_model =
-  Check.prop ~name:"instrument values match a fold over the ops" ~count:150
+  Test.make ~name:"instrument values match a fold over the ops" ~count:150
     ~print:(Print.list print_op) ops_gen
     (fun ops ->
       let _, snapshot, sketch, estimates = apply_ops ops in
@@ -435,11 +435,11 @@ let handle_ops_gen =
   Gen.bind (Gen.int_range 1 4) (fun k ->
       Gen.map
         (fun ops -> (k, ops))
-        (Gen.list ~max_len:40
-           (Gen.pair (Gen.nat ~max:(k + n_disabled - 1)) (Gen.nat ~max:5))))
+        (Gen.list_size (Gen.int_bound 40)
+           (Gen.pair (Gen.int_bound (k + n_disabled - 1)) (Gen.int_bound 5))))
 
 let prop_counter_handles =
-  Check.prop ~name:"counter handles: own per handle, value is the sum"
+  Test.make ~name:"counter handles: own per handle, value is the sum"
     ~count:200
     ~print:(Print.pair Print.int (Print.list (Print.pair Print.int Print.int)))
     handle_ops_gen
@@ -484,9 +484,9 @@ let print_event (e : Obs.event) =
        e.Obs.fields)
 
 let prop_event_json_round_trip =
-  Check.prop ~name:"event_of_json (event_to_json e) = Some e" ~count:300
+  Test.make ~name:"event_of_json (event_to_json e) = Some e" ~count:300
     ~print:print_event
-    (Check.Gens.obs_event ())
+    Prop.Gens.obs_event
     (fun e -> Obs.event_of_json (Obs.event_to_json e) = Some e)
 
 let () =
@@ -537,7 +537,7 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick
             prometheus_rendering;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_snapshot_order_independent;
           prop_snapshot_matches_model;

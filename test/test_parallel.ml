@@ -176,16 +176,16 @@ let recommended_domains_positive () =
    Each case spawns its own short-lived pools, so the budgets stay small
    (a pool spawn is ~1 ms; these remain the cheap end of the suite). *)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 (* Batch sizes hug the interesting edges: empty, below the domain
    count, and comfortably above it. *)
-let batch_gen = Gen.list ~max_len:12 (Gen.int_range (-1000) 1000)
+let batch_gen = Gen.list_size (Gen.int_bound 12) (Gen.int_range (-1000) 1000)
 
 let prop_map_domain_count_invariant =
-  Check.prop ~name:"map agrees at j=1 and j=4 (incl. tiny batches)"
+  Test.make ~name:"map agrees at j=1 and j=4 (incl. tiny batches)"
     ~count:30 ~print:(Print.list Print.int) batch_gen
     (fun xs ->
       let f x = (x * 31) + 7 in
@@ -195,9 +195,9 @@ let prop_map_domain_count_invariant =
       expected = j1 && expected = j4)
 
 let prop_map_rng_domain_count_invariant =
-  Check.prop ~name:"map_rng is bit-identical at j=1 and j=4" ~count:30
+  Test.make ~name:"map_rng is bit-identical at j=1 and j=4" ~count:30
     ~print:(Print.pair Print.int (Print.list Print.int))
-    (Gen.pair (Gen.nat ~max:10_000) batch_gen)
+    (Gen.pair (Gen.int_bound 10_000) batch_gen)
     (fun (seed, xs) ->
       let draw rng x = (x, Rng.int rng 1_000_000) in
       let sequential = Pool.map_rng ~rng:(Rng.create ~seed) draw xs in
@@ -210,10 +210,10 @@ let prop_map_rng_domain_count_invariant =
 (* Nested map_rng: an outer parallel fan-out whose tasks themselves call
    map_rng (sequential fallback) must equal the fully sequential run. *)
 let prop_nested_map_rng_deterministic =
-  Check.prop ~name:"nested map_rng matches sequential" ~count:20
+  Test.make ~name:"nested map_rng matches sequential" ~count:20
     ~print:(Print.pair Print.int (Print.list Print.int))
-    (Gen.pair (Gen.nat ~max:10_000)
-       (Gen.list ~max_len:6 (Gen.nat ~max:50)))
+    (Gen.pair (Gen.int_bound 10_000)
+       (Gen.list_size (Gen.int_bound 6) (Gen.int_bound 50)))
     (fun (seed, xs) ->
       let inner rng x = List.init 3 (fun i -> Rng.int rng (x + i + 1)) in
       let outer pool rng x =
@@ -232,11 +232,16 @@ let prop_nested_map_rng_deterministic =
 (* The leftmost failing element's exception wins, regardless of where
    later failures sit in the batch. *)
 let prop_leftmost_exception =
-  Check.prop ~name:"leftmost exception wins" ~count:30
+  Test.make ~name:"leftmost exception wins" ~count:30
     ~print:(Print.list Print.bool)
-    (Gen.such_that
-       (List.exists Fun.id)
-       (Gen.list ~min_len:1 ~max_len:12 Gen.bool))
+    (* One position, drawn beside the flags, is forced to fail, so every
+       case (and every shrink) has a failing element. *)
+    (Gen.map2
+       (fun flags pos ->
+         let forced = pos mod List.length flags in
+         List.mapi (fun i fail -> fail || i = forced) flags)
+       (Gen.list_size (Gen.int_range 1 12) Gen.bool)
+       (Gen.int_bound 11))
     (fun flags ->
       let tagged = List.mapi (fun i fail -> (i, fail)) flags in
       let expected_idx =
@@ -295,7 +300,7 @@ let () =
           Alcotest.test_case "independent streams" `Quick
             map_rng_streams_are_independent;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_map_domain_count_invariant;
           prop_map_rng_domain_count_invariant;

@@ -313,34 +313,36 @@ let rng_determinism () =
     check_i64 "same seed same stream" (Rng.int64 a) (Rng.int64 b)
   done
 
-(* --- lib/check properties --- *)
+(* --- properties --- *)
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 let prop_int_in_bounds =
-  Check.prop ~name:"Rng.int always within bounds" ~count:1000
+  Test.make ~name:"Rng.int always within bounds" ~count:1000
     ~print:(Print.pair Print.int Print.int)
-    Gen.(pair (nat ~max:10_000) (int_range 1 1000))
+    Gen.(pair (int_bound 10_000) (int_range 1 1000))
     (fun (seed, bound) ->
       let t = Rng.create ~seed in
       let x = Rng.int t bound in
       x >= 0 && x < bound)
 
 let prop_sample_indices_distinct =
-  Check.prop ~name:"sample_indices always distinct" ~count:300
+  Test.make ~name:"sample_indices always distinct" ~count:300
     ~print:(Print.triple Print.int Print.int Print.int)
-    Gen.(triple (nat ~max:10_000) (nat ~max:200) (nat ~max:200))
+    Gen.(triple (int_bound 10_000) (int_bound 200) (int_bound 200))
     (fun (seed, k, n) ->
       let t = Rng.create ~seed in
       let s = Rng.sample_indices t ~k ~n in
       distinct_ints s && Array.length s = min k n)
 
 let prop_shuffle_permutation =
-  Check.prop ~name:"shuffle is a permutation" ~count:300
+  Test.make ~name:"shuffle is a permutation" ~count:300
     ~print:(Print.pair Print.int (Print.list Print.int))
-    Gen.(pair (nat ~max:10_000) (list ~max_len:40 (int_range (-1000) 1000)))
+    Gen.(
+      pair (int_bound 10_000)
+        (list_size (int_bound 40) (int_range (-1000) 1000)))
     (fun (seed, l) ->
       let t = Rng.create ~seed in
       let a = Array.of_list l in
@@ -348,13 +350,13 @@ let prop_shuffle_permutation =
       Rng.shuffle_in_place t a;
       List.sort Int.compare (Array.to_list a) = before)
 
-(* Distribution sanity for the streams every generator in lib/check
-   draws from: a chi-squared-style bound on bucket counts.  Uses a
-   pinned per-case seed, so the statistic is exact and deterministic. *)
+(* Distribution sanity for [Rng.int]: a chi-squared-style bound on
+   bucket counts.  Uses a pinned per-case seed, so the statistic is
+   exact and deterministic. *)
 let prop_int_buckets_balanced =
-  Check.prop ~name:"Rng.int buckets roughly balanced" ~count:20
+  Test.make ~name:"Rng.int buckets roughly balanced" ~count:20
     ~print:(Print.pair Print.int Print.int)
-    Gen.(pair (nat ~max:10_000) (int_range 2 16))
+    Gen.(pair (int_bound 10_000) (int_range 2 16))
     (fun (seed, buckets) ->
       let t = Rng.create ~seed:(seed + 7919) in
       let draws = 4000 in
@@ -420,7 +422,7 @@ let () =
           Alcotest.test_case "split decorrelates" `Quick rng_split_decorrelates;
           Alcotest.test_case "determinism" `Quick rng_determinism;
         ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_int_in_bounds;
           prop_sample_indices_distinct;

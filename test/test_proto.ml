@@ -50,9 +50,7 @@ let message_wire_size () =
      communication-budget argument. *)
   let view = Array.init 200 id in
   check_int "200-id view" 804 (Message.bytes_on_wire (Message.Push view));
-  check_bool "fits MTU" true (Message.bytes_on_wire (Message.Push view) <= 1500);
-  check_int "custom id size" 20
-    (Message.bytes_on_wire ~id_size:8 (Message.Push [| id 1; id 2 |]))
+  check_bool "fits MTU" true (Message.bytes_on_wire (Message.Push view) <= 1500)
 
 let message_pp () =
   Alcotest.(check string) "pp push" "PUSH[2 ids]"
@@ -114,19 +112,19 @@ let rps_null () =
   check_bool "no samples" true (s.Rps.sample_tick () = []);
   check_int "empty view" 0 (Array.length (s.Rps.current_view ()))
 
-module Check = Basalt_check.Check
-module Gen = Check.Gen
-module Print = Check.Print
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
+module Print = QCheck2.Print
 
 let print_ids = Print.list Print.int
-let small_nats = Gen.list ~max_len:40 (Gen.nat ~max:100)
+let small_nats = Gen.list_size (Gen.int_bound 40) (Gen.int_bound 100)
 
 (* Up to 120 ids: [distinct] scans inputs of up to 48 ids and hashes
    longer ones, so both paths are covered. *)
-let distinct_inputs = Gen.list ~max_len:120 (Gen.nat ~max:100)
+let distinct_inputs = Gen.list_size (Gen.int_bound 120) (Gen.int_bound 100)
 
 let prop_distinct_is_distinct =
-  Check.prop ~name:"distinct removes all duplicates" ~count:300
+  Test.make ~name:"distinct removes all duplicates" ~count:300
     ~print:print_ids distinct_inputs
     (fun l ->
       let view = Array.of_list (List.map Node_id.of_int l) in
@@ -135,7 +133,7 @@ let prop_distinct_is_distinct =
       List.sort_uniq Int.compare ints = List.sort Int.compare ints)
 
 let prop_distinct_preserves_first_occurrence =
-  Check.prop ~name:"distinct keeps first occurrences in order" ~count:300
+  Test.make ~name:"distinct keeps first occurrences in order" ~count:300
     ~print:print_ids distinct_inputs
     (fun l ->
       let view = Array.of_list (List.map Node_id.of_int l) in
@@ -149,9 +147,9 @@ let prop_distinct_preserves_first_occurrence =
       d = first_occurrences [] l)
 
 let prop_subset_members =
-  Check.prop ~name:"random_subset returns members" ~count:300
+  Test.make ~name:"random_subset returns members" ~count:300
     ~print:(Print.pair Print.int print_ids)
-    (Gen.pair (Gen.nat ~max:10_000) small_nats)
+    (Gen.pair (Gen.int_bound 10_000) small_nats)
     (fun (seed, l) ->
       let rng = Basalt_prng.Rng.create ~seed in
       let view = Array.of_list (List.map Node_id.of_int l) in
@@ -188,7 +186,7 @@ let () =
         ] );
       ( "rps",
         [ Alcotest.test_case "null sampler" `Quick rps_null ] );
-      Check.suite "properties"
+      Prop.suite "properties"
         [
           prop_distinct_is_distinct;
           prop_distinct_preserves_first_occurrence;

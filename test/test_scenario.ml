@@ -5,11 +5,12 @@
    the robustness-net table against its golden file) lives in
    test_cli.ml. *)
 
-module Check = Basalt_check.Check
 module Sexp = Basalt_scenario.Sexp
 module Spec = Basalt_scenario.Spec
 module Matrix = Basalt_scenario.Matrix
 module Metric = Basalt_scenario.Metric
+module Gen = QCheck2.Gen
+module Test = QCheck2.Test
 
 (* --- Sexp round-trip property --- *)
 
@@ -17,38 +18,39 @@ module Metric = Basalt_scenario.Metric
    and unprintable bytes so the property exercises the quoting and
    escaping paths, not just bare atoms. *)
 let atom_char =
-  Check.Gen.frequency
+  Gen.frequency
     [
-      (6, Check.Gen.map Char.chr (Check.Gen.int_range 97 122));
-      (2, Check.Gen.oneofl [ '0'; '5'; '9'; '.'; '-'; '/' ]);
+      (6, Gen.map Char.chr (Gen.int_range 97 122));
+      (2, Gen.oneofl [ '0'; '5'; '9'; '.'; '-'; '/' ]);
       ( 2,
-        Check.Gen.oneofl
+        Gen.oneofl
           [ '('; ')'; ' '; '"'; '\\'; '\n'; '\t'; '\r'; ';'; '\000'; '\127' ]
       );
     ]
 
 let atom_string =
-  Check.Gen.map
+  Gen.map
     (fun cs -> String.concat "" (List.map (String.make 1) cs))
-    (Check.Gen.list ~max_len:8 atom_char)
+    (Gen.list_size (Gen.int_bound 8) atom_char)
 
 let rec sexp_gen depth =
-  if depth = 0 then Check.Gen.map Sexp.atom atom_string
+  if depth = 0 then Gen.map Sexp.atom atom_string
   else
-    Check.Gen.frequency
+    Gen.frequency
       [
-        (3, Check.Gen.map Sexp.atom atom_string);
+        (3, Gen.map Sexp.atom atom_string);
         ( 2,
-          Check.Gen.map Sexp.list
-            (Check.Gen.list ~max_len:4 (sexp_gen (depth - 1))) );
+          Gen.map Sexp.list
+            (Gen.list_size (Gen.int_bound 4) (sexp_gen (depth - 1))) );
       ]
 
-let forms_gen = Check.Gen.list ~max_len:4 (sexp_gen 3)
+let forms_gen = Gen.list_size (Gen.int_bound 4) (sexp_gen 3)
 
 let print_forms forms = String.concat " " (List.map Sexp.to_string forms)
 
 let round_trip_prop =
-  Check.prop ~name:"parse (print forms) = forms" ~print:print_forms forms_gen
+  Test.make ~name:"parse (print forms) = forms" ~count:200 ~print:print_forms
+    forms_gen
     (fun forms ->
       match Sexp.parse_string (print_forms forms) with
       | Error _ -> false
@@ -56,7 +58,7 @@ let round_trip_prop =
           List.length parsed = List.length forms
           && List.for_all2 Sexp.equal forms parsed)
 
-let sexp_suite = Check.suite "scenario sexp" [ round_trip_prop ]
+let sexp_suite = Prop.suite "scenario sexp" [ round_trip_prop ]
 
 (* --- malformed corpus: every diagnostic is pinned --- *)
 

@@ -345,13 +345,8 @@ let run_d9 ctx str =
    library entry points, where the entanglement crosses an abstraction
    boundary. *)
 
-(* lib/prng implements the streams; lib/check's generators deliberately
-   compose sequential draws on one stream (replay determinism comes from
-   the fixed generation order, DESIGN.md §9). *)
-let d10_scope path =
-  L.in_dir "lib" path
-  && (not (L.in_dir "lib/prng" path))
-  && not (L.in_dir "lib/check" path)
+(* lib/prng implements the streams. *)
+let d10_scope path = L.in_dir "lib" path && not (L.in_dir "lib/prng" path)
 
 type d10_state = {
   (* tracked rng ident -> the context (lambda id) that owns it *)
