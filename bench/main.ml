@@ -202,22 +202,25 @@ let fig_groups () =
              ignore (Basalt_experiments.Theory.worked_examples ())));
     ]
 
-(* Core operations: the simulator's hot paths. *)
+(* Core operations: the simulator's hot paths.  The steady-state node
+   is made with an id bound covering its ids, as the simulator makes
+   every node, so its seen-cache is the one-byte tags. *)
 let core_ops () =
   let rng = Rng.create ~seed:1 in
   let ids = Array.init 161 Basalt_proto.Node_id.of_int in
   let basalt =
-    Basalt_core.Basalt.create
+    Basalt_core.Basalt.factory
       ~config:(Basalt_core.Config.make ~v:160 ())
+      ~id_bound:(Array.length ids) ()
       ~id:(Basalt_proto.Node_id.of_int 9999)
       ~bootstrap:ids ~rng
       ~send:(fun ~dst:_ _ -> ())
-      ()
   in
   (* Miss path: every call offers 161 ids the node has never seen, so each
-     one is ranked against all 160 seeds.  A sample_tick every v/k calls
-     resets slots as the protocol would, which lets the seen-cache prune
-     and keeps its memory bounded across Bechamel's iterations. *)
+     one is ranked against all 160 seeds; they lie past any id bound, so
+     they go to the seen-cache's table.  A sample_tick every v/k calls
+     resets slots as the protocol would, which lets the table prune and
+     keeps its memory bounded across Bechamel's iterations. *)
   let miss_config = Basalt_core.Config.make ~v:160 () in
   let miss_node =
     Basalt_core.Basalt.create ~config:miss_config
@@ -404,14 +407,13 @@ let gossip_ops () =
 let obs_overhead () =
   let ids = Array.init 161 Basalt_proto.Node_id.of_int in
   let make obs =
-    Basalt_core.Basalt.create
+    Basalt_core.Basalt.factory
       ~config:(Basalt_core.Config.make ~v:160 ())
-      ~obs
+      ~obs ~id_bound:(Array.length ids) ()
       ~id:(Basalt_proto.Node_id.of_int 9999)
       ~bootstrap:ids
       ~rng:(Rng.create ~seed:1)
       ~send:(fun ~dst:_ _ -> ())
-      ()
   in
   let disabled = make Basalt_obs.Obs.disabled in
   let enabled = make (Basalt_obs.Obs.create ()) in

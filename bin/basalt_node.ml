@@ -95,7 +95,9 @@ let payload_size_arg =
   Arg.(
     value & opt int 32
     & info [ "payload-size" ] ~docv:"BYTES"
-        ~doc:"Payload size of each published broadcast message.")
+        ~doc:
+          "Payload size of each published broadcast message, at most 65487 \
+           (the Gossip frame must fit one UDP datagram).")
 
 let metrics_arg =
   Arg.(
@@ -155,10 +157,11 @@ let main listen peers v tau rho duration seed loss delay evict_after
         ()
     with Invalid_argument msg -> usage_error msg
   in
-  if payload_size < 0 || payload_size > Basalt_codec.Wire.max_payload then
+  if payload_size < 0 || payload_size > Udp_node.max_payload then
     usage_error
-      (Printf.sprintf "--payload-size must be in [0, %d] (Wire.max_payload)"
-         Basalt_codec.Wire.max_payload);
+      (Printf.sprintf
+         "--payload-size must be in [0, %d] (one UDP datagram's Gossip frame)"
+         Udp_node.max_payload);
   if report_every <= 0.0 then usage_error "--report-every must be > 0";
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   (* The daemon is the allowlisted real-clock boundary (lint D2/D8): the

@@ -16,8 +16,8 @@ module Rank = Basalt_hashing.Rank
    resets, [stamps.(i)] records the clock value at which slot [i]'s seed
    was drawn, and the seen-cache maps a candidate identifier to the
    clock value at which it was last offered to *all* slots — an 8-bit
-   tag per id for the dense ids of the simulator, a hash table for the
-   rest (see [seen_exchange]).  Offering a candidate to
+   tag per id below the node's id bound, a hash table for the rest (see
+   [seen_exchange]).  Offering a candidate to
    an unchanged slot is a no-op (the slot's best rank only decreases
    between resets, so a re-offer can never install), hence a candidate
    seen at clock [s] only needs rank evaluations against slots with
@@ -40,6 +40,17 @@ type scratch = {
 
 let fresh_scratch () = { raw = [||]; digest = [||]; since = [||] }
 
+(* The seen-cache's table: int keys hashed by [Mix.mix63] (lint D3),
+   each entry a mutable clock cell, so a hit costs one [find]. *)
+module Seen = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Basalt_hashing.Mix.mix63
+end)
+
+type offer = { mutable last : int }
+
 type t = {
   config : Config.t;
   id : Node_id.t;
@@ -51,14 +62,12 @@ type t = {
                         the config selects [Least_used_slot] *)
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
   mutable clock : int;  (* total slot resets so far *)
-  (* Seen-cache: candidate id -> clock at last offer.  Ids below
-     [dense_cap] index 8-bit clock tags (see [dense_exchange]); the
-     others live in a flat open-addressing table (see [seen_cell]). *)
-  mutable tags : Bytes.t;  (* one byte per id, 0 = absent *)
+  (* Seen-cache: candidate id -> clock at last offer.  Ids below the
+     id bound index 8-bit clock tags, the others live in a table (see
+     [seen_exchange]). *)
+  tags : Bytes.t;  (* one byte per id below the bound, 0 = absent *)
   mutable tag_base : int;  (* tag g > 0 stands for clock tag_base + g - 1 *)
-  mutable seen : int array;  (* [||] until the first id >= dense_cap *)
-  mutable seen_count : int;
-  mutable seen_shift : int;  (* 63 - log2 (cells) *)
+  mutable seen : offer Seen.t option;  (* None until the first other id *)
   scratch : scratch;  (* shared with the other nodes of its factory *)
   rng : Rng.t;
   send : Rps.send;
@@ -96,87 +105,20 @@ let id t = t.id
    lifetime). *)
 let seen_prune_threshold t = (16 * Array.length t.holders) + 64
 
-(* The seen-cache has two representations behind one entry point,
-   [seen_exchange].  Neither changes an output: an absent, pruned or
-   rebased-away entry reads as -1, which costs the same evaluations as
-   an entry older than every seed.
+let min_stamp t = Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
 
-   Ids below [dense_cap] — every simulator id (the largest simulated n
-   is 22,500), and no [Endpoint.to_node_id] of a real address — index
-   [tags], one byte per id.  Tag 0 means absent and tag g means clock
-   [tag_base + g - 1].  [tags] is allocated at [create], one byte per
-   id below the factory's [id_bound] (the run's n in the simulator, so
-   a simulated node never grows them).  An id past that grows the tags
-   by 1/8 (or to the id, if further), so a forged small id costs a
-   daemon node at most dense_cap bytes (128 KiB).
+(* The seen-cache has two stores behind one entry point,
+   [seen_exchange], and one rule picks the store: an id below
+   [Bytes.length tags] — the factory's [id_bound], the run's n in the
+   simulator — uses the tags, every other id (each packed endpoint of
+   the daemon, whose bound is 0) the table.  Neither store changes an
+   output: an absent, pruned or rebased-away entry reads as -1, which
+   costs the same evaluations as an entry older than every seed.
 
-   Other ids go to an open-addressing table in one flat [int array],
-   allocated at the first such id: cell [p] (even) holds a candidate
-   id, cell [p + 1] the clock of its last offer, and an id of -1 marks
-   an empty cell.  Ids are hashed multiplicatively (the top bits of
-   [id * seen_mul], so sparse endpoint-shaped ids spread), collisions
-   probe linearly, and the table doubles past 3/4 load.  Lookup and
-   insert are one probe, and nothing is allocated per candidate. *)
-let dense_cap = 1 lsl 17
-let seen_mul = 0x4F1BBCDCBFA53E0B
-let seen_initial_bits = 6  (* 64 cells, allocated at the first table id *)
-
-let seen_home shift key = ((key * seen_mul) lsr shift) lsl 1
-
-(* The cell holding [key], or the empty cell ending its probe run. *)
-let seen_cell (table : int array) shift key =
-  let mask = Array.length table - 1 in
-  let p = ref (seen_home shift key) in
-  while
-    let k = Array.unsafe_get table !p in
-    k >= 0 && not (Int.equal k key)
-  do
-    p := (!p + 2) land mask
-  done;
-  !p
-
-let seen_grow t =
-  let old = t.seen in
-  let table = Array.make (2 * Array.length old) (-1) in
-  let shift = t.seen_shift - 1 in
-  for c = 0 to (Array.length old / 2) - 1 do
-    let key = Array.unsafe_get old (2 * c) in
-    if key >= 0 then begin
-      let p = seen_cell table shift key in
-      Array.unsafe_set table p key;
-      Array.unsafe_set table (p + 1) (Array.unsafe_get old ((2 * c) + 1))
-    end
-  done;
-  t.seen <- table;
-  t.seen_shift <- shift
-
-let table_exchange t key clock =
-  if Int.equal (Array.length t.seen) 0 then begin
-    t.seen <- Array.make (2 lsl seen_initial_bits) (-1);
-    t.seen_shift <- 63 - seen_initial_bits
-  end;
-  let table = t.seen in
-  let p = seen_cell table t.seen_shift key in
-  if Array.unsafe_get table p < 0 then begin
-    Array.unsafe_set table p key;
-    Array.unsafe_set table (p + 1) clock;
-    t.seen_count <- t.seen_count + 1;
-    if 4 * t.seen_count > 3 * (Array.length table / 2) then seen_grow t;
-    -1
-  end
-  else begin
-    let last = Array.unsafe_get table (p + 1) in
-    Array.unsafe_set table (p + 1) clock;
-    last
-  end
-
-let tags_grow t key =
-  let old = t.tags in
-  let ids = Bytes.length old in
-  let ids = Int.min dense_cap (Int.max (key + 1) (ids + (ids / 8))) in
-  let tags = Bytes.make ids '\000' in
-  Bytes.blit old 0 tags 0 (Bytes.length old);
-  t.tags <- tags
+   [tags] holds one byte per id: tag 0 means absent and tag g means
+   clock [tag_base + g - 1].  [seen] is allocated at the first id past
+   the tags; each entry holds a mutable clock cell, so a hit costs one
+   [find] and allocates nothing. *)
 
 (* The largest tag is 0xFF, i.e. clock [tag_base + 0xFE].  Before
    recording a later clock, the tags are rebased once to the oldest
@@ -186,17 +128,14 @@ let tags_grow t key =
    and no [basalt.rank_evals] as long as [clock - min_stamp < 0xFF].
    Round-robin resets reach every slot within v resets, so without
    evictions that gap is at most v - 1: exact whenever v <= 255 (the
-   paper's largest view is v = 200).  For a larger v, or on a daemon
+   paper's largest view is v = 200).  For a larger v, or on a node
    whose evictions widen the gap, the base is clamped to
    [clock - 0xFE], which forgets entries some slots have already seen.
    Re-offering those can never install (each such slot's best rank is
    already at most the candidate's), so the clamp costs extra
    evaluations and never changes a view. *)
 let tags_rebase t clock =
-  let min_stamp =
-    Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
-  in
-  let base = Int.max min_stamp (clock - 0xFE) in
+  let base = Int.max (min_stamp t) (clock - 0xFE) in
   let shift = base - t.tag_base in
   let tags = t.tags in
   for i = 0 to Bytes.length tags - 1 do
@@ -206,70 +145,49 @@ let tags_rebase t clock =
   done;
   t.tag_base <- base
 
-let dense_exchange t key clock =
-  if Int.compare key (Bytes.length t.tags) >= 0 then tags_grow t key;
+let tags_exchange t key clock =
   if clock - t.tag_base > 0xFE then tags_rebase t clock;
   let tags = t.tags in
   let g = Bytes.get_uint8 tags key in
   Bytes.set_uint8 tags key (clock - t.tag_base + 1);
   if Int.equal g 0 then -1 else t.tag_base + g - 1
 
+let table_exchange t key clock =
+  let table =
+    match t.seen with
+    | Some table -> table
+    | None ->
+        let table = Seen.create 64 in
+        t.seen <- Some table;
+        table
+  in
+  match Seen.find table key with
+  | offer ->
+      let last = offer.last in
+      offer.last <- clock;
+      last
+  | exception Not_found ->
+      Seen.add table key { last = clock };
+      -1
+
 (* Records [key] as offered at [clock] and returns the clock of its
    previous offer, -1 when absent. *)
 let seen_exchange t key clock =
-  if Int.compare key dense_cap < 0 then dense_exchange t key clock
+  if Int.compare key (Bytes.length t.tags) < 0 then tags_exchange t key clock
   else table_exchange t key clock
 
-(* Deletes the entry in cell [p] by shifting later members of its probe
-   run back into the hole (Knuth's Algorithm R), so no tombstones are
-   needed: an entry moves back to the hole unless its home lies
-   cyclically in (hole, its cell]. *)
-let seen_delete (table : int array) shift p =
-  let mask = Array.length table - 1 in
-  let hole = ref p and j = ref p and scanning = ref true in
-  while !scanning do
-    j := (!j + 2) land mask;
-    let key = Array.unsafe_get table !j in
-    if key < 0 then scanning := false
-    else begin
-      let h = seen_home shift key and i = !hole and j = !j in
-      let stays =
-        if Int.compare i j <= 0 then Int.compare i h < 0 && Int.compare h j <= 0
-        else Int.compare i h < 0 || Int.compare h j <= 0
-      in
-      if not stays then begin
-        Array.unsafe_set table i key;
-        Array.unsafe_set table (i + 1) (Array.unsafe_get table (j + 1));
-        hole := j
-      end
-    end
-  done;
-  Array.unsafe_set table !hole (-1)
-
-(* Sweeps, in place, the table entries older than every slot's seed
-   (the tags are fixed-size and need no prune).  A
-   deletion shifts later members of the run back: into the cell just
-   examined, which is examined again, into cells not yet reached, or —
-   across the array's end — entries already kept from the front.  So
-   every entry is judged once it settles. *)
+(* Drops the table entries older than every slot's seed (the tags are
+   fixed-size and need no prune). *)
 let prune_seen t =
-  if Int.compare t.seen_count (seen_prune_threshold t) > 0 then begin
-    let min_stamp =
-      Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
-    in
-    let table = t.seen in
-    let p = ref 0 in
-    while !p < Array.length table do
-      if
-        Array.unsafe_get table !p >= 0
-        && Int.compare (Array.unsafe_get table (!p + 1)) min_stamp < 0
-      then begin
-        seen_delete table t.seen_shift !p;
-        t.seen_count <- t.seen_count - 1
-      end
-      else p := !p + 2
-    done
-  end
+  match t.seen with
+  | Some table when Int.compare (Seen.length table) (seen_prune_threshold t) > 0
+    ->
+      let oldest = min_stamp t in
+      Seen.filter_map_inplace
+        (fun _ offer ->
+          if Int.compare offer.last oldest < 0 then None else Some offer)
+        table
+  | Some _ | None -> ()
 
 let ensure_batch_capacity sc n =
   if Array.length sc.raw < n then begin
@@ -359,11 +277,9 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
           | Config.Uniform_slot | Config.Rotating_slot -> [||]);
         stamps = Array.make v 0;
         clock = 0;
-        tags = Bytes.make (Int.min dense_cap id_bound) '\000';
+        tags = Bytes.make id_bound '\000';
         tag_base = 0;
-        seen = [||];
-        seen_count = 0;
-        seen_shift = 0;
+        seen = None;
         scratch;
         rng;
         send;

@@ -63,17 +63,6 @@ val update_sample : t -> Basalt_proto.Node_id.t array -> unit
     number of rank evaluations — and hence [basalt.rank_evals] —
     changes. *)
 
-val dense_cap : int
-(** [dense_cap] is 2{^17}.  The seen-cache behind {!update_sample}
-    keeps an identifier below it as a one-byte clock tag indexed by the
-    identifier, in an array allocated at creation (see {!factory}'s
-    [id_bound]) and grown on demand up to [dense_cap] bytes (128 KiB);
-    every other identifier (each [Endpoint.to_node_id] of a real
-    address) goes to a hash table allocated at the first such id.
-    Neither representation changes a view or a rank, nor, when
-    [v <= 255] and no peer is evicted, an evaluation count (DESIGN.md
-    §4). *)
-
 val select_peer : t -> Basalt_proto.Node_id.t option
 (** [select_peer t] picks an exchange partner from the view (Alg. 1
     lines 24–26); [None] while the view is entirely empty. *)
@@ -172,11 +161,16 @@ val factory :
     domains at once, nor re-enter it from inside a call.
 
     [id_bound] (default 0) is a bound on the run's identifiers, such as
-    the simulator's n: each node allocates its seen-cache tags for
-    every identifier below it (one byte each, up to {!dense_cap}) at
-    creation, instead of growing them as identifiers arrive.  An
-    identifier at or above the bound still works; it grows the tags as
-    it would without a bound. *)
+    the simulator's n.  The seen-cache behind {!update_sample} keeps
+    every identifier below it as a one-byte clock tag indexed by the
+    identifier, [id_bound] bytes allocated at creation and never grown.
+    Every other identifier — all of them on a daemon node, whose
+    identifiers are packed endpoints and whose bound is 0 — goes to a
+    hash table allocated at the first such identifier and pruned at
+    sample ticks of the entries older than every slot's seed.  Neither
+    store changes a view or a rank, nor, when [v <= 255] and no peer
+    is evicted, an evaluation count (DESIGN.md §4).
+    @raise Invalid_argument if [id_bound] is negative. *)
 
 val sampler :
   ?config:Config.t ->

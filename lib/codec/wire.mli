@@ -70,7 +70,9 @@ val max_ids : int
 (** Maximum identifier count a datagram may carry (65535). *)
 
 val max_payload : int
-(** Maximum broadcast payload length in bytes (65535). *)
+(** Maximum broadcast payload length in bytes (65535): the format's
+    limit.  A frame that long exceeds one IPv4 UDP datagram, so the UDP
+    transport accepts at most [Basalt_net.Udp_node.max_payload]. *)
 
 val max_seqno : int
 (** Maximum broadcast sequence number (the u32 range, [2^32 - 1]). *)

@@ -25,7 +25,8 @@ type stats = {
    model's channel state (Gilbert–Elliott burst phase).  The stream is
    derived from the engine seed and the (src, dst) pair alone, so the
    fault schedule of a link is a pure function of the scenario — not of
-   table-creation order or of traffic on other links. *)
+   table-creation order or of traffic on other links.  Without a plan
+   only the burst phase is used. *)
 type link_state = { link_rng : Rng.t; loss_state : Link.Loss.state }
 
 type 'msg t = {
@@ -36,7 +37,6 @@ type 'msg t = {
   fault : Fault.t option;  (* None = legacy single-stream path *)
   fault_salt : int64;
   link_states : (int, link_state) Hashtbl.t;
-  legacy_loss_state : Link.Loss.state;
   rng : Basalt_prng.Rng.t;
   obs : Obs.t;
   kind_of : 'msg -> string;
@@ -77,7 +77,6 @@ let create ?(latency = Link.Latency.Zero) ?(loss = Link.Loss.None) ?fault
     fault;
     fault_salt;
     link_states = Hashtbl.create 64;
-    legacy_loss_state = Link.Loss.initial loss;
     rng;
     obs;
     kind_of;
@@ -158,7 +157,7 @@ let send_faulty t f ~src ~dst msg =
   end
   else begin
     let st = link_state t ~src ~dst in
-    let spec = Fault.link_for f ~src ~dst in
+    let spec = f.Fault.base in
     let loss =
       match spec with Some { loss = Some l; _ } -> l | _ -> t.loss
     in
@@ -193,14 +192,23 @@ let send_faulty t f ~src ~dst msg =
     end
   end
 
+(* The fault-free path draws from the engine's one stream, so [None] and
+   [Bernoulli] loss consume it as they always did; a Gilbert–Elliott
+   burst phase still lives per directed link (DESIGN.md §10). *)
+let lost t ~src ~dst =
+  match t.loss with
+  | Link.Loss.None -> false
+  | Link.Loss.Bernoulli p -> Rng.bernoulli t.rng ~p
+  | Link.Loss.Gilbert_elliott _ ->
+      Link.Loss.drops t.loss (link_state t ~src ~dst).loss_state t.rng
+
 let send t ~src ~dst msg =
   Obs.Counter.incr t.c_sent;
   if Obs.tracing t.obs then trace_msg t "engine.send" ~src ~dst msg;
   match t.fault with
   | Some f -> send_faulty t f ~src ~dst msg
   | None ->
-      if Link.Loss.drops t.loss t.legacy_loss_state t.rng then
-        drop t ~src ~dst msg
+      if lost t ~src ~dst then drop t ~src ~dst msg
       else
         let delay = min_delay +. Link.Latency.sample t.latency t.rng in
         Event_queue.push t.queue ~time:(t.clock +. delay)

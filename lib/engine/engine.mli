@@ -48,10 +48,11 @@ val create :
 (** [create ~rng ~n ()] builds an engine for [n] nodes.  [latency]
     defaults to {!Link.Latency.Zero} wrapped in a small epsilon so that a
     message sent during round [t] is handled before round [t+1]; [loss]
-    defaults to {!Link.Loss.None}.
+    defaults to {!Link.Loss.None}.  A {!Link.Loss.Gilbert_elliott}
+    [loss] runs one chain per directed link, with or without a plan.
 
     [fault] (default: no plan) composes richer misbehaviour on top —
-    per-direction loss/latency overrides, duplication, reordering, timed
+    loss/latency overrides, duplication, reordering, timed
     partitions and node outages (see {!Fault}).  Every fault decision for
     a directed link is drawn from that link's own PRNG stream, derived
     from the engine seed and the [(src, dst)] pair, so fault schedules

@@ -40,16 +40,12 @@ let outage ~node ~from_time ~until_time =
 
 type t = {
   base : link option;
-  directed : src:int -> dst:int -> link option;
   partitions : partition list;
   outages : outage list;
 }
 
-let no_override ~src:_ ~dst:_ = None
-
-let make ?base ?(directed = no_override) ?(partitions = []) ?(outages = []) ()
-    =
-  { base; directed; partitions; outages }
+let make ?base ?(partitions = []) ?(outages = []) () =
+  { base; partitions; outages }
 
 let none = make ()
 
@@ -57,10 +53,6 @@ let is_none t =
   Option.is_none t.base
   && (match t.partitions with [] -> true | _ :: _ -> false)
   && (match t.outages with [] -> true | _ :: _ -> false)
-  && t.directed == no_override
-
-let link_for t ~src ~dst =
-  match t.directed ~src ~dst with Some l -> Some l | None -> t.base
 
 let active ~time from_time until_time = time >= from_time && time < until_time
 

@@ -1,12 +1,12 @@
 (** Composable fault-injection plans for the simulation engine.
 
-    A plan describes how the network misbehaves: per-link loss/latency
-    overrides (optionally different per direction), message duplication
-    and reordering, timed network partitions, and per-node crash/restart
-    outage windows.  {!Engine.create} takes a plan via [?fault]; all the
-    randomness a plan consumes is drawn from a dedicated PRNG stream
-    derived per directed link from the engine seed, so an execution under
-    a fault plan is bit-identical at any [-j N] parallelism level and the
+    A plan describes how the network misbehaves: loss/latency overrides
+    applied to every link, message duplication and reordering, timed
+    network partitions, and per-node crash/restart outage windows.
+    {!Engine.create} takes a plan via [?fault]; all the randomness a
+    plan consumes is drawn from a dedicated PRNG stream derived per
+    directed link from the engine seed, so an execution under a fault
+    plan is bit-identical at any [-j N] parallelism level and the
     traffic on one link never perturbs the fault schedule of another
     (DESIGN.md §10). *)
 
@@ -61,16 +61,12 @@ val outage : node:int -> from_time:float -> until_time:float -> outage
 
 type t = {
   base : link option;  (** Behaviour applied to every directed pair. *)
-  directed : src:int -> dst:int -> link option;
-      (** Per-direction override, consulted before [base] — this is what
-          makes asymmetric links expressible. *)
   partitions : partition list;  (** Timed cuts. *)
   outages : outage list;  (** Timed per-node silences. *)
 }
 
 val make :
   ?base:link ->
-  ?directed:(src:int -> dst:int -> link option) ->
   ?partitions:partition list ->
   ?outages:outage list ->
   unit ->
@@ -85,10 +81,6 @@ val is_none : t -> bool
 (** [is_none t] is [true] when [t] cannot affect any message; the engine
     then uses its legacy single-stream path, so a [Some none] plan and no
     plan at all consume PRNG draws identically. *)
-
-val link_for : t -> src:int -> dst:int -> link option
-(** [link_for t ~src ~dst] is the effective link behaviour for the
-    directed pair: the [directed] override if any, else [base]. *)
 
 val partitioned : t -> time:float -> src:int -> dst:int -> bool
 (** [partitioned t ~time ~src ~dst] is [true] when an active partition

@@ -6,7 +6,7 @@
     constant or jittered latency and independent or bursty
     (non-adversarial) loss; adversarially-biased loss is instead modelled
     through the attack force [F] (§2.1, §4.1).  Richer behaviours —
-    per-direction overrides, duplication, reordering, timed partitions
+    link overrides, duplication, reordering, timed partitions
     and crash/restart outages — compose on top of these primitives in
     {!Fault}. *)
 

@@ -27,7 +27,6 @@ let of_adjacency rows =
 
 let n g = Array.length g.adj
 let out_neighbors g u = g.adj.(u)
-let out_degree g u = Array.length g.adj.(u)
 
 let in_degrees g =
   let deg = Array.make (n g) 0 in

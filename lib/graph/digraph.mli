@@ -24,9 +24,6 @@ val n : t -> int
 val out_neighbors : t -> int -> int array
 (** [out_neighbors g u] is the (deduplicated) out-adjacency of [u]. *)
 
-val out_degree : t -> int -> int
-(** [out_degree g u] is the number of distinct out-neighbors of [u]. *)
-
 val in_degrees : t -> int array
 (** [in_degrees g] is the in-degree of every vertex. *)
 

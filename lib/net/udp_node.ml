@@ -251,10 +251,29 @@ let view t = Array.to_list (Array.map Endpoint.of_node_id (Node.view t.node))
 
 let samples t = Node.stream t.node
 
+(* One IPv4 UDP datagram carries at most 65,507 bytes (65,535 less the
+   20-byte IP and 8-byte UDP headers); a Gossip frame spends what an
+   empty payload encodes to on its header. *)
+let max_payload =
+  let empty =
+    Message.Gossip
+      {
+        mid = { Message.origin = Node_id.of_int 0; seqno = 0 };
+        hops = 0;
+        payload = Bytes.empty;
+      }
+  in
+  65_507 - Bytes.length (Wire.encode empty)
+
 let publish t payload =
   match t.gossip with
-  | Some g -> Gossip.publish g payload
   | None -> invalid_arg "Udp_node.publish: gossip layer not enabled"
+  | Some _ when Bytes.length payload > max_payload ->
+      invalid_arg
+        (Printf.sprintf
+           "Udp_node.publish: payload of %d bytes exceeds one datagram (%d)"
+           (Bytes.length payload) max_payload)
+  | Some g -> Gossip.publish g payload
 
 let pending_pulls t = Basalt.pending_pulls t.basalt
 

@@ -112,11 +112,18 @@ val view : t -> Endpoint.t list
 val samples : t -> Basalt_core.Sample_stream.t
 (** [samples t] is the service's output stream. *)
 
+val max_payload : int
+(** [max_payload] is 65,487: the longest broadcast payload whose Gossip
+    frame (a 20-byte header before the payload) fits one IPv4 UDP
+    datagram of 65,507 bytes.  The wire format itself allows up to
+    {!Basalt_codec.Wire.max_payload}, but a longer frame is refused by
+    [sendto] and never leaves the host. *)
+
 val publish : t -> bytes -> Basalt_proto.Message.mid
 (** [publish t payload] originates a broadcast message through the
     gossip layer and returns its identifier.
     @raise Invalid_argument if {!create} was not given [gossip], or the
-    payload exceeds {!Basalt_codec.Wire.max_payload} bytes. *)
+    payload exceeds {!max_payload} bytes. *)
 
 val gossip_stats : t -> Basalt_gossip.Gossip.stats option
 (** [gossip_stats t] reads the broadcast layer's counters ([None] when

@@ -2,10 +2,6 @@ type mid = { origin : Node_id.t; seqno : int }
 
 let mid_equal a b = Node_id.equal a.origin b.origin && Int.equal a.seqno b.seqno
 
-let mid_compare a b =
-  let c = Node_id.compare a.origin b.origin in
-  if c <> 0 then c else Int.compare a.seqno b.seqno
-
 let pp_mid ppf m = Format.fprintf ppf "%a#%d" Node_id.pp m.origin m.seqno
 
 type t =

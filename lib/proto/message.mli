@@ -26,10 +26,6 @@ type mid = { origin : Node_id.t; seqno : int }
 val mid_equal : mid -> mid -> bool
 (** Structural equality of message identifiers. *)
 
-val mid_compare : mid -> mid -> int
-(** Total order ([origin] first, then [seqno]) — the deterministic
-    iteration order for identifier sets. *)
-
 val pp_mid : Format.formatter -> mid -> unit
 (** Formatter for message identifiers ([origin#seqno]). *)
 

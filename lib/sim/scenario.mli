@@ -48,8 +48,8 @@ type t = private {
   latency : Basalt_engine.Link.Latency.t;  (** Message delay model. *)
   loss : Basalt_engine.Link.Loss.t;  (** Non-adversarial message loss. *)
   fault : Basalt_engine.Fault.t option;
-      (** Richer fault plan — bursty loss, asymmetric links, duplication,
-          reordering, partitions, outages (DESIGN.md §10). *)
+      (** Richer fault plan — bursty loss, duplication, reordering,
+          partitions, outages (DESIGN.md §10). *)
 }
 
 val make :

@@ -539,8 +539,9 @@ module Obs = Basalt_obs.Obs
    every id below the bound (one byte per id, ~375 words), its four slot
    int arrays (seeds, holders, best ranks, stamps: 4 x 161; [uses] is
    empty unless the config selects [Least_used_slot]), its PRNG,
-   record and sampler closures — 1106 words measured; the budget is
-   that plus 5 %.  The batch scratch and the RTT tracker are shared,
+   record and sampler closures — 1104 words measured; the budget is
+   the 1106 measured before the seen-cache's table became a [Hashtbl]
+   plus 5 %.  The batch scratch and the RTT tracker are shared,
    so they are not per node; a node that owned them would carry
    another 603 + 1446 words. *)
 let words_per_node_budget = 1161
@@ -1015,20 +1016,20 @@ let oracle_backends =
 (* Each op is a candidate batch (possibly empty) optionally followed by a
    sample_tick, and ticks re-seed slots so the batched path's seen-cache
    must discriminate stale generations.  The seen-cache keeps ids below
-   [Basalt.dense_cap] as clock tags and the rest in a table, so the
-   shapes of input cover both sides of the cap:
-   - a small identifier range (≤ 12, batches ≤ 8) forces duplicates
-     within and across batches, and id 0 is the node itself (tags only);
-   - ids below the cap (batches ≤ 300) grow the tags many times from
-     empty (tags only);
-   - a wide range (< 10⁶, batches ≤ 300) mixes tags and table in one
-     node, makes the table double several times from its 64 cells and,
-     at v = 6, pass its prune threshold (16v + 64 = 160 entries) so
-     ticks sweep it;
-   - ids within 200 of the cap put neighbours on both sides of it;
+   the node's id bound as clock tags and the rest in a table, so each
+   case draws the bound — 0 (table only), a value inside the shape's id
+   range (both stores in one node) or one past its maximum (tags only)
+   — for one of these shapes:
+   - a small identifier range (<= 12, batches <= 8) forces duplicates
+     within and across batches, and id 0 is the node itself;
+   - ids below 3,000 (batches <= 300) revisit ids across batches;
+   - a wide range (< 10^5, batches <= 300) at v = 6 passes the table's
+     prune threshold (16v + 64 = 160 entries) unless the bound covers
+     it, so ticks sweep the table;
    - 48-bit ids shaped like [Endpoint.to_node_id]'s (an IPv4 address
-     above a 16-bit port), the sparse keys of the UDP daemon (table
-     only). *)
+     above a 16-bit port), the sparse keys of the UDP daemon.  No bound
+     that could be allocated covers them, so they run on the table
+     only, at bound 0 as on the daemon. *)
 let endpoint_id =
   Gen.map2
     (fun (a, b, c) (d, port) ->
@@ -1041,26 +1042,30 @@ let oracle_ops ~max_ops ~max_batch id =
   Gen.list_size (Gen.int_range 1 max_ops)
     (Gen.pair (Gen.list_size (Gen.int_range 0 max_batch) id) Gen.bool)
 
+(* A shape of ids below [max_id + 1] with its drawn id bound. *)
+let bounded_ops ~max_ops ~max_batch max_id =
+  Gen.pair
+    (Gen.oneof
+       [ Gen.pure 0; Gen.int_range 1 max_id; Gen.pure (max_id + 1) ])
+    (oracle_ops ~max_ops ~max_batch (Gen.int_bound max_id))
+
 let prop_update_sample_matches_oracle =
   let print_ops =
     Print.list (Print.pair (Print.list Print.int) Print.bool)
   in
   Test.make ~name:"batched update_sample matches naive rank oracle"
     ~count:250
-    ~print:(Print.pair Print.int print_ops)
+    ~print:(Print.pair Print.int (Print.pair Print.int print_ops))
     (Gen.pair (Gen.int_bound 10_000)
        (Gen.oneof
           [
-            oracle_ops ~max_ops:10 ~max_batch:8 (Gen.int_bound 12);
-            oracle_ops ~max_ops:12 ~max_batch:300
-              (Gen.int_bound (Basalt.dense_cap - 1));
-            oracle_ops ~max_ops:12 ~max_batch:300 (Gen.int_bound 999_999);
-            oracle_ops ~max_ops:12 ~max_batch:300
-              (Gen.int_range (Basalt.dense_cap - 200)
-                 (Basalt.dense_cap + 200));
-            oracle_ops ~max_ops:12 ~max_batch:300 endpoint_id;
+            bounded_ops ~max_ops:10 ~max_batch:8 12;
+            bounded_ops ~max_ops:12 ~max_batch:300 2_999;
+            bounded_ops ~max_ops:12 ~max_batch:300 99_999;
+            Gen.pair (Gen.pure 0)
+              (oracle_ops ~max_ops:12 ~max_batch:300 endpoint_id);
           ]))
-    (fun (seed, ops) ->
+    (fun (seed, (id_bound, ops)) ->
       let v = 6 and k = 2 in
       List.for_all
         (fun (_name, backend) ->
@@ -1068,11 +1073,11 @@ let prop_update_sample_matches_oracle =
           let obs = Basalt_obs.Obs.create () in
           let evals = Basalt_obs.Obs.counter obs "basalt.rank_evals" in
           let t =
-            Basalt.create
+            Basalt.factory
               ~config:(Config.make ~v ~k ~backend ())
-              ~obs ~id:(Node_id.of_int 0) ~bootstrap:[||]
+              ~obs ~id_bound () ~id:(Node_id.of_int 0) ~bootstrap:[||]
               ~rng:(Basalt_prng.Rng.create ~seed)
-              ~send ()
+              ~send
           in
           let m = Rank_oracle.create ~backend ~v ~self:0 ~seed in
           List.for_all
@@ -1100,18 +1105,20 @@ let prop_update_sample_matches_oracle =
 (* Drives a node and the oracle (same [v], [k], seed) through [ticks]
    rounds, each a batch of 1 to [batch] ids drawn from 1 .. [ids]
    followed by a sample tick, and returns the node's and the oracle's
-   rank evaluations once holders and ranks have been checked equal. *)
+   rank evaluations once holders and ranks have been checked equal.
+   The node's id bound covers every id, so its seen-cache is the tags
+   alone. *)
 let run_against_oracle ~v ~k ~ticks ~batch ~ids =
   let backend = Rank.Cheap in
   let send ~dst:_ _ = () in
   let obs = Basalt_obs.Obs.create () in
   let evals = Basalt_obs.Obs.counter obs "basalt.rank_evals" in
   let t =
-    Basalt.create
+    Basalt.factory
       ~config:(Config.make ~v ~k ~backend ())
-      ~obs ~id:(id 0) ~bootstrap:[||]
+      ~obs ~id_bound:(ids + 1) () ~id:(id 0) ~bootstrap:[||]
       ~rng:(Basalt_prng.Rng.create ~seed:7)
-      ~send ()
+      ~send
   in
   let m = Rank_oracle.create ~backend ~v ~self:0 ~seed:7 in
   let r = Basalt_prng.Rng.create ~seed:11 in
@@ -1186,28 +1193,35 @@ let id_bound_sizes_tags_once () =
   done;
   check_int "reachable words" before (words ())
 
-(* A daemon node keys its peers by endpoint ids, all above the cap, so
-   it holds no tags.  A forged small id grows them, but never past
-   dense_cap bytes: offering the largest id below the cap, then smaller
-   ones, costs at most that many bytes of heap. *)
-let forged_dense_id_bounded () =
-  let endpoint i = id ((127 lsl 40) lor (1 lsl 16) lor (4000 + i)) in
+(* A node without an id bound — a daemon node, keyed by endpoints —
+   keeps every candidate in its seen-cache's table, so a flood of forged
+   ids must not grow it without bound: each tick offers [batch] fresh
+   ids, and the tick's prune drops the entries older than every seed
+   once the table passes its threshold (16v + 64 entries).  Between
+   prunes it holds at most the threshold, one tick's batch and the
+   bootstrap.  An entry is a bucket cell (4 words) and a clock cell
+   (2 words), and the bucket array has at most one word per entry, so
+   the node's growth over its bootstrap-sized self stays within 7 words
+   per entry (plus the table's own header words). *)
+let forged_id_flood_bounded () =
+  let v = 16 and batch = 64 in
+  let endpoint i = id ((127 lsl 40) lor (1 lsl 16) lor i) in
   let t =
     Basalt.create
-      ~config:(Config.make ~v:16 ~k:8 ())
+      ~config:(Config.make ~v ~k:8 ())
       ~id:(endpoint 0)
-      ~bootstrap:(Array.init 8 (fun i -> endpoint (i + 1)))
+      ~bootstrap:(Array.init batch (fun i -> endpoint (i + 1)))
       ~rng:(rng ()) ~send:(fun ~dst:_ _ -> ()) ()
   in
   let words () = Obj.reachable_words (Obj.repr t) in
   let before = words () in
-  List.iter
-    (fun i -> Basalt.update_sample t [| id i |])
-    [ Basalt.dense_cap - 1; 0; Basalt.dense_cap / 2; Basalt.dense_cap - 1 ];
+  for tick = 1 to 200 do
+    Basalt.update_sample t
+      (Array.init batch (fun i -> endpoint ((tick * batch) + i + 1)));
+    ignore (Basalt.sample_tick t)
+  done;
   let grown = words () - before in
-  (* A [Bytes.t] of dense_cap bytes: its payload, the padding word and
-     the header. *)
-  let limit = (Basalt.dense_cap / (Sys.word_size / 8)) + 2 in
+  let limit = (7 * ((16 * v) + 64 + (2 * batch))) + 16 in
   if grown > limit then
     Alcotest.failf "forged ids grew the node by %d words, over %d" grown limit
 
@@ -1298,8 +1312,8 @@ let () =
             disabled_rtt_is_shared;
           Alcotest.test_case "shared scratch matches private" `Quick
             shared_scratch_matches_private;
-          Alcotest.test_case "forged dense id bounded" `Quick
-            forged_dense_id_bounded;
+          Alcotest.test_case "forged id flood bounded" `Quick
+            forged_id_flood_bounded;
           Alcotest.test_case "id bound sizes tags once" `Quick
             id_bound_sizes_tags_once;
           Alcotest.test_case "sample stream words" `Quick stream_words;

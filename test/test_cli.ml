@@ -500,7 +500,10 @@ let () =
             (node_rejects "--loss 2" ~needle:"inject_loss must be in [0, 1]");
           Alcotest.test_case "--payload-size 100000 is a usage error" `Quick
             (node_rejects "--payload-size 100000 --publish-every 0.05"
-               ~needle:"--payload-size must be in [0, 65535]");
+               ~needle:"--payload-size must be in [0, 65487]");
+          Alcotest.test_case "--payload-size 65488 is a usage error" `Quick
+            (node_rejects "--payload-size 65488 --publish-every 0.05"
+               ~needle:"--payload-size must be in [0, 65487]");
         ] );
       ( "matrix",
         [

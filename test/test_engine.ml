@@ -622,30 +622,6 @@ let fault_stats_on_shared_registry () =
     (total "timer_fires" + total "delivered" + total "ignored")
     (sum (fun s -> s.Engine.events))
 
-let fault_asymmetric () =
-  (* A directed override makes 0→1 lossy while 1→0 stays clean. *)
-  let fault =
-    Fault.make
-      ~directed:(fun ~src ~dst ->
-        if src = 0 && dst = 1 then
-          Some (Fault.link ~loss:(Link.Loss.Bernoulli 1.0) ())
-        else None)
-      ()
-  in
-  let e = fresh_faulty ~fault 2 in
-  let got = ref [] in
-  Engine.register e 0 (fun ~from:_ msg -> got := msg :: !got);
-  Engine.register e 1 (fun ~from:_ msg -> got := msg :: !got);
-  for _ = 1 to 5 do
-    Engine.send e ~src:0 ~dst:1 "lost";
-    Engine.send e ~src:1 ~dst:0 "ok"
-  done;
-  Engine.run_until e 5.0;
-  check_int "only the clean direction delivered" 5 (List.length !got);
-  check_bool "all survivors from 1 to 0" true
-    (List.for_all (String.equal "ok") !got);
-  check_int "lossy direction dropped" 5 (Engine.stats e).Engine.dropped
-
 let fault_link_independence () =
   (* The fault schedule of link (0,1) is a pure function of the engine
      seed: injecting extra traffic on an unrelated link must not change
@@ -675,6 +651,30 @@ let fault_link_independence () =
     "(0,1) schedule independent of (2,3) traffic"
     (run ~extra_traffic:false)
     (run ~extra_traffic:true)
+
+(* A top-level Gilbert–Elliott [loss] runs one chain per directed link
+   on the fault-free path too.  With p_gb = p_bg = 1 a chain flips at
+   every message, and good = 0, bad = 1 make its state the outcome: a
+   fresh link's first message moves it to bad and drops.  One chain
+   shared by the network would have flipped back to good for the second
+   link's first message and delivered it. *)
+let engine_gilbert_elliott_per_link () =
+  let e : string Engine.t =
+    Engine.create
+      ~loss:
+        (Link.Loss.Gilbert_elliott
+           { p_gb = 1.0; p_bg = 1.0; good = 0.0; bad = 1.0 })
+      ~rng:(Basalt_prng.Rng.create ~seed:5)
+      ~n:3 ()
+  in
+  let got = ref 0 in
+  Engine.register e 1 (fun ~from:_ _ -> incr got);
+  Engine.register e 2 (fun ~from:_ _ -> incr got);
+  Engine.send e ~src:0 ~dst:1 "a";
+  Engine.send e ~src:0 ~dst:2 "b";
+  Engine.run_until e 1.0;
+  check_int "nothing delivered" 0 !got;
+  check_int "both dropped" 2 (Engine.stats e).Engine.dropped
 
 let fault_gilbert_elliott_burstiness () =
   (* A bursty channel with the same stationary loss as an independent
@@ -821,7 +821,6 @@ let () =
           Alcotest.test_case "outage" `Quick fault_outage;
           Alcotest.test_case "duplication" `Quick fault_duplication;
           Alcotest.test_case "reorder" `Quick fault_reorder;
-          Alcotest.test_case "asymmetric" `Quick fault_asymmetric;
           Alcotest.test_case "stats on a shared registry" `Quick
             fault_stats_on_shared_registry;
           Alcotest.test_case "link independence" `Quick
@@ -833,6 +832,8 @@ let () =
         [
           Alcotest.test_case "delivery" `Quick engine_delivery;
           Alcotest.test_case "unregistered dst" `Quick engine_unregistered_ok;
+          Alcotest.test_case "gilbert-elliott chain per link" `Quick
+            engine_gilbert_elliott_per_link;
           Alcotest.test_case "register out of range" `Quick
             engine_out_of_range_register;
           Alcotest.test_case "timer order" `Quick engine_timer_order;

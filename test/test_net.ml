@@ -373,6 +373,28 @@ let udp_send_errors_counted () =
        (Basalt_obs.Obs.counter obs "net.send_errors"));
   Udp_node.close node
 
+(* A broadcast payload is capped so that its Gossip frame fits one IPv4
+   UDP datagram (65,507 bytes): 65,487 bytes pass, one more raises
+   rather than being handed to a [sendto] that would refuse it. *)
+let udp_publish_fits_one_datagram () =
+  let loop = Event_loop.create ~clock:Unix.gettimeofday () in
+  let node =
+    Udp_node.create
+      ~config:(Basalt_core.Config.make ~v:4 ~k:1 ())
+      ~gossip:true ~loop ~listen:(localhost 0) ~bootstrap:[] ~seed:3 ()
+  in
+  Fun.protect ~finally:(fun () -> Udp_node.close node) @@ fun () ->
+  check_int "max_payload" 65_487 Udp_node.max_payload;
+  let mid = Udp_node.publish node (Bytes.make 65_487 'a') in
+  check_int "frame fills the datagram" 65_507
+    (Bytes.length
+       (Basalt_codec.Wire.encode
+          (Message.Gossip { mid; hops = 0; payload = Bytes.make 65_487 'a' })));
+  Alcotest.check_raises "one byte more"
+    (Invalid_argument
+       "Udp_node.publish: payload of 65488 bytes exceeds one datagram (65487)")
+    (fun () -> ignore (Udp_node.publish node (Bytes.make 65_488 'a')))
+
 (* One select pass over the loop's sockets without advancing a virtual
    clock: a due timer stops the loop after the pass. *)
 let drain_sockets loop =
@@ -630,6 +652,8 @@ let () =
             udp_send_errors_counted;
           Alcotest.test_case "stats on a shared registry" `Quick
             udp_stats_on_shared_registry;
+          Alcotest.test_case "publish fits one datagram" `Quick
+            udp_publish_fits_one_datagram;
           Alcotest.test_case "overlay converges end-to-end" `Slow
             udp_overlay_converges;
         ] );
