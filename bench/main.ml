@@ -308,6 +308,38 @@ let codec_ops () =
         (Staged.stage (fun () -> ignore (Basalt_codec.Wire.decode encoded)));
     ]
 
+(* The daemon's per-datagram work outside the syscalls: a send unpacks
+   its target id to a socket address, a receive packs the source
+   address into an id, and each datagram is encoded or decoded (a
+   16-id push is the k64 benchmark's view-sized message). *)
+let net_ops () =
+  let module Endpoint = Basalt_net.Endpoint in
+  let module Wire = Basalt_codec.Wire in
+  let source = Endpoint.make "127.0.0.1" 4001 in
+  let addr = source.Endpoint.addr and port = source.Endpoint.port in
+  let id = Endpoint.to_node_id source in
+  let push =
+    Basalt_proto.Message.Push
+      (Array.init 16 (fun i ->
+           Endpoint.to_node_id (Endpoint.make "127.0.0.1" (4001 + i))))
+  in
+  let encoded = Wire.encode push in
+  run_group ~name:"net ops"
+    [
+      Test.make ~name:"of_node_id + to_sockaddr"
+        (Staged.stage (fun () ->
+             ignore (Endpoint.to_sockaddr (Endpoint.of_node_id id))));
+      Test.make ~name:"to_node_id of a received address"
+        (Staged.stage (fun () ->
+             ignore (Endpoint.to_node_id { Endpoint.addr; port })));
+      Test.make ~name:"encode (16-id push)"
+        (Staged.stage (fun () -> ignore (Wire.encode push)));
+      Test.make ~name:"decode_sub (16-id push)"
+        (Staged.stage (fun () ->
+             ignore
+               (Wire.decode_sub encoded ~off:0 ~len:(Bytes.length encoded))));
+    ]
+
 (* Multi-seed fan-out through the domain pool (DESIGN.md §7).  The
    benchmarked unit is an 8-seed batch of the micro scenario — the
    shape of one scenario-matrix cell under `repro -j N`.  The pool gets at
@@ -495,6 +527,7 @@ let () =
   core_ops ();
   graph_ops ();
   codec_ops ();
+  net_ops ();
   sweep_throughput ();
   gossip_ops ();
   obs_overhead ();

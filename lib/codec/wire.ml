@@ -97,22 +97,97 @@ let encode msg =
       let buf =
         header ~tag:(tag_of msg) ~count (header_size + (mid_size * count))
       in
-      Array.iteri
-        (fun i m -> put_mid buf (header_size + (mid_size * i)) m)
-        mids;
+      for i = 0 to count - 1 do
+        put_mid buf (header_size + (mid_size * i)) mids.(i)
+      done;
       buf
   | _ ->
       let ids = ids_of msg in
       let count = Array.length ids in
       if count > max_ids then invalid_arg "Wire.encode: too many identifiers";
       let buf = header ~tag:(tag_of msg) ~count (header_size + (8 * count)) in
-      Array.iteri
-        (fun i id ->
-          Bytes.set_int64_be buf
-            (header_size + (8 * i))
-            (Int64.of_int (Node_id.to_int id)))
-        ids;
+      for i = 0 to count - 1 do
+        Bytes.set_int64_be buf
+          (header_size + (8 * i))
+          (Int64.of_int (Node_id.to_int ids.(i)))
+      done;
       buf
+
+(* Decoding helpers, top-level so that a decode allocates only the
+   message it returns: no [Result] per identifier, no closure per call.
+   A u64 identifier fits when it lies in 0 .. max_int. *)
+let max_id = Int64.of_int max_int
+
+(* The identifier at [at], or -1 when it does not fit. *)
+let id_at buf at =
+  let raw = Bytes.get_int64_be buf at in
+  if raw < 0L || raw > max_id then -1 else Int64.to_int raw
+
+(* Reads [count] identifiers from [at] into [out] from index [i] on;
+   [false] at the first one that does not fit. *)
+let rec read_ids buf at out i count =
+  i >= count
+  ||
+  let x = id_at buf (at + (8 * i)) in
+  x >= 0
+  && begin
+       out.(i) <- Node_id.of_int x;
+       read_ids buf at out (i + 1) count
+     end
+
+(* The message id at [at], whose origin [origin] was read by [id_at]. *)
+let mid_at buf at origin =
+  {
+    Message.origin = Node_id.of_int origin;
+    seqno = Int32.to_int (Bytes.get_int32_be buf (at + 8)) land max_seqno;
+  }
+
+(* The same as [read_ids] for message ids of [mid_size] bytes each. *)
+let rec read_mids buf at out i count =
+  i >= count
+  ||
+  let a = at + (mid_size * i) in
+  let x = id_at buf a in
+  x >= 0
+  && begin
+       out.(i) <- mid_at buf a x;
+       read_mids buf at out (i + 1) count
+     end
+
+(* The frame body at [at], [count] and [tag] already checked against the
+   slice's length. *)
+let decode_body buf ~at ~tag ~count =
+  match tag with
+  | 0 ->
+      if count = 0 then Ok Message.Pull_request
+      else Error (Trailing_garbage (8 * count))
+  | 1 | 2 | 3 ->
+      let ids = Array.make count (Node_id.of_int 0) in
+      if not (read_ids buf at ids 0 count) then Error Id_out_of_range
+      else if tag = 1 then Ok (Message.Pull_reply ids)
+      else if tag = 2 then Ok (Message.Push ids)
+      else if count = 1 then Ok (Message.Push_id ids.(0))
+      else Error (Bad_tag tag)
+  | 4 ->
+      let origin = id_at buf at in
+      if origin < 0 then Error Id_out_of_range
+      else
+        let mid = mid_at buf at origin in
+        let hops = Bytes.get_uint16_be buf (at + 12) in
+        let payload = Bytes.sub buf (at + gossip_fixed) count in
+        Ok (Message.Gossip { mid; hops; payload })
+  | 5 | 6 ->
+      let mids =
+        Array.make count { Message.origin = Node_id.of_int 0; seqno = 0 }
+      in
+      if not (read_mids buf at mids 0 count) then Error Id_out_of_range
+      else if tag = 5 then Ok (Message.Ihave mids)
+      else Ok (Message.Iwant mids)
+  | 7 | 8 ->
+      if count <> 0 then Error (Trailing_garbage count)
+      else if tag = 7 then Ok Message.Graft
+      else Ok Message.Prune
+  | t -> Error (Bad_tag t)
 
 let decode_sub buf ~off ~len =
   (* [off > length - len] is the overflow-proof form of
@@ -123,13 +198,13 @@ let decode_sub buf ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Wire.decode_sub: slice out of bounds";
   if len < header_size then Error Truncated
-  else begin
+  else
     let m = Bytes.get_uint8 buf off in
     if m <> magic then Error (Bad_magic m)
-    else begin
+    else
       let v = Bytes.get_uint8 buf (off + 1) in
       if v <> version then Error (Bad_version v)
-      else begin
+      else
         let tag = Bytes.get_uint8 buf (off + 2) in
         let count = Bytes.get_uint16_be buf (off + 4) in
         (* Per-tag payload size implied by the declared count. *)
@@ -144,74 +219,6 @@ let decode_sub buf ~off ~len =
         in
         if len < expected then Error Truncated
         else if len > expected then Error (Trailing_garbage (len - expected))
-        else begin
-          let read_id at =
-            let raw = Bytes.get_int64_be buf at in
-            if raw < 0L || raw > Int64.of_int max_int then Error Id_out_of_range
-            else Ok (Node_id.of_int (Int64.to_int raw))
-          in
-          let read_ids () =
-            let out = Array.make count (Node_id.of_int 0) in
-            let ok = ref true in
-            for i = 0 to count - 1 do
-              match read_id (off + header_size + (8 * i)) with
-              | Ok id -> out.(i) <- id
-              | Error _ -> ok := false
-            done;
-            if !ok then Ok out else Error Id_out_of_range
-          in
-          let read_mid at =
-            match read_id at with
-            | Error e -> Error e
-            | Ok origin ->
-                let seqno =
-                  Int32.to_int (Bytes.get_int32_be buf (at + 8)) land max_seqno
-                in
-                Ok { Message.origin; seqno }
-          in
-          let read_mids () =
-            let out =
-              Array.make count
-                { Message.origin = Node_id.of_int 0; seqno = 0 }
-            in
-            let ok = ref true in
-            for i = 0 to count - 1 do
-              match read_mid (off + header_size + (mid_size * i)) with
-              | Ok m -> out.(i) <- m
-              | Error _ -> ok := false
-            done;
-            if !ok then Ok out else Error Id_out_of_range
-          in
-          match tag with
-          | 0 ->
-              if count = 0 then Ok Message.Pull_request
-              else Error (Trailing_garbage (8 * count))
-          | 1 -> Result.map (fun ids -> Message.Pull_reply ids) (read_ids ())
-          | 2 -> Result.map (fun ids -> Message.Push ids) (read_ids ())
-          | 3 -> (
-              match read_ids () with
-              | Ok [| id |] -> Ok (Message.Push_id id)
-              | Ok _ -> Error (Bad_tag tag)
-              | Error e -> Error e)
-          | 4 -> (
-              match read_mid (off + header_size) with
-              | Error e -> Error e
-              | Ok mid ->
-                  let hops = Bytes.get_uint16_be buf (off + header_size + 12) in
-                  let payload =
-                    Bytes.sub buf (off + header_size + gossip_fixed) count
-                  in
-                  Ok (Message.Gossip { mid; hops; payload }))
-          | 5 -> Result.map (fun mids -> Message.Ihave mids) (read_mids ())
-          | 6 -> Result.map (fun mids -> Message.Iwant mids) (read_mids ())
-          | 7 | 8 ->
-              if count <> 0 then Error (Trailing_garbage count)
-              else if tag = 7 then Ok Message.Graft
-              else Ok Message.Prune
-          | t -> Error (Bad_tag t)
-        end
-      end
-    end
-  end
+        else decode_body buf ~at:(off + header_size) ~tag ~count
 
 let decode buf = decode_sub buf ~off:0 ~len:(Bytes.length buf)

@@ -26,11 +26,25 @@ val pp : Format.formatter -> t -> unit
 (** Formatter for endpoints. *)
 
 val to_node_id : t -> Basalt_proto.Node_id.t
-(** [to_node_id e] packs the endpoint into an identifier.
+(** [to_node_id e] packs the endpoint into an identifier below
+    2{^48}: [(a lsl 40) lor (b lsl 32) lor (c lsl 24) lor (d lsl 16) lor
+    port] for [a.b.c.d:port].  One pass over
+    [Unix.string_of_inet_addr], with no intermediate strings.
     @raise Invalid_argument on a non-IPv4 address. *)
 
+val valid_id : Basalt_proto.Node_id.t -> bool
+(** [valid_id id] holds when [id] is below 2{^48}: the identifiers
+    {!to_node_id} produces and {!of_node_id} accepts.  The wire format
+    carries 62-bit identifiers, so a datagram can name ids no endpoint
+    packs to. *)
+
 val of_node_id : Basalt_proto.Node_id.t -> t
-(** [of_node_id id] unpacks an identifier produced by {!to_node_id}. *)
+(** [of_node_id id] unpacks an identifier produced by {!to_node_id}:
+    the dotted quad is written into one exact-length buffer for
+    [Unix.inet_addr_of_string].
+    @raise Invalid_argument if [id] is 2{^48} or more ({!valid_id}
+    fails): truncating it would alias 2{^14} identifiers to one
+    endpoint. *)
 
 val to_sockaddr : t -> Unix.sockaddr
 (** [to_sockaddr e] is the corresponding [Unix.ADDR_INET] address. *)

@@ -21,12 +21,24 @@ val create : clock:(unit -> float) -> unit -> t
 val now : t -> float
 (** [now t] is the current time as reported by the injected clock. *)
 
+val buffer : t -> bytes
+(** [buffer t] is the loop's one 65,536-byte receive buffer, shared by
+    every readable callback of [t] (one per loop rather than one per
+    socket).  Callbacks run one at a time, so a callback may read into
+    it freely, but what it holds is valid only until the next read into
+    it: at the latest until the callback returns, since the next
+    callback may overwrite it.  Copy out whatever must outlive the read
+    ({!Basalt_codec.Wire.decode_sub} copies every field it returns). *)
+
 val on_readable : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** [on_readable t fd f] invokes [f] whenever [fd] is readable.  One
-    callback per fd; registering again replaces it. *)
+    callback per fd; registering again replaces it.  The descriptor list
+    handed to [select] is rebuilt here and in {!remove_fd}, not per
+    wait. *)
 
 val remove_fd : t -> Unix.file_descr -> unit
-(** [remove_fd t fd] stops watching [fd]. *)
+(** [remove_fd t fd] stops watching [fd]: from the next callback on, even
+    within the [select] pass that reported it readable. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] once after [delay] seconds. *)

@@ -54,7 +54,6 @@ type t = {
   node : Node.t;
   basalt : Basalt.t;
   gossip : Gossip.t option;
-  buffer : bytes;
   c_in : Obs.Counter.t;
   c_out : Obs.Counter.t;
   c_send_errors : Obs.Counter.t;
@@ -71,6 +70,19 @@ let bind_socket listen =
   match Unix.getsockname socket with
   | Unix.ADDR_INET (addr, port) -> (socket, { Endpoint.addr; port })
   | Unix.ADDR_UNIX _ -> assert false
+
+(* Every identifier a datagram carries, message-id origins included,
+   must be one an endpoint packs to: the wire allows 62 bits, and a
+   larger id would unpack to the same address as [2^14] others. *)
+let mid_ok (m : Message.mid) = Endpoint.valid_id m.Message.origin
+
+let ids_valid = function
+  | Message.Pull_request | Message.Graft | Message.Prune -> true
+  | Message.Pull_reply ids | Message.Push ids ->
+      Array.for_all Endpoint.valid_id ids
+  | Message.Push_id id -> Endpoint.valid_id id
+  | Message.Gossip { mid; _ } -> mid_ok mid
+  | Message.Ihave mids | Message.Iwant mids -> Array.for_all mid_ok mids
 
 let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
     ?(retry = default_retry) ?(inject_loss = 0.0) ?(inject_delay = 0.0)
@@ -204,7 +216,6 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
           (Basalt.to_rps basalt);
       basalt;
       gossip = glayer;
-      buffer = Bytes.create 65536;
       c_in;
       c_out;
       c_send_errors;
@@ -212,21 +223,24 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
       c_retries;
     }
   in
+  (* The loop's one receive buffer: [decode_sub] copies everything the
+     message holds out of it before [Node.deliver] runs. *)
+  let buffer = Event_loop.buffer loop in
   let receive () =
     (* Drain everything currently queued on the socket. *)
     let rec drain () =
-      match Unix.recvfrom t.socket t.buffer 0 (Bytes.length t.buffer) [] with
+      match Unix.recvfrom t.socket buffer 0 (Bytes.length buffer) [] with
       | len, Unix.ADDR_INET (addr, port) -> (
           Obs.Counter.incr c_in;
-          let from = Endpoint.to_node_id { Endpoint.addr; port } in
-          (match Wire.decode_sub t.buffer ~off:0 ~len with
-          | Ok msg ->
+          (match Wire.decode_sub buffer ~off:0 ~len with
+          | Ok msg when ids_valid msg ->
+              let from = Endpoint.to_node_id { Endpoint.addr; port } in
               (* Any decodable traffic from a peer answers its pending
                  pull, mirroring how {!Basalt.on_message} clears the
                  eviction probe. *)
               Hashtbl.remove pending (Node_id.to_int from);
               Node.deliver t.node ~from msg
-          | Error _ -> Obs.Counter.incr c_decode_errors);
+          | Ok _ | Error _ -> Obs.Counter.incr c_decode_errors);
           drain ())
       | _, Unix.ADDR_UNIX _ -> drain ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->

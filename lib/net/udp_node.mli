@@ -19,6 +19,12 @@ type stats = {
       (** Datagrams [sendto] refused (EAGAIN, ENOBUFS, EACCES, ...):
           lost, and not counted in [datagrams_out]. *)
   decode_errors : int;
+      (** Datagrams dropped undelivered: the codec rejected them
+          ({!Basalt_codec.Wire.decode_sub} returned [Error _]), or they
+          decode but carry an identifier or a message-id origin of
+          2{^48} or more, which no endpoint packs to
+          ({!Endpoint.valid_id}).  Such a datagram does not answer a
+          pending pull either. *)
   retries : int;  (** Pull retransmissions issued by the retry policy. *)
 }
 

@@ -1049,6 +1049,60 @@ let bounded_ops ~max_ops ~max_batch max_id =
        [ Gen.pure 0; Gen.int_range 1 max_id; Gen.pure (max_id + 1) ])
     (oracle_ops ~max_ops ~max_batch (Gen.int_bound max_id))
 
+(* Shrinking by halves: a failing case of up to 12 ops of 300 ids first
+   keeps either half of its ops, then either half of one batch, and only
+   then drops single ops, single ids and ticks.  QCheck2's element-wise
+   shrinking would re-run the four backends once per id of a 300-id
+   batch, which takes minutes. *)
+let halves l =
+  let h = List.length l / 2 in
+  if h = 0 then Seq.empty
+  else
+    List.to_seq
+      [ List.filteri (fun i _ -> i < h) l; List.filteri (fun i _ -> i >= h) l ]
+
+let drop_each l =
+  Seq.init (List.length l) (fun j -> List.filteri (fun i _ -> i <> j) l)
+
+let shrink_ops ops =
+  let each_op f =
+    Seq.concat
+      (Seq.init (List.length ops) (fun i ->
+           let ids, tick = List.nth ops i in
+           Seq.map
+             (fun op -> List.mapi (fun j o -> if j = i then op else o) ops)
+             (f ids tick)))
+  in
+  let batches shrink ids tick = Seq.map (fun ids -> (ids, tick)) (shrink ids) in
+  List.fold_right Seq.append
+    [
+      halves ops;
+      each_op (batches halves);
+      drop_each ops;
+      each_op (batches drop_each);
+      each_op (fun ids tick ->
+          if tick then Seq.return (ids, false) else Seq.empty);
+    ]
+    Seq.empty
+
+let oracle_cases =
+  let cases =
+    Gen.pair (Gen.int_bound 10_000)
+      (Gen.oneof
+         [
+           bounded_ops ~max_ops:10 ~max_batch:8 12;
+           bounded_ops ~max_ops:12 ~max_batch:300 2_999;
+           bounded_ops ~max_ops:12 ~max_batch:300 99_999;
+           Gen.pair (Gen.pure 0)
+             (oracle_ops ~max_ops:12 ~max_batch:300 endpoint_id);
+         ])
+  in
+  (* The same draws as [cases]; only the shrinks differ. *)
+  Gen.make_primitive
+    ~gen:(fun rand -> Gen.generate1 ~rand cases)
+    ~shrink:(fun (seed, (id_bound, ops)) ->
+      Seq.map (fun ops -> (seed, (id_bound, ops))) (shrink_ops ops))
+
 let prop_update_sample_matches_oracle =
   let print_ops =
     Print.list (Print.pair (Print.list Print.int) Print.bool)
@@ -1056,15 +1110,7 @@ let prop_update_sample_matches_oracle =
   Test.make ~name:"batched update_sample matches naive rank oracle"
     ~count:250
     ~print:(Print.pair Print.int (Print.pair Print.int print_ops))
-    (Gen.pair (Gen.int_bound 10_000)
-       (Gen.oneof
-          [
-            bounded_ops ~max_ops:10 ~max_batch:8 12;
-            bounded_ops ~max_ops:12 ~max_batch:300 2_999;
-            bounded_ops ~max_ops:12 ~max_batch:300 99_999;
-            Gen.pair (Gen.pure 0)
-              (oracle_ops ~max_ops:12 ~max_batch:300 endpoint_id);
-          ]))
+    oracle_cases
     (fun (seed, (id_bound, ops)) ->
       let v = 6 and k = 2 in
       List.for_all

@@ -52,6 +52,81 @@ let endpoint_sockaddr () =
   | Ok e' -> check_bool "sockaddr round trip" true (Endpoint.equal e e')
   | Error m -> Alcotest.fail m
 
+(* The first and last identifiers an endpoint packs to, both ways. *)
+let endpoint_edges () =
+  List.iter
+    (fun (s, id) ->
+      let e =
+        match Endpoint.of_string s with Ok e -> e | Error m -> Alcotest.fail m
+      in
+      check_int (s ^ " packs") id (Node_id.to_int (Endpoint.to_node_id e));
+      Alcotest.(check string)
+        (s ^ " unpacks") s
+        (Endpoint.to_string (Endpoint.of_node_id (Node_id.of_int id))))
+    [ ("0.0.0.0:0", 0); ("255.255.255.255:65535", (1 lsl 48) - 1) ]
+
+(* An identifier of 2^48 or more names no endpoint: unpacking it raises
+   rather than keeping the low 48 bits. *)
+let endpoint_rejects_wide_ids () =
+  List.iter
+    (fun x ->
+      let id = Node_id.of_int x in
+      check_bool (Printf.sprintf "%#x is not valid" x) false
+        (Endpoint.valid_id id);
+      Alcotest.check_raises (Printf.sprintf "%#x raises" x)
+        (Invalid_argument "Endpoint.of_node_id: identifier above 48 bits")
+        (fun () -> ignore (Endpoint.of_node_id id)))
+    [ 1 lsl 48; (1 lsl 48) lor 0x7F0000011F41; max_int ]
+
+(* The string-based conversions the endpoint module once used, kept
+   here as the reference for the one-pass ones. *)
+let reference_of_node_id x =
+  {
+    Endpoint.addr =
+      Unix.inet_addr_of_string
+        (Printf.sprintf "%d.%d.%d.%d"
+           ((x lsr 40) land 0xFF)
+           ((x lsr 32) land 0xFF)
+           ((x lsr 24) land 0xFF)
+           ((x lsr 16) land 0xFF));
+    port = x land 0xFFFF;
+  }
+
+let reference_to_node_id (e : Endpoint.t) =
+  match String.split_on_char '.' (Unix.string_of_inet_addr e.Endpoint.addr) with
+  | [ a; b; c; d ] ->
+      (int_of_string a lsl 40)
+      lor (int_of_string b lsl 32)
+      lor (int_of_string c lsl 24)
+      lor (int_of_string d lsl 16)
+      lor e.Endpoint.port
+  | _ -> Alcotest.fail "not an IPv4 address"
+
+let prop_endpoint_conversions =
+  QCheck2.Test.make ~name:"id conversions match the reference" ~count:1000
+    ~print:(Printf.sprintf "%#x")
+    (QCheck2.Gen.int_bound ((1 lsl 48) - 1))
+    (fun x ->
+      let id = Node_id.of_int x in
+      let e = Endpoint.of_node_id id in
+      Node_id.to_int (Endpoint.to_node_id e) = x
+      && Endpoint.equal e (reference_of_node_id x)
+      && reference_to_node_id e = x)
+
+(* A UDP socket bound to a free loopback port, and its endpoint. *)
+let peer_socket () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname sock with
+  | Unix.ADDR_INET (addr, port) -> (sock, { Endpoint.addr; port })
+  | Unix.ADDR_UNIX _ -> assert false
+
+(* One select pass over the loop's sockets without advancing a virtual
+   clock: a due timer stops the loop after the pass. *)
+let drain_sockets loop =
+  Event_loop.schedule loop ~delay:0.0 (fun () -> Event_loop.stop loop);
+  Event_loop.run_for loop 1e-6
+
 (* --- Event_loop --- *)
 
 let loop_timers_fire () =
@@ -97,6 +172,75 @@ let loop_fd_callback () =
   Unix.close r;
   Unix.close w;
   Alcotest.(check string) "data received via loop" "ping" (Buffer.contents got)
+
+(* Three sockets on one loop: each readable fd reaches its own callback,
+   registering an fd again replaces its callback, and a removed fd is no
+   longer dispatched, even when it was reported readable in the same
+   pass.  Every callback reads into the loop's shared buffer. *)
+let loop_fd_table () =
+  (* A frozen clock, so [drain_sockets] is exactly one [select]. *)
+  let loop = Event_loop.create ~clock:(fun () -> 0.0) () in
+  let peers = Array.init 3 (fun _ -> peer_socket ()) in
+  let socks = Array.map fst peers in
+  Array.iter Unix.set_nonblock socks;
+  let sender = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let send i tag =
+    ignore
+      (Unix.sendto sender (Bytes.make 1 tag) 0 1 []
+         (Endpoint.to_sockaddr (snd peers.(i))))
+  in
+  let got = ref [] in
+  let buf = Event_loop.buffer loop in
+  let register i label =
+    Event_loop.on_readable loop socks.(i) (fun () ->
+        let rec drain () =
+          match Unix.recv socks.(i) buf 0 (Bytes.length buf) [] with
+          | n ->
+              got := (label ^ ":" ^ Bytes.sub_string buf 0 n) :: !got;
+              drain ()
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              ()
+        in
+        drain ())
+  in
+  let pass () =
+    got := [];
+    drain_sockets loop;
+    List.sort String.compare !got
+  in
+  Array.iteri (fun i _ -> register i (string_of_int i)) socks;
+  send 0 'a';
+  send 1 'b';
+  send 2 'c';
+  Alcotest.(check (list string))
+    "each fd reaches its own callback" [ "0:a"; "1:b"; "2:c" ] (pass ());
+  register 1 "new";
+  send 0 'd';
+  send 1 'e';
+  Alcotest.(check (list string))
+    "re-registering replaces the callback" [ "0:d"; "new:e" ] (pass ());
+  Event_loop.remove_fd loop socks.(2);
+  send 2 'f';
+  send 0 'g';
+  Alcotest.(check (list string)) "a removed fd is not dispatched" [ "0:g" ]
+    (pass ());
+  (* Socket 2 still holds 'f'; now 0 and 1 each unregister the other,
+     so exactly one of them runs. *)
+  send 0 'h';
+  send 1 'i';
+  let fired = ref 0 in
+  Event_loop.on_readable loop socks.(0) (fun () ->
+      incr fired;
+      Event_loop.remove_fd loop socks.(1));
+  Event_loop.on_readable loop socks.(1) (fun () ->
+      incr fired;
+      Event_loop.remove_fd loop socks.(0));
+  ignore (pass ());
+  check_int "removal takes effect within the pass" 1 !fired;
+  Array.iter (Event_loop.remove_fd loop) socks;
+  Array.iter Unix.close socks;
+  Unix.close sender
 
 (* The loop's clock is injected, so timers can be driven deterministically
    by a virtual clock: advance time by hand, then run the due timers. *)
@@ -176,13 +320,7 @@ let udp_port_zero_binds_distinct () =
 
 (* An endpoint that once existed but has nothing listening behind it. *)
 let dead_endpoint () =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let ep =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, port) -> localhost port
-    | _ -> assert false
-  in
+  let sock, ep = peer_socket () in
   Unix.close sock;
   ep
 
@@ -395,12 +533,6 @@ let udp_publish_fits_one_datagram () =
        "Udp_node.publish: payload of 65488 bytes exceeds one datagram (65487)")
     (fun () -> ignore (Udp_node.publish node (Bytes.make 65_488 'a')))
 
-(* One select pass over the loop's sockets without advancing a virtual
-   clock: a due timer stops the loop after the pass. *)
-let drain_sockets loop =
-  Event_loop.schedule loop ~delay:0.0 (fun () -> Event_loop.stop loop);
-  Event_loop.run_for loop 1e-6
-
 (* Three nodes on one registry, as the daemon benchmark runs them: each
    node's [stats] are its own counts, and they sum to the [net.*]
    totals.  A garbage datagram and a limited-broadcast bootstrap entry
@@ -452,6 +584,95 @@ let udp_stats_on_shared_registry () =
     (fun name -> check_bool (name ^ " counted") true (total name > 0))
     [ "datagrams_in"; "datagrams_out"; "decode_errors" ];
   List.iter Udp_node.close nodes
+
+let send_msg sock node msg =
+  let b = Basalt_codec.Wire.encode msg in
+  ignore
+    (Unix.sendto sock b 0 (Bytes.length b) []
+       (Endpoint.to_sockaddr (Udp_node.endpoint node)))
+
+(* The wire carries 62-bit identifiers, but an endpoint packs to 48
+   bits.  One push from one socket naming its own endpoint with 16
+   different high bits would, truncated, fill every slot of a fresh
+   view with that one address; the node must count it as a decode
+   error instead, and likewise a broadcast whose origin is that wide. *)
+let udp_wide_ids_dropped () =
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let delivered = ref 0 in
+  let victim =
+    Udp_node.create
+      ~config:(Basalt_core.Config.make ~v:16 ~k:4 ~tau:1000.0 ())
+      ~gossip:true
+      ~deliver:(fun _ _ -> incr delivered)
+      ~loop ~listen:(localhost 0) ~bootstrap:[] ~seed:1 ()
+  in
+  let sock, attacker = peer_socket () in
+  let a = Node_id.to_int (Endpoint.to_node_id attacker) in
+  send_msg sock victim
+    (Message.Push
+       (Array.init 16 (fun k -> Node_id.of_int (a lor ((k + 1) lsl 48)))));
+  drain_sockets loop;
+  let stats = Udp_node.stats victim in
+  check_int "the push arrived" 1 stats.Udp_node.datagrams_in;
+  check_int "counted as a decode error" 1 stats.Udp_node.decode_errors;
+  check_bool "the attacker is not in the view" false
+    (List.exists (Endpoint.equal attacker) (Udp_node.view victim));
+  send_msg sock victim
+    (Message.Gossip
+       {
+         mid =
+           { Message.origin = Node_id.of_int (a lor (1 lsl 48)); seqno = 1 };
+         hops = 0;
+         payload = Bytes.of_string "forged";
+       });
+  drain_sockets loop;
+  check_int "a wide origin is a decode error too" 2
+    (Udp_node.stats victim).Udp_node.decode_errors;
+  check_int "and is never delivered" 0 !delivered;
+  Unix.close sock;
+  Udp_node.close victim
+
+(* The nodes of one loop share its receive buffer.  Two nodes receive
+   different broadcast payloads in the same select pass; each payload
+   handed to [deliver] must still be intact after the other node has
+   read its datagram into that buffer. *)
+let udp_shared_buffer_payloads_intact () =
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let got = ref [] in
+  let mk seed =
+    Udp_node.create
+      ~config:(Basalt_core.Config.make ~v:4 ~k:1 ~tau:1000.0 ())
+      ~gossip:true
+      ~deliver:(fun _ payload -> got := (seed, payload) :: !got)
+      ~loop ~listen:(localhost 0) ~bootstrap:[] ~seed ()
+  in
+  let a = mk 1 and b = mk 2 in
+  let sock, origin = peer_socket () in
+  let payload fill = Bytes.make 1500 fill in
+  List.iter
+    (fun (node, fill) ->
+      send_msg sock node
+        (Message.Gossip
+           {
+             mid = { Message.origin = Endpoint.to_node_id origin; seqno = 7 };
+             hops = 0;
+             payload = payload fill;
+           }))
+    [ (a, 'a'); (b, 'b') ];
+  drain_sockets loop;
+  check_int "both delivered in one pass" 2 (List.length !got);
+  List.iter
+    (fun (seed, p) ->
+      check_bool
+        (Printf.sprintf "node %d's payload intact" seed)
+        true
+        (Bytes.equal p (payload (if seed = 1 then 'a' else 'b'))))
+    !got;
+  Unix.close sock;
+  Udp_node.close a;
+  Udp_node.close b
 
 (* Spin up [n] real UDP nodes in one process, bootstrap them in a ring of
    overlapping neighbor lists, run the protocol until views converge to a
@@ -623,6 +844,10 @@ let () =
             endpoint_node_id_round_trip;
           Alcotest.test_case "ids distinct" `Quick endpoint_ids_distinct;
           Alcotest.test_case "sockaddr" `Quick endpoint_sockaddr;
+          Alcotest.test_case "edge endpoints" `Quick endpoint_edges;
+          Alcotest.test_case "ids of 2^48 and above rejected" `Quick
+            endpoint_rejects_wide_ids;
+          Prop.case ~suite:"endpoint" prop_endpoint_conversions;
         ] );
       ( "event_loop",
         [
@@ -631,6 +856,7 @@ let () =
           Alcotest.test_case "stop" `Quick loop_stop;
           Alcotest.test_case "fd callback" `Quick loop_fd_callback;
           Alcotest.test_case "virtual clock" `Quick loop_virtual_clock;
+          Alcotest.test_case "fd table" `Quick loop_fd_table;
         ] );
       ( "udp",
         [
@@ -654,6 +880,10 @@ let () =
             udp_stats_on_shared_registry;
           Alcotest.test_case "publish fits one datagram" `Quick
             udp_publish_fits_one_datagram;
+          Alcotest.test_case "ids of 2^48 and above dropped" `Quick
+            udp_wide_ids_dropped;
+          Alcotest.test_case "shared buffer keeps payloads intact" `Quick
+            udp_shared_buffer_payloads_intact;
           Alcotest.test_case "overlay converges end-to-end" `Slow
             udp_overlay_converges;
         ] );
