@@ -183,7 +183,7 @@ let fig_groups () =
              ignore
                (Basalt_avalanche.Deployment.run
                   (Basalt_avalanche.Deployment.config ~n:120 ~adversarial:24
-                     ~v:16 ~steps:20.0 ()))));
+                     ~v:16 ~steps:20.0))));
     ];
   run_group ~name:"theory (Section 3 computations)"
     [

@@ -12,16 +12,9 @@
    classical non-tolerant RPS. *)
 
 module Network = Basalt_avalanche.Network
-module Snowball = Basalt_avalanche.Snowball
 module Scenario = Basalt_sim.Scenario
 
-let run name sampling =
-  let config =
-    Network.config ~n:300 ~f:0.15 ~force:10.0 ~sampling
-      ~snowball:(Snowball.config ~sample_size:10 ~alpha:7 ~beta:12 ())
-      ~initial_red:0.7 ~warmup:30.0 ~query_interval:1.0 ~steps:220.0 ()
-  in
-  (name, Network.run config)
+let run name sampling = (name, Network.run sampling)
 
 let () =
   print_endline

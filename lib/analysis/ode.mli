@@ -4,9 +4,6 @@
     solve the paper's continuous model (Eqs. 13–14) and compare its
     trajectory against Monte-Carlo simulations. *)
 
-val rk4_step : f:(t:float -> y:float -> float) -> t:float -> y:float -> dt:float -> float
-(** [rk4_step ~f ~t ~y ~dt] advances [y' = f t y] by one step. *)
-
 val solve :
   f:(t:float -> y:float -> float) ->
   y0:float ->

@@ -4,47 +4,26 @@ module Engine = Basalt_engine.Engine
 module Rng = Basalt_prng.Rng
 module Scenario = Basalt_sim.Scenario
 
-type config = {
-  n : int;
-  f : float;
-  force : float;
-  sampling : Network.sampling;
-  committee : int;
-  alpha : int;
-  beta1 : int;
-  beta2 : int;
-  warmup : float;
-  steps : float;
-  virtuous_txs : int;
-  seed : int;
-}
+type config = { n : int; sampling : Network.sampling; steps : float }
 
-let config ?(n = 200) ?(f = 0.15) ?(force = 10.0)
-    ?(sampling =
-      Network.Service (Scenario.Basalt (Basalt_core.Config.make ~v:40 ~k:10 ())))
-    ?(committee = 10) ?(alpha = 7) ?(beta1 = 5) ?(beta2 = 8) ?(warmup = 30.0)
-    ?(steps = 250.0) ?(virtuous_txs = 20) ?(seed = 42) () =
+(* The one setting of everything else (DESIGN.md §1): 15% Byzantine at
+   force 10, Snowball's committees and quorum, the safe-early-commitment
+   and conservative thresholds, a 25-unit warm-up, 20 virtuous
+   transactions, seed 42. *)
+let f = 0.15
+let force = 10.0
+let committee_size = Snowball.sample_size
+let alpha = Snowball.alpha
+let beta1 = 5
+let beta2 = 8
+let warmup = 25.0
+let virtuous_txs = 20
+let seed = 42
+
+let config ~n ~sampling ~steps =
   if n <= 0 then invalid_arg "Dag_network.config: n must be positive";
-  if f < 0.0 || f >= 1.0 then invalid_arg "Dag_network.config: f out of [0,1)";
-  if committee <= 0 || alpha <= 0 || alpha > committee then
-    invalid_arg "Dag_network.config: bad committee/alpha";
-  if beta1 <= 0 || beta2 < beta1 then
-    invalid_arg "Dag_network.config: need 0 < beta1 <= beta2";
   if steps <= warmup then invalid_arg "Dag_network.config: steps <= warmup";
-  {
-    n;
-    f;
-    force;
-    sampling;
-    committee;
-    alpha;
-    beta1;
-    beta2;
-    warmup;
-    steps;
-    virtuous_txs;
-    seed;
-  }
+  { n; sampling; steps }
 
 (* Wire format: RPS traffic plus DAG queries/votes.  A query carries the
    transaction's ancestor closure in topological order so the recipient
@@ -91,8 +70,8 @@ let virtuous_tx index =
 
 let run c =
   let sub =
-    Substrate.create ~n:c.n ~f:c.f ~force:c.force ~adversary_v:40
-      ~steps:c.steps ~seed:c.seed ~wrap:(fun m -> Rps_msg m) c.sampling
+    Substrate.create ~n:c.n ~f ~force ~adversary_v:40 ~steps:c.steps ~seed
+      ~wrap:(fun m -> Rps_msg m) c.sampling
   in
   let engine = Substrate.engine sub in
   let q = Substrate.correct sub in
@@ -119,7 +98,7 @@ let run c =
         if
           id <> Tx_dag.Tx.genesis.Tx_dag.Tx.id
           && (not (List.mem_assoc id state.accept_times))
-          && Tx_dag.accepted ~beta1:c.beta1 ~beta2:c.beta2 state.dag id
+          && Tx_dag.accepted ~beta1 ~beta2 state.dag id
         then
           state.accept_times <- (id, Engine.now engine) :: state.accept_times)
       (Tx_dag.transactions state.dag)
@@ -143,9 +122,9 @@ let run c =
                 let yes = if positive then yes + 1 else yes in
                 let total = total + 1 in
                 Hashtbl.replace state.votes subject (yes, total);
-                if total = c.committee then begin
+                if total = committee_size then begin
                   Hashtbl.remove state.votes subject;
-                  if yes >= c.alpha then
+                  if yes >= alpha then
                     Tx_dag.record_query_success state.dag subject
                   else Tx_dag.record_query_failure state.dag subject;
                   tracked_accepts i subject
@@ -163,14 +142,14 @@ let run c =
   done;
   (* Transaction issuance: the conflict appears right after warm-up at
      two distinct correct nodes; virtuous transactions follow. *)
-  Engine.schedule engine ~delay:c.warmup (fun () ->
+  Engine.schedule engine ~delay:warmup (fun () ->
       ignore (Tx_dag.insert states.(0).dag conflict_a);
       if q > 1 then ignore (Tx_dag.insert states.(1).dag conflict_b));
   (* Virtuous transactions are issued by node 0, which built the A
      branch and therefore always knows each new transaction's parent. *)
-  for v = 0 to c.virtuous_txs - 1 do
+  for v = 0 to virtuous_txs - 1 do
     Engine.schedule engine
-      ~delay:(c.warmup +. (2.0 *. float_of_int (v + 1)))
+      ~delay:(warmup +. (2.0 *. float_of_int (v + 1)))
       (fun () ->
         let issuer = states.(0) in
         let tx = virtuous_tx v in
@@ -182,7 +161,7 @@ let run c =
      candidates). *)
   for i = 0 to q - 1 do
     let state = states.(i) in
-    let phase = c.warmup +. Rng.float (Substrate.node_rng sub) 1.0 in
+    let phase = warmup +. Rng.float (Substrate.node_rng sub) 1.0 in
     Engine.every engine ~phase ~interval:1.0 (fun () ->
         (* One-shot querying (the Avalanche rule): query the oldest known
            transaction not yet queried by this node. *)
@@ -197,8 +176,8 @@ let run c =
         | [] -> ()
         | subject :: _ ->
             if not (Hashtbl.mem state.votes subject) then begin
-              let committee = Substrate.committee sub i ~k:c.committee in
-              if Array.length committee = c.committee then begin
+              let committee = Substrate.committee sub i ~k:committee_size in
+              if Array.length committee = committee_size then begin
                 Hashtbl.replace state.queried subject ();
                 Hashtbl.replace state.votes subject (0, 0);
                 incr queries;
@@ -223,16 +202,16 @@ let run c =
   let accept_times = ref [] in
   Array.iter
     (fun state ->
-      let acc id = Tx_dag.accepted ~beta1:c.beta1 ~beta2:c.beta2 state.dag id in
+      let acc id = Tx_dag.accepted ~beta1 ~beta2 state.dag id in
       let known_and id = Tx_dag.known state.dag id && acc id in
       if known_and a then incr accepted_a;
       if known_and b then incr accepted_b;
-      let virtuous_ids = List.init c.virtuous_txs (fun v -> 3 + v) in
+      let virtuous_ids = List.init virtuous_txs (fun v -> 3 + v) in
       let accepted_virtuous =
         List.length (List.filter known_and virtuous_ids)
       in
       virtuous_fracs :=
-        (float_of_int accepted_virtuous /. float_of_int (max 1 c.virtuous_txs))
+        (float_of_int accepted_virtuous /. float_of_int (max 1 virtuous_txs))
         :: !virtuous_fracs;
       List.iter (fun (_, t) -> accept_times := t :: !accept_times) state.accept_times)
     states;

@@ -18,37 +18,18 @@
 
 type config = private {
   n : int;
-  f : float;
-  force : float;
   sampling : Network.sampling;
-  committee : int;  (** Query committee size k. *)
-  alpha : int;  (** Quorum threshold. *)
-  beta1 : int;  (** Safe-early-commitment threshold. *)
-  beta2 : int;  (** Conservative threshold. *)
-  warmup : float;
   steps : float;
-  virtuous_txs : int;  (** Virtuous transactions issued after the conflict. *)
-  seed : int;
 }
 
-val config :
-  ?n:int ->
-  ?f:float ->
-  ?force:float ->
-  ?sampling:Network.sampling ->
-  ?committee:int ->
-  ?alpha:int ->
-  ?beta1:int ->
-  ?beta2:int ->
-  ?warmup:float ->
-  ?steps:float ->
-  ?virtuous_txs:int ->
-  ?seed:int ->
-  unit ->
-  config
-(** Defaults: 200 nodes, [f = 0.15], force 10, Basalt sampling,
-    committees of 10 with [alpha = 7], [beta1 = 11], [beta2 = 20],
-    warm-up 30, 250 steps, 6 virtuous transactions. *)
+val config : n:int -> sampling:Network.sampling -> steps:float -> config
+(** [config ~n ~sampling ~steps] runs [n] nodes for [steps] time units
+    with committees drawn from [sampling]; everything else is fixed:
+    [f = 0.15] at force 10, committees of {!Snowball.sample_size} (10)
+    with quorum {!Snowball.alpha} (7), [beta1 = 5], [beta2 = 8], a
+    warm-up of 25, 20 virtuous transactions, seed 42.
+    @raise Invalid_argument unless [n > 0] and [steps] exceeds the
+    warm-up. *)
 
 type result = {
   safety : bool;  (** No conflicting acceptances across correct nodes. *)

@@ -23,23 +23,14 @@ type config = private {
   adversarial : int;  (** Number of attacker nodes (paper: 100). *)
   v : int;  (** Witness's Basalt view size. *)
   steps : float;  (** Duration (paper: 10 h at τ = 10 s → 3600 units). *)
-  force : float;  (** Eclipse push intensity. *)
-  seed : int;
 }
 
-val config :
-  ?n:int ->
-  ?adversarial:int ->
-  ?v:int ->
-  ?steps:float ->
-  ?force:float ->
-  ?seed:int ->
-  unit ->
-  config
-(** [config ()] defaults to the paper's proportions at reduced duration:
-    [n = 532], [adversarial = 100], [v = 100], [steps = 600],
-    [force = 10]. @raise Invalid_argument if [adversarial >= n] or sizes
-    are non-positive. *)
+val config : n:int -> adversarial:int -> v:int -> steps:float -> config
+(** [config ~n ~adversarial ~v ~steps] is the scenario; the coalition
+    pushes at force 10 and the run's seed is 42.  The paper's
+    proportions are [n = 532], [adversarial = 100].
+    @raise Invalid_argument if [adversarial] is outside [\[0, n)] or a
+    size is non-positive. *)
 
 type result = {
   basalt_proportion : float;

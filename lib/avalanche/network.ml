@@ -8,46 +8,18 @@ type sampling = Substrate.sampling =
   | Service of Scenario.protocol
   | Full_knowledge
 
-type config = {
-  n : int;
-  f : float;
-  force : float;
-  sampling : sampling;
-  snowball : Snowball.config;
-  initial_red : float;
-  warmup : float;
-  query_interval : float;
-  steps : float;
-  seed : int;
-}
-
-let default_sampling =
-  Service (Scenario.Basalt (Basalt_core.Config.make ~v:60 ()))
-
-let config ?(n = 300) ?(f = 0.15) ?(force = 10.0) ?(sampling = default_sampling)
-    ?(snowball = Snowball.config ()) ?(initial_red = 0.7) ?(warmup = 30.0)
-    ?(query_interval = 1.0) ?(steps = 200.0) ?(seed = 42) () =
-  if n <= 0 then invalid_arg "Network.config: n must be positive";
-  if f < 0.0 || f >= 1.0 then invalid_arg "Network.config: f out of [0,1)";
-  if force < 0.0 then invalid_arg "Network.config: negative force";
-  if initial_red < 0.0 || initial_red > 1.0 then
-    invalid_arg "Network.config: initial_red out of [0,1]";
-  if warmup < 0.0 then invalid_arg "Network.config: negative warmup";
-  if query_interval <= 0.0 then
-    invalid_arg "Network.config: query_interval must be positive";
-  if steps <= warmup then invalid_arg "Network.config: steps <= warmup";
-  {
-    n;
-    f;
-    force;
-    sampling;
-    snowball;
-    initial_red;
-    warmup;
-    query_interval;
-    steps;
-    seed;
-  }
+(* The one configuration the example runs (DESIGN.md §1): 300 nodes, 15%
+   Byzantine at force 10, 70% of the correct nodes starting Red, one
+   query round per time unit after a 30-unit warm-up, 220 units, seed
+   42. *)
+let n = 300
+let f = 0.15
+let force = 10.0
+let initial_red = 0.7
+let warmup = 30.0
+let query_interval = 1.0
+let steps = 220.0
+let seed = 42
 
 (* Combined wire format: RPS traffic plus consensus queries/votes.  A
    query carries the querier's current preference, which is what Byzantine
@@ -72,16 +44,15 @@ type node_state = {
   mutable decision_time : float;
 }
 
-let run c =
+let run sampling =
   let adversary_v =
-    match c.sampling with
-    | Service p ->
-        Scenario.view_size (Scenario.make ~n:c.n ~f:c.f ~protocol:p ())
+    match sampling with
+    | Service p -> Scenario.view_size (Scenario.make ~n ~f ~protocol:p ())
     | Full_knowledge -> 60
   in
   let sub =
-    Substrate.create ~n:c.n ~f:c.f ~force:c.force ~adversary_v ~steps:c.steps
-      ~seed:c.seed ~wrap:(fun m -> Rps_msg m) c.sampling
+    Substrate.create ~n ~f ~force ~adversary_v ~steps ~seed
+      ~wrap:(fun m -> Rps_msg m) sampling
   in
   let engine = Substrate.engine sub in
   let q = Substrate.correct sub in
@@ -90,13 +61,11 @@ let run c =
   let states =
     Array.init q (fun i ->
         let initial =
-          if
-            float_of_int i < c.initial_red *. float_of_int q
-          then Snowball.Red
+          if float_of_int i < initial_red *. float_of_int q then Snowball.Red
           else Snowball.Blue
         in
         {
-          snowball = Snowball.create c.snowball initial;
+          snowball = Snowball.create initial;
           pending_votes = [];
           decision_time = Float.nan;
         })
@@ -115,7 +84,7 @@ let run c =
         | Vote { color } -> state.pending_votes <- color :: state.pending_votes)
   done;
   (* Byzantine nodes: RPS-level adversary plus anti-querier voting. *)
-  for u = q to c.n - 1 do
+  for u = q to n - 1 do
     Engine.register engine u (fun ~from msg ->
         match msg with
         | Rps_msg m -> Substrate.deliver sub u ~from m
@@ -128,10 +97,8 @@ let run c =
      committee. *)
   for i = 0 to q - 1 do
     let state = states.(i) in
-    let phase =
-      c.warmup +. Rng.float (Substrate.node_rng sub) c.query_interval
-    in
-    Engine.every engine ~phase ~interval:c.query_interval (fun () ->
+    let phase = warmup +. Rng.float (Substrate.node_rng sub) query_interval in
+    Engine.every engine ~phase ~interval:query_interval (fun () ->
         if not (Snowball.decided state.snowball) then begin
           Snowball.register_votes state.snowball state.pending_votes;
           if
@@ -140,7 +107,7 @@ let run c =
           then state.decision_time <- Engine.now engine;
           state.pending_votes <- [];
           let committee =
-            Substrate.committee sub i ~k:c.snowball.Snowball.sample_size
+            Substrate.committee sub i ~k:Snowball.sample_size
           in
           if Array.length committee > 0 then begin
             let byz =
@@ -158,7 +125,7 @@ let run c =
           end
         end)
   done;
-  Engine.run_until engine c.steps;
+  Engine.run_until engine steps;
   (* --- Collect results --- *)
   let decided = ref 0 in
   let decided_red = ref 0 in

@@ -20,38 +20,6 @@ type sampling = Substrate.sampling =
       (** Idealised uniform sampling over the whole membership (the
           baseline the paper's §5 compares against). *)
 
-type config = private {
-  n : int;
-  f : float;
-  force : float;
-  sampling : sampling;
-  snowball : Snowball.config;
-  initial_red : float;  (** Fraction of correct nodes starting Red. *)
-  warmup : float;  (** RPS warm-up time before querying starts. *)
-  query_interval : float;
-  steps : float;
-  seed : int;
-}
-
-val config :
-  ?n:int ->
-  ?f:float ->
-  ?force:float ->
-  ?sampling:sampling ->
-  ?snowball:Snowball.config ->
-  ?initial_red:float ->
-  ?warmup:float ->
-  ?query_interval:float ->
-  ?steps:float ->
-  ?seed:int ->
-  unit ->
-  config
-(** [config ()] defaults to 300 nodes, [f = 0.15], force 10, Basalt
-    sampling with a 60-slot view, Snowball (10, 7, 15), 70% initial Red,
-    warm-up 30, one query round per time unit, 200 steps.
-    @raise Invalid_argument on out-of-range fractions or non-positive
-    durations. *)
-
 type result = {
   decided_fraction : float;  (** Correct nodes that finalised. *)
   agreement : bool;  (** No two correct nodes finalised different colors. *)
@@ -61,5 +29,10 @@ type result = {
   queries_sent : int;
 }
 
-val run : config -> result
-(** [run c] simulates the network to completion. *)
+val run : sampling -> result
+(** [run sampling] simulates the network to completion with committees
+    drawn from [sampling]: 300 nodes, [f = 0.15] at force 10, Snowball
+    ({!Snowball.sample_size} 10, {!Snowball.alpha} 7, {!Snowball.beta}
+    12), 70% of the correct nodes starting Red, one query round per time
+    unit after a warm-up of 30, 220 time units, seed 42 — the
+    configuration [examples/consensus_sampling.ml] runs. *)

@@ -9,17 +9,11 @@ let pp_color ppf = function
   | Red -> Format.fprintf ppf "red"
   | Blue -> Format.fprintf ppf "blue"
 
-type config = { sample_size : int; alpha : int; beta : int }
-
-let config ?(sample_size = 10) ?(alpha = 7) ?(beta = 15) () =
-  if sample_size <= 0 then invalid_arg "Snowball.config: sample_size <= 0";
-  if alpha <= 0 || alpha > sample_size then
-    invalid_arg "Snowball.config: alpha out of (0, sample_size]";
-  if beta <= 0 then invalid_arg "Snowball.config: beta <= 0";
-  { sample_size; alpha; beta }
+let sample_size = 10
+let alpha = 7
+let beta = 12
 
 type t = {
-  config : config;
   mutable pref : color;
   mutable conf_red : int;
   mutable conf_blue : int;
@@ -28,9 +22,8 @@ type t = {
   mutable decided : bool;
 }
 
-let create config initial =
+let create initial =
   {
-    config;
     pref = initial;
     conf_red = 0;
     conf_blue = 0;
@@ -50,8 +43,8 @@ let register_votes t votes =
     let red = List.length (List.filter (color_equal Red) votes) in
     let blue = List.length votes - red in
     let winner =
-      if red >= t.config.alpha then Some Red
-      else if blue >= t.config.alpha then Some Blue
+      if red >= alpha then Some Red
+      else if blue >= alpha then Some Blue
       else None
     in
     match winner with
@@ -66,5 +59,5 @@ let register_votes t votes =
         | Some _ | None ->
             t.last_success <- Some c;
             t.streak <- 1);
-        if t.streak >= t.config.beta then t.decided <- true
+        if t.streak >= beta then t.decided <- true
   end

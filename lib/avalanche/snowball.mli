@@ -4,8 +4,8 @@
     paper's target use case for a secure RPS: each node repeatedly queries
     a small committee of [sample_size] peers {e drawn from the peer
     sampling service} and shifts its preference toward colors that gather
-    an [alpha]-quorum, finalising after [beta] consecutive quorums for the
-    same color.  A biased sampler lets an adversary over-represent its
+    an [alpha]-quorum, finalising after β = 12 consecutive quorums for
+    the same color.  A biased sampler lets an adversary over-represent its
     votes in committees, which is precisely what Basalt prevents. *)
 
 type color = Red | Blue
@@ -19,23 +19,21 @@ val opposite : color -> color
 val pp_color : Format.formatter -> color -> unit
 (** Formatter for colors. *)
 
-type config = private {
-  sample_size : int;  (** Committee size k. *)
-  alpha : int;  (** Quorum threshold (votes needed for a "success"). *)
-  beta : int;  (** Consecutive successes needed to finalise. *)
-}
+val sample_size : int
+(** [sample_size] is the committee size k = 10.  With {!alpha} and the
+    β = 12 consecutive successes an instance needs to finalise, these
+    are values in the Avalanche paper's deployment range. *)
 
-val config : ?sample_size:int -> ?alpha:int -> ?beta:int -> unit -> config
-(** [config ()] defaults to [k = 10], [alpha = 7], [beta = 15] (values in
-    the Avalanche paper's deployment range).
-    @raise Invalid_argument unless [0 < alpha <= sample_size] and
-    [beta > 0]. *)
+val alpha : int
+(** [alpha] is the quorum threshold, 7 of the 10 votes needed for a
+    "success". *)
+
 
 type t
 (** One node's Snowball instance for one decision. *)
 
-val create : config -> color -> t
-(** [create config initial] starts with preference [initial]. *)
+val create : color -> t
+(** [create initial] starts with preference [initial]. *)
 
 val preference : t -> color
 (** Current preferred color (what the node answers to queries). *)

@@ -55,7 +55,6 @@ let entry t id =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Tx_dag: unknown transaction %d" id)
 
-let tx t id = (entry t id).tx
 
 let ancestor_closure t id =
   let visited = Hashtbl.create 16 in

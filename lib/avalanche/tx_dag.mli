@@ -53,10 +53,6 @@ val insert : t -> Tx.t -> (unit, string) result
 val known : t -> Tx.id -> bool
 (** [known t id] is [true] if [id] is present in the DAG. *)
 
-val tx : t -> Tx.id -> Tx.t
-(** [tx t id] returns the stored transaction.
-    @raise Invalid_argument if unknown. *)
-
 val transactions : t -> Tx.id list
 (** All known transaction ids, insertion-ordered. *)
 

@@ -435,6 +435,11 @@ let record_probe t peer =
   let key = Node_id.to_int peer in
   if not (Hashtbl.mem probes key) then Hashtbl.replace probes key t.rounds
 
+let clear_probe t peer =
+  match t.probes with
+  | Some probes -> Hashtbl.remove probes (Node_id.to_int peer)
+  | None -> ()
+
 let abandon_pull t peer = Obs.rtt_abandon t.rtt ~peer:(Node_id.to_int peer)
 let pending_pulls t = Obs.rtt_pending t.rtt
 
@@ -468,9 +473,7 @@ let on_round t =
 
 let on_message t ~from msg =
   (* Any traffic from a peer proves it alive. *)
-  (match t.probes with
-  | Some probes -> Hashtbl.remove probes (Node_id.to_int from)
-  | None -> ());
+  clear_probe t from;
   match msg with
   | Message.Pull_request -> t.send ~dst:from (Message.Pull_reply (view t))
   | Message.Pull_reply ids ->

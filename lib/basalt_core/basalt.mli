@@ -114,7 +114,15 @@ val record_probe : t -> Basalt_proto.Node_id.t -> unit
     unanswered pull to [peer], unless an older probe is already pending
     ({!on_round} does this before each [PULL]; transports with their own
     retry machinery can record extra probes).  Any message from [peer]
-    clears the mark. *)
+    clears the mark ({!clear_probe}). *)
+
+val clear_probe : t -> Basalt_proto.Node_id.t -> unit
+(** [clear_probe t peer] drops [peer]'s pending probe: the node has
+    heard from it.  {!on_message} does this for every message it is
+    handed; a transport whose application layer consumes some frames
+    before the sampler sees them (broadcast frames, in
+    [Basalt_assembly.Node]) calls it for every datagram, as [Udp_node]
+    does. *)
 
 val run_eviction : t -> limit:int -> unit
 (** [run_eviction t ~limit] evicts every peer whose oldest unanswered

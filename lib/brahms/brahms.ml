@@ -54,8 +54,6 @@ type t = {
   rtt : Obs.rtt;
 }
 
-let config t = t.config
-let id t = t.id
 
 let ensure_batch_capacity sc n =
   if Array.length sc.raw < n then begin

@@ -47,12 +47,6 @@ val create :
     to) [l] bootstrap peers and feeds the bootstrap list to the
     samplers. *)
 
-val config : t -> Brahms_config.t
-(** [config t] is the node's configuration. *)
-
-val id : t -> Basalt_proto.Node_id.t
-(** [id t] is the node's own identifier. *)
-
 val on_round : t -> unit
 (** [on_round t] closes the previous round — rebuilding 𝒱 from the
     pushed ids, pulled ids and sampler outputs per Eq. (2) when it

@@ -164,16 +164,13 @@ let send_faulty t f ~src ~dst msg =
     if Link.Loss.drops loss st.loss_state st.link_rng then
       drop t ~src ~dst msg
     else begin
-      let latency =
-        match spec with Some { latency = Some l; _ } -> l | _ -> t.latency
-      in
       let dup, reorder, reorder_window =
         match spec with
         | Some s -> (s.Fault.dup, s.Fault.reorder, s.Fault.reorder_window)
         | None -> (0.0, 0.0, 0.0)
       in
       let delay () =
-        let d = min_delay +. Link.Latency.sample latency st.link_rng in
+        let d = min_delay +. Link.Latency.sample t.latency st.link_rng in
         if reorder > 0.0 && Rng.bernoulli st.link_rng ~p:reorder then begin
           Obs.Counter.incr t.c_reordered;
           d +. Rng.float st.link_rng reorder_window

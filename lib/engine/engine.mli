@@ -52,7 +52,7 @@ val create :
     [loss] runs one chain per directed link, with or without a plan.
 
     [fault] (default: no plan) composes richer misbehaviour on top —
-    loss/latency overrides, duplication, reordering, timed
+    a loss override, duplication, reordering, timed
     partitions and node outages (see {!Fault}).  Every fault decision for
     a directed link is drawn from that link's own PRNG stream, derived
     from the engine seed and the [(src, dst)] pair, so fault schedules

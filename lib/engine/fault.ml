@@ -1,6 +1,5 @@
 type link = {
   loss : Link.Loss.t option;
-  latency : Link.Latency.t option;
   dup : float;
   reorder : float;
   reorder_window : float;
@@ -10,13 +9,12 @@ let check_probability name p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Fault.link: %s must be in [0,1]" name)
 
-let link ?loss ?latency ?(dup = 0.0) ?(reorder = 0.0) ?(reorder_window = 1.0)
-    () =
+let link ?loss ?(dup = 0.0) ?(reorder = 0.0) ?(reorder_window = 1.0) () =
   check_probability "dup" dup;
   check_probability "reorder" reorder;
   if reorder_window < 0.0 then
     invalid_arg "Fault.link: reorder_window must be >= 0";
-  { loss; latency; dup; reorder; reorder_window }
+  { loss; dup; reorder; reorder_window }
 
 type partition = {
   from_time : float;

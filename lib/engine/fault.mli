@@ -1,7 +1,7 @@
 (** Composable fault-injection plans for the simulation engine.
 
-    A plan describes how the network misbehaves: loss/latency overrides
-    applied to every link, message duplication and reordering, timed
+    A plan describes how the network misbehaves: a loss override applied
+    to every link, message duplication and reordering, timed
     network partitions, and per-node crash/restart outage windows.
     {!Engine.create} takes a plan via [?fault]; all the randomness a
     plan consumes is drawn from a dedicated PRNG stream derived per
@@ -12,9 +12,8 @@
 
 type link = {
   loss : Link.Loss.t option;
-      (** Loss model override ([None] = the engine default). *)
-  latency : Link.Latency.t option;
-      (** Latency override ([None] = the engine default). *)
+      (** Loss model override ([None] = the engine default; delays
+          always follow the engine's latency model). *)
   dup : float;  (** Probability a delivered message is duplicated. *)
   reorder : float;
       (** Probability a message receives an extra delay (overtaking). *)
@@ -24,7 +23,6 @@ type link = {
 
 val link :
   ?loss:Link.Loss.t ->
-  ?latency:Link.Latency.t ->
   ?dup:float ->
   ?reorder:float ->
   ?reorder_window:float ->

@@ -1,15 +1,13 @@
 module Latency = struct
-  type t = Zero | Constant of float | Uniform of { lo : float; hi : float }
+  type t = Zero | Uniform of { lo : float; hi : float }
 
   let sample t rng =
     match t with
     | Zero -> 0.0
-    | Constant d -> d
     | Uniform { lo; hi } -> lo +. Basalt_prng.Rng.float rng (hi -. lo)
 
   let pp ppf = function
     | Zero -> Format.fprintf ppf "zero"
-    | Constant d -> Format.fprintf ppf "constant(%g)" d
     | Uniform { lo; hi } -> Format.fprintf ppf "uniform(%g,%g)" lo hi
 end
 

@@ -3,17 +3,15 @@
     The paper assumes a complete communication network with a weak form of
     synchrony (§2.1): some fraction of messages between correct nodes
     arrive within a bounded delay.  These models let experiments inject
-    constant or jittered latency and independent or bursty
-    (non-adversarial) loss; adversarially-biased loss is instead modelled
-    through the attack force [F] (§2.1, §4.1).  Richer behaviours —
-    link overrides, duplication, reordering, timed partitions
-    and crash/restart outages — compose on top of these primitives in
-    {!Fault}. *)
+    jittered latency and independent or bursty (non-adversarial) loss;
+    adversarially-biased loss is instead modelled through the attack
+    force [F] (§2.1, §4.1).  Richer behaviours — a loss override,
+    duplication, reordering, timed partitions and crash/restart outages
+    — compose on top of these primitives in {!Fault}. *)
 
 module Latency : sig
   type t =
     | Zero  (** Instantaneous delivery (synchronous-round simulations). *)
-    | Constant of float  (** Fixed one-way delay. *)
     | Uniform of { lo : float; hi : float }
         (** Delay drawn uniformly in [\[lo, hi\]]. *)
 

@@ -30,10 +30,7 @@ let run ?(scale = Scale.Standard) () =
   in
   List.map
     (fun (name, sampling) ->
-      let r =
-        Dag_network.run
-          (Dag_network.config ~n ~f:0.15 ~sampling ~steps ~warmup:25.0 ())
-      in
+      let r = Dag_network.run (Dag_network.config ~n ~sampling ~steps) in
       {
         sampler = name;
         safety = r.Dag_network.safety;

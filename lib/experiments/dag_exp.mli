@@ -10,21 +10,6 @@
     classical non-tolerant RPS, committees become attacker-dominated and
     liveness is lost entirely. *)
 
-type row = {
-  sampler : string;
-  safety : bool;
-  conflict_resolved : float;
-  virtuous_accepted : float;
-  committee_byz : float;
-}
-
-val run : ?scale:Scale.t -> unit -> row list
-(** [run ()] executes the DAG-consensus experiment at the given scale. *)
-
-val columns : row list -> int * Basalt_sim.Report.column list
-(** [columns rows] lays out the report table (key-column count and column
-    specs). *)
-
 val print : ?scale:Scale.t -> ?csv:string -> unit -> unit
 (** [print ()] runs the experiment and prints the table; [csv] also writes a
     CSV file. *)

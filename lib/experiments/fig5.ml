@@ -24,6 +24,8 @@ let max_rho ~make ~seeds rhos =
   in
   scan None (List.sort_uniq Float.compare rhos)
 
+(* The v × protocol grid fans out over the pool; each ρ-scan stays
+   sequential, since it stops at the first failing rate. *)
 let run ?(scale = Scale.Standard) ?pool () =
   let n = Scale.n scale in
   let steps = Scale.steps scale in

@@ -7,12 +7,6 @@
     [v].  Expected shape: Basalt sustains a higher ρ than Brahms at every
     view size (more utility for the same view). *)
 
-type row = {
-  v : int;
-  basalt_max_rho : float option;  (** [None]: no tested ρ succeeded. *)
-  brahms_max_rho : float option;
-}
-
 val max_rho :
   make:(rho:float -> Basalt_sim.Scenario.t) ->
   seeds:int list ->
@@ -24,15 +18,6 @@ val max_rho :
     correct node during the second half of the simulation.  Isolation
     risk grows with [rho], so the scan stops at the first failing rate;
     no seeds counts as a failure.  [None] if even the smallest fails. *)
-
-val run : ?scale:Scale.t -> ?pool:Basalt_parallel.Pool.t -> unit -> row list
-(** [run ()] executes the hit-ratio experiment at the given scale,
-    fanning the v × protocol grid out over the pool (each ρ-scan itself
-    stays sequential: it stops at the first failing rate). *)
-
-val columns : row list -> int * Basalt_sim.Report.column list
-(** [columns rows] lays out the report table (key-column count and column
-    specs). *)
 
 val print :
   ?scale:Scale.t -> ?csv:string -> ?pool:Basalt_parallel.Pool.t -> unit -> unit

@@ -9,11 +9,11 @@ type row = {
 
 let config_of scale =
   match scale with
-  | Scale.Quick -> Deployment.config ~n:266 ~adversarial:50 ~v:40 ~steps:150.0 ()
-  | Scale.Standard -> Deployment.config ~n:532 ~adversarial:100 ~v:100 ~steps:600.0 ()
+  | Scale.Quick -> Deployment.config ~n:266 ~adversarial:50 ~v:40 ~steps:150.0
+  | Scale.Standard -> Deployment.config ~n:532 ~adversarial:100 ~v:100 ~steps:600.0
   | Scale.Full ->
       (* The paper's 10-hour run at one exchange per 10 s. *)
-      Deployment.config ~n:532 ~adversarial:100 ~v:100 ~steps:3600.0 ()
+      Deployment.config ~n:532 ~adversarial:100 ~v:100 ~steps:3600.0
 
 let run ?(scale = Scale.Standard) () =
   let result = Deployment.run (config_of scale) in

@@ -16,10 +16,6 @@ val run : ?scale:Scale.t -> unit -> row list * Basalt_avalanche.Deployment.resul
 (** [run ()] executes the live-deployment experiment, returning per-phase
     rows and the final deployment result. *)
 
-val columns : row list -> int * Basalt_sim.Report.column list
-(** [columns rows] lays out the report table (key-column count and column
-    specs). *)
-
 val print : ?scale:Scale.t -> ?csv:string -> unit -> unit
 (** [print ()] runs the experiment and prints the table; [csv] also writes a
     CSV file. *)

@@ -63,4 +63,3 @@ let window t =
   done;
   List.concat !out
 
-let size t = Hashtbl.length t.table

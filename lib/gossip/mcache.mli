@@ -42,5 +42,3 @@ val window : t -> Basalt_proto.Message.mid list
     within the last [history] windows, most recent window first,
     newest-first within a window.  Deterministic insertion order. *)
 
-val size : t -> int
-(** [size t] is the number of cached messages. *)

@@ -65,4 +65,3 @@ let tick t =
   t.entries <- keep;
   List.rev !due
 
-let pending t = List.length t.entries

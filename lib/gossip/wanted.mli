@@ -32,5 +32,3 @@ val tick : t -> (Basalt_proto.Message.mid * Basalt_proto.Node_id.t) list
     rotate, so consecutive attempts target different peers when
     possible).  Entries out of retries are dropped. *)
 
-val pending : t -> int
-(** [pending t] is the number of tracked identifiers. *)

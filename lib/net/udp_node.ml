@@ -17,30 +17,13 @@ type stats = {
   retries : int;
 }
 
-type retry = {
-  timeout : float;
-  backoff : float;
-  max_timeout : float;
-  max_attempts : int;
-  jitter : float;
-}
-
-let default_retry =
-  { timeout = 0.25; backoff = 2.0; max_timeout = 2.0; max_attempts = 3;
-    jitter = 0.1 }
-
-let no_retry =
-  { timeout = 1.0; backoff = 1.0; max_timeout = 1.0; max_attempts = 0;
-    jitter = 0.0 }
-
-let check_retry r =
-  if r.timeout <= 0.0 then invalid_arg "Udp_node: retry timeout must be > 0";
-  if r.backoff < 1.0 then invalid_arg "Udp_node: retry backoff must be >= 1";
-  if r.max_timeout < r.timeout then
-    invalid_arg "Udp_node: retry max_timeout must be >= timeout";
-  if r.max_attempts < 0 then
-    invalid_arg "Udp_node: retry max_attempts must be >= 0";
-  if r.jitter < 0.0 then invalid_arg "Udp_node: retry jitter must be >= 0"
+(* The pull retransmission policy (DESIGN.md §10): attempt [i] (0-based)
+   waits [retry_timeout * 2^i] seconds — 0.25, 0.5, 1 and 2 s —
+   stretched by up to [retry_jitter], and a pull is given up after
+   [retry_attempts] retransmissions. *)
+let retry_timeout = 0.25
+let retry_attempts = 3
+let retry_jitter = 0.1
 
 (* One in-flight pull awaiting an answer.  [seq] tokens stand in for
    timer cancellation (the loop has none): every (re)arm takes a fresh
@@ -84,11 +67,9 @@ let ids_valid = function
   | Message.Gossip { mid; _ } -> mid_ok mid
   | Message.Ihave mids | Message.Iwant mids -> Array.for_all mid_ok mids
 
-let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
-    ?(retry = default_retry) ?(inject_loss = 0.0) ?(inject_delay = 0.0)
-    ?(gossip = false) ?(deliver = fun _ _ -> ()) ~loop ~listen ~bootstrap ~seed
-    () =
-  check_retry retry;
+let create ~config ?(obs = Obs.disabled) ?(inject_loss = 0.0)
+    ?(inject_delay = 0.0) ?(gossip = false) ?(deliver = fun _ _ -> ()) ~loop
+    ~listen ~bootstrap ~seed () =
   if inject_loss < 0.0 || inject_loss > 1.0 then
     invalid_arg "Udp_node: inject_loss must be in [0, 1]";
   if inject_delay < 0.0 then
@@ -128,23 +109,22 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
   let pending : (int, pending) Hashtbl.t = Hashtbl.create 16 in
   let next_seq = ref 0 in
   let basalt_cell = ref None in
-  (* Retransmit an unanswered pull with capped exponential backoff:
-     attempt [i] waits [min max_timeout (timeout * backoff^i)], stretched
-     by a seeded jitter draw so a cluster started in lockstep does not
-     retry in lockstep. *)
+  (* Retransmit an unanswered pull with exponential backoff: attempt [i]
+     waits [retry_timeout * 2^i], stretched by a seeded jitter draw so a
+     cluster started in lockstep does not retry in lockstep. *)
   let rec arm_retry ~dst ~key ~packet ~target (p : pending) =
     let seq = !next_seq in
     incr next_seq;
     p.seq <- seq;
-    let base = retry.timeout *. (retry.backoff ** float_of_int p.attempt) in
     let delay =
-      Float.min retry.max_timeout base
-      *. (1.0 +. (retry.jitter *. Rng.float retry_rng 1.0))
+      retry_timeout
+      *. (2.0 ** float_of_int p.attempt)
+      *. (1.0 +. (retry_jitter *. Rng.float retry_rng 1.0))
     in
     Event_loop.schedule loop ~delay (fun () ->
         match Hashtbl.find_opt pending key with
         | Some q when q == p && q.seq = seq ->
-            if p.attempt >= retry.max_attempts then begin
+            if p.attempt >= retry_attempts then begin
               Hashtbl.remove pending key;
               (* Out of retries: the pull is given up, so it leaves the
                  RTT tracker too, or a churning network would grow it
@@ -236,9 +216,11 @@ let create ?(config = Config.make ~v:16 ~k:4 ()) ?(obs = Obs.disabled)
           | Ok msg when ids_valid msg ->
               let from = Endpoint.to_node_id { Endpoint.addr; port } in
               (* Any decodable traffic from a peer answers its pending
-                 pull, mirroring how {!Basalt.on_message} clears the
-                 eviction probe. *)
+                 pull and clears its eviction probe, a broadcast frame
+                 the gossip layer consumes before the sampler sees it
+                 included. *)
               Hashtbl.remove pending (Node_id.to_int from);
+              Basalt.clear_probe t.basalt from;
               Node.deliver t.node ~from msg
           | Ok _ | Error _ -> Obs.Counter.incr c_decode_errors);
           drain ())

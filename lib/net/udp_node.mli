@@ -25,38 +25,14 @@ type stats = {
           2{^48} or more, which no endpoint packs to
           ({!Endpoint.valid_id}).  Such a datagram does not answer a
           pending pull either. *)
-  retries : int;  (** Pull retransmissions issued by the retry policy. *)
+  retries : int;  (** Pull retransmissions (see {!create}). *)
 }
-
-type retry = {
-  timeout : float;  (** Delay before the first retransmission, seconds. *)
-  backoff : float;  (** Multiplier applied per attempt (>= 1). *)
-  max_timeout : float;  (** Cap on the per-attempt delay, seconds. *)
-  max_attempts : int;  (** Retransmissions per pull; [0] disables retries. *)
-  jitter : float;
-      (** Each delay is stretched by [1 + jitter * u] with [u] a seeded
-          uniform draw in [\[0, 1)], de-synchronising lockstep clusters. *)
-}
-(** Retransmission policy for unanswered pulls (DESIGN.md §10): attempt
-    [i] (0-based) is retransmitted after
-    [min max_timeout (timeout * backoff^i)] seconds, stretched by the
-    jitter factor.  All delays are event-loop timers, so under a virtual
-    clock the whole policy is deterministic in virtual time. *)
-
-val default_retry : retry
-(** [default_retry] retries after 0.25 s, doubling up to 2 s, at most 3
-    times, with 10% jitter. *)
-
-val no_retry : retry
-(** [no_retry] never retransmits ([max_attempts = 0]): an unanswered
-    pull is given up after one [timeout] of 1 s. *)
 
 type t
 
 val create :
-  ?config:Basalt_core.Config.t ->
+  config:Basalt_core.Config.t ->
   ?obs:Basalt_obs.Obs.t ->
-  ?retry:retry ->
   ?inject_loss:float ->
   ?inject_delay:float ->
   ?gossip:bool ->
@@ -67,20 +43,23 @@ val create :
   seed:int ->
   unit ->
   t
-(** [create ~loop ~listen ~bootstrap ~seed ()] binds [listen] (port 0
-    lets the OS pick; see {!endpoint}) and schedules the protocol's
-    periodic tasks on [loop]: one exchange round every [tau] {e seconds}
-    and a sampling tick every [k/rho] seconds.
+(** [create ~config ~loop ~listen ~bootstrap ~seed ()] binds [listen]
+    (port 0 lets the OS pick; see {!endpoint}) and schedules the
+    protocol's periodic tasks on [loop]: one exchange round every [tau]
+    {e seconds} and a sampling tick every [k/rho] seconds.
 
-    [retry] (default {!default_retry}) governs pull retransmission: a
-    [PULL] that stays unanswered is retransmitted with capped exponential
-    backoff until any decodable datagram arrives from the peer (which
-    also clears the protocol's eviction probe) or the attempt budget is
-    spent; a pull out of attempts is given up, and leaves the RTT
-    tracker ({!Basalt_core.Basalt.abandon_pull}).  When the
-    configuration enables [evict_after_rounds], each
-    retransmission re-records the probe via {!Basalt_core.Basalt.record_probe},
-    so transport-level persistence and dead-peer eviction stay coupled.
+    A [PULL] that stays unanswered is retransmitted after 0.25 s, then
+    0.5 s and 1 s, each wait stretched by a seeded uniform jitter of up
+    to 10 % (DESIGN.md §10), until any decodable datagram arrives from
+    the peer; 2 s after the third retransmission the pull is given up,
+    and leaves the RTT tracker ({!Basalt_core.Basalt.abandon_pull}).
+    The timers are event-loop timers, so under a virtual clock the
+    schedule is deterministic in virtual time.  Any decodable datagram
+    from a peer, a broadcast frame included, also clears the protocol's
+    eviction probe ({!Basalt_core.Basalt.clear_probe}); when the
+    configuration enables [evict_after_rounds], each retransmission
+    re-records it ({!Basalt_core.Basalt.record_probe}), so
+    transport-level persistence and dead-peer eviction stay coupled.
 
     [inject_loss] / [inject_delay] (defaults 0) degrade the node's {e
     outgoing} datagrams for soak testing without root or [tc]: each
@@ -102,8 +81,8 @@ val create :
     the [gossip.*] instruments when [gossip] is enabled).  This is
     the one allowlisted boundary where the sink's clock may come from the
     event loop's real monotonic time (lint D2/D8, DESIGN.md §8).
-    @raise Invalid_argument if [retry] is malformed, [inject_loss] is
-    outside [\[0, 1]] or [inject_delay] is negative.
+    @raise Invalid_argument if [inject_loss] is outside [\[0, 1]] or
+    [inject_delay] is negative.
     @raise Unix.Unix_error if the socket cannot be bound. *)
 
 val endpoint : t -> Endpoint.t
@@ -142,8 +121,8 @@ val pending_pulls : t -> int
 (** [pending_pulls t] is {!Basalt_core.Basalt.pending_pulls} of the
     node's sampler: pulls its RTT tracker still awaits.  A pull leaves
     it when answered or when its retries are exhausted, so it stays
-    bounded by the pulls of the last retry window ([0] without a
-    registry); under {!no_retry} that window is the single timeout. *)
+    bounded by the pulls of the last retry window, about 4 s ([0]
+    without a registry). *)
 
 val close : t -> unit
 (** [close t] unregisters from the loop and closes the socket. *)

@@ -22,9 +22,6 @@ type app = {
 }
 (** An application layer's hooks. *)
 
-val null_app : app
-(** [null_app] consumes nothing and ignores rounds and samples. *)
-
 val gossip : Basalt_gossip.Gossip.t -> app
 (** [gossip g] mounts the broadcast layer: broadcast frames go to
     {!Basalt_gossip.Gossip.on_message}, samples to
@@ -35,8 +32,9 @@ type t
 
 val create :
   ?app:app -> stream:Basalt_core.Sample_stream.t -> Basalt_proto.Rps.t -> t
-(** [create ~stream sampler] composes [sampler] with [app] (default
-    {!null_app}) and the [stream] its samples are pushed to. *)
+(** [create ~stream sampler] composes [sampler] with [app] (default: none,
+    which consumes no frame and ignores rounds and samples) and the
+    [stream] its samples are pushed to. *)
 
 val view : t -> Basalt_proto.Node_id.t array
 (** [view t] is the sampler's current view. *)

@@ -26,9 +26,6 @@ type mid = { origin : Node_id.t; seqno : int }
 val mid_equal : mid -> mid -> bool
 (** Structural equality of message identifiers. *)
 
-val pp_mid : Format.formatter -> mid -> unit
-(** Formatter for message identifiers ([origin#seqno]). *)
-
 type t =
   | Pull_request  (** Ask the recipient for its current view. *)
   | Pull_reply of Node_id.t array  (** Reply to a pull: sender's view. *)

@@ -35,8 +35,8 @@ let prefix_layout ~honest ~honest_prefixes ~attacker_prefixes id =
   else honest_prefixes + ((id - honest) mod attacker_prefixes)
 
 let link_of (l : Spec.link_fault) =
-  Fault.link ?loss:l.lf_loss ?latency:l.lf_latency ?dup:l.lf_dup
-    ?reorder:l.lf_reorder ?reorder_window:l.lf_reorder_window ()
+  Fault.link ?loss:l.lf_loss ?dup:l.lf_dup ?reorder:l.lf_reorder
+    ?reorder_window:l.lf_reorder_window ()
 
 (* Window fractions scale with the run; 1/4- and 1/2-of-run windows
    resolve to the exact floats steps /. 4.0 and steps /. 2.0. *)
@@ -46,15 +46,10 @@ let fault_of ~n ~steps (forms : Spec.fault_form list) =
     (fun form ->
       match (form : Spec.fault_form) with
       | Spec.Link_fault l -> base := Some (link_of l)
-      | Spec.Partition_fault { from_frac; until_frac; side } ->
-          let side =
-            match side with
-            | Spec.First_half -> fun i -> i < n / 2
-            | Spec.First k -> fun i -> i < k
-          in
+      | Spec.Partition_fault { from_frac; until_frac } ->
           partitions :=
             Fault.partition ~from_time:(from_frac *. steps)
-              ~until_time:(until_frac *. steps) side
+              ~until_time:(until_frac *. steps) (fun i -> i < n / 2)
             :: !partitions
       | Spec.Outage_fault { node; from_frac; until_frac } ->
           outages :=
@@ -80,12 +75,7 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
   let churn =
     Option.map
       (fun (c : Spec.churn) ->
-        let start =
-          Option.map
-            (function
-              | Spec.Start_at t -> t | Spec.Start_frac frac -> frac *. steps)
-            c.churn_start
-        in
+        let start = Option.map (fun frac -> frac *. steps) c.churn_start_frac in
         Churn.make ?start ?style:c.churn_style ~rate:c.churn_rate ())
       s.Spec.churn
   in
@@ -97,8 +87,8 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
       ~protocol:
         (Result.get_ok
            (Scenario.protocol_of_name ~v ?rho:s.Spec.rho ?backend name))
-      ~steps ?measure_every:s.Spec.measure_every ~graph_metrics
-      ?sample_window:s.Spec.sample_window ?churn ?latency:s.Spec.latency
+      ~steps ?measure_every:s.Spec.measure_every ~graph_metrics ?churn
+      ?latency:s.Spec.latency
       ?loss:s.Spec.loss ?fault ~seed ()
   in
   match s.Spec.rank with

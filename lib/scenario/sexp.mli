@@ -14,14 +14,11 @@ type pos = { line : int; col : int }
 type t = { desc : desc; pos : pos }
 and desc = Atom of string | List of t list
 
-val no_pos : pos
-(** The position of synthesised nodes ([line = 0]). *)
-
 val atom : string -> t
-(** [atom s] is a synthesised atom (at {!no_pos}). *)
+(** [atom s] is a synthesised atom (at line 0). *)
 
 val list : t list -> t
-(** [list ts] is a synthesised list (at {!no_pos}). *)
+(** [list ts] is a synthesised list (at line 0). *)
 
 val equal : t -> t -> bool
 (** Structural equality, ignoring positions. *)

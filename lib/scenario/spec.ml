@@ -7,16 +7,12 @@
 module Link = Basalt_engine.Link
 module Churn = Basalt_sim.Churn
 module Adversary = Basalt_adversary.Adversary
-module Node_id = Basalt_proto.Node_id
 module Gossip_app = Basalt_experiments.Gossip_app
 module Scale = Basalt_experiments.Scale
 module Scenario = Basalt_sim.Scenario
 
-type side = First_half | First of int
-
 type link_fault = {
   lf_loss : Link.Loss.t option;
-  lf_latency : Link.Latency.t option;
   lf_dup : float option;
   lf_reorder : float option;
   lf_reorder_window : float option;
@@ -24,14 +20,12 @@ type link_fault = {
 
 type fault_form =
   | Link_fault of link_fault
-  | Partition_fault of { from_frac : float; until_frac : float; side : side }
+  | Partition_fault of { from_frac : float; until_frac : float }
   | Outage_fault of { node : int; from_frac : float; until_frac : float }
-
-type churn_start = Start_at of float | Start_frac of float
 
 type churn = {
   churn_rate : float;
-  churn_start : churn_start option;
+  churn_start_frac : float option;
   churn_style : Churn.style option;
 }
 
@@ -53,7 +47,6 @@ type settings = {
   faults : fault_form list option;
   churn : churn option;
   measure_every : float option;
-  sample_window : int option;
   rank : rank option;
 }
 
@@ -72,7 +65,6 @@ let empty_settings =
     faults = None;
     churn = None;
     measure_every = None;
-    sample_window = None;
     rank = None;
   }
 
@@ -94,7 +86,6 @@ let merge base over =
     faults = pick over.faults base.faults;
     churn = pick over.churn base.churn;
     measure_every = pick over.measure_every base.measure_every;
-    sample_window = pick over.sample_window base.sample_window;
     rank = pick over.rank base.rank;
   }
 
@@ -235,8 +226,8 @@ let prob_of (s : Sexp.t) =
   x
 
 (* Negative delays would deliver a message before it was sent (the
-   engine clamps the clock), and negative windows or start times make
-   the engine and churn model raise mid-run. *)
+   engine clamps the clock), and a negative reorder window makes the
+   engine raise mid-run. *)
 let non_negative (s : Sexp.t) ~what =
   let x = float_of s in
   if x < 0.0 then fail s.pos "%s must be >= 0" what;
@@ -265,13 +256,10 @@ let single pos head args =
 let latency_of (s : Sexp.t) =
   match s.desc with
   | Atom "zero" -> Link.Latency.Zero
-  | Atom a -> fail s.pos "unknown latency model '%s' (zero|constant|uniform)" a
+  | Atom a -> fail s.pos "unknown latency model '%s' (zero|uniform)" a
   | List _ -> (
       let head, args, pos = form_of s in
       match head with
-      | "constant" ->
-          Link.Latency.Constant
-            (non_negative (single pos head args) ~what:"latency")
       | "uniform" ->
           arity pos head 2 args;
           let lo = non_negative (List.nth args 0) ~what:"latency" in
@@ -282,7 +270,7 @@ let latency_of (s : Sexp.t) =
               "uniform latency upper bound %g is below its lower bound %g" hi
               lo;
           Link.Latency.Uniform { lo; hi }
-      | _ -> fail pos "unknown latency model '%s' (zero|constant|uniform)" head)
+      | _ -> fail pos "unknown latency model '%s' (zero|uniform)" head)
 
 let loss_of (s : Sexp.t) =
   match s.desc with
@@ -312,26 +300,10 @@ let protocol_of (s : Sexp.t) =
       (String.concat "|" Scenario.protocol_names)
 
 let strategy_of (s : Sexp.t) =
-  match s.desc with
-  | Atom "flood" -> Adversary.Flood
-  | Atom "silent" -> Adversary.Silent
-  | Atom a -> fail s.pos "unknown strategy '%s' (flood|silent|eclipse)" a
-  | List _ -> (
-      let head, args, pos = form_of s in
-      match head with
-      | "eclipse" ->
-          Adversary.Eclipse (Node_id.of_int (int_of (single pos head args)))
-      | _ -> fail pos "unknown strategy '%s' (flood|silent|eclipse)" head)
-
-let side_of (s : Sexp.t) =
-  match s.desc with
-  | Atom "first-half" -> First_half
-  | Atom a -> fail s.pos "unknown partition side '%s' (first-half|(first K))" a
-  | List _ -> (
-      let head, args, pos = form_of s in
-      match head with
-      | "first" -> First (int_of (single pos head args))
-      | _ -> fail pos "unknown partition side '%s' (first-half|(first K))" head)
+  match atom_of s ~what:"a strategy" with
+  | "flood" -> Adversary.Flood
+  | "silent" -> Adversary.Silent
+  | a -> fail s.pos "unknown strategy '%s' (flood|silent)" a
 
 (* Fractions of the run used by partition/outage windows, so scenario
    files stay valid at every scale. *)
@@ -362,7 +334,6 @@ let fault_form_of (s : Sexp.t) =
   match head with
   | "link" ->
       let lf_loss = ref None
-      and lf_latency = ref None
       and lf_dup = ref None
       and lf_reorder = ref None
       and lf_reorder_window = ref None in
@@ -371,7 +342,6 @@ let fault_form_of (s : Sexp.t) =
           let key, kargs, kpos = form_of item in
           match key with
           | "loss" -> lf_loss := Some (loss_of (single kpos key kargs))
-          | "latency" -> lf_latency := Some (latency_of (single kpos key kargs))
           | "dup" -> lf_dup := Some (prob_of (single kpos key kargs))
           | "reorder" -> lf_reorder := Some (prob_of (single kpos key kargs))
           | "reorder-window" ->
@@ -381,35 +351,24 @@ let fault_form_of (s : Sexp.t) =
           | _ ->
               fail kpos
                 "unknown link-fault key '%s' \
-                 (loss|latency|dup|reorder|reorder-window)"
+                 (loss|dup|reorder|reorder-window)"
                 key)
         args;
       Link_fault
         {
           lf_loss = !lf_loss;
-          lf_latency = !lf_latency;
           lf_dup = !lf_dup;
           lf_reorder = !lf_reorder;
           lf_reorder_window = !lf_reorder_window;
         }
   | "partition" ->
       let from_frac, until_frac, rest = window_of pos args in
-      let side = ref None in
       List.iter
         (fun item ->
-          let key, kargs, kpos = form_of item in
-          match key with
-          | "side" -> side := Some (side_of (single kpos key kargs))
-          | _ ->
-              fail kpos
-                "unknown partition key '%s' (from-frac|until-frac|side)" key)
+          let key, _, kpos = form_of item in
+          fail kpos "unknown partition key '%s' (from-frac|until-frac)" key)
         rest;
-      let side =
-        match !side with
-        | Some s -> s
-        | None -> fail pos "a partition needs (side ...)"
-      in
-      Partition_fault { from_frac; until_frac; side }
+      Partition_fault { from_frac; until_frac }
   | "outage" ->
       let from_frac, until_frac, rest = window_of pos args in
       let node = ref None in
@@ -442,23 +401,19 @@ let churn_of pos (args : Sexp.t list) =
       let key, kargs, kpos = form_of item in
       match key with
       | "rate" -> rate := Some (prob_of (single kpos key kargs))
-      | "start" ->
-          set kpos "start" start
-            (Start_at
-               (non_negative (single kpos key kargs) ~what:"churn start"))
       | "start-frac" ->
-          set kpos "start" start (Start_frac (prob_of (single kpos key kargs)))
+          set kpos key start (prob_of (single kpos key kargs))
       | "style" -> (
           match atom_of (single kpos key kargs) ~what:"a churn style" with
           | "replace" -> style := Some Churn.Replace
           | "crash" -> style := Some Churn.Crash
           | a -> fail kpos "unknown churn style '%s' (replace|crash)" a)
       | _ ->
-          fail kpos "unknown churn key '%s' (rate|start|start-frac|style)" key)
+          fail kpos "unknown churn key '%s' (rate|start-frac|style)" key)
     args;
   match !rate with
   | Some churn_rate ->
-      { churn_rate; churn_start = !start; churn_style = !style }
+      { churn_rate; churn_start_frac = !start; churn_style = !style }
   | None -> fail pos "churn needs (rate F)"
 
 (* ------------------------------------------------------------------ *)
@@ -525,9 +480,6 @@ let settings_of ~allow_seeds (forms : Sexp.t list) =
     | "measure-every" ->
         let x = positive_float (arg ()) ~what:"measure-every" in
         { s with measure_every = once s.measure_every x }
-    | "sample-window" ->
-        let x = positive_int (arg ()) ~what:"sample-window" in
-        { s with sample_window = once s.sample_window x }
     | "rank" -> { s with rank = once s.rank (rank_of (arg ())) }
     | "seeds" ->
         if not allow_seeds then

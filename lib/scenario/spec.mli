@@ -8,13 +8,8 @@
     every diagnostic as [file:line:col: message]; a spec that survives
     {!load} runs without further error handling in {!Matrix}. *)
 
-type side =
-  | First_half  (** Nodes [i < n / 2] — the classic half-space cut. *)
-  | First of int  (** Nodes [i < k]. *)
-
 type link_fault = {
   lf_loss : Basalt_engine.Link.Loss.t option;
-  lf_latency : Basalt_engine.Link.Latency.t option;
   lf_dup : float option;
   lf_reorder : float option;
   lf_reorder_window : float option;
@@ -24,19 +19,17 @@ type fault_form =
   | Link_fault of link_fault
       (** Applied to every directed pair ({!Basalt_engine.Fault.t}
           [base]). *)
-  | Partition_fault of { from_frac : float; until_frac : float; side : side }
-      (** A timed cut; the window is a fraction of the run so the file
-          stays valid at every scale. *)
+  | Partition_fault of { from_frac : float; until_frac : float }
+      (** A timed cut between nodes [i < n / 2] and the rest; the window
+          is a fraction of the run so the file stays valid at every
+          scale. *)
   | Outage_fault of { node : int; from_frac : float; until_frac : float }
       (** A timed per-node silence. *)
 
-type churn_start =
-  | Start_at of float  (** [(start T)]: an absolute time. *)
-  | Start_frac of float  (** [(start-frac F)]: a fraction of the run. *)
-
 type churn = {
   churn_rate : float;
-  churn_start : churn_start option;
+  churn_start_frac : float option;
+      (** [(start-frac F)]: churn starts a fraction [F] into the run. *)
   churn_style : Basalt_sim.Churn.style option;
 }
 
@@ -61,19 +54,11 @@ type settings = {
   faults : fault_form list option;
   churn : churn option;
   measure_every : float option;
-  sample_window : int option;
   rank : rank option;  (** Basalt only. *)
 }
 (** One group of bindings; [None] fields fall back to the enclosing
     scope and ultimately to the {!Basalt_experiments.Scale} preset or
     {!Basalt_sim.Scenario.make} default. *)
-
-val empty_settings : settings
-(** All fields unbound. *)
-
-val merge : settings -> settings -> settings
-(** [merge base over] overrides [base] field-wise with the bound fields
-    of [over]; fault plans and churn models replace wholesale. *)
 
 type entry = { label : string; bindings : settings }
 

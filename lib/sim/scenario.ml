@@ -39,20 +39,17 @@ type t = {
 let make ?(name = "base") ?(n = 1000) ?(f = 0.1) ?(force = 10.0)
     ?(strategy = Basalt_adversary.Adversary.Flood)
     ?(protocol = Basalt Basalt_core.Config.default) ?(steps = 200.0)
-    ?bootstrap_size ?bootstrap_f0 ?(seed = 42) ?(measure_every = 1.0)
+    ?bootstrap_size ?(seed = 42) ?(measure_every = 1.0)
     ?(graph_metrics = false) ?(sample_window = 200) ?churn
     ?(latency = Basalt_engine.Link.Latency.Zero)
     ?(loss = Basalt_engine.Link.Loss.None) ?fault () =
   let bootstrap_size = Option.value bootstrap_size ~default:(max 10 (n / 20)) in
-  let bootstrap_f0 = Option.value bootstrap_f0 ~default:f in
   if n <= 0 then invalid_arg "Scenario.make: n must be positive";
   if f < 0.0 || f >= 1.0 then invalid_arg "Scenario.make: f out of [0,1)";
   if force < 0.0 then invalid_arg "Scenario.make: negative force";
   if steps <= 0.0 then invalid_arg "Scenario.make: steps must be positive";
   if bootstrap_size <= 0 then
     invalid_arg "Scenario.make: bootstrap_size must be positive";
-  if bootstrap_f0 < 0.0 || bootstrap_f0 > 1.0 then
-    invalid_arg "Scenario.make: bootstrap_f0 out of [0,1]";
   if measure_every <= 0.0 then
     invalid_arg "Scenario.make: measure_every must be positive";
   if sample_window <= 0 then
@@ -66,7 +63,7 @@ let make ?(name = "base") ?(n = 1000) ?(f = 0.1) ?(force = 10.0)
     protocol;
     steps;
     bootstrap_size;
-    bootstrap_f0;
+    bootstrap_f0 = f;
     seed;
     measure_every;
     graph_metrics;

@@ -39,7 +39,8 @@ type t = private {
   protocol : protocol;
   steps : float;  (** Simulated duration in time units. *)
   bootstrap_size : int;  (** Size I of each node's bootstrap sample. *)
-  bootstrap_f0 : float;  (** Byzantine fraction f0 within the bootstrap. *)
+  bootstrap_f0 : float;
+      (** Byzantine fraction f0 within the bootstrap: always [f]. *)
   seed : int;
   measure_every : float;  (** Measurement cadence (time units). *)
   graph_metrics : bool;  (** Record Fig. 4's expensive graph metrics. *)
@@ -61,7 +62,6 @@ val make :
   ?protocol:protocol ->
   ?steps:float ->
   ?bootstrap_size:int ->
-  ?bootstrap_f0:float ->
   ?seed:int ->
   ?measure_every:float ->
   ?graph_metrics:bool ->
@@ -77,7 +77,7 @@ val make :
     [steps = 200], bootstrap of [n/20] peers with [f0 = f], seed 42,
     one measurement per time unit.
     @raise Invalid_argument on inconsistent parameters (e.g. [f] outside
-    [\[0, 1)], non-positive sizes, [bootstrap_f0] outside [\[0, 1\]]). *)
+    [\[0, 1)], non-positive sizes). *)
 
 val with_seed : t -> int -> t
 (** [with_seed s seed] is [s] with a different PRNG seed (for

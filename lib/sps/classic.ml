@@ -57,7 +57,6 @@ let create ?(config = default_config) ?(filter = fun _ -> true)
     c_view_rebuilds = Obs.counter obs (label ^ ".view_rebuilds");
   }
 
-let id t = t.id
 let view t = t.view
 
 let rebuild t =

@@ -61,9 +61,6 @@ val sample : t -> int -> Basalt_proto.Node_id.t list
 val evict : t -> (Basalt_proto.Node_id.t -> bool) -> unit
 (** [evict t p] removes from the view all identifiers satisfying [p]. *)
 
-val id : t -> Basalt_proto.Node_id.t
-(** [id t] is the node's own identifier. *)
-
 val sampler :
   ?config:config -> ?obs:Basalt_obs.Obs.t -> unit -> Basalt_proto.Rps.maker
 (** Packaged for the simulation runner; [sample_tick] emits one view

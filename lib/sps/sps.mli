@@ -61,9 +61,6 @@ val blacklisted : t -> Basalt_proto.Node_id.t -> bool
 val blacklist_size : t -> int
 (** [blacklist_size t] is the number of currently suspected identifiers. *)
 
-val sample : t -> int -> Basalt_proto.Node_id.t list
-(** [sample t k] draws [k] view members uniformly (the service output). *)
-
 val sampler :
   ?config:config -> ?obs:Basalt_obs.Obs.t -> unit -> Basalt_proto.Rps.maker
 (** Packaged for the simulation runner, like {!Classic.sampler} but with the

@@ -165,7 +165,6 @@ module Gens = struct
     Gen.oneof
       [
         Gen.return Link.Latency.Zero;
-        Gen.map (fun d -> Link.Latency.Constant d) (Gen.float_range 0. 5.);
         Gen.map2
           (fun a b ->
             Link.Latency.Uniform { lo = Float.min a b; hi = Float.max a b })

@@ -8,15 +8,6 @@ let check_bool = Alcotest.(check bool)
 
 (* --- Snowball --- *)
 
-let sb_config_validation () =
-  let expect msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
-  expect "Snowball.config: sample_size <= 0" (fun () ->
-      ignore (Snowball.config ~sample_size:0 ()));
-  expect "Snowball.config: alpha out of (0, sample_size]" (fun () ->
-      ignore (Snowball.config ~sample_size:5 ~alpha:6 ()));
-  expect "Snowball.config: beta <= 0" (fun () ->
-      ignore (Snowball.config ~beta:0 ()))
-
 let sb_color_helpers () =
   check_bool "equal" true (Snowball.color_equal Snowball.Red Snowball.Red);
   check_bool "not equal" false (Snowball.color_equal Snowball.Red Snowball.Blue);
@@ -28,7 +19,7 @@ let sb_color_helpers () =
 let votes color n = List.init n (fun _ -> color)
 
 let sb_initial_state () =
-  let t = Snowball.create (Snowball.config ()) Snowball.Red in
+  let t = Snowball.create Snowball.Red in
   check_bool "prefers initial" true
     (Snowball.color_equal (Snowball.preference t) Snowball.Red);
   check_bool "undecided" false (Snowball.decided t);
@@ -36,8 +27,7 @@ let sb_initial_state () =
   check_int "no confidence" 0 (Snowball.confidence t Snowball.Red)
 
 let sb_quorum_updates () =
-  let cfg = Snowball.config ~sample_size:10 ~alpha:7 ~beta:3 () in
-  let t = Snowball.create cfg Snowball.Red in
+  let t = Snowball.create Snowball.Red in
   Snowball.register_votes t (votes Snowball.Blue 7 @ votes Snowball.Red 3);
   check_int "blue confidence" 1 (Snowball.confidence t Snowball.Blue);
   check_bool "preference flipped" true
@@ -45,8 +35,7 @@ let sb_quorum_updates () =
   check_int "streak" 1 (Snowball.streak t)
 
 let sb_no_quorum_resets_streak () =
-  let cfg = Snowball.config ~sample_size:10 ~alpha:7 ~beta:3 () in
-  let t = Snowball.create cfg Snowball.Red in
+  let t = Snowball.create Snowball.Red in
   Snowball.register_votes t (votes Snowball.Red 8);
   check_int "streak 1" 1 (Snowball.streak t);
   Snowball.register_votes t (votes Snowball.Red 5 @ votes Snowball.Blue 5);
@@ -54,8 +43,7 @@ let sb_no_quorum_resets_streak () =
   check_bool "still undecided" false (Snowball.decided t)
 
 let sb_color_flip_restarts_streak () =
-  let cfg = Snowball.config ~sample_size:10 ~alpha:7 ~beta:3 () in
-  let t = Snowball.create cfg Snowball.Red in
+  let t = Snowball.create Snowball.Red in
   Snowball.register_votes t (votes Snowball.Red 8);
   Snowball.register_votes t (votes Snowball.Red 8);
   check_int "streak 2" 2 (Snowball.streak t);
@@ -63,11 +51,13 @@ let sb_color_flip_restarts_streak () =
   check_int "streak restarted at 1" 1 (Snowball.streak t)
 
 let sb_decides_after_beta () =
-  let cfg = Snowball.config ~sample_size:10 ~alpha:7 ~beta:3 () in
-  let t = Snowball.create cfg Snowball.Blue in
-  for _ = 1 to 3 do
+  let t = Snowball.create Snowball.Blue in
+  (* beta = 12 consecutive quorums finalise. *)
+  for _ = 1 to 11 do
     Snowball.register_votes t (votes Snowball.Red 8)
   done;
+  check_bool "undecided after 11" false (Snowball.decided t);
+  Snowball.register_votes t (votes Snowball.Red 8);
   check_bool "decided" true (Snowball.decided t);
   check_bool "decided red" true (Snowball.decision t = Some Snowball.Red);
   (* After decision the instance is frozen. *)
@@ -75,8 +65,7 @@ let sb_decides_after_beta () =
   check_bool "frozen" true (Snowball.decision t = Some Snowball.Red)
 
 let sb_confidence_governs_preference () =
-  let cfg = Snowball.config ~sample_size:10 ~alpha:7 ~beta:100 () in
-  let t = Snowball.create cfg Snowball.Red in
+  let t = Snowball.create Snowball.Red in
   Snowball.register_votes t (votes Snowball.Red 8);
   Snowball.register_votes t (votes Snowball.Red 8);
   (* One blue quorum does not flip (confidence 1 < red's 2). *)
@@ -239,18 +228,19 @@ let prop_closure_replayable =
 (* --- Dag_network --- *)
 
 let dag_network_validation () =
-  Alcotest.check_raises "betas"
-    (Invalid_argument "Dag_network.config: need 0 < beta1 <= beta2") (fun () ->
-      ignore (Dag_network.config ~beta1:5 ~beta2:4 ()))
+  Alcotest.check_raises "steps within the warm-up"
+    (Invalid_argument "Dag_network.config: steps <= warmup") (fun () ->
+      ignore
+        (Dag_network.config ~n:100 ~sampling:Network.Full_knowledge
+           ~steps:25.0))
 
 let dag_network_safety_and_liveness () =
   let r =
     Dag_network.run
-      (Dag_network.config ~n:100 ~f:0.15 ~steps:150.0 ~warmup:20.0
+      (Dag_network.config ~n:100 ~steps:150.0
          ~sampling:
-           (Basalt_avalanche.Network.Service
-              (Basalt_sim.Scenario.Basalt (Basalt_core.Config.make ~v:24 ~k:6 ())))
-         ())
+           (Network.Service
+              (Basalt_sim.Scenario.Basalt (Basalt_core.Config.make ~v:24 ~k:6 ()))))
   in
   check_bool "safety" true r.Dag_network.safety;
   check_bool "conflict resolved somewhere" true
@@ -261,56 +251,73 @@ let dag_network_safety_and_liveness () =
 
 (* --- Network --- *)
 
-let net_config_validation () =
-  let expect msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
-  expect "Network.config: f out of [0,1)" (fun () ->
-      ignore (Network.config ~f:1.5 ()));
-  expect "Network.config: steps <= warmup" (fun () ->
-      ignore (Network.config ~warmup:100.0 ~steps:50.0 ()))
+(* The three committee sources [examples/consensus_sampling.ml]
+   compares, each run once and shared by the tests below. *)
+let full_knowledge = lazy (Network.run Network.Full_knowledge)
 
+let basalt =
+  lazy
+    (Network.run
+       (Network.Service
+          (Basalt_sim.Scenario.Basalt (Basalt_core.Config.make ~v:40 ~k:10 ()))))
+
+let classic =
+  lazy
+    (Network.run
+       (Network.Service
+          (Basalt_sim.Scenario.Classic (Basalt_sps.Classic.config ~l:40 ()))))
+
+(* The correct nodes, queried through Basalt committees, all decide the
+   70% Red majority and agree. *)
 let net_honest_convergence () =
-  (* No Byzantine nodes, strong initial majority: everyone decides the
-     majority color and agrees. *)
-  let r =
-    Network.run
-      (Network.config ~n:60 ~f:0.0 ~initial_red:0.8 ~warmup:10.0 ~steps:120.0
-         ~snowball:(Snowball.config ~sample_size:8 ~alpha:6 ~beta:8 ())
-         ~sampling:(Network.Service (Basalt_sim.Scenario.Basalt (Basalt_core.Config.make ~v:16 ~k:4 ())))
-         ())
-  in
-  check_bool "most decide" true (r.Network.decided_fraction > 0.8);
+  let r = Lazy.force basalt in
+  check_bool "all decide" true (r.Network.decided_fraction > 0.99);
   check_bool "agreement" true r.Network.agreement;
   check_bool "majority wins" true (r.Network.decided_red_fraction > 0.99)
 
 let net_full_knowledge () =
-  let r =
-    Network.run
-      (Network.config ~n:60 ~f:0.1 ~initial_red:0.8 ~warmup:5.0 ~steps:100.0
-         ~snowball:(Snowball.config ~sample_size:8 ~alpha:6 ~beta:8 ())
-         ~sampling:Network.Full_knowledge ())
-  in
-  check_bool "decides under mild attack" true (r.Network.decided_fraction > 0.5);
+  let r = Lazy.force full_knowledge in
+  check_bool "decides under attack" true (r.Network.decided_fraction > 0.5);
   check_bool "agreement" true r.Network.agreement;
   check_bool "committee pollution near f" true (r.Network.committee_byz < 0.3)
 
 let net_queries_counted () =
-  let r =
-    Network.run
-      (Network.config ~n:40 ~f:0.0 ~warmup:5.0 ~steps:50.0
-         ~sampling:Network.Full_knowledge ())
+  check_bool "queries sent" true
+    ((Lazy.force full_knowledge).Network.queries_sent > 0)
+
+(* The example's table rows, formatted as it prints them, pinned to its
+   output: nothing else runs the network at its constants. *)
+let net_matches_example () =
+  let row (name, r) =
+    Printf.sprintf "%-15s %-9.2f %-7b %-9.2f %-11.1f %-14.3f" name
+      r.Network.decided_fraction r.Network.agreement
+      r.Network.decided_red_fraction r.Network.mean_decision_time
+      r.Network.committee_byz
   in
-  check_bool "queries sent" true (r.Network.queries_sent > 0)
+  Alcotest.(check (list string))
+    "consensus_sampling rows"
+    [
+      "full-knowledge  1.00      true    1.00      49.0        0.152         ";
+      "basalt          1.00      true    1.00      65.5        0.210         ";
+      "classic         0.00      true    nan       nan         0.894         ";
+    ]
+    (List.map row
+       [
+         ("full-knowledge", Lazy.force full_knowledge);
+         ("basalt", Lazy.force basalt);
+         ("classic", Lazy.force classic);
+       ])
 
 (* --- Deployment --- *)
 
 let deploy_config_validation () =
   Alcotest.check_raises "adversarial >= n"
     (Invalid_argument "Deployment.config: adversarial out of [0, n)") (fun () ->
-      ignore (Deployment.config ~n:10 ~adversarial:10 ()))
+      ignore (Deployment.config ~n:10 ~adversarial:10 ~v:4 ~steps:10.0))
 
 let deploy_result_shape () =
   let r =
-    Deployment.run (Deployment.config ~n:120 ~adversarial:24 ~v:30 ~steps:80.0 ())
+    Deployment.run (Deployment.config ~n:120 ~adversarial:24 ~v:30 ~steps:80.0)
   in
   check_bool "true proportion" true
     (Float.abs (r.Deployment.true_proportion -. 0.2) < 1e-9);
@@ -322,7 +329,7 @@ let deploy_result_shape () =
 
 let deploy_witness_survives () =
   let r =
-    Deployment.run (Deployment.config ~n:120 ~adversarial:24 ~v:30 ~steps:80.0 ())
+    Deployment.run (Deployment.config ~n:120 ~adversarial:24 ~v:30 ~steps:80.0)
   in
   check_bool "eclipse resisted" false r.Deployment.witness_isolated;
   (* The §5 headline: the Basalt-derived sampler's malicious proportion
@@ -336,7 +343,6 @@ let () =
     [
       ( "snowball",
         [
-          Alcotest.test_case "config validation" `Quick sb_config_validation;
           Alcotest.test_case "color helpers" `Quick sb_color_helpers;
           Alcotest.test_case "initial state" `Quick sb_initial_state;
           Alcotest.test_case "quorum updates" `Quick sb_quorum_updates;
@@ -371,10 +377,10 @@ let () =
         ] );
       ( "network",
         [
-          Alcotest.test_case "config validation" `Quick net_config_validation;
           Alcotest.test_case "honest convergence" `Slow net_honest_convergence;
           Alcotest.test_case "full knowledge" `Slow net_full_knowledge;
-          Alcotest.test_case "queries counted" `Quick net_queries_counted;
+          Alcotest.test_case "queries counted" `Slow net_queries_counted;
+          Alcotest.test_case "matches the example" `Slow net_matches_example;
         ] );
       ( "deployment",
         [

@@ -229,7 +229,6 @@ let prop_queue_model_ties_growth =
 let latency_models () =
   let rng = Basalt_prng.Rng.create ~seed:1 in
   check_float "zero" 0.0 (Link.Latency.sample Link.Latency.Zero rng);
-  check_float "constant" 0.25 (Link.Latency.sample (Link.Latency.Constant 0.25) rng);
   for _ = 1 to 100 do
     let d = Link.Latency.sample (Link.Latency.Uniform { lo = 0.1; hi = 0.2 }) rng in
     check_bool "uniform in range" true (d >= 0.1 && d <= 0.2)
@@ -426,7 +425,9 @@ let engine_loss () =
   check_int "none delivered" 0 s.Engine.delivered
 
 let engine_latency () =
-  let e = fresh_engine ~latency:(Link.Latency.Constant 2.0) 2 in
+  let e =
+    fresh_engine ~latency:(Link.Latency.Uniform { lo = 2.0; hi = 2.05 }) 2
+  in
   let arrival = ref Float.nan in
   Engine.register e 1 (fun ~from:_ _ -> arrival := Engine.now e);
   Engine.send e ~src:0 ~dst:1 "x";
@@ -628,15 +629,14 @@ let fault_link_independence () =
      which (0,1) messages drop or when the survivors arrive. *)
   let run ~extra_traffic =
     let fault =
-      Fault.make
-        ~base:
-          (Fault.link ~loss:(Link.Loss.Bernoulli 0.4)
-             ~latency:(Link.Latency.Uniform { lo = 0.0; hi = 0.3 })
-             ())
-        ()
+      Fault.make ~base:(Fault.link ~loss:(Link.Loss.Bernoulli 0.4) ()) ()
     in
     let rng = Basalt_prng.Rng.create ~seed:42 in
-    let e : string Engine.t = Engine.create ~fault ~rng ~n:4 () in
+    let e : string Engine.t =
+      Engine.create
+        ~latency:(Link.Latency.Uniform { lo = 0.0; hi = 0.3 })
+        ~fault ~rng ~n:4 ()
+    in
     let times = ref [] in
     Engine.register e 1 (fun ~from:_ _ -> times := Engine.now e :: !times);
     Engine.register e 3 (fun ~from:_ _ -> ());
@@ -711,7 +711,6 @@ let fault_gilbert_elliott_burstiness () =
 
 let print_latency = function
   | Link.Latency.Zero -> "Zero"
-  | Link.Latency.Constant d -> Printf.sprintf "Constant %g" d
   | Link.Latency.Uniform { lo; hi } -> Printf.sprintf "Uniform{%g,%g}" lo hi
 
 let print_loss = function

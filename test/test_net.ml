@@ -325,111 +325,111 @@ let dead_endpoint () =
   ep
 
 (* The retry policy runs on event-loop timers, so under a virtual clock
-   the whole retransmission schedule is deterministic in virtual time:
-   attempt i fires after min(max_timeout, timeout * backoff^i). *)
+   the whole retransmission schedule is deterministic in virtual time.
+   Stepping the clock by 1 ms, attempt i fires 0.25 * 2^i s (stretched
+   by at most 10 % jitter) after the previous send: 0.25, 0.5 and 1 s,
+   and the pull is given up 2 s after the third retransmission.  Two
+   runs from one seed fire at the same instants. *)
 let udp_retry_backoff_capped () =
-  let vtime = ref 0.0 in
-  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
-  let retry =
-    {
-      Udp_node.timeout = 1.0;
-      backoff = 2.0;
-      max_timeout = 8.0;
-      max_attempts = 3;
-      jitter = 0.0;
-    }
+  let schedule () =
+    let vtime = ref 0.0 in
+    let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+    let node =
+      Udp_node.create
+        ~config:
+          (Basalt_core.Config.make ~v:4 ~k:1 ~tau:1000.0 ~evict_after_rounds:50
+             ())
+        ~obs:(Basalt_obs.Obs.create ~clock:(fun () -> !vtime) ())
+        ~loop ~listen:(localhost 0)
+        ~bootstrap:[ dead_endpoint () ]
+        ~seed:5 ()
+    in
+    let out () = (Udp_node.stats node).Udp_node.datagrams_out in
+    (* The instants at which the pull was sent, retransmitted three
+       times and given up. *)
+    let events = ref [] and last = ref (0, 0) in
+    for ms = 1 to 6000 do
+      vtime := float_of_int ms /. 1000.0;
+      Event_loop.run_due_timers loop;
+      let now = (out (), Udp_node.pending_pulls node) in
+      if now <> !last then events := (!vtime, now) :: !events;
+      last := now
+    done;
+    Udp_node.close node;
+    List.rev !events
   in
-  let node =
-    Udp_node.create
-      ~config:
-        (Basalt_core.Config.make ~v:4 ~k:1 ~tau:1000.0 ~evict_after_rounds:50
-           ())
-      ~retry ~loop ~listen:(localhost 0)
-      ~bootstrap:[ dead_endpoint () ]
-      ~seed:5 ()
-  in
-  let advance t =
-    vtime := t;
-    Event_loop.run_due_timers loop
-  in
-  let retries () = (Udp_node.stats node).Udp_node.retries in
-  advance 0.5 (* round 1 fires near t=0: one pull + one push *);
-  let out0 = (Udp_node.stats node).Udp_node.datagrams_out in
-  check_int "round sent pull and push" 2 out0;
-  check_int "no retries before the timeout" 0 (retries ());
-  advance 2.0 (* attempt 0: timeout * backoff^0 = 1s after the pull *);
-  check_int "first retransmission" 1 (retries ());
-  advance 5.0 (* attempt 1: +2s *);
-  check_int "second retransmission" 2 (retries ());
-  advance 10.0 (* attempt 2: +4s *);
-  check_int "third retransmission" 3 (retries ());
-  advance 500.0 (* budget spent: the pending pull is abandoned *);
-  check_int "capped at max_attempts" 3 (retries ());
-  check_int "every retry hit the wire" (out0 + 3)
-    (Udp_node.stats node).Udp_node.datagrams_out;
-  Udp_node.close node
+  let events = schedule () in
+  Alcotest.(check (list (pair int int)))
+    "pull and push, three retransmissions, then given up"
+    [ (2, 1); (3, 1); (4, 1); (5, 1); (5, 0) ]
+    (List.map snd events);
+  let times = Array.of_list (List.map fst events) in
+  List.iteri
+    (fun i wait ->
+      let gap = times.(i + 1) -. times.(i) in
+      check_bool
+        (Printf.sprintf "wait %d of %.3f s in [%g, %g]" i gap wait
+           ((1.1 *. wait) +. 0.001))
+        true
+        (gap >= wait && gap <= (1.1 *. wait) +. 0.001))
+    [ 0.25; 0.5; 1.0; 2.0 ];
+  Alcotest.(check (list (float 0.0))) "same seed, same schedule"
+    (Array.to_list times)
+    (List.map fst (schedule ()))
 
 (* A pull whose retries are exhausted is given up, and must leave the
    RTT tracker with it: a daemon always runs with a registry, and in a
    churning network it pulls ever more dead peers.  Over 64 silent
-   peers the tracker holds only the pulls of the last retry window.
-   With zero retries the window is the pull's one timeout. *)
+   peers, one pull per one-second round, the tracker holds only the
+   pulls of the last retry window (under 4.2 s): at most 5. *)
 let udp_exhausted_pulls_leave_rtt_tracker () =
-  List.iter
-    (fun max_attempts ->
-      let vtime = ref 0.0 in
-      let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
-      let retry =
-        {
-          Udp_node.timeout = 1.0;
-          backoff = 1.0;
-          max_timeout = 1.0;
-          max_attempts;
-          jitter = 0.0;
-        }
-      in
-      let node =
-        Udp_node.create
-          ~config:(Basalt_core.Config.make ~v:64 ~k:1 ~tau:1.0 ())
-          ~obs:(Basalt_obs.Obs.create ~clock:(fun () -> !vtime) ())
-          ~retry ~loop ~listen:(localhost 0)
-          ~bootstrap:(List.init 64 (fun _ -> dead_endpoint ()))
-          ~seed:3 ()
-      in
-      let most = ref 0 in
-      for step = 1 to 600 do
-        vtime := 0.5 *. float_of_int step;
-        Event_loop.run_due_timers loop;
-        most := Int.max !most (Udp_node.pending_pulls node)
-      done;
-      let label = Printf.sprintf "max_attempts %d: " max_attempts in
-      check_bool (label ^ "pulls were tracked") true (!most > 0);
-      check_bool
-        (Printf.sprintf "%spending pulls bounded (peak %d)" label !most)
-        true (!most <= 4);
-      Udp_node.close node)
-    [ 1; 0 ]
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let node =
+    Udp_node.create
+      ~config:(Basalt_core.Config.make ~v:64 ~k:1 ~tau:1.0 ())
+      ~obs:(Basalt_obs.Obs.create ~clock:(fun () -> !vtime) ())
+      ~loop ~listen:(localhost 0)
+      ~bootstrap:(List.init 64 (fun _ -> dead_endpoint ()))
+      ~seed:3 ()
+  in
+  let most = ref 0 in
+  for step = 1 to 3000 do
+    vtime := 0.05 *. float_of_int step;
+    Event_loop.run_due_timers loop;
+    most := Int.max !most (Udp_node.pending_pulls node)
+  done;
+  check_bool "pulls were tracked" true (!most > 0);
+  check_bool
+    (Printf.sprintf "pending pulls bounded (peak %d)" !most)
+    true (!most <= 5);
+  Udp_node.close node
 
+(* A reply clears its pull's pending entry, so an answered pull is never
+   retransmitted.  The virtual clock advances 10 ms at a time and every
+   datagram is delivered within the step, well before the first
+   retransmission is due. *)
 let udp_retry_cleared_by_reply () =
-  let loop = Event_loop.create ~clock:Unix.gettimeofday () in
-  let config =
-    Basalt_core.Config.make ~v:8 ~k:2 ~tau:0.04 ~rho:(2.0 /. 0.04) ()
-  in
-  (* Timeouts far beyond the test duration: any retry we observe would
-     have to be a pull whose reply failed to clear the pending entry. *)
-  let retry =
-    { Udp_node.default_retry with timeout = 10.0; max_timeout = 10.0 }
-  in
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let config = Basalt_core.Config.make ~v:8 ~k:2 ~tau:0.1 ~rho:20.0 () in
   let a =
-    Udp_node.create ~config ~retry ~loop ~listen:(localhost 0) ~bootstrap:[]
+    Udp_node.create ~config ~loop ~listen:(localhost 0) ~bootstrap:[]
       ~seed:11 ()
   in
   let b =
-    Udp_node.create ~config ~retry ~loop ~listen:(localhost 0)
+    Udp_node.create ~config ~loop ~listen:(localhost 0)
       ~bootstrap:[ Udp_node.endpoint a ]
       ~seed:12 ()
   in
-  Event_loop.run_for loop 0.5;
+  for step = 1 to 300 do
+    vtime := 0.01 *. float_of_int step;
+    Event_loop.run_due_timers loop;
+    (* A pull, its reply, and the pull's reply to a push's sender. *)
+    for _ = 1 to 3 do
+      drain_sockets loop
+    done
+  done;
   List.iter
     (fun (name, node) ->
       let stats = Udp_node.stats node in
@@ -445,8 +445,7 @@ let udp_inject_loss_drops () =
   let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
   let config = Basalt_core.Config.make ~v:4 ~k:1 ~tau:1.0 () in
   let mk ~inject_loss seed =
-    Udp_node.create ~config ~retry:Udp_node.no_retry ~inject_loss ~loop
-      ~listen:(localhost 0)
+    Udp_node.create ~config ~inject_loss ~loop ~listen:(localhost 0)
       ~bootstrap:[ dead_endpoint () ]
       ~seed ()
   in
@@ -469,19 +468,24 @@ let udp_inject_delay_postpones () =
   let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
   let config = Basalt_core.Config.make ~v:4 ~k:1 ~tau:1000.0 () in
   let node =
-    Udp_node.create ~config ~retry:Udp_node.no_retry ~inject_delay:5.0 ~loop
-      ~listen:(localhost 0)
+    Udp_node.create ~config ~inject_delay:5.0 ~loop ~listen:(localhost 0)
       ~bootstrap:[ dead_endpoint () ]
       ~seed:7 ()
   in
-  vtime := 0.5;
-  Event_loop.run_due_timers loop (* round fired; both sends are in flight *);
-  check_int "nothing on the wire yet" 0
-    (Udp_node.stats node).Udp_node.datagrams_out;
-  vtime := 6.0;
-  Event_loop.run_due_timers loop (* every deferred transmission is due *);
-  check_int "transmitted after the injected delay" 2
-    (Udp_node.stats node).Udp_node.datagrams_out;
+  vtime := 0.25;
+  Event_loop.run_due_timers loop
+  (* the round fired at 0.024; both sends are in flight, and the first
+     retransmission is not due before 0.274 *);
+  let stats () = Udp_node.stats node in
+  check_int "nothing on the wire yet" 0 (stats ()).Udp_node.datagrams_out;
+  for _ = 1 to 10 do
+    vtime := !vtime +. 5.0;
+    Event_loop.run_due_timers loop
+  done
+  (* every retransmission and every deferred transmission is due *);
+  check_int "three retransmissions" 3 (stats ()).Udp_node.retries;
+  check_int "transmitted after the injected delay" 5
+    (stats ()).Udp_node.datagrams_out;
   Udp_node.close node
 
 (* A refused [sendto] loses the datagram and is counted as a send
@@ -494,7 +498,7 @@ let udp_send_errors_counted () =
   let node =
     Udp_node.create
       ~config:(Basalt_core.Config.make ~v:4 ~k:1 ~tau:1.0 ())
-      ~obs ~retry:Udp_node.no_retry ~loop ~listen:(localhost 0)
+      ~obs ~loop ~listen:(localhost 0)
       ~bootstrap:[ Endpoint.make "255.255.255.255" 9 ]
       ~seed:9 ()
   in
@@ -632,6 +636,35 @@ let udp_wide_ids_dropped () =
   check_int "and is never delivered" 0 !delivered;
   Unix.close sock;
   Udp_node.close victim
+
+(* Eviction takes any traffic from a peer as proof of life, broadcast
+   frames included, as the sampler's own rule says; but the gossip
+   layer consumes those frames before the sampler sees them, so the
+   transport clears the probe itself.  The node's only peer never
+   answers a pull but sends it a Prune every round: with eviction after
+   2 unanswered rounds, it must still be in the view after 10. *)
+let udp_broadcast_frames_count_as_liveness () =
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
+  let sock, peer = peer_socket () in
+  let node =
+    Udp_node.create
+      ~config:
+        (Basalt_core.Config.make ~v:4 ~k:1 ~tau:1.0 ~evict_after_rounds:2 ())
+      ~gossip:true ~loop ~listen:(localhost 0) ~bootstrap:[ peer ] ~seed:4 ()
+  in
+  for round = 1 to 10 do
+    vtime := float_of_int round;
+    Event_loop.run_due_timers loop;
+    send_msg sock node Message.Prune;
+    drain_sockets loop
+  done;
+  check_int "every Prune delivered" 10
+    (Udp_node.stats node).Udp_node.datagrams_in;
+  check_bool "the peer is still in the view" true
+    (List.exists (Endpoint.equal peer) (Udp_node.view node));
+  Unix.close sock;
+  Udp_node.close node
 
 (* The nodes of one loop share its receive buffer.  Two nodes receive
    different broadcast payloads in the same select pass; each payload
@@ -884,6 +917,8 @@ let () =
             udp_wide_ids_dropped;
           Alcotest.test_case "shared buffer keeps payloads intact" `Quick
             udp_shared_buffer_payloads_intact;
+          Alcotest.test_case "broadcast frames count as liveness" `Quick
+            udp_broadcast_frames_count_as_liveness;
           Alcotest.test_case "overlay converges end-to-end" `Slow
             udp_overlay_converges;
         ] );

@@ -117,9 +117,9 @@ let corpus =
     ("bad_scale.scn", "3:13: unknown scale \"huge\" (quick|standard|full)");
     (* Values that loaded but then raised mid-run, or let a message
        arrive before it was sent. *)
-    ("negative_churn_start.scn", "2:52: churn start must be >= 0");
+    ("negative_churn_start.scn", "2:57: probability '-5' out of [0,1]");
     ("negative_reorder_window.scn", "2:56: reorder-window must be >= 0");
-    ("negative_latency.scn", "2:46: latency must be >= 0");
+    ("negative_latency.scn", "2:45: latency must be >= 0");
     ( "inverted_uniform.scn",
       "2:49: uniform latency upper bound 0.1 is below its lower bound 0.5" );
     (* The row layouts and bindings the last module ports added. *)

@@ -26,9 +26,7 @@ let scenario_validation () =
   expect "Scenario.make: f out of [0,1)" (fun () ->
       ignore (Scenario.make ~f:1.0 ()));
   expect "Scenario.make: negative force" (fun () ->
-      ignore (Scenario.make ~force:(-1.0) ()));
-  expect "Scenario.make: bootstrap_f0 out of [0,1]" (fun () ->
-      ignore (Scenario.make ~bootstrap_f0:2.0 ()))
+      ignore (Scenario.make ~force:(-1.0) ()))
 
 let scenario_accessors () =
   let s =
