@@ -64,7 +64,7 @@ let dissemination protocol_name protocol =
         (time, float_of_int covered /. float_of_int q) :: !coverage_series
     end
   in
-  ignore (Runner.run_with_observer ~observer scenario);
+  ignore (Runner.run ~observer scenario);
   (protocol_name, List.rev !coverage_series)
 
 let () =

@@ -7,7 +7,6 @@ type strategy = Flood | Eclipse of Node_id.t | Silent
 type t = {
   rng : Rng.t;
   malicious : Node_id.t array;
-  membership : (int, unit) Hashtbl.t;
   correct : Node_id.t array;
   v : int;
   force : float;
@@ -21,12 +20,9 @@ let create ~rng ~malicious ~correct ~v ~force ?(strategy = Flood) ~send () =
     invalid_arg "Adversary.create: empty coalition";
   if v <= 0 then invalid_arg "Adversary.create: v must be positive";
   if force < 0.0 then invalid_arg "Adversary.create: negative force";
-  let membership = Hashtbl.create (Array.length malicious) in
-  Array.iter (fun id -> Hashtbl.replace membership (Node_id.to_int id) ()) malicious;
   {
     rng = Rng.split rng;
     malicious;
-    membership;
     correct;
     v;
     force;
@@ -34,8 +30,6 @@ let create ~rng ~malicious ~correct ~v ~force ?(strategy = Flood) ~send () =
     send;
     pushes = 0;
   }
-
-let is_malicious t id = Hashtbl.mem t.membership (Node_id.to_int id)
 
 let malicious_view t =
   Array.init t.v (fun _ -> Rng.pick t.rng t.malicious)
@@ -79,4 +73,3 @@ let on_round t =
       done
 
 let pushes_sent t = t.pushes
-let strategy t = t.strategy

@@ -40,13 +40,6 @@ val create :
     @raise Invalid_argument if [malicious] is empty (use no adversary
     instead), [v <= 0], or [force < 0]. *)
 
-val is_malicious : t -> Basalt_proto.Node_id.t -> bool
-(** [is_malicious t id] tests coalition membership in O(1). *)
-
-val malicious_view : t -> Basalt_proto.Node_id.t array
-(** [malicious_view t] is a fresh forged view: [v] uniformly random
-    malicious identifiers. *)
-
 val on_message :
   t -> victim_reply:bool -> from:Basalt_proto.Node_id.t ->
   to_:Basalt_proto.Node_id.t -> Basalt_proto.Message.t -> unit
@@ -61,6 +54,3 @@ val on_round : t -> unit
 
 val pushes_sent : t -> int
 (** [pushes_sent t] is the total number of forged pushes so far. *)
-
-val strategy : t -> strategy
-(** [strategy t] is the configured attack strategy. *)

@@ -17,10 +17,6 @@ type exponential = {
   r_square : float;  (** Goodness of the log-linear fit. *)
 }
 
-val linear : (float * float) list -> (float * float) option
-(** [linear points] is the least-squares [(slope, intercept)] of [y] on
-    [x]; [None] with fewer than two distinct [x] values. *)
-
 val exponential_decay : (float * float) list -> exponential option
 (** [exponential_decay series] fits the relaxation model.  The plateau is
     the mean of the last quarter of the points.

@@ -15,22 +15,6 @@ let reset_isolation_probability ~env ~k ~c =
     b ** float_of_int (env.Model.v - k)
   end
 
-let coupon_expected_trials ~q ~c0 ~delta =
-  if c0 +. float_of_int delta > q then
-    invalid_arg "Isolation_bound.coupon_expected_trials: delta too large";
-  let total = ref 0.0 in
-  for i = 0 to delta - 1 do
-    total := !total +. (q /. (q -. c0 -. float_of_int i))
-  done;
-  !total
-
-let identifiers_received_between_resets ~env ~k ~c0 =
-  let fn = Model.b_max env in
-  let v = float_of_int env.Model.v in
-  float_of_int k /. env.Model.rho *. (v /. env.Model.tau)
-  *. (c0 /. (fn +. c0))
-  *. (1.0 -. env.Model.f)
-
 let delta_c_lower_bound ~env ~k ~c0 =
   let fn = Model.b_max env in
   let q = Model.q env in

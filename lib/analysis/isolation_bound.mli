@@ -15,27 +15,11 @@ val joining_isolation_probability :
     neighbors, given a bootstrap sample of [bootstrap_size] peers of which
     a fraction [f0] is Byzantine, under worst-case flooding. *)
 
-val reset_isolation_probability : env:Model.env -> k:int -> c:float -> float
-(** Eq. (8): probability that, at a reset of [k] slots, all [v - k]
-    non-reset slots already hold Byzantine identifiers, when [c]
-    correct identifiers have been seen. *)
-
-val coupon_expected_trials : q:float -> c0:float -> delta:int -> float
-(** Eq. (9): expected number of uniform correct-identifier receptions
-    needed to learn [delta] {e new distinct} correct identifiers when
-    [c0] of [q] are already known.
-    @raise Invalid_argument if [c0 + delta > q]. *)
-
-val identifiers_received_between_resets :
-  env:Model.env -> k:int -> c0:float -> float
-(** Eq. (10): lower bound on the number of correct identifiers received
-    between two resets, given [c0] correct identifiers currently known. *)
-
 val delta_c_lower_bound : env:Model.env -> k:int -> c0:float -> float
 (** Eq. (12): lower bound on the number of {e new distinct} correct
     identifiers learned between two consecutive resets. *)
 
 val safe_c_threshold : env:Model.env -> k:int -> target:float -> float
 (** [safe_c_threshold ~env ~k ~target] is the smallest [c] for which
-    {!reset_isolation_probability} drops below [target] (the paper's
+    Eq. (8)'s reset-isolation probability [B^(v-k)] drops below [target] (the paper's
     example: [c >= 585] gives [< 1e-10] for its scenario). *)

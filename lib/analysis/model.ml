@@ -12,9 +12,6 @@ let b_max e = e.f *. float_of_int e.n
 let q e = (1.0 -. e.f) *. float_of_int e.n
 let b_of_c e c = if e.f = 0.0 then 0.0 else b_max e /. (b_max e +. c)
 
-let c_of_b e b =
-  if b <= 0.0 then infinity else b_max e *. (1.0 -. b) /. b
-
 (* Eq. (13): dc/dt = 2 C^2 v / tau * (1 - c / ((1-f) n)) - rho c / v. *)
 let dc_dt e ~c =
   let v = float_of_int e.v in
@@ -50,20 +47,6 @@ let equilibria e =
   end
 
 let steady_state e = Option.map fst (equilibria e)
-let optimal e = e.f
 
 let trajectory e ~b0 ~t1 ~dt =
   Ode.solve ~f:(fun ~t:_ ~y -> db_dt e ~b:y) ~y0:b0 ~t0:0.0 ~t1 ~dt
-
-let view_size_for e ~target_b =
-  if target_b <= e.f then
-    invalid_arg "Model.view_size_for: target below the optimum f";
-  let rec search v =
-    if v > 1_000_000 then v
-    else begin
-      match steady_state { e with v } with
-      | Some b1 when b1 <= target_b -> v
-      | _ -> search (v + 1)
-    end
-  in
-  search 1

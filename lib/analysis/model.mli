@@ -34,15 +34,13 @@ val b_max : env -> float
 val q : env -> float
 (** [q e] is [(1 - f) * n], the number of correct nodes. *)
 
-val b_of_c : env -> float -> float
-(** [b_of_c e c] is Corollary 3.2: [b_max / (b_max + c)]. *)
-
-val c_of_b : env -> float -> float
-(** [c_of_b e b] inverts {!b_of_c}. *)
-
+(* lint: allow D12 — Eq. (13), the reference test_analysis checks
+   steady_state against (dc/dt = 0 at B1). *)
 val dc_dt : env -> c:float -> float
 (** [dc_dt e ~c] is Eq. (13). *)
 
+(* lint: allow D12 — Eq. (14), the reference test_analysis checks
+   equilibria against (both roots zero it, with the paper's signs). *)
 val db_dt : env -> b:float -> float
 (** [db_dt e ~b] is Eq. (14). *)
 
@@ -55,15 +53,6 @@ val equilibria : env -> (float * float) option
 val steady_state : env -> float option
 (** [steady_state e] is the stable equilibrium [B1], if it exists. *)
 
-val optimal : env -> float
-(** [optimal e] is [f]: the best achievable Byzantine proportion for any
-    sampler (the adversary's fair share). *)
-
 val trajectory : env -> b0:float -> t1:float -> dt:float -> (float * float) list
 (** [trajectory e ~b0 ~t1 ~dt] integrates Eq. (14) from [B(0) = b0] to
     time [t1] (RK4, step [dt]). *)
-
-val view_size_for : env -> target_b:float -> int
-(** [view_size_for e ~target_b] is the smallest view size whose predicted
-    stable state does not exceed [target_b] (holding the rest of [e]
-    fixed).  @raise Invalid_argument if [target_b <= f] (unreachable). *)

@@ -17,8 +17,3 @@ let solve ~f ~y0 ~t0 ~t1 ~dt =
     end
   in
   go t0 y0 []
-
-let final ~f ~y0 ~t0 ~t1 ~dt =
-  match List.rev (solve ~f ~y0 ~t0 ~t1 ~dt) with
-  | (_, y) :: _ -> y
-  | [] -> y0

@@ -14,12 +14,3 @@ val solve :
 (** [solve ~f ~y0 ~t0 ~t1 ~dt] integrates from [(t0, y0)] to [t1],
     returning the trajectory including both endpoints.
     @raise Invalid_argument if [dt <= 0] or [t1 < t0]. *)
-
-val final :
-  f:(t:float -> y:float -> float) ->
-  y0:float ->
-  t0:float ->
-  t1:float ->
-  dt:float ->
-  float
-(** [final ~f ~y0 ~t0 ~t1 ~dt] is the last value of {!solve}. *)

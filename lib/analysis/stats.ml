@@ -37,11 +37,6 @@ let min_max xs =
       (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
       (xs.(0), xs.(0)) xs
 
-let confidence95 xs =
-  let n = Array.length xs in
-  if n = 0 then Float.nan
-  else 1.96 *. stddev xs /. sqrt (float_of_int n)
-
 module Online = struct
   type t = { mutable count : int; mutable mean : float; mutable m2 : float }
 

@@ -7,9 +7,6 @@
 val mean : float array -> float
 (** [mean xs] is the arithmetic mean; [nan] when empty. *)
 
-val variance : float array -> float
-(** [variance xs] is the population variance; [nan] when empty. *)
-
 val stddev : float array -> float
 (** [stddev xs] is [sqrt (variance xs)]. *)
 
@@ -23,10 +20,6 @@ val median : float array -> float
 
 val min_max : float array -> float * float
 (** [min_max xs] is [(min, max)]; [(nan, nan)] when empty. *)
-
-val confidence95 : float array -> float
-(** [confidence95 xs] is the 95% normal-approximation half-width of the
-    mean's confidence interval: [1.96 * stddev / sqrt n]. *)
 
 module Online : sig
   (** Welford's online mean/variance accumulator. *)

@@ -7,15 +7,13 @@ module Scenario = Basalt_sim.Scenario
 type config = { n : int; sampling : Network.sampling; steps : float }
 
 (* The one setting of everything else (DESIGN.md §1): 15% Byzantine at
-   force 10, Snowball's committees and quorum, the safe-early-commitment
-   and conservative thresholds, a 25-unit warm-up, 20 virtuous
-   transactions, seed 42. *)
+   force 10, Snowball's committees and quorum, a 25-unit warm-up, 20
+   virtuous transactions, seed 42; the acceptance thresholds are
+   [Tx_dag]'s. *)
 let f = 0.15
 let force = 10.0
 let committee_size = Snowball.sample_size
 let alpha = Snowball.alpha
-let beta1 = 5
-let beta2 = 8
 let warmup = 25.0
 let virtuous_txs = 20
 let seed = 42
@@ -98,7 +96,7 @@ let run c =
         if
           id <> Tx_dag.Tx.genesis.Tx_dag.Tx.id
           && (not (List.mem_assoc id state.accept_times))
-          && Tx_dag.accepted ~beta1 ~beta2 state.dag id
+          && Tx_dag.accepted state.dag id
         then
           state.accept_times <- (id, Engine.now engine) :: state.accept_times)
       (Tx_dag.transactions state.dag)
@@ -202,7 +200,7 @@ let run c =
   let accept_times = ref [] in
   Array.iter
     (fun state ->
-      let acc id = Tx_dag.accepted ~beta1 ~beta2 state.dag id in
+      let acc id = Tx_dag.accepted state.dag id in
       let known_and id = Tx_dag.known state.dag id && acc id in
       if known_and a then incr accepted_a;
       if known_and b then incr accepted_b;

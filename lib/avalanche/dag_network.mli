@@ -26,8 +26,9 @@ val config : n:int -> sampling:Network.sampling -> steps:float -> config
 (** [config ~n ~sampling ~steps] runs [n] nodes for [steps] time units
     with committees drawn from [sampling]; everything else is fixed:
     [f = 0.15] at force 10, committees of {!Snowball.sample_size} (10)
-    with quorum {!Snowball.alpha} (7), [beta1 = 5], [beta2 = 8], a
-    warm-up of 25, 20 virtuous transactions, seed 42.
+    with quorum {!Snowball.alpha} (7), {!Tx_dag.accepted}'s thresholds
+    ([beta1 = 5], [beta2 = 8]), a warm-up of 25, 20 virtuous
+    transactions, seed 42.
     @raise Invalid_argument unless [n > 0] and [steps] exceeds the
     warm-up. *)
 

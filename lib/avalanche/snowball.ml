@@ -5,10 +5,6 @@ let color_equal a b =
 
 let opposite = function Red -> Blue | Blue -> Red
 
-let pp_color ppf = function
-  | Red -> Format.fprintf ppf "red"
-  | Blue -> Format.fprintf ppf "blue"
-
 let sample_size = 10
 let alpha = 7
 let beta = 12
@@ -36,7 +32,6 @@ let preference t = t.pref
 let decided t = t.decided
 let decision t = if t.decided then Some t.pref else None
 let confidence t = function Red -> t.conf_red | Blue -> t.conf_blue
-let streak t = t.streak
 
 let register_votes t votes =
   if not t.decided then begin

@@ -16,9 +16,6 @@ val color_equal : color -> color -> bool
 val opposite : color -> color
 (** [opposite c] flips {!Red} and {!Blue}. *)
 
-val pp_color : Format.formatter -> color -> unit
-(** Formatter for colors. *)
-
 val sample_size : int
 (** [sample_size] is the committee size k = 10.  With {!alpha} and the
     β = 12 consecutive successes an instance needs to finalise, these
@@ -50,10 +47,3 @@ val register_votes : t -> color list -> unit
     increases and the conviction streak advances (resetting when the
     successful color changes); otherwise the streak resets.  No-op once
     decided. *)
-
-val confidence : t -> color -> int
-(** [confidence t c] is the accumulated count of successful rounds for
-    [c]. *)
-
-val streak : t -> int
-(** Current consecutive-success streak length. *)

@@ -95,11 +95,6 @@ let insert t tx =
     Ok ()
   end
 
-let conflict_set t tx =
-  match Hashtbl.find_opt t.conflicts tx.Tx.conflict with
-  | Some cs -> cs.members
-  | None -> []
-
 let conflict_state t id =
   let e = entry t id in
   Hashtbl.find t.conflicts e.tx.Tx.conflict
@@ -159,9 +154,12 @@ let record_query_failure t id =
       cs.count <- 0)
     ()
 
-let chit t id = (entry t id).chit
+(* The two commitment thresholds: safe early commitment for a
+   transaction that never met a conflict, and the conservative rule. *)
+let beta1 = 5
+let beta2 = 8
 
-let accepted ?(beta1 = 11) ?(beta2 = 20) t id =
+let accepted t id =
   let self_ok id =
     if id = Tx.genesis.Tx.id then true
     else begin
@@ -172,10 +170,3 @@ let accepted ?(beta1 = 11) ?(beta2 = 20) t id =
     end
   in
   fold_ancestry t id (fun acc a -> acc && self_ok a) true
-
-let frontier t =
-  let leaves =
-    List.filter (fun id -> (entry t id).children = []) (transactions t)
-  in
-  let preferred, rest = List.partition (is_strongly_preferred t) leaves in
-  preferred @ rest

@@ -61,14 +61,6 @@ val ancestor_closure : t -> Tx.id -> Tx.t list
     topological order, parents before children — what a query message
     carries so any recipient can insert the transaction. *)
 
-val conflict_set : t -> Tx.t -> Tx.id list
-(** [conflict_set t tx] is every known transaction sharing [tx]'s
-    conflict key (including [tx] itself if known). *)
-
-val is_preferred : t -> Tx.id -> bool
-(** Whether the transaction is the preferred member of its conflict
-    set. *)
-
 val is_strongly_preferred : t -> Tx.id -> bool
 (** Whether the transaction and all its ancestors are preferred. *)
 
@@ -81,18 +73,7 @@ val record_query_failure : t -> Tx.id -> unit
 (** [record_query_failure t id] resets the consecutive-success counters
     of [id] and its ancestors. *)
 
-val confidence : t -> Tx.id -> int
-(** [confidence t id] is the total number of chits in the transaction's
-    progeny (descendants including itself) — d(T) in the paper. *)
-
-val accepted : ?beta1:int -> ?beta2:int -> t -> Tx.id -> bool
-(** [accepted t id] applies the two commitment rules (defaults
-    [beta1 = 11], [beta2 = 20]).  Acceptance requires all ancestors
-    accepted too.  Genesis is always accepted. *)
-
-val chit : t -> Tx.id -> bool
-(** Whether the transaction earned its chit. *)
-
-val frontier : t -> Tx.id list
-(** Transactions with no known children — what new transactions should
-    attach to (preferred ones first). *)
+val accepted : t -> Tx.id -> bool
+(** [accepted t id] applies the two commitment rules, with [beta1 = 5]
+    and [beta2 = 8].  Acceptance requires all ancestors accepted too.
+    Genesis is always accepted. *)

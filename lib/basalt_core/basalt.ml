@@ -79,8 +79,7 @@ type t = {
      without eviction carries none. *)
   mutable probes : (int, int) Hashtbl.t option;
   (* Per-node counter handles, each adding to its name's run-wide total
-     (its own total on a disabled sink, DESIGN.md §8); [samples_emitted]
-     and [evictions] read their own counts. *)
+     (its own total on a disabled sink, DESIGN.md §8). *)
   c_rank_evals : Obs.Counter.t;
   c_rounds : Obs.Counter.t;
   c_pulls : Obs.Counter.t;
@@ -513,9 +512,6 @@ let sample_tick t =
   update_sample t snapshot;
   List.rev !samples
 
-let samples_emitted t = Obs.Counter.own t.c_samples
-let rounds_executed t = t.rounds
-let evictions t = Obs.Counter.own t.c_evictions
 
 let to_rps t =
   {

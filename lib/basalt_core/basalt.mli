@@ -7,9 +7,9 @@
     drive the epidemic pull/push exchanges that discover new identifiers —
     the tight feedback loop that distinguishes Basalt from Brahms (§2.3).
 
-    Protocol driver contract (matching {!Basalt_proto.Rps.t}):
-    - call {!on_round} every [tau] (sends one PULL and one PUSH);
-    - route incoming messages to {!on_message};
+    Protocol driver contract (through {!to_rps}, a {!Basalt_proto.Rps.t}):
+    - call [on_round] every [tau] (sends one PULL and one PUSH);
+    - route incoming messages to [on_message];
     - call {!sample_tick} every [k / rho] (emits [k] samples and resets
       the corresponding seeds in round-robin order). *)
 
@@ -63,19 +63,6 @@ val update_sample : t -> Basalt_proto.Node_id.t array -> unit
     number of rank evaluations — and hence [basalt.rank_evals] —
     changes. *)
 
-val select_peer : t -> Basalt_proto.Node_id.t option
-(** [select_peer t] picks an exchange partner from the view (Alg. 1
-    lines 24–26); [None] while the view is entirely empty. *)
-
-val on_round : t -> unit
-(** [on_round t] performs one exchange round: sends [PULL] to one selected
-    peer and [PUSH view] to another (Alg. 1 lines 7–9). *)
-
-val on_message : t -> from:Basalt_proto.Node_id.t -> Basalt_proto.Message.t -> unit
-(** [on_message t ~from msg] handles [PULL] (replies with the view),
-    view-carrying pushes and replies (feeds them, plus the sender, to
-    {!update_sample}), and single-identifier pushes. *)
-
 val sample_tick : t -> Basalt_proto.Node_id.t list
 (** [sample_tick t] executes Alg. 1 lines 14–19: for [k] slots in
     round-robin order, returns the slot's current peer as a fresh sample
@@ -87,9 +74,13 @@ val view : t -> Basalt_proto.Node_id.t array
     slot order (duplicates possible — distinct slots may have converged to
     the same identifier). *)
 
+(* lint: allow D12 — test seam: the differential rank oracle compares
+   every slot, empty ones included, against its naive model. *)
 val view_slots : t -> Basalt_proto.Node_id.t option array
 (** [view_slots t] is the per-slot contents including empty slots. *)
 
+(* lint: allow D12 — test seam: the rank oracle's bit-exact check of
+   each slot's best rank, which no output shows. *)
 val slot_ranks : t -> int option array
 (** [slot_ranks t] is each slot's current best rank, [None] for empty
     slots — the holder of slot [i] always ranks exactly
@@ -98,39 +89,30 @@ val slot_ranks : t -> int option array
     the batched {!update_sample} against a naive per-(slot, candidate)
     reference model. *)
 
-val samples_emitted : t -> int
-(** [samples_emitted t] counts samples returned by {!sample_tick} so
-    far. *)
-
-val rounds_executed : t -> int
-(** [rounds_executed t] counts {!on_round} invocations. *)
-
-val evictions : t -> int
-(** [evictions t] counts slots reset by dead-peer eviction (always 0 when
-    [evict_after_rounds] is [None]). *)
-
 val record_probe : t -> Basalt_proto.Node_id.t -> unit
 (** [record_probe t peer] marks the current round as the start of an
     unanswered pull to [peer], unless an older probe is already pending
-    ({!on_round} does this before each [PULL]; transports with their own
+    ([on_round] does this before each [PULL]; transports with their own
     retry machinery can record extra probes).  Any message from [peer]
     clears the mark ({!clear_probe}). *)
 
 val clear_probe : t -> Basalt_proto.Node_id.t -> unit
 (** [clear_probe t peer] drops [peer]'s pending probe: the node has
-    heard from it.  {!on_message} does this for every message it is
+    heard from it.  [on_message] does this for every message it is
     handed; a transport whose application layer consumes some frames
     before the sampler sees them (broadcast frames, in
     [Basalt_assembly.Node]) calls it for every datagram, as [Udp_node]
     does. *)
 
+(* lint: allow D12 — test seam: evicts at limits 0 and -1, which
+   Config.make refuses, to observe the probe bookkeeping at one instant. *)
 val run_eviction : t -> limit:int -> unit
 (** [run_eviction t ~limit] evicts every peer whose oldest unanswered
     probe is more than [limit] rounds old: all slots holding it are reset
     and the rest of the view is re-offered to the freed slots.  Expired
     peers are processed in ascending identifier order so that the PRNG
     draws consumed by slot resets — and therefore the whole execution —
-    do not depend on hash-table iteration order.  Called by {!on_round}
+    do not depend on hash-table iteration order.  Called by [on_round]
     when [evict_after_rounds] is set.  An evicted peer's pending pull is
     abandoned ({!abandon_pull}). *)
 

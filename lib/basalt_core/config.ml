@@ -37,10 +37,3 @@ let make ?(v = 160) ?(tau = 1.0) ?(rho = 1.0) ?k
 
 let default = make ()
 let refresh_interval c = float_of_int c.k /. c.rho
-let slot_lifetime c = float_of_int c.v /. c.rho
-
-let equilibrium_exists c ~n ~f =
-  let v = float_of_int c.v in
-  let n = float_of_int n in
-  ((1.0 -. f) ** 2.0) -. (2.0 *. c.rho *. f *. (1.0 -. f) *. n /. (v *. v))
-  > 0.0

@@ -9,7 +9,8 @@
 
     The stability condition of §3.3.2 (Eq. 16) requires
     [(1 - f)^2 > 2 rho f (1 - f) n / v^2] for an equilibrium to exist;
-    {!equilibrium_exists} checks it for a given environment. *)
+    [Basalt_analysis.Model.equilibria] solves it for a given
+    environment. *)
 
 type select_strategy =
   | Uniform_slot  (** Pick a uniformly random slot (Alg. 1, selectPeer). *)
@@ -72,13 +73,3 @@ val default : t
 val refresh_interval : t -> float
 (** [refresh_interval c] is [k / rho], the period of the slot-reset
     task (Alg. 1 line 14). *)
-
-val slot_lifetime : t -> float
-(** [slot_lifetime c] is [v / rho], the average time between two resets
-    of the same slot (§2.3). *)
-
-val equilibrium_exists : t -> n:int -> f:float -> bool
-(** [equilibrium_exists c ~n ~f] checks the discriminant of paper
-    Eq. (16): whether the continuous model predicts a stable operating
-    point [B1 < 1] for a network of [n] nodes with Byzantine fraction
-    [f]. *)

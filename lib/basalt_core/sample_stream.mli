@@ -18,16 +18,13 @@ type t
 
 val create : capacity:int -> t
 (** [create ~capacity] retains the last [capacity] samples.  It
-    allocates no buffer: {!push} grows one on demand.
+    allocates no buffer: {!push_list} grows one on demand.
     @raise Invalid_argument if [capacity <= 0]. *)
 
-val push : t -> Basalt_proto.Node_id.t -> unit
-(** [push t id] appends one sample, evicting the oldest once
-    [capacity] samples are retained.  Doubles the buffer (at most to
-    [capacity]) when it is full and smaller than [capacity]. *)
-
 val push_list : t -> Basalt_proto.Node_id.t list -> unit
-(** [push_list t ids] appends samples in order. *)
+(** [push_list t ids] appends samples in order, evicting the oldest
+    once [capacity] samples are retained.  Doubles the buffer (at most
+    to [capacity]) when it is full and smaller than [capacity]. *)
 
 val total : t -> int
 (** [total t] counts all samples ever pushed. *)

@@ -149,9 +149,6 @@ let make ~scratch ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
   feed_samplers t bootstrap;
   t
 
-let create ?config ?obs ~id ~bootstrap ~rng ~send () =
-  make ~scratch:(fresh_scratch ()) ?config ?obs ~id ~bootstrap ~rng ~send ()
-
 let sampler_outputs t =
   let holders = t.holders in
   let filled = ref 0 in

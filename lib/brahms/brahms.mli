@@ -24,60 +24,25 @@
     The samplers rank with {!Basalt_hashing.Rank.Cheap} and never hold the
     node's own identifier. *)
 
-type t
-(** One node's Brahms state. *)
-
-val create :
-  ?config:Brahms_config.t ->
-  ?obs:Basalt_obs.Obs.t ->
-  id:Basalt_proto.Node_id.t ->
-  bootstrap:Basalt_proto.Node_id.t array ->
-  rng:Basalt_prng.Rng.t ->
-  send:Basalt_proto.Rps.send ->
-  unit ->
-  t
-(** [obs] (default disabled) records counters [brahms.rank_evals],
-    [brahms.rounds], [brahms.pulls_sent], [brahms.pushes_sent],
-    [brahms.samples_emitted], [brahms.slot_resets] and
-    [brahms.view_rebuilds], and meters outgoing messages through
-    {!Basalt_codec.Metered.send}; instruments aggregate across all nodes
-    sharing the sink.
-
-    [create ~id ~bootstrap ~rng ~send ()] initialises the view with (up
-    to) [l] bootstrap peers and feeds the bootstrap list to the
-    samplers. *)
-
-val on_round : t -> unit
-(** [on_round t] closes the previous round — rebuilding 𝒱 from the
-    pushed ids, pulled ids and sampler outputs per Eq. (2) when it
-    received both pushes and pull replies — then sends this round's
-    [PUSH-ID] and [PULL]. *)
-
-val on_message : t -> from:Basalt_proto.Node_id.t -> Basalt_proto.Message.t -> unit
-(** [on_message t ~from msg] accumulates pushed/pulled identifiers for the
-    current round and feeds them to the samplers. *)
-
-val sample_tick : t -> Basalt_proto.Node_id.t list
-(** [sample_tick t] emits and resets the next [k] samplers (multi-shot
-    extension). *)
-
-val view : t -> Basalt_proto.Node_id.t array
-(** [view t] is the current gossip view 𝒱. *)
-
-val sampler_outputs : t -> Basalt_proto.Node_id.t array
-(** [sampler_outputs t] is the current contents of the sampler vector 𝒮
-    (non-empty samplers only) — what the service would return as samples. *)
-
 val sampler :
   ?config:Brahms_config.t ->
   ?obs:Basalt_obs.Obs.t ->
   unit ->
   Basalt_proto.Rps.maker
-(** [sampler ?config ()] packages the protocol for the simulation runner
-    ([obs] is threaded to every node).  The nodes one maker builds are
-    {!create}'s, except that they share the arrays their sampler feed
-    stages ids in (instead of one set per node); every output is
-    identical.  A maker therefore belongs to one run: make one per run,
-    as [Runner.run] does, never one shared by runs on several domains.
-    The service's [current_view] is 𝒱 and its emitted samples come from
-    the sampler vector 𝒮, matching the paper's measurement methodology. *)
+(** [sampler ?config ()] packages the protocol for the simulation
+    runner.  Each call of the maker builds one node, whose view starts
+    with (up to) [l] bootstrap peers and whose samplers are fed the
+    bootstrap list.  The nodes of one maker share the arrays their
+    sampler feed stages ids in (instead of one set per node); every
+    output is identical.  A maker therefore belongs to one run: make one
+    per run, as [Runner.run] does, never one shared by runs on several
+    domains.  The service's [current_view] is 𝒱, its [sample_tick]
+    emits and resets the next [k] samplers of 𝒮 (the multi-shot
+    extension), matching the paper's measurement methodology.
+
+    [obs] (default disabled), threaded to every node, records counters
+    [brahms.rank_evals], [brahms.rounds], [brahms.pulls_sent],
+    [brahms.pushes_sent], [brahms.samples_emitted],
+    [brahms.slot_resets] and [brahms.view_rebuilds], and meters outgoing
+    messages through {!Basalt_codec.Metered.send}; instruments aggregate
+    across all nodes sharing the sink. *)

@@ -9,14 +9,6 @@ type error =
   | Trailing_garbage of int
   | Id_out_of_range
 
-let pp_error ppf = function
-  | Truncated -> Format.fprintf ppf "truncated datagram"
-  | Bad_magic m -> Format.fprintf ppf "bad magic %#x" m
-  | Bad_version v -> Format.fprintf ppf "unsupported version %d" v
-  | Bad_tag t -> Format.fprintf ppf "unknown message tag %d" t
-  | Trailing_garbage n -> Format.fprintf ppf "%d trailing bytes" n
-  | Id_out_of_range -> Format.fprintf ppf "identifier out of range"
-
 let magic = 0xB5
 let version = 1
 let header_size = 6

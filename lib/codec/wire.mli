@@ -44,15 +44,12 @@ type error =
   | Trailing_garbage of int  (** Extra bytes after the payload. *)
   | Id_out_of_range  (** An identifier exceeding the native-int range. *)
 
-val pp_error : Format.formatter -> error -> unit
-(** Formatter for decode errors. *)
-
 val encode : Basalt_proto.Message.t -> bytes
 (** [encode msg] serialises a message.
     @raise Invalid_argument on a message the format cannot carry: more
-    than {!max_ids} identifiers, a broadcast payload longer than
-    {!max_payload}, a sequence number outside [\[0, max_seqno\]], or a
-    hop count outside [\[0, max_hops\]]. *)
+    than 65535 identifiers, a broadcast payload longer than
+    {!max_payload}, a sequence number outside the u32 range, or a hop
+    count outside [\[0, max_hops\]]. *)
 
 val decode : bytes -> (Basalt_proto.Message.t, error) result
 (** [decode b] parses a whole datagram. *)
@@ -66,16 +63,10 @@ val decode_sub : bytes -> off:int -> len:int -> (Basalt_proto.Message.t, error) 
     overflow-proof, so hostile [off]/[len] near [max_int] cannot smuggle
     an out-of-bounds read past the guard). *)
 
-val max_ids : int
-(** Maximum identifier count a datagram may carry (65535). *)
-
 val max_payload : int
 (** Maximum broadcast payload length in bytes (65535): the format's
     limit.  A frame that long exceeds one IPv4 UDP datagram, so the UDP
     transport accepts at most [Basalt_net.Udp_node.max_payload]. *)
-
-val max_seqno : int
-(** Maximum broadcast sequence number (the u32 range, [2^32 - 1]). *)
 
 val max_hops : int
 (** Maximum hop count a [Gossip] frame can carry (65535). *)

@@ -92,7 +92,6 @@ let create ?(latency = Link.Latency.Zero) ?(loss = Link.Loss.None) ?fault
     clock = 0.0;
   }
 
-let n t = Array.length t.handlers
 let now t = t.clock
 
 let register t node handler =
@@ -261,13 +260,6 @@ let execute_top t time =
   let event = Event_queue.take t.queue in
   if time > t.clock then t.clock <- time;
   execute t event
-
-let step t =
-  if Event_queue.is_empty t.queue then false
-  else begin
-    execute_top t (Event_queue.top_time t.queue);
-    true
-  end
 
 let run_until t horizon =
   let rec loop () =

@@ -78,9 +78,6 @@ val create :
     Stamp trace events with virtual time by pointing the sink's clock at
     [now t]. *)
 
-val n : 'msg t -> int
-(** [n t] is the number of node slots. *)
-
 val now : 'msg t -> float
 (** [now t] is the current virtual time. *)
 
@@ -108,10 +105,6 @@ val every :
 val run_until : 'msg t -> float -> unit
 (** [run_until t horizon] executes all events with timestamp [<= horizon]
     and leaves the clock at [horizon]. *)
-
-val step : 'msg t -> bool
-(** [step t] executes the single earliest event, if any; returns whether
-    one was executed. *)
 
 val stats : 'msg t -> stats
 (** [stats t] returns the message/event counters so far. *)

@@ -112,5 +112,4 @@ let take q =
   Array.unsafe_set q.values n q.filler;
   top
 
-let size q = q.len
 let is_empty q = q.len = 0

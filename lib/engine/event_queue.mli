@@ -28,8 +28,5 @@ val take : 'a t -> 'a
     time with {!top_time} first.  @raise Invalid_argument if [q] is
     empty. *)
 
-val size : 'a t -> int
-(** [size q] is the number of pending events. *)
-
 val is_empty : 'a t -> bool
-(** [is_empty q] is [size q = 0]. *)
+(** [is_empty q] is [true] when no event is pending. *)

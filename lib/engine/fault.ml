@@ -45,7 +45,6 @@ type t = {
 let make ?base ?(partitions = []) ?(outages = []) () =
   { base; partitions; outages }
 
-let none = make ()
 
 let is_none t =
   Option.is_none t.base

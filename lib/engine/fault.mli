@@ -72,9 +72,6 @@ val make :
 (** [make ()] is the transparent plan; compose faults by overriding
     pieces. *)
 
-val none : t
-(** [none] is the transparent plan ({!is_none} holds). *)
-
 val is_none : t -> bool
 (** [is_none t] is [true] when [t] cannot affect any message; the engine
     then uses its legacy single-stream path, so a [Some none] plan and no

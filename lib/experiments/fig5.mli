@@ -7,6 +7,8 @@
     [v].  Expected shape: Basalt sustains a higher ρ than Brahms at every
     view size (more utility for the same view). *)
 
+(* lint: allow D12 — test seam: drives the stop-at-first-failure scan
+   on a tiny scenario, which no preset of print runs. *)
 val max_rho :
   make:(rho:float -> Basalt_sim.Scenario.t) ->
   seeds:int list ->

@@ -17,13 +17,10 @@ type params = {
 
 val params :
   ?publishes:int -> ?warmup_frac:float -> ?payload_bytes:int -> unit -> params
-(** [params ()] is {!default_params}; override pieces as needed.
+(** [params ()] is the broadcast experiment's plan: 10 publishes, 40%
+    warmup, 32-byte payloads; override pieces as needed.
     @raise Invalid_argument on a non-positive count or size, or a
     warmup fraction outside [\[0, 1)]. *)
-
-val default_params : params
-(** The broadcast experiment's plan: 10 publishes, 40% warmup, 32-byte
-    payloads. *)
 
 type summary = {
   delivered : float;  (** Fraction of (message, correct node) deliveries. *)

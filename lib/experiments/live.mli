@@ -12,6 +12,8 @@ type row = {
   paper_value : float;  (** The value the paper reports. *)
 }
 
+(* lint: allow D12 — test seam: the typed rows and deployment result
+   behind print's table, which the test bounds. *)
 val run : ?scale:Scale.t -> unit -> row list * Basalt_avalanche.Deployment.result
 (** [run ()] executes the live-deployment experiment, returning per-phase
     rows and the final deployment result. *)

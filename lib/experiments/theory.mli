@@ -31,6 +31,8 @@ type equilibrium_row = {
   predicted_excess : float option;  (** [B1 - f]. *)
 }
 
+(* lint: allow D12 — test seam: the typed equilibrium rows behind
+   print's table, which the test orders (B1 < B2, B1 > f). *)
 val equilibria : ?scale:Scale.t -> ?f:float -> unit -> equilibrium_row list
 (** [equilibria ()] tabulates the fixed points of Eq. 16 across the
     preset's view sizes for Byzantine fraction [f]. *)

@@ -34,6 +34,8 @@ val spec :
     protocol's config or {!Basalt_sim.Scenario.make} rejects (such as
     [v = 0], [n = 0] or [f = 2]), with the constructor's message. *)
 
+(* lint: allow D12 — test seam: the runner result behind print's
+   table, which the test checks for a recorded series. *)
 val run : ?obs:bool -> ?trace:bool -> spec -> Basalt_sim.Runner.result
 (** [run spec] executes the timeline scenario and returns the runner's
     result; [obs]/[trace] are forwarded to {!Basalt_sim.Runner.run}. *)

@@ -91,9 +91,7 @@ let create ?(obs = Obs.disabled) ~node ~view ~rng ~send ~deliver () =
     s_hops = Obs.sketch obs "gossip.hops";
   }
 
-let node t = t.node
 let eager_peers t = Mesh.peers t.mesh
-let eager_degree t = Mesh.degree t.mesh
 
 let stats t =
   let own = Obs.Counter.own in

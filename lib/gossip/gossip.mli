@@ -71,10 +71,6 @@ val create :
     dissemination curves (hop latency, time-to-delivery) are derivable
     offline with [tool/trace] (DESIGN.md §8). *)
 
-val node : t -> Basalt_proto.Node_id.t
-(** [node t] is the local identifier (the origin of published
-    messages). *)
-
 val publish : t -> bytes -> Basalt_proto.Message.mid
 (** [publish t payload] originates a message: assigns the next
     sequence number, delivers it locally, and eager-pushes it to the
@@ -104,11 +100,10 @@ val heartbeat : t -> unit
     recent windows to 6 non-mesh peers.  Call it at the sampler's
     round cadence. *)
 
+(* lint: allow D12 — test seam: the mesh that grafts, prunes and
+   heartbeats maintain, which no output shows. *)
 val eager_peers : t -> Basalt_proto.Node_id.t list
 (** [eager_peers t] is the current mesh, in insertion order. *)
-
-val eager_degree : t -> int
-(** [eager_degree t] is [List.length (eager_peers t)]. *)
 
 val stats : t -> stats
 (** [stats t] reads this node's counter handles. *)

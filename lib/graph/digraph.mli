@@ -13,30 +13,8 @@ val of_views : n:int -> (int -> Basalt_proto.Node_id.t array) -> t
     view (called once per node).  Nodes may return [[||]] (e.g. malicious
     nodes whose internal state is not modelled). *)
 
-val of_adjacency : int array array -> t
-(** [of_adjacency adj] wraps an explicit adjacency (for tests); self-loops
-    and duplicates are removed.
-    @raise Invalid_argument on out-of-range targets. *)
-
 val n : t -> int
 (** Number of vertices. *)
 
 val out_neighbors : t -> int -> int array
 (** [out_neighbors g u] is the (deduplicated) out-adjacency of [u]. *)
-
-val in_degrees : t -> int array
-(** [in_degrees g] is the in-degree of every vertex. *)
-
-val transpose : t -> t
-(** [transpose g] reverses every edge. *)
-
-val edge_count : t -> int
-(** Total number of directed edges. *)
-
-val has_edge : t -> int -> int -> bool
-(** [has_edge g u v] tests for the edge [u -> v] (O(out-degree)). *)
-
-val undirected_neighbors : t -> int -> int array
-(** [undirected_neighbors g u] is the union of in- and out-neighbors of
-    [u] (computed against the transpose; prefer batching via
-    {!transpose} when calling repeatedly). *)

@@ -12,19 +12,3 @@ val is_isolated :
   bool
 (** [is_isolated ~is_malicious view] is [true] when [view] has no correct
     entry (an empty view is isolated). *)
-
-val count :
-  is_malicious:(Basalt_proto.Node_id.t -> bool) ->
-  views:(int -> Basalt_proto.Node_id.t array) ->
-  correct:int list ->
-  int
-(** [count ~is_malicious ~views ~correct] counts isolated nodes among the
-    correct node indices. *)
-
-val fraction :
-  is_malicious:(Basalt_proto.Node_id.t -> bool) ->
-  views:(int -> Basalt_proto.Node_id.t array) ->
-  correct:int list ->
-  float
-(** [fraction] is [count] divided by the number of correct nodes ([0.] if
-    none). *)

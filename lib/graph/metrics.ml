@@ -107,29 +107,6 @@ let mean_path_length ~rng ~is_malicious g =
   in
   if count = 0 then Float.nan else total /. float_of_int count
 
-let reachable_fraction ~rng ~is_malicious g =
-  let correct_total =
-    Array.length (correct_vertices ~is_malicious g)
-  in
-  if correct_total <= 1 then 1.0
-  else begin
-    let sum, runs =
-      fold_bfs ~rng ~is_malicious g
-        (fun (sum, runs) dist _source ->
-          let reached = ref 0 in
-          Array.iteri
-            (fun v d -> if d >= 0 && not (is_malicious v) then incr reached)
-            dist;
-          (* Exclude the source itself from the numerator and
-             denominator. *)
-          ( sum
-            +. (float_of_int (!reached - 1) /. float_of_int (correct_total - 1)),
-            runs + 1 ))
-        (0.0, 0)
-    in
-    if runs = 0 then 0.0 else sum /. float_of_int runs
-  end
-
 let indegrees_correct ~is_malicious g =
   let n = Digraph.n g in
   let deg = Array.make n 0 in

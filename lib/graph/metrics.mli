@@ -38,18 +38,3 @@ val indegree_decile_spread : is_malicious:(int -> bool) -> Digraph.t -> float
 (** [indegree_decile_spread ~is_malicious g] is the 90th minus the 10th
     percentile of correct vertices' in-degrees, counting only edges
     originating at correct vertices. *)
-
-val indegrees_correct : is_malicious:(int -> bool) -> Digraph.t -> int array
-(** [indegrees_correct ~is_malicious g] is the in-degree of each correct
-    vertex, counting only edges from correct vertices (the raw data behind
-    {!indegree_decile_spread}). *)
-
-val reachable_fraction :
-  rng:Basalt_prng.Rng.t ->
-  is_malicious:(int -> bool) ->
-  Digraph.t ->
-  float
-(** [reachable_fraction ~rng ~is_malicious g] is the average fraction of
-    correct vertices reachable from a sampled correct source through
-    correct vertices only — 1.0 in a healthy overlay, collapsing towards 0
-    under partition. *)

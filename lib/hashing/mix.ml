@@ -1,13 +1,3 @@
-let mix64 z =
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  Int64.(logxor z (shift_right_logical z 31))
-
-let fmix64 z =
-  let z = Int64.(mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L) in
-  Int64.(logxor z (shift_right_logical z 33))
-
 (* Native-int variant of the SplitMix64 finalizer.  Multiplication wraps
    modulo 2^63 on 64-bit OCaml, which degrades the top bits slightly; the
    final [land max_int] keeps the result non-negative and the statistical
@@ -25,12 +15,3 @@ let combine63 seed x = mix63 (seed lxor mix63 x)
    read the key cannot precompute low-ranking identifiers against it,
    yet the cost stays within one mix63 of the unkeyed path. *)
 let keyed63 ~key seed x = mix63 (key lxor mix63 (seed lxor mix63 x))
-
-let fnv1a64 s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
-  !h

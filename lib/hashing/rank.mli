@@ -62,10 +62,6 @@ val digest : int -> int
     ([Mix.mix63 id]), for batch loops that keep candidate digests in an
     [int array] (the batches {!offer_slot} scans). *)
 
-val rank_digested : backend -> int -> id:int -> digest:int -> int
-(** [rank_digested backend seed ~id ~digest] equals [rank backend seed id]
-    provided [digest = digest id]. *)
-
 val offer_slot :
   backend ->
   int ->
@@ -87,7 +83,7 @@ val offer_slot :
     [best_ranks.(i)] or the slot is empty ([holders.(i) < 0]).  The
     final best rank and holder are written back to [best_ranks.(i)] and
     [holders.(i)].  Returns the number of ranks evaluated.  Rank values
-    equal {!rank_digested}'s; the cheap backends are evaluated inline,
+    equal {!rank}'s; the cheap backends are evaluated inline,
     without a call per candidate, and {!Siphash} derives the seed's
     midstate once per call.  The one slot kernel of the repository:
     Basalt's view slots ([Basalt.update_sample], whose seen-cache

@@ -72,18 +72,6 @@ let hash_bytes ?(c = 2) ?(d = 4) key msg =
   compress s ~c !last;
   finalize s ~d
 
-let hash_string ?c ?d key msg = hash_bytes ?c ?d key (Bytes.of_string msg)
-
-let hash_int64 ?(c = 2) ?(d = 4) key x =
-  let s = init key in
-  compress s ~c x;
-  (* A single full 8-byte block, then the empty last block carrying the
-     length byte (8 mod 256) in its top byte. *)
-  compress s ~c (Int64.shift_left 8L 56);
-  finalize s ~d
-
-let hash_int ?c ?d key x = hash_int64 ?c ?d key (Int64.of_int x)
-
 let hash_int64_pair ?(c = 2) ?(d = 4) key a b =
   let s = init key in
   compress s ~c a;

@@ -19,19 +19,11 @@ val key_of_rng : Basalt_prng.Rng.t -> key
 val key_of_ints : int64 -> int64 -> key
 (** [key_of_ints k0 k1] builds a key from two explicit words. *)
 
+(* lint: allow D12 — reference: the SipHash paper's test vectors pin it,
+   and test_hashing checks the pair and midstate paths against it. *)
 val hash_bytes : ?c:int -> ?d:int -> key -> bytes -> int64
 (** [hash_bytes ~c ~d key msg] is SipHash-c-d of [msg] under [key]
     (default [c = 2], [d = 4]). *)
-
-val hash_string : ?c:int -> ?d:int -> key -> string -> int64
-(** [hash_string] is {!hash_bytes} on the bytes of a string. *)
-
-val hash_int64 : ?c:int -> ?d:int -> key -> int64 -> int64
-(** [hash_int64 ~c ~d key x] hashes the 8-byte little-endian encoding of
-    [x]; a fast path that allocates nothing. *)
-
-val hash_int : ?c:int -> ?d:int -> key -> int -> int64
-(** [hash_int key x] is [hash_int64 key (Int64.of_int x)]. *)
 
 val hash_int64_pair : ?c:int -> ?d:int -> key -> int64 -> int64 -> int64
 (** [hash_int64_pair key a b] hashes the 16-byte little-endian encoding of

@@ -106,4 +106,3 @@ let of_sockaddr = function
   | Unix.ADDR_INET (addr, port) -> Ok { addr; port }
   | Unix.ADDR_UNIX _ -> Error "unix-domain address"
 
-let equal a b = a.addr = b.addr && a.port = b.port

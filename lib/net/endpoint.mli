@@ -52,6 +52,3 @@ val to_sockaddr : t -> Unix.sockaddr
 val of_sockaddr : Unix.sockaddr -> (t, string) result
 (** [of_sockaddr sa] converts an [ADDR_INET] socket address back; [Error _]
     on any other address family. *)
-
-val equal : t -> t -> bool
-(** Equality on endpoints. *)

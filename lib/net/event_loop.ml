@@ -8,7 +8,6 @@ type t = {
   mutable watched : Unix.file_descr list;
       (* [List.map fst fds], rebuilt only when [fds] changes *)
   buffer : bytes;
-  mutable stopped : bool;
 }
 
 let buffer_size = 65_536
@@ -20,7 +19,6 @@ let create ~clock () =
     fds = [];
     watched = [];
     buffer = Bytes.create buffer_size;
-    stopped = false;
   }
 
 let now t = t.clock ()
@@ -60,8 +58,6 @@ let every t ?phase ~interval f =
   in
   Event_queue.push t.timers ~time:(now t +. phase) fire
 
-let stop t = t.stopped <- true
-
 let run_due_timers t =
   while
     (not (Event_queue.is_empty t.timers))
@@ -80,9 +76,8 @@ let rec dispatch t = function
       dispatch t rest
 
 let run_for t duration =
-  t.stopped <- false;
   let horizon = now t +. duration in
-  while (not t.stopped) && now t < horizon do
+  while now t < horizon do
     run_due_timers t;
     let next_deadline =
       if Event_queue.is_empty t.timers then horizon

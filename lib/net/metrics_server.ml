@@ -12,7 +12,6 @@ type t = {
   endpoint : Endpoint.t;
   render : unit -> string;
   mutable conns : conn list;
-  mutable requests : int;
   mutable closed : bool;
 }
 
@@ -46,7 +45,6 @@ let respond t conn =
       (String.length body) body
   in
   write_all conn.fd response;
-  t.requests <- t.requests + 1;
   drop_conn t conn
 
 let headers_complete buf =
@@ -102,7 +100,6 @@ let serve ~loop ~listen ~render () =
       endpoint;
       render;
       conns = [];
-      requests = 0;
       closed = false;
     }
   in
@@ -110,7 +107,6 @@ let serve ~loop ~listen ~render () =
   t
 
 let endpoint t = t.endpoint
-let requests t = t.requests
 
 let close t =
   if not t.closed then begin

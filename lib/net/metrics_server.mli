@@ -24,9 +24,6 @@ val serve :
 val endpoint : t -> Endpoint.t
 (** [endpoint t] is the actually-bound listen endpoint. *)
 
-val requests : t -> int
-(** [requests t] counts responses served so far. *)
-
 val close : t -> unit
 (** [close t] closes the listener and any in-flight connections.
     Idempotent. *)

@@ -242,7 +242,6 @@ let create ~config ?(obs = Obs.disabled) ?(inject_loss = 0.0)
   t
 
 let endpoint t = t.endpoint
-let id t = Endpoint.to_node_id t.endpoint
 let view t = Array.to_list (Array.map Endpoint.of_node_id (Node.view t.node))
 
 let samples t = Node.stream t.node

@@ -88,9 +88,6 @@ val create :
 val endpoint : t -> Endpoint.t
 (** [endpoint t] is the actually-bound address (resolves port 0). *)
 
-val id : t -> Basalt_proto.Node_id.t
-(** [id t] is the node's identifier (its packed endpoint). *)
-
 val view : t -> Endpoint.t list
 (** [view t] is the current view as endpoints. *)
 
@@ -117,6 +114,8 @@ val gossip_stats : t -> Basalt_gossip.Gossip.stats option
 val stats : t -> stats
 (** [stats t] returns the transport counters so far. *)
 
+(* lint: allow D12 — test seam: the RTT tracker's pending pulls, whose
+   bound over a retry window the soak tests check and no output shows. *)
 val pending_pulls : t -> int
 (** [pending_pulls t] is {!Basalt_core.Basalt.pending_pulls} of the
     node's sampler: pulls its RTT tracker still awaits.  A pull leaves

@@ -227,7 +227,6 @@ let trace t ~name fields =
   end
 
 let events t = List.rev t.events_rev
-let event_count t = t.n_events
 
 (* --- Spans --- *)
 

@@ -171,12 +171,6 @@ val trace : t -> name:string -> (string * value) list -> unit
     clock.  No-op unless {!tracing}; guard callers that allocate
     [fields] with [if Obs.tracing t then ...]. *)
 
-val events : t -> event list
-(** [events t] is all recorded events, oldest first. *)
-
-val event_count : t -> int
-(** [event_count t] is [List.length (events t)], without the list. *)
-
 (** {1 Spans}
 
     A span is a scoped region of virtual time.  {!span} opens it,
@@ -244,6 +238,20 @@ val rtt_pending : rtt -> int
     All float formatting is fixed ([%.12g]) so identical runs render
     byte-identical output regardless of parallelism. *)
 
+val float_string : float -> string
+(** [float_string x] renders [x] in the fixed format of every float this
+    module writes ([%.12g], with [".0"] appended when that shows neither
+    a point nor an exponent), so the same float always renders the same
+    bytes and reads back as a float, never an int. *)
+
+val escape_json : string -> string
+(** [escape_json s] escapes [s] for a JSON string literal: quote,
+    backslash, newline, tab and carriage return by name, other control
+    characters as [\u00XX]. *)
+
+(* lint: allow D12 — test seam: renders one hand-built event, as the
+   JSON round-trip property and test_trace's synthetic traces need;
+   programs render whole registries with events_to_jsonl. *)
 val event_to_json : ?extra:(string * value) list -> event -> string
 (** [event_to_json e] is a single-line JSON object
     [{"t":<time>,"ev":<name>,...fields}].  [extra] fields are

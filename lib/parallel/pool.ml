@@ -2,8 +2,6 @@
    design; the invariants that matter are repeated next to the code that
    maintains them. *)
 
-module Rng = Basalt_prng.Rng
-
 (* One [map] call.  [run i] evaluates task [i] and stores its result in a
    slot owned by that task alone; the only cross-task state is the claim
    counter [next] and the completion count (guarded by the pool lock). *)
@@ -100,7 +98,6 @@ let create ?domains () =
   pool.workers <- Array.init (requested - 1) (fun _ -> Domain.spawn (worker pool));
   pool
 
-let domain_count pool = Array.length pool.workers + 1
 
 let shutdown pool =
   Mutex.lock pool.lock;
@@ -118,7 +115,7 @@ let with_pool ?domains f =
 
 (* The parallel path proper.  Determinism: task [i] computes
    [f input.(i)] with no input other than that element (callers route
-   per-task randomness through [map_rng]), and slot [i] of [results] is
+   per-task randomness as streams split before the fan-out), and slot [i] of [results] is
    written only by task [i], so the contents of [results] do not depend
    on which domain ran what or in which order.  Publication is safe: a
    worker's slot write happens-before its [completed] increment under
@@ -182,13 +179,3 @@ let map ?pool f xs =
         || match xs with [] | [ _ ] -> true | _ -> false
       then List.map f xs
       else parallel_map p f xs
-
-let mapi ?pool f xs =
-  map ?pool (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)
-
-let map_rng ?pool ~rng f xs =
-  (* Split one child stream per element sequentially, before any
-     fan-out: the stream handed to task [i] depends only on [rng] and
-     [i], never on scheduling. *)
-  let tasks = List.map (fun x -> (Rng.split rng, x)) xs in
-  map ?pool (fun (r, x) -> f r x) tasks

@@ -13,7 +13,7 @@
     - {b per-task isolation} — tasks share no mutable state through the
       pool: each task reads its own input slot and writes its own result
       slot.  Randomness must come with the task (a scenario seed, or a
-      pre-split {!Basalt_prng.Rng} stream via {!map_rng}), never from a
+      {!Basalt_prng.Rng} stream split for it before the fan-out), never from a
       generator shared across tasks.
     - {b ordered collection} — results come back in input order, so
       [map ~pool f xs] is observably identical to [List.map f xs] for
@@ -40,10 +40,6 @@ val create : ?domains:int -> unit -> t
     and makes {!map} sequential.
     @raise Invalid_argument if [domains < 1]. *)
 
-val domain_count : t -> int
-(** [domain_count t] is the pool's total parallelism degree (workers
-    plus the submitting domain). *)
-
 val recommended_domains : unit -> int
 (** [recommended_domains ()] is the runtime's recommended number of
     domains for this machine ([Domain.recommended_domain_count]). *)
@@ -63,20 +59,3 @@ val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
     runs concurrently with other tasks and possibly on another domain).
     Without [pool] — or from inside a pool task, or on a 1-domain pool —
     it is exactly [List.map f xs]. *)
-
-val mapi : ?pool:t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [mapi ?pool f xs] is [List.mapi f xs] with the same contract as
-    {!map}. *)
-
-val map_rng :
-  ?pool:t ->
-  rng:Basalt_prng.Rng.t ->
-  (Basalt_prng.Rng.t -> 'a -> 'b) ->
-  'a list ->
-  'b list
-(** [map_rng ?pool ~rng f xs] gives each task its own independent
-    generator: one child stream per element is split off [rng]
-    {e sequentially on the calling domain before any fan-out}, so the
-    stream a task receives depends only on [rng]'s state and the
-    element's position — never on scheduling.  The parallel and
-    sequential paths are bit-for-bit identical. *)

@@ -1,7 +1,6 @@
 type t = Xoshiro256.t
 
 let create ~seed = Xoshiro256.create (Splitmix64.mix (Int64.of_int seed))
-let copy = Xoshiro256.copy
 let int64 = Xoshiro256.next
 
 let split t =
@@ -34,17 +33,11 @@ let int_in_range t ~lo ~hi =
   lo + int t (hi - lo + 1)
 
 let float t x = float_of_int (Xoshiro256.next_top53 t) *. 0x1.0p-53 *. x
-let bool t = Xoshiro256.next_int t land 1 = 1
 let bernoulli t ~p = float t 1.0 < p
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
@@ -88,15 +81,3 @@ let sample_indices t ~k ~n =
 let sample_without_replacement t ~k a =
   let idx = sample_indices t ~k ~n:(Array.length a) in
   Array.map (fun i -> a.(i)) idx
-
-let exponential t ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  let u = 1.0 -. float t 1.0 in
-  -.log u /. rate
-
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p out of (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))

@@ -17,9 +17,6 @@ val split : t -> t
 (** [split t] derives a new generator from [t]'s stream.  The child and
     the parent then evolve independently. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val int64 : t -> int64
 (** [int64 t] is the next raw 64-bit output. *)
 
@@ -31,15 +28,8 @@ val int : t -> int -> int
     the result is exactly uniform.  @raise Invalid_argument if
     [bound <= 0]. *)
 
-val int_in_range : t -> lo:int -> hi:int -> int
-(** [int_in_range t ~lo ~hi] is uniform in [\[lo, hi\]] (inclusive).
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)], with 53 bits of precision. *)
-
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
@@ -48,25 +38,9 @@ val pick : t -> 'a array -> 'a
 (** [pick t a] is a uniformly chosen element of [a].
     @raise Invalid_argument if [a] is empty. *)
 
-val pick_list : t -> 'a list -> 'a
-(** [pick_list t l] is a uniformly chosen element of [l].
-    @raise Invalid_argument if [l] is empty. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** [shuffle_in_place t a] permutes [a] uniformly (Fisher–Yates). *)
 
 val sample_without_replacement : t -> k:int -> 'a array -> 'a array
 (** [sample_without_replacement t ~k a] draws [min k (Array.length a)]
     distinct positions of [a], uniformly, in random order. *)
-
-val sample_indices : t -> k:int -> n:int -> int array
-(** [sample_indices t ~k ~n] draws [min k n] distinct integers from
-    [\[0, n)], uniformly, in random order. *)
-
-val exponential : t -> rate:float -> float
-(** [exponential t ~rate] draws from Exp([rate]).
-    @raise Invalid_argument if [rate <= 0]. *)
-
-val geometric : t -> p:float -> int
-(** [geometric t ~p] is the number of failures before the first success of
-    a Bernoulli([p]) sequence. @raise Invalid_argument unless [0 < p <= 1]. *)

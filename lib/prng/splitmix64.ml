@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
-let copy t = { state = t.state }
 
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in

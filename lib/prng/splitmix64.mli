@@ -11,9 +11,6 @@ type t
 val create : int64 -> t
 (** [create seed] returns a fresh generator initialised with [seed]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
 

@@ -33,7 +33,6 @@ let create seed =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_state 1L 0L 0L 0L
   else of_words s0 s1 s2 s3
 
-let copy = Bytes.copy
 
 (* One xoshiro256++ step.  Inlined into each entry point below, so the
    result reaches an [int] conversion without being boxed. *)

@@ -17,9 +17,6 @@ val of_state : int64 -> int64 -> int64 -> int64 -> t
     @raise Invalid_argument if all four words are zero (the one forbidden
     state). *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
 

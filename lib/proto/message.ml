@@ -2,7 +2,6 @@ type mid = { origin : Node_id.t; seqno : int }
 
 let mid_equal a b = Node_id.equal a.origin b.origin && Int.equal a.seqno b.seqno
 
-let pp_mid ppf m = Format.fprintf ppf "%a#%d" Node_id.pp m.origin m.seqno
 
 type t =
   | Pull_request
@@ -26,10 +25,6 @@ let kind = function
   | Graft -> "graft"
   | Prune -> "prune"
 
-let is_broadcast = function
-  | Gossip _ | Ihave _ | Iwant _ | Graft | Prune -> true
-  | Pull_request | Pull_reply _ | Push _ | Push_id _ -> false
-
 let payload_ids = function
   | Pull_request -> 0
   | Pull_reply view | Push view -> Array.length view
@@ -49,17 +44,3 @@ let bytes_on_wire m =
   | Gossip { payload; _ } -> 4 + id_size + 4 + 2 + Bytes.length payload
   | Ihave mids | Iwant mids -> 4 + (Array.length mids * (id_size + 4))
   | Graft | Prune -> 4
-
-let pp ppf m =
-  match m with
-  | Pull_request -> Format.fprintf ppf "PULL"
-  | Pull_reply view -> Format.fprintf ppf "PULL-REPLY[%d ids]" (Array.length view)
-  | Push view -> Format.fprintf ppf "PUSH[%d ids]" (Array.length view)
-  | Push_id id -> Format.fprintf ppf "PUSH-ID[%a]" Node_id.pp id
-  | Gossip { mid; hops; payload } ->
-      Format.fprintf ppf "GOSSIP[%a hops=%d %dB]" pp_mid mid hops
-        (Bytes.length payload)
-  | Ihave mids -> Format.fprintf ppf "IHAVE[%d mids]" (Array.length mids)
-  | Iwant mids -> Format.fprintf ppf "IWANT[%d mids]" (Array.length mids)
-  | Graft -> Format.fprintf ppf "GRAFT"
-  | Prune -> Format.fprintf ppf "PRUNE"

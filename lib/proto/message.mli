@@ -43,19 +43,7 @@ val kind : t -> string
 (** [kind m] is a short label ("pull", "pull-reply", "push", "push-id",
     "gossip", "ihave", "iwant", "graft", "prune"). *)
 
-val is_broadcast : t -> bool
-(** [is_broadcast m] is [true] exactly for the [lib/gossip] frames —
-    the dispatch predicate shared by the simulation driver and the UDP
-    node. *)
-
-val payload_ids : t -> int
-(** [payload_ids m] is the number of identifiers carried by [m]
-    (broadcast digests count one per [mid]). *)
-
 val bytes_on_wire : t -> int
 (** [bytes_on_wire m] estimates the datagram payload size (4 bytes per
     identifier plus a 4-byte header; broadcast frames add 4 bytes per
     sequence number, 2 per hop counter, and the payload verbatim). *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter for messages. *)

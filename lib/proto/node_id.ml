@@ -6,7 +6,3 @@ let of_int i =
 
 let to_int id = id
 let equal = Int.equal
-let compare = Int.compare
-let hash id = id
-let pp ppf id = Format.fprintf ppf "n%d" id
-let range n = Array.init n (fun i -> i)

@@ -18,16 +18,3 @@ val to_int : t -> int
 
 val equal : t -> t -> bool
 (** Equality on identifiers. *)
-
-val compare : t -> t -> int
-(** Total order on identifiers. *)
-
-val hash : t -> int
-(** [hash id] is the identifier itself — identifiers are already dense non-
-    negative integers. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [n<i>]. *)
-
-val range : int -> t array
-(** [range n] is the array of identifiers [0 .. n-1]. *)

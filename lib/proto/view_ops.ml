@@ -46,7 +46,6 @@ let distinct view =
     Array.of_list (List.rev !out)
   end
 
-let contains view id = Array.exists (Node_id.equal id) view
 
 let random_member rng view =
   if Array.length view = 0 then None
@@ -55,4 +54,3 @@ let random_member rng view =
 let random_subset rng ~k view =
   Basalt_prng.Rng.sample_without_replacement rng ~k view
 
-let union views = distinct (Array.concat views)

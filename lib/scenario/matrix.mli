@@ -26,18 +26,11 @@ type task = {
   scenario : Basalt_sim.Scenario.t;
 }
 
+(* lint: allow D12 — test seam: resolves every cell of a committed file
+   without running it, which test_scenario pins at all three scales. *)
 val tasks : ?scale:Basalt_experiments.Scale.t -> Spec.t -> task list
 (** [tasks spec] is the expanded cell × seed list in deterministic
     order: axes nest in file order, seeds innermost. *)
-
-val run_tasks :
-  ?scale:Basalt_experiments.Scale.t ->
-  ?trace:bool ->
-  ?pool:Basalt_parallel.Pool.t ->
-  Spec.t ->
-  task list * Metric.run list
-(** [run_tasks spec] executes every task (in task order, whatever the
-    pool's parallelism); [trace] enables per-run event collection. *)
 
 type row = {
   row_labels : (string * string) list;  (** Non-pivot coordinates. *)
@@ -46,24 +39,26 @@ type row = {
           group under [""]. *)
 }
 
-val rows_of :
-  ?scale:Basalt_experiments.Scale.t ->
-  Spec.t -> task list -> Metric.run list -> row list
-(** [rows_of spec ts runs] regroups the flat results into one row per
-    non-pivot cell (per cell, without a pivot). *)
-
+(* lint: allow D12 — test seam: the typed rows behind print's table,
+   compared at -j 1 and -j N and against paper bounds. *)
 val run :
   ?scale:Basalt_experiments.Scale.t ->
   ?pool:Basalt_parallel.Pool.t ->
   Spec.t ->
   row list
-(** [run spec] is [run_tasks] followed by [rows_of]. *)
+(** [run spec] executes every task of {!tasks} (in task order, whatever
+    the pool's parallelism) and regroups the flat results into one row
+    per non-pivot cell (per cell, without a pivot). *)
 
+(* lint: allow D12 — test seam: a table cell as a typed value, which
+   the tests bound and compare bit for bit. *)
 val lookup : Spec.t -> row list -> string -> int -> Metric.value
 (** [lookup spec rows header i] is metric column [header]'s value on
     table line [i], as {!columns} renders it (apply it to [spec] and
     [rows] once).  Raises [Not_found] if [header] is no metric column. *)
 
+(* lint: allow D12 — test seam: the rendered table's columns, whose
+   headers and line count the tests pin. *)
 val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
 (** [columns spec rows] is the line count and the rendered table: one
     column per non-pivot axis, then {!Spec.columns}, each cell rendered
@@ -71,6 +66,8 @@ val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
     point, with a [time] column; [(reference L)] appends the line of
     {!Metric.reference} over the first row's first group. *)
 
+(* lint: allow D12 — test seam: the (rank (prefix-diverse H A)) address
+   map, which only shapes rank values no output shows. *)
 val prefix_layout :
   honest:int -> honest_prefixes:int -> attacker_prefixes:int -> int -> int
 (** [prefix_layout ~honest ~honest_prefixes ~attacker_prefixes id] is

@@ -39,6 +39,8 @@ type histogram_stats = {
   max_over_mean : float;  (** Largest count over the mean count. *)
 }
 
+(* lint: allow D12 — test seam: the statistics of hand-built
+   histograms, which runs only produce at random. *)
 val histogram_stats : correct:int -> int array -> histogram_stats
 (** [histogram_stats ~correct hist] is the histogram metrics over the
     first [correct] entries of [hist]; the float fields are [nan] when

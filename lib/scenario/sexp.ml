@@ -9,54 +9,9 @@ type pos = { line : int; col : int }
 type t = { desc : desc; pos : pos }
 and desc = Atom of string | List of t list
 
-let no_pos = { line = 0; col = 0 }
-let atom s = { desc = Atom s; pos = no_pos }
-let list ts = { desc = List ts; pos = no_pos }
-
-let rec equal a b =
-  match (a.desc, b.desc) with
-  | Atom x, Atom y -> String.equal x y
-  | List xs, List ys -> (
-      try List.for_all2 equal xs ys with Invalid_argument _ -> false)
-  | Atom _, List _ | List _, Atom _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-
 let is_delimiter = function
   | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' | '\\' -> true
   | _ -> false
-
-(* An atom prints bare when reading it back yields the same atom: no
-   delimiters, no control or non-ASCII bytes, non-empty. *)
-let bare_atom s =
-  s <> ""
-  && String.for_all
-       (fun c -> (not (is_delimiter c)) && Char.code c > 32 && Char.code c < 127)
-       s
-
-let quote s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 || Char.code c > 126 ->
-          Buffer.add_string b (Printf.sprintf "\\%03d" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let rec to_string t =
-  match t.desc with
-  | Atom s -> if bare_atom s then s else quote s
-  | List ts -> "(" ^ String.concat " " (List.map to_string ts) ^ ")"
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -33,15 +33,3 @@ let convergence_time ?(metric = `Samples) ~optimal ~within t =
   in
   scan None t.rev_points
 
-let ever_isolated_after t t0 =
-  List.exists (fun p -> p.time >= t0 && p.isolated > 0.0) t.rev_points
-
-let mean_after field t t0 =
-  let selected =
-    List.filter_map
-      (fun p -> if p.time >= t0 then Some (field p) else None)
-      t.rev_points
-  in
-  match selected with
-  | [] -> Float.nan
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)

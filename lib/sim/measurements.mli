@@ -45,12 +45,3 @@ val convergence_time :
     below [optimal * (1 + within)] for the rest of the series — the
     definition behind Fig. 3 (convergence within 25% of the optimal
     proportion uses [within = 0.25]).  [None] if never. *)
-
-val ever_isolated_after : t -> float -> bool
-(** [ever_isolated_after series t0] is whether any measurement at time
-    [>= t0] observed at least one isolated correct node (Fig. 5's failure
-    criterion uses [t0 = steps / 2]). *)
-
-val mean_after : (point -> float) -> t -> float -> float
-(** [mean_after field series t0] averages [field] over points with
-    [time >= t0]; [nan] if none. *)

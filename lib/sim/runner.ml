@@ -89,7 +89,7 @@ let bootstrap_sample s rng ~self =
   if num_byz > 0 then draw num_byz q byz_count;
   Array.of_list !out
 
-let run_with_observer ?observer ?app ?(obs = false) ?(trace = false) s =
+let run ?observer ?app ?(obs = false) ?(trace = false) s =
   let master = Rng.create ~seed:s.Scenario.seed in
   let engine_rng = Rng.split master in
   let node_rng = Rng.split master in
@@ -377,5 +377,3 @@ let run_with_observer ?observer ?app ?(obs = false) ?(trace = false) s =
     sample_histogram;
     obs = (if Obs.enabled sink then Some sink else None);
   }
-
-let run ?app ?obs ?trace s = run_with_observer ?app ?obs ?trace s

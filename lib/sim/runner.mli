@@ -87,8 +87,18 @@ type result = {
 val is_malicious : Scenario.t -> Basalt_proto.Node_id.t -> bool
 (** [is_malicious s id] under the deterministic layout. *)
 
-val run : ?app:app -> ?obs:bool -> ?trace:bool -> Scenario.t -> result
+val run :
+  ?observer:(time:float -> views:(int -> Basalt_proto.Node_id.t array) -> unit) ->
+  ?app:app ->
+  ?obs:bool ->
+  ?trace:bool ->
+  Scenario.t ->
+  result
 (** [run s] executes the scenario to completion.
+
+    [observer] is invoked at each measurement instant with a view
+    accessor (correct nodes only; malicious indices yield [[||]]) — the
+    hook used to export snapshots or compute custom metrics.
 
     [app] installs an application layer on every correct node (see
     {!app}) — e.g. the [lib/gossip] broadcast layer driven by the
@@ -104,15 +114,3 @@ val run : ?app:app -> ?obs:bool -> ?trace:bool -> Scenario.t -> result
     (engine send/deliver/drop/ignore) stamped with virtual time.  Both
     leave the measured numbers untouched: the registry is created inside
     the run, so results stay bit-identical at any [-j N]. *)
-
-val run_with_observer :
-  ?observer:(time:float -> views:(int -> Basalt_proto.Node_id.t array) -> unit) ->
-  ?app:app ->
-  ?obs:bool ->
-  ?trace:bool ->
-  Scenario.t ->
-  result
-(** [run_with_observer ~observer s] additionally invokes [observer] at
-    each measurement instant with a view accessor (correct nodes only;
-    malicious indices yield [[||]]) — the hook used to export snapshots or
-    compute custom metrics.  [obs]/[trace] as in {!run}. *)

@@ -67,14 +67,6 @@ let refresh t =
     t.dirty <- false
   end
 
-let mean t =
-  refresh t;
-  t.cached_mean
-
-let std t =
-  refresh t;
-  t.cached_std
-
 let min_population = 10
 
 let is_outlier t ~z id =

@@ -24,18 +24,6 @@ val tick : t -> unit
     otherwise kept stale for speed: one refresh per round, not per
     observation). *)
 
-val count : t -> Basalt_proto.Node_id.t -> float
-(** [count t id] is the current decayed occurrence count of [id]. *)
-
-val observed : t -> int
-(** [observed t] is the number of identifiers currently tracked. *)
-
-val mean : t -> float
-(** [mean t] is the mean decayed count over tracked identifiers. *)
-
-val std : t -> float
-(** [std t] is the standard deviation of decayed counts. *)
-
 val is_outlier : t -> z:float -> Basalt_proto.Node_id.t -> bool
 (** [is_outlier t ~z id] is [true] when [count id > mean + z * std] and
     enough identifiers have been observed for the statistics to be

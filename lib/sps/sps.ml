@@ -34,11 +34,6 @@ let blacklisted t id =
   | Some expiry -> expiry > !(t.round)
   | None -> false
 
-let blacklist_size t =
-  Hashtbl.fold
-    (fun _ expiry acc -> if expiry > !(t.round) then acc + 1 else acc)
-    t.blacklist 0
-
 let default_config = config ()
 
 let create ?(config = default_config) ?(obs = Obs.disabled) ~id ~bootstrap

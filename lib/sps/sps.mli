@@ -26,42 +26,15 @@ val config : ?l:int -> unit -> config
     exploits.
     @raise Invalid_argument on non-positive [l]. *)
 
-type t
-(** One node's SPS state. *)
-
-val create :
-  ?config:config ->
-  ?obs:Basalt_obs.Obs.t ->
-  id:Basalt_proto.Node_id.t ->
-  bootstrap:Basalt_proto.Node_id.t array ->
-  rng:Basalt_prng.Rng.t ->
-  send:Basalt_proto.Rps.send ->
-  unit ->
-  t
-(** [create ~id ~bootstrap ~rng ~send ()] wraps a {!Classic} instance with
-    indegree tracking and outlier blacklisting.  [obs] (default disabled)
-    is threaded to the base shuffler under the [sps.] instrument prefix
-    and additionally records [sps.blacklist_adds]. *)
-
-val on_round : t -> unit
-(** [on_round t] advances the round counter, decays the indegree statistics,
-    and runs the base protocol's round. *)
-
-val on_message : t -> from:Basalt_proto.Node_id.t -> Basalt_proto.Message.t -> unit
-(** [on_message t ~from msg] screens the carried identifiers through the
-    outlier test (blacklisting offenders), then hands the message to the
-    base protocol. *)
-
-val view : t -> Basalt_proto.Node_id.t array
-(** [view t] is the base protocol's current view. *)
-
-val blacklisted : t -> Basalt_proto.Node_id.t -> bool
-(** [blacklisted t id] is [true] while [id] is currently suspected. *)
-
-val blacklist_size : t -> int
-(** [blacklist_size t] is the number of currently suspected identifiers. *)
-
 val sampler :
   ?config:config -> ?obs:Basalt_obs.Obs.t -> unit -> Basalt_proto.Rps.maker
 (** Packaged for the simulation runner, like {!Classic.sampler} but with the
-    SPS defenses enabled ([obs] is threaded to {!create}). *)
+    SPS defenses enabled: each node wraps a {!Classic} instance with
+    indegree tracking and outlier blacklisting.  A round advances the
+    round counter, decays the indegree statistics and runs the base
+    protocol's round; an incoming message's identifiers are screened
+    through the outlier test (blacklisting and evicting offenders)
+    before the base protocol consumes it, and a blacklisted sender's
+    messages are dropped.  [obs] (default disabled) is threaded to the
+    base shuffler under the [sps.] instrument prefix and additionally
+    records [sps.blacklist_adds]. *)

@@ -11,6 +11,7 @@ let rng () = Basalt_prng.Rng.create ~seed:5
 
 let malicious = Array.init 10 (fun i -> id (90 + i))
 let correct = Array.init 90 id
+let is_malicious p = Node_id.to_int p >= 90
 
 let capture () =
   let sent = ref [] in
@@ -37,19 +38,36 @@ let validation () =
     (Invalid_argument "Adversary.create: negative force") (fun () ->
       ignore (Adversary.create ~rng:(rng ()) ~malicious ~correct ~v:8 ~force:(-1.0) ~send ()))
 
+(* The forged view the coalition answers a pull request with. *)
+let pulled_view adv sent =
+  sent := [];
+  Adversary.on_message adv ~victim_reply:true ~from:(id 3) ~to_:(id 91)
+    Message.Pull_request;
+  match !sent with
+  | [ (_, _, Message.Pull_reply view) ] -> view
+  | _ -> Alcotest.fail "expected one pull reply"
+
+(* The coalition is its members: forged views draw from every one of
+   them and from nobody else. *)
 let membership () =
-  let adv, _ = make () in
-  check_bool "malicious member" true (Adversary.is_malicious adv (id 95));
-  check_bool "correct non-member" false (Adversary.is_malicious adv (id 5))
+  let adv, sent = make () in
+  let seen = Hashtbl.create 16 in
+  for _ = 1 to 50 do
+    Array.iter
+      (fun p -> Hashtbl.replace seen (Node_id.to_int p) ())
+      (pulled_view adv sent)
+  done;
+  Alcotest.(check (list int))
+    "every member, nobody else"
+    (List.init 10 (fun i -> 90 + i))
+    (List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
 
 let forged_views () =
-  let adv, _ = make () in
+  let adv, sent = make () in
   for _ = 1 to 20 do
-    let view = Adversary.malicious_view adv in
+    let view = pulled_view adv sent in
     check_int "size v" 8 (Array.length view);
-    Array.iter
-      (fun p -> check_bool "all malicious" true (Adversary.is_malicious adv p))
-      view
+    Array.iter (fun p -> check_bool "all malicious" true (is_malicious p)) view
   done
 
 let pull_answered () =
@@ -61,7 +79,7 @@ let pull_answered () =
       check_int "reply from the queried malicious node" 91 (Node_id.to_int src);
       check_int "reply to requester" 3 (Node_id.to_int dst);
       Array.iter
-        (fun p -> check_bool "forged ids" true (Adversary.is_malicious adv p))
+        (fun p -> check_bool "forged ids" true (is_malicious p))
         view
   | _ -> Alcotest.fail "expected one pull reply"
 
@@ -87,12 +105,12 @@ let flood_volume () =
   check_int "counter" 20 (Adversary.pushes_sent adv);
   List.iter
     (fun (src, dst, msg) ->
-      check_bool "from malicious" true (Adversary.is_malicious adv src);
-      check_bool "to correct" false (Adversary.is_malicious adv dst);
+      check_bool "from malicious" true (is_malicious src);
+      check_bool "to correct" false (is_malicious dst);
       match msg with
       | Message.Push view ->
           Array.iter
-            (fun p -> check_bool "payload malicious" true (Adversary.is_malicious adv p))
+            (fun p -> check_bool "payload malicious" true (is_malicious p))
             view
       | _ -> Alcotest.fail "flood must use pushes")
     !sent
@@ -127,10 +145,6 @@ let silent_sends_nothing () =
     Message.Pull_request;
   check_int "answers pulls" 1 (List.length !sent)
 
-let strategy_accessor () =
-  let adv, _ = make ~strategy:Adversary.Silent () in
-  check_bool "strategy" true (Adversary.strategy adv = Adversary.Silent)
-
 
 let prop_forged_views_malicious =
   QCheck2.Test.make ~name:"forged views contain only coalition members"
@@ -138,13 +152,13 @@ let prop_forged_views_malicious =
     ~print:QCheck2.Print.int
     (QCheck2.Gen.int_bound 10_000)
     (fun seed ->
-      let send ~src:_ ~dst:_ _ = () in
+      let sent, send = capture () in
       let adv =
         Adversary.create
           ~rng:(Basalt_prng.Rng.create ~seed)
           ~malicious ~correct ~v:8 ~force:1.0 ~send ()
       in
-      Array.for_all (Adversary.is_malicious adv) (Adversary.malicious_view adv))
+      Array.for_all is_malicious (pulled_view adv sent))
 
 let () =
   Alcotest.run "adversary"
@@ -162,7 +176,6 @@ let () =
           Alcotest.test_case "eclipse targets victim" `Quick
             eclipse_targets_victim;
           Alcotest.test_case "silent" `Quick silent_sends_nothing;
-          Alcotest.test_case "strategy accessor" `Quick strategy_accessor;
           Prop.case ~suite:"adversary" prop_forged_views_malicious;
         ] );
     ]

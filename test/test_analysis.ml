@@ -13,7 +13,7 @@ let close ?(tol = 1e-6) msg a b = check_bool msg true (Float.abs (a -. b) < tol)
 let stats_mean_var () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
   check_float "mean" 2.5 (Stats.mean xs);
-  check_float "variance" 1.25 (Stats.variance xs);
+  check_float "variance" 1.25 (Stats.stddev xs ** 2.0);
   close "stddev" (sqrt 1.25) (Stats.stddev xs);
   check_bool "empty mean nan" true (Float.is_nan (Stats.mean [||]))
 
@@ -32,17 +32,13 @@ let stats_min_max () =
   check_float "min" (-1.0) lo;
   check_float "max" 3.0 hi
 
-let stats_confidence () =
-  let xs = Array.make 100 5.0 in
-  check_float "constant data zero width" 0.0 (Stats.confidence95 xs)
-
 let stats_online_matches_batch () =
   let xs = [| 1.5; -2.0; 7.25; 0.0; 3.125 |] in
   let o = Stats.Online.create () in
   Array.iter (Stats.Online.add o) xs;
   check_int "count" 5 (Stats.Online.count o);
   close "online mean" (Stats.mean xs) (Stats.Online.mean o);
-  close "online variance" (Stats.variance xs) (Stats.Online.variance o);
+  close "online variance" (Stats.stddev xs ** 2.0) (Stats.Online.variance o);
   close "online stddev" (Stats.stddev xs) (Stats.Online.stddev o)
 
 let stats_online_empty () =
@@ -51,18 +47,21 @@ let stats_online_empty () =
 
 (* --- Ode --- *)
 
+let final ~f ~y0 ~t0 ~t1 ~dt =
+  snd (List.nth (List.rev (Ode.solve ~f ~y0 ~t0 ~t1 ~dt)) 0)
+
 let ode_exponential_growth () =
   (* y' = y, y(0) = 1 -> y(1) = e *)
-  let y1 = Ode.final ~f:(fun ~t:_ ~y -> y) ~y0:1.0 ~t0:0.0 ~t1:1.0 ~dt:0.01 in
+  let y1 = final ~f:(fun ~t:_ ~y -> y) ~y0:1.0 ~t0:0.0 ~t1:1.0 ~dt:0.01 in
   close ~tol:1e-6 "e" (Float.exp 1.0) y1
 
 let ode_decay () =
-  let y1 = Ode.final ~f:(fun ~t:_ ~y -> -2.0 *. y) ~y0:1.0 ~t0:0.0 ~t1:1.0 ~dt:0.01 in
+  let y1 = final ~f:(fun ~t:_ ~y -> -2.0 *. y) ~y0:1.0 ~t0:0.0 ~t1:1.0 ~dt:0.01 in
   close ~tol:1e-6 "e^-2" (Float.exp (-2.0)) y1
 
 let ode_time_dependent () =
   (* y' = t, y(0)=0 -> y(2) = 2 *)
-  let y = Ode.final ~f:(fun ~t ~y:_ -> t) ~y0:0.0 ~t0:0.0 ~t1:2.0 ~dt:0.1 in
+  let y = final ~f:(fun ~t ~y:_ -> t) ~y0:0.0 ~t0:0.0 ~t1:2.0 ~dt:0.1 in
   close ~tol:1e-9 "t^2/2" 2.0 y
 
 let ode_trajectory_endpoints () =
@@ -95,12 +94,6 @@ let model_counts () =
   check_float "b_max" 1000.0 (Model.b_max base);
   check_float "q" 9000.0 (Model.q base)
 
-let model_b_c_inverse () =
-  List.iter
-    (fun c ->
-      close "c -> b -> c round trip" c (Model.c_of_b base (Model.b_of_c base c)))
-    [ 1.0; 100.0; 5000.0 ]
-
 let model_equilibria_are_roots () =
   match Model.equilibria base with
   | None -> Alcotest.fail "base scenario must have equilibria"
@@ -108,7 +101,7 @@ let model_equilibria_are_roots () =
       close ~tol:1e-9 "dB/dt(B1) = 0" 0.0 (Model.db_dt base ~b:b1);
       close ~tol:1e-9 "dB/dt(B2) = 0" 0.0 (Model.db_dt base ~b:b2);
       check_bool "ordered" true (b1 < b2);
-      check_bool "B1 above optimum" true (b1 > Model.optimal base);
+      check_bool "B1 above optimum" true (b1 > base.Model.f);
       check_bool "B2 below 1" true (b2 < 1.0)
 
 let model_db_dt_signs () =
@@ -140,26 +133,13 @@ let model_trajectory_converges_to_b1 () =
       | (_, b_final) :: _ -> close ~tol:1e-3 "converges to B1" b1 b_final
       | [] -> Alcotest.fail "empty trajectory")
 
-let model_view_size_for () =
-  let v = Model.view_size_for base ~target_b:0.15 in
-  check_bool "found" true (v > 0);
-  (match Model.steady_state { base with Model.v } with
-  | Some b1 -> check_bool "meets target" true (b1 <= 0.15)
-  | None -> Alcotest.fail "should be stable");
-  (* one smaller view must miss the target (minimality) *)
-  (match Model.steady_state { base with Model.v = v - 1 } with
-  | Some b1 -> check_bool "v-1 misses" true (b1 > 0.15)
-  | None -> ());
-  Alcotest.check_raises "unreachable target"
-    (Invalid_argument "Model.view_size_for: target below the optimum f")
-    (fun () -> ignore (Model.view_size_for base ~target_b:0.05))
-
 let model_dc_dt_balance () =
   (* At c corresponding to B1, dc/dt = 0 as well (consistency of Eqs 13/14). *)
   match Model.steady_state base with
   | None -> Alcotest.fail "expected B1"
   | Some b1 ->
-      let c1 = Model.c_of_b base b1 in
+      (* Corollary 3.2 inverted: B = b_max / (b_max + c). *)
+      let c1 = Model.b_max base *. (1.0 -. b1) /. b1 in
       close ~tol:1e-6 "dc/dt(c1) = 0" 0.0 (Model.dc_dt base ~c:c1)
 
 (* --- Isolation bounds (the paper's §3.3.1 worked examples) --- *)
@@ -182,10 +162,9 @@ let bound_joining_monotone_in_v () =
 let bound_reset_paper_example () =
   let env = Model.env ~n:10_000 ~f:0.1 ~v:100 () in
   (* Paper: B^{v-k} < 1e-10 as soon as c > 585 (v=100, k=50). *)
-  check_bool "c=585 is about the threshold" true
-    (Isolation_bound.reset_isolation_probability ~env ~k:50 ~c:586.0 < 1e-10);
-  check_bool "c=500 is not enough" true
-    (Isolation_bound.reset_isolation_probability ~env ~k:50 ~c:500.0 > 1e-10)
+  let c = Isolation_bound.safe_c_threshold ~env ~k:50 ~target:1e-10 in
+  check_bool "c=586 is enough" true (c <= 586.0);
+  check_bool "c=500 is not enough" true (c > 500.0)
 
 let bound_delta_c_paper_example () =
   let env = Model.env ~n:10_000 ~f:0.1 ~v:100 () in
@@ -202,40 +181,58 @@ let bound_safe_threshold () =
     (Isolation_bound.safe_c_threshold ~env:(Model.env ~f:0.0 ()) ~k:50
        ~target:1e-10)
 
+(* Eq. (10): correct identifiers received between two resets,
+   (k/rho)(v/tau) c0/(fn+c0) (1-f). *)
+let received ~env ~k ~c0 =
+  let fn = Model.b_max env in
+  float_of_int k /. env.Model.rho
+  *. (float_of_int env.Model.v /. env.Model.tau)
+  *. (c0 /. (fn +. c0))
+  *. (1.0 -. env.Model.f)
+
 let bound_coupon () =
-  (* Collecting all q coupons from scratch: q * H_q. *)
-  let q = 10.0 in
-  let expected =
-    Isolation_bound.coupon_expected_trials ~q ~c0:0.0 ~delta:10
-  in
-  let harmonic = List.fold_left (fun acc i -> acc +. (1.0 /. float_of_int i)) 0.0
-      [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
-  close ~tol:1e-9 "coupon collector total" (q *. harmonic) expected;
-  check_bool "more known, fewer trials for one more" true
-    (Isolation_bound.coupon_expected_trials ~q ~c0:0.0 ~delta:1
-    < Isolation_bound.coupon_expected_trials ~q ~c0:9.0 ~delta:1);
-  Alcotest.check_raises "delta too large"
-    (Invalid_argument "Isolation_bound.coupon_expected_trials: delta too large")
-    (fun () -> ignore (Isolation_bound.coupon_expected_trials ~q ~c0:5.0 ~delta:6))
+  (* Eq. (9), the coupon collector: learning the Eq. (12) bound's
+     delta_c new identifiers from c0 known out of q takes no more than
+     the Eq. (10) receptions a reset interval grants. *)
+  let env = Model.env ~n:10_000 ~f:0.1 ~v:100 () in
+  let q = Model.q env and c0 = 125.0 in
+  let dc = Isolation_bound.delta_c_lower_bound ~env ~k:50 ~c0 in
+  let trials = ref 0.0 in
+  for i = 0 to int_of_float dc - 1 do
+    trials := !trials +. (q /. (q -. c0 -. float_of_int i))
+  done;
+  check_bool "expected trials within the receptions" true
+    (!trials <= received ~env ~k:50 ~c0)
 
 let bound_received_between_resets () =
+  (* Eq. (12) is Eq. (10)'s receptions R thinned by repeats:
+     delta_c = R (q - c0) / (q + R). *)
   let env = Model.env ~n:10_000 ~f:0.1 ~v:100 () in
-  let r = Isolation_bound.identifiers_received_between_resets ~env ~k:50 ~c0:125.0 in
-  (* (k/rho)(v/tau) c0/(fn+c0) (1-f) = 50*100*(125/1125)*0.9 = 500 *)
-  close ~tol:1e-6 "paper formula" 500.0 r
+  let r = received ~env ~k:50 ~c0:125.0 in
+  (* 50*100*(125/1125)*0.9 = 500 *)
+  close ~tol:1e-6 "paper formula" 500.0 r;
+  let q = Model.q env in
+  close ~tol:1e-6 "delta_c from the receptions"
+    (r *. (q -. 125.0) /. (q +. r))
+    (Isolation_bound.delta_c_lower_bound ~env ~k:50 ~c0:125.0)
 
 (* --- Fit --- *)
 
 let fit_linear () =
-  (* y = 2x + 1 exactly. *)
-  let pts = List.init 10 (fun i -> (float_of_int i, (2.0 *. float_of_int i) +. 1.0)) in
-  (match Fit.linear pts with
-  | Some (slope, intercept) ->
-      close "slope" 2.0 slope;
-      close "intercept" 1.0 intercept
-  | None -> Alcotest.fail "expected fit");
-  check_bool "single point" true (Fit.linear [ (1.0, 1.0) ] = None);
-  check_bool "vertical data" true (Fit.linear [ (1.0, 1.0); (1.0, 2.0) ] = None)
+  (* A gap of exactly 0.4 e^{-t/5} over a plateau the last quarter
+     holds exactly: the log-linear least squares is exact. *)
+  let series =
+    List.init 20 (fun i ->
+        let t = float_of_int i in
+        (t, if i < 15 then 0.1 +. (0.4 *. Float.exp (-.t /. 5.0)) else 0.1))
+  in
+  match Fit.exponential_decay series with
+  | Some fit ->
+      close "tau" 5.0 fit.Fit.tau;
+      close "y0" 0.5 fit.Fit.y0;
+      close "plateau" 0.1 fit.Fit.y_inf;
+      close "exact fit" 1.0 fit.Fit.r_square
+  | None -> Alcotest.fail "expected fit"
 
 let fit_exponential_recovers_tau () =
   (* Synthesize y(t) = 0.1 + 0.4 e^{-t/15} and recover tau = 15. *)
@@ -296,7 +293,6 @@ let () =
           Alcotest.test_case "mean/var" `Quick stats_mean_var;
           Alcotest.test_case "percentiles" `Quick stats_percentiles;
           Alcotest.test_case "min/max" `Quick stats_min_max;
-          Alcotest.test_case "confidence" `Quick stats_confidence;
           Alcotest.test_case "online matches batch" `Quick
             stats_online_matches_batch;
           Alcotest.test_case "online empty" `Quick stats_online_empty;
@@ -314,7 +310,6 @@ let () =
         [
           Alcotest.test_case "env validation" `Quick model_env_validation;
           Alcotest.test_case "counts" `Quick model_counts;
-          Alcotest.test_case "b/c inverse" `Quick model_b_c_inverse;
           Alcotest.test_case "equilibria are roots" `Quick
             model_equilibria_are_roots;
           Alcotest.test_case "db/dt signs" `Quick model_db_dt_signs;
@@ -323,7 +318,6 @@ let () =
           Alcotest.test_case "paper base value" `Quick model_paper_base_value;
           Alcotest.test_case "trajectory converges" `Quick
             model_trajectory_converges_to_b1;
-          Alcotest.test_case "view_size_for" `Quick model_view_size_for;
           Alcotest.test_case "dc/dt balance" `Quick model_dc_dt_balance;
         ] );
       ( "isolation_bound",

@@ -12,9 +12,7 @@ let sb_color_helpers () =
   check_bool "equal" true (Snowball.color_equal Snowball.Red Snowball.Red);
   check_bool "not equal" false (Snowball.color_equal Snowball.Red Snowball.Blue);
   check_bool "opposite" true
-    (Snowball.color_equal (Snowball.opposite Snowball.Red) Snowball.Blue);
-  Alcotest.(check string) "pp" "red"
-    (Format.asprintf "%a" Snowball.pp_color Snowball.Red)
+    (Snowball.color_equal (Snowball.opposite Snowball.Red) Snowball.Blue)
 
 let votes color n = List.init n (fun _ -> color)
 
@@ -23,32 +21,37 @@ let sb_initial_state () =
   check_bool "prefers initial" true
     (Snowball.color_equal (Snowball.preference t) Snowball.Red);
   check_bool "undecided" false (Snowball.decided t);
-  check_bool "no decision" true (Snowball.decision t = None);
-  check_int "no confidence" 0 (Snowball.confidence t Snowball.Red)
+  check_bool "no decision" true (Snowball.decision t = None)
 
 let sb_quorum_updates () =
   let t = Snowball.create Snowball.Red in
   Snowball.register_votes t (votes Snowball.Blue 7 @ votes Snowball.Red 3);
-  check_int "blue confidence" 1 (Snowball.confidence t Snowball.Blue);
   check_bool "preference flipped" true
-    (Snowball.color_equal (Snowball.preference t) Snowball.Blue);
-  check_int "streak" 1 (Snowball.streak t)
+    (Snowball.color_equal (Snowball.preference t) Snowball.Blue)
+
+(* The streak is seen through finality: beta = 12 consecutive quorums
+   for one color decide, so a reset shows as a later decision. *)
+let quorums t color n =
+  for _ = 1 to n do
+    Snowball.register_votes t (votes color 8)
+  done
 
 let sb_no_quorum_resets_streak () =
   let t = Snowball.create Snowball.Red in
-  Snowball.register_votes t (votes Snowball.Red 8);
-  check_int "streak 1" 1 (Snowball.streak t);
+  quorums t Snowball.Red 1;
   Snowball.register_votes t (votes Snowball.Red 5 @ votes Snowball.Blue 5);
-  check_int "streak reset on no quorum" 0 (Snowball.streak t);
-  check_bool "still undecided" false (Snowball.decided t)
+  quorums t Snowball.Red 11;
+  check_bool "streak reset on no quorum" false (Snowball.decided t);
+  quorums t Snowball.Red 1;
+  check_bool "decided after 12 fresh quorums" true (Snowball.decided t)
 
 let sb_color_flip_restarts_streak () =
   let t = Snowball.create Snowball.Red in
-  Snowball.register_votes t (votes Snowball.Red 8);
-  Snowball.register_votes t (votes Snowball.Red 8);
-  check_int "streak 2" 2 (Snowball.streak t);
-  Snowball.register_votes t (votes Snowball.Blue 8);
-  check_int "streak restarted at 1" 1 (Snowball.streak t)
+  quorums t Snowball.Red 2;
+  quorums t Snowball.Blue 11;
+  check_bool "streak restarted at the flip" false (Snowball.decided t);
+  quorums t Snowball.Blue 1;
+  check_bool "decided blue" true (Snowball.decision t = Some Snowball.Blue)
 
 let sb_decides_after_beta () =
   let t = Snowball.create Snowball.Blue in
@@ -86,7 +89,7 @@ let dag_genesis () =
   let d = Tx_dag.create () in
   check_bool "genesis known" true (Tx_dag.known d 0);
   check_bool "genesis accepted" true (Tx_dag.accepted d 0);
-  check_bool "genesis preferred" true (Tx_dag.is_preferred d 0);
+  check_bool "genesis preferred" true (Tx_dag.is_strongly_preferred d 0);
   check_int "one tx" 1 (List.length (Tx_dag.transactions d))
 
 let dag_insert () =
@@ -103,11 +106,11 @@ let dag_conflict_sets () =
   ignore (Tx_dag.insert d (tx 1 [ 0 ] 7));
   ignore (Tx_dag.insert d (tx 2 [ 0 ] 7));
   ignore (Tx_dag.insert d (tx 3 [ 0 ] 8));
-  Alcotest.(check (list int)) "set of 7" [ 1; 2 ] (Tx_dag.conflict_set d (tx 1 [ 0 ] 7));
-  (* First inserted member is initially preferred. *)
-  check_bool "first preferred" true (Tx_dag.is_preferred d 1);
-  check_bool "second not" false (Tx_dag.is_preferred d 2);
-  check_bool "singleton preferred" true (Tx_dag.is_preferred d 3)
+  (* First inserted member is initially preferred; with genesis as the
+     only parent, preferred and strongly preferred coincide. *)
+  check_bool "first preferred" true (Tx_dag.is_strongly_preferred d 1);
+  check_bool "second not" false (Tx_dag.is_strongly_preferred d 2);
+  check_bool "singleton preferred" true (Tx_dag.is_strongly_preferred d 3)
 
 let dag_strong_preference () =
   let d = Tx_dag.create () in
@@ -116,27 +119,33 @@ let dag_strong_preference () =
   ignore (Tx_dag.insert d (tx 3 [ 2 ] 8));
   (* tx 3 sits on the *non-preferred* branch: not strongly preferred
      even though its own set is singleton. *)
-  check_bool "own set ok" true (Tx_dag.is_preferred d 3);
   check_bool "ancestor not preferred" false (Tx_dag.is_strongly_preferred d 3);
   (* Flip the conflict by giving tx 2 chits. *)
   Tx_dag.record_query_success d 2;
-  check_bool "preference flipped" true (Tx_dag.is_preferred d 2);
+  check_bool "preference flipped" true (Tx_dag.is_strongly_preferred d 2);
   check_bool "now strongly preferred" true (Tx_dag.is_strongly_preferred d 3)
 
 let dag_confidence_progeny () =
+  (* Confidence is seen through preference: txs 1 and 2 conflict, and
+     the chits of their descendants decide which one is preferred. *)
   let d = Tx_dag.create () in
   ignore (Tx_dag.insert d (tx 1 [ 0 ] 7));
-  ignore (Tx_dag.insert d (tx 2 [ 1 ] 8));
-  ignore (Tx_dag.insert d (tx 3 [ 2 ] 9));
-  Tx_dag.record_query_success d 3;
+  ignore (Tx_dag.insert d (tx 2 [ 0 ] 7));
+  ignore (Tx_dag.insert d (tx 3 [ 2 ] 8));
+  ignore (Tx_dag.insert d (tx 4 [ 3 ] 9));
+  ignore (Tx_dag.insert d (tx 5 [ 1 ] 10));
+  check_bool "first inserted preferred" true (Tx_dag.is_strongly_preferred d 1);
+  Tx_dag.record_query_success d 4;
   (* One chit on the leaf counts toward every ancestor's confidence. *)
-  check_int "leaf" 1 (Tx_dag.confidence d 3);
-  check_int "middle" 1 (Tx_dag.confidence d 2);
-  check_int "root of chain" 1 (Tx_dag.confidence d 1);
-  Tx_dag.record_query_success d 2;
-  check_int "chits accumulate" 2 (Tx_dag.confidence d 1);
-  check_bool "chit recorded" true (Tx_dag.chit d 3);
-  check_bool "no chit" false (Tx_dag.chit d 1)
+  check_bool "a grandchild's chit flips the conflict" true
+    (Tx_dag.is_strongly_preferred d 2);
+  check_bool "the whole branch preferred" true
+    (Tx_dag.is_strongly_preferred d 4);
+  Tx_dag.record_query_success d 1;
+  check_bool "a tie keeps the incumbent" true (Tx_dag.is_strongly_preferred d 2);
+  Tx_dag.record_query_success d 5;
+  check_bool "chits accumulate over progeny" true
+    (Tx_dag.is_strongly_preferred d 1)
 
 let dag_acceptance_rules () =
   let d = Tx_dag.create () in
@@ -149,12 +158,12 @@ let dag_acceptance_rules () =
   done;
   (* After 7 descendant successes (plus none for itself), tx 1 has
      count >= beta1 = 5 in a singleton set. *)
-  check_bool "safe early commitment" true (Tx_dag.accepted ~beta1:5 ~beta2:20 d 1);
-  check_bool "not under larger beta1" false
-    (Tx_dag.accepted ~beta1:10 ~beta2:20 d 1);
+  check_bool "safe early commitment" true (Tx_dag.accepted d 1);
+  (* tx 5 has 4 consecutive successes, one short of beta1. *)
+  check_bool "not before beta1" false (Tx_dag.accepted d 5);
   (* A failure resets the streak. *)
   Tx_dag.record_query_failure d 8;
-  check_bool "reset by failure" false (Tx_dag.accepted ~beta1:5 ~beta2:20 d 1)
+  check_bool "reset by failure" false (Tx_dag.accepted d 1)
 
 let dag_acceptance_needs_ancestors () =
   let d = Tx_dag.create () in
@@ -165,9 +174,13 @@ let dag_acceptance_needs_ancestors () =
   for _ = 1 to 6 do
     Tx_dag.record_query_success d 3
   done;
-  (* tx 3 has plenty of successes but its parent's set is conflicted and
-     lacks beta2 consecutive successes. *)
-  check_bool "parent gates acceptance" false (Tx_dag.accepted ~beta1:5 ~beta2:20 d 3)
+  (* tx 3 has beta1 successes but its parent's set is conflicted and
+     lacks beta2 = 8 consecutive successes. *)
+  check_bool "parent gates acceptance" false (Tx_dag.accepted d 3);
+  for _ = 1 to 2 do
+    Tx_dag.record_query_success d 3
+  done;
+  check_bool "accepted once the parent has beta2" true (Tx_dag.accepted d 3)
 
 let dag_ancestor_closure () =
   let d = Tx_dag.create () in
@@ -182,13 +195,6 @@ let dag_ancestor_closure () =
   List.iter
     (fun t -> check_bool "replay ok" true (Result.is_ok (Tx_dag.insert d2 t)))
     closure
-
-let dag_frontier () =
-  let d = Tx_dag.create () in
-  check_bool "genesis is the frontier" true (Tx_dag.frontier d = [ 0 ]);
-  ignore (Tx_dag.insert d (tx 1 [ 0 ] 7));
-  ignore (Tx_dag.insert d (tx 2 [ 1 ] 8));
-  Alcotest.(check (list int)) "single leaf" [ 2 ] (Tx_dag.frontier d)
 
 (* Property: for any randomly grown DAG, every transaction's ancestor
    closure replays cleanly into a fresh DAG (parents always precede
@@ -366,7 +372,6 @@ let () =
           Alcotest.test_case "acceptance needs ancestors" `Quick
             dag_acceptance_needs_ancestors;
           Alcotest.test_case "ancestor closure" `Quick dag_ancestor_closure;
-          Alcotest.test_case "frontier" `Quick dag_frontier;
           Prop.case ~suite:"tx_dag" prop_closure_replayable;
         ] );
       ( "dag_network",

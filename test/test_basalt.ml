@@ -10,6 +10,14 @@ let check_bool = Alcotest.(check bool)
 let id = Node_id.of_int
 let rng () = Basalt_prng.Rng.create ~seed:1234
 
+(* A node driven the way programs drive it: through its [Rps.t]. *)
+let on_round t = (Basalt.to_rps t).Basalt_proto.Rps.on_round ()
+
+let on_message t ~from msg =
+  (Basalt.to_rps t).Basalt_proto.Rps.on_message ~from msg
+
+let count obs name = Basalt_obs.Obs.Counter.value (Basalt_obs.Obs.counter obs name)
+
 (* --- Config --- *)
 
 let config_defaults () =
@@ -34,16 +42,20 @@ let config_validation () =
 
 let config_intervals () =
   let c = Config.make ~v:100 ~k:50 ~rho:2.0 () in
-  Alcotest.(check (float 1e-9)) "refresh = k/rho" 25.0 (Config.refresh_interval c);
-  Alcotest.(check (float 1e-9)) "lifetime = v/rho" 50.0 (Config.slot_lifetime c)
+  Alcotest.(check (float 1e-9)) "refresh = k/rho" 25.0 (Config.refresh_interval c)
 
+(* Eq. (16)'s discriminant for a config's view size and sampling rate:
+   the model of [Basalt_analysis.Model] finds a stable point for the
+   paper's base view, none for a tiny one. *)
 let config_equilibrium () =
-  let c = Config.make ~v:160 () in
-  check_bool "paper base has equilibrium" true
-    (Config.equilibrium_exists c ~n:10_000 ~f:0.1);
-  let tiny = Config.make ~v:10 () in
-  check_bool "tiny view has none" false
-    (Config.equilibrium_exists tiny ~n:10_000 ~f:0.1)
+  let exists (c : Config.t) =
+    Basalt_analysis.Model.equilibria
+      (Basalt_analysis.Model.env ~n:10_000 ~f:0.1 ~v:c.Config.v
+         ~rho:c.Config.rho ())
+    <> None
+  in
+  check_bool "paper base has equilibrium" true (exists (Config.make ~v:160 ()));
+  check_bool "tiny view has none" false (exists (Config.make ~v:10 ()))
 
 (* --- Slot kernel ---
 
@@ -174,11 +186,16 @@ let basalt_bootstrap_fills_view () =
     view
 
 let basalt_empty_bootstrap () =
-  let t = make_basalt ~bootstrap:[||] () in
+  let sent, send = capture_send () in
+  let t =
+    Basalt.create ~config:(Config.make ~v:8 ~k:2 ()) ~id:(id 0)
+      ~bootstrap:[||] ~rng:(rng ()) ~send ()
+  in
   check_int "empty view" 0 (Array.length (Basalt.view t));
-  check_bool "no peer" true (Basalt.select_peer t = None);
-  (* on_round with empty view must not crash or send *)
-  Basalt.on_round t
+  (* on_round with empty view must not crash, and finds no peer to
+     send to *)
+  on_round t;
+  check_int "no peer" 0 (List.length !sent)
 
 let basalt_excludes_self () =
   let t = make_basalt ~bootstrap:[| id 0; id 0; id 3 |] () in
@@ -205,12 +222,18 @@ let basalt_update_sample_converges () =
     (Array.map Node_id.to_int (Basalt.view t))
 
 let basalt_select_peer_member () =
-  let t = make_basalt () in
-  match Basalt.select_peer t with
-  | Some p ->
-      check_bool "selected from view" true
-        (Basalt_proto.View_ops.contains (Basalt.view t) p)
-  | None -> Alcotest.fail "view non-empty"
+  let sent, send = capture_send () in
+  let t =
+    Basalt.create ~config:(Config.make ~v:8 ~k:2 ()) ~id:(id 0)
+      ~bootstrap:(Array.init 5 (fun i -> id (i + 1)))
+      ~rng:(rng ()) ~send ()
+  in
+  on_round t;
+  check_int "a peer for the pull and one for the push" 2 (List.length !sent);
+  List.iter
+    (fun (p, _) ->
+      check_bool "selected from view" true (Array.mem p (Basalt.view t)))
+    !sent
 
 let basalt_on_round_sends () =
   let sent, send = capture_send () in
@@ -221,12 +244,11 @@ let basalt_on_round_sends () =
       ~bootstrap:(Array.init 5 (fun i -> id (i + 1)))
       ~rng:(rng ()) ~send ()
   in
-  Basalt.on_round t;
+  on_round t;
   check_int "two messages per round" 2 (List.length !sent);
   let kinds = List.map (fun (_, m) -> Message.kind m) !sent in
   check_bool "one push" true (List.mem "push" kinds);
-  check_bool "one pull" true (List.mem "pull" kinds);
-  check_int "rounds counted" 1 (Basalt.rounds_executed t)
+  check_bool "one pull" true (List.mem "pull" kinds)
 
 let basalt_pull_answered () =
   let sent, send = capture_send () in
@@ -237,7 +259,7 @@ let basalt_pull_answered () =
       ~bootstrap:[| id 1; id 2 |]
       ~rng:(rng ()) ~send ()
   in
-  Basalt.on_message t ~from:(id 9) Message.Pull_request;
+  on_message t ~from:(id 9) Message.Pull_request;
   match !sent with
   | [ (dst, Message.Pull_reply view) ] ->
       check_int "reply to requester" 9 (Node_id.to_int dst);
@@ -248,15 +270,20 @@ let basalt_push_includes_sender () =
   let t = make_basalt ~v:64 ~bootstrap:[| id 1 |] () in
   (* A push from node 7 carrying nothing new: sender itself must be
      considered (Alg. 1 line 13). *)
-  Basalt.on_message t ~from:(id 7) (Message.Push [||]);
+  on_message t ~from:(id 7) (Message.Push [||]);
   check_bool "sender entered some slot" true
-    (Basalt_proto.View_ops.contains (Basalt.view t) (id 7))
+    (Array.mem (id 7) (Basalt.view t))
 
 let basalt_sample_tick_emits () =
-  let t = make_basalt ~v:8 ~k:3 () in
+  let obs = Basalt_obs.Obs.create () in
+  let t =
+    Basalt.create ~config:(Config.make ~v:8 ~k:3 ()) ~obs ~id:(id 0)
+      ~bootstrap:(Array.init 5 (fun i -> id (i + 1)))
+      ~rng:(rng ()) ~send:(fun ~dst:_ _ -> ()) ()
+  in
   let samples = Basalt.sample_tick t in
   check_int "k samples when slots filled" 3 (List.length samples);
-  check_int "counter" 3 (Basalt.samples_emitted t);
+  check_int "counter" 3 (count obs "basalt.samples_emitted");
   (* After the tick the view is still full: line 19 re-offered the
      snapshot to the reset slots. *)
   check_int "view refilled" 8 (Array.length (Basalt.view t))
@@ -296,9 +323,8 @@ let basalt_flood_resistance () =
   let flood = Array.init 10 (fun i -> id (1000 + i)) in
   Basalt.update_sample t flood;
   let count_flood () =
-    Basalt_proto.View_ops.count
-      (fun p -> Node_id.to_int p >= 1000)
-      (Basalt.view t)
+    List.length
+      (List.filter (fun p -> Node_id.to_int p >= 1000) (Array.to_list (Basalt.view t)))
   in
   let after_once = count_flood () in
   for _ = 1 to 100 do
@@ -307,7 +333,7 @@ let basalt_flood_resistance () =
   check_int "flooding again gains nothing" after_once (count_flood ())
 
 let basalt_least_used_balances () =
-  let _, send = capture_send () in
+  let sent, send = capture_send () in
   let t =
     Basalt.create
       ~config:(Config.make ~v:8 ~k:2 ~select:Config.Least_used_slot ())
@@ -316,12 +342,13 @@ let basalt_least_used_balances () =
       ~rng:(rng ()) ~send ()
   in
   (* Selecting v times must visit v distinct slots (each selection
-     increments the chosen slot's counter, pushing it to the back). *)
+     increments the chosen slot's counter, pushing it to the back); a
+     round selects twice, once for the pull and once for the push. *)
   let slots = Basalt.view_slots t in
-  let picks = List.init (Array.length slots) (fun _ -> Basalt.select_peer t) in
-  let ids =
-    List.filter_map (Option.map Basalt_proto.Node_id.to_int) picks
-  in
+  for _ = 1 to Array.length slots / 2 do
+    on_round t
+  done;
+  let ids = List.map (fun (p, _) -> Basalt_proto.Node_id.to_int p) !sent in
   check_int "every selection succeeded" (Array.length slots) (List.length ids);
   (* The multiset of picks equals the multiset of slot peers: each slot
      used exactly once before any is reused. *)
@@ -335,13 +362,14 @@ let basalt_least_used_balances () =
     (List.sort Int.compare ids)
 
 let basalt_least_used_empty () =
-  let _, send = capture_send () in
+  let sent, send = capture_send () in
   let t =
     Basalt.create
       ~config:(Config.make ~v:4 ~select:Config.Least_used_slot ())
       ~id:(id 0) ~bootstrap:[||] ~rng:(rng ()) ~send ()
   in
-  check_bool "no peer from empty view" true (Basalt.select_peer t = None)
+  on_round t;
+  check_int "no peer from empty view" 0 (List.length !sent)
 
 let basalt_push_payload_ablation () =
   let sent, send = capture_send () in
@@ -352,7 +380,7 @@ let basalt_push_payload_ablation () =
       ~bootstrap:(Array.init 5 (fun i -> id (i + 1)))
       ~rng:(rng ()) ~send ()
   in
-  Basalt.on_round t;
+  on_round t;
   let kinds = List.map (fun (_, m) -> Message.kind m) !sent in
   check_bool "push carries only the sender id" true (List.mem "push-id" kinds);
   check_bool "no full-view push" false (List.mem "push" kinds);
@@ -375,17 +403,18 @@ let eviction_validation () =
 
 let eviction_sheds_silent_peers () =
   let _, send = capture_send () in
+  let obs = Basalt_obs.Obs.create () in
   let t =
-    Basalt.create ~config:eviction_config ~id:(id 0)
+    Basalt.create ~config:eviction_config ~obs ~id:(id 0)
       ~bootstrap:[| id 1; id 2; id 3 |]
       ~rng:(rng ()) ~send ()
   in
   (* Nobody ever answers: after enough rounds every pulled peer gets
      evicted and, since no new candidates arrive, the view drains. *)
   for _ = 1 to 60 do
-    Basalt.on_round t
+    on_round t
   done;
-  check_bool "evictions happened" true (Basalt.evictions t > 0);
+  check_bool "evictions happened" true (count obs "basalt.evictions" > 0);
   check_int "view fully drained" 0 (Array.length (Basalt.view t))
 
 let eviction_spares_responsive_peers () =
@@ -394,34 +423,36 @@ let eviction_spares_responsive_peers () =
   let send ~dst msg =
     match (msg, !t_ref) with
     | Basalt_proto.Message.Pull_request, Some t ->
-        Basalt.on_message t ~from:dst (Basalt_proto.Message.Push [| dst |])
+        on_message t ~from:dst (Basalt_proto.Message.Push [| dst |])
     | _ -> ()
   in
+  let obs = Basalt_obs.Obs.create () in
   let t =
-    Basalt.create ~config:eviction_config ~id:(id 0)
+    Basalt.create ~config:eviction_config ~obs ~id:(id 0)
       ~bootstrap:[| id 1; id 2; id 3 |]
       ~rng:(rng ()) ~send ()
   in
   t_ref := Some t;
   for _ = 1 to 60 do
-    Basalt.on_round t
+    on_round t
   done;
-  check_int "no evictions for live peers" 0 (Basalt.evictions t);
+  check_int "no evictions for live peers" 0 (count obs "basalt.evictions");
   check_bool "view retained" true (Array.length (Basalt.view t) > 0)
 
 let eviction_disabled_by_default () =
   let _, send = capture_send () in
+  let obs = Basalt_obs.Obs.create () in
   let t =
-    Basalt.create
+    Basalt.create ~obs
       ~config:(Config.make ~v:8 ~k:2 ())
       ~id:(id 0)
       ~bootstrap:[| id 1 |]
       ~rng:(rng ()) ~send ()
   in
   for _ = 1 to 60 do
-    Basalt.on_round t
+    on_round t
   done;
-  check_int "no evictions" 0 (Basalt.evictions t);
+  check_int "no evictions" 0 (count obs "basalt.evictions");
   check_bool "silent peers kept (stubbornness)" true
     (Array.length (Basalt.view t) > 0)
 
@@ -431,27 +462,27 @@ let eviction_order_is_deterministic () =
      reset consumes PRNG draws, two nodes with identical state but
      different probe histories diverged.  Eviction must be a function of
      the probe *set*, not its insertion order. *)
-  let node () =
+  let node obs =
     let _, send = capture_send () in
-    Basalt.create ~config:eviction_config ~id:(id 0)
+    Basalt.create ~config:eviction_config ~obs ~id:(id 0)
       ~bootstrap:(Array.init 20 (fun i -> id (i + 1)))
       ~rng:(rng ()) ~send ()
   in
   let peers = List.init 12 (fun i -> i + 1) in
   let run order =
-    let t = node () in
+    let obs = Basalt_obs.Obs.create () in
+    let t = node obs in
     List.iter (fun p -> Basalt.record_probe t (id p)) order;
     (* Three silent rounds push every probe past the limit of 2. *)
     for _ = 1 to 3 do
-      Basalt.on_round t
+      on_round t
     done;
-    t
+    (t, count obs "basalt.evictions")
   in
-  let asc = run peers in
-  let desc = run (List.rev peers) in
-  check_bool "evictions fired" true (Basalt.evictions asc > 0);
-  check_int "same eviction count" (Basalt.evictions asc)
-    (Basalt.evictions desc);
+  let asc, asc_evictions = run peers in
+  let desc, desc_evictions = run (List.rev peers) in
+  check_bool "evictions fired" true (asc_evictions > 0);
+  check_int "same eviction count" asc_evictions desc_evictions;
   Alcotest.(check (array int))
     "identical views regardless of probe insertion order"
     (Array.map Node_id.to_int (Basalt.view asc))
@@ -470,8 +501,8 @@ let probe_cleared_on_any_traffic () =
   in
   Basalt.record_probe t (id 1);
   Basalt.record_probe t (id 2);
-  Basalt.on_round t;
-  Basalt.on_message t ~from:(id 1) Message.Pull_request;
+  on_round t;
+  on_message t ~from:(id 1) Message.Pull_request;
   Basalt.run_eviction t ~limit:0;
   let view = Array.map Node_id.to_int (Basalt.view t) in
   check_bool "unanswered probe evicted" false (Array.mem 2 view);
@@ -500,13 +531,14 @@ let probe_recorded_before_send () =
       ~rng:(rng ()) ~send ()
   in
   t_ref := Some t;
-  Basalt.on_round t;
+  on_round t;
   check_bool "probe visible at send time" true !probe_was_pending
 
 let eviction_resets_slots_and_reoffers () =
   let _, send = capture_send () in
+  let obs = Basalt_obs.Obs.create () in
   let t =
-    Basalt.create
+    Basalt.create ~obs
       ~config:(Config.make ~v:8 ~k:2 ~evict_after_rounds:100 ())
       ~id:(id 0)
       ~bootstrap:[| id 1; id 2 |]
@@ -519,9 +551,9 @@ let eviction_resets_slots_and_reoffers () =
   in
   check_bool "victim held some slots" true (held_by_victim > 0);
   Basalt.record_probe t (id 2);
-  Basalt.on_round t;
+  on_round t;
   Basalt.run_eviction t ~limit:0;
-  check_int "one reset per held slot" held_by_victim (Basalt.evictions t);
+  check_int "one reset per held slot" held_by_victim (count obs "basalt.evictions");
   let view = Array.map Node_id.to_int (Basalt.view t) in
   check_bool "victim gone" false (Array.mem 2 view);
   (* The pre-eviction view minus the victim was re-offered, so the freed
@@ -554,7 +586,7 @@ let basalt_per_node_footprint () =
   let nodes =
     Array.init 200 (fun i ->
         let bootstrap =
-          Array.map id (Basalt_prng.Rng.sample_indices r ~k:200 ~n:3000)
+          Basalt_prng.Rng.sample_without_replacement r ~k:200 (Array.init 3000 id)
         in
         maker ~id:(id i) ~bootstrap ~rng:r ~send)
   in
@@ -642,8 +674,8 @@ let evicted_pulls_leave_rtt_tracker () =
   for round = 1 to 500 do
     (* A fresh peer announces itself once, then never answers. *)
     let fresh = id (1000 + round) in
-    Basalt.on_message t ~from:fresh (Message.Push_id fresh);
-    Basalt.on_round t;
+    on_message t ~from:fresh (Message.Push_id fresh);
+    on_round t;
     most := Int.max !most (Basalt.pending_pulls t)
   done;
   check_bool "pulls were tracked" true (!most > 0);
@@ -657,14 +689,13 @@ let evicted_pulls_leave_rtt_tracker () =
 let stream_basics () =
   let s = Sample_stream.create ~capacity:3 in
   check_int "empty" 0 (Sample_stream.retained s);
-  Sample_stream.push s (id 1);
-  Sample_stream.push s (id 2);
+  Sample_stream.push_list s [ id 1; id 2 ];
   check_int "two retained" 2 (Sample_stream.retained s);
   check_int "total" 2 (Sample_stream.total s)
 
 let stream_eviction () =
   let s = Sample_stream.create ~capacity:3 in
-  List.iter (Sample_stream.push s) [ id 1; id 2; id 3; id 4 ];
+  Sample_stream.push_list s [ id 1; id 2; id 3; id 4 ];
   check_int "capped" 3 (Sample_stream.retained s);
   check_int "total keeps counting" 4 (Sample_stream.total s);
   Alcotest.(check (list int))
@@ -673,7 +704,7 @@ let stream_eviction () =
 
 let stream_proportion () =
   let s = Sample_stream.create ~capacity:10 in
-  List.iter (Sample_stream.push s) [ id 1; id 2; id 3; id 4 ];
+  Sample_stream.push_list s [ id 1; id 2; id 3; id 4 ];
   Alcotest.(check (float 1e-9)) "proportion" 0.5
     (Sample_stream.proportion (fun x -> Node_id.to_int x mod 2 = 0) s);
   Alcotest.(check (float 1e-9)) "empty stream" 0.0
@@ -681,7 +712,7 @@ let stream_proportion () =
 
 let stream_iter_order () =
   let s = Sample_stream.create ~capacity:3 in
-  List.iter (Sample_stream.push s) [ id 1; id 2; id 3; id 4 ];
+  Sample_stream.push_list s [ id 1; id 2; id 3; id 4 ];
   let seen = ref [] in
   Sample_stream.iter (fun x -> seen := Node_id.to_int x :: !seen) s;
   Alcotest.(check (list int)) "oldest first" [ 4; 3; 2 ] !seen
@@ -690,7 +721,7 @@ let stream_draw () =
   let s = Sample_stream.create ~capacity:8 in
   check_int "draw from empty" 0
     (Array.length (Sample_stream.draw s (rng ()) ~k:5));
-  List.iter (Sample_stream.push s) [ id 1; id 2; id 3 ];
+  Sample_stream.push_list s [ id 1; id 2; id 3 ];
   let d = Sample_stream.draw s (rng ()) ~k:10 in
   check_int "draws k with replacement" 10 (Array.length d);
   Array.iter
@@ -720,7 +751,7 @@ let prop_stream_model =
       let reference = ref [] in
       List.iter
         (fun x ->
-          Sample_stream.push s (Node_id.of_int x);
+          Sample_stream.push_list s [ Node_id.of_int x ];
           reference := x :: !reference)
         pushes;
       let expected_window =
@@ -788,7 +819,7 @@ let prop_stream_growth_model =
       let ok = ref (agrees 0) and step = ref 0 in
       while !ok && !step < pushes do
         let x = Basalt_prng.Rng.int ids 50 in
-        Sample_stream.push s (Node_id.of_int x);
+        Sample_stream.push_list s [ Node_id.of_int x ];
         model := List.filteri (fun i _ -> i < capacity) (x :: !model);
         incr step;
         ok := agrees !step
@@ -804,7 +835,7 @@ let stream_words () =
   let fresh = words s in
   if fresh > 10 then Alcotest.failf "fresh stream keeps %d words" fresh;
   for i = 1 to 250 do
-    Sample_stream.push s (id i)
+    Sample_stream.push_list s [ id i ]
   done;
   let full = words s in
   if full > 207 then Alcotest.failf "full stream keeps %d words" full
@@ -830,7 +861,7 @@ let prop_view_subset_of_fed =
       let t = make_node seed in
       let fed = Array.of_list (List.map (fun i -> Node_id.of_int (i + 1)) ids) in
       Basalt.update_sample t fed;
-      Array.for_all (Basalt_proto.View_ops.contains fed) (Basalt.view t))
+      Array.for_all (fun p -> Array.mem p fed) (Basalt.view t))
 
 (* Differential oracle for the hot path: every slot must hold exactly
    the argmin of its rank function over all offered identifiers (the
@@ -894,14 +925,16 @@ let prop_eviction_spares_recent_peers =
           ~send ()
       in
       let last_heard = Hashtbl.create 8 in
+      let rounds = ref 0 in
       let ok = ref true in
       List.iter
         (fun op ->
           if op = 0 then begin
             let before = Basalt.view t in
-            Basalt.on_round t;
+            on_round t;
+            incr rounds;
             let after = Basalt.view t in
-            let rounds = Basalt.rounds_executed t in
+            let rounds = !rounds in
             Array.iter
               (fun p ->
                 match Hashtbl.find_opt last_heard (Node_id.to_int p) with
@@ -913,8 +946,8 @@ let prop_eviction_spares_recent_peers =
           end
           else begin
             let p = Node_id.of_int op in
-            Basalt.on_message t ~from:p (Message.Push_id p);
-            Hashtbl.replace last_heard op (Basalt.rounds_executed t)
+            on_message t ~from:p (Message.Push_id p);
+            Hashtbl.replace last_heard op !rounds
           end)
         ops;
       !ok)

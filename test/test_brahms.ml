@@ -37,28 +37,34 @@ let capture () =
   let send ~dst msg = sent := (dst, msg) :: !sent in
   (sent, send)
 
+(* A node as programs build and drive it: through [Brahms.sampler]'s
+   [Rps.t]. *)
+let node ?obs ~l ~k ~id ~bootstrap ~rng ~send () =
+  Brahms.sampler ~config:(Brahms_config.make ~l ~k ()) ?obs () ~id ~bootstrap
+    ~rng ~send
+
+let on_round (t : Basalt_proto.Rps.t) = t.on_round ()
+let on_message (t : Basalt_proto.Rps.t) ~from msg = t.on_message ~from msg
+let view (t : Basalt_proto.Rps.t) = t.current_view ()
+let sample_tick (t : Basalt_proto.Rps.t) = t.sample_tick ()
+
 let make ?(l = 8) ?(k = 2) ?(bootstrap = Array.init 6 (fun i -> id (i + 1))) ()
     =
   let sent, send = capture () in
-  let t =
-    Brahms.create
-      ~config:(Brahms_config.make ~l ~k ())
-      ~id:(id 0) ~bootstrap ~rng:(rng ()) ~send ()
-  in
-  (t, sent)
+  (node ~l ~k ~id:(id 0) ~bootstrap ~rng:(rng ()) ~send (), sent)
 
 let brahms_bootstrap () =
   let t, _ = make () in
-  check_bool "view from bootstrap" true (Array.length (Brahms.view t) > 0);
+  check_bool "view from bootstrap" true (Array.length (view t) > 0);
   Array.iter
     (fun p ->
       check_bool "no self" false (Node_id.equal p (id 0));
       check_bool "bootstrap member" true (Node_id.to_int p <= 6))
-    (Brahms.view t)
+    (view t)
 
 let brahms_round_sends_push_id_and_pull () =
   let t, sent = make () in
-  Brahms.on_round t;
+  on_round t;
   let kinds = List.map (fun (_, m) -> Message.kind m) !sent in
   check_int "two messages" 2 (List.length kinds);
   check_bool "push-id" true (List.mem "push-id" kinds);
@@ -73,76 +79,76 @@ let brahms_round_sends_push_id_and_pull () =
 
 let brahms_pull_answered_with_view () =
   let t, sent = make () in
-  Brahms.on_message t ~from:(id 42) Message.Pull_request;
+  on_message t ~from:(id 42) Message.Pull_request;
   match !sent with
-  | [ (dst, Message.Pull_reply view) ] ->
+  | [ (dst, Message.Pull_reply reply) ] ->
       check_int "to requester" 42 (Node_id.to_int dst);
-      check_int "carries current view" (Array.length (Brahms.view t))
-        (Array.length view)
+      check_int "carries current view" (Array.length (view t))
+        (Array.length reply)
   | _ -> Alcotest.fail "expected pull reply"
 
 let brahms_view_update_requires_both () =
   let t, _ = make () in
-  let before = Brahms.view t in
+  let before = view t in
   (* Only a pull reply: no rebuild. *)
-  Brahms.on_message t ~from:(id 2) (Message.Pull_reply [| id 30; id 31 |]);
-  Brahms.on_round t;
+  on_message t ~from:(id 2) (Message.Pull_reply [| id 30; id 31 |]);
+  on_round t;
   Alcotest.(check (array int))
     "pull alone keeps view"
     (Array.map Node_id.to_int before)
-    (Array.map Node_id.to_int (Brahms.view t));
+    (Array.map Node_id.to_int (view t));
   (* Now both channels: rebuild happens. *)
-  Brahms.on_message t ~from:(id 30) (Message.Push_id (id 30));
-  Brahms.on_message t ~from:(id 2) (Message.Pull_reply [| id 31; id 32 |]);
-  Brahms.on_round t;
-  let after = Brahms.view t in
+  on_message t ~from:(id 30) (Message.Push_id (id 30));
+  on_message t ~from:(id 2) (Message.Pull_reply [| id 31; id 32 |]);
+  on_round t;
+  let after = view t in
   check_bool "view rebuilt from receipts" true
-    (View_ops.contains after (id 30)
-    || View_ops.contains after (id 31)
-    || View_ops.contains after (id 32))
+    (Array.mem (id 30) after
+    || Array.mem (id 31) after
+    || Array.mem (id 32) after)
 
 let brahms_push_only_no_update () =
   let t, _ = make () in
-  let before = Brahms.view t in
-  Brahms.on_message t ~from:(id 50) (Message.Push_id (id 50));
-  Brahms.on_round t;
+  let before = view t in
+  on_message t ~from:(id 50) (Message.Push_id (id 50));
+  on_round t;
   Alcotest.(check (array int))
     "push alone keeps view"
     (Array.map Node_id.to_int before)
-    (Array.map Node_id.to_int (Brahms.view t))
+    (Array.map Node_id.to_int (view t))
 
+(* With k = l, a sample tick emits every non-empty sampler of 𝒮. *)
 let brahms_samplers_minwise () =
-  let t, _ = make ~l:16 () in
+  let once, _ = make ~l:16 ~k:16 () and twice, _ = make ~l:16 ~k:16 () in
   (* Feed a batch of ids through a push: samplers must absorb them. *)
-  Brahms.on_message t ~from:(id 7) (Message.Push_id (id 7));
-  let outputs = Brahms.sampler_outputs t in
-  check_bool "samplers filled" true (Array.length outputs > 0);
+  on_message once ~from:(id 7) (Message.Push_id (id 7));
+  on_message twice ~from:(id 7) (Message.Push_id (id 7));
   (* Stubbornness: replaying the same messages changes nothing. *)
-  let before = Array.map Node_id.to_int outputs in
-  Brahms.on_message t ~from:(id 7) (Message.Push_id (id 7));
-  Alcotest.(check (array int))
-    "stubborn" before
-    (Array.map Node_id.to_int (Brahms.sampler_outputs t))
+  on_message twice ~from:(id 7) (Message.Push_id (id 7));
+  let outputs = List.map Node_id.to_int (sample_tick once) in
+  check_bool "samplers filled" true (outputs <> []);
+  Alcotest.(check (list int))
+    "stubborn" outputs
+    (List.map Node_id.to_int (sample_tick twice))
 
 let brahms_multi_id_push_is_single () =
-  let t, _ = make ~l:64 () in
+  let t, _ = make ~l:64 ~k:64 () in
   (* A forged multi-id push must contribute only the sender, per Brahms
      message syntax. *)
-  Brahms.on_message t ~from:(id 70) (Message.Push (Array.init 50 (fun i -> id (100 + i))));
-  let outputs = Brahms.sampler_outputs t in
-  Array.iter
+  on_message t ~from:(id 70) (Message.Push (Array.init 50 (fun i -> id (100 + i))));
+  List.iter
     (fun p ->
       check_bool "forged payload ignored" false (Node_id.to_int p >= 100))
-    outputs
+    (sample_tick t)
 
 let brahms_sample_tick () =
   let t, _ = make ~l:8 ~k:3 () in
-  let s = Brahms.sample_tick t in
+  let s = sample_tick t in
   check_int "k samples" 3 (List.length s);
   (* After resetting all samplers in circles they keep producing as long
      as traffic refills them; with no traffic they dry out. *)
   let rec drain i acc =
-    if i = 0 then acc else drain (i - 1) (acc + List.length (Brahms.sample_tick t))
+    if i = 0 then acc else drain (i - 1) (acc + List.length (sample_tick t))
   in
   let produced = drain 3 0 in
   check_bool "resets drain without refill" true (produced <= 8)
@@ -168,23 +174,18 @@ let prop_view_never_contains_self =
   Test.make ~name:"brahms view never contains self" ~count:100
     ~print:Print.int (Gen.int_bound 10_000)
     (fun seed ->
-      let _, send = ((), fun ~dst:_ _ -> ()) in
       let t =
-        Brahms.create
-          ~config:(Brahms_config.make ~l:8 ())
-          ~id:(Node_id.of_int 0)
+        node ~l:8 ~k:8 ~id:(Node_id.of_int 0)
           ~bootstrap:(Array.init 6 (fun i -> Node_id.of_int i))
           ~rng:(Basalt_prng.Rng.create ~seed)
-          ~send ()
+          ~send:(fun ~dst:_ _ -> ())
+          ()
       in
-      Brahms.on_message t ~from:(Node_id.of_int 1) (Message.Push_id (Node_id.of_int 1));
-      Brahms.on_message t ~from:(Node_id.of_int 2)
+      on_message t ~from:(Node_id.of_int 1) (Message.Push_id (Node_id.of_int 1));
+      on_message t ~from:(Node_id.of_int 2)
         (Message.Pull_reply [| Node_id.of_int 0; Node_id.of_int 3 |]);
-      Brahms.on_round t;
-      not
-        (Array.exists
-           (fun p -> Node_id.to_int p = 0)
-           (Brahms.sampler_outputs t)))
+      on_round t;
+      not (List.exists (fun p -> Node_id.to_int p = 0) (sample_tick t)))
 
 (* Min-wise samplers are order-oblivious: two same-seed instances fed
    the same identifier multiset in different orders expose identical
@@ -197,9 +198,7 @@ let prop_samplers_permutation_invariant =
        (Gen.list_size (Gen.int_range 1 40) (Gen.int_range 1 200)))
     (fun (seed, ids) ->
       let make () =
-        Brahms.create
-          ~config:(Brahms_config.make ~l:8 ())
-          ~id:(Node_id.of_int 0) ~bootstrap:[||]
+        node ~l:8 ~k:8 ~id:(Node_id.of_int 0) ~bootstrap:[||]
           ~rng:(Basalt_prng.Rng.create ~seed)
           ~send:(fun ~dst:_ _ -> ())
           ()
@@ -207,14 +206,14 @@ let prop_samplers_permutation_invariant =
       let feed t order =
         List.iter
           (fun i ->
-            Brahms.on_message t ~from:(Node_id.of_int i)
+            on_message t ~from:(Node_id.of_int i)
               (Message.Push_id (Node_id.of_int i)))
           order
       in
       let a = make () and b = make () in
       feed a ids;
       feed b (List.rev ids);
-      Brahms.sampler_outputs a = Brahms.sampler_outputs b)
+      sample_tick a = sample_tick b)
 
 (* Differential oracle: a naive model that ranks every (sampler, id)
    pair with [Rank.rank Cheap] and keeps the strict minimum per sampler,
@@ -272,10 +271,6 @@ let model_feed m ~self ids =
           m.m_seeds)
     ids
 
-let model_outputs m =
-  Array.of_list
-    (List.filter_map (Option.map snd) (Array.to_list m.m_best))
-
 let model_tick m ~k =
   List.init k (fun _ ->
       let s = m.m_next in
@@ -300,9 +295,7 @@ let prop_samplers_match_naive_model =
       let self = 0 in
       let obs = Basalt_obs.Obs.create () in
       let t =
-        Brahms.create
-          ~config:(Brahms_config.make ~l ~k ())
-          ~obs ~id:(id self) ~bootstrap:(Array.of_list (List.map id boot))
+        node ~l ~k ~obs ~id:(id self) ~bootstrap:(Array.of_list (List.map id boot))
           ~rng:(Rng.create ~seed) ~send:(fun ~dst:_ _ -> ()) ()
       in
       let m =
@@ -321,32 +314,29 @@ let prop_samplers_match_naive_model =
         }
       in
       model_feed m ~self boot;
-      let outputs () =
-        Array.map Node_id.to_int (Brahms.sampler_outputs t) = model_outputs m
-      in
+      let tick () = List.map Node_id.to_int (sample_tick t) = model_tick m ~k in
       let step op =
         match op with
         | Reply (f, ids) ->
-            Brahms.on_message t ~from:(id f)
+            on_message t ~from:(id f)
               (Message.Pull_reply (Array.of_list (List.map id ids)));
             model_feed m ~self ids;
-            outputs ()
+            true
         | Push_id (f, i) ->
-            Brahms.on_message t ~from:(id f) (Message.Push_id (id i));
+            on_message t ~from:(id f) (Message.Push_id (id i));
             model_feed m ~self [ i ];
-            outputs ()
+            true
         | Push (f, ids) ->
-            Brahms.on_message t ~from:(id f)
+            on_message t ~from:(id f)
               (Message.Push (Array.of_list (List.map id ids)));
             model_feed m ~self [ f ];
-            outputs ()
-        | Tick ->
-            List.map Node_id.to_int (Brahms.sample_tick t)
-            = model_tick m ~k
-            && outputs ()
+            true
+        | Tick -> tick ()
       in
-      outputs ()
-      && List.for_all step ops
+      (* The service shows 𝒮 only through its ticks: after the script,
+         enough ticks to emit every sampler compare the final state. *)
+      List.for_all step ops
+      && List.for_all tick (List.init ((l / k) + 1) (fun _ -> ()))
       && Basalt_obs.Obs.Counter.value
            (Basalt_obs.Obs.counter obs "brahms.rank_evals")
          = m.m_evals)
@@ -406,7 +396,7 @@ let brahms_per_node_footprint () =
   let nodes =
     Array.init 200 (fun i ->
         let bootstrap =
-          Array.map id (Basalt_prng.Rng.sample_indices r ~k:64 ~n:20_000)
+          Basalt_prng.Rng.sample_without_replacement r ~k:64 (Array.init 20_000 id)
         in
         maker ~id:(id i) ~bootstrap ~rng:r ~send)
   in

@@ -19,6 +19,14 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let id = Node_id.of_int
 
+let error_name = function
+  | Wire.Truncated -> "truncated"
+  | Wire.Bad_magic m -> Printf.sprintf "bad magic %#x" m
+  | Wire.Bad_version v -> Printf.sprintf "bad version %d" v
+  | Wire.Bad_tag t -> Printf.sprintf "bad tag %d" t
+  | Wire.Trailing_garbage n -> Printf.sprintf "%d trailing bytes" n
+  | Wire.Id_out_of_range -> "id out of range"
+
 let msg_equal a b =
   match (a, b) with
   | Message.Pull_request, Message.Pull_request -> true
@@ -38,7 +46,7 @@ let msg_equal a b =
 let round_trip msg =
   match Wire.decode (Wire.encode msg) with
   | Ok decoded -> check_bool "round trip" true (msg_equal msg decoded)
-  | Error e -> Alcotest.failf "decode error: %a" Wire.pp_error e
+  | Error e -> Alcotest.failf "decode error: %s" (error_name e)
 
 let codec_round_trips () =
   round_trip Message.Pull_request;
@@ -84,7 +92,7 @@ let codec_broadcast_encode_guards () =
   in
   check "seqno too large" "Wire.encode: sequence number out of u32 range"
     (Message.Gossip
-       { mid = mid 1 (Wire.max_seqno + 1); hops = 0; payload = Bytes.empty });
+       { mid = mid 1 0x1_0000_0000 (* u32 + 1 *); hops = 0; payload = Bytes.empty });
   check "negative seqno in digest"
     "Wire.encode: sequence number out of u32 range"
     (Message.Ihave [| mid 1 (-1) |]);
@@ -137,7 +145,7 @@ let codec_decode_sub () =
   let padded = Bytes.cat (Bytes.make 3 'p') encoded in
   (match Wire.decode_sub padded ~off:3 ~len:(Bytes.length encoded) with
   | Ok decoded -> check_bool "offset decode" true (msg_equal msg decoded)
-  | Error e -> Alcotest.failf "decode error: %a" Wire.pp_error e);
+  | Error e -> Alcotest.failf "decode error: %s" (error_name e));
   Alcotest.check_raises "bad slice"
     (Invalid_argument "Wire.decode_sub: slice out of bounds") (fun () ->
       ignore (Wire.decode_sub padded ~off:3 ~len:(Bytes.length padded)))
@@ -162,7 +170,7 @@ let codec_decode_sub_overflow () =
 let codec_too_many_ids () =
   Alcotest.check_raises "too many"
     (Invalid_argument "Wire.encode: too many identifiers") (fun () ->
-      ignore (Wire.encode (Message.Push (Array.make (Wire.max_ids + 1) (id 0)))))
+      ignore (Wire.encode (Message.Push (Array.make 0x1_0000 (* u16 + 1 *) (id 0)))))
 
 (* --- corpus replay -------------------------------------------------- *)
 
@@ -173,8 +181,8 @@ let codec_corpus () =
     (fun (name, buf) ->
       match Wire.decode buf with
       | Ok m ->
-          Alcotest.failf "corpus %s: decoded Ok (%a), expected Error" name
-            Message.pp m
+          Alcotest.failf "corpus %s: decoded Ok (%s), expected Error" name
+            (Message.kind m)
       | Error _ -> ()
       | exception e ->
           Alcotest.failf "corpus %s: raised %s" name (Printexc.to_string e))
@@ -182,7 +190,8 @@ let codec_corpus () =
 
 (* --- properties ---------------------------------------------------- *)
 
-let print_message m = Format.asprintf "%a" Message.pp m
+let print_message m =
+  Printf.sprintf "%s, %d bytes" (Message.kind m) (Message.bytes_on_wire m)
 
 (* Round trip over the full message space, including 48-bit identifiers
    (the width the UDP transport packs an address+port into). *)

@@ -42,13 +42,14 @@ let queue_fifo_ties () =
 
 let queue_size () =
   let q = Event_queue.create ~filler:0 in
-  check_int "empty" 0 (Event_queue.size q);
   check_bool "is_empty" true (Event_queue.is_empty q);
   Event_queue.push q ~time:1.0 0;
   Event_queue.push q ~time:2.0 1;
-  check_int "two" 2 (Event_queue.size q);
+  check_bool "two pending" false (Event_queue.is_empty q);
   ignore (pop q);
-  check_int "one" 1 (Event_queue.size q)
+  check_bool "one pending" false (Event_queue.is_empty q);
+  ignore (pop q);
+  check_bool "drained" true (Event_queue.is_empty q)
 
 let queue_peek () =
   let q = Event_queue.create ~filler:() in
@@ -63,7 +64,8 @@ let queue_peek () =
   Event_queue.push q ~time:2.0 ();
   Alcotest.(check (option (float 0.0))) "peek min" (Some 2.0)
     (peek_time q);
-  check_int "peek does not remove" 2 (Event_queue.size q)
+  ignore (pop q);
+  check_bool "peek does not remove" false (Event_queue.is_empty q)
 
 let queue_interleaved () =
   let q = Event_queue.create ~filler:0 in
@@ -177,8 +179,7 @@ let prop_queue_model =
 
 (* The same model check with times drawn from a handful of values, so
    most entries tie, and up to 300 entries live at once, so the arrays
-   double five times; [top_time] and [size] are checked before every
-   take. *)
+   double five times; [top_time] is checked before every take. *)
 let prop_queue_model_ties_growth =
   Test.make ~name:"queue matches sorted-list model (ties, growth)"
     ~count:200
@@ -199,8 +200,7 @@ let prop_queue_model_ties_growth =
         | [] -> Event_queue.is_empty q
         | (time, s) :: rest ->
             model := rest;
-            Event_queue.size q = List.length rest + 1
-            && Event_queue.top_time q = time
+            Event_queue.top_time q = time
             && Event_queue.take q = s
       in
       let ok =
@@ -394,10 +394,14 @@ let engine_message_before_next_round () =
 
 let engine_step () =
   let e = fresh_engine 1 in
-  check_bool "no events" false (Engine.step e);
+  let events () = (Engine.stats e).Engine.events in
+  Engine.run_until e 1.0;
+  check_int "no events" 0 (events ());
   Engine.schedule e ~delay:1.0 ignore;
-  check_bool "one event" true (Engine.step e);
-  check_bool "drained" false (Engine.step e)
+  Engine.run_until e 2.0;
+  check_int "one event" 1 (events ());
+  Engine.run_until e 3.0;
+  check_int "drained" 1 (events ())
 
 let engine_stats () =
   let e = fresh_engine 2 in
@@ -438,7 +442,10 @@ let engine_latency () =
 
 let engine_n () =
   let e = fresh_engine 5 in
-  check_int "n" 5 (Engine.n e)
+  Engine.register e 4 (fun ~from:_ _ -> ());
+  Alcotest.check_raises "n slots, no more"
+    (Invalid_argument "Engine.register: node out of range") (fun () ->
+      Engine.register e 5 (fun ~from:_ _ -> ()))
 
 (* --- fault plans --- *)
 
@@ -447,7 +454,7 @@ let fresh_faulty ?latency ?loss ~fault n : string Engine.t =
   Engine.create ?latency ?loss ~fault ~rng ~n ()
 
 let fault_none_is_legacy () =
-  (* [Fault.none] must be indistinguishable from no plan at all, down to
+  (* An empty plan must be indistinguishable from no plan at all, down to
      PRNG consumption: same seed, same jittered delivery times. *)
   let run fault =
     let rng = Basalt_prng.Rng.create ~seed:11 in
@@ -466,7 +473,7 @@ let fault_none_is_legacy () =
   in
   Alcotest.(check (list (float 0.0)))
     "identical delivery times" (run None)
-    (run (Some Fault.none))
+    (run (Some (Fault.make ())))
 
 let fault_partition () =
   let fault =

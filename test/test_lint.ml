@@ -572,6 +572,91 @@ let d11_off_when_not_requested () =
        ~body:"(* lint: allow D2 — stale on purpose *)\nlet f x = x + 1\n"
        ())
 
+(* --- D12: exports without a program caller --- *)
+
+(* The compiled units of tool/lint/fixtures_d12 (dune deps of this
+   test), laid out as a synthetic tree: each unit's [.cmt]/[.cmti] is
+   rewritten under [_build/default] of a temporary root with the
+   recorded source path of its place in the tree, next to a copy of its
+   source, so [Driver.run] pairs them as it pairs a real build with the
+   repository. *)
+let d12_units =
+  [
+    ("Exports", "exports.mli", "lib/fx/exports.mli", ".cmti");
+    ("Exports", "exports.ml", "lib/fx/exports.ml", ".cmt");
+    ("Whole", "whole.mli", "lib/fx/whole.mli", ".cmti");
+    ("Whole", "whole.ml", "lib/fx/whole.ml", ".cmt");
+    ("Prog", "prog.ml", "bin/prog.ml", ".cmt");
+    ("T", "t.ml", "test/t.ml", ".cmt");
+  ]
+
+let reroot ~src ~sourcefile dst =
+  let infos = Cmt_format.read_cmt src in
+  let oc = open_out_bin dst in
+  output_string oc Config.cmt_magic_number;
+  output_value oc { infos with Cmt_format.cmt_sourcefile = Some sourcefile };
+  close_out oc
+
+let d12_triples ?(without = "") () =
+  let dir = "tool/lint/fixtures_d12/" in
+  let sources =
+    List.map
+      (fun (_, file, path, _) ->
+        (path, Lint.read_file (Filename.concat repo_root (dir ^ file))))
+      d12_units
+  in
+  with_temp_tree sources (fun root ->
+      let build = Filename.concat root "_build/default" in
+      mkdirs build;
+      List.iteri
+        (fun i (unit, _, path, ext) ->
+          if path <> without then
+            reroot
+              ~src:
+                (Filename.concat repo_root
+                   (dir ^ ".lint_fixtures_d12.objs/byte/lint_fixtures_d12__"
+                  ^ unit ^ ext))
+              ~sourcefile:path
+              (Filename.concat build (Printf.sprintf "u%d%s" i ext)))
+        d12_units;
+      let report =
+        Driver.run ~typed:true ~rules:[ Lint.D11; Lint.D12 ] ~root
+          ~allow:Lint.empty_allowlist ()
+      in
+      List.map
+        (fun (f : Lint.finding) -> (f.file, f.line, Lint.rule_name f.rule))
+        report.Driver.findings)
+
+let d12_flags_test_and_self_only () =
+  let findings = d12_triples () in
+  check Alcotest.bool "export only a test calls is flagged" true
+    (List.mem ("lib/fx/exports.mli", 9, "D12") findings);
+  check Alcotest.bool "export only its own module calls is flagged" true
+    (List.mem ("lib/fx/exports.mli", 12, "D12") findings)
+
+let d12_counts_programs () =
+  (* Direct, aliased and functor-argument uses from bin/prog.ml spare
+     used_by_program (line 3), used_via_alias (6) and all of Whole. *)
+  check triples "only the test-only and self-only exports, and the stale pragma"
+    [
+      ("lib/fx/exports.mli", 9, "D12");
+      ("lib/fx/exports.mli", 12, "D12");
+      ("lib/fx/exports.mli", 19, "D11");
+    ]
+    (d12_triples ())
+
+let d12_pragmas () =
+  let findings = d12_triples () in
+  check Alcotest.bool "a pragma keeps an uncalled export" false
+    (List.exists (fun (_, line, _) -> line = 16) findings);
+  check Alcotest.bool "a pragma over a called export is stale" true
+    (List.mem ("lib/fx/exports.mli", 19, "D11") findings)
+
+let d12_refuses_a_stale_tree () =
+  check triples "one finding naming the program without a .cmt"
+    [ ("bin/prog.ml", 1, "D12") ]
+    (d12_triples ~without:"bin/prog.ml" ())
+
 (* --- properties --- *)
 
 module Gen = QCheck2.Gen
@@ -712,6 +797,17 @@ let () =
           Alcotest.test_case "unsuppressible" `Quick d11_is_unsuppressible;
           Alcotest.test_case "off when not requested" `Quick
             d11_off_when_not_requested;
+        ] );
+      ( "dead exports (D12)",
+        [
+          Alcotest.test_case "test-only and self-only flagged" `Quick
+            d12_flags_test_and_self_only;
+          Alcotest.test_case "programs, aliases, functor arguments count"
+            `Quick d12_counts_programs;
+          Alcotest.test_case "pragma kept, stale pragma is D11" `Quick
+            d12_pragmas;
+          Alcotest.test_case "missing program .cmt refuses" `Quick
+            d12_refuses_a_stale_tree;
         ] );
       Prop.suite "properties" [ prop_pragma_position; prop_shuffle_invariance ];
       ( "repository",

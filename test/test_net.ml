@@ -7,6 +7,9 @@ module Udp_node = Basalt_net.Udp_node
 module Message = Basalt_proto.Message
 module Node_id = Basalt_proto.Node_id
 
+let endpoint_equal a b =
+  String.equal (Endpoint.to_string a) (Endpoint.to_string b)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -31,7 +34,7 @@ let endpoint_node_id_round_trip () =
       match Endpoint.of_string s with
       | Ok e ->
           let e' = Endpoint.of_node_id (Endpoint.to_node_id e) in
-          check_bool ("round trip " ^ s) true (Endpoint.equal e e')
+          check_bool ("round trip " ^ s) true (endpoint_equal e e')
       | Error msg -> Alcotest.fail msg)
     [ "127.0.0.1:4001"; "10.255.0.42:65535"; "192.168.1.1:1"; "0.0.0.0:0" ]
 
@@ -49,7 +52,7 @@ let endpoint_ids_distinct () =
 let endpoint_sockaddr () =
   let e = Endpoint.make "127.0.0.1" 9999 in
   match Endpoint.of_sockaddr (Endpoint.to_sockaddr e) with
-  | Ok e' -> check_bool "sockaddr round trip" true (Endpoint.equal e e')
+  | Ok e' -> check_bool "sockaddr round trip" true (endpoint_equal e e')
   | Error m -> Alcotest.fail m
 
 (* The first and last identifiers an endpoint packs to, both ways. *)
@@ -110,7 +113,7 @@ let prop_endpoint_conversions =
       let id = Node_id.of_int x in
       let e = Endpoint.of_node_id id in
       Node_id.to_int (Endpoint.to_node_id e) = x
-      && Endpoint.equal e (reference_of_node_id x)
+      && endpoint_equal e (reference_of_node_id x)
       && reference_to_node_id e = x)
 
 (* A UDP socket bound to a free loopback port, and its endpoint. *)
@@ -121,11 +124,14 @@ let peer_socket () =
   | Unix.ADDR_INET (addr, port) -> (sock, { Endpoint.addr; port })
   | Unix.ADDR_UNIX _ -> assert false
 
-(* One select pass over the loop's sockets without advancing a virtual
-   clock: a due timer stops the loop after the pass. *)
-let drain_sockets loop =
-  Event_loop.schedule loop ~delay:0.0 (fun () -> Event_loop.stop loop);
-  Event_loop.run_for loop 1e-6
+(* One select pass over the loop's sockets: a due timer moves the
+   virtual clock [vtime] to the pass's horizon, so [run_for] returns
+   after the pass, and the clock is set back after it. *)
+let drain_sockets loop vtime =
+  let t0 = !vtime in
+  Event_loop.schedule loop ~delay:0.0 (fun () -> vtime := t0 +. 1e-6);
+  Event_loop.run_for loop 1e-6;
+  vtime := t0
 
 (* --- Event_loop --- *)
 
@@ -143,17 +149,6 @@ let loop_every_fires_repeatedly () =
   Event_loop.every loop ~interval:0.01 (fun () -> incr count);
   Event_loop.run_for loop 0.12;
   check_bool (Printf.sprintf "fired repeatedly (%d)" !count) true (!count >= 5)
-
-let loop_stop () =
-  let loop = Event_loop.create ~clock:Unix.gettimeofday () in
-  let count = ref 0 in
-  Event_loop.every loop ~interval:0.005 (fun () ->
-      incr count;
-      if !count = 3 then Event_loop.stop loop);
-  let t0 = Unix.gettimeofday () in
-  Event_loop.run_for loop 5.0;
-  check_bool "stopped early" true (Unix.gettimeofday () -. t0 < 1.0);
-  check_int "stopped at 3" 3 !count
 
 let loop_fd_callback () =
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
@@ -178,8 +173,9 @@ let loop_fd_callback () =
    longer dispatched, even when it was reported readable in the same
    pass.  Every callback reads into the loop's shared buffer. *)
 let loop_fd_table () =
-  (* A frozen clock, so [drain_sockets] is exactly one [select]. *)
-  let loop = Event_loop.create ~clock:(fun () -> 0.0) () in
+  (* A virtual clock, so [drain_sockets] is exactly one [select]. *)
+  let vtime = ref 0.0 in
+  let loop = Event_loop.create ~clock:(fun () -> !vtime) () in
   let peers = Array.init 3 (fun _ -> peer_socket ()) in
   let socks = Array.map fst peers in
   Array.iter Unix.set_nonblock socks;
@@ -206,7 +202,7 @@ let loop_fd_table () =
   in
   let pass () =
     got := [];
-    drain_sockets loop;
+    drain_sockets loop vtime;
     List.sort String.compare !got
   in
   Array.iteri (fun i _ -> register i (string_of_int i)) socks;
@@ -427,7 +423,7 @@ let udp_retry_cleared_by_reply () =
     Event_loop.run_due_timers loop;
     (* A pull, its reply, and the pull's reply to a push's sender. *)
     for _ = 1 to 3 do
-      drain_sockets loop
+      drain_sockets loop vtime
     done
   done;
   List.iter
@@ -565,7 +561,7 @@ let udp_stats_on_shared_registry () =
   for step = 1 to 40 do
     vtime := 0.25 *. float_of_int step;
     Event_loop.run_due_timers loop;
-    drain_sockets loop
+    drain_sockets loop vtime
   done;
   let total name =
     Basalt_obs.Obs.Counter.value (Basalt_obs.Obs.counter obs ("net." ^ name))
@@ -616,12 +612,12 @@ let udp_wide_ids_dropped () =
   send_msg sock victim
     (Message.Push
        (Array.init 16 (fun k -> Node_id.of_int (a lor ((k + 1) lsl 48)))));
-  drain_sockets loop;
+  drain_sockets loop vtime;
   let stats = Udp_node.stats victim in
   check_int "the push arrived" 1 stats.Udp_node.datagrams_in;
   check_int "counted as a decode error" 1 stats.Udp_node.decode_errors;
   check_bool "the attacker is not in the view" false
-    (List.exists (Endpoint.equal attacker) (Udp_node.view victim));
+    (List.exists (endpoint_equal attacker) (Udp_node.view victim));
   send_msg sock victim
     (Message.Gossip
        {
@@ -630,7 +626,7 @@ let udp_wide_ids_dropped () =
          hops = 0;
          payload = Bytes.of_string "forged";
        });
-  drain_sockets loop;
+  drain_sockets loop vtime;
   check_int "a wide origin is a decode error too" 2
     (Udp_node.stats victim).Udp_node.decode_errors;
   check_int "and is never delivered" 0 !delivered;
@@ -657,12 +653,12 @@ let udp_broadcast_frames_count_as_liveness () =
     vtime := float_of_int round;
     Event_loop.run_due_timers loop;
     send_msg sock node Message.Prune;
-    drain_sockets loop
+    drain_sockets loop vtime
   done;
   check_int "every Prune delivered" 10
     (Udp_node.stats node).Udp_node.datagrams_in;
   check_bool "the peer is still in the view" true
-    (List.exists (Endpoint.equal peer) (Udp_node.view node));
+    (List.exists (endpoint_equal peer) (Udp_node.view node));
   Unix.close sock;
   Udp_node.close node
 
@@ -694,7 +690,7 @@ let udp_shared_buffer_payloads_intact () =
              payload = payload fill;
            }))
     [ (a, 'a'); (b, 'b') ];
-  drain_sockets loop;
+  drain_sockets loop vtime;
   check_int "both delivered in one pass" 2 (List.length !got);
   List.iter
     (fun (seed, p) ->
@@ -842,7 +838,6 @@ let metrics_server_serves_prometheus () =
     (contains ~needle:"text/plain; version=0.0.4" response);
   check_bool "counter exposed" true
     (contains ~needle:"net_datagrams_in 7\n" response);
-  check_int "one request served" 1 (Metrics_server.requests srv);
   (* A second scrape observes the updated value: render runs at scrape
      time, not at serve time. *)
   Obs.Counter.add c 5;
@@ -854,7 +849,6 @@ let metrics_server_serves_prometheus () =
   Unix.close client2;
   check_bool "updated counter" true
     (contains ~needle:"net_datagrams_in 12\n" response2);
-  check_int "two requests served" 2 (Metrics_server.requests srv);
   Metrics_server.close srv
 
 let metrics_server_close_is_idempotent () =
@@ -886,7 +880,6 @@ let () =
         [
           Alcotest.test_case "timers fire in order" `Quick loop_timers_fire;
           Alcotest.test_case "every repeats" `Quick loop_every_fires_repeatedly;
-          Alcotest.test_case "stop" `Quick loop_stop;
           Alcotest.test_case "fd callback" `Quick loop_fd_callback;
           Alcotest.test_case "virtual clock" `Quick loop_virtual_clock;
           Alcotest.test_case "fd table" `Quick loop_fd_table;

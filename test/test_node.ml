@@ -36,7 +36,11 @@ let fake_app log ~retained =
   {
     Node.app_deliver =
       (fun ~from msg ->
-        let consumed = Message.is_broadcast msg in
+        let consumed =
+          match msg with
+          | Message.Gossip _ | Ihave _ | Iwant _ | Graft | Prune -> true
+          | Pull_request | Pull_reply _ | Push _ | Push_id _ -> false
+        in
         log :=
           !log
           @ [ Printf.sprintf "app:msg:%d:%b" (Node_id.to_int from) consumed ];

@@ -21,12 +21,6 @@ let splitmix_determinism () =
     check_i64 "same stream" (Splitmix64.next a) (Splitmix64.next b)
   done
 
-let splitmix_copy () =
-  let a = Splitmix64.create 7L in
-  ignore (Splitmix64.next a);
-  let b = Splitmix64.copy a in
-  check_i64 "copy continues identically" (Splitmix64.next a) (Splitmix64.next b)
-
 let splitmix_mix_stateless () =
   check_i64 "mix deterministic" (Splitmix64.mix 42L) (Splitmix64.mix 42L);
   Alcotest.(check bool)
@@ -67,7 +61,7 @@ let xoshiro_reference_vectors () =
    output [next] would have returned. *)
 let xoshiro_int_views () =
   let a = Xoshiro256.of_state 1L 2L 3L 4L in
-  let b = Xoshiro256.copy a in
+  let b = Xoshiro256.of_state 1L 2L 3L 4L in
   for _ = 1 to 50 do
     let x = Xoshiro256.next a in
     check_int "next_int" (Int64.to_int x) (Xoshiro256.next_int b);
@@ -90,15 +84,6 @@ let xoshiro_zero_state_rejected () =
     (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
       ignore (Xoshiro256.of_state 0L 0L 0L 0L))
 
-let xoshiro_copy_independent () =
-  let a = Xoshiro256.create 5L in
-  let b = Xoshiro256.copy a in
-  check_i64 "copies aligned" (Xoshiro256.next a) (Xoshiro256.next b);
-  ignore (Xoshiro256.next a);
-  (* advancing [a] must not affect [b]'s next output *)
-  let a' = Xoshiro256.next a and b' = Xoshiro256.next b in
-  check_bool "desynchronised after extra draw" true (a' <> b')
-
 (* --- Rng --- *)
 
 let rng () = Rng.create ~seed:424242
@@ -114,7 +99,7 @@ let rng_pinned_draws () =
   Alcotest.(check (float 0.0)) "float 2" 0x1.90c0dd2bb0e36p-2 (Rng.float t 1.0);
   Alcotest.(check (list bool))
     "bools" [ false; true; false; true ]
-    (List.init 4 (fun _ -> Rng.bool t));
+    (List.init 4 (fun _ -> Rng.bits t land 1 = 1));
   check_int "int 7" 5 (Rng.int t 7);
   check_int "int 1000" 894 (Rng.int t 1000)
 
@@ -160,13 +145,19 @@ let rng_int_roughly_uniform () =
     buckets
 
 let rng_int_in_range () =
+  (* Dense sampling draws each position's pick from the range of the
+     positions left: the first pick spans the whole array, ends
+     included. *)
   let t = rng () in
+  let values = Array.init 7 (fun i -> i - 3) in
   let lo_seen = ref false and hi_seen = ref false in
   for _ = 1 to 1000 do
-    let x = Rng.int_in_range t ~lo:(-3) ~hi:3 in
-    check_bool "in range" true (x >= -3 && x <= 3);
-    if x = -3 then lo_seen := true;
-    if x = 3 then hi_seen := true
+    let s = Rng.sample_without_replacement t ~k:7 values in
+    let sorted = Array.copy s in
+    Array.sort Int.compare sorted;
+    Alcotest.(check (array int)) "a permutation" values sorted;
+    if s.(0) = -3 then lo_seen := true;
+    if s.(0) = 3 then hi_seen := true
   done;
   check_bool "lo endpoint reachable" true !lo_seen;
   check_bool "hi endpoint reachable" true !hi_seen
@@ -193,7 +184,7 @@ let rng_bool_fair () =
   let trues = ref 0 in
   let n = 20_000 in
   for _ = 1 to n do
-    if Rng.bool t then incr trues
+    if Rng.bernoulli t ~p:0.5 then incr trues
   done;
   check_bool "roughly fair" true (abs (!trues - (n / 2)) < n / 20)
 
@@ -209,12 +200,6 @@ let rng_pick () =
   check_int "singleton" 7 (Rng.pick t [| 7 |]);
   Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick t [||]))
-
-let rng_pick_list () =
-  let t = rng () in
-  check_int "singleton" 9 (Rng.pick_list t [ 9 ]);
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.pick_list: empty list")
-    (fun () -> ignore (Rng.pick_list t []))
 
 let rng_shuffle_preserves_multiset () =
   let t = rng () in
@@ -245,7 +230,7 @@ let distinct_ints a =
 let rng_sample_indices_dense () =
   let t = rng () in
   (* k close to n exercises the Fisher-Yates path *)
-  let s = Rng.sample_indices t ~k:80 ~n:100 in
+  let s = Rng.sample_without_replacement t ~k:80 (Array.init 100 Fun.id) in
   check_int "size" 80 (Array.length s);
   check_bool "distinct" true (distinct_ints s);
   Array.iter (fun x -> check_bool "in range" true (x >= 0 && x < 100)) s
@@ -253,15 +238,16 @@ let rng_sample_indices_dense () =
 let rng_sample_indices_sparse () =
   let t = rng () in
   (* k << n exercises the hash-rejection path *)
-  let s = Rng.sample_indices t ~k:10 ~n:100_000 in
+  let s = Rng.sample_without_replacement t ~k:10 (Array.init 100_000 Fun.id) in
   check_int "size" 10 (Array.length s);
   check_bool "distinct" true (distinct_ints s)
 
 let rng_sample_indices_clamps () =
   let t = rng () in
-  check_int "k > n clamps" 5 (Array.length (Rng.sample_indices t ~k:50 ~n:5));
-  check_int "k = 0 empty" 0 (Array.length (Rng.sample_indices t ~k:0 ~n:5));
-  check_int "n = 0 empty" 0 (Array.length (Rng.sample_indices t ~k:3 ~n:0))
+  let sample ~k ~n = Rng.sample_without_replacement t ~k (Array.init n Fun.id) in
+  check_int "k > n clamps" 5 (Array.length (sample ~k:50 ~n:5));
+  check_int "k = 0 empty" 0 (Array.length (sample ~k:0 ~n:5));
+  check_int "n = 0 empty" 0 (Array.length (sample ~k:3 ~n:0))
 
 let rng_sample_without_replacement () =
   let t = rng () in
@@ -271,32 +257,6 @@ let rng_sample_without_replacement () =
   Array.iter
     (fun x -> check_bool "member" true (Array.exists (String.equal x) a))
     s
-
-let rng_exponential () =
-  let t = rng () in
-  let n = 50_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    let x = Rng.exponential t ~rate:2.0 in
-    check_bool "positive" true (x >= 0.0);
-    sum := !sum +. x
-  done;
-  let mean = !sum /. float_of_int n in
-  check_bool "mean ~ 1/rate" true (Float.abs (mean -. 0.5) < 0.02)
-
-let rng_geometric () =
-  let t = rng () in
-  check_int "p=1 is 0" 0 (Rng.geometric t ~p:1.0);
-  let n = 50_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    let x = Rng.geometric t ~p:0.25 in
-    check_bool "non-negative" true (x >= 0);
-    sum := !sum + x
-  done;
-  let mean = float_of_int !sum /. float_of_int n in
-  (* E = (1-p)/p = 3 *)
-  check_bool "mean ~ 3" true (Float.abs (mean -. 3.0) < 0.1)
 
 let rng_split_decorrelates () =
   let parent = rng () in
@@ -334,7 +294,7 @@ let prop_sample_indices_distinct =
     Gen.(triple (int_bound 10_000) (int_bound 200) (int_bound 200))
     (fun (seed, k, n) ->
       let t = Rng.create ~seed in
-      let s = Rng.sample_indices t ~k ~n in
+      let s = Rng.sample_without_replacement t ~k (Array.init n Fun.id) in
       distinct_ints s && Array.length s = min k n)
 
 let prop_shuffle_permutation =
@@ -381,7 +341,6 @@ let () =
         [
           Alcotest.test_case "reference vectors" `Quick splitmix_vectors;
           Alcotest.test_case "determinism" `Quick splitmix_determinism;
-          Alcotest.test_case "copy" `Quick splitmix_copy;
           Alcotest.test_case "mix stateless" `Quick splitmix_mix_stateless;
         ] );
       ( "xoshiro256",
@@ -393,7 +352,6 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick xoshiro_seed_sensitivity;
           Alcotest.test_case "zero state rejected" `Quick
             xoshiro_zero_state_rejected;
-          Alcotest.test_case "copy independence" `Quick xoshiro_copy_independent;
         ] );
       ( "rng",
         [
@@ -408,7 +366,6 @@ let () =
           Alcotest.test_case "bool fair" `Slow rng_bool_fair;
           Alcotest.test_case "bernoulli extremes" `Quick rng_bernoulli_extremes;
           Alcotest.test_case "pick" `Quick rng_pick;
-          Alcotest.test_case "pick_list" `Quick rng_pick_list;
           Alcotest.test_case "shuffle multiset" `Quick
             rng_shuffle_preserves_multiset;
           Alcotest.test_case "shuffle moves" `Quick rng_shuffle_moves_things;
@@ -417,8 +374,6 @@ let () =
           Alcotest.test_case "sample clamps" `Quick rng_sample_indices_clamps;
           Alcotest.test_case "sample w/o replacement" `Quick
             rng_sample_without_replacement;
-          Alcotest.test_case "exponential" `Slow rng_exponential;
-          Alcotest.test_case "geometric" `Slow rng_geometric;
           Alcotest.test_case "split decorrelates" `Quick rng_split_decorrelates;
           Alcotest.test_case "determinism" `Quick rng_determinism;
         ] );

@@ -100,23 +100,6 @@ let measurements_convergence_views () =
   check_bool "samples metric differs" true
     (Measurements.convergence_time ~metric:`Samples ~optimal:0.1 ~within:0.25 m = None)
 
-let measurements_isolated_after () =
-  let m = Measurements.create () in
-  Measurements.add m (point ~time:1.0 ~isolated:0.5 ());
-  Measurements.add m (point ~time:10.0 ~isolated:0.0 ());
-  check_bool "early isolation only" false (Measurements.ever_isolated_after m 5.0);
-  check_bool "caught before cutoff" true (Measurements.ever_isolated_after m 0.5)
-
-let measurements_mean_after () =
-  let m = Measurements.create () in
-  List.iter
-    (fun (t, v) -> Measurements.add m (point ~time:t ~view_byz:v ()))
-    [ (1.0, 0.4); (2.0, 0.2); (3.0, 0.1) ];
-  check_float "mean of suffix" 0.15
-    (Measurements.mean_after (fun p -> p.Measurements.view_byz) m 2.0);
-  check_bool "empty suffix nan" true
-    (Float.is_nan (Measurements.mean_after (fun p -> p.Measurements.view_byz) m 10.0))
-
 (* --- Report --- *)
 
 let report_table () =
@@ -284,7 +267,7 @@ let runner_per_node_consistent () =
 let runner_observer_called () =
   let called = ref 0 in
   let observer ~time:_ ~views:_ = incr called in
-  ignore (Runner.run_with_observer ~observer (tiny_scenario ()));
+  ignore (Runner.run ~observer (tiny_scenario ()));
   check_bool "observer invoked per measurement" true (!called >= 30)
 
 let runner_graph_metrics_present () =
@@ -365,7 +348,7 @@ let churn_crash_and_eviction () =
        identifies them. *)
     let final_views = ref [||] in
     let observer ~time:_ ~views = final_views := Array.init n views in
-    let r = Runner.run_with_observer ~observer (scenario evict) in
+    let r = Runner.run ~observer (scenario evict) in
     check_bool "some nodes crashed" true (r.Runner.nodes_churned > 5);
     let views = !final_views in
     let is_dead u = Array.length views.(u) = 0 in
@@ -533,8 +516,6 @@ let () =
           Alcotest.test_case "convergence" `Quick measurements_convergence;
           Alcotest.test_case "convergence views metric" `Quick
             measurements_convergence_views;
-          Alcotest.test_case "isolated after" `Quick measurements_isolated_after;
-          Alcotest.test_case "mean after" `Quick measurements_mean_after;
         ] );
       ( "report",
         [

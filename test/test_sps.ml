@@ -7,43 +7,66 @@ module View_ops = Basalt_proto.View_ops
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_float = Alcotest.(check (float 1e-9))
 let id = Node_id.of_int
 let rng () = Basalt_prng.Rng.create ~seed:77
 
 (* --- Indegree_stats --- *)
 
+(* The statistics are seen through the outlier test they feed: 20
+   identifiers recorded once each are the population baseline. *)
+let with_baseline ?decay () =
+  let s = Indegree_stats.create ?decay () in
+  for i = 1 to 20 do
+    Indegree_stats.record s (id i)
+  done;
+  s
+
 let stats_record_count () =
-  let s = Indegree_stats.create () in
-  check_float "unseen" 0.0 (Indegree_stats.count s (id 1));
-  Indegree_stats.record s (id 1);
-  Indegree_stats.record s (id 1);
-  check_float "two" 2.0 (Indegree_stats.count s (id 1));
-  check_int "observed" 1 (Indegree_stats.observed s)
+  let s = with_baseline () in
+  Indegree_stats.record s (id 999);
+  Indegree_stats.tick s;
+  check_bool "one record is the baseline" false
+    (Indegree_stats.is_outlier s ~z:3.0 (id 999));
+  for _ = 1 to 4 do
+    Indegree_stats.record s (id 999)
+  done;
+  Indegree_stats.tick s;
+  (* counts 0.81 each, 999 at 4.41: mean 0.98 + 3 std 0.75 < 4.41 *)
+  check_bool "five records stand out" true
+    (Indegree_stats.is_outlier s ~z:3.0 (id 999))
 
 let stats_decay () =
-  let s = Indegree_stats.create ~decay:0.5 () in
-  Indegree_stats.record s (id 1);
+  let s = with_baseline ~decay:0.5 () in
+  for _ = 1 to 50 do
+    Indegree_stats.record s (id 999)
+  done;
   Indegree_stats.tick s;
-  check_float "halved" 0.5 (Indegree_stats.count s (id 1));
-  (* Decay below the pruning threshold removes the entry. *)
-  for _ = 1 to 10 do
+  check_bool "outlier after one halving" true
+    (Indegree_stats.is_outlier s ~z:3.0 (id 999));
+  (* Decay below the pruning threshold removes the baseline's entries
+     (0.5^7 < 0.01), leaving too small a population for any verdict. *)
+  for _ = 1 to 6 do
     Indegree_stats.tick s
   done;
-  check_float "pruned" 0.0 (Indegree_stats.count s (id 1));
-  check_int "table emptied" 0 (Indegree_stats.observed s)
+  check_bool "pruned population judges nothing" false
+    (Indegree_stats.is_outlier s ~z:3.0 (id 999))
 
 let stats_moments () =
+  (* Ten identifiers recorded 1..10 times: counts 0.9 i after decay,
+     mean 4.95, std 2.585; the threshold mean + z std moves with z. *)
   let s = Indegree_stats.create () in
-  for i = 1 to 4 do
+  for i = 1 to 10 do
     for _ = 1 to i do
       Indegree_stats.record s (id i)
     done
   done;
   Indegree_stats.tick s;
-  (* counts after decay 0.9: 0.9, 1.8, 2.7, 3.6 -> mean 2.25 *)
-  check_bool "mean" true (Float.abs (Indegree_stats.mean s -. 2.25) < 1e-9);
-  check_bool "std positive" true (Indegree_stats.std s > 0.0)
+  check_bool "9.0 > 4.95 + 1.5 std" true
+    (Indegree_stats.is_outlier s ~z:1.5 (id 10));
+  check_bool "9.0 < 4.95 + 1.6 std" false
+    (Indegree_stats.is_outlier s ~z:1.6 (id 10));
+  check_bool "the mean is no outlier at z = 0" false
+    (Indegree_stats.is_outlier s ~z:0.0 (id 5))
 
 let stats_invalid () =
   Alcotest.check_raises "decay 0"
@@ -154,7 +177,7 @@ let classic_sample () =
   check_int "three samples" 3 (List.length s);
   List.iter
     (fun p ->
-      check_bool "sample from view" true (View_ops.contains (Classic.view t) p))
+      check_bool "sample from view" true (Array.mem p (Classic.view t)))
     s;
   Classic.evict t (fun _ -> true);
   check_bool "no samples from empty view" true (Classic.sample t 3 = [])
@@ -174,59 +197,64 @@ let blacklist_ttl = 50
 let make_sps () =
   let sent, send = capture () in
   let t =
-    Sps.create
-      ~config:(Sps.config ~l:8 ())
-      ~id:(id 0)
+    Sps.sampler ~config:(Sps.config ~l:8 ()) () ~id:(id 0)
       ~bootstrap:(Array.init 6 (fun i -> id (i + 1)))
-      ~rng:(rng ()) ~send ()
+      ~rng:(rng ()) ~send
   in
   (t, sent)
 
-let quiet_rounds t n =
+let quiet_rounds (t : Basalt_proto.Rps.t) n =
   for _ = 1 to n do
-    Sps.on_round t
+    t.on_round ()
   done
+
+(* A blacklisted sender's messages are dropped: its pull request goes
+   unanswered. *)
+let blacklisted (t : Basalt_proto.Rps.t) sent p =
+  sent := [];
+  t.on_message ~from:p Message.Pull_request;
+  not (List.exists (fun (dst, _) -> Node_id.equal dst p) !sent)
 
 (* Drive enough traffic that one identifier becomes a statistical
    outlier, for five rounds. *)
-let flood_with_heavy_hitter t =
+let flood_with_heavy_hitter (t : Basalt_proto.Rps.t) =
   for _ = 1 to 5 do
-    Sps.on_round t;
+    t.on_round ();
     (* a normal-looking background of ids *)
-    Sps.on_message t ~from:(id 1)
+    t.on_message ~from:(id 1)
       (Message.Pull_reply (Array.init 15 (fun i -> id (i + 2))));
     (* ...and a heavily repeated one *)
     for _ = 1 to 10 do
-      Sps.on_message t ~from:(id 999) (Message.Push [| id 999 |])
+      t.on_message ~from:(id 999) (Message.Push [| id 999 |])
     done
   done
 
 let sps_blacklists_heavy_hitter () =
-  let t, _ = make_sps () in
+  let t, sent = make_sps () in
   quiet_rounds t warmup_rounds;
   flood_with_heavy_hitter t;
-  check_bool "flagged" true (Sps.blacklisted t (id 999));
-  check_bool "blacklist non-empty" true (Sps.blacklist_size t > 0);
+  check_bool "flagged" true (blacklisted t sent (id 999));
+  check_bool "others still answered" false (blacklisted t sent (id 5));
   check_bool "evicted from view" false
-    (View_ops.contains (Sps.view t) (id 999))
+    (Array.mem (id 999) (t.current_view ()))
 
 let sps_warmup_delays_blacklisting () =
-  let t, _ = make_sps () in
+  let t, sent = make_sps () in
   (* Rounds 1 to 5, well inside the warm-up. *)
   flood_with_heavy_hitter t;
-  check_bool "not flagged during warmup" false (Sps.blacklisted t (id 999))
+  check_bool "not flagged during warmup" false (blacklisted t sent (id 999))
 
 let sps_blacklist_expires () =
-  let t, _ = make_sps () in
+  let t, sent = make_sps () in
   quiet_rounds t warmup_rounds;
   flood_with_heavy_hitter t;
-  check_bool "flagged" true (Sps.blacklisted t (id 999));
+  check_bool "flagged" true (blacklisted t sent (id 999));
   (* Advance rounds without traffic: the entry made in the last flood
      round lasts exactly the TTL. *)
   quiet_rounds t (blacklist_ttl - 1);
-  check_bool "flagged until the ttl" true (Sps.blacklisted t (id 999));
+  check_bool "flagged until the ttl" true (blacklisted t sent (id 999));
   quiet_rounds t 1;
-  check_bool "expired" false (Sps.blacklisted t (id 999))
+  check_bool "expired" false (blacklisted t sent (id 999))
 
 let sps_sampler_interface () =
   let maker = Sps.sampler ~config:(Sps.config ~l:8 ()) () in

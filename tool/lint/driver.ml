@@ -29,7 +29,10 @@ let rec walk_cmts dir acc =
       (fun acc entry ->
         let full = Filename.concat dir entry in
         if Sys.is_directory full then walk_cmts full acc
-        else if Filename.check_suffix entry ".cmt" then full :: acc
+        else if
+          Filename.check_suffix entry ".cmt"
+          || Filename.check_suffix entry ".cmti"
+        then full :: acc
         else acc)
       acc
       (let entries = Sys.readdir dir in
@@ -65,12 +68,18 @@ let run ?(typed = false) ?(rules = L.all_rules) ?build_dir ?pool ~root ~allow
       (Pool.map ?pool
          (fun (f, p, _) -> (f, L.analyze_parsed ~rel_path:f p))
          parsed);
-  (* Phase 3 (parallel): typed analysis over discovered .cmt files.
-     Each .cmt names its source; only units inside the scanned tree
-     participate.  Unreadable .cmt files are skipped — the tier degrades
-     to "not checked here", which the D11 audit respects. *)
+  (* Phase 3 (parallel): typed analysis over discovered .cmt/.cmti
+     files.  Each names its source; only units inside the scanned tree
+     or among the programs participate.  Unreadable files are skipped —
+     D9/D10 degrade to "not checked here", which the D11 audit
+     respects; D12 instead refuses to run (below). *)
   let typed_wanted = typed && List.exists requested L.typed_rules in
+  let d12_wanted = typed && requested L.D12 in
+  let programs = if d12_wanted then L.program_sources ~root else [] in
+  let known = Hashtbl.copy file_set in
+  List.iter (fun f -> Hashtbl.replace known f ()) programs;
   let typed_by_file = Hashtbl.create 64 in
+  let d12_by_file = Hashtbl.create 256 in
   if typed_wanted then begin
     let bdir =
       match build_dir with
@@ -83,24 +92,76 @@ let run ?(typed = false) ?(rules = L.all_rules) ?build_dir ?pool ~root ~allow
           match Cmt_format.read_cmt cmt_path with
           | exception _ -> None
           | cmt -> (
-              match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile)
-              with
-              | Cmt_format.Implementation str, Some src ->
+              match cmt.Cmt_format.cmt_sourcefile with
+              | Some src when Hashtbl.mem known (L.normalize_path src) ->
                   let src = L.normalize_path src in
-                  if Hashtbl.mem file_set src then
-                    Some (src, Typed.lint_structure ~rel_path:src str)
-                  else None
+                  let findings =
+                    match cmt.Cmt_format.cmt_annots with
+                    | Cmt_format.Implementation str
+                      when Hashtbl.mem file_set src ->
+                        Some (Typed.lint_structure ~rel_path:src str)
+                    | _ -> None
+                  in
+                  let unit =
+                    if d12_wanted then Typed.d12_unit ~rel_path:src cmt
+                    else None
+                  in
+                  Some (src, findings, unit)
               | _ -> None))
         (find_cmts bdir)
     in
     List.iter
       (function
-        | Some (f, fs) ->
-            if not (Hashtbl.mem typed_by_file f) then
-              Hashtbl.add typed_by_file f fs
+        | Some (f, findings, unit) ->
+            Option.iter
+              (fun fs ->
+                if not (Hashtbl.mem typed_by_file f) then
+                  Hashtbl.add typed_by_file f fs)
+              findings;
+            Option.iter
+              (fun u ->
+                if not (Hashtbl.mem d12_by_file f) then
+                  Hashtbl.add d12_by_file f u)
+              unit
         | None -> ())
       results
   end;
+  (* D12 is whole-program: a program unit without its .cmt would make
+     the exports only it calls look dead, so a stale tree gets one
+     finding naming the first such file and no verdict on any export. *)
+  let d12_missing =
+    List.filter
+      (fun f -> not (Hashtbl.mem d12_by_file f))
+      (programs
+      @ List.filter
+          (fun f -> L.in_dir "lib" f && Filename.check_suffix f ".mli")
+          files)
+  in
+  let d12_ran = d12_wanted && d12_missing = [] in
+  let d12_refusal =
+    match d12_missing with
+    | first :: rest when d12_wanted ->
+        [
+          {
+            L.file = first;
+            line = 1;
+            rule = L.D12;
+            message =
+              Printf.sprintf
+                "no .cmt/.cmti for this source%s: run `dune build @check` \
+                 first; D12 judged no export"
+                (match rest with
+                | [] -> ""
+                | _ -> Printf.sprintf " (nor for %d more)" (List.length rest));
+          };
+        ]
+    | _ -> []
+  in
+  let d12_findings = Hashtbl.create 64 in
+  if d12_ran then
+    List.iter
+      (fun (fd : L.finding) -> Hashtbl.add d12_findings fd.L.file fd)
+      (Typed.unused_exports (List.of_seq (Hashtbl.to_seq_values d12_by_file)));
   (* D5 missing-.mli findings, grouped per .ml file so they flow through
      that file's suppressions. *)
   let missing_by_file = Hashtbl.create 16 in
@@ -121,6 +182,7 @@ let run ?(typed = false) ?(rules = L.all_rules) ?build_dir ?pool ~root ~allow
         Option.value ~default:[] (Hashtbl.find_opt untyped_by_file f)
         @ Option.value ~default:[] (Hashtbl.find_opt typed_by_file f)
         @ Option.value ~default:[] (Hashtbl.find_opt missing_by_file f)
+        @ Hashtbl.find_all d12_findings f
       in
       let raw = List.filter (fun (fd : L.finding) -> requested fd.L.rule) raw in
       let kept, used_pragmas, used_entries =
@@ -131,11 +193,13 @@ let run ?(typed = false) ?(rules = L.all_rules) ?build_dir ?pool ~root ~allow
       if audit then begin
         (* A pragma is auditable only for rules that actually ran on
            this file: a D9 pragma is not stale in an untyped run, nor in
-           a typed run where this file's .cmt was missing. *)
+           a typed run where this file's .cmt was missing.  D12 runs on
+           the whole tree or not at all. *)
         let checked r =
           requested r
           && ((List.mem r L.untyped_rules && untyped_wanted)
-             || (List.mem r L.typed_rules && typed_wanted && typed_avail)
+             || (List.mem r [ L.D9; L.D10 ] && typed_avail)
+             || (r = L.D12 && d12_ran)
              || r = L.D5)
         in
         let seen = Hashtbl.create 8 in
@@ -176,7 +240,8 @@ let run ?(typed = false) ?(rules = L.all_rules) ?build_dir ?pool ~root ~allow
           let auditable =
             requested rule
             && ((List.mem rule L.untyped_rules && List.exists requested L.untyped_rules)
-               || (List.mem rule L.typed_rules && typed_wanted)
+               || (List.mem rule [ L.D9; L.D10 ] && typed_wanted)
+               || (rule = L.D12 && d12_ran)
                || rule = L.D11)
           in
           if auditable && not (Hashtbl.mem all_used_entries i) then
@@ -197,7 +262,7 @@ let run ?(typed = false) ?(rules = L.all_rules) ?build_dir ?pool ~root ~allow
     acc_findings := stale_entries :: !acc_findings
   end;
   {
-    findings = L.sort_findings (List.concat !acc_findings);
+    findings = L.sort_findings (d12_refusal @ List.concat !acc_findings);
     files_scanned = List.length files;
     typed_covered = Hashtbl.length typed_by_file;
   }

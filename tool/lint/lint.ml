@@ -1,6 +1,6 @@
-type rule = D1 | D2 | D3 | D4 | D5 | D6 | D7 | D8 | D9 | D10 | D11
+type rule = D1 | D2 | D3 | D4 | D5 | D6 | D7 | D8 | D9 | D10 | D11 | D12
 
-let all_rules = [ D1; D2; D3; D4; D5; D6; D7; D8; D9; D10; D11 ]
+let all_rules = [ D1; D2; D3; D4; D5; D6; D7; D8; D9; D10; D11; D12 ]
 
 let rule_name = function
   | D1 -> "D1"
@@ -14,6 +14,7 @@ let rule_name = function
   | D9 -> "D9"
   | D10 -> "D10"
   | D11 -> "D11"
+  | D12 -> "D12"
 
 let rule_of_string s =
   List.find_opt (fun r -> rule_name r = s) all_rules
@@ -38,12 +39,15 @@ let rule_summary = function
             split before handing it to a second one"
   | D11 -> "every suppression (pragma or allowlist entry) must suppress \
             at least one finding per run"
+  | D12 -> "every val a lib/ interface exports is referenced by a program \
+            (lib/ outside its module, bin/, bench/, tool/, examples/)"
 
 (* The tier each rule runs on: D1-D8 need only the parsetree; D9 and D10
-   resolve identifiers and types on the typed tree (.cmt files); D11 is
+   resolve identifiers and types on the typed tree (.cmt files), and D12
+   joins every unit's typed tree into one whole-program pass; D11 is
    computed by the driver from suppression-usage accounting. *)
 let untyped_rules = [ D1; D2; D3; D4; D5; D6; D7; D8 ]
-let typed_rules = [ D9; D10 ]
+let typed_rules = [ D9; D10; D12 ]
 
 type finding = { file : string; line : int; rule : rule; message : string }
 
@@ -461,7 +465,7 @@ let check_poly_operator st (e : Parsetree.expression) =
         report st D4 loc.loc_start.pos_lnum
           (Printf.sprintf
              "polymorphic %s used as a function value; pass a dedicated \
-              comparison (Node_id.compare, Int.compare, …)"
+              comparison (Node_id.equal, Int.compare, …)"
              op)
     | _ -> ()
 
@@ -581,13 +585,27 @@ let rec walk root rel acc =
   then rel :: acc
   else acc
 
-let source_files ~root =
+let files_under ~root dirs =
   List.sort String.compare
     (List.fold_left
        (fun acc dir ->
          if Sys.file_exists (Filename.concat root dir) then walk root dir acc
          else acc)
-       [] scanned_dirs)
+       [] dirs)
+
+let source_files ~root = files_under ~root scanned_dirs
+
+(* The code that runs: its references are what justify a lib/ export
+   (D12).  Tests are not programs, and neither are the lint fixtures. *)
+let is_program path =
+  List.exists (fun d -> in_dir d path)
+    [ "lib"; "bin"; "bench"; "tool"; "examples" ]
+  && not (String.starts_with ~prefix:"tool/lint/fixtures" path)
+
+let program_sources ~root =
+  List.filter
+    (fun f -> Filename.check_suffix f ".ml" && is_program f)
+    (files_under ~root [ "lib"; "bin"; "bench"; "tool"; "examples" ])
 
 (* Raw D5 findings for lib modules without an [.mli]; file-level, so the
    driver routes them through the same suppression machinery. *)

@@ -9,7 +9,8 @@
     - the {e typed tier} ({!Typed}) loads the [.cmt] files that
       [dune build @check] produces and runs the dataflow rules D9–D10
       on the typedtree, where identifiers resolve to real paths and
-      expressions carry their types;
+      expressions carry their types, plus the whole-program export
+      check D12 over every unit at once;
     - D11 (stale suppressions) is computed by the {!Driver} from the
       suppression-usage accounting both tiers report.
 
@@ -43,6 +44,13 @@
     - {b D11} {e (driver)} — every [(* lint: allow *)] pragma and
       allowlist entry must suppress at least one finding per whole-tree
       run; stale suppressions are findings themselves.
+    - {b D12} {e (typed, whole program)} — every top-level [val] of a
+      [lib/] interface is referenced by a {e program}: [lib/] outside
+      the defining module, [bin/], [bench/], [tool/] (lint fixtures
+      excepted) or [examples/].  Tests do not count.  A module used as
+      a whole (functor argument, [include], first-class module) uses
+      all its values.  With a program source lacking its [.cmt], D12
+      reports that one file and flags nothing else.
 
     Suppression: a comment containing [lint: allow D<k>] silences rule
     [D<k>] on the comment's lines and the line directly below;
@@ -50,16 +58,16 @@
     whole-file or whole-subtree exemptions.  D11 findings cannot be
     suppressed. *)
 
-type rule = D1 | D2 | D3 | D4 | D5 | D6 | D7 | D8 | D9 | D10 | D11
+type rule = D1 | D2 | D3 | D4 | D5 | D6 | D7 | D8 | D9 | D10 | D11 | D12
 
 val all_rules : rule list
 (** All rules, in order. *)
 
 val rule_name : rule -> string
-(** [rule_name r] is ["D1"] … ["D11"]. *)
+(** [rule_name r] is ["D1"] … ["D12"]. *)
 
 val rule_of_string : string -> rule option
-(** [rule_of_string s] parses ["D1"] … ["D11"] (case-sensitive). *)
+(** [rule_of_string s] parses ["D1"] … ["D12"] (case-sensitive). *)
 
 val rule_summary : rule -> string
 (** One-line description, used in SARIF rule metadata and CLI usage. *)
@@ -68,8 +76,8 @@ val untyped_rules : rule list
 (** The parsetree-tier rules (D1–D8). *)
 
 val typed_rules : rule list
-(** The typed-tree-tier rules (D9–D10).  D11 belongs to neither tier:
-    the driver derives it from suppression accounting. *)
+(** The typed-tree-tier rules (D9, D10, D12).  D11 belongs to neither
+    tier: the driver derives it from suppression accounting. *)
 
 type finding = {
   file : string;  (** Repo-relative path using [/] separators. *)
@@ -174,6 +182,14 @@ val source_files : root:string -> string list
 (** Every [.ml]/[.mli] under [lib/], [bin/], [bench/], [test/] below
     [root], as sorted repo-relative paths; [_build] and dotdirs are
     skipped. *)
+
+val is_program : string -> bool
+(** Whether a repo-relative path is program code for D12: under [lib/],
+    [bin/], [bench/], [tool/] or [examples/], and not a lint fixture
+    ([tool/lint/fixtures*]). *)
+
+val program_sources : root:string -> string list
+(** Every [.ml] below [root] that {!is_program} accepts, sorted. *)
 
 val missing_mli_findings : string list -> finding list
 (** Raw D5 findings for [lib/] modules without an [.mli], given the

@@ -18,12 +18,13 @@ module Driver = Basalt_lint.Driver
 module Output = Basalt_lint.Output
 
 let usage =
-  "basalt-lint: determinism & interface linter (rules D1-D11, see \
+  "basalt-lint: determinism & interface linter (rules D1-D12, see \
    DESIGN.md §6)\n\
    usage: main.exe [--root DIR] [--typed] [--format text|json|sarif]\n\
   \       [--rules D1,D9,...] [--allowlist FILE] [--build-dir DIR]\n\
   \       [-j N] [--as PATH] [--cmt FILE] [FILE...]\n\
-   With no FILE arguments, scans lib/ bin/ bench/ test/ under --root."
+   With no FILE arguments, scans lib/ bin/ bench/ test/ under --root;\n\
+   D12 also reads the .cmt files of tool/ and examples/."
 
 let fail_usage msg =
   prerr_endline ("basalt-lint: " ^ msg);
@@ -50,7 +51,10 @@ let () =
   let spec =
     [
       ("--root", Arg.Set_string root, "DIR repo root to scan (default: .)");
-      ("--typed", Arg.Set typed, " enable the typed tier (D9/D10, needs .cmt files)");
+      ( "--typed",
+        Arg.Set typed,
+        " enable the typed tier (D9/D10, and D12 over the whole build; \
+         needs the .cmt files of dune build @check)" );
       ( "--format",
         Arg.String
           (fun s ->

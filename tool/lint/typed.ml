@@ -146,7 +146,14 @@ let collect_aliases ctx str =
     | _ -> ());
     default.module_binding sub mb
   in
-  let it = { default with module_binding } in
+  let expr sub (e : expression) =
+    (match e.exp_desc with
+    | Texp_letmodule (Some id, _, _, { mod_desc = Tmod_ident (p, _); _ }, _) ->
+        Hashtbl.replace ctx.aliases (Ident.name id) (resolve ctx p)
+    | _ -> ());
+    default.expr sub e
+  in
+  let it = { default with module_binding; expr } in
   it.structure it str
 
 (* ------------------------------------------------------------------ *)
@@ -513,6 +520,128 @@ let run_d10 ctx str =
              name names)
       end)
     st.uses
+
+(* ------------------------------------------------------------------ *)
+(* D12: exported values without a program caller                       *)
+
+(* A compilation unit as D12 sees it: a lib/ interface lists its
+   top-level [val]s; a program lists every value path it references and
+   every module it uses as a whole.  Paths are dotted, resolved through
+   aliases and dune's mangled unit names, so [Basalt_core__Basalt],
+   [Basalt_core.Basalt] and a local [module B = Basalt_core.Basalt] all
+   name the same module.  A unit cannot name itself by its own path, so
+   a module's calls to its own exports never count as uses. *)
+type d12_unit =
+  | Exports of { file : string; modpath : string list; vals : (string * int) list }
+  | Uses of { values : string list; modules : string list }
+
+let dotted parts = String.concat "." parts
+
+let exports_of ~rel_path modname (sg : signature) =
+  let vals =
+    List.filter_map
+      (fun (item : signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd ->
+            Some (vd.val_name.txt, vd.val_loc.Location.loc_start.pos_lnum)
+        | _ -> None)
+      sg.sig_items
+  in
+  Exports { file = rel_path; modpath = split_mangled modname; vals }
+
+let uses_of ~rel_path str =
+  let ctx =
+    {
+      rel_path;
+      findings = [];
+      aliases = Hashtbl.create 8;
+      rng_fns = Hashtbl.create 1;
+      obs_fns = Hashtbl.create 1;
+      tainted = Hashtbl.create 1;
+      unordered = None;
+    }
+  in
+  collect_aliases ctx str;
+  let values = ref [] and modules = ref [] in
+  let default = Tast_iterator.default_iterator in
+  let expr (sub : Tast_iterator.iterator) (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> values := dotted (resolve ctx p) :: !values
+    | Texp_letmodule (_, _, _, { mod_desc = Tmod_ident _; _ }, body) ->
+        sub.expr sub body
+    | _ -> default.expr sub e
+  in
+  (* Any other mention of a module — a functor argument, an [include],
+     a first-class [(module M)] — hands all of its values on. *)
+  let module_expr sub (me : module_expr) =
+    (match me.mod_desc with
+    | Tmod_ident (p, _) -> modules := dotted (resolve ctx p) :: !modules
+    | _ -> ());
+    default.module_expr sub me
+  in
+  (* An alias ([module R = Basalt_prng.Rng], also as [let module]) and
+     an [open] use nothing themselves: the values reached through them
+     are idents. *)
+  let module_binding sub (mb : module_binding) =
+    match mb.mb_expr.mod_desc with
+    | Tmod_ident _ -> ()
+    | _ -> default.module_binding sub mb
+  in
+  let open_declaration sub (od : open_declaration) =
+    match od.open_expr.mod_desc with
+    | Tmod_ident _ -> ()
+    | _ -> default.open_declaration sub od
+  in
+  let it =
+    { default with expr; module_expr; module_binding; open_declaration }
+  in
+  it.structure it str;
+  Uses { values = !values; modules = !modules }
+
+let d12_unit ~rel_path (cmt : Cmt_format.cmt_infos) =
+  match cmt.cmt_annots with
+  | Cmt_format.Interface sg
+    when L.in_dir "lib" rel_path && Filename.check_suffix rel_path ".mli" ->
+      Some (exports_of ~rel_path cmt.cmt_modname sg)
+  | Cmt_format.Implementation str when L.is_program rel_path ->
+      Some (uses_of ~rel_path str)
+  | _ -> None
+
+let unused_exports units =
+  let values = Hashtbl.create 4096 and modules = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Uses u ->
+          List.iter (fun v -> Hashtbl.replace values v ()) u.values;
+          List.iter (fun m -> Hashtbl.replace modules m ()) u.modules
+      | Exports _ -> ())
+    units;
+  L.sort_findings
+    (List.concat_map
+       (function
+         | Exports { file; modpath; vals } when
+             not (Hashtbl.mem modules (dotted modpath)) ->
+             List.filter_map
+               (fun (v, line) ->
+                 if Hashtbl.mem values (dotted (modpath @ [ v ])) then None
+                 else
+                   Some
+                     {
+                       L.file;
+                       line;
+                       rule = L.D12;
+                       message =
+                         Printf.sprintf
+                           "%s.%s is exported but no program references \
+                            it (tests do not count): delete it, drop it \
+                            from the .mli, or give the reason in a \
+                            pragma"
+                           (List.nth modpath (List.length modpath - 1))
+                           v;
+                     })
+               vals
+         | _ -> [])
+       units)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)

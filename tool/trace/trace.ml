@@ -14,16 +14,6 @@ let format_of_string = function
   | "json" -> Some Json
   | _ -> None
 
-(* Fixed-format floats, mirroring the registry's rendering. *)
-let fstr x =
-  let s = Printf.sprintf "%.12g" x in
-  if
-    String.exists
-      (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n' || c = 'a')
-      s
-  then s
-  else s ^ ".0"
-
 (* --- Parsing --- *)
 
 exception Parse_error of { line : int; text : string }
@@ -86,21 +76,7 @@ let group_by_name sel events =
   Hashtbl.fold (fun name vs acc -> (name, List.rev vs) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let escape_json s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ escape_json s ^ "\""
+let json_str s = "\"" ^ Obs.escape_json s ^ "\""
 
 let json_obj fields =
   "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields)
@@ -139,15 +115,15 @@ let summarize ?(format = Text) events =
         :: Printf.sprintf "%-32s %10s %14s %14s" "name" "count" "first" "last"
         :: List.map
              (fun (name, count, first, last) ->
-               Printf.sprintf "%-32s %10d %14s %14s" name count (fstr first)
-                 (fstr last))
+               Printf.sprintf "%-32s %10d %14s %14s" name count (Obs.float_string first)
+                 (Obs.float_string last))
              stats)
   | Csv ->
       lines
         ("name,count,first,last"
         :: List.map
              (fun (name, count, first, last) ->
-               Printf.sprintf "%s,%d,%s,%s" name count (fstr first) (fstr last))
+               Printf.sprintf "%s,%d,%s,%s" name count (Obs.float_string first) (Obs.float_string last))
              stats)
   | Json ->
       json_obj
@@ -163,8 +139,8 @@ let summarize ?(format = Text) events =
                      [
                        ("name", json_str name);
                        ("count", string_of_int count);
-                       ("first", fstr first);
-                       ("last", fstr last);
+                       ("first", Obs.float_string first);
+                       ("last", Obs.float_string last);
                      ])
                  stats) );
         ]
@@ -200,15 +176,15 @@ let spans ?(format = Text) events =
         :: List.map
              (fun (name, count, p50, p90, p99, mx) ->
                Printf.sprintf "%-32s %10d %12s %12s %12s %12s" name count
-                 (fstr p50) (fstr p90) (fstr p99) (fstr mx))
+                 (Obs.float_string p50) (Obs.float_string p90) (Obs.float_string p99) (Obs.float_string mx))
              stats)
   | Csv ->
       lines
         ("span,count,p50,p90,p99,max"
         :: List.map
              (fun (name, count, p50, p90, p99, mx) ->
-               Printf.sprintf "%s,%d,%s,%s,%s,%s" name count (fstr p50)
-                 (fstr p90) (fstr p99) (fstr mx))
+               Printf.sprintf "%s,%d,%s,%s,%s,%s" name count (Obs.float_string p50)
+                 (Obs.float_string p90) (Obs.float_string p99) (Obs.float_string mx))
              stats)
   | Json ->
       json_array
@@ -218,10 +194,10 @@ let spans ?(format = Text) events =
                [
                  ("span", json_str name);
                  ("count", string_of_int count);
-                 ("p50", fstr p50);
-                 ("p90", fstr p90);
-                 ("p99", fstr p99);
-                 ("max", fstr mx);
+                 ("p50", Obs.float_string p50);
+                 ("p90", Obs.float_string p90);
+                 ("p99", Obs.float_string p99);
+                 ("max", Obs.float_string mx);
                ])
            stats)
       ^ "\n"
@@ -284,13 +260,13 @@ let curve ?(format = Text) ?(bucket = 1.0) ?(ttd = false) ~ev events =
         (Printf.sprintf "%-14s %10s %10s" x_label "count" "cum"
         :: List.map
              (fun (x, c, cum) ->
-               Printf.sprintf "%-14s %10d %10d" (fstr x) c cum)
+               Printf.sprintf "%-14s %10d %10d" (Obs.float_string x) c cum)
              rows)
   | Csv ->
       lines
         (Printf.sprintf "%s,count,cum" x_label
         :: List.map
-             (fun (x, c, cum) -> Printf.sprintf "%s,%d,%d" (fstr x) c cum)
+             (fun (x, c, cum) -> Printf.sprintf "%s,%d,%d" (Obs.float_string x) c cum)
              rows)
   | Json ->
       json_array
@@ -298,7 +274,7 @@ let curve ?(format = Text) ?(bucket = 1.0) ?(ttd = false) ~ev events =
            (fun (x, c, cum) ->
              json_obj
                [
-                 (x_label, fstr x);
+                 (x_label, Obs.float_string x);
                  ("count", string_of_int c);
                  ("cum", string_of_int cum);
                ])
@@ -348,7 +324,7 @@ let diff ?(format = Text) events_a events_b =
           Hashtbl.find_opt pb name ))
       sorted
   in
-  let opt_f = function Some x -> fstr x | None -> "-" in
+  let opt_f = function Some x -> Obs.float_string x | None -> "-" in
   match format with
   | Text ->
       lines
@@ -378,7 +354,7 @@ let diff ?(format = Text) events_a events_b =
                   ("count_b", string_of_int b);
                   ("delta", string_of_int d);
                 ]
-               @ (match qa with Some x -> [ ("p50_a", fstr x) ] | None -> [])
-               @ match qb with Some x -> [ ("p50_b", fstr x) ] | None -> []))
+               @ (match qa with Some x -> [ ("p50_a", Obs.float_string x) ] | None -> [])
+               @ match qb with Some x -> [ ("p50_b", Obs.float_string x) ] | None -> []))
            rows)
       ^ "\n"
