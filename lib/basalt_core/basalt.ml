@@ -209,6 +209,7 @@ let update_sample t ids =
        its own one-element batch).  Survivors are prepared once —
        identifier-side digest hoisted out of the slot loop. *)
     let len = ref 0 in
+    let max_since = ref (-1) in
     for idx = 0 to n - 1 do
       let cand = Node_id.to_int (Array.unsafe_get ids idx) in
       if not (Int.equal cand t.self) then begin
@@ -218,11 +219,12 @@ let update_sample t ids =
           Array.unsafe_set raw j cand;
           Array.unsafe_set dig j (Rank.digest cand);
           Array.unsafe_set since j last;
+          if Int.compare last !max_since > 0 then max_since := last;
           incr len
         end
       end
     done;
-    let len = !len in
+    let len = !len and max_since = !max_since in
     if len > 0 then begin
       let backend = t.config.Config.backend
       and seeds = t.seeds
@@ -232,13 +234,14 @@ let update_sample t ids =
       let evals = ref 0 in
       (* Slot-major pass: per slot, one kernel call that scans the
          prepared candidates.  A candidate last offered at clock [s] is
-         evaluated only against seeds drawn after [s]. *)
+         evaluated only against seeds drawn after [s]; a slot whose seed
+         postdates [max_since] takes the whole batch unchecked. *)
       for i = 0 to Array.length seeds - 1 do
         evals :=
           !evals
           + Rank.offer_slot backend (Array.unsafe_get seeds i)
-              ~stamp:(Array.unsafe_get stamps i) ~raw ~dig ~since ~len
-              ~best_ranks ~holders i
+              ~stamp:(Array.unsafe_get stamps i) ~raw ~dig ~since ~max_since
+              ~len ~best_ranks ~holders i
       done;
       (* Rank evaluations actually performed after dedup and seen-cache
          elision — not candidates × slots (DESIGN.md §8). *)

@@ -7,20 +7,14 @@ module Rank = Basalt_hashing.Rank
 module Obs = Basalt_obs.Obs
 
 (* Batch scratch for [offer_batch]: per candidate, its id and its
-   identifier-side digest, plus a column of zeros that — against the
-   constant slot stamp 1 — makes the shared kernel rank every candidate
-   (Brahms keeps no seen-cache).  Grown on demand to the largest batch
+   identifier-side digest.  Grown on demand to the largest batch
    seen.  Every node of one [sampler] maker shares one scratch, as with
    [Basalt.factory]: a batch is filled and drained within one call that
    calls out to nothing, and a maker's nodes belong to one run, which
    handles one event at a time. *)
-type scratch = {
-  mutable raw : int array;
-  mutable dig : int array;
-  mutable since : int array;
-}
+type scratch = { mutable raw : int array; mutable dig : int array }
 
-let fresh_scratch () = { raw = [||]; dig = [||]; since = [||] }
+let fresh_scratch () = { raw = [||]; dig = [||] }
 
 type t = {
   config : Brahms_config.t;
@@ -59,14 +53,15 @@ let ensure_batch_capacity sc n =
   if Array.length sc.raw < n then begin
     let cap = Int.max n (2 * Array.length sc.raw) in
     sc.raw <- Array.make cap 0;
-    sc.dig <- Array.make cap 0;
-    sc.since <- Array.make cap 0
+    sc.dig <- Array.make cap 0
   end
 
 (* Offers the [len] candidates staged in the scratch to every sampler:
    per sampler, one kernel call over the batch.  Each sampler sees the
    candidates in arrival order, as an id-major feed would offer them, so
-   holders and ranks are those of offering one id at a time. *)
+   holders and ranks are those of offering one id at a time.  Brahms
+   keeps no seen-cache, so every candidate is fresh to every sampler:
+   [max_since] below [stamp] ranks them all and reads no [since]. *)
 let offer_batch t len =
   let sc = t.scratch in
   let seeds = t.seeds in
@@ -74,8 +69,8 @@ let offer_batch t len =
   for i = 0 to Array.length seeds - 1 do
     evals :=
       !evals
-      + Rank.offer_slot Rank.Cheap (Array.unsafe_get seeds i) ~stamp:1
-          ~raw:sc.raw ~dig:sc.dig ~since:sc.since ~len
+      + Rank.offer_slot Rank.Cheap (Array.unsafe_get seeds i) ~stamp:0
+          ~raw:sc.raw ~dig:sc.dig ~since:[||] ~max_since:(-1) ~len
           ~best_ranks:t.best_ranks ~holders:t.holders i
   done;
   Obs.Counter.add t.c_rank_evals !evals

@@ -53,13 +53,71 @@ let[@inline] mix63 x =
   let x = (x lxor (x lsr 27)) * 0x14057B7EF767814F in
   (x lxor (x lsr 31)) land max_int
 
-(* One slot against a prepared batch: one backend dispatch per slot, the
-   running best in locals, and for the cheap backends straight-line int
-   arithmetic per candidate.  The [int array] annotations keep the
-   comparisons monomorphic (unannotated, [>] on an array element is the
-   polymorphic compare call). *)
-let offer_slot backend seed ~stamp ~(raw : int array) ~(dig : int array)
-    ~(since : int array) ~len ~(best_ranks : int array)
+(* One slot whose seed postdates every candidate's last offer, on the
+   [Cheap] backend: every candidate is ranked, so the loop needs neither
+   the [since] test nor an evaluation counter (the count is [len]).  An
+   empty slot takes the first candidate outright, after which a holder
+   is present (identifiers are non-negative, as [Node_id] guarantees)
+   and only [r < best] can replace it; the rest run four
+   evaluations per step, compared in arrival order, then a scalar tail.
+   Holders and ranks are exactly those of the checked loop below. *)
+let offer_fresh_cheap seed ~(raw : int array) ~(dig : int array) ~len
+    ~(best_ranks : int array) ~(holders : int array) i =
+  if len > 0 then begin
+    let best = ref (Array.unsafe_get best_ranks i) in
+    let holder = ref (Array.unsafe_get holders i) in
+    let j = ref 0 in
+    if !holder < 0 then begin
+      best := mix63 (seed lxor Array.unsafe_get dig 0);
+      holder := Array.unsafe_get raw 0;
+      j := 1
+    end;
+    while !j + 3 < len do
+      let j0 = !j in
+      let r0 = mix63 (seed lxor Array.unsafe_get dig j0) in
+      let r1 = mix63 (seed lxor Array.unsafe_get dig (j0 + 1)) in
+      let r2 = mix63 (seed lxor Array.unsafe_get dig (j0 + 2)) in
+      let r3 = mix63 (seed lxor Array.unsafe_get dig (j0 + 3)) in
+      if r0 < !best then begin
+        best := r0;
+        holder := Array.unsafe_get raw j0
+      end;
+      if r1 < !best then begin
+        best := r1;
+        holder := Array.unsafe_get raw (j0 + 1)
+      end;
+      if r2 < !best then begin
+        best := r2;
+        holder := Array.unsafe_get raw (j0 + 2)
+      end;
+      if r3 < !best then begin
+        best := r3;
+        holder := Array.unsafe_get raw (j0 + 3)
+      end;
+      j := j0 + 4
+    done;
+    while !j < len do
+      let r = mix63 (seed lxor Array.unsafe_get dig !j) in
+      if r < !best then begin
+        best := r;
+        holder := Array.unsafe_get raw !j
+      end;
+      incr j
+    done;
+    Array.unsafe_set best_ranks i !best;
+    Array.unsafe_set holders i !holder
+  end
+
+(* One slot against a prepared batch, checked: one backend dispatch per
+   slot, the running best in locals, and for the cheap backends
+   straight-line int arithmetic per candidate.  The [int array]
+   annotations keep the comparisons monomorphic (unannotated, [>] on an
+   array element is the polymorphic compare call).  When [fresh] (every
+   candidate would pass the [since] test) the backends other than
+   [Cheap] skip reading [since]; [offer_slot] sends [Cheap] here only
+   when [fresh] is false. *)
+let offer_checked backend seed ~fresh ~stamp ~(raw : int array)
+    ~(dig : int array) ~(since : int array) ~len ~(best_ranks : int array)
     ~(holders : int array) i =
   let best = ref (Array.unsafe_get best_ranks i) in
   let holder = ref (Array.unsafe_get holders i) in
@@ -78,7 +136,7 @@ let offer_slot backend seed ~stamp ~(raw : int array) ~(dig : int array)
       done
   | Keyed_cheap key ->
       for j = 0 to len - 1 do
-        if stamp > Array.unsafe_get since j then begin
+        if fresh || stamp > Array.unsafe_get since j then begin
           incr evals;
           let r = mix63 (key lxor mix63 (seed lxor Array.unsafe_get dig j)) in
           if r < !best || !holder < 0 then begin
@@ -90,7 +148,7 @@ let offer_slot backend seed ~stamp ~(raw : int array) ~(dig : int array)
   | Siphash key ->
       let ms = sip_midstate key seed in
       for j = 0 to len - 1 do
-        if stamp > Array.unsafe_get since j then begin
+        if fresh || stamp > Array.unsafe_get since j then begin
           incr evals;
           let r = sip_finish ms (Array.unsafe_get raw j) in
           if r < !best || !holder < 0 then begin
@@ -101,7 +159,7 @@ let offer_slot backend seed ~stamp ~(raw : int array) ~(dig : int array)
       done
   | Prefix_diverse _ ->
       for j = 0 to len - 1 do
-        if stamp > Array.unsafe_get since j then begin
+        if fresh || stamp > Array.unsafe_get since j then begin
           incr evals;
           let r =
             rank_digested backend seed ~id:(Array.unsafe_get raw j)
@@ -116,3 +174,14 @@ let offer_slot backend seed ~stamp ~(raw : int array) ~(dig : int array)
   Array.unsafe_set best_ranks i !best;
   Array.unsafe_set holders i !holder;
   !evals
+
+let offer_slot backend seed ~stamp ~raw ~dig ~since ~max_since ~len ~best_ranks
+    ~holders i =
+  let fresh = stamp > max_since in
+  match backend with
+  | Cheap when fresh ->
+      offer_fresh_cheap seed ~raw ~dig ~len ~best_ranks ~holders i;
+      len
+  | Cheap | Keyed_cheap _ | Siphash _ | Prefix_diverse _ ->
+      offer_checked backend seed ~fresh ~stamp ~raw ~dig ~since ~len
+        ~best_ranks ~holders i

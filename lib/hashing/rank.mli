@@ -69,24 +69,31 @@ val offer_slot :
   raw:int array ->
   dig:int array ->
   since:int array ->
+  max_since:int ->
   len:int ->
   best_ranks:int array ->
   holders:int array ->
   int ->
   int
-(** [offer_slot backend seed ~stamp ~raw ~dig ~since ~len ~best_ranks
-    ~holders i] offers the prepared candidates [j < len] (identifier
-    [raw.(j)], its {!digest} [dig.(j)]) to slot [i], whose seed is
-    [seed].  A candidate is ranked only when [stamp > since.(j)] (the
-    slot's seed was drawn after the candidate was last offered to it);
-    it replaces the slot's holder when its rank is below
+(** [offer_slot backend seed ~stamp ~raw ~dig ~since ~max_since ~len
+    ~best_ranks ~holders i] offers the prepared candidates [j < len]
+    (identifier [raw.(j)], its {!digest} [dig.(j)]) to slot [i], whose
+    seed is [seed].  A candidate is ranked only when [stamp > since.(j)]
+    (the slot's seed was drawn after the candidate was last offered to
+    it); it replaces the slot's holder when its rank is below
     [best_ranks.(i)] or the slot is empty ([holders.(i) < 0]).  The
     final best rank and holder are written back to [best_ranks.(i)] and
-    [holders.(i)].  Returns the number of ranks evaluated.  Rank values
-    equal {!rank}'s; the cheap backends are evaluated inline,
-    without a call per candidate, and {!Siphash} derives the seed's
-    midstate once per call.  The one slot kernel of the repository:
-    Basalt's view slots ([Basalt.update_sample], whose seen-cache
-    supplies [since]) and Brahms's samplers (a [since] of zeros and
-    [stamp] 1, so every candidate is ranked) both run on it
-    (DESIGN.md §4). *)
+    [holders.(i)].  Returns the number of ranks evaluated.
+
+    [max_since] must be at least every [since.(j)], [j < len].  When
+    [stamp > max_since] every candidate is ranked and [since] is not
+    read (it may be empty); on {!Cheap} such a slot runs an unchecked,
+    four-way unrolled loop with no per-candidate test or counter, whose
+    holders, ranks and count equal the checked loop's.  Rank values
+    equal {!rank}'s; the cheap backends are evaluated inline, without
+    a call per candidate, and {!Siphash} derives the seed's midstate
+    once per call.  The one slot kernel of the repository: Basalt's
+    view slots ([Basalt.update_sample], whose seen-cache supplies
+    [since]) and Brahms's samplers (no seen-cache: an empty [since]
+    below a [max_since] under [stamp], so every candidate is ranked)
+    both run on it (DESIGN.md §4). *)

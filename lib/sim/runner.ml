@@ -61,8 +61,10 @@ type result = {
 let is_malicious s id = Node_id.to_int id >= Scenario.num_correct s
 
 (* Draw a bootstrap sample of [size] peers with Byzantine fraction [f0],
-   excluding [self]. *)
-let bootstrap_sample s rng ~self =
+   excluding [self].  [marks] is the run's one byte per node id, all zero
+   between draws: a drawn id is marked, and only the marked entries are
+   cleared before returning. *)
+let bootstrap_sample s rng ~marks ~self =
   let q = Scenario.num_correct s in
   let num_byz = Scenario.num_byzantine s in
   let size = s.Scenario.bootstrap_size in
@@ -71,15 +73,14 @@ let bootstrap_sample s rng ~self =
   in
   let correct_count = min (q - 1) (size - byz_count) in
   let out = ref [] in
-  let seen = Hashtbl.create size in
   let draw bound offset count =
     let drawn = ref 0 in
     let attempts = ref 0 in
     while !drawn < count && !attempts < 100 * count do
       incr attempts;
       let candidate = offset + Rng.int rng bound in
-      if candidate <> self && not (Hashtbl.mem seen candidate) then begin
-        Hashtbl.add seen candidate ();
+      if candidate <> self && Bytes.get_uint8 marks candidate = 0 then begin
+        Bytes.set_uint8 marks candidate 1;
         out := Node_id.of_int candidate :: !out;
         incr drawn
       end
@@ -87,6 +88,7 @@ let bootstrap_sample s rng ~self =
   in
   if q > 1 then draw q 0 correct_count;
   if num_byz > 0 then draw num_byz q byz_count;
+  List.iter (fun id -> Bytes.set_uint8 marks (Node_id.to_int id) 0) !out;
   Array.of_list !out
 
 let run ?observer ?app ?(obs = false) ?(trace = false) s =
@@ -171,6 +173,7 @@ let run ?observer ?app ?(obs = false) ?(trace = false) s =
         in
         Some (f ctx)
   in
+  let marks = Bytes.make n '\000' in
   (* [spawn i stream] (re)creates node [i] with a fresh sampler and app
      over [stream]; handlers and timers go through the array so churn
      can replace nodes live. *)
@@ -180,7 +183,7 @@ let run ?observer ?app ?(obs = false) ?(trace = false) s =
       meter ~from_adversary:false msg;
       Engine.send engine ~src:i ~dst:(Node_id.to_int dst) msg
     in
-    let bootstrap = bootstrap_sample s bootstrap_rng ~self:i in
+    let bootstrap = bootstrap_sample s bootstrap_rng ~marks ~self:i in
     let sampler = maker ~id ~bootstrap ~rng:node_rng ~send in
     let app = Option.map (fun f -> f i) app_make in
     nodes.(i) <- Node.create ?app ~stream sampler

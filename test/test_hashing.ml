@@ -190,7 +190,7 @@ let kernel_rank backend seed id =
   let best_ranks = [| max_int |] and holders = [| -1 |] in
   ignore
     (Rank.offer_slot backend seed ~stamp:1 ~raw:[| id |] ~dig:[| Rank.digest id |]
-       ~since:[| 0 |] ~len:1 ~best_ranks ~holders 0);
+       ~since:[| 0 |] ~max_since:0 ~len:1 ~best_ranks ~holders 0);
   best_ranks.(0)
 
 let rank_prepared_agrees () =
@@ -344,6 +344,42 @@ let prop_rank_paths_equal =
           r = kernel_rank backend sv id)
         all_backends)
 
+(* A batch whose every candidate is fresh to the slot gives the same
+   holder, best rank and count on the unchecked path ([max_since] below
+   [stamp]) as on the checked one ([max_since] at or above [stamp], every
+   [since] below it), for every backend, batch lengths 0–9 (the four-way
+   loop's tails included), and empty or filled slots — the empty ones
+   with any best rank, as the kernel's contract allows. *)
+let prop_unchecked_path_equal =
+  let stamp = 5 in
+  Test.make ~name:"offer_slot unchecked = checked" ~count:1000
+    ~print:Print.(tup4 int (list int) (list int) (pair int int))
+    Gen.(
+      let* len = int_range 0 9 in
+      tup4 (int_bound 1_000_000)
+        (list_size (pure len) (int_bound 1_000_000))
+        (list_size (pure len) (int_range (-1) (stamp - 1)))
+        (pair
+           (oneof [ pure (-1); int_bound 1_000_000 ])
+           (oneof [ pure max_int; map (fun x -> x land max_int) int ])))
+    (fun (seed, ids, sinces, (holder, best)) ->
+      let raw = Array.of_list ids and since = Array.of_list sinces in
+      let dig = Array.map Rank.digest raw and len = Array.length raw in
+      let run backend ~max_since =
+        let best_ranks = [| best |] and holders = [| holder |] in
+        let evals =
+          Rank.offer_slot backend seed ~stamp ~raw ~dig ~since ~max_since ~len
+            ~best_ranks ~holders 0
+        in
+        (holders.(0), best_ranks.(0), evals)
+      in
+      let top = Array.fold_left Int.max (-1) since in
+      List.for_all
+        (fun (_, backend) ->
+          run backend ~max_since:top = run backend ~max_since:(stamp + 1)
+          && run backend ~max_since:top = run backend ~max_since:stamp)
+        all_backends)
+
 (* The SipHash backend's cached midstate path must equal the uncached
    reference formula: hash_int64_pair over (seed, id), masked to a
    non-negative native int. *)
@@ -426,6 +462,7 @@ let () =
       Prop.suite "properties"
         [
           prop_rank_paths_equal;
+          prop_unchecked_path_equal;
           prop_sip_rank_matches_reference;
           prop_mix63_nonneg;
         ];

@@ -15,9 +15,16 @@ let parse_hex name s =
         | None -> Alcotest.failf "corpus %s: bad hex" name)
   end
 
+(* The corpus file: [dune runtest] runs the suites in [test/] of the
+   build tree, where the stanza's dep copies it; [dune exec] from the
+   repository root runs them there. *)
+let path =
+  if Sys.file_exists "corpus/wire_corpus.txt" then "corpus/wire_corpus.txt"
+  else "test/corpus/wire_corpus.txt"
+
 (* Every [(name, bytes)] entry, in file order. *)
 let load () =
-  let ic = open_in "corpus/wire_corpus.txt" in
+  let ic = open_in path in
   let rec read acc =
     match input_line ic with
     | line -> (
