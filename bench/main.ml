@@ -243,6 +243,24 @@ let core_ops () =
     if !miss_calls mod tick_every = 0 then
       ignore (Basalt_core.Basalt.sample_tick miss_node)
   in
+  (* The rank kernel alone: 200 prepared candidates offered to 160
+     slots whose seeds postdate them all ([max_since] below every
+     stamp), with no seen-cache intake — 32,000 evaluations per run, so
+     ns per evaluation is ns/run / 32,000. *)
+  let kernel_seeds = Array.init 160 (fun _ -> Rank.fresh rng) in
+  let kernel_raw = Array.init 200 (fun j -> 1_000_000 + j) in
+  let kernel_dig = Array.map Rank.digest kernel_raw in
+  let kernel_best = Array.make 160 max_int in
+  let kernel_holders = Array.make 160 (-1) in
+  let offer_fresh () =
+    for i = 0 to Array.length kernel_seeds - 1 do
+      ignore
+        (Rank.offer_slot Rank.Cheap kernel_seeds.(i) ~stamp:0 ~raw:kernel_raw
+           ~dig:kernel_dig ~since:[||] ~max_since:(-1)
+           ~len:(Array.length kernel_raw) ~best_ranks:kernel_best
+           ~holders:kernel_holders i)
+    done
+  in
   let siphash_key = Basalt_hashing.Siphash.key_of_rng rng in
   let keyed = Rank.Keyed_cheap 0x2545F4914F6CDD1D in
   let sip_midstate = Basalt_hashing.Siphash.prepare_int64 siphash_key 42L in
@@ -255,6 +273,8 @@ let core_ops () =
         (Staged.stage (fun () -> Basalt_core.Basalt.update_sample basalt ids));
       Test.make ~name:"update_sample miss (v=160, 161 fresh ids)"
         (Staged.stage update_sample_miss);
+      Test.make ~name:"offer_slot fresh (v=160, 200 ids)"
+        (Staged.stage offer_fresh);
       Test.make ~name:"sample_tick (v=160, k=80)"
         (Staged.stage (fun () -> ignore (Basalt_core.Basalt.sample_tick basalt)));
       Test.make ~name:"rank (cheap mixer)"
