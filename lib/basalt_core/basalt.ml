@@ -54,7 +54,6 @@ type offer = { mutable last : int }
 type t = {
   config : Config.t;
   id : Node_id.t;
-  self : int;  (* Node_id.to_int id, for the intake's self check *)
   seeds : int array;  (* one [Rank.fresh] seed per slot *)
   holders : int array;  (* holders.(i) < 0 means slot i is empty *)
   best_ranks : int array;  (* max_int when empty *)
@@ -196,23 +195,30 @@ let ensure_batch_capacity sc n =
     sc.since <- Array.make cap (-1)
   end
 
-let update_sample t ids =
+(* Offers [ids], then [sender] when it is an identifier (non-negative),
+   as one batch: each slot sees them in that order, so holders, ranks
+   and evaluations are those of offering [sender] alone after [ids]. *)
+let offer t (ids : Node_id.t array) ~sender =
   let n = Array.length ids in
-  if n > 0 then begin
+  let total = if sender >= 0 then n + 1 else n in
+  if total > 0 then begin
     let sc = t.scratch in
-    ensure_batch_capacity sc n;
-    let clock = t.clock in
+    ensure_batch_capacity sc total;
+    let clock = t.clock and self = (t.id :> int) in
     let raw = sc.raw and dig = sc.digest and since = sc.since in
     (* Intake pass: drop self, dedup within the batch, and skip any
        candidate already offered to every current seed (pull replies
-       routinely repeat ids across rounds, and the sender rides along as
-       its own one-element batch).  Survivors are prepared once —
+       routinely repeat ids across rounds, and the sender, staged last,
+       is often among them).  Survivors are prepared once —
        identifier-side digest hoisted out of the slot loop. *)
     let len = ref 0 in
     let max_since = ref (-1) in
-    for idx = 0 to n - 1 do
-      let cand = Node_id.to_int (Array.unsafe_get ids idx) in
-      if not (Int.equal cand t.self) then begin
+    for idx = 0 to total - 1 do
+      let cand =
+        if Int.compare idx n < 0 then (Array.unsafe_get ids idx :> int)
+        else sender
+      in
+      if not (Int.equal cand self) then begin
         let last = seen_exchange t cand clock in
         if Int.compare last clock < 0 then begin
           let j = !len in
@@ -249,6 +255,8 @@ let update_sample t ids =
     end
   end
 
+let update_sample t ids = offer t ids ~sender:(-1)
+
 let reset_slot t i =
   t.seeds.(i) <- Rank.fresh t.rng;
   t.holders.(i) <- -1;
@@ -269,7 +277,6 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
       {
         config;
         id;
-        self = Node_id.to_int id;
         seeds;
         holders = Array.make v (-1);
         best_ranks = Array.make v max_int;
@@ -481,12 +488,9 @@ let on_message t ~from msg =
   | Message.Pull_reply ids ->
       Obs.rtt_finish t.rtt ~peer:(Node_id.to_int from);
       (* Alg. 1 line 13: the sender itself is a candidate too. *)
-      update_sample t ids;
-      update_sample t [| from |]
-  | Message.Push ids ->
-      update_sample t ids;
-      update_sample t [| from |]
-  | Message.Push_id id -> update_sample t [| id |]
+      offer t ids ~sender:(from :> int)
+  | Message.Push ids -> offer t ids ~sender:(from :> int)
+  | Message.Push_id id -> offer t [||] ~sender:(id :> int)
   (* Broadcast frames belong to the lib/gossip layer sharing the socket;
      the sampler only takes the liveness signal above. *)
   | Message.Gossip _ | Message.Ihave _ | Message.Iwant _ | Message.Graft

@@ -58,9 +58,11 @@ val rank : backend -> int -> int -> int
     [(backend, seed, id)]. *)
 
 val digest : int -> int
-(** [digest id] is the identifier-side half of the cheap mixers
-    ([Mix.mix63 id]), for batch loops that keep candidate digests in an
-    [int array] (the batches {!offer_slot} scans). *)
+(** [digest id] is the identifier-side half of the cheap mixers, for
+    batch loops that keep candidate digests in an [int array] (the
+    batches {!offer_slot} scans).  It is [Mix.mix63 id] already put
+    through the mixer's first xorshift, not [Mix.mix63 id] itself, so a
+    [dig] array must be filled by [digest]. *)
 
 val offer_slot :
   backend ->

@@ -115,7 +115,9 @@ let run ?observer ?app ?(obs = false) ?(trace = false) s =
       ~n ()
   in
   Obs.set_clock sink (fun () -> Engine.now engine);
-  let malicious_pred id = is_malicious s id in
+  (* Ids at or above [q] are Byzantine ([is_malicious]), compared
+     without re-deriving [q] per id. *)
+  let malicious_pred (id : Node_id.t) = (id :> int) >= q in
   (* Bandwidth accounting: every send is metered by its estimated wire
      size so experiments can check the §4.3 communication budget. *)
   let correct_messages = ref 0 in

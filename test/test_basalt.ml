@@ -1181,6 +1181,88 @@ let prop_update_sample_matches_oracle =
             ops)
         oracle_backends)
 
+(* [on_message] offers a [Push] or [Pull_reply]'s ids and then its
+   sender, and a [Push_id]'s id, to every slot (Alg. 1 line 13); the
+   node stages the sender inside the ids' batch, which must leave the
+   holders, ranks and [basalt.rank_evals] of offering [ids] and then
+   [[| from |]] on their own, as the oracle does.  Ids are below 8, so
+   the sender is often among the ids, 0 is the node itself (as sender
+   or as a [Push_id]'s id), and batches may be empty; each message is
+   optionally followed by a sample tick, and the id bound puts the
+   seen-cache in the table (0) or the tags (8). *)
+type msg_op = {
+  kind : [ `Push | `Pull_reply | `Push_id ];
+  from : int;
+  ids : int list;  (* a [Push_id]'s id is [List.hd (ids @ [from])] *)
+  tick : bool;
+}
+
+let prop_on_message_matches_oracle =
+  let op =
+    Gen.map
+      (fun (kind, from, ids, tick) -> { kind; from; ids; tick })
+      (Gen.quad
+         (Gen.oneofl [ `Push; `Pull_reply; `Push_id ])
+         (Gen.int_bound 7)
+         (Gen.list_size (Gen.int_bound 6) (Gen.int_bound 7))
+         Gen.bool)
+  in
+  let print_op o =
+    Printf.sprintf "%s from %d [%s]%s"
+      (match o.kind with
+      | `Push -> "push"
+      | `Pull_reply -> "pull_reply"
+      | `Push_id -> "push_id")
+      o.from
+      (String.concat "; " (List.map string_of_int o.ids))
+      (if o.tick then " tick" else "")
+  in
+  Test.make ~name:"on_message matches naive rank oracle" ~count:300
+    ~print:Print.(triple int int (list print_op))
+    Gen.(
+      triple (int_bound 10_000) (oneofl [ 0; 8 ])
+        (list_size (int_range 1 12) op))
+    (fun (seed, id_bound, ops) ->
+      let v = 6 and k = 2 in
+      List.for_all
+        (fun (_name, backend) ->
+          let obs = Basalt_obs.Obs.create () in
+          let evals = Basalt_obs.Obs.counter obs "basalt.rank_evals" in
+          let t =
+            Basalt.factory
+              ~config:(Config.make ~v ~k ~backend ())
+              ~obs ~id_bound () ~id:(Node_id.of_int 0) ~bootstrap:[||]
+              ~rng:(Basalt_prng.Rng.create ~seed)
+              ~send:(fun ~dst:_ _ -> ())
+          in
+          let m = Rank_oracle.create ~backend ~v ~self:0 ~seed in
+          List.for_all
+            (fun o ->
+              let ids = Array.of_list (List.map Node_id.of_int o.ids) in
+              let from = Node_id.of_int o.from in
+              (match o.kind with
+              | `Push_id ->
+                  let pid = Node_id.of_int (List.hd (o.ids @ [ o.from ])) in
+                  on_message t ~from (Message.Push_id pid);
+                  Rank_oracle.offer m [| pid |]
+              | (`Push | `Pull_reply) as kind ->
+                  on_message t ~from
+                    (match kind with
+                    | `Push -> Message.Push ids
+                    | `Pull_reply -> Message.Pull_reply ids);
+                  Rank_oracle.offer m ids;
+                  Rank_oracle.offer m [| from |]);
+              if o.tick then begin
+                ignore (Basalt.sample_tick t);
+                Rank_oracle.tick m ~k
+              end;
+              Array.map (Option.map Node_id.to_int) (Basalt.view_slots t)
+              = Rank_oracle.holders m
+              && Basalt.slot_ranks t = Rank_oracle.ranks m
+              && Basalt_obs.Obs.Counter.value evals = m.Rank_oracle.evals)
+            ops)
+        oracle_backends)
+
 (* Drives a node and the oracle (same [v], [k], seed) through [ticks]
    rounds, each a batch of 1 to [batch] ids drawn from 1 .. [ids]
    followed by a sample tick, and returns the node's and the oracle's
@@ -1412,6 +1494,7 @@ let () =
           prop_slot_argmin;
           prop_update_sample_batch_split;
           prop_update_sample_matches_oracle;
+          prop_on_message_matches_oracle;
           prop_view_excludes_self;
           prop_eviction_spares_recent_peers;
           prop_stream_model;

@@ -331,11 +331,23 @@ let all_backends =
     ("prefix-diverse", Rank.Prefix_diverse { prefix_of = (fun id -> id / 64) });
   ]
 
+(* Non-negative ints: small values, full-width ones (a seed is a
+   62-bit [Rng.bits] draw, and below 2^30 the mixer's first xorshift
+   is the identity) and both ends. *)
+let nonneg =
+  Gen.(
+    oneof
+      [
+        int_bound 1_000_000;
+        map (fun x -> x land max_int) int;
+        oneofl [ 0; max_int; max_int - 1; 1 lsl 30; (1 lsl 30) - 1 ];
+      ])
+
 let prop_rank_paths_equal =
   Test.make ~name:"rank = rank_digested = offer_slot"
     ~count:1000
     ~print:(Print.pair Print.int Print.int)
-    Gen.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (Gen.pair nonneg nonneg)
     (fun (sv, id) ->
       List.for_all
         (fun (_, backend) ->
@@ -343,6 +355,22 @@ let prop_rank_paths_equal =
           (* the kernel ranks through the candidate's digest *)
           r = kernel_rank backend sv id)
         all_backends)
+
+(* Each cheap backend's rank is its documented formula over [Mix]:
+   [Rank] evaluates [Mix.mix63 (seed lxor Mix.mix63 id)] from a premixed
+   seed and a premixed digest, and this pins the split to the unsplit
+   formula, over non-negative seeds and ids up to [max_int]. *)
+let prop_rank_is_mix_formula =
+  let prefix_of id = id / 100 in
+  let key = 0x2545F4914F6CDD1D in
+  Test.make ~name:"cheap ranks = Mix formulas" ~count:2000
+    ~print:(Print.pair Print.int Print.int) (Gen.pair nonneg nonneg)
+    (fun (seed, id) ->
+      Rank.rank Rank.Cheap seed id = Mix.combine63 seed id
+      && Rank.rank (Rank.Keyed_cheap key) seed id = Mix.keyed63 ~key seed id
+      && Rank.rank (Rank.Prefix_diverse { prefix_of }) seed id
+         = ((Mix.combine63 seed (prefix_of id) land 0x3FFFFFFF) lsl 32)
+           lor (Mix.combine63 seed id land 0xFFFFFFFF))
 
 (* A batch whose every candidate is fresh to the slot gives the same
    holder, best rank and count on the unchecked path ([max_since] below
@@ -462,6 +490,7 @@ let () =
       Prop.suite "properties"
         [
           prop_rank_paths_equal;
+          prop_rank_is_mix_formula;
           prop_unchecked_path_equal;
           prop_sip_rank_matches_reference;
           prop_mix63_nonneg;
