@@ -245,21 +245,21 @@ let core_ops () =
   in
   (* The rank kernel alone: 200 prepared candidates offered to 160
      slots whose seeds postdate them all ([max_since] below every
-     stamp), with no seen-cache intake — 32,000 evaluations per run, so
-     ns per evaluation is ns/run / 32,000. *)
+     stamp), in one [Rank.offer_slots] call with no seen-cache intake —
+     32,000 evaluations per run, so ns per evaluation is ns/run /
+     32,000. *)
   let kernel_seeds = Array.init 160 (fun _ -> Rank.fresh rng) in
+  let kernel_stamps = Array.make 160 0 in
   let kernel_raw = Array.init 200 (fun j -> 1_000_000 + j) in
   let kernel_dig = Array.map Rank.digest kernel_raw in
   let kernel_best = Array.make 160 max_int in
   let kernel_holders = Array.make 160 (-1) in
   let offer_fresh () =
-    for i = 0 to Array.length kernel_seeds - 1 do
-      ignore
-        (Rank.offer_slot Rank.Cheap kernel_seeds.(i) ~stamp:0 ~raw:kernel_raw
-           ~dig:kernel_dig ~since:[||] ~max_since:(-1)
-           ~len:(Array.length kernel_raw) ~best_ranks:kernel_best
-           ~holders:kernel_holders i)
-    done
+    ignore
+      (Rank.offer_slots Rank.Cheap ~seeds:kernel_seeds ~stamps:kernel_stamps
+         ~raw:kernel_raw ~dig:kernel_dig ~since:[||] ~max_since:(-1)
+         ~len:(Array.length kernel_raw) ~best_ranks:kernel_best
+         ~holders:kernel_holders)
   in
   let siphash_key = Basalt_hashing.Siphash.key_of_rng rng in
   let keyed = Rank.Keyed_cheap 0x2545F4914F6CDD1D in
@@ -282,7 +282,7 @@ let core_ops () =
       Test.make ~name:"rank (keyed-cheap mixer)"
         (Staged.stage (fun () -> ignore (Rank.rank keyed 42 123456)));
       (* Midstate-resumed: the key + seed block is absorbed once per
-         slot per batch ([Rank.offer_slot]), so each evaluation finishes
+         slot per batch ([Rank.offer_slots]), so each evaluation finishes
          only the identifier block. *)
       Test.make ~name:"rank (siphash-2-4)"
         (Staged.stage (fun () ->
@@ -534,8 +534,17 @@ let ablations () =
            ());
     ]
 
+(* Whether the [Cheap] rank kernel runs its AVX-512 body on this CPU
+   (lib/hashing/rank_stubs.c picks it when the program starts). *)
+external rank_kernel_avx512 : unit -> bool = "basalt_rank_cheap_avx512_chosen"
+[@@noalloc]
+
 let () =
   parse_args ();
+  (* First line: which kernel body timed the rows, so a history record
+     can say whether two runs are comparable. *)
+  Printf.printf "rank kernel: %s\n"
+    (if rank_kernel_avx512 () then "avx512" else "scalar");
   if !only = None then
     print_endline
       "(the paper's tables and figures: `basalt-repro all -s quick`; \

@@ -232,26 +232,18 @@ let offer t (ids : Node_id.t array) ~sender =
     done;
     let len = !len and max_since = !max_since in
     if len > 0 then begin
-      let backend = t.config.Config.backend
-      and seeds = t.seeds
-      and holders = t.holders
-      and best_ranks = t.best_ranks
-      and stamps = t.stamps in
-      let evals = ref 0 in
-      (* Slot-major pass: per slot, one kernel call that scans the
-         prepared candidates.  A candidate last offered at clock [s] is
+      (* Slot-major pass: one kernel call ranks the prepared candidates
+         against every slot.  A candidate last offered at clock [s] is
          evaluated only against seeds drawn after [s]; a slot whose seed
          postdates [max_since] takes the whole batch unchecked. *)
-      for i = 0 to Array.length seeds - 1 do
-        evals :=
-          !evals
-          + Rank.offer_slot backend (Array.unsafe_get seeds i)
-              ~stamp:(Array.unsafe_get stamps i) ~raw ~dig ~since ~max_since
-              ~len ~best_ranks ~holders i
-      done;
+      let evals =
+        Rank.offer_slots t.config.Config.backend ~seeds:t.seeds
+          ~stamps:t.stamps ~raw ~dig ~since ~max_since ~len
+          ~best_ranks:t.best_ranks ~holders:t.holders
+      in
       (* Rank evaluations actually performed after dedup and seen-cache
          elision — not candidates × slots (DESIGN.md §8). *)
-      Obs.Counter.add t.c_rank_evals !evals
+      Obs.Counter.add t.c_rank_evals evals
     end
   end
 

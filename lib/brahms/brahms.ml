@@ -7,14 +7,20 @@ module Rank = Basalt_hashing.Rank
 module Obs = Basalt_obs.Obs
 
 (* Batch scratch for [offer_batch]: per candidate, its id and its
-   identifier-side digest.  Grown on demand to the largest batch
-   seen.  Every node of one [sampler] maker shares one scratch, as with
-   [Basalt.factory]: a batch is filled and drained within one call that
-   calls out to nothing, and a maker's nodes belong to one run, which
-   handles one event at a time. *)
-type scratch = { mutable raw : int array; mutable dig : int array }
+   identifier-side digest, grown on demand to the largest batch seen,
+   and [stamps], the samplers' stamps for [Rank.offer_slots]: all 0, so
+   every one postdates a [max_since] of -1 (a maker's nodes share one
+   config, so one [l]).  Every node of one [sampler] maker shares one
+   scratch, as with [Basalt.factory]: a batch is filled and drained
+   within one call that calls out to nothing, and a maker's nodes belong
+   to one run, which handles one event at a time. *)
+type scratch = {
+  mutable raw : int array;
+  mutable dig : int array;
+  mutable stamps : int array;
+}
 
-let fresh_scratch () = { raw = [||]; dig = [||] }
+let fresh_scratch () = { raw = [||]; dig = [||]; stamps = [||] }
 
 type t = {
   config : Brahms_config.t;
@@ -24,7 +30,7 @@ type t = {
   mutable view : Node_id.t array;
   (* The sampler vector 𝒮 as struct-of-arrays: sampler [i] is
      [(seeds.(i), holders.(i), best_ranks.(i))], the layout
-     [Rank.offer_slot] works on. *)
+     [Rank.offer_slots] works on. *)
   seeds : int array;
   holders : int array;  (* holders.(i) < 0 means sampler i is empty *)
   best_ranks : int array;  (* max_int when empty *)
@@ -56,24 +62,18 @@ let ensure_batch_capacity sc n =
     sc.dig <- Array.make cap 0
   end
 
-(* Offers the [len] candidates staged in the scratch to every sampler:
-   per sampler, one kernel call over the batch.  Each sampler sees the
-   candidates in arrival order, as an id-major feed would offer them, so
-   holders and ranks are those of offering one id at a time.  Brahms
-   keeps no seen-cache, so every candidate is fresh to every sampler:
-   [max_since] below [stamp] ranks them all and reads no [since]. *)
+(* Offers the [len] candidates staged in the scratch to every sampler,
+   in one kernel call.  Each sampler sees the candidates in arrival
+   order, as an id-major feed would offer them, so holders and ranks are
+   those of offering one id at a time.  Brahms keeps no seen-cache, so
+   every candidate is fresh to every sampler: stamps of 0 above a
+   [max_since] of -1 rank them all and read no [since]. *)
 let offer_batch t len =
   let sc = t.scratch in
-  let seeds = t.seeds in
-  let evals = ref 0 in
-  for i = 0 to Array.length seeds - 1 do
-    evals :=
-      !evals
-      + Rank.offer_slot Rank.Cheap (Array.unsafe_get seeds i) ~stamp:0
-          ~raw:sc.raw ~dig:sc.dig ~since:[||] ~max_since:(-1) ~len
-          ~best_ranks:t.best_ranks ~holders:t.holders i
-  done;
-  Obs.Counter.add t.c_rank_evals !evals
+  Obs.Counter.add t.c_rank_evals
+    (Rank.offer_slots Rank.Cheap ~seeds:t.seeds ~stamps:sc.stamps ~raw:sc.raw
+       ~dig:sc.dig ~since:[||] ~max_since:(-1) ~len ~best_ranks:t.best_ranks
+       ~holders:t.holders)
 
 (* Stages [cand] at index [len] of the scratch, unless it is the node's
    own id; returns the new batch length.  The caller has ensured the
@@ -105,6 +105,7 @@ let make ~scratch ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
   let send = Basalt_codec.Metered.send obs ~proto:"brahms" send in
   let l = config.Brahms_config.l in
   let seeds = Array.init l (fun _ -> Rank.fresh rng) in
+  if Array.length scratch.stamps <> l then scratch.stamps <- Array.make l 0;
   let initial_view =
     let candidates =
       Array.of_list

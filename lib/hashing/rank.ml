@@ -6,8 +6,8 @@ type backend =
 
 (* A seed is the plain integer drawn for its slot; whatever a backend
    derives from it is derived where it is used.  The SipHash midstate
-   (key and seed block absorbed) is prepared once per [offer_slot] call,
-   i.e. once per slot per batch, and once per [rank] call.  Rank
+   (key and seed block absorbed) is prepared once per slot per
+   [offer_slots] call, and once per [rank] call.  Rank
    *values* are exactly those of the uncached formulas — the caching
    moves work, never changes results (the test suite pins both the
    reference vectors and the cached = uncached equality). *)
@@ -18,10 +18,10 @@ let fresh rng = Basalt_prng.Rng.bits rng
 let composite ~prefix_rank ~id_rank =
   ((prefix_rank land 0x3FFFFFFF) lsl 32) lor (id_rank land 0xFFFFFFFF)
 
-(* [Mix.mix63], restated so the kernel below keeps its arithmetic in this
-   compilation unit: the dev profile compiles every library [-opaque], so
-   a call into [Mix] is never inlined and would cost a real call per
-   evaluation.  The property test in test_hashing.ml pins [rank] to
+(* [Mix.mix63], restated so the checked loop below keeps its arithmetic
+   in this compilation unit: the dev profile compiles every library
+   [-opaque], so a call into [Mix] is never inlined and would cost a real
+   call per evaluation.  The property test in test_hashing.ml pins [rank] to
    [Mix.combine63].
 
    Its first step, [premix x = x lxor (x lsr 30)], is linear over
@@ -31,24 +31,14 @@ let composite ~prefix_rank ~id_rank =
    per identifier, and each (seed, candidate) pair pays only [tail]. *)
 let[@inline] premix x = x lxor (x lsr 30)
 
-(* [tail] runs in unboxed [int64] arithmetic: on [int], ocamlopt
-   re-tags every intermediate (an [or 1] after each xor, a decrement and
-   an increment around a multiply), which the loops below would pay per
-   evaluation.  A 63-bit [int] rides in the low 63 bits of an [int64]
-   whose top bit is left undefined: products and xors keep those bits
-   exact, a logical shift of the 63-bit pattern by [k] is a left shift
-   by 1 then a logical right shift by [k + 1], and the final mask keeps
-   [max_int]'s 62 bits, so the result is the exact, non-negative [int]
-   rank. *)
-let[@inline] lsr63 x k =
-  Int64.shift_right_logical (Int64.shift_left x 1) (k + 1)
+(* [mix63] after its first step: two multiply rounds and the final
+   mask.  rank_stubs.c states the same arithmetic for the [Cheap]
+   kernel. *)
+let[@inline] tail x =
+  let x = x * 0x5851F42D4C957F2D in
+  let x = (x lxor (x lsr 27)) * 0x14057B7EF767814F in
+  (x lxor (x lsr 31)) land max_int
 
-let[@inline] tail64 x =
-  let x = Int64.mul x 0x5851F42D4C957F2DL in
-  let x = Int64.mul (Int64.logxor x (lsr63 x 27)) 0x14057B7EF767814FL in
-  Int64.logand (Int64.logxor x (lsr63 x 31)) 0x3FFF_FFFF_FFFF_FFFFL
-
-let[@inline] tail x = Int64.to_int (tail64 (Int64.of_int x))
 let[@inline] mix63 x = tail (premix x)
 
 (* [digest id] is the identifier-side half of the cheap mixers, hoisted
@@ -76,93 +66,21 @@ let rank_digested backend seed ~pseed ~id ~digest =
 let rank backend seed id =
   rank_digested backend seed ~pseed:(premix seed) ~id ~digest:(digest id)
 
-(* [tail (pseed lxor dig.(j))] as an [int64], [p] the premixed seed. *)
-let[@inline] rank64 p (dig : int array) j =
-  tail64 (Int64.logxor p (Int64.of_int (Array.unsafe_get dig j)))
-
-(* One slot whose seed ([pseed], premixed) postdates every candidate's
-   last offer, on the [Cheap] backend: every candidate is ranked, so the
-   loop needs neither the [since] test nor an evaluation counter (the
-   count is [len]).  An empty slot takes the first candidate outright,
-   after which a holder is present (identifiers are non-negative, as
-   [Node_id] guarantees) and only [r < best] can replace it; the rest
-   run four evaluations per step, compared in arrival order, then one
-   at a time.  Holders and ranks are exactly those of the checked loop
-   below. *)
-let offer_fresh_cheap pseed ~(raw : int array) ~(dig : int array) ~len
-    ~(best_ranks : int array) ~(holders : int array) i =
-  if len > 0 then begin
-    let p = Int64.of_int pseed in
-    let best = ref (Int64.of_int (Array.unsafe_get best_ranks i)) in
-    let holder = ref (Array.unsafe_get holders i) in
-    let j = ref 0 in
-    if !holder < 0 then begin
-      best := rank64 p dig 0;
-      holder := Array.unsafe_get raw 0;
-      j := 1
-    end;
-    while !j + 3 < len do
-      let j0 = !j in
-      let r0 = rank64 p dig j0 in
-      let r1 = rank64 p dig (j0 + 1) in
-      let r2 = rank64 p dig (j0 + 2) in
-      let r3 = rank64 p dig (j0 + 3) in
-      if r0 < !best then begin
-        best := r0;
-        holder := Array.unsafe_get raw j0
-      end;
-      if r1 < !best then begin
-        best := r1;
-        holder := Array.unsafe_get raw (j0 + 1)
-      end;
-      if r2 < !best then begin
-        best := r2;
-        holder := Array.unsafe_get raw (j0 + 2)
-      end;
-      if r3 < !best then begin
-        best := r3;
-        holder := Array.unsafe_get raw (j0 + 3)
-      end;
-      j := j0 + 4
-    done;
-    while !j < len do
-      let r = rank64 p dig !j in
-      if r < !best then begin
-        best := r;
-        holder := Array.unsafe_get raw !j
-      end;
-      incr j
-    done;
-    Array.unsafe_set best_ranks i (Int64.to_int !best);
-    Array.unsafe_set holders i !holder
-  end
-
-(* One slot against a prepared batch, checked: one backend dispatch per
-   slot, the running best in locals, and for the cheap backends
-   straight-line int arithmetic per candidate.  The [int array]
-   annotations keep the comparisons monomorphic (unannotated, [>] on an
-   array element is the polymorphic compare call).  When [fresh] (every
-   candidate would pass the [since] test) the backends other than
-   [Cheap] skip reading [since]; [offer_slot] sends [Cheap] here only
-   when [fresh] is false. *)
-let offer_checked backend seed ~pseed ~fresh ~stamp ~(raw : int array)
+(* One slot against a prepared batch, checked, for every backend but
+   [Cheap], whose slots [offer_slots] ranks in C: one backend dispatch per
+   slot, the running best in locals, and for [Keyed_cheap] straight-line
+   int arithmetic per candidate.  The [int array] annotations keep the
+   comparisons monomorphic (unannotated, [>] on an array element is the
+   polymorphic compare call).  When [fresh] (every candidate would pass
+   the [since] test) [since] is not read. *)
+let offer_checked backend seed ~fresh ~stamp ~(raw : int array)
     ~(dig : int array) ~(since : int array) ~len ~(best_ranks : int array)
     ~(holders : int array) i =
+  let pseed = premix seed in
   let best = ref (Array.unsafe_get best_ranks i) in
   let holder = ref (Array.unsafe_get holders i) in
   let evals = ref 0 in
   (match backend with
-  | Cheap ->
-      for j = 0 to len - 1 do
-        if stamp > Array.unsafe_get since j then begin
-          incr evals;
-          let r = tail (pseed lxor Array.unsafe_get dig j) in
-          if r < !best || !holder < 0 then begin
-            best := r;
-            holder := Array.unsafe_get raw j
-          end
-        end
-      done
   | Keyed_cheap key ->
       for j = 0 to len - 1 do
         if fresh || stamp > Array.unsafe_get since j then begin
@@ -186,7 +104,7 @@ let offer_checked backend seed ~pseed ~fresh ~stamp ~(raw : int array)
           end
         end
       done
-  | Prefix_diverse _ ->
+  | Cheap | Prefix_diverse _ ->
       for j = 0 to len - 1 do
         if fresh || stamp > Array.unsafe_get since j then begin
           incr evals;
@@ -204,13 +122,51 @@ let offer_checked backend seed ~pseed ~fresh ~stamp ~(raw : int array)
   Array.unsafe_set holders i !holder;
   !evals
 
-let offer_slot backend seed ~stamp ~raw ~dig ~since ~max_since ~len ~best_ranks
-    ~holders i =
-  let fresh = stamp > max_since and pseed = premix seed in
+(* The [Cheap] kernel over every slot at once (rank_stubs.c): a scalar
+   body, or an AVX-512 one that ranks each candidate against sixteen
+   seeds per step, picked once when the library is loaded.  It checks no
+   bound; [offer_slots] does. *)
+external rank_cheap :
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "basalt_rank_cheap_byte" "basalt_rank_cheap"
+[@@noalloc]
+
+let rec stamps_above (stamps : int array) max_since i =
+  i >= Array.length stamps
+  || (Array.unsafe_get stamps i > max_since
+     && stamps_above stamps max_since (i + 1))
+
+let offer_slots backend ~(seeds : int array) ~(stamps : int array) ~raw ~dig
+    ~since ~max_since ~len ~(best_ranks : int array) ~(holders : int array) =
+  let v = Array.length seeds in
+  if
+    Array.length stamps <> v
+    || Array.length best_ranks <> v
+    || Array.length holders <> v
+  then invalid_arg "Rank.offer_slots: slot arrays of different lengths";
+  if len < 0 || Array.length raw < len || Array.length dig < len then
+    invalid_arg "Rank.offer_slots: candidate arrays shorter than len";
+  if Array.length since < len && not (stamps_above stamps max_since 0) then
+    invalid_arg "Rank.offer_slots: since shorter than len";
   match backend with
-  | Cheap when fresh ->
-      offer_fresh_cheap pseed ~raw ~dig ~len ~best_ranks ~holders i;
-      len
-  | Cheap | Keyed_cheap _ | Siphash _ | Prefix_diverse _ ->
-      offer_checked backend seed ~pseed ~fresh ~stamp ~raw ~dig ~since ~len
-        ~best_ranks ~holders i
+  | Cheap ->
+      rank_cheap seeds stamps best_ranks holders raw dig since max_since len
+  | Keyed_cheap _ | Siphash _ | Prefix_diverse _ ->
+      let evals = ref 0 in
+      for i = 0 to v - 1 do
+        let stamp = Array.unsafe_get stamps i in
+        evals :=
+          !evals
+          + offer_checked backend (Array.unsafe_get seeds i)
+              ~fresh:(stamp > max_since) ~stamp ~raw ~dig ~since ~len
+              ~best_ranks ~holders i
+      done;
+      !evals

@@ -16,7 +16,7 @@
       unpredictability matters but cryptographic strength does not;
     - {!Siphash}: a keyed PRF — what a real deployment would use so that
       an adversary cannot precompute low-ranking identifiers.
-      {!offer_slot} absorbs the key and seed into a {!Siphash.midstate}
+      {!offer_slots} absorbs the key and seed into a {!Siphash.midstate}
       once per slot per batch, so each evaluation only finishes the
       identifier block;
     - {!Prefix_diverse}: the §6 "specially crafted rank function":
@@ -60,14 +60,14 @@ val rank : backend -> int -> int -> int
 val digest : int -> int
 (** [digest id] is the identifier-side half of the cheap mixers, for
     batch loops that keep candidate digests in an [int array] (the
-    batches {!offer_slot} scans).  It is [Mix.mix63 id] already put
+    batches {!offer_slots} scans).  It is [Mix.mix63 id] already put
     through the mixer's first xorshift, not [Mix.mix63 id] itself, so a
     [dig] array must be filled by [digest]. *)
 
-val offer_slot :
+val offer_slots :
   backend ->
-  int ->
-  stamp:int ->
+  seeds:int array ->
+  stamps:int array ->
   raw:int array ->
   dig:int array ->
   since:int array ->
@@ -75,27 +75,34 @@ val offer_slot :
   len:int ->
   best_ranks:int array ->
   holders:int array ->
-  int ->
   int
-(** [offer_slot backend seed ~stamp ~raw ~dig ~since ~max_since ~len
-    ~best_ranks ~holders i] offers the prepared candidates [j < len]
-    (identifier [raw.(j)], its {!digest} [dig.(j)]) to slot [i], whose
-    seed is [seed].  A candidate is ranked only when [stamp > since.(j)]
-    (the slot's seed was drawn after the candidate was last offered to
-    it); it replaces the slot's holder when its rank is below
-    [best_ranks.(i)] or the slot is empty ([holders.(i) < 0]).  The
-    final best rank and holder are written back to [best_ranks.(i)] and
-    [holders.(i)].  Returns the number of ranks evaluated.
+(** [offer_slots backend ~seeds ~stamps ~raw ~dig ~since ~max_since ~len
+    ~best_ranks ~holders] offers the prepared candidates [j < len]
+    (identifier [raw.(j)], non-negative, and its {!digest} [dig.(j)]) to
+    every slot [i] of a node, in arrival order.  Slot [i] has seed
+    [seeds.(i)], was drawn at clock [stamps.(i)], and holds
+    [holders.(i)] (negative when empty) at rank [best_ranks.(i)].  A
+    candidate is ranked only when [stamps.(i) > since.(j)] (the slot's
+    seed was drawn after the candidate was last offered to it); it
+    replaces the holder when its rank is below the best rank or the slot
+    is empty.  Final best ranks and holders are written back in place.
+    Returns the number of ranks evaluated.  Allocates nothing.
 
-    [max_since] must be at least every [since.(j)], [j < len].  When
-    [stamp > max_since] every candidate is ranked and [since] is not
-    read (it may be empty); on {!Cheap} such a slot runs an unchecked,
-    four-way unrolled loop with no per-candidate test or counter, whose
-    holders, ranks and count equal the checked loop's.  Rank values
-    equal {!rank}'s; the cheap backends are evaluated inline, without
-    a call per candidate, and {!Siphash} derives the seed's midstate
-    once per call.  The one slot kernel of the repository: Basalt's
-    view slots ([Basalt.update_sample], whose seen-cache supplies
-    [since]) and Brahms's samplers (no seen-cache: an empty [since]
-    below a [max_since] under [stamp], so every candidate is ranked)
-    both run on it (DESIGN.md §4). *)
+    [max_since] must be at least every [since.(j)], [j < len]: a slot
+    whose stamp is above it takes every candidate without reading
+    [since], which may then be shorter than [len] (Brahms passes it
+    empty).  Rank values equal {!rank}'s.  On {!Cheap} one C call ranks
+    the whole batch against every slot, with an AVX-512 body (eight
+    slots per register, two registers per step) on CPUs that have
+    AVX-512F and DQ and a scalar body elsewhere, picked once at start-up
+    (DESIGN.md §4); the other backends run an OCaml loop per slot, and
+    {!Siphash} derives each seed's midstate once per call.  The one slot
+    kernel of the repository: Basalt's view slots
+    ([Basalt.update_sample], whose seen-cache supplies [since]) and
+    Brahms's samplers (no seen-cache: every candidate is fresh) both run
+    on it.
+
+    @raise Invalid_argument if [seeds], [stamps], [best_ranks] and
+    [holders] differ in length, if [len] is negative or [raw] or [dig]
+    has fewer than [len] entries, or if [since] has fewer than [len]
+    entries while some stamp is at most [max_since]. *)

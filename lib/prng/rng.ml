@@ -63,14 +63,29 @@ let sample_indices t ~k ~n =
     Array.sub idx 0 k
   end
   else begin
-    (* Sparse case: rejection into a hash table, k << n. *)
-    let seen = Hashtbl.create (2 * k) in
+    (* Sparse case: rejection, remembering the draws in an open-addressed
+       table of at least 2k cells (a power of two, -1 = empty), probed
+       linearly from a draw's low bits.  The draws are uniform, so the
+       low bits spread them, and the table is at most half full. *)
+    let cells = ref 1 in
+    while !cells < 2 * k do
+      cells := 2 * !cells
+    done;
+    let mask = !cells - 1 in
+    let table = Array.make !cells (-1) in
     let out = Array.make k 0 in
     let filled = ref 0 in
     while !filled < k do
       let candidate = int t n in
-      if not (Hashtbl.mem seen candidate) then begin
-        Hashtbl.add seen candidate ();
+      let h = ref (candidate land mask) in
+      while
+        let c = Array.unsafe_get table !h in
+        c >= 0 && not (Int.equal c candidate)
+      do
+        h := (!h + 1) land mask
+      done;
+      if Array.unsafe_get table !h < 0 then begin
+        Array.unsafe_set table !h candidate;
         out.(!filled) <- candidate;
         incr filled
       end

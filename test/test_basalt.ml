@@ -59,9 +59,9 @@ let config_equilibrium () =
 
 (* --- Slot kernel ---
 
-   One slot of the stubborn chaotic search is [Rank.offer_slot] over
-   one-element [best_ranks]/[holders] arrays; a [max_since] below
-   [stamp] ranks every candidate, as Brahms's samplers do. *)
+   One slot of the stubborn chaotic search is [Rank.offer_slots] over
+   one-element slot arrays; a [max_since] below the stamp ranks every
+   candidate, as Brahms's samplers do. *)
 
 type slot = {
   backend : Rank.backend;
@@ -77,9 +77,9 @@ let slot_create ?(backend = Rank.Cheap) r =
 let slot_offer_batch s ids =
   let raw = Array.of_list ids in
   let len = Array.length raw in
-  Rank.offer_slot s.backend s.seed ~stamp:0 ~raw ~dig:(Array.map Rank.digest raw)
-    ~since:[||] ~max_since:(-1) ~len ~best_ranks:s.best_ranks
-    ~holders:s.holders 0
+  Rank.offer_slots s.backend ~seeds:[| s.seed |] ~stamps:[| 0 |] ~raw
+    ~dig:(Array.map Rank.digest raw) ~since:[||] ~max_since:(-1) ~len
+    ~best_ranks:s.best_ranks ~holders:s.holders
 
 (* Offers one id; returns whether the slot changed. *)
 let slot_offer s i =

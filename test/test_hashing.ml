@@ -183,14 +183,15 @@ let rank_non_negative () =
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
-(* [offer_slot] with a one-candidate batch — the candidate prepared as
-   its id and {!Rank.digest} — into an empty slot writes back the
+(* [offer_slots] with a one-candidate batch — the candidate prepared as
+   its id and {!Rank.digest} — into one empty slot writes back the
    candidate's plain rank. *)
 let kernel_rank backend seed id =
   let best_ranks = [| max_int |] and holders = [| -1 |] in
   ignore
-    (Rank.offer_slot backend seed ~stamp:1 ~raw:[| id |] ~dig:[| Rank.digest id |]
-       ~since:[| 0 |] ~max_since:0 ~len:1 ~best_ranks ~holders 0);
+    (Rank.offer_slots backend ~seeds:[| seed |] ~stamps:[| 1 |] ~raw:[| id |]
+       ~dig:[| Rank.digest id |] ~since:[| 0 |] ~max_since:0 ~len:1 ~best_ranks
+       ~holders);
   best_ranks.(0)
 
 let rank_prepared_agrees () =
@@ -344,7 +345,7 @@ let nonneg =
       ])
 
 let prop_rank_paths_equal =
-  Test.make ~name:"rank = rank_digested = offer_slot"
+  Test.make ~name:"rank = rank_digested = offer_slots"
     ~count:1000
     ~print:(Print.pair Print.int Print.int)
     (Gen.pair nonneg nonneg)
@@ -380,7 +381,7 @@ let prop_rank_is_mix_formula =
    with any best rank, as the kernel's contract allows. *)
 let prop_unchecked_path_equal =
   let stamp = 5 in
-  Test.make ~name:"offer_slot unchecked = checked" ~count:1000
+  Test.make ~name:"offer_slots unchecked = checked" ~count:1000
     ~print:Print.(tup4 int (list int) (list int) (pair int int))
     Gen.(
       let* len = int_range 0 9 in
@@ -396,8 +397,8 @@ let prop_unchecked_path_equal =
       let run backend ~max_since =
         let best_ranks = [| best |] and holders = [| holder |] in
         let evals =
-          Rank.offer_slot backend seed ~stamp ~raw ~dig ~since ~max_since ~len
-            ~best_ranks ~holders 0
+          Rank.offer_slots backend ~seeds:[| seed |] ~stamps:[| stamp |] ~raw
+            ~dig ~since ~max_since ~len ~best_ranks ~holders
         in
         (holders.(0), best_ranks.(0), evals)
       in
@@ -407,6 +408,192 @@ let prop_unchecked_path_equal =
           run backend ~max_since:top = run backend ~max_since:(stamp + 1)
           && run backend ~max_since:top = run backend ~max_since:stamp)
         all_backends)
+
+(* The two bodies of the [Cheap] kernel in rank_stubs.c, reached by
+   name: [Rank.offer_slots] runs whichever the CPU supports, and these
+   check each one, the AVX-512 body only on a CPU that has it. *)
+external kernel_scalar :
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged])
+  = "basalt_rank_cheap_scalar_byte" "basalt_rank_cheap_scalar"
+[@@noalloc]
+
+external kernel_avx512 :
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged])
+  = "basalt_rank_cheap_avx512_byte" "basalt_rank_cheap_avx512"
+[@@noalloc]
+
+external avx512_chosen : unit -> bool = "basalt_rank_cheap_avx512_chosen"
+[@@noalloc]
+
+(* One kernel call: v slots, [len] candidates whose ranks come from
+   [keys] (so two ids may tie on one digest), and the arrays padded past
+   [len] as Basalt's grown scratch is. *)
+type kernel_case = {
+  seeds : int array;
+  stamps : int array;
+  best : int array;
+  held : int array;
+  raw : int array;
+  keys : int array;
+  since : int array;
+  max_since : int;
+  len : int;
+}
+
+let print_kernel_case c =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf
+    "v=%d len=%d max_since=%d\nseeds=[%s]\nstamps=[%s]\nbest=[%s]\n\
+     holders=[%s]\nraw=[%s]\nkeys=[%s]\nsince=[%s]"
+    (Array.length c.seeds) c.len c.max_since (ints c.seeds) (ints c.stamps)
+    (ints c.best) (ints c.held) (ints c.raw) (ints c.keys) (ints c.since)
+
+(* v of 1–20 covers every lane count of the AVX-512 body's tail, 40 and
+   160 whole and partial sixteen-slot blocks; stamps sit all above
+   [max_since] (the unchecked path), all but one above it, or around it,
+   so [max_since] is a slot's stamp - 1, its stamp and its stamp + 1;
+   [since] spans -1 to [max_since], hitting it at least once when
+   [pin]. *)
+let gen_kernel_case =
+  Gen.(
+    let* v = oneof [ int_range 1 20; oneofl [ 40; 160 ] ] in
+    let* len = oneof [ int_range 0 9; pure 200 ] in
+    let* max_since = int_range 0 4 in
+    let* stamp_mode = int_bound 3 in
+    let* stamps =
+      match stamp_mode with
+      | 0 -> array_size (pure v) (int_range (max_since + 1) (max_since + 2))
+      | 1 ->
+          let* odd = int_bound (v - 1) in
+          let* lag = int_range (max_since - 1) max_since in
+          map
+            (Array.mapi (fun i s -> if i = odd then lag else s))
+            (array_size (pure v) (int_range (max_since + 1) (max_since + 2)))
+      | 2 -> array_size (pure v) (int_range max_since (max_since + 1))
+      | _ -> array_size (pure v) (int_range (max_since - 2) (max_since + 2))
+    in
+    let* seeds = array_size (pure v) nonneg in
+    let* slots =
+      array_size (pure v)
+        (oneof
+           [
+             map (fun best -> (best, -1)) (oneofl [ max_int; 0; 12345 ]);
+             map (fun (b, h) -> (b land max_int, h)) (pair int (int_bound 1_000));
+           ])
+    in
+    let* pad = int_bound 3 in
+    let* raw = array_size (pure (len + pad)) (int_bound 1_000_000) in
+    let* ties = bool in
+    let* keys =
+      if ties then array_size (pure (len + pad)) (int_bound 3)
+      else map (Array.mapi (fun j k -> if j < len then raw.(j) else k))
+          (array_size (pure (len + pad)) nonneg)
+    in
+    let* pin = bool in
+    let* at = int_bound (Int.max 0 (len - 1)) in
+    let* since =
+      map
+        (Array.mapi (fun j s -> if pin && j = at then max_since else s))
+        (array_size (pure (len + pad)) (int_range (-1) max_since))
+    in
+    pure
+      {
+        seeds;
+        stamps;
+        best = Array.map fst slots;
+        held = Array.map snd slots;
+        raw;
+        keys;
+        since;
+        max_since;
+        len;
+      })
+
+(* The model: slot by slot, candidate by candidate, [Rank.rank]. *)
+let kernel_reference c =
+  let best = Array.copy c.best and held = Array.copy c.held in
+  let evals = ref 0 in
+  Array.iteri
+    (fun i seed ->
+      for j = 0 to c.len - 1 do
+        if c.stamps.(i) > c.since.(j) then begin
+          incr evals;
+          let r = Rank.rank Rank.Cheap seed c.keys.(j) in
+          if r < best.(i) || held.(i) < 0 then begin
+            best.(i) <- r;
+            held.(i) <- c.raw.(j)
+          end
+        end
+      done)
+    c.seeds;
+  (best, held, !evals)
+
+let prop_kernel_body ~name body =
+  Test.make ~name ~count:500 ~print:print_kernel_case gen_kernel_case (fun c ->
+      let best = Array.copy c.best and held = Array.copy c.held in
+      (* A batch every slot postdates is passed no [since], as Brahms
+         passes none. *)
+      let since =
+        if Array.for_all (fun s -> s > c.max_since) c.stamps then [||]
+        else c.since
+      in
+      let evals =
+        body c.seeds c.stamps best held c.raw (Array.map Rank.digest c.keys)
+          since c.max_since c.len
+      in
+      (best, held, evals) = kernel_reference c)
+
+let prop_kernel_scalar = prop_kernel_body ~name:"scalar body = Rank.rank" kernel_scalar
+let prop_kernel_avx512 = prop_kernel_body ~name:"avx512 body = Rank.rank" kernel_avx512
+
+let kernel_avx512_case () =
+  if avx512_chosen () then Prop.case ~suite:"kernel" prop_kernel_avx512
+  else
+    Alcotest.test_case "avx512 body = Rank.rank" `Quick (fun () ->
+        print_endline "skipped: this CPU has no AVX-512F and DQ")
+
+(* [offer_slots] checks what the C kernel does not. *)
+let offer_slots_rejects_short_arrays () =
+  let raises what f =
+    match f () with
+    | (_ : int) -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let call ?(seeds = [| 1; 2 |]) ?(stamps = [| 1; 1 |]) ?(raw = [| 7; 8 |])
+      ?(dig = [| 7; 8 |]) ?(since = [| 0; 0 |]) ?(max_since = 0) ?(len = 2)
+      ?(best_ranks = [| max_int; max_int |]) ?(holders = [| -1; -1 |]) () =
+    Rank.offer_slots Rank.Cheap ~seeds ~stamps ~raw ~dig ~since ~max_since
+      ~len ~best_ranks ~holders
+  in
+  check_int "well-formed" 4 (call ());
+  raises "short stamps" (call ~stamps:[| 1 |]);
+  raises "short best ranks" (call ~best_ranks:[| max_int |]);
+  raises "short holders" (call ~holders:[| -1 |]);
+  raises "long seeds" (call ~seeds:[| 1; 2; 3 |]);
+  raises "short raw" (call ~raw:[| 7 |]);
+  raises "short dig" (call ~dig:[| 7 |]);
+  raises "negative len" (call ~len:(-1));
+  raises "short since, a stamp at max_since" (call ~since:[| 0 |] ~max_since:1);
+  check_int "no since, every stamp above max_since" 4
+    (call ~since:[||] ~max_since:0 ())
 
 (* The SipHash backend's cached midstate path must equal the uncached
    reference formula: hash_int64_pair over (seed, id), masked to a
@@ -486,6 +673,13 @@ let () =
           Alcotest.test_case "keyed-cheap formula" `Quick keyed_cheap_formula;
           Alcotest.test_case "min-wise uniformity (keyed-cheap)" `Slow
             (rank_minwise_uniformity (Rank.Keyed_cheap 0xBEEF));
+        ] );
+      ( "kernel",
+        [
+          Prop.case ~suite:"kernel" prop_kernel_scalar;
+          kernel_avx512_case ();
+          Alcotest.test_case "offer_slots rejects short arrays" `Quick
+            offer_slots_rejects_short_arrays;
         ] );
       Prop.suite "properties"
         [

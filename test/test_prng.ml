@@ -237,7 +237,7 @@ let rng_sample_indices_dense () =
 
 let rng_sample_indices_sparse () =
   let t = rng () in
-  (* k << n exercises the hash-rejection path *)
+  (* 3k < n exercises the rejection path *)
   let s = Rng.sample_without_replacement t ~k:10 (Array.init 100_000 Fun.id) in
   check_int "size" 10 (Array.length s);
   check_bool "distinct" true (distinct_ints s)
@@ -296,6 +296,32 @@ let prop_sample_indices_distinct =
       let t = Rng.create ~seed in
       let s = Rng.sample_without_replacement t ~k (Array.init n Fun.id) in
       distinct_ints s && Array.length s = min k n)
+
+(* The sparse path (3k < n) draws exactly as naive rejection does —
+   redraw until the index is new, keep first-drawn order — and leaves
+   the stream at the same place, for k up to 400 and n up to 3000. *)
+let naive_rejection t ~k ~n =
+  let out = Array.make k 0 in
+  let filled = ref 0 in
+  while !filled < k do
+    let c = Rng.int t n in
+    if not (Array.exists (Int.equal c) (Array.sub out 0 !filled)) then begin
+      out.(!filled) <- c;
+      incr filled
+    end
+  done;
+  out
+
+let prop_sample_indices_sparse_naive =
+  Test.make ~name:"sparse sample_indices = naive rejection" ~count:300
+    ~print:(Print.triple Print.int Print.int Print.int)
+    Gen.(
+      let* k = int_range 1 400 in
+      triple (int_bound 10_000) (pure k) (int_range ((3 * k) + 1) 3000))
+    (fun (seed, k, n) ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let s = Rng.sample_without_replacement a ~k (Array.init n Fun.id) in
+      s = naive_rejection b ~k ~n && Int.equal (Rng.bits a) (Rng.bits b))
 
 let prop_shuffle_permutation =
   Test.make ~name:"shuffle is a permutation" ~count:300
@@ -381,6 +407,7 @@ let () =
         [
           prop_int_in_bounds;
           prop_sample_indices_distinct;
+          prop_sample_indices_sparse_naive;
           prop_shuffle_permutation;
           prop_int_buckets_balanced;
         ];
