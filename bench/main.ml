@@ -204,7 +204,8 @@ let fig_groups () =
 
 (* Core operations: the simulator's hot paths.  The steady-state node
    is made with an id bound covering its ids, as the simulator makes
-   every node, so its seen-cache is the one-byte tags. *)
+   every node, so its seen-cache is the clock tags (2 bits each at
+   k = v/2). *)
 let core_ops () =
   let rng = Rng.create ~seed:1 in
   let ids = Array.init 161 Basalt_proto.Node_id.of_int in

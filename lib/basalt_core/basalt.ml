@@ -12,18 +12,21 @@ module Rank = Basalt_hashing.Rank
    arrays — branch-light, cache-friendly, and allocation-free — instead
    of chasing one heap record per slot (DESIGN.md §4).
 
-   On top of the layout sits a rank-work cache: [clock] counts slot
-   resets, [stamps.(i)] records the clock value at which slot [i]'s seed
-   was drawn, and the seen-cache maps a candidate identifier to the
-   clock value at which it was last offered to *all* slots — an 8-bit
-   tag per id below the node's id bound, a hash table for the rest (see
-   [seen_exchange]).  Offering a candidate to
+   On top of the layout sits a rank-work cache: [clock] counts reset
+   bursts (a sample tick's k resets, or an eviction's), [stamps.(i)]
+   records the burst in which slot [i]'s seed was drawn, and the
+   seen-cache maps a candidate identifier to the clock value at which it
+   was last offered to *all* slots — a 2-, 4- or 8-bit tag per id below
+   the node's id bound, a hash table for the rest (see [offer]).
+   Offering a candidate to
    an unchanged slot is a no-op (the slot's best rank only decreases
    between resets, so a re-offer can never install), hence a candidate
    seen at clock [s] only needs rank evaluations against slots with
    [stamps.(i) > s] — each candidate is hashed once per *seed*, not once
-   per call.  Rank values themselves are exactly the uncached ones; the
-   differential oracle in test_basalt.ml pins the equivalence. *)
+   per call.  No offer falls between the resets of one burst, so
+   counting bursts instead of resets answers every [stamp > since] test
+   the same way.  Rank values themselves are exactly the uncached ones;
+   the differential oracle in test_basalt.ml pins the equivalence. *)
 
 (* Batch scratch for [update_sample]: per prepared candidate, its id,
    its identifier-side digest and the clock of its previous offer,
@@ -60,11 +63,13 @@ type t = {
   uses : int array;  (* exchanges served since last reset; [||] unless
                         the config selects [Least_used_slot] *)
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
-  mutable clock : int;  (* total slot resets so far *)
-  (* Seen-cache: candidate id -> clock at last offer.  Ids below the
-     id bound index 8-bit clock tags, the others live in a table (see
-     [seen_exchange]). *)
-  tags : Bytes.t;  (* one byte per id below the bound, 0 = absent *)
+  mutable clock : int;  (* reset bursts so far *)
+  (* Seen-cache: candidate id -> clock at last offer.  Ids below
+     [id_bound] index w-bit clock tags, the others live in a table (see
+     [offer]). *)
+  id_bound : int;
+  tag_log_bits : int;  (* log2 of the tag width w: 1, 2 or 3 *)
+  tags : Bytes.t;  (* w bits per id below the bound, 8/w ids a byte *)
   mutable tag_base : int;  (* tag g > 0 stands for clock tag_base + g - 1 *)
   mutable seen : offer Seen.t option;  (* None until the first other id *)
   scratch : scratch;  (* shared with the other nodes of its factory *)
@@ -105,50 +110,62 @@ let seen_prune_threshold t = (16 * Array.length t.holders) + 64
 
 let min_stamp t = Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
 
-(* The seen-cache has two stores behind one entry point,
-   [seen_exchange], and one rule picks the store: an id below
-   [Bytes.length tags] — the factory's [id_bound], the run's n in the
-   simulator — uses the tags, every other id (each packed endpoint of
-   the daemon, whose bound is 0) the table.  Neither store changes an
-   output: an absent, pruned or rebased-away entry reads as -1, which
-   costs the same evaluations as an entry older than every seed.
+(* The seen-cache has two stores, and one rule picks the store: an id
+   below [id_bound] — the factory's, the run's n in the simulator —
+   uses the tags, every other id (each packed endpoint of the daemon,
+   whose bound is 0) the table.  Neither store changes an output: an
+   absent, pruned or rebased-away entry reads as -1, which costs the
+   same evaluations as an entry older than every seed.
 
-   [tags] holds one byte per id: tag 0 means absent and tag g means
+   [tags] packs one w-bit field per id, id [i] in byte [i / (8/w)] at
+   bit [w * (i mod (8/w))]: field 0 means absent and field g means
    clock [tag_base + g - 1].  [seen] is allocated at the first id past
-   the tags; each entry holds a mutable clock cell, so a hit costs one
+   the bound; each entry holds a mutable clock cell, so a hit costs one
    [find] and allocates nothing. *)
 
-(* The largest tag is 0xFF, i.e. clock [tag_base + 0xFE].  Before
-   recording a later clock, the tags are rebased once to the oldest
-   slot stamp: a tag older than the new base becomes 0.  Such an entry
-   is older than every seed, so reading it as absent costs exactly the
-   evaluations it did before, and the rebase changes no holder, no rank
-   and no [basalt.rank_evals] as long as [clock - min_stamp < 0xFF].
-   Round-robin resets reach every slot within v resets, so without
-   evictions that gap is at most v - 1: exact whenever v <= 255 (the
-   paper's largest view is v = 200).  For a larger v, or on a node
-   whose evictions widen the gap, the base is clamped to
-   [clock - 0xFE], which forgets entries some slots have already seen.
-   Re-offering those can never install (each such slot's best rank is
-   already at most the candidate's), so the clamp costs extra
+(* The tag width w is the fewest of 2, 4 or 8 bits whose largest field,
+   2^w - 1, is at least ceil(v/k): round-robin resets reach every slot
+   within that many bursts, so without evictions [clock - min_stamp] is
+   at most ceil(v/k) - 1 (see [tags_rebase]). *)
+let tag_log_bits config =
+  let bursts = (config.Config.v + config.Config.k - 1) / config.Config.k in
+  if bursts <= 3 then 1 else if bursts <= 15 then 2 else 3
+
+(* The largest field, 2^w - 1. *)
+let tag_max t = (1 lsl (1 lsl t.tag_log_bits)) - 1
+
+(* The largest field stands for clock [tag_base + 2^w - 2].
+   Before an offer records a later clock, the tags are rebased once to
+   the oldest slot stamp: a field older than the new base becomes 0.
+   Such an entry is older than every seed, so reading it as absent
+   costs exactly the evaluations it did before, and the rebase changes
+   no holder, no rank and no [basalt.rank_evals] as long as
+   [clock - min_stamp <= 2^w - 2], which the width guarantees unless
+   evictions widened the gap.  Past it, the base is clamped to
+   [clock - (2^w - 2)], which forgets entries some slots have already
+   seen.  Re-offering those can never install (each such slot's best
+   rank is already at most the candidate's), so the clamp costs extra
    evaluations and never changes a view. *)
 let tags_rebase t clock =
-  let base = Int.max (min_stamp t) (clock - 0xFE) in
+  let w = 1 lsl t.tag_log_bits in
+  let field = tag_max t in
+  let base = Int.max (min_stamp t) (clock - (field - 1)) in
   let shift = base - t.tag_base in
   let tags = t.tags in
   for i = 0 to Bytes.length tags - 1 do
-    let g = Bytes.get_uint8 tags i in
-    if g > 0 then
-      Bytes.set_uint8 tags i (if Int.compare g shift <= 0 then 0 else g - shift)
+    let b = Bytes.get_uint8 tags i in
+    if b <> 0 then begin
+      let out = ref 0 in
+      let off = ref 0 in
+      while !off < 8 do
+        let g = (b lsr !off) land field in
+        if Int.compare g shift > 0 then out := !out lor ((g - shift) lsl !off);
+        off := !off + w
+      done;
+      Bytes.set_uint8 tags i !out
+    end
   done;
   t.tag_base <- base
-
-let tags_exchange t key clock =
-  if clock - t.tag_base > 0xFE then tags_rebase t clock;
-  let tags = t.tags in
-  let g = Bytes.get_uint8 tags key in
-  Bytes.set_uint8 tags key (clock - t.tag_base + 1);
-  if Int.equal g 0 then -1 else t.tag_base + g - 1
 
 let table_exchange t key clock =
   let table =
@@ -167,12 +184,6 @@ let table_exchange t key clock =
   | exception Not_found ->
       Seen.add table key { last = clock };
       -1
-
-(* Records [key] as offered at [clock] and returns the clock of its
-   previous offer, -1 when absent. *)
-let seen_exchange t key clock =
-  if Int.compare key (Bytes.length t.tags) < 0 then tags_exchange t key clock
-  else table_exchange t key clock
 
 (* Drops the table entries older than every slot's seed (the tags are
    fixed-size and need no prune). *)
@@ -206,10 +217,19 @@ let offer t (ids : Node_id.t array) ~sender =
     ensure_batch_capacity sc total;
     let clock = t.clock and self = (t.id :> int) in
     let raw = sc.raw and dig = sc.digest and since = sc.since in
+    (* The clock is fixed within one offer, so one rebase check covers
+       every tag it writes. *)
+    let field = tag_max t in
+    if clock - t.tag_base > field - 1 then tags_rebase t clock;
+    let tags = t.tags and bound = t.id_bound and base = t.tag_base in
+    let lw = t.tag_log_bits in
+    let byte_shift = 3 - lw and in_byte = (8 lsr lw) - 1 in
+    let fresh = clock - base + 1 in
     (* Intake pass: drop self, dedup within the batch, and skip any
        candidate already offered to every current seed (pull replies
        routinely repeat ids across rounds, and the sender, staged last,
-       is often among them).  Survivors are prepared once —
+       is often among them).  Each candidate's tag is read and
+       rewritten in place.  Survivors are prepared once —
        identifier-side digest hoisted out of the slot loop. *)
     let len = ref 0 in
     let max_since = ref (-1) in
@@ -219,7 +239,18 @@ let offer t (ids : Node_id.t array) ~sender =
         else sender
       in
       if not (Int.equal cand self) then begin
-        let last = seen_exchange t cand clock in
+        let last =
+          if Int.compare cand bound < 0 then begin
+            let byte = cand lsr byte_shift in
+            let off = (cand land in_byte) lsl lw in
+            let b = Bytes.get_uint8 tags byte in
+            let g = (b lsr off) land field in
+            Bytes.set_uint8 tags byte
+              (b land lnot (field lsl off) lor (fresh lsl off));
+            if Int.equal g 0 then -1 else base + g - 1
+          end
+          else table_exchange t cand clock
+        in
         if Int.compare last clock < 0 then begin
           let j = !len in
           Array.unsafe_set raw j cand;
@@ -254,12 +285,14 @@ let reset_slot t i =
   t.holders.(i) <- -1;
   t.best_ranks.(i) <- max_int;
   if Array.length t.uses > 0 then t.uses.(i) <- 0;
-  t.clock <- t.clock + 1;
   t.stamps.(i) <- t.clock
 
 let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
     () =
+  if id_bound < 0 then invalid_arg "Basalt.factory: negative id_bound";
   let scratch = fresh_scratch () in
+  let tag_log_bits = tag_log_bits config in
+  let tag_bytes = ((id_bound lsl tag_log_bits) + 7) / 8 in
   fun ~id ~bootstrap ~rng ~send ->
     let rng = Rng.split rng in
     let v = config.Config.v in
@@ -278,7 +311,9 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
           | Config.Uniform_slot | Config.Rotating_slot -> [||]);
         stamps = Array.make v 0;
         clock = 0;
-        tags = Bytes.make id_bound '\000';
+        id_bound;
+        tag_log_bits;
+        tags = Bytes.make tag_bytes '\000';
         tag_base = 0;
         seen = None;
         scratch;
@@ -392,6 +427,9 @@ let evict_peer t peer =
          (fun p -> not (Node_id.equal p peer))
          (Array.to_list (view t)))
   in
+  (* One burst: the clock advances once, before the peer's slots are
+     reset, and only when some slot holds the peer. *)
+  if Array.exists (Int.equal peer_int) t.holders then t.clock <- t.clock + 1;
   for i = 0 to Array.length t.holders - 1 do
     if Int.equal t.holders.(i) peer_int then begin
       reset_slot t i;
@@ -496,6 +534,8 @@ let sample_tick t =
      view", in which the just-reset slots still hold their old peers. *)
   let snapshot = view t in
   let samples = ref [] in
+  (* One burst: the clock advances once, before the k resets. *)
+  t.clock <- t.clock + 1;
   for _ = 1 to k do
     let i = t.next_reset in
     t.next_reset <- (t.next_reset + 1) mod v;

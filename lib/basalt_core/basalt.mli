@@ -152,14 +152,17 @@ val factory :
 
     [id_bound] (default 0) is a bound on the run's identifiers, such as
     the simulator's n.  The seen-cache behind {!update_sample} keeps
-    every identifier below it as a one-byte clock tag indexed by the
-    identifier, [id_bound] bytes allocated at creation and never grown.
-    Every other identifier — all of them on a daemon node, whose
-    identifiers are packed endpoints and whose bound is 0 — goes to a
-    hash table allocated at the first such identifier and pruned at
-    sample ticks of the entries older than every slot's seed.  Neither
-    store changes a view or a rank, nor, when [v <= 255] and no peer
-    is evicted, an evaluation count (DESIGN.md §4).
+    every identifier below it as a w-bit clock tag indexed by the
+    identifier, where the clock counts reset bursts and w is the fewest
+    of 2, 4 or 8 bits with [ceil(v/k) <= 2^w - 1] (2 bits at the
+    default [k = v/2]): [ceil(id_bound * w / 8)] bytes allocated at
+    creation and never grown.  Every other identifier — all of them on
+    a daemon node, whose identifiers are packed endpoints and whose
+    bound is 0 — goes to a hash table allocated at the first such
+    identifier and pruned at sample ticks of the entries older than
+    every slot's seed.  Neither store changes a view or a rank, nor,
+    when [ceil(v/k) <= 255] and no peer is evicted, an evaluation count
+    (DESIGN.md §4).
     @raise Invalid_argument if [id_bound] is negative. *)
 
 val sampler :

@@ -255,37 +255,61 @@ let on_samples t ps =
   in
   t.samples <- truncate sample_buffer_cap t.samples
 
+(* The peers of [view] other than the node itself, in view order. *)
+let others t view =
+  let n = ref 0 in
+  for i = 0 to Array.length view - 1 do
+    if not (Node_id.equal view.(i) t.node) then incr n
+  done;
+  let out = Array.make !n t.node in
+  let j = ref 0 in
+  for i = 0 to Array.length view - 1 do
+    let p = view.(i) in
+    if not (Node_id.equal p t.node) then begin
+      out.(!j) <- p;
+      incr j
+    end
+  done;
+  out
+
 (* Replenishment candidates: fresh samples first (the secure stream is
    what bounds Byzantine mesh membership), then the raw view; each block
    shuffled so repeated heartbeats don't always pick the same peers. *)
-let mesh_candidates t =
+let mesh_candidates t view =
   let samples = Array.of_list t.samples in
   Rng.shuffle_in_place t.rng samples;
-  let view =
-    Array.of_list
-      (List.filter
-         (fun p -> not (Node_id.equal p t.node))
-         (Array.to_list (t.view ())))
-  in
+  let view = others t view in
   Rng.shuffle_in_place t.rng view;
   Array.append samples view
 
-(* Distinct non-mesh peers from the view — the lazy-digest audience. *)
-let lazy_candidates t =
-  let out = ref [] in
-  Array.iter
-    (fun p ->
-      if
-        (not (Node_id.equal p t.node))
-        && (not (Mesh.mem t.mesh p))
-        && not (List.exists (Node_id.equal p) !out)
-      then out := p :: !out)
-    (t.view ());
-  let arr = Array.of_list (List.rev !out) in
+(* Whether [p] is among [a.(i)], ..., [a.(n - 1)]. *)
+let rec mem_below a n p i =
+  i < n && (Node_id.equal a.(i) p || mem_below a n p (i + 1))
+
+(* Distinct non-mesh peers from the view, in first-seen order, then
+   shuffled — the lazy-digest audience. *)
+let lazy_candidates t view =
+  let out = Array.make (Array.length view) t.node in
+  let n = ref 0 in
+  for i = 0 to Array.length view - 1 do
+    let p = view.(i) in
+    if
+      (not (Node_id.equal p t.node))
+      && (not (Mesh.mem t.mesh p))
+      && not (mem_below out !n p 0)
+    then begin
+      out.(!n) <- p;
+      incr n
+    end
+  done;
+  let arr = Array.sub out 0 !n in
   Rng.shuffle_in_place t.rng arr;
   arr
 
 let heartbeat t =
+  (* Sends only queue datagrams, so the view is the same at every step
+     of one heartbeat: read it once. *)
+  let view = t.view () in
   (* 1. Recover announced-but-missing messages: graft towards the next
      advertiser and re-request. *)
   List.iter
@@ -308,7 +332,7 @@ let heartbeat t =
   | _ -> ());
   (* 3. Top the mesh back up to the target degree. *)
   if Mesh.degree t.mesh < degree then begin
-    let cands = mesh_candidates t in
+    let cands = mesh_candidates t view in
     let i = ref 0 in
     while Mesh.degree t.mesh < degree && !i < Array.length cands do
       let p = cands.(!i) in
@@ -328,7 +352,7 @@ let heartbeat t =
   | [] -> ()
   | wnd ->
       let digest = Message.Ihave (Array.of_list wnd) in
-      let cands = lazy_candidates t in
+      let cands = lazy_candidates t view in
       for i = 0 to min lazy_fanout (Array.length cands) - 1 do
         Obs.Counter.incr t.c_ihave;
         t.send ~dst:cands.(i) digest

@@ -21,12 +21,14 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits t land (bound - 1)
   else
+    (* Rejection keeps every residue equally likely; a loop, not a
+       local recursive function, so a draw allocates no closure. *)
     let threshold = max_int - (max_int mod bound) in
-    let rec go () =
-      let r = bits t in
-      if r >= threshold then go () else r mod bound
-    in
-    go ()
+    let r = ref (bits t) in
+    while !r >= threshold do
+      r := bits t
+    done;
+    !r mod bound
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";

@@ -568,15 +568,14 @@ module Obs = Basalt_obs.Obs
 (* Words one node of a 200-node run retains (v = 160, a distinct
    200-id bootstrap from 3,000 ids and the id bound 3,000, as [Runner]
    makes them, disabled telemetry): the seen-cache's clock tags for
-   every id below the bound (one byte per id, ~375 words), its four slot
-   int arrays (seeds, holders, best ranks, stamps: 4 x 161; [uses] is
-   empty unless the config selects [Least_used_slot]), its PRNG,
-   record and sampler closures — 1104 words measured; the budget is
-   the 1106 measured before the seen-cache's table became a [Hashtbl]
-   plus 5 %.  The batch scratch and the RTT tracker are shared,
-   so they are not per node; a node that owned them would carry
-   another 603 + 1446 words. *)
-let words_per_node_budget = 1161
+   every id below the bound (2 bits per id at k = v/2, 95 words), its
+   four slot int arrays (seeds, holders, best ranks, stamps: 4 x 161;
+   [uses] is empty unless the config selects [Least_used_slot]), its
+   PRNG, record and sampler closures — 823 words measured (1,104 with
+   one-byte tags); the budget is that plus 5 %.  The batch scratch and
+   the RTT tracker are shared, so they are not per node; a node that
+   owned them would carry another 603 + 1446 words. *)
+let words_per_node_budget = 864
 
 let basalt_per_node_footprint () =
   let config = Config.make ~v:160 ~k:80 () in
@@ -1032,6 +1031,29 @@ module Rank_oracle = struct
     done;
     offer t snapshot
 
+  (* [Basalt]'s eviction of [peer]: reseed, in slot order, every slot
+     holding it, then offer the rest of the view. *)
+  let evict t peer =
+    let snapshot =
+      Array.of_list
+        (List.filter_map
+           (fun s ->
+             match s.holder with
+             | Some h when h <> peer -> Some (Node_id.of_int h)
+             | Some _ | None -> None)
+           (Array.to_list t.slots))
+    in
+    Array.iter
+      (fun s ->
+        if s.holder = Some peer then begin
+          s.seed <- Rank.fresh t.rng;
+          s.holder <- None;
+          s.best <- max_int;
+          Hashtbl.reset s.offered
+        end)
+      t.slots;
+    offer t snapshot
+
   let holders t = Array.map (fun s -> s.holder) t.slots
   let ranks t =
     Array.map (fun s -> if s.holder = None then None else Some s.best) t.slots
@@ -1048,17 +1070,20 @@ let oracle_backends =
 
 (* Each op is a candidate batch (possibly empty) optionally followed by a
    sample_tick, and ticks re-seed slots so the batched path's seen-cache
-   must discriminate stale generations.  The seen-cache keeps ids below
-   the node's id bound as clock tags and the rest in a table, so each
-   case draws the bound — 0 (table only), a value inside the shape's id
-   range (both stores in one node) or one past its maximum (tags only)
-   — for one of these shapes:
+   must discriminate stale generations.  Each case draws its (v, k) so
+   that ceil(v/k) lies in the range of one tag width — 1–3 (2-bit
+   tags), 4–15 (4-bit) or 16–255 (8-bit) — since the width, the field
+   packing and the rebase point all follow from it.  The seen-cache
+   keeps ids below the node's id bound as clock tags and the rest in a
+   table, so each case draws the bound — 0 (table only), a value
+   inside the shape's id range (both stores in one node) or one past
+   its maximum (tags only) — for one of these shapes:
    - a small identifier range (<= 12, batches <= 8) forces duplicates
      within and across batches, and id 0 is the node itself;
    - ids below 3,000 (batches <= 300) revisit ids across batches;
-   - a wide range (< 10^5, batches <= 300) at v = 6 passes the table's
-     prune threshold (16v + 64 = 160 entries) unless the bound covers
-     it, so ticks sweep the table;
+   - a wide range (< 10^5, batches <= 300) passes the table's prune
+     threshold (16v + 64 entries, 160 at v = 6) unless the bound
+     covers it or the view is wide, so ticks sweep the table;
    - 48-bit ids shaped like [Endpoint.to_node_id]'s (an IPv4 address
      above a 16-bit port), the sparse keys of the UDP daemon.  No bound
      that could be allocated covers them, so they run on the table
@@ -1118,9 +1143,32 @@ let shrink_ops ops =
     ]
     Seq.empty
 
+(* A (v, k) whose ceil(v/k) lies in [lo, hi]: k, then v from
+   max k ((lo - 1) k + 1) to min (hi k) max_v. *)
+let view_shape ~lo ~hi ~max_k ~max_v =
+  Gen.bind (Gen.int_range 1 max_k) (fun k ->
+      Gen.map
+        (fun v -> (v, k))
+        (Gen.int_range
+           (Int.max k (((lo - 1) * k) + 1))
+           (Int.min (hi * k) max_v)))
+
+(* The 8-bit range needs views of up to 255 slots, each of which the
+   oracle ranks every candidate against on four backends, so it is drawn
+   half as often, and half of its views stay below 41 slots. *)
+let view_shapes =
+  Gen.frequency
+    [
+      (2, view_shape ~lo:1 ~hi:3 ~max_k:8 ~max_v:24);
+      (2, view_shape ~lo:4 ~hi:15 ~max_k:3 ~max_v:45);
+      (1, view_shape ~lo:16 ~hi:40 ~max_k:1 ~max_v:40);
+      (1, view_shape ~lo:16 ~hi:255 ~max_k:2 ~max_v:255);
+    ]
+
 let oracle_cases =
   let cases =
-    Gen.pair (Gen.int_bound 10_000)
+    Gen.pair
+      (Gen.pair (Gen.int_bound 10_000) view_shapes)
       (Gen.oneof
          [
            bounded_ops ~max_ops:10 ~max_batch:8 12;
@@ -1133,8 +1181,8 @@ let oracle_cases =
   (* The same draws as [cases]; only the shrinks differ. *)
   Gen.make_primitive
     ~gen:(fun rand -> Gen.generate1 ~rand cases)
-    ~shrink:(fun (seed, (id_bound, ops)) ->
-      Seq.map (fun ops -> (seed, (id_bound, ops))) (shrink_ops ops))
+    ~shrink:(fun (seed_shape, (id_bound, ops)) ->
+      Seq.map (fun ops -> (seed_shape, (id_bound, ops))) (shrink_ops ops))
 
 let prop_update_sample_matches_oracle =
   let print_ops =
@@ -1142,10 +1190,12 @@ let prop_update_sample_matches_oracle =
   in
   Test.make ~name:"batched update_sample matches naive rank oracle"
     ~count:250
-    ~print:(Print.pair Print.int (Print.pair Print.int print_ops))
+    ~print:
+      (Print.pair
+         (Print.pair Print.int (Print.pair Print.int Print.int))
+         (Print.pair Print.int print_ops))
     oracle_cases
-    (fun (seed, (id_bound, ops)) ->
-      let v = 6 and k = 2 in
+    (fun ((seed, (v, k)), (id_bound, ops)) ->
       List.for_all
         (fun (_name, backend) ->
           let send ~dst:_ _ = () in
@@ -1265,11 +1315,12 @@ let prop_on_message_matches_oracle =
 
 (* Drives a node and the oracle (same [v], [k], seed) through [ticks]
    rounds, each a batch of 1 to [batch] ids drawn from 1 .. [ids]
-   followed by a sample tick, and returns the node's and the oracle's
-   rank evaluations once holders and ranks have been checked equal.
-   The node's id bound covers every id, so its seen-cache is the tags
+   followed by a sample tick and then [evictions] evictions, each of
+   the peer that slot 0 then holds, and returns the node's and the oracle's rank
+   evaluations once holders and ranks have been checked equal.  The
+   node's id bound covers every id, so its seen-cache is the tags
    alone. *)
-let run_against_oracle ~v ~k ~ticks ~batch ~ids =
+let run_against_oracle ?(evictions = 0) ~v ~k ~ticks ~batch ~ids () =
   let backend = Rank.Cheap in
   let send ~dst:_ _ = () in
   let obs = Basalt_obs.Obs.create () in
@@ -1283,6 +1334,9 @@ let run_against_oracle ~v ~k ~ticks ~batch ~ids =
   in
   let m = Rank_oracle.create ~backend ~v ~self:0 ~seed:7 in
   let r = Basalt_prng.Rng.create ~seed:11 in
+  let holders () =
+    Array.map (Option.map Node_id.to_int) (Basalt.view_slots t)
+  in
   for _ = 1 to ticks do
     let batch =
       Array.init
@@ -1292,48 +1346,81 @@ let run_against_oracle ~v ~k ~ticks ~batch ~ids =
     Basalt.update_sample t batch;
     Rank_oracle.offer m batch;
     ignore (Basalt.sample_tick t);
-    Rank_oracle.tick m ~k
+    Rank_oracle.tick m ~k;
+    for _ = 1 to evictions do
+      match (holders ()).(0) with
+      | Some peer ->
+          Basalt.record_probe t (id peer);
+          Basalt.run_eviction t ~limit:(-1);
+          Rank_oracle.evict m peer
+      | None -> ()
+    done
   done;
-  check_bool "holders" true
-    (Array.map (Option.map Node_id.to_int) (Basalt.view_slots t)
-    = Rank_oracle.holders m);
+  check_bool "holders" true (holders () = Rank_oracle.holders m);
   check_bool "ranks" true (Basalt.slot_ranks t = Rank_oracle.ranks m);
   (Basalt_obs.Obs.Counter.value evals, m.Rank_oracle.evals)
 
-(* Clock tags are 8 bits, so the tags are rebased whenever the clock
-   outruns its base by 0xFF.  At v = 4 each rebase moves the base to
-   the oldest stamp, three resets back, so 5,000 ticks of k = 2 resets
-   take the clock to 10,000 past some 40 rebases, one every ~126 ticks.
-   Six ids offered around every tick keep entries live across each
-   rebase: at v = 4 an entry from the previous tick still spares the two
-   slots drawn before it, so a tag read one clock off, or a rebase that
-   forgets entries some slot has already ranked, shows in the holders,
-   the ranks or [basalt.rank_evals]. *)
+(* The clock counts reset bursts, and tags are w bits wide, where w is
+   the fewest of 2, 4 or 8 bits with ceil(v/k) <= 2^w - 1; the tags are
+   rebased whenever the clock outruns its base by 2^w - 1.  Each case
+   crosses many rebases at one width: v = 4, k = 2 (2-bit tags, a
+   rebase every other tick) for 5,000 ticks; v = 10, k = 1 (4-bit, gap
+   up to 9, a rebase every 6 ticks) for 2,000; v = 40, k = 1 (8-bit,
+   gap up to 39, a rebase every 216 ticks) for 1,000.  A few ids
+   offered around every tick keep entries live across each rebase: an
+   entry from the previous tick still spares the slots drawn before it,
+   so a field read one clock off, from a neighbour's bits, or a rebase
+   that forgets entries some slot has already ranked, shows in the
+   holders, the ranks or [basalt.rank_evals]. *)
 let tag_rebases_match_oracle () =
-  let node, oracle =
-    run_against_oracle ~v:4 ~k:2 ~ticks:5_000 ~batch:3 ~ids:6
-  in
-  check_int "rank_evals" oracle node
+  List.iter
+    (fun (v, k, ticks, ids) ->
+      let node, oracle =
+        run_against_oracle ~v ~k ~ticks ~batch:3 ~ids ()
+      in
+      check_int (Printf.sprintf "rank_evals at v = %d, k = %d" v k) oracle node)
+    [ (4, 2, 5_000, 6); (10, 1, 2_000, 12); (40, 1, 1_000, 60) ]
 
-(* Past v = 255 the oldest live stamp can lie more than a byte behind
-   the clock, so a rebase clamps the base to [clock - 0xFE] and forgets
-   entries some slots have already ranked.  At v = 300 and k = 30 the
-   tick at clock - 270 is in that window: ids offered there and not
-   since are ranked again on their next offer.  Views and ranks must
-   still equal the oracle's; only the evaluation count may exceed it,
-   and here it must, or the clamp went unexercised.  The count itself
-   is pinned (450 over the oracle's 678,090 at these seeds), so a clamp
-   that forgets more, or a tag that overflows at the clamp's edge,
-   shows too. *)
+(* Past ceil(v/k) = 255 the oldest live stamp can lie more than 254
+   bursts behind the clock even with 8-bit tags, so a rebase clamps the
+   base to [clock - 254] and forgets entries some slots have already
+   ranked.  At v = 300 and k = 1 the bursts between clock - 299 and
+   clock - 255 are in that window once the clock passes 255: ids
+   offered there and not since are ranked again on their next offer.
+   Views and ranks must still equal the oracle's; only the evaluation
+   count may exceed it, and here it must, or the clamp went
+   unexercised.  The count itself is pinned (1,752 over the oracle's
+   927,791 at these seeds), so a clamp that forgets more, or a tag that
+   overflows at the clamp's edge, shows too. *)
 let wide_view_clamp_matches_oracle () =
   let node, oracle =
-    run_against_oracle ~v:300 ~k:30 ~ticks:100 ~batch:30 ~ids:500
+    run_against_oracle ~v:300 ~k:1 ~ticks:400 ~batch:30 ~ids:2_000 ()
   in
   check_bool
     (Printf.sprintf "rank_evals %d > oracle's %d" node oracle)
     true
     (Int.compare node oracle > 0);
-  check_int "rank_evals" 678_540 node
+  check_int "rank_evals" 929_543 node
+
+(* An eviction is a burst of its own: it advances the clock, so with
+   evictions between sample ticks the gap between the clock and the
+   oldest stamp outgrows ceil(v/k) - 1.  At v = 4, k = 2 (2-bit tags,
+   exact up to a gap of 2) a slot pair is reset every other tick, and
+   one eviction after each tick puts two ticks and two evictions
+   between its resets, a gap of 3, so rebases clamp.  Views and ranks
+   must equal the oracle's (whose evictions reseed the same slots in
+   the same order), and the node's evaluations may only exceed the
+   oracle's; they are pinned (28 over the oracle's 6,486), as at the
+   wide view. *)
+let eviction_clamp_matches_oracle () =
+  let node, oracle =
+    run_against_oracle ~evictions:1 ~v:4 ~k:2 ~ticks:500 ~batch:3 ~ids:12 ()
+  in
+  check_bool
+    (Printf.sprintf "rank_evals %d >= oracle's %d" node oracle)
+    true
+    (Int.compare node oracle >= 0);
+  check_int "rank_evals" 6_514 node
 
 (* A node made with the run's id bound allocates its tags once: offering
    every id below the bound, one batch at a time (no larger than its
@@ -1465,6 +1552,8 @@ let () =
             tag_rebases_match_oracle;
           Alcotest.test_case "wide view clamp matches oracle" `Quick
             wide_view_clamp_matches_oracle;
+          Alcotest.test_case "eviction clamp matches oracle" `Quick
+            eviction_clamp_matches_oracle;
         ] );
       ( "footprint",
         [

@@ -113,6 +113,29 @@ let rng_int_bounds () =
     done
   done
 
+(* A bound that is not a power of two draws by rejection.  10^4 draws
+   at bound 3,000 allocate nothing (the simulator draws per message),
+   and they are the stream the pinned outcomes rest on: the first eight
+   values, their sum and a polynomial hash of all of them are pinned. *)
+let rng_int_rejection_allocates_nothing () =
+  let t = rng () in
+  let draws = Array.make 10_000 0 in
+  let before = Gc.minor_words () in
+  let baseline = Gc.minor_words () -. before in
+  let start = Gc.minor_words () in
+  for i = 0 to Array.length draws - 1 do
+    draws.(i) <- Rng.int t 3000
+  done;
+  let allocated = Gc.minor_words () -. start -. baseline in
+  Alcotest.(check (float 0.0)) "minor words for 10^4 draws" 0.0 allocated;
+  Alcotest.(check (list int))
+    "first draws"
+    [ 2333; 2875; 1523; 290; 2552; 2116; 1285; 1922 ]
+    (Array.to_list (Array.sub draws 0 8));
+  check_int "sum" 14_915_745 (Array.fold_left ( + ) 0 draws);
+  check_int "hash" 396_756_529
+    (Array.fold_left (fun h x -> ((h * 31) + x) land 0x3FFFFFFF) 0 draws)
+
 let rng_int_invalid () =
   let t = rng () in
   Alcotest.check_raises "zero bound"
@@ -383,6 +406,8 @@ let () =
         [
           Alcotest.test_case "pinned draws" `Quick rng_pinned_draws;
           Alcotest.test_case "int bounds" `Quick rng_int_bounds;
+          Alcotest.test_case "int rejection allocates nothing" `Quick
+            rng_int_rejection_allocates_nothing;
           Alcotest.test_case "int invalid" `Quick rng_int_invalid;
           Alcotest.test_case "int covers values" `Quick rng_int_covers_values;
           Alcotest.test_case "int uniformity" `Slow rng_int_roughly_uniform;
