@@ -263,7 +263,6 @@ let core_ops () =
          ~holders:kernel_holders)
   in
   let siphash_key = Basalt_hashing.Siphash.key_of_rng rng in
-  let keyed = Rank.Keyed_cheap 0x2545F4914F6CDD1D in
   let sip_midstate = Basalt_hashing.Siphash.prepare_int64 siphash_key 42L in
   run_group ~name:"core ops"
     [
@@ -280,8 +279,6 @@ let core_ops () =
         (Staged.stage (fun () -> ignore (Basalt_core.Basalt.sample_tick basalt)));
       Test.make ~name:"rank (cheap mixer)"
         (Staged.stage (fun () -> ignore (Rank.rank Rank.Cheap 42 123456)));
-      Test.make ~name:"rank (keyed-cheap mixer)"
-        (Staged.stage (fun () -> ignore (Rank.rank keyed 42 123456)));
       (* Midstate-resumed: the key + seed block is absorbed once per
          slot per batch ([Rank.offer_slots]), so each evaluation finishes
          only the identifier block. *)
@@ -487,19 +484,6 @@ let ablations () =
       sim_test "k=v/2"
         (micro_scenario ~protocol:(Scenario.Basalt (Basalt_core.Config.make ~v:16 ~k:8 ())) ());
     ];
-  run_group ~name:"ablation: push payload (full view vs own id)"
-    [
-      sim_test "full-view"
-        (micro_scenario
-           ~protocol:(Scenario.Basalt (Basalt_core.Config.make ~v:16 ~k:4 ()))
-           ());
-      sim_test "own-id-only"
-        (micro_scenario
-           ~protocol:
-             (Scenario.Basalt
-                (Basalt_core.Config.make ~v:16 ~k:4 ~push_own_id_only:true ()))
-           ());
-    ];
   let sip = Rank.Siphash (Basalt_hashing.Siphash.key_of_ints 1L 2L) in
   run_group ~name:"ablation: rank backend"
     [
@@ -510,28 +494,6 @@ let ablations () =
       sim_test "siphash-2-4"
         (micro_scenario
            ~protocol:(Scenario.Basalt (Basalt_core.Config.make ~v:16 ~k:4 ~backend:sip ()))
-           ());
-    ];
-  run_group ~name:"ablation: slot selection strategy"
-    [
-      sim_test "uniform"
-        (micro_scenario
-           ~protocol:
-             (Scenario.Basalt
-                (Basalt_core.Config.make ~v:16 ~k:4 ~select:Basalt_core.Config.Uniform_slot ()))
-           ());
-      sim_test "rotating"
-        (micro_scenario
-           ~protocol:
-             (Scenario.Basalt
-                (Basalt_core.Config.make ~v:16 ~k:4 ~select:Basalt_core.Config.Rotating_slot ()))
-           ());
-      sim_test "least-used"
-        (micro_scenario
-           ~protocol:
-             (Scenario.Basalt
-                (Basalt_core.Config.make ~v:16 ~k:4
-                   ~select:Basalt_core.Config.Least_used_slot ()))
            ());
     ]
 

@@ -162,7 +162,10 @@ let main listen peers v tau rho duration seed loss delay evict_after
       (Printf.sprintf
          "--payload-size must be in [0, %d] (one UDP datagram's Gossip frame)"
          Udp_node.max_payload);
-  if report_every <= 0.0 then usage_error "--report-every must be > 0";
+  (* Written so that NaN fails too: it fails every comparison. *)
+  if not (report_every > 0.0) then usage_error "--report-every must be > 0";
+  if not (metrics_every >= 0.0) then
+    usage_error "--metrics-every must be >= 0";
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   (* The daemon is the allowlisted real-clock boundary (lint D2/D8): the
      registry's trace clock is the event loop's wall clock. *)

@@ -6,11 +6,10 @@ module Obs = Basalt_obs.Obs
 module Rank = Basalt_hashing.Rank
 
 (* Slot state lives in parallel struct-of-arrays form: slot [i] is
-   [(seeds.(i), holders.(i), best_ranks.(i), uses.(i), stamps.(i))],
-   where [uses] exists only for the [Least_used_slot] strategy that reads
-   it.  The batched [update_sample] iterates slot-major over these flat int
-   arrays — branch-light, cache-friendly, and allocation-free — instead
-   of chasing one heap record per slot (DESIGN.md §4).
+   [(seeds.(i), holders.(i), best_ranks.(i), stamps.(i))].  The batched
+   [update_sample] iterates slot-major over these flat int arrays —
+   branch-light, cache-friendly, and allocation-free — instead of
+   chasing one heap record per slot (DESIGN.md §4).
 
    On top of the layout sits a rank-work cache: [clock] counts reset
    bursts (a sample tick's k resets, or an eviction's), [stamps.(i)]
@@ -60,8 +59,6 @@ type t = {
   seeds : int array;  (* one [Rank.fresh] seed per slot *)
   holders : int array;  (* holders.(i) < 0 means slot i is empty *)
   best_ranks : int array;  (* max_int when empty *)
-  uses : int array;  (* exchanges served since last reset; [||] unless
-                        the config selects [Least_used_slot] *)
   stamps : int array;  (* clock value at which the slot's seed was drawn *)
   mutable clock : int;  (* reset bursts so far *)
   (* Seen-cache: candidate id -> clock at last offer.  Ids below
@@ -76,7 +73,6 @@ type t = {
   rng : Rng.t;
   send : Rps.send;
   mutable next_reset : int;  (* round-robin pointer r, 0-based *)
-  mutable next_select : int;  (* used by the Rotating_slot strategy *)
   mutable rounds : int;
   (* Dead-peer detection: peers we pulled from and the round of the
      oldest unanswered pull.  Allocated by the first probe, so a node
@@ -284,7 +280,6 @@ let reset_slot t i =
   t.seeds.(i) <- Rank.fresh t.rng;
   t.holders.(i) <- -1;
   t.best_ranks.(i) <- max_int;
-  if Array.length t.uses > 0 then t.uses.(i) <- 0;
   t.stamps.(i) <- t.clock
 
 let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
@@ -305,10 +300,6 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
         seeds;
         holders = Array.make v (-1);
         best_ranks = Array.make v max_int;
-        uses =
-          (match config.Config.select with
-          | Config.Least_used_slot -> Array.make v 0
-          | Config.Uniform_slot | Config.Rotating_slot -> [||]);
         stamps = Array.make v 0;
         clock = 0;
         id_bound;
@@ -320,7 +311,6 @@ let factory ?(config = Config.default) ?(obs = Obs.disabled) ?(id_bound = 0)
         rng;
         send;
         next_reset = 0;
-        next_select = 0;
         rounds = 0;
         probes = None;
         c_rank_evals = Obs.counter obs "basalt.rank_evals";
@@ -366,56 +356,25 @@ let slot_ranks t =
   Array.init (Array.length t.holders) (fun i ->
       if t.holders.(i) < 0 then None else Some t.best_ranks.(i))
 
+(* Alg. 1's selectPeer: a uniformly random slot.  A few random draws
+   come first, then a scan, so that a mostly-empty view during bootstrap
+   still yields a peer. *)
 let select_peer t =
-  match t.config.Config.select with
-  | Config.Uniform_slot ->
-      (* Try a few random slots before falling back to a scan, so that a
-         mostly-empty view during bootstrap still yields a peer. *)
-      let v = Array.length t.holders in
-      let rec try_random attempts =
-        if attempts = 0 then begin
-          let rec scan i =
-            if Int.compare i v >= 0 then None
-            else
-              match slot_peer t i with
-              | Some p -> Some p
-              | None -> scan (i + 1)
-          in
-          scan 0
-        end
-        else
-          match slot_peer t (Rng.int t.rng v) with
-          | Some p -> Some p
-          | None -> try_random (attempts - 1)
+  let v = Array.length t.holders in
+  let rec try_random attempts =
+    if attempts = 0 then begin
+      let rec scan i =
+        if Int.compare i v >= 0 then None
+        else match slot_peer t i with Some p -> Some p | None -> scan (i + 1)
       in
-      try_random 8
-  | Config.Rotating_slot ->
-      let v = Array.length t.holders in
-      let rec scan remaining =
-        if remaining = 0 then None
-        else begin
-          let i = t.next_select in
-          t.next_select <- (t.next_select + 1) mod v;
-          match slot_peer t i with
-          | Some p -> Some p
-          | None -> scan (remaining - 1)
-        end
-      in
-      scan v
-  | Config.Least_used_slot ->
-      (* The filled slot with the fewest exchanges served since its last
-         reset; ties broken by slot order. *)
-      let best = ref (-1) in
-      for i = 0 to Array.length t.holders - 1 do
-        if t.holders.(i) >= 0
-           && (!best < 0 || Int.compare t.uses.(i) t.uses.(!best) < 0)
-        then best := i
-      done;
-      if !best < 0 then None
-      else begin
-        t.uses.(!best) <- t.uses.(!best) + 1;
-        Some (Node_id.of_int t.holders.(!best))
-      end
+      scan 0
+    end
+    else
+      match slot_peer t (Rng.int t.rng v) with
+      | Some p -> Some p
+      | None -> try_random (attempts - 1)
+  in
+  try_random 8
 
 (* Reset every slot currently holding [peer] and re-offer the rest of the
    view, so the freed slots immediately converge to live candidates. *)
@@ -502,12 +461,8 @@ let on_round t =
   | None -> ());
   match select_peer t with
   | Some q ->
-      let payload =
-        if t.config.Config.push_own_id_only then Message.Push_id t.id
-        else Message.Push (view t)
-      in
       Obs.Counter.incr t.c_pushes;
-      t.send ~dst:q payload
+      t.send ~dst:q (Message.Push (view t))
   | None -> ()
 
 let on_message t ~from msg =
@@ -520,6 +475,8 @@ let on_message t ~from msg =
       (* Alg. 1 line 13: the sender itself is a candidate too. *)
       offer t ids ~sender:(from :> int)
   | Message.Push ids -> offer t ids ~sender:(from :> int)
+  (* Basalt pushes its whole view; a lone id comes from a Brahms peer or
+     a push-id frame off the wire. *)
   | Message.Push_id id -> offer t [||] ~sender:(id :> int)
   (* Broadcast frames belong to the lib/gossip layer sharing the socket;
      the sampler only takes the liveness signal above. *)

@@ -12,17 +12,6 @@
     [Basalt_analysis.Model.equilibria] solves it for a given
     environment. *)
 
-type select_strategy =
-  | Uniform_slot  (** Pick a uniformly random slot (Alg. 1, selectPeer). *)
-  | Rotating_slot
-      (** Cycle deterministically through slots, balancing outgoing
-          exchanges across the view (an extension; see DESIGN.md §4). *)
-  | Least_used_slot
-      (** Pick the filled slot whose peer has served the fewest exchanges
-          since its seed was last reset (per-slot hit counters, as in the
-          authors' production implementation) — spreads load and reduces
-          the information an adversary gains from being selected often. *)
-
 type t = private {
   v : int;
   tau : float;
@@ -30,25 +19,17 @@ type t = private {
   k : int;
   backend : Basalt_hashing.Rank.backend;
       (** Rank function family (see {!Basalt_hashing.Rank.backend}):
-          [Cheap] (default) for trusted-simulation speed, [Keyed_cheap]
-          when modelled adversaries must not predict ranks but
-          cryptographic strength is unnecessary, [Siphash] — whose seeds
-          precompute a resumable midstate, so the gap to the mixers is
-          ~3x per evaluation rather than ~50x — for deployment-grade
-          unpredictability, [Prefix_diverse] for the §6 institutional
-          hardening. *)
-  select : select_strategy;
+          [Cheap] (default) for trusted-simulation speed, [Siphash] —
+          whose seeds precompute a resumable midstate, so the gap to the
+          mixer is ~3x per evaluation rather than ~50x — for
+          deployment-grade unpredictability, [Prefix_diverse] for the §6
+          institutional hardening. *)
   evict_after_rounds : int option;
       (** Dead-peer eviction (an extension the paper's crash-free model
           does not need, but real deployments do): when a pulled peer has
           not answered within this many rounds, every slot holding it is
           reset so the search finds a live peer.  [None] (default)
           disables eviction. *)
-  push_own_id_only : bool;
-      (** Ablation of the §4.3 payload choice: when [true], pushes carry
-          only the sender's identifier (Brahms's design choice) instead
-          of the full view (Basalt's).  Default [false] — the paper's
-          Basalt.  Expect slower discovery when enabled. *)
 }
 
 val make :
@@ -57,15 +38,13 @@ val make :
   ?rho:float ->
   ?k:int ->
   ?backend:Basalt_hashing.Rank.backend ->
-  ?select:select_strategy ->
   ?evict_after_rounds:int ->
-  ?push_own_id_only:bool ->
   unit ->
   t
 (** [make ()] is the paper's base configuration: [v = 160], [tau = 1],
-    [rho = 1], [k = v/2], cheap rank backend, uniform slot selection.
-    @raise Invalid_argument if [v <= 0], [k] not in [\[1, v\]],
-    [tau <= 0] or [rho <= 0]. *)
+    [rho = 1], [k = v/2], cheap rank backend, no eviction.
+    @raise Invalid_argument if [v <= 0], [k] not in [\[1, v\]], or
+    [tau] or [rho] is not positive (NaN included). *)
 
 val default : t
 (** [default] is [make ()]. *)

@@ -9,9 +9,3 @@ let mix63 x =
   (x lxor (x lsr 31)) land max_int
 
 let combine63 seed x = mix63 (seed lxor mix63 x)
-
-(* The keyed variant chains one extra finalizer round over the secret
-   key, so the seed→rank map differs per key: an adversary who cannot
-   read the key cannot precompute low-ranking identifiers against it,
-   yet the cost stays within one mix63 of the unkeyed path. *)
-let keyed63 ~key seed x = mix63 (key lxor mix63 (seed lxor mix63 x))

@@ -1,6 +1,5 @@
 type backend =
   | Cheap
-  | Keyed_cheap of int
   | Siphash of Siphash.key
   | Prefix_diverse of { prefix_of : int -> int }
 
@@ -53,73 +52,83 @@ let sip_finish ms id =
 
 let sip_midstate key seed = Siphash.prepare_int64 key (Int64.of_int seed)
 
+let prefix_diverse_rank prefix_of seed ~pseed ~id ~digest =
+  composite
+    ~prefix_rank:(Mix.combine63 seed (prefix_of id))
+    ~id_rank:(tail (pseed lxor digest))
+
 let rank_digested backend seed ~pseed ~id ~digest =
   match backend with
   | Cheap -> tail (pseed lxor digest)
-  | Keyed_cheap key -> mix63 (key lxor tail (pseed lxor digest))
   | Siphash key -> sip_finish (sip_midstate key seed) id
   | Prefix_diverse { prefix_of } ->
-      composite
-        ~prefix_rank:(Mix.combine63 seed (prefix_of id))
-        ~id_rank:(tail (pseed lxor digest))
+      prefix_diverse_rank prefix_of seed ~pseed ~id ~digest
 
 let rank backend seed id =
   rank_digested backend seed ~pseed:(premix seed) ~id ~digest:(digest id)
 
-(* One slot against a prepared batch, checked, for every backend but
-   [Cheap], whose slots [offer_slots] ranks in C: one backend dispatch per
-   slot, the running best in locals, and for [Keyed_cheap] straight-line
-   int arithmetic per candidate.  The [int array] annotations keep the
+(* The backends whose slots [offer_slots] ranks in OCaml, each over
+   every slot of a node: per slot, the running best in locals, and per
+   candidate the [stamp > since] check, one rank and one comparison.
+   [Siphash] derives the slot's midstate once, so an evaluation only
+   finishes the identifier block.  The [int array] annotations keep the
    comparisons monomorphic (unannotated, [>] on an array element is the
-   polymorphic compare call).  When [fresh] (every candidate would pass
-   the [since] test) [since] is not read. *)
-let offer_checked backend seed ~fresh ~stamp ~(raw : int array)
-    ~(dig : int array) ~(since : int array) ~len ~(best_ranks : int array)
-    ~(holders : int array) i =
-  let pseed = premix seed in
-  let best = ref (Array.unsafe_get best_ranks i) in
-  let holder = ref (Array.unsafe_get holders i) in
+   polymorphic compare call).  A slot whose stamp is above [max_since]
+   takes every candidate without reading [since]. *)
+let offer_siphash key ~(seeds : int array) ~(stamps : int array)
+    ~(raw : int array) ~(since : int array) ~max_since ~len
+    ~(best_ranks : int array) ~(holders : int array) =
   let evals = ref 0 in
-  (match backend with
-  | Keyed_cheap key ->
-      for j = 0 to len - 1 do
-        if fresh || stamp > Array.unsafe_get since j then begin
-          incr evals;
-          let r = mix63 (key lxor tail (pseed lxor Array.unsafe_get dig j)) in
-          if r < !best || !holder < 0 then begin
-            best := r;
-            holder := Array.unsafe_get raw j
-          end
+  for i = 0 to Array.length seeds - 1 do
+    let stamp = Array.unsafe_get stamps i in
+    let fresh = stamp > max_since in
+    let ms = sip_midstate key (Array.unsafe_get seeds i) in
+    let best = ref (Array.unsafe_get best_ranks i) in
+    let holder = ref (Array.unsafe_get holders i) in
+    for j = 0 to len - 1 do
+      if fresh || stamp > Array.unsafe_get since j then begin
+        incr evals;
+        let id = Array.unsafe_get raw j in
+        let r = sip_finish ms id in
+        if r < !best || !holder < 0 then begin
+          best := r;
+          holder := id
         end
-      done
-  | Siphash key ->
-      let ms = sip_midstate key seed in
-      for j = 0 to len - 1 do
-        if fresh || stamp > Array.unsafe_get since j then begin
-          incr evals;
-          let r = sip_finish ms (Array.unsafe_get raw j) in
-          if r < !best || !holder < 0 then begin
-            best := r;
-            holder := Array.unsafe_get raw j
-          end
+      end
+    done;
+    Array.unsafe_set best_ranks i !best;
+    Array.unsafe_set holders i !holder
+  done;
+  !evals
+
+let offer_prefix_diverse prefix_of ~(seeds : int array) ~(stamps : int array)
+    ~(raw : int array) ~(dig : int array) ~(since : int array) ~max_since
+    ~len ~(best_ranks : int array) ~(holders : int array) =
+  let evals = ref 0 in
+  for i = 0 to Array.length seeds - 1 do
+    let stamp = Array.unsafe_get stamps i in
+    let fresh = stamp > max_since in
+    let seed = Array.unsafe_get seeds i in
+    let pseed = premix seed in
+    let best = ref (Array.unsafe_get best_ranks i) in
+    let holder = ref (Array.unsafe_get holders i) in
+    for j = 0 to len - 1 do
+      if fresh || stamp > Array.unsafe_get since j then begin
+        incr evals;
+        let id = Array.unsafe_get raw j in
+        let r =
+          prefix_diverse_rank prefix_of seed ~pseed ~id
+            ~digest:(Array.unsafe_get dig j)
+        in
+        if r < !best || !holder < 0 then begin
+          best := r;
+          holder := id
         end
-      done
-  | Cheap | Prefix_diverse _ ->
-      for j = 0 to len - 1 do
-        if fresh || stamp > Array.unsafe_get since j then begin
-          incr evals;
-          let r =
-            rank_digested backend seed ~pseed ~id:(Array.unsafe_get raw j)
-              ~digest:(Array.unsafe_get dig j)
-          in
-          if r < !best || !holder < 0 then begin
-            best := r;
-            holder := Array.unsafe_get raw j
-          end
-        end
-      done);
-  Array.unsafe_set best_ranks i !best;
-  Array.unsafe_set holders i !holder;
+      end
+    done;
+    Array.unsafe_set best_ranks i !best;
+    Array.unsafe_set holders i !holder
+  done;
   !evals
 
 (* The [Cheap] kernel over every slot at once (rank_stubs.c): a scalar
@@ -159,14 +168,9 @@ let offer_slots backend ~(seeds : int array) ~(stamps : int array) ~raw ~dig
   match backend with
   | Cheap ->
       rank_cheap seeds stamps best_ranks holders raw dig since max_since len
-  | Keyed_cheap _ | Siphash _ | Prefix_diverse _ ->
-      let evals = ref 0 in
-      for i = 0 to v - 1 do
-        let stamp = Array.unsafe_get stamps i in
-        evals :=
-          !evals
-          + offer_checked backend (Array.unsafe_get seeds i)
-              ~fresh:(stamp > max_since) ~stamp ~raw ~dig ~since ~len
-              ~best_ranks ~holders i
-      done;
-      !evals
+  | Siphash key ->
+      offer_siphash key ~seeds ~stamps ~raw ~since ~max_since ~len
+        ~best_ranks ~holders
+  | Prefix_diverse { prefix_of } ->
+      offer_prefix_diverse prefix_of ~seeds ~stamps ~raw ~dig ~since
+        ~max_since ~len ~best_ranks ~holders

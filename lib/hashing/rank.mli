@@ -7,13 +7,9 @@
     permutation of node identifiers, realising a uniform sample of the
     identifiers subsequently offered to the slot.
 
-    Four backends are provided:
+    Three backends are provided:
     - {!Cheap}: a native-integer mixer — the simulator's default, fast
       enough to evaluate ~10⁹ ranks per experiment;
-    - {!Keyed_cheap}: the same mixer chained over a secret native-int
-      key ({!Mix.keyed63}) — a documented fast path for
-      adversarial-model simulations at scale, where per-key rank
-      unpredictability matters but cryptographic strength does not;
     - {!Siphash}: a keyed PRF — what a real deployment would use so that
       an adversary cannot precompute low-ranking identifiers.
       {!offer_slots} absorbs the key and seed into a {!Siphash.midstate}
@@ -37,10 +33,6 @@
 
 type backend =
   | Cheap
-  | Keyed_cheap of int
-      (** The secret key (any native int, e.g. [Rng.bits]); ranks are
-          {!Mix.keyed63}[ ~key seed id].  Not cryptographic — a
-          simulation-scale stand-in for {!Siphash}. *)
   | Siphash of Siphash.key
   | Prefix_diverse of { prefix_of : int -> int }
       (** [prefix_of id] maps an identifier to its address prefix (e.g.
@@ -86,7 +78,8 @@ val offer_slots :
     seed was drawn after the candidate was last offered to it); it
     replaces the holder when its rank is below the best rank or the slot
     is empty.  Final best ranks and holders are written back in place.
-    Returns the number of ranks evaluated.  Allocates nothing.
+    Returns the number of ranks evaluated.  Allocates nothing, except
+    one {!Siphash.midstate} per slot on {!Siphash}.
 
     [max_since] must be at least every [since.(j)], [j < len]: a slot
     whose stamp is above it takes every candidate without reading
@@ -95,9 +88,9 @@ val offer_slots :
     the whole batch against every slot, with an AVX-512 body (eight
     slots per register, two registers per step) on CPUs that have
     AVX-512F and DQ and a scalar body elsewhere, picked once at start-up
-    (DESIGN.md §4); the other backends run an OCaml loop per slot, and
-    {!Siphash} derives each seed's midstate once per call.  The one slot
-    kernel of the repository: Basalt's view slots
+    (DESIGN.md §4); {!Siphash} and {!Prefix_diverse} each run an OCaml
+    loop per slot, and {!Siphash} derives each seed's midstate once per
+    call.  The one slot kernel of the repository: Basalt's view slots
     ([Basalt.update_sample], whose seen-cache supplies [since]) and
     Brahms's samplers (no seen-cache: every candidate is fresh) both run
     on it.

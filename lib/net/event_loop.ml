@@ -46,11 +46,14 @@ let on_readable t fd f = set_fds t ((fd, f) :: without fd t.fds)
 let remove_fd t fd = set_fds t (without fd t.fds)
 
 let schedule t ~delay f =
-  if delay < 0.0 then invalid_arg "Event_loop.schedule: negative delay";
+  (* [not (x >= 0.0)] and [not (x > 0.0)] refuse NaN as well. *)
+  if not (delay >= 0.0) then
+    invalid_arg "Event_loop.schedule: negative delay";
   Event_queue.push t.timers ~time:(now t +. delay) f
 
 let every t ?phase ~interval f =
-  if interval <= 0.0 then invalid_arg "Event_loop.every: interval must be > 0";
+  if not (interval > 0.0) then
+    invalid_arg "Event_loop.every: interval must be > 0";
   let phase = Option.value phase ~default:interval in
   let rec fire () =
     f ();

@@ -45,7 +45,8 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val every : t -> ?phase:float -> interval:float -> (unit -> unit) -> unit
 (** [every t ~interval f] runs [f] periodically ([phase] defaults to
-    [interval]). @raise Invalid_argument if [interval <= 0]. *)
+    [interval]). @raise Invalid_argument if [interval] is not positive
+    (NaN included). *)
 
 (* lint: allow D12 — test seam: single-steps a virtual clock, firing
    due timers without a select pass, which run_for always makes. *)

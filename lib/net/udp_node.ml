@@ -70,9 +70,10 @@ let ids_valid = function
 let create ~config ?(obs = Obs.disabled) ?(inject_loss = 0.0)
     ?(inject_delay = 0.0) ?(gossip = false) ?(deliver = fun _ _ -> ()) ~loop
     ~listen ~bootstrap ~seed () =
-  if inject_loss < 0.0 || inject_loss > 1.0 then
+  (* Stated as what a valid value passes, so NaN is refused too. *)
+  if not (inject_loss >= 0.0 && inject_loss <= 1.0) then
     invalid_arg "Udp_node: inject_loss must be in [0, 1]";
-  if inject_delay < 0.0 then
+  if not (inject_delay >= 0.0) then
     invalid_arg "Udp_node: inject_delay must be >= 0";
   let socket, endpoint = bind_socket listen in
   let c_in = Obs.counter obs "net.datagrams_in" in

@@ -82,7 +82,7 @@ val create :
     the one allowlisted boundary where the sink's clock may come from the
     event loop's real monotonic time (lint D2/D8, DESIGN.md §8).
     @raise Invalid_argument if [inject_loss] is outside [\[0, 1]] or
-    [inject_delay] is negative.
+    [inject_delay] is negative, NaN included.
     @raise Unix.Unix_error if the socket cannot be bound. *)
 
 val endpoint : t -> Endpoint.t

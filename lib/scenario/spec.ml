@@ -207,11 +207,14 @@ let atom_of (s : Sexp.t) ~what =
   | Atom a -> a
   | List _ -> fail s.pos "expected %s, got a list" what
 
+(* Every numeric form parses here, so refusing [nan] and [inf] once
+   keeps them out of each range check below, none of which a NaN
+   fails. *)
 let float_of (s : Sexp.t) =
   let a = atom_of s ~what:"a number" in
   match float_of_string_opt a with
-  | Some x -> x
-  | None -> fail s.pos "bad number '%s'" a
+  | Some x when Float.is_finite x -> x
+  | Some _ | None -> fail s.pos "bad number '%s'" a
 
 let int_of (s : Sexp.t) =
   let a = atom_of s ~what:"an integer" in

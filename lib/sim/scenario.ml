@@ -45,12 +45,15 @@ let make ?(name = "base") ?(n = 1000) ?(f = 0.1) ?(force = 10.0)
     ?(loss = Basalt_engine.Link.Loss.None) ?fault () =
   let bootstrap_size = Option.value bootstrap_size ~default:(max 10 (n / 20)) in
   if n <= 0 then invalid_arg "Scenario.make: n must be positive";
-  if f < 0.0 || f >= 1.0 then invalid_arg "Scenario.make: f out of [0,1)";
-  if force < 0.0 then invalid_arg "Scenario.make: negative force";
-  if steps <= 0.0 then invalid_arg "Scenario.make: steps must be positive";
+  (* The float checks state what a valid value passes, so NaN fails. *)
+  if not (f >= 0.0 && f < 1.0) then
+    invalid_arg "Scenario.make: f out of [0,1)";
+  if not (force >= 0.0) then invalid_arg "Scenario.make: negative force";
+  if not (steps > 0.0) then
+    invalid_arg "Scenario.make: steps must be positive";
   if bootstrap_size <= 0 then
     invalid_arg "Scenario.make: bootstrap_size must be positive";
-  if measure_every <= 0.0 then
+  if not (measure_every > 0.0) then
     invalid_arg "Scenario.make: measure_every must be positive";
   if sample_window <= 0 then
     invalid_arg "Scenario.make: sample_window must be positive";

@@ -38,7 +38,11 @@ let config_validation () =
   expect "Config.make: tau must be positive" (fun () ->
       ignore (Config.make ~tau:0.0 ()));
   expect "Config.make: rho must be positive" (fun () ->
-      ignore (Config.make ~rho:(-1.0) ()))
+      ignore (Config.make ~rho:(-1.0) ()));
+  expect "Config.make: tau must be positive" (fun () ->
+      ignore (Config.make ~tau:Float.nan ()));
+  expect "Config.make: rho must be positive" (fun () ->
+      ignore (Config.make ~rho:Float.nan ()))
 
 let config_intervals () =
   let c = Config.make ~v:100 ~k:50 ~rho:2.0 () in
@@ -156,7 +160,6 @@ let slot_offer_prepared_agrees () =
       | None -> Alcotest.fail "slot should be filled")
     [
       Rank.Cheap;
-      Rank.Keyed_cheap 0x5DEECE66D;
       Rank.Siphash (Basalt_hashing.Siphash.key_of_ints 1L 2L);
       Rank.Prefix_diverse { prefix_of = (fun id -> id / 8) };
     ]
@@ -331,66 +334,6 @@ let basalt_flood_resistance () =
     Basalt.update_sample t flood
   done;
   check_int "flooding again gains nothing" after_once (count_flood ())
-
-let basalt_least_used_balances () =
-  let sent, send = capture_send () in
-  let t =
-    Basalt.create
-      ~config:(Config.make ~v:8 ~k:2 ~select:Config.Least_used_slot ())
-      ~id:(id 0)
-      ~bootstrap:(Array.init 20 (fun i -> id (i + 1)))
-      ~rng:(rng ()) ~send ()
-  in
-  (* Selecting v times must visit v distinct slots (each selection
-     increments the chosen slot's counter, pushing it to the back); a
-     round selects twice, once for the pull and once for the push. *)
-  let slots = Basalt.view_slots t in
-  for _ = 1 to Array.length slots / 2 do
-    on_round t
-  done;
-  let ids = List.map (fun (p, _) -> Basalt_proto.Node_id.to_int p) !sent in
-  check_int "every selection succeeded" (Array.length slots) (List.length ids);
-  (* The multiset of picks equals the multiset of slot peers: each slot
-     used exactly once before any is reused. *)
-  let slot_ids =
-    Array.to_list slots
-    |> List.filter_map (Option.map Basalt_proto.Node_id.to_int)
-    |> List.sort Int.compare
-  in
-  Alcotest.(check (list int))
-    "round of selections covers all slots exactly once" slot_ids
-    (List.sort Int.compare ids)
-
-let basalt_least_used_empty () =
-  let sent, send = capture_send () in
-  let t =
-    Basalt.create
-      ~config:(Config.make ~v:4 ~select:Config.Least_used_slot ())
-      ~id:(id 0) ~bootstrap:[||] ~rng:(rng ()) ~send ()
-  in
-  on_round t;
-  check_int "no peer from empty view" 0 (List.length !sent)
-
-let basalt_push_payload_ablation () =
-  let sent, send = capture_send () in
-  let t =
-    Basalt.create
-      ~config:(Config.make ~v:8 ~k:2 ~push_own_id_only:true ())
-      ~id:(id 0)
-      ~bootstrap:(Array.init 5 (fun i -> id (i + 1)))
-      ~rng:(rng ()) ~send ()
-  in
-  on_round t;
-  let kinds = List.map (fun (_, m) -> Message.kind m) !sent in
-  check_bool "push carries only the sender id" true (List.mem "push-id" kinds);
-  check_bool "no full-view push" false (List.mem "push" kinds);
-  (* the Push_id must carry the local id *)
-  List.iter
-    (fun (_, m) ->
-      match m with
-      | Message.Push_id p -> check_int "own id" 0 (Node_id.to_int p)
-      | _ -> ())
-    !sent
 
 (* --- Dead-peer eviction --- *)
 
@@ -569,12 +512,11 @@ module Obs = Basalt_obs.Obs
    200-id bootstrap from 3,000 ids and the id bound 3,000, as [Runner]
    makes them, disabled telemetry): the seen-cache's clock tags for
    every id below the bound (2 bits per id at k = v/2, 95 words), its
-   four slot int arrays (seeds, holders, best ranks, stamps: 4 x 161;
-   [uses] is empty unless the config selects [Least_used_slot]), its
-   PRNG, record and sampler closures — 823 words measured (1,104 with
-   one-byte tags); the budget is that plus 5 %.  The batch scratch and
-   the RTT tracker are shared, so they are not per node; a node that
-   owned them would carry another 603 + 1446 words. *)
+   four slot int arrays (seeds, holders, best ranks, stamps: 4 x 161),
+   its PRNG, record and sampler closures — 821 words measured (1,104
+   with one-byte tags); the budget is about that plus 5 %.  The batch
+   scratch and the RTT tracker are shared, so they are not per node; a
+   node that owned them would carry another 603 + 1446 words. *)
 let words_per_node_budget = 864
 
 let basalt_per_node_footprint () =
@@ -1062,7 +1004,6 @@ end
 let oracle_backends =
   [
     ("cheap", Rank.Cheap);
-    ("keyed-cheap", Rank.Keyed_cheap 0x2545F4914F6CDD1D);
     ( "siphash",
       Rank.Siphash (Basalt_hashing.Siphash.key_of_ints 0x0706050403020100L 0x0F0E0D0C0B0A0908L) );
     ("prefix-diverse", Rank.Prefix_diverse { prefix_of = (fun id -> id / 8) });
@@ -1525,12 +1466,6 @@ let () =
             basalt_sample_tick_empty_slots;
           Alcotest.test_case "sampler interface" `Quick basalt_sampler_interface;
           Alcotest.test_case "flood resistance" `Quick basalt_flood_resistance;
-          Alcotest.test_case "least-used balances" `Quick
-            basalt_least_used_balances;
-          Alcotest.test_case "least-used empty view" `Quick
-            basalt_least_used_empty;
-          Alcotest.test_case "push payload ablation" `Quick
-            basalt_push_payload_ablation;
           Alcotest.test_case "eviction validation" `Quick eviction_validation;
           Alcotest.test_case "eviction sheds silent peers" `Quick
             eviction_sheds_silent_peers;

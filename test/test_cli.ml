@@ -110,6 +110,17 @@ let matrix_invalid_file_exits_4 () =
   Alcotest.(check bool) "positioned diagnostic" true
     (contains ~needle:"corpus/bad_number.scn:2:12: bad number '0.x'" err)
 
+(* A NaN parses as a float but fails no range check, so it must be
+   refused where the number is read: unrefused, (loss (bernoulli nan))
+   ran as a lossless network. *)
+let matrix_nan_number_exits_4 () =
+  let code, _out, err =
+    run_repro ("matrix " ^ scenarios ^ "corpus/nan_number.scn")
+  in
+  Alcotest.(check int) "exit 4" 4 code;
+  Alcotest.(check bool) "positioned diagnostic" true
+    (contains ~needle:"corpus/nan_number.scn:2:34: bad number 'nan'" err)
+
 (* The output-path probe must fail fast — before any simulation runs —
    for both `repro matrix FILE` and the named targets. *)
 let unwritable_trace_exits_5 () =
@@ -489,6 +500,10 @@ let () =
             (timeline_rejects "-n 0" ~needle:"n must be positive");
           Alcotest.test_case "timeline -f 2 is a usage error" `Quick
             (timeline_rejects "-f 2" ~needle:"f out of [0,1)");
+          Alcotest.test_case "timeline -f nan is a usage error" `Quick
+            (timeline_rejects "-f nan" ~needle:"f out of [0,1)");
+          Alcotest.test_case "timeline -F nan is a usage error" `Quick
+            (timeline_rejects "-F nan" ~needle:"negative force");
         ] );
       ( "basalt-node",
         [
@@ -504,6 +519,20 @@ let () =
           Alcotest.test_case "--payload-size 65488 is a usage error" `Quick
             (node_rejects "--payload-size 65488 --publish-every 0.05"
                ~needle:"--payload-size must be in [0, 65487]");
+          Alcotest.test_case "--tau nan is a usage error" `Quick
+            (node_rejects "--tau nan" ~needle:"tau must be positive");
+          Alcotest.test_case "--rho nan is a usage error" `Quick
+            (node_rejects "--rho nan" ~needle:"rho must be positive");
+          Alcotest.test_case "--report-every nan is a usage error" `Quick
+            (node_rejects "--report-every nan"
+               ~needle:"--report-every must be > 0");
+          Alcotest.test_case "--metrics-every nan is a usage error" `Quick
+            (node_rejects "--metrics-every nan"
+               ~needle:"--metrics-every must be >= 0");
+          Alcotest.test_case "--loss nan is a usage error" `Quick
+            (node_rejects "--loss nan" ~needle:"inject_loss must be in [0, 1]");
+          Alcotest.test_case "--delay nan is a usage error" `Quick
+            (node_rejects "--delay nan" ~needle:"inject_delay must be >= 0");
         ] );
       ( "matrix",
         [
@@ -511,6 +540,8 @@ let () =
             matrix_missing_file_exits_3;
           Alcotest.test_case "invalid file exits 4" `Quick
             matrix_invalid_file_exits_4;
+          Alcotest.test_case "nan number exits 4" `Quick
+            matrix_nan_number_exits_4;
           Alcotest.test_case "unwritable trace exits 5" `Quick
             unwritable_trace_exits_5;
           Alcotest.test_case "unwritable csv exits 5" `Quick

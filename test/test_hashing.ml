@@ -327,7 +327,6 @@ module Print = QCheck2.Print
 let all_backends =
   [
     ("cheap", Rank.Cheap);
-    ("keyed-cheap", Rank.Keyed_cheap 0x5DEECE66D);
     ("siphash", Rank.Siphash ref_key);
     ("prefix-diverse", Rank.Prefix_diverse { prefix_of = (fun id -> id / 64) });
   ]
@@ -363,12 +362,10 @@ let prop_rank_paths_equal =
    formula, over non-negative seeds and ids up to [max_int]. *)
 let prop_rank_is_mix_formula =
   let prefix_of id = id / 100 in
-  let key = 0x2545F4914F6CDD1D in
   Test.make ~name:"cheap ranks = Mix formulas" ~count:2000
     ~print:(Print.pair Print.int Print.int) (Gen.pair nonneg nonneg)
     (fun (seed, id) ->
       Rank.rank Rank.Cheap seed id = Mix.combine63 seed id
-      && Rank.rank (Rank.Keyed_cheap key) seed id = Mix.keyed63 ~key seed id
       && Rank.rank (Rank.Prefix_diverse { prefix_of }) seed id
          = ((Mix.combine63 seed (prefix_of id) land 0x3FFFFFFF) lsl 32)
            lor (Mix.combine63 seed id land 0xFFFFFFFF))
@@ -608,17 +605,6 @@ let prop_sip_rank_matches_reference =
           (Siphash.hash_int64_pair ref_key (Int64.of_int sv) (Int64.of_int id))
         land max_int)
 
-(* Keyed_cheap is pinned to its documented formula and actually keyed. *)
-let keyed_cheap_formula () =
-  let key = 0x1234_5678_9ABC in
-  for id = 0 to 200 do
-    check_int "keyed63 formula" (Mix.keyed63 ~key 77 id)
-      (Rank.rank (Rank.Keyed_cheap key) 77 id)
-  done;
-  check_bool "key matters" true
-    (Rank.rank (Rank.Keyed_cheap key) 77 42
-    <> Rank.rank (Rank.Keyed_cheap (key + 1)) 77 42)
-
 let prop_mix63_nonneg =
   Test.make ~name:"mix63 non-negative" ~count:1000 ~print:Print.int
     (Gen.int_range min_int max_int)
@@ -670,9 +656,6 @@ let () =
             prefix_rank_uniform_within_prefix;
           Alcotest.test_case "prefix-diverse prepared agrees" `Quick
             prefix_rank_prepared_agrees;
-          Alcotest.test_case "keyed-cheap formula" `Quick keyed_cheap_formula;
-          Alcotest.test_case "min-wise uniformity (keyed-cheap)" `Slow
-            (rank_minwise_uniformity (Rank.Keyed_cheap 0xBEEF));
         ] );
       ( "kernel",
         [

@@ -150,6 +150,17 @@ let loop_every_fires_repeatedly () =
   Event_loop.run_for loop 0.12;
   check_bool (Printf.sprintf "fired repeatedly (%d)" !count) true (!count >= 5)
 
+(* A NaN delay or interval is refused like a negative one: queued, it
+   would never come due, and a NaN select timeout raises EINVAL. *)
+let loop_rejects_nan () =
+  let loop = Event_loop.create ~clock:Unix.gettimeofday () in
+  Alcotest.check_raises "nan delay"
+    (Invalid_argument "Event_loop.schedule: negative delay") (fun () ->
+      Event_loop.schedule loop ~delay:Float.nan ignore);
+  Alcotest.check_raises "nan interval"
+    (Invalid_argument "Event_loop.every: interval must be > 0") (fun () ->
+      Event_loop.every loop ~interval:Float.nan ignore)
+
 let loop_fd_callback () =
   let loop = Event_loop.create ~clock:Unix.gettimeofday () in
   let r, w = Unix.pipe () in
@@ -880,6 +891,7 @@ let () =
         [
           Alcotest.test_case "timers fire in order" `Quick loop_timers_fire;
           Alcotest.test_case "every repeats" `Quick loop_every_fires_repeatedly;
+          Alcotest.test_case "nan timings rejected" `Quick loop_rejects_nan;
           Alcotest.test_case "fd callback" `Quick loop_fd_callback;
           Alcotest.test_case "virtual clock" `Quick loop_virtual_clock;
           Alcotest.test_case "fd table" `Quick loop_fd_table;

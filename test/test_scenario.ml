@@ -130,6 +130,7 @@ let corpus =
     ("trailing.scn", "2:1: expected a single (matrix ...) form");
     ("not_matrix.scn", "1:1: expected a (matrix ...) form");
     ("bad_number.scn", "2:12: bad number '0.x'");
+    ("nan_number.scn", "2:34: bad number 'nan'");
     ("bad_prob.scn", "2:12: probability '1.5' out of [0,1]");
     ("unknown_key.scn", "2:9: unknown setting 'pace'");
     ("dup_axis.scn", "1:1: duplicate axis 'condition'");
